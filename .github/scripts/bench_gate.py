@@ -28,8 +28,10 @@ import sys
 GATE_TABLE = [
     {
         "kind": "bench-parallel",
-        "gated": ("gemm_rel", "pool_dispatch_rel"),
-        "why": "pooled gemm arithmetic and pool dispatch overhead",
+        "gated": ("gemm_rel", "gemm_nt_rel", "gemm_tn_acc_rel",
+                  "pool_dispatch_rel"),
+        "why": "the DQN learner's gemm kernels (input gradient, forward, "
+               "weight gradient) and pool dispatch overhead",
     },
     {
         "kind": "bench-analysis",

@@ -32,24 +32,11 @@ let create (rng : Rng.t) ~in_dim ~out_dim ~relu =
     mb = Array.make out_dim 0.0;
     vb = Array.make out_dim 0.0 }
 
-type cache = {
-  input : float array;
-  pre : float array; (* pre-activation *)
-}
-
-let forward (l : t) (x : float array) : float array * cache =
-  let pre = Matrix.matvec l.w x in
-  Array.iteri (fun i b -> pre.(i) <- pre.(i) +. b) l.b;
-  let out = if l.relu then Array.map (fun v -> if v > 0.0 then v else 0.0) pre else Array.copy pre in
-  (out, { input = x; pre })
-
-(* --- minibatch path --------------------------------------------------------
-
-   One gemm per layer instead of one matvec per sample: rows are batch
-   elements. Term order per output element matches the per-sample loop
-   (ascending input index forward, ascending sample index into the
-   gradients), so switching batch sizes or enabling the pool never
-   changes the arithmetic — see DESIGN.md §9. *)
+(* One gemm per layer over a whole batch: rows are batch elements (a
+   single state is the one-row case). Term order per output element is
+   fixed — ascending input index forward, ascending sample index into
+   the gradients — so batch size, row blocking and the pool never change
+   the arithmetic; see DESIGN.md §9. *)
 
 type bcache = {
   binput : Matrix.t; (* batch x in_dim *)
@@ -61,33 +48,36 @@ let forward_batch ?pool (l : t) (x : Matrix.t) : Matrix.t * bcache =
     invalid_arg "Layer.forward_batch: dimension mismatch";
   let pre = Matrix.gemm_nt ?pool x l.w in
   let out_dim = l.w.Matrix.rows in
+  (* bias add and activation in one closure-free pass: an [Array.map]
+     closure would box every element *)
+  let pd = pre.Matrix.data in
+  let od = Array.make (Array.length pd) 0.0 in
   for i = 0 to pre.Matrix.rows - 1 do
     let base = i * out_dim in
     for j = 0 to out_dim - 1 do
-      pre.Matrix.data.(base + j) <- pre.Matrix.data.(base + j) +. l.b.(j)
+      let v = pd.(base + j) +. l.b.(j) in
+      pd.(base + j) <- v;
+      if v > 0.0 || not l.relu then od.(base + j) <- v
     done
   done;
-  let out =
-    if l.relu then
-      { pre with
-        Matrix.data =
-          Array.map (fun v -> if v > 0.0 then v else 0.0) pre.Matrix.data }
-    else Matrix.copy pre
-  in
-  (out, { binput = x; bpre = pre })
+  ({ pre with Matrix.data = od }, { binput = x; bpre = pre })
 
-(* Accumulates gradients over the whole batch; returns dL/dinput rows. *)
+(* Accumulates gradients over the whole batch; returns dL/dpre rows, from
+   which the caller takes dL/dinput as [Matrix.gemm dpre w] when it has a
+   use for it. *)
 let backward_batch ?pool (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
   let dpre =
-    if l.relu then
-      { dout with
-        Matrix.data =
-          Array.mapi
-            (fun i d -> if c.bpre.Matrix.data.(i) > 0.0 then d else 0.0)
-            dout.Matrix.data }
+    if l.relu then begin
+      let dd = dout.Matrix.data and pd = c.bpre.Matrix.data in
+      let masked = Array.make (Array.length dd) 0.0 in
+      for i = 0 to Array.length dd - 1 do
+        if pd.(i) > 0.0 then masked.(i) <- dd.(i)
+      done;
+      { dout with Matrix.data = masked }
+    end
     else dout
   in
-  Matrix.gemm_tn_acc l.gw dpre c.binput;
+  Matrix.gemm_tn_acc ?pool l.gw dpre c.binput;
   let out_dim = dpre.Matrix.cols in
   for i = 0 to dpre.Matrix.rows - 1 do
     let base = i * out_dim in
@@ -95,18 +85,7 @@ let backward_batch ?pool (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
       l.gb.(j) <- l.gb.(j) +. dpre.Matrix.data.(base + j)
     done
   done;
-  Matrix.gemm ?pool dpre l.w
-
-(* Accumulates gradients; returns dL/dinput. *)
-let backward (l : t) (c : cache) (dout : float array) : float array =
-  let dpre =
-    if l.relu then
-      Array.mapi (fun i d -> if c.pre.(i) > 0.0 then d else 0.0) dout
-    else dout
-  in
-  Matrix.outer_add l.gw ~k:1.0 dpre c.input;
-  Array.iteri (fun i d -> l.gb.(i) <- l.gb.(i) +. d) dpre;
-  Matrix.matvec_t l.w dpre
+  dpre
 
 let zero_grad (l : t) =
   Matrix.fill_zero l.gw;

@@ -19,63 +19,28 @@ let set m i j v = m.data.((i * m.cols) + j) <- v
 
 let fill_zero m = Array.fill m.data 0 (Array.length m.data) 0.0
 
-(* y = M x *)
-let matvec (m : t) (x : float array) : float array =
-  if Array.length x <> m.cols then invalid_arg "Matrix.matvec: dimension mismatch";
-  let y = Array.make m.rows 0.0 in
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    let acc = ref 0.0 in
-    for j = 0 to m.cols - 1 do
-      acc := !acc +. (m.data.(base + j) *. x.(j))
-    done;
-    y.(i) <- !acc
-  done;
-  y
-
-(* y = Mᵀ x *)
-let matvec_t (m : t) (x : float array) : float array =
-  if Array.length x <> m.rows then invalid_arg "Matrix.matvec_t: dimension mismatch";
-  let y = Array.make m.cols 0.0 in
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    let xi = x.(i) in
-    if xi <> 0.0 then
-      for j = 0 to m.cols - 1 do
-        y.(j) <- y.(j) +. (m.data.(base + j) *. xi)
-      done
-  done;
-  y
-
-(* M <- M + k * (a ⊗ b)  (outer product accumulate, used for gradients) *)
-let outer_add (m : t) ~(k : float) (a : float array) (b : float array) =
-  if Array.length a <> m.rows || Array.length b <> m.cols then
-    invalid_arg "Matrix.outer_add: dimension mismatch";
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    let ai = k *. a.(i) in
-    if ai <> 0.0 then
-      for j = 0 to m.cols - 1 do
-        m.data.(base + j) <- m.data.(base + j) +. (ai *. b.(j))
-      done
-  done
-
 (* --- batched kernels (gemm family) ----------------------------------------
 
    Minibatch training multiplies (batch x dim) activation matrices
    against layer weights; these kernels are the hot path of
-   [Dqn.train_batch]. All three stream contiguous rows (the "ikj" /
-   dot-product orders that suit row-major data) and tile the inner loop
-   in blocks of [tile] columns so a C-row segment and a B-row segment
-   stay resident in cache.
+   [Dqn.train_batch], and a single-state forward is their one-row case.
 
-   Determinism: every output element accumulates its k-terms in
-   ascending-k order no matter the tiling or the row partition, so the
-   pool-parallel path below is byte-identical to the serial one — and
-   the batched forward/backward are term-order identical to the
-   per-sample [matvec]/[outer_add] loop they replace. *)
+   Register blocking: a one-sum-at-a-time loop is one dependent add
+   chain, so it runs at the add latency. Each kernel instead computes a
+   block of independent output elements per pass over the inner index
+   k — 2 rows x 4 columns for [gemm_nt], 8 columns for [gemm] and
+   [gemm_tn_acc] — with the block's partial sums in local float refs,
+   which the compiler keeps unboxed in registers, so the block's chains
+   overlap and each loaded operand feeds several sums. Remainder rows
+   and columns take narrower blocks (1x4, 1x1).
 
-let tile = 64
+   Determinism: a block spans independent output elements only. Each
+   element still starts from the same value (0.0, or C's own entry for
+   [gemm_tn_acc]), adds its k-terms one at a time in ascending k, and
+   skips the term of an exactly-zero A entry per (i, k) ([gemm],
+   [gemm_tn_acc]). Every element is therefore bit-identical whatever the
+   blocking, the remainder path or the row partition across the pool —
+   see DESIGN.md §9. *)
 
 let row_slice rows jobs w =
   (* chunk [0, rows) into at most [jobs] contiguous (start, stop) spans *)
@@ -94,29 +59,136 @@ let parallel_rows ?pool rows (body : int -> int -> unit) : unit =
          (Array.of_list (row_slice rows (Posetrl_support.Pool.jobs p) Fun.id)))
   | _ -> body 0 rows
 
-(* C = A B *)
+(* [gemm_nt] blocks: dot products of A rows starting at [a0] (and
+   [a0 + kd]) with B rows starting at [b0], [b0 + kd], ..., all of
+   length [kd]; the sums land at [c0] (and [c0 + n]) onwards. *)
+
+let nt_2x4 ad a0 bd b0 cd c0 kd n =
+  let a1 = a0 + kd and b1 = b0 + kd in
+  let b2 = b1 + kd in
+  let b3 = b2 + kd in
+  let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
+  let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
+  for k = 0 to kd - 1 do
+    let x0 = ad.(a0 + k) and x1 = ad.(a1 + k) in
+    let y0 = bd.(b0 + k) and y1 = bd.(b1 + k)
+    and y2 = bd.(b2 + k) and y3 = bd.(b3 + k) in
+    s00 := !s00 +. (x0 *. y0);
+    s01 := !s01 +. (x0 *. y1);
+    s02 := !s02 +. (x0 *. y2);
+    s03 := !s03 +. (x0 *. y3);
+    s10 := !s10 +. (x1 *. y0);
+    s11 := !s11 +. (x1 *. y1);
+    s12 := !s12 +. (x1 *. y2);
+    s13 := !s13 +. (x1 *. y3)
+  done;
+  cd.(c0) <- !s00;
+  cd.(c0 + 1) <- !s01;
+  cd.(c0 + 2) <- !s02;
+  cd.(c0 + 3) <- !s03;
+  cd.(c0 + n) <- !s10;
+  cd.(c0 + n + 1) <- !s11;
+  cd.(c0 + n + 2) <- !s12;
+  cd.(c0 + n + 3) <- !s13
+
+let nt_1x4 ad a0 bd b0 cd c0 kd =
+  let b1 = b0 + kd in
+  let b2 = b1 + kd in
+  let b3 = b2 + kd in
+  let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+  for k = 0 to kd - 1 do
+    let x = ad.(a0 + k) in
+    s0 := !s0 +. (x *. bd.(b0 + k));
+    s1 := !s1 +. (x *. bd.(b1 + k));
+    s2 := !s2 +. (x *. bd.(b2 + k));
+    s3 := !s3 +. (x *. bd.(b3 + k))
+  done;
+  cd.(c0) <- !s0;
+  cd.(c0 + 1) <- !s1;
+  cd.(c0 + 2) <- !s2;
+  cd.(c0 + 3) <- !s3
+
+let nt_1x1 ad a0 bd b0 cd c0 kd =
+  let s = ref 0.0 in
+  for k = 0 to kd - 1 do
+    s := !s +. (ad.(a0 + k) *. bd.(b0 + k))
+  done;
+  cd.(c0) <- !s
+
+(* [gemm] / [gemm_tn_acc]: C row i accumulates, for k ascending, A's
+   entry (i, k) times B row k, skipping exactly-zero A entries. The row's
+   non-zero A entries are gathered once, in ascending k, into [xs] (the
+   values) and [ks] (their B row offsets), so the block kernels below run
+   branch-free over exactly the terms the skip keeps, in the same order.
+   ReLU masks zero about half of a gradient's entries, so the skip is a
+   real saving, and a per-term branch would mispredict. *)
+
+let acc_1x8 ks xs nnz bd cd c0 j =
+  let s0 = ref cd.(c0) and s1 = ref cd.(c0 + 1)
+  and s2 = ref cd.(c0 + 2) and s3 = ref cd.(c0 + 3) in
+  let s4 = ref cd.(c0 + 4) and s5 = ref cd.(c0 + 5)
+  and s6 = ref cd.(c0 + 6) and s7 = ref cd.(c0 + 7) in
+  for t = 0 to nnz - 1 do
+    let x = xs.(t) and bk = ks.(t) + j in
+    s0 := !s0 +. (x *. bd.(bk));
+    s1 := !s1 +. (x *. bd.(bk + 1));
+    s2 := !s2 +. (x *. bd.(bk + 2));
+    s3 := !s3 +. (x *. bd.(bk + 3));
+    s4 := !s4 +. (x *. bd.(bk + 4));
+    s5 := !s5 +. (x *. bd.(bk + 5));
+    s6 := !s6 +. (x *. bd.(bk + 6));
+    s7 := !s7 +. (x *. bd.(bk + 7))
+  done;
+  cd.(c0) <- !s0;
+  cd.(c0 + 1) <- !s1;
+  cd.(c0 + 2) <- !s2;
+  cd.(c0 + 3) <- !s3;
+  cd.(c0 + 4) <- !s4;
+  cd.(c0 + 5) <- !s5;
+  cd.(c0 + 6) <- !s6;
+  cd.(c0 + 7) <- !s7
+
+let acc_1x1 ks xs nnz bd cd c0 j =
+  let s = ref cd.(c0) in
+  for t = 0 to nnz - 1 do
+    s := !s +. (xs.(t) *. bd.(ks.(t) + j))
+  done;
+  cd.(c0) <- !s
+
+(* C rows [i0, i1) of an accumulate-form product over [kcount] terms:
+   row i's A entries sit at [a0 i + k * astep]. *)
+let acc_rows ~a0 ~astep ad bd (c : t) kcount i0 i1 =
+  let n = c.cols and cd = c.data in
+  let ks = Array.make kcount 0 and xs = Array.make kcount 0.0 in
+  for i = i0 to i1 - 1 do
+    let ai = a0 i and ci = i * n in
+    let nnz = ref 0 in
+    for k = 0 to kcount - 1 do
+      let x = ad.(ai + (k * astep)) in
+      if x <> 0.0 then begin
+        ks.(!nnz) <- k * n;
+        xs.(!nnz) <- x;
+        incr nnz
+      end
+    done;
+    let nnz = !nnz in
+    let j = ref 0 in
+    while !j + 8 <= n do
+      acc_1x8 ks xs nnz bd cd (ci + !j) !j;
+      j := !j + 8
+    done;
+    for jr = !j to n - 1 do
+      acc_1x1 ks xs nnz bd cd (ci + jr) jr
+    done
+  done
+
+(* C = A B — the input gradient ([dpre · w]). *)
 let gemm ?pool (a : t) (b : t) : t =
   if a.cols <> b.rows then invalid_arg "Matrix.gemm: dimension mismatch";
   let c = create a.rows b.cols in
-  let n = b.cols in
-  parallel_rows ?pool a.rows (fun i0 i1 ->
-      for i = i0 to i1 - 1 do
-        let abase = i * a.cols and cbase = i * n in
-        let j0 = ref 0 in
-        while !j0 < n do
-          let jhi = min n (!j0 + tile) in
-          for k = 0 to a.cols - 1 do
-            let aik = a.data.(abase + k) in
-            if aik <> 0.0 then begin
-              let bbase = k * n in
-              for j = !j0 to jhi - 1 do
-                c.data.(cbase + j) <- c.data.(cbase + j) +. (aik *. b.data.(bbase + j))
-              done
-            end
-          done;
-          j0 := jhi
-        done
-      done);
+  let kd = a.cols in
+  parallel_rows ?pool a.rows
+    (acc_rows ~a0:(fun i -> i * kd) ~astep:1 a.data b.data c kd);
   c
 
 (* C = A Bᵀ — the minibatch forward ([x · wᵀ]): both operands are read
@@ -124,40 +196,34 @@ let gemm ?pool (a : t) (b : t) : t =
 let gemm_nt ?pool (a : t) (b : t) : t =
   if a.cols <> b.cols then invalid_arg "Matrix.gemm_nt: dimension mismatch";
   let c = create a.rows b.rows in
-  let kdim = a.cols in
+  let kd = a.cols and n = b.rows in
+  let ad = a.data and bd = b.data and cd = c.data in
   parallel_rows ?pool a.rows (fun i0 i1 ->
-      for i = i0 to i1 - 1 do
-        let abase = i * kdim and cbase = i * b.rows in
-        for j = 0 to b.rows - 1 do
-          let bbase = j * kdim in
-          let acc = ref 0.0 in
-          for k = 0 to kdim - 1 do
-            acc := !acc +. (a.data.(abase + k) *. b.data.(bbase + k))
-          done;
-          c.data.(cbase + j) <- !acc
-        done
+      let i = ref i0 in
+      while !i < i1 do
+        let a0 = !i * kd and c0 = !i * n and two = !i + 1 < i1 in
+        let j = ref 0 in
+        while !j + 4 <= n do
+          if two then nt_2x4 ad a0 bd (!j * kd) cd (c0 + !j) kd n
+          else nt_1x4 ad a0 bd (!j * kd) cd (c0 + !j) kd;
+          j := !j + 4
+        done;
+        for jr = !j to n - 1 do
+          nt_1x1 ad a0 bd (jr * kd) cd (c0 + jr) kd;
+          if two then nt_1x1 ad (a0 + kd) bd (jr * kd) cd (c0 + n + jr) kd
+        done;
+        i := !i + if two then 2 else 1
       done);
   c
 
-(* C <- C + Aᵀ B — the weight-gradient accumulate ([gw += dpreᵀ · x]).
-   Runs serial: gradient matrices are small (out x in) and the k loop
-   must stay sample-ascending per element for term-order determinism. *)
-let gemm_tn_acc (c : t) (a : t) (b : t) : unit =
+(* C <- C + Aᵀ B — the weight-gradient accumulate ([gw += dpreᵀ · x]):
+   C row i is A column i against B, summed over A's rows (the batch
+   samples) in ascending order. *)
+let gemm_tn_acc ?pool (c : t) (a : t) (b : t) : unit =
   if a.rows <> b.rows || c.rows <> a.cols || c.cols <> b.cols then
     invalid_arg "Matrix.gemm_tn_acc: dimension mismatch";
-  let n = b.cols in
-  for k = 0 to a.rows - 1 do
-    let abase = k * a.cols and bbase = k * n in
-    for i = 0 to a.cols - 1 do
-      let aki = a.data.(abase + i) in
-      if aki <> 0.0 then begin
-        let cbase = i * n in
-        for j = 0 to n - 1 do
-          c.data.(cbase + j) <- c.data.(cbase + j) +. (aki *. b.data.(bbase + j))
-        done
-      end
-    done
-  done
+  parallel_rows ?pool c.rows
+    (acc_rows ~a0:Fun.id ~astep:a.cols a.data b.data c a.rows)
 
 (* rows of [m] as freshly allocated arrays / a matrix from row vectors *)
 let of_rows (rows : float array array) : t =

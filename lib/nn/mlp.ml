@@ -19,30 +19,7 @@ let create (rng : Rng.t) (dims : int list) : t =
   in
   { layers; dims }
 
-let forward (net : t) (x : float array) : float array =
-  Array.fold_left (fun x l -> fst (Layer.forward l x)) x net.layers
-
-type caches = Layer.cache array
-
-let forward_cached (net : t) (x : float array) : float array * caches =
-  let caches = Array.make (Array.length net.layers) { Layer.input = x; Layer.pre = x } in
-  let out = ref x in
-  Array.iteri
-    (fun k l ->
-      let o, c = Layer.forward l !out in
-      caches.(k) <- c;
-      out := o)
-    net.layers;
-  (!out, caches)
-
-(* Backpropagate dL/doutput, accumulating parameter gradients. *)
-let backward (net : t) (caches : caches) (dout : float array) : unit =
-  let d = ref dout in
-  for k = Array.length net.layers - 1 downto 0 do
-    d := Layer.backward net.layers.(k) caches.(k) !d
-  done
-
-(* --- minibatch path: one gemm per layer over the whole batch ------------- *)
+(* --- one gemm per layer over the whole batch ------------------------------ *)
 
 type bcaches = Layer.bcache array
 
@@ -61,12 +38,21 @@ let forward_batch_cached ?pool (net : t) (x : Matrix.t) : Matrix.t * bcaches =
 let forward_batch ?pool (net : t) (x : Matrix.t) : Matrix.t =
   fst (forward_batch_cached ?pool net x)
 
+(* One state: the one-row case of [forward_batch]. The 1 x d matrix
+   shares [x]'s storage (layers never write to their input), and the
+   result row is freshly allocated. *)
+let forward (net : t) (x : float array) : float array =
+  (forward_batch net { Matrix.rows = 1; cols = Array.length x; data = x }).Matrix.data
+
 (* Backpropagate per-row dL/doutput, accumulating parameter gradients
-   over the whole batch. *)
+   over the whole batch. Layer 0's input gradient (dL/dstate) has no
+   consumer, so it is never computed. *)
 let backward_batch ?pool (net : t) (caches : bcaches) (dout : Matrix.t) : unit =
   let d = ref dout in
   for k = Array.length net.layers - 1 downto 0 do
-    d := Layer.backward_batch ?pool net.layers.(k) caches.(k) !d
+    let l = net.layers.(k) in
+    let dpre = Layer.backward_batch ?pool l caches.(k) !d in
+    if k > 0 then d := Matrix.gemm ?pool dpre l.Layer.w
   done
 
 let zero_grad (net : t) = Array.iter Layer.zero_grad net.layers

@@ -13,13 +13,20 @@ let create ?(lr = 1e-4) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8)
     ?(grad_clip = 10.0) () =
   { lr; beta1; beta2; eps; grad_clip; step_count = 0 }
 
+(* Plain loops throughout: a float ref captured by an [Array.iter]
+   closure would box every partial sum. *)
 let grad_norm (net : Mlp.t) : float =
   let acc = ref 0.0 in
-  Array.iter
-    (fun (l : Layer.t) ->
-      Array.iter (fun g -> acc := !acc +. (g *. g)) l.Layer.gw.Matrix.data;
-      Array.iter (fun g -> acc := !acc +. (g *. g)) l.Layer.gb)
-    net.Mlp.layers;
+  for k = 0 to Array.length net.Mlp.layers - 1 do
+    let l = net.Mlp.layers.(k) in
+    let gw = l.Layer.gw.Matrix.data and gb = l.Layer.gb in
+    for i = 0 to Array.length gw - 1 do
+      acc := !acc +. (gw.(i) *. gw.(i))
+    done;
+    for i = 0 to Array.length gb - 1 do
+      acc := !acc +. (gb.(i) *. gb.(i))
+    done
+  done;
   sqrt !acc
 
 let step (o : t) (net : Mlp.t) : unit =
@@ -34,24 +41,21 @@ let step (o : t) (net : Mlp.t) : unit =
     end
     else 1.0
   in
+  let lr = o.lr and eps = o.eps and b1 = o.beta1 and b2 = o.beta2 in
+  let b1c = 1.0 -. b1 and b2c = 1.0 -. b2 in
+  (* parameters [p], gradients [g], moments [m]/[v] *)
+  let update p g m v =
+    for i = 0 to Array.length p - 1 do
+      let gi = g.(i) *. clip_scale in
+      m.(i) <- (b1 *. m.(i)) +. (b1c *. gi);
+      v.(i) <- (b2 *. v.(i)) +. (b2c *. gi *. gi);
+      let mhat = m.(i) /. bc1 and vhat = v.(i) /. bc2 in
+      p.(i) <- p.(i) -. (lr *. mhat /. (sqrt vhat +. eps))
+    done
+  in
   Array.iter
     (fun (l : Layer.t) ->
-      let wd = l.Layer.w.Matrix.data
-      and gd = l.Layer.gw.Matrix.data
-      and md = l.Layer.mw.Matrix.data
-      and vd = l.Layer.vw.Matrix.data in
-      for i = 0 to Array.length wd - 1 do
-        let g = gd.(i) *. clip_scale in
-        md.(i) <- (o.beta1 *. md.(i)) +. ((1.0 -. o.beta1) *. g);
-        vd.(i) <- (o.beta2 *. vd.(i)) +. ((1.0 -. o.beta2) *. g *. g);
-        let mhat = md.(i) /. bc1 and vhat = vd.(i) /. bc2 in
-        wd.(i) <- wd.(i) -. (o.lr *. mhat /. (sqrt vhat +. o.eps))
-      done;
-      for i = 0 to Array.length l.Layer.b - 1 do
-        let g = l.Layer.gb.(i) *. clip_scale in
-        l.Layer.mb.(i) <- (o.beta1 *. l.Layer.mb.(i)) +. ((1.0 -. o.beta1) *. g);
-        l.Layer.vb.(i) <- (o.beta2 *. l.Layer.vb.(i)) +. ((1.0 -. o.beta2) *. g *. g);
-        let mhat = l.Layer.mb.(i) /. bc1 and vhat = l.Layer.vb.(i) /. bc2 in
-        l.Layer.b.(i) <- l.Layer.b.(i) -. (o.lr *. mhat /. (sqrt vhat +. o.eps))
-      done)
+      update l.Layer.w.Matrix.data l.Layer.gw.Matrix.data l.Layer.mw.Matrix.data
+        l.Layer.vw.Matrix.data;
+      update l.Layer.b l.Layer.gb l.Layer.mb l.Layer.vb)
     net.Mlp.layers

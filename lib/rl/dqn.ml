@@ -188,30 +188,64 @@ let save_weights (t : t) (path : string) : unit =
     net.Mlp.layers;
   close_out oc
 
+(* Every line must hold exactly its layer's value count: a short line
+   would leave weights at their random init and a long one would be
+   silently cut. The whole file is parsed before any weight is written,
+   so a rejected file leaves the agent as it was. *)
 let load_weights (t : t) (path : string) : unit =
-  let ic = open_in path in
-  let header = input_line ic in
-  if not (String.length header > 11 && String.sub header 0 11 = "posetrl-dqn") then
-    failwith "Dqn.load_weights: bad header";
-  let dims_line = input_line ic in
-  let dims =
-    String.split_on_char ' ' (String.trim dims_line) |> List.map int_of_string
+  let fail fmt =
+    Printf.ksprintf (fun m -> failwith ("Dqn.load_weights: " ^ path ^ ": " ^ m)) fmt
   in
-  if dims <> Array.to_list t.online.Mlp.dims then
-    failwith "Dqn.load_weights: architecture mismatch";
-  Array.iter
-    (fun (l : Layer.t) ->
-      let wline = input_line ic in
-      let ws = String.split_on_char ' ' (String.trim wline) in
-      List.iteri
-        (fun i s -> if i < Array.length l.Layer.w.Matrix.data then
-            l.Layer.w.Matrix.data.(i) <- float_of_string s)
-        ws;
-      let bline = input_line ic in
-      let bs = String.split_on_char ' ' (String.trim bline) in
-      List.iteri
-        (fun i s -> if i < Array.length l.Layer.b then l.Layer.b.(i) <- float_of_string s)
-        bs)
-    t.online.Mlp.layers;
-  close_in ic;
+  let parse of_string what s =
+    match of_string s with
+    | Some v -> v
+    | None -> fail "%s: bad value %S" what s
+  in
+  let ic = open_in path in
+  let layers =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let line what =
+          match input_line ic with
+          | l -> l
+          | exception End_of_file -> fail "file ends before %s" what
+        in
+        let header = line "the header" in
+        if not (String.length header > 11 && String.sub header 0 11 = "posetrl-dqn") then
+          fail "bad header";
+        let dims =
+          String.split_on_char ' ' (String.trim (line "the layer sizes"))
+          |> List.map (parse int_of_string_opt "the layer sizes")
+        in
+        if dims <> Array.to_list t.online.Mlp.dims then fail "architecture mismatch";
+        let values what expected =
+          let toks =
+            String.split_on_char ' ' (line what) |> List.filter (fun s -> s <> "")
+          in
+          let got = List.length toks in
+          if got <> expected then fail "%s: %d values, expected %d" what got expected;
+          Array.of_list (List.map (parse float_of_string_opt what) toks)
+        in
+        let layers =
+          Array.mapi
+            (fun k (l : Layer.t) ->
+              let w =
+                values (Printf.sprintf "layer %d weights" k)
+                  (Array.length l.Layer.w.Matrix.data)
+              in
+              let b = values (Printf.sprintf "layer %d biases" k) (Array.length l.Layer.b) in
+              (w, b))
+            t.online.Mlp.layers
+        in
+        if String.trim (In_channel.input_all ic) <> "" then
+          fail "unexpected data after the last layer";
+        layers)
+  in
+  Array.iteri
+    (fun k (w, b) ->
+      let l = t.online.Mlp.layers.(k) in
+      Array.blit w 0 l.Layer.w.Matrix.data 0 (Array.length w);
+      Array.blit b 0 l.Layer.b 0 (Array.length b))
+    layers;
   sync_target t

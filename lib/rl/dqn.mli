@@ -71,5 +71,9 @@ val save_weights : t -> string -> unit
 
 val load_weights : t -> string -> unit
 (** Load weights saved by {!save_weights} into [online] and sync the
-    target.
-    @raise Failure on a bad header or architecture mismatch. *)
+    target. The file is checked whole before any weight is written.
+    @raise Failure naming the file and the problem: a bad header, an
+    architecture mismatch, a missing line, a weight or bias line whose
+    value count differs from its layer's size (the message names the
+    layer and the expected count), an unparsable value, or data after
+    the last layer. *)

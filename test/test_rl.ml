@@ -132,6 +132,66 @@ let test_save_load_weights () =
     (fun i v -> Alcotest.(check (float 1e-9)) (Printf.sprintf "q[%d]" i) v qb.(i))
     qa
 
+(* A saved file with one line rewritten: [edit] maps (line index, line)
+   to the replacement lines. Returns the path of the edited copy. *)
+let edited_weights (a : Rl.Dqn.t) edit =
+  let path = Filename.temp_file "posetrl" ".weights" in
+  Rl.Dqn.save_weights a path;
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.mapi (fun i l -> edit i l)
+    |> List.concat
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (String.concat "\n" lines));
+  path
+
+(* The load must fail with a message naming [expect], and leave the
+   target agent's weights as they were. *)
+let check_rejected ~expect path =
+  let b = Rl.Dqn.create (Rng.create 10) ~state_dim:4 ~hidden:[ 8 ] ~n_actions:34 in
+  let x = [| 0.1; 0.2; 0.3; 0.4 |] in
+  let before = Rl.Dqn.q_values b x in
+  let msg =
+    match Rl.Dqn.load_weights b path with
+    | () -> "loaded"
+    | exception Failure m -> m
+  in
+  Sys.remove path;
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) (Printf.sprintf "%S names %S" msg expect) true (contains msg expect);
+  Alcotest.(check bool) "weights untouched" true (Rl.Dqn.q_values b x = before)
+
+(* Lines: 0 header, 1 sizes, then weights/biases per layer: layer 0 is
+   lines 2/3, layer 1 (the 34-way output) lines 4/5. *)
+let test_load_rejects_truncated () =
+  let a = Rl.Dqn.create (Rng.create 9) ~state_dim:4 ~hidden:[ 8 ] ~n_actions:34 in
+  let keep_first k line =
+    String.split_on_char ' ' (String.trim line)
+    |> List.filteri (fun i _ -> i < k)
+    |> String.concat " "
+  in
+  (* the last bias line loses 17 of its 34 values *)
+  check_rejected ~expect:"layer 1 biases: 17 values, expected 34"
+    (edited_weights a (fun i l -> if i = 5 then [ keep_first 17 l ] else [ l ]));
+  (* the file stops after layer 0 *)
+  check_rejected ~expect:"file ends before layer 1 weights"
+    (edited_weights a (fun i l -> if i >= 4 then [] else [ l ]))
+
+let test_load_rejects_extra_values () =
+  let a = Rl.Dqn.create (Rng.create 9) ~state_dim:4 ~hidden:[ 8 ] ~n_actions:34 in
+  (* one value too many on layer 0's weight line *)
+  check_rejected ~expect:"layer 0 weights: 33 values, expected 32"
+    (edited_weights a (fun i l -> if i = 2 then [ l ^ " 0x1p+0" ] else [ l ]));
+  (* a whole extra line after the last layer *)
+  check_rejected ~expect:"unexpected data after the last layer"
+    (edited_weights a (fun i l -> if i = 5 then [ l; "0x1p+0" ] else [ l ]))
+
 let suite =
   [ Alcotest.test_case "replay ring" `Quick test_replay_ring;
     Alcotest.test_case "replay sample" `Quick test_replay_sample;
@@ -140,4 +200,8 @@ let suite =
     Alcotest.test_case "dqn contextual bandit" `Quick test_dqn_learns_contextual_bandit;
     Alcotest.test_case "dqn bootstraps chain" `Quick test_dqn_bootstraps_chain;
     Alcotest.test_case "double dqn smoke" `Quick test_double_dqn_uses_online_selection;
-    Alcotest.test_case "save/load weights" `Quick test_save_load_weights ]
+    Alcotest.test_case "save/load weights" `Quick test_save_load_weights;
+    Alcotest.test_case "load rejects truncated weights" `Quick
+      test_load_rejects_truncated;
+    Alcotest.test_case "load rejects extra values" `Quick
+      test_load_rejects_extra_values ]
