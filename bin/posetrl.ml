@@ -288,7 +288,7 @@ let opt_cmd =
     Arg.(value & flag & info [ "alias" ]
            ~doc:"Consult the interprocedural alias analysis in dse/licm/gvn \
                  (opt-in; byte-identical to the legacy facts on the bundled \
-                 suites, cmp-gated in the test suite).")
+                 suites, and sometimes smaller on other programs).")
   in
   let inject_bug =
     Arg.(value & flag & info [ "inject-bug" ]
@@ -1387,7 +1387,7 @@ let explain_cmd =
                   "        pos %-2d action %-3d r %8.3f  (binsize %8.3f  \
                    throughput %8.3f)\n"
                   p a sr rb rt)
-              (Attrib.episode_steps r)
+              (Obs.Runlog.episode_steps r)
           end)
         scored
     end;
@@ -1784,15 +1784,15 @@ let serve_cmd =
             with_jobs ~jobs (fun pool ->
                 let rng = Posetrl_support.Rng.create 0 in
                 let agent =
-                  Posetrl_rl.Dqn.create rng ~state_dim:C.Environment.state_dim
-                    ~hidden:[ 128; 64 ]
+                  Posetrl_rl.Dqn.create ?pool rng
+                    ~state_dim:C.Environment.state_dim ~hidden:[ 128; 64 ]
                     ~n_actions:(O.Action_space.n_actions actions)
                 in
                 Option.iter (Posetrl_rl.Dqn.load_weights agent) weights;
                 let engine =
                   Posetrl_serve.Engine.create
                     ~cache_bytes:(cache_mb * 1024 * 1024)
-                    ~sanitize ?pool ~agent ~actions ~target:tgt ()
+                    ~sanitize ~agent ~actions ~target:tgt ()
                 in
                 let srv = ref None in
                 let health () =

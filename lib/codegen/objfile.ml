@@ -58,10 +58,11 @@ let measure (t : Target.t) (m : Modul.t) : section_sizes =
     symtab = (symbols * t.Target.symtab_entry_bytes) + sym_names;
     headers = t.Target.header_bytes }
 
-(* Total object-file size in bytes. *)
-let size (t : Target.t) (m : Modul.t) : int =
-  let s = measure t m in
+(* Total object-file size in bytes: every section but bss. *)
+let total (s : section_sizes) : int =
   s.text + s.data + s.relocs + s.symtab + s.headers
+
+let size (t : Target.t) (m : Modul.t) : int = total (measure t m)
 
 (* Text-only size, useful for per-function reporting. *)
 let text_size (t : Target.t) (m : Modul.t) : int = (measure t m).text

@@ -1,6 +1,8 @@
-(* Greedy policy rollout: given a trained agent and an unoptimized
-   module, predict the action sequence and the optimized module
-   (paper Table VI shows such predicted sequences). *)
+(* Greedy policy rollout: given a trained agent and unoptimized modules,
+   predict each one's action sequence and optimized module (paper Table
+   VI shows such predicted sequences). This is the one greedy rollout:
+   eval, the serve engine and the trainer's best-snapshot probe all go
+   through [predict_batch]. *)
 
 open Posetrl_ir
 module Rl = Posetrl_rl
@@ -8,26 +10,52 @@ module Rl = Posetrl_rl
 type rollout = {
   actions : int list;
   optimized : Modul.t;
+  reward : float;
 }
 
-let predict ?(max_steps = Environment.default_max_steps) ?(verify = false)
+(* Roll every module out in lockstep: at each episode step one
+   [Dqn.greedy_actions] gemm scores all the modules' states. Every
+   environment has the same episode length, so all rows turn terminal
+   on the same step and the batch never shrinks. *)
+let predict_batch ?(max_steps = Environment.default_max_steps) ?(verify = false)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir
     ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
-    ~(target : Posetrl_codegen.Target.t) (m : Modul.t) : rollout =
-  let env =
-    Environment.create ~max_steps ~verify ~sanitize ?repro_dir ~target ~actions ()
+    ~(target : Posetrl_codegen.Target.t) (ms : Modul.t list) : rollout list =
+  let ms = Array.of_list ms in
+  let n = Array.length ms in
+  let envs =
+    Array.map
+      (fun _ ->
+        Environment.create ~max_steps ~verify ~sanitize ?repro_dir ~target ~actions ())
+      ms
   in
-  let state = ref (Environment.reset env m) in
-  let taken = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    let a = Rl.Dqn.greedy_action agent !state in
-    taken := a :: !taken;
-    let res = Environment.step env a in
-    state := res.Environment.state;
-    if res.Environment.terminal then continue_ := false
+  let states = Array.mapi (fun i m -> Environment.reset envs.(i) m) ms in
+  let taken = Array.make n [] in
+  let reward = Array.make n 0.0 in
+  let terminal = ref (n = 0) in
+  while not !terminal do
+    Array.iteri
+      (fun i a ->
+        taken.(i) <- a :: taken.(i);
+        let res = Environment.step envs.(i) a in
+        reward.(i) <- reward.(i) +. res.Environment.reward;
+        states.(i) <- res.Environment.state;
+        terminal := res.Environment.terminal)
+      (Rl.Dqn.greedy_actions agent states)
   done;
-  { actions = List.rev !taken; optimized = Environment.current_module env }
+  List.init n (fun i ->
+      { actions = List.rev taken.(i);
+        optimized = Environment.current_module envs.(i);
+        reward = reward.(i) })
+
+let predict ?max_steps ?verify ?sanitize ?repro_dir ~agent ~actions ~target
+    (m : Modul.t) : rollout =
+  match
+    predict_batch ?max_steps ?verify ?sanitize ?repro_dir ~agent ~actions ~target
+      [ m ]
+  with
+  | [ r ] -> r
+  | _ -> assert false
 
 (* Apply an explicit action-index sequence (replay of a Table-VI row). *)
 let apply_sequence ?(pass_cfg = Posetrl_passes.Config.oz)
@@ -39,6 +67,3 @@ let apply_sequence ?(pass_cfg = Posetrl_passes.Config.oz)
         (Posetrl_odg.Action_space.action actions a)
         m)
     m seq
-
-let pp_sequence ppf (seq : int list) =
-  Fmt.pf ppf "%a" Fmt.(list ~sep:(any " -> ") int) seq

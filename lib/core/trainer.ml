@@ -214,30 +214,16 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
   in
   let step = ref 0 in
   let last_loss = ref 0.0 in
-  (* best-snapshot machinery: score the greedy policy on a fixed probe set *)
+  (* best-snapshot machinery: score the greedy policy on a fixed probe
+     set, as the summed episode rewards of one batched rollout *)
   let probe_set =
-    Array.init (min 8 (Array.length corpus)) (fun k ->
+    List.init (min 8 (Array.length corpus)) (fun k ->
         corpus.(k * Array.length corpus / max 1 (min 8 (Array.length corpus))))
   in
-  let probe_env =
-    Environment.create ~max_steps:hp.max_episode_steps ~verify ~sanitize
-      ?repro_dir ~target ~actions ()
-  in
   let probe_score () =
-    Array.fold_left
-      (fun acc m ->
-        let s = ref (Environment.reset probe_env m) in
-        let total = ref 0.0 in
-        let terminal = ref false in
-        while not !terminal do
-          let a = Rl.Dqn.greedy_action agent !s in
-          let r = Environment.step probe_env a in
-          total := !total +. r.Environment.reward;
-          s := r.Environment.state;
-          terminal := r.Environment.terminal
-        done;
-        acc +. !total)
-      0.0 probe_set
+    Inference.predict_batch ~max_steps:hp.max_episode_steps ~verify ~sanitize
+      ?repro_dir ~agent ~actions ~target probe_set
+    |> List.fold_left (fun acc (r : Inference.rollout) -> acc +. r.Inference.reward) 0.0
   in
   let best_score = ref neg_infinity in
   let best_weights =

@@ -475,25 +475,6 @@ let of_json (doc : Json.t) : t option =
 
 (* --- brute-force recompute from the run ledger ---------------------------- *)
 
-(* One episode's step stream out of a progress.jsonl "episode" record:
-   the "actions" array zipped with the per-step "steps" reward triples
-   (same schema Attrib replays). Pre-health ledgers yield []. *)
-let episode_steps (record : Json.t) : (int * float * float * float) list =
-  let open Json in
-  match (Runlog.field "actions" record, Runlog.field "steps" record) with
-  | Some (Arr actions), Some (Arr steps)
-    when List.length actions = List.length steps ->
-    List.map2
-      (fun a s ->
-        match a with
-        | Int action ->
-          let f k = Option.value ~default:0.0 (Runlog.num k s) in
-          (action, f "r", f "rb", f "rt")
-        | _ -> (-1, 0.0, 0.0, 0.0))
-      actions steps
-    |> List.filter (fun (a, _, _, _) -> a >= 0)
-  | _ -> []
-
 (* Replay the ledger against the same arithmetic as the streaming fold.
    Episode records land in the file *after* any tick record emitted
    mid-episode, so the flattened step stream (each step's global index
@@ -509,7 +490,7 @@ let of_records ?sketch_bits ?sketch_seed ?state_dim ~(like : universe)
     (fun r ->
       match Runlog.str "kind" r with
       | Some "episode" ->
-        let steps = episode_steps r in
+        let steps = Runlog.episode_steps r in
         let n = List.length steps in
         let ep_end =
           match Runlog.num "step" r with

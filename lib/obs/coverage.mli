@@ -112,11 +112,6 @@ val of_json : Json.t -> t option
 (** Robust reader: [None] on anything structurally off, never an
     exception. *)
 
-val episode_steps : Json.t -> (int * float * float * float) list
-(** [(action, reward, r_binsize, r_throughput)] per step of one
-    ["episode"] progress record; [[]] for records without the step
-    stream. *)
-
 val of_records :
   ?sketch_bits:int -> ?sketch_seed:int -> ?state_dim:int ->
   like:universe -> Json.t list -> t

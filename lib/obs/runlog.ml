@@ -142,6 +142,25 @@ let episode_record ?(actions = []) ?step_rewards ~(episode : int) ~(step : int)
        ("actions", Json.Arr (List.map (fun a -> Json.Int a) actions)) ]
      @ steps_field)
 
+(* One episode's step stream out of an "episode" record, the inverse
+   of [episode_record]: the "actions" array zipped with the per-step
+   "steps" reward triples. Records from pre-health ledgers have no
+   "steps" field and yield []. *)
+let episode_steps (record : Json.t) : (int * float * float * float) list =
+  match (field "actions" record, field "steps" record) with
+  | Some (Json.Arr actions), Some (Json.Arr steps)
+    when List.length actions = List.length steps ->
+    List.map2
+      (fun a s ->
+        match a with
+        | Json.Int action ->
+          let f k = Option.value ~default:0.0 (num k s) in
+          (action, f "r", f "rb", f "rt")
+        | _ -> (-1, 0.0, 0.0, 0.0))
+      actions steps
+    |> List.filter (fun (a, _, _, _) -> a >= 0)
+  | _ -> []
+
 (* Extract an (x, y) series from progress records of one kind; records
    missing either field are skipped. *)
 let series ~(kind : string) ~(x : string) ~(y : string)

@@ -60,6 +60,12 @@ val episode_record :
     have no such field); floats print as %.17g, so attribution
     recomputed from the ledger is float-exact. *)
 
+val episode_steps : Json.t -> (int * float * float * float) list
+(** [(action, reward, r_binsize, r_throughput)] per step of one
+    ["episode"] record, read back from the [actions] and [steps] fields
+    {!episode_record} writes; [[]] for records without the step
+    stream. *)
+
 val series :
   kind:string -> x:string -> y:string -> Json.t list -> (float * float) list
 (** [(x, y)] pairs from records of one kind, skipping records missing

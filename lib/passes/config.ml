@@ -17,7 +17,9 @@ type t = {
   speculate_max_insns : int; (* speculative-execution hoisting budget *)
   jump_threading_max : int;  (* max block size to duplicate when threading *)
   use_alias : bool;          (* consult Posetrl_analysis.Alias in dse/licm/gvn
-                                (opt-in; must stay byte-identical to legacy) *)
+                                (opt-in; byte-identical to legacy on the
+                                validation suites, sometimes smaller on the
+                                training corpus) *)
 }
 
 let o0 = {

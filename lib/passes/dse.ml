@@ -10,8 +10,9 @@
        load/call clears the same-block overwrite window;
      - alias-aware ([Config.use_alias]): points-to facts from
        [Posetrl_analysis.Alias] decide which reads can actually observe
-       a pending store. The opt-in path must stay byte-identical to
-       legacy on the bundled suites (cmp-gated in the test suite). *)
+       a pending store. The opt-in path is byte-identical to legacy on
+       the validation suites at every -O level, and can remove more on
+       other programs (both pinned in test_analysis.ml). *)
 
 open Posetrl_ir
 module ISet = Set.Make (Int)

@@ -13,9 +13,9 @@
    With [Config.use_alias] the sweep also eliminates same-block redundant
    loads: a load from a pointer already loaded earlier in the block is
    replaced by the earlier result when no intervening instruction may
-   clobber that pointer according to [Posetrl_analysis.Alias]. Opt-in and
-   cmp-gated byte-identical against the legacy path on the bundled
-   suites. *)
+   clobber that pointer according to [Posetrl_analysis.Alias]. Opt-in;
+   byte-identical to the legacy path on the validation suites, and it
+   can do more elsewhere (both pinned in test_analysis.ml). *)
 
 open Posetrl_ir
 module Alias = Posetrl_analysis.Alias

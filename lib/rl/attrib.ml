@@ -191,25 +191,6 @@ let of_json (doc : Obs.Json.t) : t option =
 
 (* --- brute-force recompute from the run ledger ---------------------------- *)
 
-(* One episode's step stream out of a progress.jsonl "episode" record:
-   the "actions" array zipped with the per-step "steps" reward triples.
-   Records from pre-health ledgers have no "steps" field and yield []. *)
-let episode_steps (record : Obs.Json.t) : (int * float * float * float) list =
-  let open Obs.Json in
-  match Obs.Runlog.field "actions" record, Obs.Runlog.field "steps" record with
-  | Some (Arr actions), Some (Arr steps)
-    when List.length actions = List.length steps ->
-    List.map2
-      (fun a s ->
-        match a with
-        | Int action ->
-          let f k = Option.value ~default:0.0 (Obs.Runlog.num k s) in
-          (action, f "r", f "rb", f "rt")
-        | _ -> (-1, 0.0, 0.0, 0.0))
-      actions steps
-    |> List.filter (fun (a, _, _, _) -> a >= 0)
-  | _ -> []
-
 let of_records ~(n_actions : int) ~(max_pos : int)
     (records : Obs.Json.t list) : t =
   let t = create ~n_actions ~max_pos () in
@@ -220,6 +201,6 @@ let of_records ~(n_actions : int) ~(max_pos : int)
           (fun pos (action, reward, r_binsize, r_throughput) ->
             if action >= 0 && action < n_actions then
               observe t ~action ~pos ~reward ~r_binsize ~r_throughput)
-          (episode_steps r))
+          (Obs.Runlog.episode_steps r))
     records;
   t

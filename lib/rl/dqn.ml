@@ -50,9 +50,10 @@ let create ?(gamma = 0.99) ?(lr = 1e-4) ?(double = true) ?pool (rng : Rng.t)
     pool;
     train_steps = 0 }
 
-let q_values (t : t) (state : float array) : float array =
+(* Count one online forward and refresh the drift gauges from its
+   Q-values. *)
+let observe_q (q : float array) : unit =
   Obs.Metrics.inc m_forwards;
-  let q = Mlp.forward t.online state in
   if Array.length q > 0 then begin
     let sum = ref 0.0 and mx = ref neg_infinity in
     Array.iter
@@ -62,31 +63,33 @@ let q_values (t : t) (state : float array) : float array =
       q;
     Obs.Metrics.set m_q_mean (!sum /. float_of_int (Array.length q));
     Obs.Metrics.set m_q_max !mx
-  end;
+  end
+
+let q_values (t : t) (state : float array) : float array =
+  let q = Mlp.forward t.online state in
+  observe_q q;
   q
 
 let greedy_action (t : t) (state : float array) : int =
   Vecf.argmax (q_values t state)
 
+(* One gemm over every state, split across the pool. The forward count
+   and the gauges then move row by row, in row order, exactly as a loop
+   of [greedy_action] would leave them: the trainer's progress tick
+   reads q_max right after a greedy probe. *)
+let greedy_actions (t : t) (states : float array array) : int array =
+  if Array.length states = 0 then [||]
+  else begin
+    let q = Mlp.forward_batch ?pool:t.pool t.online (Matrix.of_rows states) in
+    Array.init (Array.length states) (fun i ->
+        let row = Matrix.row q i in
+        observe_q row;
+        Vecf.argmax row)
+  end
+
 let select_action (t : t) (rng : Rng.t) ~(epsilon : float) (state : float array) : int =
   if Rng.float rng < epsilon then Rng.int rng t.n_actions
   else greedy_action t state
-
-(* TD target for one transition (kept for the per-sample ablation and
-   the tests' reference arithmetic). *)
-let td_target (t : t) (tr : Replay.transition) : float =
-  match tr.Replay.next_state with
-  | None -> tr.Replay.reward
-  | Some s' ->
-    let future =
-      if t.double then begin
-        (* online net picks a'; target net scores it *)
-        let a' = Vecf.argmax (Mlp.forward t.online s') in
-        (Mlp.forward t.target s').(a')
-      end
-      else Vecf.max_elt (Mlp.forward t.target s')
-    in
-    tr.Replay.reward +. (t.gamma *. future)
 
 (* TD targets for a whole batch: gather the non-terminal next states
    into one matrix and run the target (and, for double DQN, the online)

@@ -42,18 +42,22 @@ val q_values : t -> float array -> float array
 
 val greedy_action : t -> float array -> int
 
+val greedy_actions : t -> float array array -> int array
+(** [greedy_action] on every state at once: one online [forward_batch]
+    gemm, its rows split across [pool]. Each row's action, the
+    posetrl.dqn.forwards count and the q_mean/q_max gauges come out
+    exactly as a loop of {!greedy_action} over the states would leave
+    them (the gauges hold the last row's values). *)
+
 val select_action :
   t -> Posetrl_support.Rng.t -> epsilon:float -> float array -> int
 (** ε-greedy: consumes one float from the stream, plus one int draw on
     the explore branch — the exact draw pattern seeds replay on. *)
 
-val td_target : t -> Replay.transition -> float
-(** Per-sample TD target — the tests' reference arithmetic for
-    {!td_targets}. *)
-
 val td_targets : t -> Replay.transition array -> float array
 (** Batched TD targets (one target-network gemm sweep; two for double
-    DQN); element-for-element equal to mapping {!td_target}. *)
+    DQN): the reward, plus γ times the next state's target-network
+    value for non-terminal transitions. *)
 
 val train_batch : t -> Replay.transition array -> float
 (** One gradient step over the batch; returns the mean Huber loss.

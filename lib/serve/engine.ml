@@ -1,16 +1,11 @@
 (* The optimization engine behind `posetrl serve --opt`: admission
    control (parse + sanitize untrusted IR), the IR-digest result cache,
-   and greedy policy rollouts that coalesce concurrent requests into
-   batched forward passes.
-
-   Batching is lockstep: every live request's current state embedding
-   becomes one row of a (live x state_dim) matrix and a single
-   [Mlp.forward_batch] gemm (optionally split over the domain pool)
-   scores all of them per episode step. The batched kernels are
-   term-order identical to the per-sample forward (DESIGN.md §9), and
-   argmax tie-breaking matches [Dqn.greedy_action], so a batched
-   rollout is byte-identical to [Inference.predict] — the cache-identity
-   qcheck property in test/test_serve.ml pins this. *)
+   and the answer to a batch of requests. Concurrent cache misses share
+   one [Inference.predict_batch], the lockstep greedy rollout: per
+   episode step one gemm on the agent's pool scores every module, and
+   each rollout equals the one the module would get on its own — the
+   cache-identity qcheck property in test/test_serve.ml pins the served
+   documents to [Inference.predict]. *)
 
 open Posetrl_ir
 module C = Posetrl_core
@@ -18,9 +13,7 @@ module O = Posetrl_odg
 module CG = Posetrl_codegen
 module Rl = Posetrl_rl
 module A = Posetrl_analysis
-module Nn = Posetrl_nn
 module Obs = Posetrl_obs
-module Vecf = Posetrl_support.Vecf
 
 let m_hits = Obs.Metrics.counter "posetrl.serve.cache_hits_total"
 let m_misses = Obs.Metrics.counter "posetrl.serve.cache_misses_total"
@@ -36,7 +29,6 @@ type t = {
   agent : Rl.Dqn.t;
   actions : O.Action_space.t;
   target : CG.Target.t;
-  pool : Posetrl_support.Pool.t option;
   max_steps : int;
   sanitize : A.Sanitize.level;
   cache : Obs.Json.t Cache.t;
@@ -44,12 +36,11 @@ type t = {
 
 let create ?(max_steps = C.Environment.default_max_steps)
     ?(cache_bytes = Cache.default_max_bytes)
-    ?(sanitize = A.Sanitize.Ssa) ?pool ~(agent : Rl.Dqn.t)
+    ?(sanitize = A.Sanitize.Ssa) ~(agent : Rl.Dqn.t)
     ~(actions : O.Action_space.t) ~(target : CG.Target.t) () : t =
   { agent;
     actions;
     target;
-    pool;
     max_steps;
     sanitize;
     cache = Cache.create ~max_bytes:cache_bytes () }
@@ -122,89 +113,30 @@ let admit (t : t) (body : string) : (admitted, Obs.Json.t) result =
                     errs));
               ("diagnostics", lint_diagnostics m) ]))
 
-(* --- batched greedy rollout ------------------------------------------------ *)
-
-type slot = {
-  env : C.Environment.t;
-  mutable state : float array;
-  mutable taken : int list; (* reverse order *)
-  mutable terminal : bool;
-}
-
-(* Roll every module out in lockstep: one [forward_batch] gemm per
-   episode step scores all still-live requests at once. Modules finish
-   independently (episodes are fixed-length, but a request list mixes
-   nothing else up); finished rows simply drop out of the batch. *)
-let rollout_batch (t : t) (ms : Modul.t list) : (int list * Modul.t) list =
-  match ms with
-  | [] -> []
-  | _ ->
-    Obs.Span.with_ "posetrl.serve.batch"
-      ~attrs:[ ("modules", Obs.Event.I (List.length ms)) ]
-      (fun _ ->
-        let slots =
-          Array.of_list
-            (List.map
-               (fun m ->
-                 let env =
-                   C.Environment.create ~max_steps:t.max_steps
-                     ~sanitize:t.sanitize ~target:t.target ~actions:t.actions ()
-                 in
-                 let state = C.Environment.reset env m in
-                 { env; state; taken = []; terminal = false })
-               ms)
-        in
-        let live () =
-          let idx = ref [] in
-          Array.iteri
-            (fun i s -> if not s.terminal then idx := i :: !idx)
-            slots;
-          Array.of_list (List.rev !idx)
-        in
-        let continue_ = ref true in
-        while !continue_ do
-          let idx = live () in
-          if Array.length idx = 0 then continue_ := false
-          else begin
-            Obs.Metrics.observe m_batch_size (float_of_int (Array.length idx));
-            let x =
-              Nn.Matrix.of_rows (Array.map (fun i -> slots.(i).state) idx)
-            in
-            let q =
-              Nn.Mlp.forward_batch ?pool:t.pool t.agent.Rl.Dqn.online x
-            in
-            Array.iteri
-              (fun k i ->
-                let s = slots.(i) in
-                let a = Vecf.argmax (Nn.Matrix.row q k) in
-                s.taken <- a :: s.taken;
-                let res = C.Environment.step s.env a in
-                s.state <- res.C.Environment.state;
-                s.terminal <- res.C.Environment.terminal)
-              idx
-          end
-        done;
-        Array.to_list
-          (Array.map
-             (fun s -> (List.rev s.taken, C.Environment.current_module s.env))
-             slots))
-
 (* --- result documents ------------------------------------------------------ *)
 
-let measure_json (t : t) (m : Modul.t) : Obs.Json.t =
+(* One lowering-based size model pass and one MCA estimate per module;
+   the measurement objects and the deltas are all read off them. *)
+type measurement = { size : int; text : int; throughput : float }
+
+let measure (t : t) (m : Modul.t) : measurement =
+  let s = CG.Objfile.measure t.target m in
+  { size = CG.Objfile.total s;
+    text = s.CG.Objfile.text;
+    throughput = Posetrl_mca.Mca.throughput t.target m }
+
+let measure_json (x : measurement) : Obs.Json.t =
   Obs.Json.Obj
-    [ ("size_b", Obs.Json.Int (CG.Objfile.size t.target m));
-      ("text_b", Obs.Json.Int (CG.Objfile.text_size t.target m));
-      ("throughput", Obs.Json.Float (Posetrl_mca.Mca.throughput t.target m)) ]
+    [ ("size_b", Obs.Json.Int x.size);
+      ("text_b", Obs.Json.Int x.text);
+      ("throughput", Obs.Json.Float x.throughput) ]
 
 let pct num den = if den = 0.0 then 0.0 else 100.0 *. num /. den
 
 let result_json (t : t) ~(input : Modul.t) ~(schedule : int list)
     ~(optimized : Modul.t) : Obs.Json.t =
-  let isize = float_of_int (CG.Objfile.size t.target input) in
-  let osize = float_of_int (CG.Objfile.size t.target optimized) in
-  let ithru = Posetrl_mca.Mca.throughput t.target input in
-  let othru = Posetrl_mca.Mca.throughput t.target optimized in
+  let i = measure t input and o = measure t optimized in
+  let isize = float_of_int i.size and osize = float_of_int o.size in
   Obs.Json.Obj
     [ ("kind", Obs.Json.Str "optimize-result");
       ("module", Obs.Json.Str input.Modul.name);
@@ -217,13 +149,13 @@ let result_json (t : t) ~(input : Modul.t) ~(schedule : int list)
                 (fun p -> Obs.Json.Str p)
                 (O.Action_space.action t.actions a))
             schedule));
-      ("input", measure_json t input);
-      ("optimized", measure_json t optimized);
+      ("input", measure_json i);
+      ("optimized", measure_json o);
       ("deltas",
        Obs.Json.Obj
          [ ("size_reduction_pct", Obs.Json.Float (pct (isize -. osize) isize));
            ("throughput_improvement_pct",
-            Obs.Json.Float (pct (othru -. ithru) ithru)) ]);
+            Obs.Json.Float (pct (o.throughput -. i.throughput) i.throughput)) ]);
       ("optimized_ir", Obs.Json.Str (Printer.module_to_string optimized)) ]
 
 (* --- the cached entry point ------------------------------------------------ *)
@@ -234,8 +166,8 @@ let publish_cache_gauges (t : t) : unit =
 
 (* Answer a batch of admitted requests: cache hits are free, the misses
    (deduplicated — a batch can carry the same module twice) share one
-   lockstep rollout, and every fresh result is inserted under its key.
-   Results come back in request order. *)
+   [Inference.predict_batch], and every fresh result is inserted under
+   its key. Results come back in request order. *)
 let optimize_many (t : t) (adms : admitted list) : Obs.Json.t list =
   let n = List.length adms in
   let results : Obs.Json.t option array = Array.make n None in
@@ -259,13 +191,23 @@ let optimize_many (t : t) (adms : admitted list) : Obs.Json.t list =
   (match keys with
    | [] -> ()
    | _ ->
+     let inputs = List.map (Hashtbl.find pending) keys in
+     let batch = List.length inputs in
      let outs =
-       rollout_batch t (List.map (fun k -> Hashtbl.find pending k) keys)
+       Obs.Span.with_ "posetrl.serve.batch"
+         ~attrs:[ ("modules", Obs.Event.I batch) ]
+         (fun _ ->
+           Obs.Metrics.observe m_batch_size (float_of_int batch);
+           C.Inference.predict_batch ~max_steps:t.max_steps ~sanitize:t.sanitize
+             ~agent:t.agent ~actions:t.actions ~target:t.target inputs)
      in
      List.iter2
-       (fun key (schedule, optimized) ->
+       (fun key (r : C.Inference.rollout) ->
          let input = Hashtbl.find pending key in
-         let doc = result_json t ~input ~schedule ~optimized in
+         let doc =
+           result_json t ~input ~schedule:r.C.Inference.actions
+             ~optimized:r.C.Inference.optimized
+         in
          let bytes =
            String.length (Obs.Json.to_string doc) + String.length key
          in

@@ -1,13 +1,13 @@
 (** The optimization engine behind [posetrl serve --opt]: admission
-    control over untrusted IR, the IR-digest LRU result cache, and
-    greedy policy rollouts that coalesce concurrent requests into
-    [Mlp.forward_batch] gemm calls on the domain pool.
+    control over untrusted IR, the IR-digest LRU result cache, and the
+    answer to a batch of requests, whose cache misses share one
+    {!Posetrl_core.Inference.predict_batch} (one gemm per episode step
+    on the agent's pool).
 
-    Determinism: a batched rollout is byte-identical to
-    {!Posetrl_core.Inference.predict} on each module separately (the
-    batched kernels are term-order identical to the per-sample forward,
-    and argmax tie-breaking matches [Dqn.greedy_action]), so serving
-    through the cache never changes an answer — only its cost. *)
+    Determinism: each served schedule and optimized module is the one
+    {!Posetrl_core.Inference.predict} gives for that module alone, so
+    serving through the cache never changes an answer — only its
+    cost. *)
 
 type t
 
@@ -15,14 +15,14 @@ val create :
   ?max_steps:int ->
   ?cache_bytes:int ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
-  ?pool:Posetrl_support.Pool.t ->
   agent:Posetrl_rl.Dqn.t ->
   actions:Posetrl_odg.Action_space.t ->
   target:Posetrl_codegen.Target.t ->
   unit ->
   t
 (** Defaults: 15 episode steps, a 16 MiB cache, [Ssa]-level admission
-    sanitizing, no pool (sequential gemms). *)
+    sanitizing. The rollout gemms run on the agent's own pool
+    ({!Posetrl_rl.Dqn.create}[ ?pool]). *)
 
 val cache : t -> Posetrl_obs.Json.t Cache.t
 
@@ -45,12 +45,6 @@ val admit : t -> string -> (admitted, Posetrl_obs.Json.t) result
     ready-to-serialize JSON body of a 400: a parse error, or the
     sanitizer's verdict plus the full lint report ([diagnostics]). *)
 
-val rollout_batch :
-  t -> Posetrl_ir.Modul.t list -> (int list * Posetrl_ir.Modul.t) list
-(** Lockstep batched greedy rollout: per episode step, one
-    [forward_batch] gemm scores every still-live module. Returns each
-    module's (schedule, optimized module) in input order. *)
-
 val result_json :
   t ->
   input:Posetrl_ir.Modul.t ->
@@ -59,13 +53,16 @@ val result_json :
   Posetrl_obs.Json.t
 (** The [/optimize] response document: schedule (action indices and
     flattened pass names), input/optimized size + mca-throughput
-    measurements, their deltas, and the optimized IR text. *)
+    measurements, their deltas, and the optimized IR text. Each module
+    is measured once: one object-size model pass and one MCA
+    estimate. *)
 
 val optimize_many : t -> admitted list -> Posetrl_obs.Json.t list
 (** Answer a batch of admitted requests in request order: cache hits
-    are free, misses are deduplicated and share one lockstep rollout,
-    and every fresh result lands in the cache. Updates the
-    [posetrl.serve.cache_*] and [posetrl.serve.batch_size] metrics. *)
+    are free, misses are deduplicated and share one
+    {!Posetrl_core.Inference.predict_batch}, and every fresh result
+    lands in the cache. Updates the [posetrl.serve.cache_*] metrics,
+    and observes [posetrl.serve.batch_size] once per rollout batch. *)
 
 val optimize : t -> admitted -> Posetrl_obs.Json.t
 (** [optimize_many] with a single request. *)

@@ -264,6 +264,79 @@ let test_trainer_deterministic () =
   in
   Alcotest.(check (list int)) "same seed same policy" (train ()) (train ())
 
+(* --- the greedy rollout against a per-module reference ------------------------ *)
+
+(* One module's greedy episode, stepped on its own: reset, then the
+   agent's greedy action and an environment step until terminal. *)
+let ref_rollout ~max_steps ~(agent : Rl.Dqn.t) (m : Posetrl_ir.Modul.t) :
+    int list * string * float =
+  let env = C.Environment.create ~max_steps ~target:x86 ~actions:O.Action_space.odg () in
+  let state = ref (C.Environment.reset env m) in
+  let taken = ref [] and total = ref 0.0 and terminal = ref false in
+  while not !terminal do
+    let a = Rl.Dqn.greedy_action agent !state in
+    taken := a :: !taken;
+    let res = C.Environment.step env a in
+    total := !total +. res.C.Environment.reward;
+    state := res.C.Environment.state;
+    terminal := res.C.Environment.terminal
+  done;
+  ( List.rev !taken,
+    Posetrl_ir.Printer.module_to_string (C.Environment.current_module env),
+    !total )
+
+(* validation programs and training-corpus programs, side by side *)
+let rollout_programs =
+  lazy
+    (Array.append
+       (Array.of_list (List.map snd (W.Suites.all_programs ())))
+       (W.Suites.training_corpus ~n:24 ()))
+
+(* (agent seed, program indices); when there are two or more modules the
+   last repeats the first *)
+let gen_rollout_case =
+  QCheck2.Gen.(
+    pair (int_range 0 10_000) (list_size (int_range 1 5) (int_range 0 54))
+    |> map (fun (seed, idx) ->
+           let n = List.length idx in
+           (seed, List.mapi (fun i x -> if n > 1 && i = n - 1 then List.hd idx else x) idx)))
+
+(* Actions, printed optimized IR and reward bits all match the
+   reference, for episodes of 1 and 15 steps and the agent's pool at
+   jobs 1, 2 and 3. *)
+let prop_predict_batch_matches_reference =
+  QCheck2.Test.make ~count:5
+    ~print:(fun (seed, idx) ->
+      Printf.sprintf "seed=%d programs=[%s]" seed
+        (String.concat ";" (List.map string_of_int idx)))
+    ~name:"predict_batch = map of the per-module greedy episode" gen_rollout_case
+    (fun (seed, idx) ->
+      let progs = Lazy.force rollout_programs in
+      let ms = List.map (fun i -> progs.(i)) idx in
+      let agent ?pool () =
+        Rl.Dqn.create ?pool (Posetrl_support.Rng.create seed)
+          ~state_dim:C.Environment.state_dim ~hidden:[ 128; 64 ]
+          ~n_actions:(O.Action_space.n_actions O.Action_space.odg)
+      in
+      let same (r : C.Inference.rollout) (actions, ir, reward) =
+        r.C.Inference.actions = actions
+        && String.equal (Posetrl_ir.Printer.module_to_string r.C.Inference.optimized) ir
+        && Int64.bits_of_float r.C.Inference.reward = Int64.bits_of_float reward
+      in
+      List.for_all
+        (fun max_steps ->
+          let expect = List.map (ref_rollout ~max_steps ~agent:(agent ())) ms in
+          List.for_all
+            (fun jobs ->
+              Posetrl_support.Pool.with_pool ~jobs (fun p ->
+                  let got =
+                    C.Inference.predict_batch ~max_steps ~agent:(agent ~pool:p ())
+                      ~actions:O.Action_space.odg ~target:x86 ms
+                  in
+                  List.length got = List.length expect && List.for_all2 same got expect))
+            [ 1; 2; 3 ])
+        [ 1; 15 ])
+
 let test_apply_sequence () =
   let m = Testutil.sum_squares_module () in
   let m' = C.Inference.apply_sequence ~actions:O.Action_space.odg [ 30; 23; 7 ] m in
@@ -327,4 +400,5 @@ let suite =
     Alcotest.test_case "trainer deterministic" `Slow test_trainer_deterministic;
     Alcotest.test_case "apply sequence" `Quick test_apply_sequence;
     Alcotest.test_case "evaluate program" `Slow test_evaluate_program_fields;
-    Alcotest.test_case "summarize suite" `Quick test_summarize_suite ]
+    Alcotest.test_case "summarize suite" `Quick test_summarize_suite;
+    QCheck_alcotest.to_alcotest prop_predict_batch_matches_reference ]

@@ -1,8 +1,11 @@
-(* Tests for the RL substrate: replay buffer, schedule, and the DDQN
-   learning simple known-optimal environments. *)
+(* Tests for the RL substrate: replay buffer, schedule, the DDQN
+   learning simple known-optimal environments, and the batched DQN
+   calls against per-sample references. *)
 
 open Posetrl_support
 module Rl = Posetrl_rl
+module Mlp = Posetrl_nn.Mlp
+module Metrics = Posetrl_obs.Metrics
 
 let tr s a r ns =
   { Rl.Replay.state = s; action = a; reward = r; next_state = ns }
@@ -117,6 +120,85 @@ let test_double_dqn_uses_online_selection () =
   let loss = Rl.Dqn.train_batch agent (Rl.Replay.sample rng buf 8) in
   Alcotest.(check bool) "finite loss" true (Float.is_finite loss)
 
+(* --- batched calls against per-sample references ------------------------- *)
+
+let same_bits (x : float) (y : float) = Int64.bits_of_float x = Int64.bits_of_float y
+
+(* Per-transition TD target: one forward per network per next state. *)
+let ref_td_target (t : Rl.Dqn.t) (tr : Rl.Replay.transition) : float =
+  match tr.Rl.Replay.next_state with
+  | None -> tr.Rl.Replay.reward
+  | Some s' ->
+    let future =
+      if t.Rl.Dqn.double then begin
+        (* online net picks a'; target net scores it *)
+        let a' = Vecf.argmax (Mlp.forward t.Rl.Dqn.online s') in
+        (Mlp.forward t.Rl.Dqn.target s').(a')
+      end
+      else Vecf.max_elt (Mlp.forward t.Rl.Dqn.target s')
+    in
+    tr.Rl.Replay.reward +. (t.Rl.Dqn.gamma *. future)
+
+(* An agent whose online network differs from its target network, so
+   double and vanilla DQN pick different next actions. *)
+let drifted_agent ?pool ~double seed =
+  let rng = Rng.create seed in
+  let agent =
+    Rl.Dqn.create ~gamma:0.9 ~double ?pool rng ~state_dim:7 ~hidden:[ 10; 6 ] ~n_actions:5
+  in
+  Mlp.copy_params ~src:(Mlp.create rng [ 7; 10; 6; 5 ]) ~dst:agent.Rl.Dqn.online;
+  agent
+
+let random_state rng = Array.init 7 (fun _ -> Rng.normal rng)
+
+(* (seed, batch size, double) *)
+let gen_td_case =
+  QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 40) bool)
+
+let prop_td_targets_match_reference =
+  QCheck2.Test.make ~count:30
+    ~print:(fun (seed, n, double) -> Printf.sprintf "seed=%d n=%d double=%b" seed n double)
+    ~name:"td_targets = map of per-transition td_target (exact floats)" gen_td_case
+    (fun (seed, n, double) ->
+      let rng = Rng.create (seed + 1) in
+      (* about a quarter of the transitions are terminal *)
+      let batch =
+        Array.init n (fun _ ->
+            tr (random_state rng) (Rng.int rng 5) (Rng.normal rng)
+              (if Rng.float rng < 0.25 then None else Some (random_state rng)))
+      in
+      List.for_all
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun p ->
+              let agent = drifted_agent ~pool:p ~double seed in
+              let got = Rl.Dqn.td_targets agent batch in
+              Array.length got = n
+              && Array.for_all2 same_bits got (Array.map (ref_td_target agent) batch)))
+        [ 1; 2; 3 ])
+
+let test_greedy_actions_match_greedy_action () =
+  Pool.with_pool ~jobs:2 (fun p ->
+      let agent = drifted_agent ~pool:p ~double:true 4 in
+      let rng = Rng.create 5 in
+      let states = Array.init 9 (fun _ -> random_state rng) in
+      let forwards () = Option.value ~default:0.0 (Metrics.value "posetrl.dqn.forwards") in
+      let before = forwards () in
+      let got = Rl.Dqn.greedy_actions agent states in
+      Alcotest.(check (float 0.0)) "one forward counted per row" 9.0 (forwards () -. before);
+      let gauge name = Option.get (Metrics.value name) in
+      let q_mean = gauge "posetrl.dqn.q_mean" and q_max = gauge "posetrl.dqn.q_max" in
+      (* the last row's gauges, as a loop of greedy_action leaves them *)
+      ignore (Rl.Dqn.greedy_action agent states.(0));
+      ignore (Rl.Dqn.greedy_action agent states.(8));
+      Alcotest.(check bool) "q_mean is the last row's" true
+        (same_bits q_mean (gauge "posetrl.dqn.q_mean"));
+      Alcotest.(check bool) "q_max is the last row's" true
+        (same_bits q_max (gauge "posetrl.dqn.q_max"));
+      Alcotest.(check (array int)) "each row's greedy action"
+        (Array.map (Rl.Dqn.greedy_action agent) states) got;
+      Alcotest.(check (array int)) "no rows, no actions" [||]
+        (Rl.Dqn.greedy_actions agent [||]))
+
 let test_save_load_weights () =
   let rng = Rng.create 9 in
   let a = Rl.Dqn.create rng ~state_dim:4 ~hidden:[ 8 ] ~n_actions:3 in
@@ -204,4 +286,7 @@ let suite =
     Alcotest.test_case "load rejects truncated weights" `Quick
       test_load_rejects_truncated;
     Alcotest.test_case "load rejects extra values" `Quick
-      test_load_rejects_extra_values ]
+      test_load_rejects_extra_values;
+    Alcotest.test_case "greedy_actions = map greedy_action" `Quick
+      test_greedy_actions_match_greedy_action;
+    QCheck_alcotest.to_alcotest prop_td_targets_match_reference ]
