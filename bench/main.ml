@@ -421,6 +421,67 @@ let bechamel_run tests : (string * float) list =
 let print_bechamel_rows rows =
   List.iter (fun (name, est) -> Printf.printf "  %-38s %14.1f ns/run\n" name est) rows
 
+(* --- the gated sections' shared path ---------------------------------------
+
+   Each gated section (parallel, analysis, prof, health, coverage, serve)
+   writes BENCH_<what>.json for the bench-regression CI job. Raw ns/run
+   numbers don't transfer between machines, so every gated cost is
+   reported relative to a calibration row benched in the same process:
+   an untiled 4k dot product, the same load/FMA bottleneck as the gemm
+   inner loop, so the ratio mostly cancels machine speed and the
+   committed baseline stays portable (see .github/scripts/bench_gate.py). *)
+
+(* Bench the calibration row then [tests] as group [group] and print
+   every row; returns the rows and their ns/run lookup by short name. *)
+let bench_gated ~(group : string) (tests : Bechamel.Test.t list) :
+    (string * float) list * (string -> float) =
+  let open Bechamel in
+  let calib =
+    Test.make ~name:"calib-dot-4k"
+      (let u = Array.init 4096 (fun i -> float_of_int i *. 1e-3) in
+       let v = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
+       Staged.stage (fun () ->
+           let acc = ref 0.0 in
+           for i = 0 to 4095 do
+             acc := !acc +. (u.(i) *. v.(i))
+           done;
+           ignore (Sys.opaque_identity !acc)))
+  in
+  let rows = bechamel_run (Test.make_grouped ~name:group (calib :: tests)) in
+  print_bechamel_rows rows;
+  let ns suffix =
+    match List.find_opt (fun (n, _) -> Filename.basename n = suffix) rows with
+    | Some (_, v) -> v
+    | None -> 0.0
+  in
+  (rows, ns)
+
+(* Write BENCH_<what>.json: its kind, [head], the raw [micro_ns] rows
+   (every benched row unless [micro] is given), the [gate] object —
+   calib_ns, then each (key, ns) as a calibration-relative cost — and
+   [tail]. *)
+let write_gated ~(what : string) ?(head = []) ?micro
+    ~(gate : (string * float) list) ?(tail = [])
+    ((rows, ns) : (string * float) list * (string -> float)) : unit =
+  let calib = ns "calib-dot-4k" in
+  let rel v = if calib > 0.0 then v /. calib else 0.0 in
+  let micro =
+    Option.value micro
+      ~default:(List.map (fun (n, v) -> (Filename.basename n, v)) rows)
+  in
+  let floats = List.map (fun (k, v) -> (k, Obs.Json.Float v)) in
+  let path = Printf.sprintf "BENCH_%s.json" what in
+  Obs.Runlog.write_json_file path
+    (Obs.Json.Obj
+       ((("kind", Obs.Json.Str ("bench-" ^ what)) :: head)
+        @ [ ("micro_ns", Obs.Json.Obj (floats micro));
+            ("gate",
+             Obs.Json.Obj
+               (("calib_ns", Obs.Json.Float calib)
+                :: floats (List.map (fun (k, v) -> (k, rel v)) gate))) ]
+        @ tail));
+  Printf.printf "  %s bench baseline written to %s\n" what path
+
 let micro () =
   section_header "Micro-benchmarks (bechamel)";
   let open Bechamel in
@@ -492,12 +553,7 @@ let micro () =
 (* parallel engine: pool + batched gemm micro-benches and speedup probe       *)
 (* ======================================================================== *)
 
-(* Benches the multicore execution engine and writes BENCH_parallel.json,
-   the file the bench-regression CI job diffs against the committed
-   baseline. Raw ns/run numbers don't transfer between machines, so the
-   gate compares each metric *relative to the calibration row* (a plain
-   scalar FMA loop benched in the same process) — see
-   .github/scripts/bench_gate.py. *)
+(* Benches the multicore execution engine and writes BENCH_parallel.json. *)
 let parallel () =
   section_header "Parallel engine (domain pool + batched gemm)";
   let open Bechamel in
@@ -518,48 +574,34 @@ let parallel () =
   let dpre = M.init 64 128 (fun _ _ -> Rng.normal rng) in
   let noops = Array.make 64 () in
   let pool = Pool.create ~name:"bench" ~jobs () in
-  let rows =
+  let bench =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
-        bechamel_run
-          (Test.make_grouped ~name:"parallel"
-             [ (* calibration: an untiled 4k dot product — the same
-                  load/FMA bottleneck as the gemm inner loop, so the
-                  gemm/calib ratio mostly cancels machine speed and the
-                  committed baseline stays portable across machines *)
-               Test.make ~name:"calib-dot-4k"
-                 (let u = Array.init 4096 (fun i -> float_of_int i *. 1e-3) in
-                  let v = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
-                  Staged.stage (fun () ->
-                      let acc = ref 0.0 in
-                      for i = 0 to 4095 do
-                        acc := !acc +. (u.(i) *. v.(i))
-                      done;
-                      ignore (Sys.opaque_identity !acc)));
-               Test.make ~name:"gemm-64x300x128"
-                 (Staged.stage (fun () -> ignore (M.gemm a b)));
-               Test.make ~name:"gemm-nt-64x300x128"
-                 (Staged.stage (fun () -> ignore (M.gemm_nt x w)));
-               Test.make ~name:"gemm-tn-acc-64x300x128"
-                 (Staged.stage (fun () -> M.gemm_tn_acc gw dpre x));
-               Test.make ~name:"gemm-pool-64x300x128"
-                 (Staged.stage (fun () -> ignore (M.gemm ~pool a b)));
-               Test.make ~name:"pool-dispatch-64-noops"
-                 (Staged.stage (fun () ->
-                      ignore (Pool.map pool (fun () -> ()) noops)));
-               Test.make ~name:"expo-scrape-32-series"
-                 (let r = Obs.Metrics.create () in
-                  for i = 0 to 31 do
-                    Obs.Metrics.set
-                      (Obs.Metrics.gauge ~r
-                         ~labels:[ ("action", string_of_int i) ]
-                         "posetrl.bench.gauge")
-                      (float_of_int i)
-                  done;
-                  Staged.stage (fun () -> ignore (Obs.Expo.scrape ~r ()))) ]))
+        bench_gated ~group:"parallel"
+          [ Test.make ~name:"gemm-64x300x128"
+              (Staged.stage (fun () -> ignore (M.gemm a b)));
+            Test.make ~name:"gemm-nt-64x300x128"
+              (Staged.stage (fun () -> ignore (M.gemm_nt x w)));
+            Test.make ~name:"gemm-tn-acc-64x300x128"
+              (Staged.stage (fun () -> M.gemm_tn_acc gw dpre x));
+            Test.make ~name:"gemm-pool-64x300x128"
+              (Staged.stage (fun () -> ignore (M.gemm ~pool a b)));
+            Test.make ~name:"pool-dispatch-64-noops"
+              (Staged.stage (fun () ->
+                   ignore (Pool.map pool (fun () -> ()) noops)));
+            Test.make ~name:"expo-scrape-32-series"
+              (let r = Obs.Metrics.create () in
+               for i = 0 to 31 do
+                 Obs.Metrics.set
+                   (Obs.Metrics.gauge ~r
+                      ~labels:[ ("action", string_of_int i) ]
+                      "posetrl.bench.gauge")
+                   (float_of_int i)
+               done;
+               Staged.stage (fun () -> ignore (Obs.Expo.scrape ~r ()))) ])
   in
-  print_bechamel_rows rows;
+  let _, ns = bench in
   (* eval-shaped speedup probe: the Oz pipeline over every validation
      program, sequential vs pool — the wall-clock shape `posetrl eval
      --jobs N` parallelizes (informational; the CI gate keys on the
@@ -583,53 +625,30 @@ let parallel () =
   Printf.printf
     "  oz-pipeline over %d programs: seq %.3fs  pool(j%d) %.3fs  speedup %.2fx\n"
     (Array.length progs) seq_s jobs par_s speedup;
-  let ns suffix =
-    match List.find_opt (fun (n, _) -> Filename.basename n = suffix) rows with
-    | Some (_, v) -> v
-    | None -> 0.0
-  in
-  let calib = ns "calib-dot-4k" in
-  let rel v = if calib > 0.0 then v /. calib else 0.0 in
-  let gemm_ns = ns "gemm-64x300x128" in
-  let gemm_nt_ns = ns "gemm-nt-64x300x128" in
-  let gemm_tn_acc_ns = ns "gemm-tn-acc-64x300x128" in
-  let dispatch_ns = ns "pool-dispatch-64-noops" in
-  let scrape_ns = ns "expo-scrape-32-series" in
-  let path = "BENCH_parallel.json" in
-  Obs.Runlog.write_json_file path
-    (Obs.Json.Obj
-       [ ("kind", Obs.Json.Str "bench-parallel");
-         ("jobs", Obs.Json.Int jobs);
-         ("micro_ns",
-          Obs.Json.Obj (List.map (fun (n, v) -> (Filename.basename n, Obs.Json.Float v)) rows));
-         ("gate",
-          (* the series the CI gate enforces (25% tolerance on the
-             calibration-relative cost): the three learner kernels and
-             pool dispatch, plus the scrape row for context *)
-          Obs.Json.Obj
-            [ ("calib_ns", Obs.Json.Float calib);
-              ("gemm_rel", Obs.Json.Float (rel gemm_ns));
-              ("gemm_nt_rel", Obs.Json.Float (rel gemm_nt_ns));
-              ("gemm_tn_acc_rel", Obs.Json.Float (rel gemm_tn_acc_ns));
-              ("pool_dispatch_rel", Obs.Json.Float (rel dispatch_ns));
-              ("expo_scrape_rel", Obs.Json.Float (rel scrape_ns)) ]);
-         ("speedup",
-          Obs.Json.Obj
-            [ ("programs", Obs.Json.Int (Array.length progs));
-              ("seq_s", Obs.Json.Float seq_s);
-              ("pool_s", Obs.Json.Float par_s);
-              ("speedup_x", Obs.Json.Float speedup) ]) ]);
-  Printf.printf "  parallel bench baseline written to %s\n" path
+  (* gated (25% tolerance): the three learner kernels and pool dispatch,
+     plus the scrape row for context *)
+  write_gated ~what:"parallel" bench
+    ~head:[ ("jobs", Obs.Json.Int jobs) ]
+    ~gate:
+      [ ("gemm_rel", ns "gemm-64x300x128");
+        ("gemm_nt_rel", ns "gemm-nt-64x300x128");
+        ("gemm_tn_acc_rel", ns "gemm-tn-acc-64x300x128");
+        ("pool_dispatch_rel", ns "pool-dispatch-64-noops");
+        ("expo_scrape_rel", ns "expo-scrape-32-series") ]
+    ~tail:
+      [ ("speedup",
+         Obs.Json.Obj
+           [ ("programs", Obs.Json.Int (Array.length progs));
+             ("seq_s", Obs.Json.Float seq_s);
+             ("pool_s", Obs.Json.Float par_s);
+             ("speedup_x", Obs.Json.Float speedup) ]) ]
 
 (* ======================================================================== *)
 (* static analysis: dataflow solver, sanitizer and lint micro-benches         *)
 (* ======================================================================== *)
 
 (* Benches Posetrl_analysis on the largest bundled workload and writes
-   BENCH_analysis.json for the bench-regression CI job. Same
-   calibration-relative scheme as the parallel section: every gated
-   metric is reported as a ratio to the calib-dot-4k row benched in the
-   same process, so the committed baseline transfers across machines. *)
+   BENCH_analysis.json. *)
 let analysis () =
   section_header "Static analysis (dataflow solver + sanitizer + lint)";
   let open Bechamel in
@@ -647,82 +666,56 @@ let analysis () =
   Printf.printf "subject: %s (%d insns raw, %d after Oz)\n" name
     (Modul.insn_count big) (Modul.insn_count big_oz);
   let funcs = Modul.defined_funcs big in
-  let rows =
-    bechamel_run
-      (Test.make_grouped ~name:"analysis"
-         [ Test.make ~name:"calib-dot-4k"
-             (let u = Array.init 4096 (fun i -> float_of_int i *. 1e-3) in
-              let v = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
-              Staged.stage (fun () ->
-                  let acc = ref 0.0 in
-                  for i = 0 to 4095 do
-                    acc := !acc +. (u.(i) *. v.(i))
-                  done;
-                  ignore (Sys.opaque_identity !acc)));
-           Test.make ~name:"liveness-largest"
-             (Staged.stage (fun () ->
-                  List.iter (fun f -> ignore (A.Liveness.of_func f)) funcs));
-           Test.make ~name:"reaching-largest"
-             (Staged.stage (fun () ->
-                  List.iter (fun f -> ignore (A.Reaching.of_func f)) funcs));
-           Test.make ~name:"effects-summary"
-             (Staged.stage (fun () -> ignore (A.Effects.summarize big)));
-           Test.make ~name:"alias-summary"
-             (Staged.stage (fun () -> ignore (A.Alias.summarize big)));
-           Test.make ~name:"absint-largest"
-             (Staged.stage (fun () ->
-                  List.iter (fun f -> ignore (A.Absint.of_func f)) funcs));
-           Test.make ~name:"sanitize-ssa-largest"
-             (Staged.stage (fun () ->
-                  ignore (A.Sanitize.check_module A.Sanitize.Ssa big_oz)));
-           Test.make ~name:"equiv-validate-func"
-             (* one changed harnessable function: measures the fixed
-                per-function cost of the Equiv tier (harness build +
-                seeded interpreter runs on both sides), which is what
-                every pass application pays per changed definition *)
-             (let fn body =
-                Parser.parse_module
-                  (Printf.sprintf
-                     "module equivbench\n\nfunc @f(%%0: i64, %%1: i64): i64 {\nentry:\n  %%2 = %s\n  ret i64 %%2\n}\n"
-                     body)
-              in
-              let eb = fn "add i64 %0, %1" in
-              let ea = fn "add i64 %1, %0" in
-              Staged.stage (fun () ->
-                  ignore (A.Equiv.validate ~fuel:50_000 ~before:eb ea)));
-           Test.make ~name:"lint-largest"
-             (Staged.stage (fun () -> ignore (A.Lint.lint_module big_oz))) ])
+  let bench =
+    bench_gated ~group:"analysis"
+      [ Test.make ~name:"liveness-largest"
+          (Staged.stage (fun () ->
+               List.iter (fun f -> ignore (A.Liveness.of_func f)) funcs));
+        Test.make ~name:"reaching-largest"
+          (Staged.stage (fun () ->
+               List.iter (fun f -> ignore (A.Reaching.of_func f)) funcs));
+        Test.make ~name:"effects-summary"
+          (Staged.stage (fun () -> ignore (A.Effects.summarize big)));
+        Test.make ~name:"alias-summary"
+          (Staged.stage (fun () -> ignore (A.Alias.summarize big)));
+        Test.make ~name:"absint-largest"
+          (Staged.stage (fun () ->
+               List.iter (fun f -> ignore (A.Absint.of_func f)) funcs));
+        Test.make ~name:"sanitize-ssa-largest"
+          (Staged.stage (fun () ->
+               ignore (A.Sanitize.check_module A.Sanitize.Ssa big_oz)));
+        Test.make ~name:"equiv-validate-func"
+          (* one changed harnessable function: measures the fixed
+             per-function cost of the Equiv tier (harness build +
+             seeded interpreter runs on both sides), which is what
+             every pass application pays per changed definition *)
+          (let fn body =
+             Parser.parse_module
+               (Printf.sprintf
+                  "module equivbench\n\nfunc @f(%%0: i64, %%1: i64): i64 {\nentry:\n  %%2 = %s\n  ret i64 %%2\n}\n"
+                  body)
+           in
+           let eb = fn "add i64 %0, %1" in
+           let ea = fn "add i64 %1, %0" in
+           Staged.stage (fun () ->
+               ignore (A.Equiv.validate ~fuel:50_000 ~before:eb ea)));
+        Test.make ~name:"lint-largest"
+          (Staged.stage (fun () -> ignore (A.Lint.lint_module big_oz))) ]
   in
-  print_bechamel_rows rows;
-  let ns suffix =
-    match List.find_opt (fun (n, _) -> Filename.basename n = suffix) rows with
-    | Some (_, v) -> v
-    | None -> 0.0
-  in
-  let calib = ns "calib-dot-4k" in
-  let rel v = if calib > 0.0 then v /. calib else 0.0 in
-  let path = "BENCH_analysis.json" in
-  Obs.Runlog.write_json_file path
-    (Obs.Json.Obj
-       [ ("kind", Obs.Json.Str "bench-analysis");
-         ("subject", Obs.Json.Str name);
-         ("subject_insns", Obs.Json.Int (Modul.insn_count big));
-         ("micro_ns",
-          Obs.Json.Obj (List.map (fun (n, v) -> (Filename.basename n, Obs.Json.Float v)) rows));
-         ("gate",
-          (* the series the CI gate enforces (calibration-relative cost;
-             see .github/scripts/bench_gate.py), plus context rows *)
-          Obs.Json.Obj
-            [ ("calib_ns", Obs.Json.Float calib);
-              ("liveness_rel", Obs.Json.Float (rel (ns "liveness-largest")));
-              ("sanitize_rel", Obs.Json.Float (rel (ns "sanitize-ssa-largest")));
-              ("lint_rel", Obs.Json.Float (rel (ns "lint-largest")));
-              ("alias_rel", Obs.Json.Float (rel (ns "alias-summary")));
-              ("absint_rel", Obs.Json.Float (rel (ns "absint-largest")));
-              ("equiv_rel", Obs.Json.Float (rel (ns "equiv-validate-func")));
-              ("reaching_rel", Obs.Json.Float (rel (ns "reaching-largest")));
-              ("effects_rel", Obs.Json.Float (rel (ns "effects-summary"))) ]) ]);
-  Printf.printf "  analysis bench baseline written to %s\n" path
+  let _, ns = bench in
+  write_gated ~what:"analysis" bench
+    ~head:
+      [ ("subject", Obs.Json.Str name);
+        ("subject_insns", Obs.Json.Int (Modul.insn_count big)) ]
+    ~gate:
+      [ ("liveness_rel", ns "liveness-largest");
+        ("sanitize_rel", ns "sanitize-ssa-largest");
+        ("lint_rel", ns "lint-largest");
+        ("alias_rel", ns "alias-summary");
+        ("absint_rel", ns "absint-largest");
+        ("equiv_rel", ns "equiv-validate-func");
+        ("reaching_rel", ns "reaching-largest");
+        ("effects_rel", ns "effects-summary") ]
 
 (* ======================================================================== *)
 (* profiling: disabled-path overhead + atomic metrics + collector costs       *)
@@ -750,65 +743,36 @@ let prof_bench () =
       attrs = [];
       t_start = 0.0; dur = 1e-5; self = 1e-5; depth = 0; tid = 0 }
   in
-  let rows =
-    bechamel_run
-      (Test.make_grouped ~name:"prof"
-         [ Test.make ~name:"calib-dot-4k"
-             (let u = Array.init 4096 (fun i -> float_of_int i *. 1e-3) in
-              let v = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
-              Staged.stage (fun () ->
-                  let acc = ref 0.0 in
-                  for i = 0 to 4095 do
-                    acc := !acc +. (u.(i) *. v.(i))
-                  done;
-                  ignore (Sys.opaque_identity !acc)));
-           Test.make ~name:"span-disabled-100"
-             (Staged.stage (fun () ->
-                  for _i = 1 to 100 do
-                    Obs.Span.with_ "posetrl.bench.noop" (fun _ -> ())
-                  done));
-           Test.make ~name:"counter-inc-100"
-             (Staged.stage (fun () ->
-                  for _i = 1 to 100 do Obs.Metrics.inc c done));
-           Test.make ~name:"gauge-set-100"
-             (Staged.stage (fun () ->
-                  for _i = 1 to 100 do Obs.Metrics.set g 42.0 done));
-           Test.make ~name:"hist-observe-100"
-             (Staged.stage (fun () ->
-                  for _i = 1 to 100 do Obs.Metrics.observe h 1e-4 done));
-           Test.make ~name:"prof-add-event"
-             (Staged.stage (fun () -> Obs.Prof.add collector ev));
-           Test.make ~name:"sample-gc"
-             (Staged.stage (fun () -> ignore (Obs.Prof.sample_gc ~r ()))) ])
+  let bench =
+    bench_gated ~group:"prof"
+      [ Test.make ~name:"span-disabled-100"
+          (Staged.stage (fun () ->
+               for _i = 1 to 100 do
+                 Obs.Span.with_ "posetrl.bench.noop" (fun _ -> ())
+               done));
+        Test.make ~name:"counter-inc-100"
+          (Staged.stage (fun () ->
+               for _i = 1 to 100 do Obs.Metrics.inc c done));
+        Test.make ~name:"gauge-set-100"
+          (Staged.stage (fun () ->
+               for _i = 1 to 100 do Obs.Metrics.set g 42.0 done));
+        Test.make ~name:"hist-observe-100"
+          (Staged.stage (fun () ->
+               for _i = 1 to 100 do Obs.Metrics.observe h 1e-4 done));
+        Test.make ~name:"prof-add-event"
+          (Staged.stage (fun () -> Obs.Prof.add collector ev));
+        Test.make ~name:"sample-gc"
+          (Staged.stage (fun () -> ignore (Obs.Prof.sample_gc ~r ()))) ]
   in
-  print_bechamel_rows rows;
-  let ns suffix =
-    match List.find_opt (fun (n, _) -> Filename.basename n = suffix) rows with
-    | Some (_, v) -> v
-    | None -> 0.0
-  in
-  let calib = ns "calib-dot-4k" in
-  let rel v = if calib > 0.0 then v /. calib else 0.0 in
-  let path = "BENCH_prof.json" in
-  Obs.Runlog.write_json_file path
-    (Obs.Json.Obj
-       [ ("kind", Obs.Json.Str "bench-prof");
-         ("micro_ns",
-          Obs.Json.Obj
-            (List.map (fun (n, v) -> (Filename.basename n, Obs.Json.Float v)) rows));
-         ("gate",
-          (* the series the CI gate enforces (calibration-relative cost
-             of the always-on paths; see .github/scripts/bench_gate.py),
-             plus context rows *)
-          Obs.Json.Obj
-            [ ("calib_ns", Obs.Json.Float calib);
-              ("span_disabled_rel", Obs.Json.Float (rel (ns "span-disabled-100")));
-              ("counter_inc_rel", Obs.Json.Float (rel (ns "counter-inc-100")));
-              ("hist_observe_rel", Obs.Json.Float (rel (ns "hist-observe-100")));
-              ("gauge_set_rel", Obs.Json.Float (rel (ns "gauge-set-100")));
-              ("prof_add_rel", Obs.Json.Float (rel (ns "prof-add-event")));
-              ("sample_gc_rel", Obs.Json.Float (rel (ns "sample-gc"))) ]) ]);
-  Printf.printf "  profiling bench baseline written to %s\n" path
+  let _, ns = bench in
+  write_gated ~what:"prof" bench
+    ~gate:
+      [ ("span_disabled_rel", ns "span-disabled-100");
+        ("counter_inc_rel", ns "counter-inc-100");
+        ("hist_observe_rel", ns "hist-observe-100");
+        ("gauge_set_rel", ns "gauge-set-100");
+        ("prof_add_rel", ns "prof-add-event");
+        ("sample_gc_rel", ns "sample-gc") ]
 
 (* ======================================================================== *)
 (* training-health: per-tick watchdog cost + attribution-update cost          *)
@@ -841,54 +805,26 @@ let health_bench () =
   in
   let attrib = Posetrl_rl.Attrib.create ~n_actions:34 ~max_pos:15 () in
   let step = ref 0 in
-  let rows =
-    bechamel_run
-      (Test.make_grouped ~name:"health"
-         [ Test.make ~name:"calib-dot-4k"
-             (let u = Array.init 4096 (fun i -> float_of_int i *. 1e-3) in
-              let v = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
-              Staged.stage (fun () ->
-                  let acc = ref 0.0 in
-                  for i = 0 to 4095 do
-                    acc := !acc +. (u.(i) *. v.(i))
-                  done;
-                  ignore (Sys.opaque_identity !acc)));
-           Test.make ~name:"watchdog-check-100"
-             (Staged.stage (fun () ->
-                  for _i = 1 to 100 do
-                    incr step;
-                    ignore (Obs.Health.check watchdog (healthy (!step * 200)))
-                  done));
-           Test.make ~name:"attrib-observe-100"
-             (Staged.stage (fun () ->
-                  for i = 1 to 100 do
-                    Posetrl_rl.Attrib.observe attrib ~action:(i mod 34) ~pos:(i mod 15)
-                      ~reward:0.25 ~r_binsize:0.1 ~r_throughput:0.03
-                  done)) ])
+  let bench =
+    bench_gated ~group:"health"
+      [ Test.make ~name:"watchdog-check-100"
+          (Staged.stage (fun () ->
+               for _i = 1 to 100 do
+                 incr step;
+                 ignore (Obs.Health.check watchdog (healthy (!step * 200)))
+               done));
+        Test.make ~name:"attrib-observe-100"
+          (Staged.stage (fun () ->
+               for i = 1 to 100 do
+                 Posetrl_rl.Attrib.observe attrib ~action:(i mod 34) ~pos:(i mod 15)
+                   ~reward:0.25 ~r_binsize:0.1 ~r_throughput:0.03
+               done)) ]
   in
-  print_bechamel_rows rows;
-  let ns suffix =
-    match List.find_opt (fun (n, _) -> Filename.basename n = suffix) rows with
-    | Some (_, v) -> v
-    | None -> 0.0
-  in
-  let calib = ns "calib-dot-4k" in
-  let rel v = if calib > 0.0 then v /. calib else 0.0 in
-  let path = "BENCH_health.json" in
-  Obs.Runlog.write_json_file path
-    (Obs.Json.Obj
-       [ ("kind", Obs.Json.Str "bench-health");
-         ("micro_ns",
-          Obs.Json.Obj
-            (List.map (fun (n, v) -> (Filename.basename n, Obs.Json.Float v)) rows));
-         ("gate",
-          Obs.Json.Obj
-            [ ("calib_ns", Obs.Json.Float calib);
-              ("watchdog_tick_rel",
-               Obs.Json.Float (rel (ns "watchdog-check-100")));
-              ("attrib_observe_rel",
-               Obs.Json.Float (rel (ns "attrib-observe-100"))) ]) ]);
-  Printf.printf "  health bench baseline written to %s\n" path
+  let _, ns = bench in
+  write_gated ~what:"health" bench
+    ~gate:
+      [ ("watchdog_tick_rel", ns "watchdog-check-100");
+        ("attrib_observe_rel", ns "attrib-observe-100") ]
 
 (* ======================================================================== *)
 (* coverage: per-step decision-space observe cost                            *)
@@ -912,52 +848,24 @@ let coverage_bench () =
     Array.init C.Environment.state_dim (fun i -> Float.sin (float_of_int i))
   in
   let step = ref 0 in
-  let rows =
-    bechamel_run
-      (Test.make_grouped ~name:"coverage"
-         [ Test.make ~name:"calib-dot-4k"
-             (let u = Array.init 4096 (fun i -> float_of_int i *. 1e-3) in
-              let v = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
-              Staged.stage (fun () ->
-                  let acc = ref 0.0 in
-                  for i = 0 to 4095 do
-                    acc := !acc +. (u.(i) *. v.(i))
-                  done;
-                  ignore (Sys.opaque_identity !acc)));
-           Test.make ~name:"coverage-observe-100"
-             (Staged.stage (fun () ->
-                  for _i = 1 to 100 do
-                    incr step;
-                    Obs.Coverage.observe cov ~action:(!step mod n_actions)
-                      ~pos:(!step mod 15) ~reward:0.25 ~r_binsize:0.1
-                      ~r_throughput:0.03
-                  done));
-           Test.make ~name:"coverage-state-sketch"
-             (Staged.stage (fun () -> Obs.Coverage.observe_state cov state));
-           Test.make ~name:"coverage-sample"
-             (Staged.stage (fun () -> Obs.Coverage.sample cov ~step:!step)) ])
+  let bench =
+    bench_gated ~group:"coverage"
+      [ Test.make ~name:"coverage-observe-100"
+          (Staged.stage (fun () ->
+               for _i = 1 to 100 do
+                 incr step;
+                 Obs.Coverage.observe cov ~action:(!step mod n_actions)
+                   ~pos:(!step mod 15) ~reward:0.25 ~r_binsize:0.1
+                   ~r_throughput:0.03
+               done));
+        Test.make ~name:"coverage-state-sketch"
+          (Staged.stage (fun () -> Obs.Coverage.observe_state cov state));
+        Test.make ~name:"coverage-sample"
+          (Staged.stage (fun () -> Obs.Coverage.sample cov ~step:!step)) ]
   in
-  print_bechamel_rows rows;
-  let ns suffix =
-    match List.find_opt (fun (n, _) -> Filename.basename n = suffix) rows with
-    | Some (_, v) -> v
-    | None -> 0.0
-  in
-  let calib = ns "calib-dot-4k" in
-  let rel v = if calib > 0.0 then v /. calib else 0.0 in
-  let path = "BENCH_coverage.json" in
-  Obs.Runlog.write_json_file path
-    (Obs.Json.Obj
-       [ ("kind", Obs.Json.Str "bench-coverage");
-         ("micro_ns",
-          Obs.Json.Obj
-            (List.map (fun (n, v) -> (Filename.basename n, Obs.Json.Float v)) rows));
-         ("gate",
-          Obs.Json.Obj
-            [ ("calib_ns", Obs.Json.Float calib);
-              ("coverage_observe_rel",
-               Obs.Json.Float (rel (ns "coverage-observe-100"))) ]) ]);
-  Printf.printf "  coverage bench baseline written to %s\n" path
+  let _, ns = bench in
+  write_gated ~what:"coverage" bench
+    ~gate:[ ("coverage_observe_rel", ns "coverage-observe-100") ]
 
 (* ======================================================================== *)
 (* serve: in-process load generator against the optimization daemon         *)
@@ -974,21 +882,7 @@ let coverage_bench () =
    it stays >= 10x. *)
 let serve_bench () =
   section_header "Serve daemon (IR-hash cache + batched inference + load gen)";
-  let open Bechamel in
-  let rows =
-    bechamel_run
-      (Test.make_grouped ~name:"serve"
-         [ Test.make ~name:"calib-dot-4k"
-             (let u = Array.init 4096 (fun i -> float_of_int i *. 1e-3) in
-              let v = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
-              Staged.stage (fun () ->
-                  let acc = ref 0.0 in
-                  for i = 0 to 4095 do
-                    acc := !acc +. (u.(i) *. v.(i))
-                  done;
-                  ignore (Sys.opaque_identity !acc))) ])
-  in
-  print_bechamel_rows rows;
+  let bench = bench_gated ~group:"serve" [] in
   let rng = Rng.create 0 in
   let agent =
     Posetrl_rl.Dqn.create rng ~state_dim:C.Environment.state_dim
@@ -1086,44 +980,28 @@ let serve_bench () =
         n_cold cold_s cold_rps n_hot hot_s hot_rps (hot_p50_ns /. 1e6)
         (hot_p99_ns /. 1e6) hot_over_cold hit_pct;
       record_headline "serve_hot_over_cold_x" (Obs.Json.Float hot_over_cold);
-      let ns suffix =
-        match
-          List.find_opt (fun (n, _) -> Filename.basename n = suffix) rows
-        with
-        | Some (_, v) -> v
-        | None -> 0.0
-      in
-      let calib = ns "calib-dot-4k" in
-      let rel v = if calib > 0.0 then v /. calib else 0.0 in
-      let path = "BENCH_serve.json" in
-      Obs.Runlog.write_json_file path
-        (Obs.Json.Obj
-           [ ("kind", Obs.Json.Str "bench-serve");
-             ("micro_ns",
-              Obs.Json.Obj
-                [ ("calib-dot-4k", Obs.Json.Float calib);
-                  ("serve-cold-req", Obs.Json.Float cold_ns);
-                  ("serve-hot-req", Obs.Json.Float hot_ns);
-                  ("serve-hot-p99", Obs.Json.Float hot_p99_ns) ]);
-             ("gate",
-              (* the series the CI gate enforces (calibration-relative
-                 per-request cost; see .github/scripts/bench_gate.py) *)
-              Obs.Json.Obj
-                [ ("calib_ns", Obs.Json.Float calib);
-                  ("serve_cold_cost_rel", Obs.Json.Float (rel cold_ns));
-                  ("serve_hot_cost_rel", Obs.Json.Float (rel hot_ns));
-                  ("serve_hot_p99_rel", Obs.Json.Float (rel hot_p99_ns)) ]);
-             ("load",
-              Obs.Json.Obj
-                [ ("cold_requests", Obs.Json.Int n_cold);
-                  ("hot_requests", Obs.Json.Int n_hot);
-                  ("cold_req_s", Obs.Json.Float cold_rps);
-                  ("hot_req_s", Obs.Json.Float hot_rps);
-                  ("hot_p50_ms", Obs.Json.Float (hot_p50_ns /. 1e6));
-                  ("hot_p99_ms", Obs.Json.Float (hot_p99_ns /. 1e6));
-                  ("hot_over_cold_x", Obs.Json.Float hot_over_cold);
-                  ("cache_hit_pct", Obs.Json.Float hit_pct) ]) ]);
-      Printf.printf "  serve bench baseline written to %s\n" path)
+      let _, ns = bench in
+      write_gated ~what:"serve" bench
+        ~micro:
+          [ ("calib-dot-4k", ns "calib-dot-4k");
+            ("serve-cold-req", cold_ns);
+            ("serve-hot-req", hot_ns);
+            ("serve-hot-p99", hot_p99_ns) ]
+        ~gate:
+          [ ("serve_cold_cost_rel", cold_ns);
+            ("serve_hot_cost_rel", hot_ns);
+            ("serve_hot_p99_rel", hot_p99_ns) ]
+        ~tail:
+          [ ("load",
+             Obs.Json.Obj
+               [ ("cold_requests", Obs.Json.Int n_cold);
+                 ("hot_requests", Obs.Json.Int n_hot);
+                 ("cold_req_s", Obs.Json.Float cold_rps);
+                 ("hot_req_s", Obs.Json.Float hot_rps);
+                 ("hot_p50_ms", Obs.Json.Float (hot_p50_ns /. 1e6));
+                 ("hot_p99_ms", Obs.Json.Float (hot_p99_ns /. 1e6));
+                 ("hot_over_cold_x", Obs.Json.Float hot_over_cold);
+                 ("cache_hit_pct", Obs.Json.Float hit_pct) ]) ])
 
 (* ======================================================================== *)
 

@@ -1,34 +1,10 @@
 (* posetrl — command-line interface to the POSET-RL reproduction.
 
-   Subcommands:
-     opt    apply a standard pipeline or an explicit pass list to a
-            textual MiniIR module and report size/throughput changes
-     run    interpret a textual MiniIR module
-     train  train a DQN phase-ordering model and save its weights
-     eval   evaluate a saved model against the validation suites
-     report aggregate a --trace JSONL file into per-span/per-pass tables
-     profile run train/eval under the hotspot profiler: ranked self-time
-            table, jobs-1-vs-N comparison, GC/alloc totals, folded export
-     runs   the run ledger: list past runs, show one (manifest +
-            training curves), compare two with regression detection
-            (--attrib adds the per-action reward-attribution diff),
-            rebuild a profile from a run's trace
-     explain replay a run's ledger into a policy-introspection report:
-            per-action reward attribution (verified against the episode
-            stream), top schedules, drift timeline, watchdog alerts
-     coverage decision-space coverage report for a run: ODG edge
-            coverage with per-edge mean rewards, transition hot list,
-            entropy, state-sketch occupancy, heat-annotated dot export
-     watch  live terminal dashboard tailing a (running) ledger run,
-            including a red row for watchdog alerts
-     odg    inspect the Oz Dependence Graph (stats, dot, derived walks)
-     list   list registered passes / benchmark programs
-
-   opt/train/eval take --trace FILE.jsonl (write a span trace) and
-   --metrics (print the metrics registry on exit); train/eval take
-   --run-dir DIR (or --run NAME) to persist the run in the ledger and
-   --serve PORT to expose live /metrics + /healthz over HTTP;
-   report takes --chrome OUT.json for a Perfetto-loadable export. *)
+   One Cmdliner command per subcommand; `posetrl --help` lists them from
+   each command's [Cmd.info] doc. A flag several commands take is
+   defined once below, as a term over a converter ("shared terms"), and
+   train, eval and serve run inside one ledger + telemetry + trace +
+   metrics + pool lifecycle, [with_session]. *)
 
 open Cmdliner
 open Posetrl_ir
@@ -49,25 +25,106 @@ let read_module path =
   with Parser.Parse_error msg ->
     failwith (Printf.sprintf "%s: parse error: %s" path msg)
 
-let load_program (spec : string) : Modul.t =
-  (* a benchmark name from the suites, or a path to a textual module *)
-  match W.Suites.find_program spec with
-  | Some mk -> mk ()
-  | None ->
-    if Sys.file_exists spec then read_module spec
-    else failwith (Printf.sprintf "unknown program %s (not a benchmark, not a file)" spec)
+let plural n = if n = 1 then "" else "s"
 
-let target_of_string = function
-  | "x86" | "x86-64" | "x86_64" -> CG.Target.x86_64
-  | "arm" | "aarch64" -> CG.Target.aarch64
-  | t -> failwith ("unknown target " ^ t)
+(* --- shared terms: one definition per flag several commands take --------- *)
 
-let space_of_string = function
-  | "odg" -> O.Action_space.odg
-  | "manual" -> O.Action_space.manual
-  | s -> failwith ("unknown action space " ^ s)
+(* A converter over a table of spellings; help prints a value's first one. *)
+let spellings ~(what : string) (table : (string list * 'a) list) : 'a Arg.conv =
+  let parse s =
+    match List.find_opt (fun (names, _) -> List.mem s names) table with
+    | Some (_, v) -> Ok v
+    | None -> Error (Printf.sprintf "unknown %s %s" what s)
+  in
+  let print ppf v =
+    match List.find_opt (fun (_, v') -> v' == v) table with
+    | Some (name :: _, _) -> Format.pp_print_string ppf name
+    | _ -> ()
+  in
+  Arg.conv' (parse, print)
 
-(* --- observability flags (shared by opt/train/eval) ----------------------- *)
+let target_conv =
+  spellings ~what:"target"
+    [ ([ "x86"; "x86-64"; "x86_64" ], CG.Target.x86_64);
+      ([ "aarch64"; "arm" ], CG.Target.aarch64) ]
+
+let target_arg =
+  Arg.(value & opt target_conv CG.Target.x86_64 & info [ "target" ]
+         ~docv:"TARGET" ~doc:"x86 or aarch64.")
+
+let space_arg =
+  Arg.(value
+       & opt
+           (spellings ~what:"action space"
+              [ ([ "odg" ], O.Action_space.odg);
+                ([ "manual" ], O.Action_space.manual) ])
+           O.Action_space.odg
+       & info [ "space" ] ~docv:"SPACE" ~doc:"Action space: odg or manual.")
+
+let sanitize_arg ~(default : A.Sanitize.level) ~(doc : string) =
+  let print ppf l = Format.pp_print_string ppf (A.Sanitize.level_to_string l) in
+  Arg.(value
+       & opt (conv' (A.Sanitize.level_of_string, print)) default
+       & info [ "sanitize" ] ~docv:"LEVEL" ~doc)
+
+let sanitize_doc =
+  "Semantic sanitizer level: off, structural (re-verify after every pass), \
+   ssa (structural + SSA dominance checking), or equiv (ssa + translation \
+   validation: each pass application is differentially simulated against \
+   its input on seeded concrete inputs). On failure a delta-minimized repro \
+   is written to the run ledger's repros/ directory (or runs/repros without \
+   a ledger run) and the command aborts."
+
+let level_conv =
+  let parse s =
+    Option.to_result ~none:("unknown level " ^ s) (P.Pipelines.level_of_string s)
+  in
+  let print ppf l = Format.pp_print_string ppf (P.Pipelines.level_to_string l) in
+  Arg.conv' (parse, print)
+
+(* -O/--level over [conv]: [level_conv] itself, [Arg.some level_conv],
+   or validate's variant that also takes `all`. *)
+let level_arg ~(doc : string) level default =
+  Arg.(value & opt level default & info [ "O"; "level" ] ~docv:"LEVEL" ~doc)
+
+(* A benchmark name from the suites, or a path to a textual module. The
+   module is built on demand, afresh on each call. *)
+let program_conv : (string * (unit -> Modul.t)) Arg.conv =
+  let parse spec =
+    match W.Suites.find_program spec with
+    | Some mk -> Ok (spec, mk)
+    | None when Sys.file_exists spec -> Ok (spec, fun () -> read_module spec)
+    | None ->
+      Error (Printf.sprintf "unknown program %s (not a benchmark, not a file)" spec)
+  in
+  Arg.conv' (parse, fun ppf (spec, _) -> Format.pp_print_string ppf spec)
+
+let program_pos ~(doc : string) =
+  Arg.(pos 0 (some program_conv) None & info [] ~docv:"PROGRAM" ~doc)
+
+let run_pos ?(doc = "Run id (under --root) or a run directory path.") () =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN" ~doc)
+
+let jobs_arg ?(default = 1)
+    ?(doc =
+      "Worker domains for parallel work: suite programs in `eval`, the \
+       minibatch gemm rows in `train`. Results are byte-identical to --jobs 1 \
+       (see DESIGN.md §9). Default 1 (sequential, no domains spawned).") () =
+  Arg.(value & opt int default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
+
+let top_arg ~(default : int) ~(doc : string) =
+  Arg.(value & opt int default & info [ "top" ] ~docv:"K" ~doc)
+
+let folded_arg ~(doc : string) =
+  Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded" ~doc)
+
+let dot_arg ~(doc : string) =
+  Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"OUT.dot" ~doc)
+
+let output_arg ~(doc : string) path default =
+  Arg.(value & opt path default & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE.jsonl"
@@ -80,7 +137,7 @@ let metrics_arg =
 (* Run [f] with the observability surface requested on the command line:
    a JSONL sink while [f] runs, a metrics table after it. *)
 let with_obs ~(trace : string option) ~(metrics : bool) (f : unit -> 'a) : 'a =
-  let run () =
+  let r =
     match trace with
     | None -> f ()
     | Some path ->
@@ -88,31 +145,8 @@ let with_obs ~(trace : string option) ~(metrics : bool) (f : unit -> 'a) : 'a =
       Printf.printf "trace written to %s\n" path;
       r
   in
-  let r = run () in
   if metrics then Obs.Console.print_metrics ~title:"metrics (posetrl.*)" ();
   r
-
-(* --- IR checking (--verify-each / --sanitize, shared by opt/train/eval) ---- *)
-
-let verify_each_arg =
-  Arg.(value & flag & info [ "verify-each" ]
-         ~doc:"Run the structural IR verifier after every pass (slower; \
-               catches miscompiling passes at the pass that broke the IR).")
-
-let sanitize_arg =
-  Arg.(value & opt string "off" & info [ "sanitize" ] ~docv:"LEVEL"
-         ~doc:"Semantic sanitizer level: off, structural (re-verify after \
-               every pass), ssa (structural + SSA dominance checking), or \
-               equiv (ssa + translation validation: each pass application is \
-               differentially simulated against its input on seeded concrete \
-               inputs). On failure a delta-minimized repro is written to the \
-               run ledger's repros/ directory (or runs/repros without a \
-               ledger run) and the command aborts.")
-
-let sanitize_of_string (s : string) : A.Sanitize.level =
-  match A.Sanitize.level_of_string s with
-  | Ok l -> l
-  | Error e -> failwith e
 
 (* Repros land next to the ledger run when one is open. *)
 let repro_dir_of_run (run : Obs.Run.t option) : string =
@@ -120,31 +154,152 @@ let repro_dir_of_run (run : Obs.Run.t option) : string =
   | Some r -> Filename.concat (Obs.Run.dir r) "repros"
   | None -> Filename.concat "runs" "repros"
 
-(* --- worker pool (--jobs, shared by train/eval) ---------------------------- *)
-
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for parallel work: suite programs in `eval`, \
-               the minibatch gemm rows in `train`. Results are byte-identical \
-               to --jobs 1 (see DESIGN.md §9). Default 1 (sequential, no \
-               domains spawned).")
-
 (* [f] gets [Some pool] only when parallelism was actually requested, so
    the sequential path stays domain-free. *)
 let with_jobs ~(jobs : int) (f : Posetrl_support.Pool.t option -> 'a) : 'a =
   if jobs <= 1 then f None
   else Posetrl_support.Pool.with_pool ~name:"posetrl" ~jobs (fun p -> f (Some p))
 
-(* --- run-ledger plumbing (shared by train/eval) --------------------------- *)
+(* The policy network eval, serve and profile roll out: the trainer's
+   architecture from a seeded init, loaded from [weights] when given. *)
+let load_agent ?pool ?(seed = 0) ?weights (actions : O.Action_space.t) =
+  let agent =
+    Posetrl_rl.Dqn.create ?pool (Posetrl_support.Rng.create seed)
+      ~state_dim:C.Environment.state_dim ~hidden:C.Trainer.paper.C.Trainer.hidden
+      ~n_actions:(O.Action_space.n_actions actions)
+  in
+  Option.iter (Posetrl_rl.Dqn.load_weights agent) weights;
+  agent
 
-let run_dir_arg =
-  Arg.(value & opt (some string) None & info [ "run-dir" ] ~docv:"DIR"
-         ~doc:"Persist this run in the ledger at \\$(docv): manifest.json, \
-               progress.jsonl, eval.json, trace.jsonl. Inspect with `posetrl runs`.")
+(* --- run session: ledger + trace + metrics + pool (train, eval, serve) --- *)
 
-let run_name_arg =
-  Arg.(value & opt (some string) None & info [ "run" ] ~docv:"NAME"
-         ~doc:"Persist this run in the ledger under runs/<timestamp>-\\$(docv).")
+type session = {
+  run_dir : string option;
+  run_name : string option;
+  trace : string option;
+  metrics : bool;
+  jobs : int;
+}
+
+let session_term =
+  let run_dir =
+    Arg.(value & opt (some string) None & info [ "run-dir" ] ~docv:"DIR"
+           ~doc:"Persist this run in the ledger at \\$(docv): manifest.json, \
+                 progress.jsonl, eval.json, trace.jsonl. Inspect with `posetrl runs`.")
+  in
+  let run_name =
+    Arg.(value & opt (some string) None & info [ "run" ] ~docv:"NAME"
+           ~doc:"Persist this run in the ledger under runs/<timestamp>-\\$(docv).")
+  in
+  Term.(const (fun run_dir run_name trace metrics jobs ->
+            { run_dir; run_name; trace; metrics; jobs })
+        $ run_dir $ run_name $ trace_arg $ metrics_arg $ jobs_arg ())
+
+(* Live telemetry over HTTP while a train or eval run is in flight. *)
+type telemetry = { port : int option; grace : float }
+
+let telemetry_term =
+  let port =
+    Arg.(value & opt (some int) None & info [ "serve" ] ~docv:"PORT"
+           ~doc:"Serve live telemetry over HTTP on 127.0.0.1:\\$(docv) while the \
+                 run is in flight: GET /metrics (Prometheus exposition), \
+                 /healthz, /runs, /runs/ID/progress.")
+  in
+  let grace =
+    Arg.(value & opt float 5.0 & info [ "serve-grace" ] ~docv:"SECS"
+           ~doc:"With --serve: keep answering requests for \\$(docv) seconds \
+                 after the run finishes, so a scraper can observe the final \
+                 'done' /healthz state and the last metric values.")
+  in
+  Term.(const (fun port grace -> { port; grace }) $ port $ grace)
+
+(* Wrap [f] in a telemetry server's lifecycle: bind before, report
+   status "running" until [f] returns and "done" during the grace
+   window after. [f] receives a pump thunk to call from its hot loop
+   (the server is single-threaded — nothing is served between pumps). *)
+let with_telemetry ~(alerts : unit -> Obs.Json.t list)
+    ~(coverage : unit -> Obs.Json.t option) (tm : telemetry) ~(kind : string)
+    ~(run_dir : string option) (f : pump:(unit -> unit) -> 'a) : 'a =
+  match tm.port with
+  | None -> f ~pump:(fun () -> ())
+  | Some port ->
+    let status = ref "running" in
+    let started = Obs.Clock.now () in
+    let metric name = Option.value ~default:0.0 (Obs.Metrics.value name) in
+    let health () =
+      let open Obs.Json in
+      Obj
+        [ ("status", Str !status);
+          ("kind", Str kind);
+          ("uptime_s", Float (Obs.Clock.now () -. started));
+          ("step", Int (int_of_float (metric "posetrl.train.steps")));
+          ("episode", Int (int_of_float (metric "posetrl.train.episodes")));
+          ("epsilon", Float (metric "posetrl.train.epsilon"));
+          ("mean_reward", Float (metric "posetrl.train.mean_reward"));
+          ("run", match run_dir with Some d -> Str d | None -> Null) ]
+    in
+    let server =
+      Obs.Httpd.create ~port
+        ~handler:(Obs.Httpd.telemetry_handler ~alerts ~coverage ~health ()) ()
+    in
+    Obs.Console.info
+      "telemetry on http://127.0.0.1:%d  (/metrics /healthz /alerts /coverage \
+       /runs)\n%!"
+      (Obs.Httpd.port server);
+    Fun.protect
+      ~finally:(fun () -> Obs.Httpd.close server)
+      (fun () ->
+        let r = f ~pump:(fun () -> Obs.Httpd.pump server) in
+        status := "done";
+        if tm.grace > 0.0 then begin
+          Obs.Console.info "%s done; serving final state for %.1fs\n%!" kind
+            tm.grace;
+          let deadline = Obs.Clock.now () +. tm.grace in
+          while Obs.Clock.now () < deadline do
+            Obs.Httpd.pump server;
+            Unix.sleepf 0.05
+          done
+        end;
+        r)
+
+(* The one lifecycle of train, eval and serve: open a ledger run when
+   --run-dir or --run asks for one (--run-dir wins), serve live
+   telemetry around it, and run [work] on the --jobs pool with the
+   run's trace.jsonl and any --trace sink capturing the span stream.
+   [finish] then gets [work]'s result once the trace and metrics are
+   out, and returns the manifest's result fields; the manifest is
+   finished even when either raises. *)
+let with_session ?(telemetry = { port = None; grace = 0.0 })
+    ?(alerts = fun () -> []) ?(coverage = fun () -> None) (s : session)
+    ~(kind : string) ~(meta : (string * Obs.Json.t) list)
+    (work : Obs.Run.t option -> pump:(unit -> unit) ->
+            Posetrl_support.Pool.t option -> 'a)
+    (finish : Obs.Run.t option -> 'a -> (string * Obs.Json.t) list) : unit =
+  let run =
+    match s.run_dir, s.run_name with
+    | None, None -> None
+    | dir, name ->
+      let name = Option.value name ~default:kind in
+      Some (Obs.Run.create ?dir ~name ~meta:(("kind", Obs.Json.Str kind) :: meta) ())
+  in
+  let body ~pump () =
+    finish run
+      (with_obs ~trace:s.trace ~metrics:s.metrics (fun () ->
+           with_jobs ~jobs:s.jobs (work run ~pump)))
+  in
+  with_telemetry ~alerts ~coverage telemetry ~kind
+    ~run_dir:(Option.map Obs.Run.dir run) (fun ~pump ->
+      match run with
+      | None -> ignore (body ~pump ())
+      | Some r ->
+        let result = ref [] in
+        Fun.protect
+          ~finally:(fun () -> Obs.Run.finish ~result:!result r)
+          (fun () ->
+            Obs.Span.with_sink
+              (Obs.Sink.jsonl (Obs.Run.trace_path (Obs.Run.dir r)))
+              (fun () -> result := body ~pump ()));
+        Obs.Console.info "run recorded in %s\n" (Obs.Run.dir r))
 
 let json_of_hp (hp : C.Trainer.hyperparams) : Obs.Json.t =
   let open Obs.Json in
@@ -168,118 +323,18 @@ let json_of_hp (hp : C.Trainer.hyperparams) : Obs.Json.t =
       ("alpha", Float C.Reward.paper_weights.C.Reward.alpha);
       ("beta", Float C.Reward.paper_weights.C.Reward.beta) ]
 
-(* Open a ledger run when either flag was given; [--run-dir] wins. *)
-let start_run ~(run_dir : string option) ~(run_name : string option)
-    ~(kind : string) ~(meta : (string * Obs.Json.t) list) : Obs.Run.t option =
-  match run_dir, run_name with
-  | None, None -> None
-  | dir, name ->
-    let name = Option.value name ~default:kind in
-    Some (Obs.Run.create ?dir ~name ~meta:(("kind", Obs.Json.Str kind) :: meta) ())
-
-(* Run [f] with the run's trace.jsonl capturing the span stream (in
-   addition to any --trace sink), and always finish the manifest. *)
-let with_run (run : Obs.Run.t option) (f : unit -> (string * Obs.Json.t) list) : unit =
-  match run with
-  | None -> ignore (f ())
-  | Some r ->
-    let result = ref [] in
-    Fun.protect
-      ~finally:(fun () -> Obs.Run.finish ~result:!result r)
-      (fun () ->
-        Obs.Span.with_sink
-          (Obs.Sink.jsonl (Obs.Run.trace_path (Obs.Run.dir r)))
-          (fun () -> result := f ()));
-    Obs.Console.info "run recorded in %s\n" (Obs.Run.dir r)
-
-(* --- live telemetry (--serve, shared by train/eval) ------------------------ *)
-
-let serve_arg =
-  Arg.(value & opt (some int) None & info [ "serve" ] ~docv:"PORT"
-         ~doc:"Serve live telemetry over HTTP on 127.0.0.1:\\$(docv) while the \
-               run is in flight: GET /metrics (Prometheus exposition), \
-               /healthz, /runs, /runs/ID/progress.")
-
-let serve_grace_arg =
-  Arg.(value & opt float 5.0 & info [ "serve-grace" ] ~docv:"SECS"
-         ~doc:"With --serve: keep answering requests for \\$(docv) seconds \
-               after the run finishes, so a scraper can observe the final \
-               'done' /healthz state and the last metric values.")
-
-(* Wrap [f] in a telemetry server's lifecycle: bind before, report
-   status "running" until [f] returns and "done" during the grace
-   window after. [f] receives a pump thunk to call from its hot loop
-   (the server is single-threaded — nothing is served between pumps). *)
-let with_serve ?(alerts : unit -> Obs.Json.t list = fun () -> [])
-    ?(coverage : unit -> Obs.Json.t option = fun () -> None)
-    ~(serve : int option) ~(grace : float) ~(kind : string)
-    ~(run_dir : unit -> string option) (f : pump:(unit -> unit) -> 'a) : 'a =
-  match serve with
-  | None -> f ~pump:(fun () -> ())
-  | Some port ->
-    let status = ref "running" in
-    let started = Obs.Clock.now () in
-    let metric name = Option.value ~default:0.0 (Obs.Metrics.value name) in
-    let health () =
-      let open Obs.Json in
-      Obj
-        [ ("status", Str !status);
-          ("kind", Str kind);
-          ("uptime_s", Float (Obs.Clock.now () -. started));
-          ("step", Int (int_of_float (metric "posetrl.train.steps")));
-          ("episode", Int (int_of_float (metric "posetrl.train.episodes")));
-          ("epsilon", Float (metric "posetrl.train.epsilon"));
-          ("mean_reward", Float (metric "posetrl.train.mean_reward"));
-          ("run", match run_dir () with Some d -> Str d | None -> Null) ]
-    in
-    let server =
-      Obs.Httpd.create ~port
-        ~handler:(Obs.Httpd.telemetry_handler ~alerts ~coverage ~health ()) ()
-    in
-    Obs.Console.info
-      "telemetry on http://127.0.0.1:%d  (/metrics /healthz /alerts /coverage \
-       /runs)\n%!"
-      (Obs.Httpd.port server);
-    Fun.protect
-      ~finally:(fun () -> Obs.Httpd.close server)
-      (fun () ->
-        let r = f ~pump:(fun () -> Obs.Httpd.pump server) in
-        status := "done";
-        if grace > 0.0 then begin
-          Obs.Console.info "%s done; serving final state for %.1fs\n%!" kind grace;
-          let deadline = Obs.Clock.now () +. grace in
-          while Obs.Clock.now () < deadline do
-            Obs.Httpd.pump server;
-            Unix.sleepf 0.05
-          done
-        end;
-        r)
-
 let report_module (target : CG.Target.t) (label : string) (m : Modul.t) =
+  let s = CG.Objfile.measure target m in
   Printf.printf "%-10s insns=%-5d size=%-6dB text=%-6dB mca-throughput=%.3f\n"
-    label (Modul.insn_count m)
-    (CG.Objfile.size target m)
-    (CG.Objfile.text_size target m)
+    label (Modul.insn_count m) (CG.Objfile.total s) s.CG.Objfile.text
     (Posetrl_mca.Mca.throughput target m)
 
 (* --- opt ------------------------------------------------------------------ *)
 
 let opt_cmd =
-  let program =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM"
-           ~doc:"Benchmark name (e.g. 541.leela, crc32) or path to a textual MiniIR file.")
-  in
-  let level =
-    Arg.(value & opt string "Oz" & info [ "O"; "level" ] ~docv:"LEVEL"
-           ~doc:"Pipeline level: O0 O1 O2 O3 Os Oz.")
-  in
   let passes =
     Arg.(value & opt (some string) None & info [ "passes" ] ~docv:"P1,P2,..."
            ~doc:"Explicit comma-separated pass list (overrides --level).")
-  in
-  let target =
-    Arg.(value & opt string "x86" & info [ "target" ] ~docv:"TARGET"
-           ~doc:"x86 or aarch64.")
   in
   let emit =
     Arg.(value & flag & info [ "emit" ] ~doc:"Print the optimized module.")
@@ -298,11 +353,8 @@ let opt_cmd =
                  --sanitize equiv catches it. Testing hook for the \
                  translation-validation tier.")
   in
-  let run program level passes target emit sanitize alias inject_bug trace
-      metrics =
-    let m = load_program program in
-    let tgt = target_of_string target in
-    let sanitize = sanitize_of_string sanitize in
+  let run (_, mk) level passes tgt emit sanitize alias inject_bug trace metrics =
+    let m = mk () in
     let repro_dir = repro_dir_of_run None in
     let with_alias cfg = { cfg with P.Config.use_alias = alias } in
     report_module tgt "input" m;
@@ -315,15 +367,12 @@ let opt_cmd =
               List.iter
                 (fun n -> if Option.is_none (P.Registry.find n) then failwith ("unknown pass " ^ n))
                 names;
-              P.Pass_manager.run ~verify:true ~sanitize ~repro_dir
-                (with_alias P.Config.oz) names m
+              P.Pass_manager.run ~sanitize ~repro_dir (with_alias P.Config.oz)
+                names m
             | None ->
-              (match P.Pipelines.level_of_string level with
-               | Some l ->
-                 P.Pass_manager.run ~verify:true ~sanitize ~repro_dir
-                   (with_alias (P.Pipelines.config_of l))
-                   (P.Pipelines.sequence_of l) m
-               | None -> failwith ("unknown level " ^ level))
+              P.Pass_manager.run ~sanitize ~repro_dir
+                (with_alias (P.Pipelines.config_of level))
+                (P.Pipelines.sequence_of level) m
           in
           if inject_bug then
             P.Pass_manager.run_pass ~sanitize ~repro_dir P.Sink.pass
@@ -334,58 +383,45 @@ let opt_cmd =
     if emit then print_string (Printer.module_to_string m')
   in
   Cmd.v (Cmd.info "opt" ~doc:"Apply an optimization pipeline to a module")
-    Term.(const run $ program $ level $ passes $ target $ emit $ sanitize_arg
+    Term.(const run
+          $ Arg.required
+              (program_pos
+                 ~doc:"Benchmark name (e.g. 541.leela, crc32) or path to a \
+                       textual MiniIR file.")
+          $ level_arg ~doc:"Pipeline level: O0 O1 O2 O3 Os Oz." level_conv
+              P.Pipelines.Oz
+          $ passes $ target_arg $ emit
+          $ sanitize_arg ~default:A.Sanitize.Structural ~doc:sanitize_doc
           $ alias $ inject_bug $ trace_arg $ metrics_arg)
 
 (* --- run ------------------------------------------------------------------- *)
 
 let run_cmd =
-  let program =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM"
-           ~doc:"Benchmark name or path to a textual MiniIR file.")
-  in
-  let level =
-    Arg.(value & opt (some string) None & info [ "O"; "level" ]
-           ~doc:"Optimize before running.")
-  in
-  let go program level =
-    let m = load_program program in
-    let m =
-      match level with
-      | Some l ->
-        (match P.Pipelines.level_of_string l with
-         | Some l -> P.Pass_manager.run_level l m
-         | None -> failwith ("unknown level " ^ l))
-      | None -> m
-    in
-    match Posetrl_interp.Interp.run m with
+  let go (_, mk) level =
+    let m = mk () in
+    let m = Option.fold ~none:m ~some:(fun l -> P.Pass_manager.run_level l m) level in
+    let module I = Posetrl_interp.Interp in
+    match I.run m with
     | o ->
-      if String.length o.Posetrl_interp.Interp.output > 0 then
-        print_string o.Posetrl_interp.Interp.output;
+      print_string o.I.output;
       Printf.printf "return: %s\ncycles: %d\ndynamic instructions: %d\n"
-        (match o.Posetrl_interp.Interp.ret with
-         | Posetrl_interp.Interp.VInt v -> Int64.to_string v
-         | Posetrl_interp.Interp.VFloat f -> string_of_float f
-         | Posetrl_interp.Interp.VPtr p -> Printf.sprintf "ptr:%d" p
+        (match o.I.ret with
+         | I.VInt v -> Int64.to_string v
+         | I.VFloat f -> string_of_float f
+         | I.VPtr p -> Printf.sprintf "ptr:%d" p
          | _ -> "void")
-        o.Posetrl_interp.Interp.cycles o.Posetrl_interp.Interp.dyn_insns
-    | exception Posetrl_interp.Interp.Trap e -> Printf.printf "trap: %s\n" e
+        o.I.cycles o.I.dyn_insns
+    | exception I.Trap e -> Printf.printf "trap: %s\n" e
   in
-  Cmd.v (Cmd.info "run" ~doc:"Interpret a module") Term.(const go $ program $ level)
+  Cmd.v (Cmd.info "run" ~doc:"Interpret a module")
+    Term.(const go
+          $ Arg.required
+              (program_pos ~doc:"Benchmark name or path to a textual MiniIR file.")
+          $ level_arg ~doc:"Optimize before running." (Arg.some level_conv) None)
 
 (* --- train ----------------------------------------------------------------- *)
 
 let train_cmd =
-  let out =
-    Arg.(value & opt string "posetrl.weights" & info [ "o"; "output" ]
-           ~docv:"FILE" ~doc:"Where to save the trained weights.")
-  in
-  let space =
-    Arg.(value & opt string "odg" & info [ "space" ] ~doc:"Action space: odg or manual.")
-  in
-  let target =
-    Arg.(value & opt string "x86" & info [ "target" ] ~doc:"x86 or aarch64.")
-  in
   let steps =
     Arg.(value & opt (some int) None & info [ "steps" ]
            ~doc:"Total training timesteps (default: 20100, the paper budget; \
@@ -395,7 +431,6 @@ let train_cmd =
     Arg.(value & flag & info [ "fast" ]
            ~doc:"Use the scaled-down fast hyperparameters instead of the paper schedule.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let corpus_size =
     Arg.(value & opt int 130 & info [ "corpus" ] ~doc:"Training corpus size (paper: 130).")
   in
@@ -406,11 +441,8 @@ let train_cmd =
                  nan_loss rule fires. CI uses this to exercise the alert \
                  pipeline end to end; never set it for real training.")
   in
-  let go out space target steps fast seed corpus_size inject_nan jobs
-      verify_each sanitize trace metrics run_dir run_name serve serve_grace =
-    let actions = space_of_string space in
-    let tgt = target_of_string target in
-    let sanitize = sanitize_of_string sanitize in
+  let go out actions tgt steps fast seed corpus_size inject_nan sanitize session
+      telemetry =
     let corpus = W.Suites.training_corpus ~n:corpus_size () in
     let base = if fast then C.Trainer.fast else C.Trainer.paper in
     let hp =
@@ -427,138 +459,132 @@ let train_cmd =
                Posetrl_rl.Schedule.create ~start:1.0 ~stop:0.01
                  ~decay_steps:(max 1 (s - 100)) ()) }
     in
-    Obs.Console.info "training %s/%s for %d steps on %d programs...\n%!" space
-      target hp.C.Trainer.total_steps corpus_size;
-    let run =
-      start_run ~run_dir ~run_name ~kind:"train"
-        ~meta:
-          [ ("seed", Obs.Json.Int seed);
-            ("action_space", Obs.Json.Str space);
-            ("target", Obs.Json.Str tgt.CG.Target.name);
-            ("corpus",
-             Obs.Json.Obj
-               [ ("n", Obs.Json.Int (Array.length corpus));
-                 ("source", Obs.Json.Str "Suites.training_corpus") ]);
-            ("hyperparams", json_of_hp hp) ]
-    in
-    (* progress lines read back from the metrics registry (the trainer
-       refreshes the posetrl.train.* series before each tick), so the
-       metrics layer — not the progress record — is the source of truth *)
-    let metric name = Option.value ~default:0.0 (Obs.Metrics.value name) in
-    let on_progress (p : C.Trainer.progress) =
-      Obs.Console.info
-        "  step %6d  episode %5d  eps %.3f  mean-reward %7.2f  mean-size-gain %6.2f%%  loss %.4f\n%!"
-        (int_of_float (metric "posetrl.train.steps"))
-        (int_of_float (metric "posetrl.train.episodes"))
-        (metric "posetrl.train.epsilon")
-        (metric "posetrl.train.mean_reward")
-        (metric "posetrl.train.mean_size_gain")
-        (metric "posetrl.train.loss");
-      Option.iter
-        (fun r ->
-          Obs.Run.progress r
-            (Obs.Runlog.tick_record
-               ?q_mean:(Obs.Metrics.value "posetrl.dqn.q_mean")
-               ?q_max:(Obs.Metrics.value "posetrl.dqn.q_max")
-               ?gc_minor:
-                 (Option.map int_of_float
-                    (Obs.Metrics.value "posetrl.gc.minor_collections"))
-               ?gc_major:
-                 (Option.map int_of_float
-                    (Obs.Metrics.value "posetrl.gc.major_collections"))
-               ?gc_heap_mb:
-                 (Option.map
-                    (fun w -> w *. 8.0 /. 1e6)
-                    (Obs.Metrics.value "posetrl.gc.heap_words"))
-               ?gc_alloc_mb_s:(Obs.Metrics.value "posetrl.gc.alloc_rate_mb_s")
-               ~step:p.C.Trainer.step
-               ~episode:p.C.Trainer.episode ~epsilon:p.C.Trainer.epsilon_now
-               ~mean_reward:p.C.Trainer.mean_reward
-               ~mean_size_gain:p.C.Trainer.mean_size_gain
-               ~r_binsize:p.C.Trainer.r_binsize
-               ~r_throughput:p.C.Trainer.r_throughput ~loss:p.C.Trainer.loss ()))
-        run
-    in
-    let on_episode (e : C.Trainer.episode_summary) =
-      Option.iter
-        (fun r ->
-          Obs.Run.progress r
-            (Obs.Runlog.episode_record ~actions:e.C.Trainer.ep_actions
-               ~step_rewards:e.C.Trainer.ep_step_rewards
-               ~episode:e.C.Trainer.ep_index
-               ~step:e.C.Trainer.ep_end_step ~reward:e.C.Trainer.ep_reward
-               ~r_binsize:e.C.Trainer.ep_r_binsize
-               ~r_throughput:e.C.Trainer.ep_r_throughput
-               ~size_gain_pct:e.C.Trainer.ep_size_gain_pct
-               ~thru_gain_pct:e.C.Trainer.ep_thru_gain_pct
-               ~epsilon:e.C.Trainer.ep_epsilon ~loss:e.C.Trainer.ep_loss ()))
-        run
-    in
+    Obs.Console.info "training %s/%s for %d steps on %d programs...\n%!"
+      actions.O.Action_space.name
+      (Format.asprintf "%a" (Arg.conv_printer target_conv) tgt)
+      hp.C.Trainer.total_steps corpus_size;
     (* watchdog alerts: persist each one as it fires (crash-tolerant),
        warn on the console, and keep the JSON forms live for /alerts *)
     let live_alerts = ref [] in
-    let on_alert (a : Obs.Health.alert) =
-      let j = Obs.Health.alert_to_json a in
-      live_alerts := j :: !live_alerts;
-      Option.iter (fun r -> Obs.Run.alert r j) run;
-      Obs.Console.info "  ALERT [%s] %s step %d: %s\n%!" a.Obs.Health.a_severity
-        a.Obs.Health.a_rule a.Obs.Health.a_step a.Obs.Health.a_message
-    in
     (* built here (not inside the trainer) so the live /coverage endpoint
        and the trainer fold the same table *)
     let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
-    with_serve ~alerts:(fun () -> List.rev !live_alerts)
-      ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage)) ~serve
-      ~grace:serve_grace ~kind:"train"
-      ~run_dir:(fun () -> Option.map Obs.Run.dir run)
-      (fun ~pump ->
-        with_run run (fun () ->
-            let res =
-              with_obs ~trace ~metrics (fun () ->
-                  with_jobs ~jobs (fun pool ->
-                      C.Trainer.train ?pool ~hp ~on_progress ~on_episode
-                        ~on_step:(fun _ -> pump ()) ~on_alert
-                        ?inject_nan_at:inject_nan ~coverage
-                        ~verify:verify_each
-                        ~sanitize ~repro_dir:(repro_dir_of_run run) ~seed
-                        ~corpus ~actions ~target:tgt ()))
-            in
-            Posetrl_rl.Dqn.save_weights res.C.Trainer.agent out;
-            let attrib_doc =
-              Posetrl_rl.Attrib.to_json
-                ~labels:(fun a ->
-                  String.concat "," (O.Action_space.action actions a))
-                res.C.Trainer.attrib
-            in
-            Option.iter (fun r -> Obs.Run.write_attrib r attrib_doc) run;
-            let cov = res.C.Trainer.coverage in
-            Option.iter
-              (fun r -> Obs.Run.write_coverage r (Obs.Coverage.to_json cov))
-              run;
-            let n_alerts = List.length res.C.Trainer.alerts in
-            if n_alerts > 0 then
-              Obs.Console.info "training-health: %d alert%s fired (see \
-                                alerts.jsonl / `posetrl explain`)\n"
-                n_alerts (if n_alerts = 1 then "" else "s");
-            Obs.Console.info
-              "coverage: %d/%d ODG edges (%.1f%%), action entropy %.3f bits\n"
-              (Obs.Coverage.edges_visited cov)
-              (Obs.Coverage.edge_count cov)
-              (Obs.Coverage.edge_pct cov) (Obs.Coverage.entropy cov);
-            Obs.Console.info "saved weights to %s (%d episodes)\n" out
-              res.C.Trainer.episodes;
-            [ ("episodes", Obs.Json.Int res.C.Trainer.episodes);
-              ("final_mean_reward", Obs.Json.Float res.C.Trainer.final_mean_reward);
-              ("coverage_edge_pct", Obs.Json.Float (Obs.Coverage.edge_pct cov));
-              ("coverage_entropy_bits", Obs.Json.Float (Obs.Coverage.entropy cov));
-              ("alerts", Obs.Json.Int n_alerts);
-              ("weights", Obs.Json.Str out) ]))
+    let work run ~pump pool =
+      (* progress lines read back from the metrics registry (the trainer
+         refreshes the posetrl.train.* series before each tick), so the
+         metrics layer — not the progress record — is the source of truth *)
+      let metric name = Option.value ~default:0.0 (Obs.Metrics.value name) in
+      let on_progress (p : C.Trainer.progress) =
+        Obs.Console.info
+          "  step %6d  episode %5d  eps %.3f  mean-reward %7.2f  mean-size-gain %6.2f%%  loss %.4f\n%!"
+          (int_of_float (metric "posetrl.train.steps"))
+          (int_of_float (metric "posetrl.train.episodes"))
+          (metric "posetrl.train.epsilon")
+          (metric "posetrl.train.mean_reward")
+          (metric "posetrl.train.mean_size_gain")
+          (metric "posetrl.train.loss");
+        let gauge = Obs.Metrics.value in
+        let count name = Option.map int_of_float (gauge name) in
+        Option.iter
+          (fun r ->
+            Obs.Run.progress r
+              (Obs.Runlog.tick_record ?q_mean:(gauge "posetrl.dqn.q_mean")
+                 ?q_max:(gauge "posetrl.dqn.q_max")
+                 ?gc_minor:(count "posetrl.gc.minor_collections")
+                 ?gc_major:(count "posetrl.gc.major_collections")
+                 ?gc_heap_mb:
+                   (Option.map (fun w -> w *. 8.0 /. 1e6) (gauge "posetrl.gc.heap_words"))
+                 ?gc_alloc_mb_s:(gauge "posetrl.gc.alloc_rate_mb_s")
+                 ~step:p.C.Trainer.step
+                 ~episode:p.C.Trainer.episode ~epsilon:p.C.Trainer.epsilon_now
+                 ~mean_reward:p.C.Trainer.mean_reward
+                 ~mean_size_gain:p.C.Trainer.mean_size_gain
+                 ~r_binsize:p.C.Trainer.r_binsize
+                 ~r_throughput:p.C.Trainer.r_throughput ~loss:p.C.Trainer.loss ()))
+          run
+      in
+      let on_episode (e : C.Trainer.episode_summary) =
+        Option.iter
+          (fun r ->
+            Obs.Run.progress r
+              (Obs.Runlog.episode_record ~actions:e.C.Trainer.ep_actions
+                 ~step_rewards:e.C.Trainer.ep_step_rewards
+                 ~episode:e.C.Trainer.ep_index
+                 ~step:e.C.Trainer.ep_end_step ~reward:e.C.Trainer.ep_reward
+                 ~r_binsize:e.C.Trainer.ep_r_binsize
+                 ~r_throughput:e.C.Trainer.ep_r_throughput
+                 ~size_gain_pct:e.C.Trainer.ep_size_gain_pct
+                 ~thru_gain_pct:e.C.Trainer.ep_thru_gain_pct
+                 ~epsilon:e.C.Trainer.ep_epsilon ~loss:e.C.Trainer.ep_loss ()))
+          run
+      in
+      let on_alert (a : Obs.Health.alert) =
+        let j = Obs.Health.alert_to_json a in
+        live_alerts := j :: !live_alerts;
+        Option.iter (fun r -> Obs.Run.alert r j) run;
+        Obs.Console.info "  ALERT [%s] %s step %d: %s\n%!" a.Obs.Health.a_severity
+          a.Obs.Health.a_rule a.Obs.Health.a_step a.Obs.Health.a_message
+      in
+      C.Trainer.train ?pool ~hp ~on_progress ~on_episode
+        ~on_step:(fun _ -> pump ()) ~on_alert ?inject_nan_at:inject_nan ~coverage
+        ~sanitize ~repro_dir:(repro_dir_of_run run) ~seed ~corpus ~actions
+        ~target:tgt ()
+    in
+    let finish run (res : C.Trainer.result) =
+      Posetrl_rl.Dqn.save_weights res.C.Trainer.agent out;
+      let attrib_doc =
+        Posetrl_rl.Attrib.to_json
+          ~labels:(fun a -> String.concat "," (O.Action_space.action actions a))
+          res.C.Trainer.attrib
+      in
+      let cov = res.C.Trainer.coverage in
+      Option.iter
+        (fun r ->
+          Obs.Run.write r Obs.Run.Attrib attrib_doc;
+          Obs.Run.write r Obs.Run.Coverage (Obs.Coverage.to_json cov))
+        run;
+      let n_alerts = List.length res.C.Trainer.alerts in
+      if n_alerts > 0 then
+        Obs.Console.info "training-health: %d alert%s fired (see \
+                          alerts.jsonl / `posetrl explain`)\n"
+          n_alerts (plural n_alerts);
+      Obs.Console.info
+        "coverage: %d/%d ODG edges (%.1f%%), action entropy %.3f bits\n"
+        (Obs.Coverage.edges_visited cov)
+        (Obs.Coverage.edge_count cov)
+        (Obs.Coverage.edge_pct cov) (Obs.Coverage.entropy cov);
+      Obs.Console.info "saved weights to %s (%d episodes)\n" out
+        res.C.Trainer.episodes;
+      [ ("episodes", Obs.Json.Int res.C.Trainer.episodes);
+        ("final_mean_reward", Obs.Json.Float res.C.Trainer.final_mean_reward);
+        ("coverage_edge_pct", Obs.Json.Float (Obs.Coverage.edge_pct cov));
+        ("coverage_entropy_bits", Obs.Json.Float (Obs.Coverage.entropy cov));
+        ("alerts", Obs.Json.Int n_alerts);
+        ("weights", Obs.Json.Str out) ]
+    in
+    with_session session ~telemetry
+      ~alerts:(fun () -> List.rev !live_alerts)
+      ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage))
+      ~kind:"train"
+      ~meta:
+        [ ("seed", Obs.Json.Int seed);
+          ("action_space", Obs.Json.Str actions.O.Action_space.name);
+          ("target", Obs.Json.Str tgt.CG.Target.name);
+          ("corpus",
+           Obs.Json.Obj
+             [ ("n", Obs.Json.Int (Array.length corpus));
+               ("source", Obs.Json.Str "Suites.training_corpus") ]);
+          ("hyperparams", json_of_hp hp) ]
+      work finish
   in
   Cmd.v (Cmd.info "train" ~doc:"Train a phase-ordering model")
-    Term.(const go $ out $ space $ target $ steps $ fast $ seed $ corpus_size
-          $ inject_nan $ jobs_arg $ verify_each_arg $ sanitize_arg $ trace_arg
-          $ metrics_arg $ run_dir_arg $ run_name_arg $ serve_arg
-          $ serve_grace_arg)
+    Term.(const go
+          $ output_arg ~doc:"Where to save the trained weights." Arg.string
+              "posetrl.weights"
+          $ space_arg $ target_arg $ steps $ fast $ seed_arg $ corpus_size
+          $ inject_nan
+          $ sanitize_arg ~default:A.Sanitize.Off ~doc:sanitize_doc
+          $ session_term $ telemetry_term)
 
 (* --- eval ------------------------------------------------------------------- *)
 
@@ -567,100 +593,77 @@ let eval_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WEIGHTS"
            ~doc:"Weights file saved by `posetrl train`.")
   in
-  let space =
-    Arg.(value & opt string "odg" & info [ "space" ] ~doc:"Action space: odg or manual.")
-  in
-  let target =
-    Arg.(value & opt string "x86" & info [ "target" ] ~doc:"x86 or aarch64.")
-  in
-  let go weights space target jobs verify_each sanitize trace metrics run_dir
-      run_name serve serve_grace =
-    let actions = space_of_string space in
-    let tgt = target_of_string target in
-    let sanitize = sanitize_of_string sanitize in
-    let rng = Posetrl_support.Rng.create 0 in
-    let agent =
-      Posetrl_rl.Dqn.create rng ~state_dim:C.Environment.state_dim
-        ~hidden:[ 128; 64 ] ~n_actions:(O.Action_space.n_actions actions)
-    in
-    Posetrl_rl.Dqn.load_weights agent weights;
-    let run =
-      start_run ~run_dir ~run_name ~kind:"eval"
-        ~meta:
-          [ ("weights", Obs.Json.Str weights);
-            ("action_space", Obs.Json.Str space);
-            ("target", Obs.Json.Str tgt.CG.Target.name) ]
-    in
+  let go weights actions tgt sanitize session telemetry =
+    let agent = load_agent ~weights actions in
     (* eval coverage: the greedy rollout sequences folded as episodes
        (reward components are not re-derived — counts/entropy only);
        results come back in input order, so the table is byte-identical
        across --jobs settings like eval.json itself *)
     let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
-    with_serve ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage)) ~serve
-      ~grace:serve_grace ~kind:"eval"
-      ~run_dir:(fun () -> Option.map Obs.Run.dir run)
-      (fun ~pump ->
-      with_run run (fun () ->
-        let evaluated =
-          with_obs ~trace ~metrics (fun () ->
-              with_jobs ~jobs (fun pool ->
-                  List.map
-                    (fun suite ->
-                      pump ();
-                      let results =
-                        C.Evaluate.evaluate_programs ?pool ~verify:verify_each
-                          ~sanitize ~repro_dir:(repro_dir_of_run run) ~agent
-                          ~actions ~target:tgt suite.W.Suites.programs
-                      in
-                      ( C.Evaluate.summarize_suite
-                          ~suite:suite.W.Suites.suite_name results,
-                        results ))
-                    W.Suites.validation_suites))
-        in
-        List.iter
-          (fun ((s : C.Evaluate.suite_summary), results) ->
-            Printf.printf "%-10s size reduction vs Oz: min %6.2f%%  avg %6.2f%%  max %6.2f%%"
-              s.C.Evaluate.suite s.C.Evaluate.min_red s.C.Evaluate.avg_red s.C.Evaluate.max_red;
-            (match s.C.Evaluate.avg_time_impr with
-             | Some t -> Printf.printf "  time improvement: %6.2f%%\n" t
-             | None -> print_newline ());
-            List.iter
-              (fun r ->
-                Printf.printf "    %-16s oz=%6dB model=%6dB (%+.2f%%) seq=%s\n"
-                  r.C.Evaluate.prog_name r.C.Evaluate.size_oz r.C.Evaluate.size_model
-                  (C.Evaluate.size_reduction_pct r)
-                  (String.concat "->" (List.map string_of_int r.C.Evaluate.predicted)))
-              results)
-          evaluated;
-        List.iter
-          (fun (_, results) ->
-            List.iter
-              (fun (r : C.Evaluate.program_result) ->
-                List.iteri
-                  (fun pos a ->
-                    Obs.Coverage.observe coverage ~action:a ~pos ~reward:0.0
-                      ~r_binsize:0.0 ~r_throughput:0.0)
-                  r.C.Evaluate.predicted)
-              results)
-          evaluated;
-        Obs.Coverage.sample coverage ~step:(Obs.Coverage.steps coverage);
-        Option.iter
-          (fun r ->
-            Obs.Run.write_eval r (C.Evaluate.suites_to_json evaluated);
-            Obs.Run.write_coverage r (Obs.Coverage.to_json coverage))
-          run;
-        let avg_reds =
-          List.map (fun ((s : C.Evaluate.suite_summary), _) -> s.C.Evaluate.avg_red)
-            evaluated
-        in
-        [ ("suites", Obs.Json.Int (List.length evaluated));
-          ("overall_avg_size_red",
-           Obs.Json.Float (Posetrl_support.Stats.mean avg_reds)) ]))
+    let work run ~pump pool =
+      List.map
+        (fun suite ->
+          pump ();
+          let results =
+            C.Evaluate.evaluate_programs ?pool ~sanitize
+              ~repro_dir:(repro_dir_of_run run) ~agent ~actions ~target:tgt
+              suite.W.Suites.programs
+          in
+          ( C.Evaluate.summarize_suite ~suite:suite.W.Suites.suite_name results,
+            results ))
+        W.Suites.validation_suites
+    in
+    let finish run evaluated =
+      List.iter
+        (fun ((s : C.Evaluate.suite_summary), results) ->
+          Printf.printf "%-10s size reduction vs Oz: min %6.2f%%  avg %6.2f%%  max %6.2f%%"
+            s.C.Evaluate.suite s.C.Evaluate.min_red s.C.Evaluate.avg_red s.C.Evaluate.max_red;
+          (match s.C.Evaluate.avg_time_impr with
+           | Some t -> Printf.printf "  time improvement: %6.2f%%\n" t
+           | None -> print_newline ());
+          List.iter
+            (fun r ->
+              Printf.printf "    %-16s oz=%6dB model=%6dB (%+.2f%%) seq=%s\n"
+                r.C.Evaluate.prog_name r.C.Evaluate.size_oz r.C.Evaluate.size_model
+                (C.Evaluate.size_reduction_pct r)
+                (String.concat "->" (List.map string_of_int r.C.Evaluate.predicted)))
+            results)
+        evaluated;
+      List.iter
+        (fun (r : C.Evaluate.program_result) ->
+          List.iteri
+            (fun pos a ->
+              Obs.Coverage.observe coverage ~action:a ~pos ~reward:0.0
+                ~r_binsize:0.0 ~r_throughput:0.0)
+            r.C.Evaluate.predicted)
+        (List.concat_map snd evaluated);
+      Obs.Coverage.sample coverage ~step:(Obs.Coverage.steps coverage);
+      Option.iter
+        (fun r ->
+          Obs.Run.write r Obs.Run.Eval (C.Evaluate.suites_to_json evaluated);
+          Obs.Run.write r Obs.Run.Coverage (Obs.Coverage.to_json coverage))
+        run;
+      let avg_reds =
+        List.map (fun ((s : C.Evaluate.suite_summary), _) -> s.C.Evaluate.avg_red)
+          evaluated
+      in
+      [ ("suites", Obs.Json.Int (List.length evaluated));
+        ("overall_avg_size_red",
+         Obs.Json.Float (Posetrl_support.Stats.mean avg_reds)) ]
+    in
+    with_session session ~telemetry
+      ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage))
+      ~kind:"eval"
+      ~meta:
+        [ ("weights", Obs.Json.Str weights);
+          ("action_space", Obs.Json.Str actions.O.Action_space.name);
+          ("target", Obs.Json.Str tgt.CG.Target.name) ]
+      work finish
   in
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate a trained model on the validation suites")
-    Term.(const go $ weights $ space $ target $ jobs_arg $ verify_each_arg
-          $ sanitize_arg $ trace_arg $ metrics_arg $ run_dir_arg $ run_name_arg
-          $ serve_arg $ serve_grace_arg)
+    Term.(const go $ weights $ space_arg $ target_arg
+          $ sanitize_arg ~default:A.Sanitize.Off ~doc:sanitize_doc
+          $ session_term $ telemetry_term)
 
 (* --- report ------------------------------------------------------------------ *)
 
@@ -669,19 +672,10 @@ let report_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.jsonl"
            ~doc:"Trace file written by --trace.")
   in
-  let top_k =
-    Arg.(value & opt int 20 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the span-summary table.")
-  in
   let chrome =
     Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"OUT.json"
            ~doc:"Also export the trace as Chrome trace-event JSON — load it \
                  in ui.perfetto.dev or chrome://tracing for a flamegraph view.")
-  in
-  let folded =
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded"
-           ~doc:"Also export the trace as folded stacks (self-time in µs) for \
-                 flamegraph.pl / inferno / speedscope.")
   in
   let go file top_k chrome folded =
     let events = Obs.Report.read_jsonl file in
@@ -702,14 +696,19 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:"Aggregate a span trace into per-span, per-pass and per-action tables")
-    Term.(const go $ file $ top_k $ chrome $ folded)
+    Term.(const go $ file
+          $ top_arg ~default:20 ~doc:"Rows in the span-summary table."
+          $ chrome
+          $ folded_arg
+              ~doc:"Also export the trace as folded stacks (self-time in µs) \
+                    for flamegraph.pl / inferno / speedscope.")
 
 (* --- profile ----------------------------------------------------------------- *)
 
 (* Runs a workload under a profiling collector (plus per-span allocation
    attribution) and prints hotspot attribution. The sequential (jobs=1)
-   run is the attribution baseline; unless --once, the same workload
-   re-runs at --jobs N and the per-span self-times are tabled side by
+   run is the attribution baseline; with --jobs N > 1 the same workload
+   re-runs on the pool and the per-span self-times are tabled side by
    side — the measured answer to "where does the pooled run spend its
    time". *)
 let profile_cmd =
@@ -723,35 +722,11 @@ let profile_cmd =
     Arg.(value & opt ~vopt:"all" string "all" & info [ "suite" ] ~docv:"SUITE"
            ~doc:"Restrict eval mode to one validation suite (default: all).")
   in
-  let level =
-    Arg.(value & opt (some string) None & info [ "O"; "level" ] ~docv:"L"
-           ~doc:"Eval mode: profile the \\$(docv) pass pipeline over the suite \
-                 programs instead of the model rollout.")
-  in
-  let jobs =
-    Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Pool size for the comparison run (default 4).")
-  in
-  let once =
-    Arg.(value & flag & info [ "once" ]
-           ~doc:"Profile the sequential run only; skip the jobs-1-vs-N \
-                 comparison (CI smoke).")
-  in
-  let top =
-    Arg.(value & opt int 15 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the hotspot table.")
-  in
-  let folded =
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded"
-           ~doc:"Write the sequential run's folded stacks (flamegraph.pl \
-                 format) to \\$(docv).")
-  in
   let steps =
     Arg.(value & opt int 600 & info [ "steps" ]
            ~doc:"Training steps for profile train (fast schedule).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let go mode suite level jobs once top folded steps seed =
+  let go mode suite level jobs top folded steps seed =
     let module SPool = Posetrl_support.Pool in
     let actions = O.Action_space.odg in
     let tgt = CG.Target.x86_64 in
@@ -774,12 +749,7 @@ let profile_cmd =
     in
     let eval_workload pool =
       match level with
-      | Some l ->
-        let lvl =
-          match P.Pipelines.level_of_string l with
-          | Some lv -> lv
-          | None -> failwith ("unknown level " ^ l)
-        in
+      | Some lvl ->
         let progs =
           Array.of_list (List.concat_map (fun s -> s.W.Suites.programs) suites)
         in
@@ -811,11 +781,7 @@ let profile_cmd =
                  ~t_start:tm.SPool.t_start ~dur:tm.SPool.t_dur ())
              timings)
       | None ->
-        let rng = Posetrl_support.Rng.create seed in
-        let agent =
-          Posetrl_rl.Dqn.create rng ~state_dim:C.Environment.state_dim
-            ~hidden:[ 128; 64 ] ~n_actions:(O.Action_space.n_actions actions)
-        in
+        let agent = load_agent ~seed actions in
         List.iter
           (fun s ->
             ignore
@@ -855,7 +821,7 @@ let profile_cmd =
        Obs.Prof.write_folded ~path:out prof1;
        Printf.printf "folded stacks written to %s\n" out
      | None -> ());
-    if (not once) && jobs > 1 then begin
+    if jobs > 1 then begin
       let profN, gcN = run_one jobs in
       print_newline ();
       print_string (Obs.Prof.render_compare ~jobs prof1 profN);
@@ -875,13 +841,24 @@ let profile_cmd =
        ~doc:"Run a workload under the hotspot profiler: ranked self-time \
              table, jobs-1-vs-N comparison, GC/alloc totals, optional \
              flamegraph export")
-    Term.(const go $ mode $ suite $ level $ jobs $ once $ top $ folded $ steps
-          $ seed)
+    Term.(const go $ mode $ suite
+          $ level_arg (Arg.some level_conv) None
+              ~doc:"Eval mode: profile the \\$(docv) pass pipeline over the \
+                    suite programs instead of the model rollout."
+          $ jobs_arg ~default:4
+              ~doc:"Pool size for the comparison run (default 4); 1 profiles \
+                    the sequential run only." ()
+          $ top_arg ~default:15 ~doc:"Rows in the hotspot table."
+          $ folded_arg
+              ~doc:"Write the sequential run's folded stacks (flamegraph.pl \
+                    format) to \\$(docv)."
+          $ steps $ seed_arg)
 
 (* --- runs (the ledger) ------------------------------------------------------- *)
 
 module Tbl = Posetrl_support.Table
 module Stats = Posetrl_support.Stats
+module Attrib = Posetrl_rl.Attrib
 
 let root_arg =
   Arg.(value & opt string Obs.Run.default_root & info [ "root" ] ~docv:"DIR"
@@ -896,6 +873,18 @@ let json_scalar : Obs.Json.t -> string = function
   | (Obs.Json.Arr _ | Obs.Json.Obj _) as j -> Obs.Json.to_string j
 
 let fmt_num = function Some v -> Printf.sprintf "%.3f" v | None -> "-"
+
+(* A run's progress records; torn lines are reported, never fatal. *)
+let read_progress ?(indent = "") (info : Obs.Run.info) : Obs.Json.t list =
+  let records, dropped = Obs.Run.read_progress info in
+  if dropped > 0 then
+    Printf.printf "%s(%d torn progress line%s skipped)\n" indent dropped
+      (plural dropped);
+  records
+
+let print_run_header (info : Obs.Run.info) =
+  let get k = Option.value ~default:"?" (Obs.Runlog.str k info.Obs.Run.manifest) in
+  Printf.printf "run %s  [%s, %s]\n" info.Obs.Run.run_id (get "kind") (get "status")
 
 let runs_list_cmd =
   let go root =
@@ -949,10 +938,6 @@ let print_eval_tables (doc : Obs.Json.t) =
   | _ -> ()
 
 let runs_show_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN"
-           ~doc:"Run id (under --root) or a run directory path.")
-  in
   let go root id =
     let info = Obs.Run.find ~root id in
     Printf.printf "run %s (%s)\n" info.Obs.Run.run_id info.Obs.Run.run_dir;
@@ -963,10 +948,7 @@ let runs_show_cmd =
            if k <> "id" then Printf.printf "  %-18s %s\n" k (json_scalar v))
          fields
      | _ -> ());
-    let records, dropped = Obs.Run.read_progress info in
-    if dropped > 0 then
-      Printf.printf "  (%d torn progress line%s skipped)\n" dropped
-        (if dropped = 1 then "" else "s");
+    let records = read_progress ~indent:"  " info in
     if records <> [] then begin
       Printf.printf "\ntraining curves (%d progress records):\n" (List.length records);
       let curve ~kind ~y label =
@@ -986,14 +968,14 @@ let runs_show_cmd =
       curve ~kind:"tick" ~y:"loss" "loss";
       curve ~kind:"tick" ~y:"epsilon" "epsilon"
     end;
-    match Obs.Run.read_eval info with
+    match Obs.Run.read info Obs.Run.Eval with
     | Some doc -> print_newline (); print_eval_tables doc
     | None -> ()
   in
   Cmd.v
     (Cmd.info "show"
        ~doc:"Show a run: manifest, ASCII training curves, eval tables")
-    Term.(const go $ root_arg $ id)
+    Term.(const go $ root_arg $ run_pos ())
 
 let runs_compare_cmd =
   let base =
@@ -1075,7 +1057,7 @@ let runs_compare_cmd =
       (* informational only — attribution shifts explain a reward delta,
          they don't gate it, so this never affects the exit code *)
       let table_of (i : Obs.Run.info) =
-        Option.bind (Obs.Run.read_attrib i) Posetrl_rl.Attrib.of_json
+        Option.bind (Obs.Run.read i Obs.Run.Attrib) Attrib.of_json
       in
       match table_of b, table_of c with
       | None, _ | _, None ->
@@ -1083,20 +1065,13 @@ let runs_compare_cmd =
           "attribution: no data on at least one side (pre-attribution run \
            or unreadable attrib.json)\n"
       | Some ab, Some ac ->
-        let n = min (Posetrl_rl.Attrib.n_actions ab)
-                  (Posetrl_rl.Attrib.n_actions ac) in
+        let n = min (Attrib.n_actions ab) (Attrib.n_actions ac) in
+        let shift a = Attrib.total_reward ac a -. Attrib.total_reward ab a in
         let rows =
           List.init n Fun.id
-          |> List.filter (fun a ->
-                 Posetrl_rl.Attrib.count ab a > 0
-                 || Posetrl_rl.Attrib.count ac a > 0)
+          |> List.filter (fun a -> Attrib.count ab a > 0 || Attrib.count ac a > 0)
           |> List.sort (fun x y ->
-                 let shift a =
-                   Float.abs
-                     (Posetrl_rl.Attrib.total_reward ac a
-                      -. Posetrl_rl.Attrib.total_reward ab a)
-                 in
-                 compare (shift y) (shift x))
+                 compare (Float.abs (shift y)) (Float.abs (shift x)))
         in
         let t =
           Tbl.create ~title:"per-action reward attribution (base vs candidate)"
@@ -1110,13 +1085,10 @@ let runs_compare_cmd =
             if i < 15 then
               Tbl.add_row t
                 [ string_of_int a;
-                  Printf.sprintf "%d/%d" (Posetrl_rl.Attrib.count ab a)
-                    (Posetrl_rl.Attrib.count ac a);
-                  Printf.sprintf "%.3f" (Posetrl_rl.Attrib.total_reward ab a);
-                  Printf.sprintf "%.3f" (Posetrl_rl.Attrib.total_reward ac a);
-                  Printf.sprintf "%+.3f"
-                    (Posetrl_rl.Attrib.total_reward ac a
-                     -. Posetrl_rl.Attrib.total_reward ab a) ])
+                  Printf.sprintf "%d/%d" (Attrib.count ab a) (Attrib.count ac a);
+                  Printf.sprintf "%.3f" (Attrib.total_reward ab a);
+                  Printf.sprintf "%.3f" (Attrib.total_reward ac a);
+                  Printf.sprintf "%+.3f" (shift a) ])
           rows;
         Tbl.print t
     end;
@@ -1124,7 +1096,7 @@ let runs_compare_cmd =
       (* informational only, like --attrib: an exploration shift explains
          a reward delta, it doesn't gate the comparison *)
       let cov_of (i : Obs.Run.info) =
-        Option.bind (Obs.Run.read_coverage i) Obs.Coverage.of_json
+        Option.bind (Obs.Run.read i Obs.Run.Coverage) Obs.Coverage.of_json
       in
       match cov_of b, cov_of c with
       | None, _ | _, None ->
@@ -1155,18 +1127,6 @@ let runs_compare_cmd =
           $ wall_factor $ attrib_flag $ coverage_flag)
 
 let runs_profile_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN"
-           ~doc:"Run id (under --root) or a run directory path.")
-  in
-  let top =
-    Arg.(value & opt int 15 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the hotspot table.")
-  in
-  let folded =
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded"
-           ~doc:"Also write folded stacks (flamegraph.pl format) to \\$(docv).")
-  in
   let go root id top folded =
     let info = Obs.Run.find ~root id in
     let trace = Obs.Run.trace_path info.Obs.Run.run_dir in
@@ -1188,7 +1148,10 @@ let runs_profile_cmd =
     (Cmd.info "profile"
        ~doc:"Rebuild a hotspot profile (and optionally folded stacks) from a \
              persisted run's trace.jsonl")
-    Term.(const go $ root_arg $ id $ top $ folded)
+    Term.(const go $ root_arg $ run_pos ()
+          $ top_arg ~default:15 ~doc:"Rows in the hotspot table."
+          $ folded_arg
+              ~doc:"Also write folded stacks (flamegraph.pl format) to \\$(docv).")
 
 let runs_cmd =
   Cmd.group
@@ -1198,8 +1161,6 @@ let runs_cmd =
 
 (* --- explain (policy introspection from the ledger) -------------------------- *)
 
-module Attrib = Posetrl_rl.Attrib
-
 (* The per-window action histograms behind the drift timeline: episode
    records chunked into [windows] consecutive groups, each folded into a
    selection-count array sized by the largest action id seen. *)
@@ -1208,35 +1169,20 @@ let drift_windows ~(windows : int) (episodes : Obs.Json.t list) :
   let actions_of r =
     match Obs.Runlog.field "actions" r with
     | Some (Obs.Json.Arr l) ->
-      List.filter_map
-        (function Obs.Json.Int a when a >= 0 -> Some a | _ -> None)
-        l
+      List.filter_map (function Obs.Json.Int a when a >= 0 -> Some a | _ -> None) l
     | _ -> []
   in
-  let all = List.map actions_of episodes in
-  let n_act = 1 + List.fold_left (List.fold_left max) 0 all in
-  let n_ep = List.length all in
-  if n_ep = 0 then []
-  else begin
-    let per = max 1 ((n_ep + windows - 1) / windows) in
-    let rec chunk i = function
-      | [] -> []
-      | eps ->
-        let rec take k = function
-          | x :: rest when k > 0 ->
-            let taken, rest = take (k - 1) rest in
-            (x :: taken, rest)
-          | rest -> ([], rest)
-        in
-        let group, rest = take per eps in
-        let hist = Array.make n_act 0 in
-        List.iter
-          (List.iter (fun a -> hist.(a) <- hist.(a) + 1))
-          group;
-        (i * per, min n_ep ((i + 1) * per) - 1, hist) :: chunk (i + 1) rest
-    in
-    chunk 0 all
-  end
+  let all = Array.of_list (List.map actions_of episodes) in
+  let n_act = 1 + Array.fold_left (List.fold_left max) 0 all in
+  let n_ep = Array.length all in
+  let per = max 1 ((n_ep + windows - 1) / windows) in
+  List.init ((n_ep + per - 1) / per) (fun i ->
+      let lo = i * per and hi = min n_ep ((i + 1) * per) - 1 in
+      let hist = Array.make n_act 0 in
+      for e = lo to hi do
+        List.iter (fun a -> hist.(a) <- hist.(a) + 1) all.(e)
+      done;
+      (lo, hi, hist))
 
 let print_alert_line (a : Obs.Json.t) =
   Printf.printf "  [%s] %-16s step %-8s %s\n"
@@ -1248,30 +1194,16 @@ let print_alert_line (a : Obs.Json.t) =
     (Option.value ~default:"" (Obs.Runlog.str "message" a))
 
 let explain_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN"
-           ~doc:"Run id (under --root) or a run directory path.")
-  in
-  let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the attribution table (actions ranked by total reward).")
-  in
   let schedules =
     Arg.(value & opt int 5 & info [ "schedules" ] ~docv:"K"
            ~doc:"Top schedules (episodes ranked by reward) to break down per pass.")
   in
   let go root id top schedules =
     let info = Obs.Run.find ~root id in
-    let m = info.Obs.Run.manifest in
-    Printf.printf "run %s  [%s, %s]\n" info.Obs.Run.run_id
-      (Option.value ~default:"?" (Obs.Runlog.str "kind" m))
-      (Option.value ~default:"?" (Obs.Runlog.str "status" m));
-    let records, dropped = Obs.Run.read_progress info in
-    if dropped > 0 then
-      Printf.printf "(%d torn progress line%s skipped)\n" dropped
-        (if dropped = 1 then "" else "s");
+    print_run_header info;
+    let records = read_progress info in
     (* 1 — per-pass reward attribution (attrib.json, verified vs ledger) *)
-    (match Obs.Run.read_attrib info with
+    (match Obs.Run.read info Obs.Run.Attrib with
      | None ->
        print_string
          "\nattribution: no data (run predates the attribution layer, or \
@@ -1419,8 +1351,7 @@ let explain_cmd =
        Printf.printf "\nalerts (%d fired):\n" (List.length alerts);
        List.iter print_alert_line alerts;
        if torn > 0 then
-         Printf.printf "  (%d torn alert line%s skipped)\n" torn
-           (if torn = 1 then "" else "s"))
+         Printf.printf "  (%d torn alert line%s skipped)\n" torn (plural torn))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1429,32 +1360,18 @@ let explain_cmd =
              episode stream), top schedules with per-pass reward breakdown, \
              the action-distribution drift timeline, and any watchdog alerts. \
              Degrades gracefully on runs predating these fields.")
-    Term.(const go $ root_arg $ id $ top $ schedules)
+    Term.(const go $ root_arg $ run_pos ()
+          $ top_arg ~default:10
+              ~doc:"Rows in the attribution table (actions ranked by total reward)."
+          $ schedules)
 
 (* --- coverage (decision-space coverage from the ledger) ---------------------- *)
 
 let coverage_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN"
-           ~doc:"Run id (under --root) or a run directory path.")
-  in
-  let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the edge and transition tables.")
-  in
-  let dot =
-    Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"OUT.dot"
-           ~doc:"Write a heat-annotated ODG rendering to \\$(docv): visited \
-                 edges colour-ramp grey to red by visit count, unvisited \
-                 edges dashed (same layout as `posetrl odg --dot`).")
-  in
   let go root id top dot =
     let info = Obs.Run.find ~root id in
-    let m = info.Obs.Run.manifest in
-    Printf.printf "run %s  [%s, %s]\n" info.Obs.Run.run_id
-      (Option.value ~default:"?" (Obs.Runlog.str "kind" m))
-      (Option.value ~default:"?" (Obs.Runlog.str "status" m));
-    match Obs.Run.read_coverage info with
+    print_run_header info;
+    match Obs.Run.read info Obs.Run.Coverage with
     | None ->
       print_string
         "coverage: no data (run predates the coverage layer, or \
@@ -1519,12 +1436,9 @@ let coverage_cmd =
         (* the recompute contract, same shape as `posetrl explain`'s
            attribution check: the streaming table must equal the
            brute-force fold over the ledger — CI greps the line *)
-        let records, dropped = Obs.Run.read_progress info in
-        if dropped > 0 then
-          Printf.printf "(%d torn progress line%s skipped)\n" dropped
-            (if dropped = 1 then "" else "s");
         let recomputed =
-          Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov) records
+          Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov)
+            (read_progress info)
         in
         if Obs.Coverage.steps recomputed = 0 && Obs.Coverage.steps cov > 0 then
           print_string
@@ -1554,16 +1468,16 @@ let coverage_cmd =
              against the episode stream), plus a heat-annotated ODG \
              dot export. Degrades gracefully on runs predating \
              coverage.json.")
-    Term.(const go $ root_arg $ id $ top $ dot)
+    Term.(const go $ root_arg $ run_pos ()
+          $ top_arg ~default:10 ~doc:"Rows in the edge and transition tables."
+          $ dot_arg
+              ~doc:"Write a heat-annotated ODG rendering to \\$(docv): visited \
+                    edges colour-ramp grey to red by visit count, unvisited \
+                    edges dashed (same layout as `posetrl odg --dot`).")
 
 (* --- watch (live dashboard) -------------------------------------------------- *)
 
 let watch_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN"
-           ~doc:"Run id (under --root) or a run directory path. The run may \
-                 not exist yet; watch waits for it.")
-  in
   let interval =
     Arg.(value & opt float 1.0 & info [ "interval" ] ~docv:"SECS"
            ~doc:"Redraw period.")
@@ -1581,8 +1495,8 @@ let watch_cmd =
       (* None = run predates the watchdog; the dashboard renders a
          placeholder row for it, not a blank or garbled line *)
       let alerts = Option.map fst (Obs.Run.read_alerts info) in
-      let coverage = Obs.Run.read_coverage info in
-      let serve = Obs.Run.read_serve info in
+      let coverage = Obs.Run.read info Obs.Run.Coverage in
+      let serve = Obs.Run.read info Obs.Run.Serve in
       Obs.Dashboard.render ~alerts ~coverage ~serve ~id:info.Obs.Run.run_id
         ~manifest:info.Obs.Run.manifest ~records ~dropped ()
     in
@@ -1621,15 +1535,15 @@ let watch_cmd =
        ~doc:"Live terminal dashboard for a ledger run: tails progress.jsonl \
              and redraws reward/epsilon/loss sparklines and the action \
              histogram until the run leaves 'running'")
-    Term.(const go $ root_arg $ id $ interval $ once)
+    Term.(const go $ root_arg
+          $ run_pos
+              ~doc:"Run id (under --root) or a run directory path. The run \
+                    may not exist yet; watch waits for it." ()
+          $ interval $ once)
 
 (* --- odg -------------------------------------------------------------------- *)
 
 let odg_cmd =
-  let dot =
-    Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
-           ~doc:"Write a graphviz rendering to FILE.")
-  in
   let k = Arg.(value & opt int 8 & info [ "k" ] ~doc:"Critical-node degree threshold.") in
   let walks = Arg.(value & flag & info [ "walks" ] ~doc:"Print the derived sub-sequences.") in
   let go dot k walks =
@@ -1654,7 +1568,8 @@ let odg_cmd =
     | None -> ()
   in
   Cmd.v (Cmd.info "odg" ~doc:"Inspect the Oz Dependence Graph")
-    Term.(const go $ dot $ k $ walks)
+    Term.(const go $ dot_arg ~doc:"Write a graphviz rendering to $(docv)."
+          $ k $ walks)
 
 (* --- list ------------------------------------------------------------------- *)
 
@@ -1686,16 +1601,8 @@ let list_cmd =
 (* --- dump -------------------------------------------------------------------- *)
 
 let dump_cmd =
-  let program =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM"
-           ~doc:"Benchmark name (e.g. crc32) or path to a textual MiniIR file.")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write to \\$(docv) instead of stdout.")
-  in
-  let go program out =
-    let text = Printer.module_to_string (load_program program) in
+  let go (_, mk) out =
+    let text = Printer.module_to_string (mk ()) in
     match out with
     | Some path ->
       let oc = open_out path in
@@ -1708,7 +1615,13 @@ let dump_cmd =
     (Cmd.info "dump"
        ~doc:"Print a bundled benchmark (or a parsed file) as MiniIR text — \
              the wire format `posetrl serve`'s POST /optimize accepts")
-    Term.(const go $ program $ out)
+    Term.(const go
+          $ Arg.required
+              (program_pos
+                 ~doc:"Benchmark name (e.g. crc32) or path to a textual MiniIR \
+                       file.")
+          $ output_arg ~doc:"Write to \\$(docv) instead of stdout."
+              Arg.(some string) None)
 
 (* --- serve (optimization-as-a-service daemon) -------------------------------- *)
 
@@ -1729,12 +1642,6 @@ let serve_cmd =
            ~doc:"Weights file saved by `posetrl train`; without it the daemon \
                  serves a fresh seed-0 policy (deterministic, untrained).")
   in
-  let space =
-    Arg.(value & opt string "odg" & info [ "space" ] ~doc:"Action space: odg or manual.")
-  in
-  let target =
-    Arg.(value & opt string "x86" & info [ "target" ] ~doc:"x86 or aarch64.")
-  in
   let cache_mb =
     Arg.(value & opt int 16 & info [ "cache-mb" ] ~docv:"MB"
            ~doc:"Byte bound of the IR-hash result cache (LRU beyond it).")
@@ -1754,126 +1661,105 @@ let serve_cmd =
            ~doc:"Exit after answering \\$(docv) requests (CI smoke hooks); \
                  default: serve until SIGINT/SIGTERM.")
   in
-  let serve_sanitize =
-    Arg.(value & opt string "ssa" & info [ "sanitize" ] ~docv:"LEVEL"
-           ~doc:"Sanitizer level for admission and every rollout pass \
-                 application: off, structural, ssa (default) or equiv \
-                 (translation validation of each pass the policy applies).")
-  in
-  let go port opt_routes weights space target jobs cache_mb queue max_body_kb
-      max_requests sanitize run_dir run_name trace metrics =
-    let sanitize = sanitize_of_string sanitize in
-    let actions = space_of_string space in
-    let tgt = target_of_string target in
-    let run =
-      start_run ~run_dir ~run_name ~kind:"serve"
-        ~meta:
-          [ ("action_space", Obs.Json.Str space);
-            ("target", Obs.Json.Str tgt.CG.Target.name);
-            ("opt_routes", Obs.Json.Bool opt_routes);
-            ("weights",
-             match weights with Some w -> Obs.Json.Str w | None -> Obs.Json.Null) ]
-    in
+  let go port opt_routes weights actions tgt cache_mb queue max_body_kb
+      max_requests sanitize session =
     let stop = ref false in
     let handle = Sys.Signal_handle (fun _ -> stop := true) in
     Sys.set_signal Sys.sigint handle;
     Sys.set_signal Sys.sigterm handle;
     let started = Unix.gettimeofday () in
-    with_obs ~trace ~metrics (fun () ->
-        with_run run (fun () ->
-            with_jobs ~jobs (fun pool ->
-                let rng = Posetrl_support.Rng.create 0 in
-                let agent =
-                  Posetrl_rl.Dqn.create ?pool rng
-                    ~state_dim:C.Environment.state_dim ~hidden:[ 128; 64 ]
-                    ~n_actions:(O.Action_space.n_actions actions)
-                in
-                Option.iter (Posetrl_rl.Dqn.load_weights agent) weights;
-                let engine =
-                  Posetrl_serve.Engine.create
-                    ~cache_bytes:(cache_mb * 1024 * 1024)
-                    ~sanitize ~agent ~actions ~target:tgt ()
-                in
-                let srv = ref None in
-                let health () =
-                  let reqs =
-                    match !srv with
-                    | Some s -> Posetrl_serve.Server.requests s
-                    | None -> 0
-                  in
-                  Obs.Json.Obj
-                    [ ("status", Obs.Json.Str "running");
-                      ("kind", Obs.Json.Str "serve");
-                      ("opt_routes", Obs.Json.Bool opt_routes);
-                      ("uptime_s",
-                       Obs.Json.Float (Unix.gettimeofday () -. started));
-                      ("requests", Obs.Json.Int reqs);
-                      ("run",
-                       match run with
-                       | Some r -> Obs.Json.Str (Obs.Run.dir r)
-                       | None -> Obs.Json.Null) ]
-                in
-                let telemetry = Obs.Httpd.telemetry_handler ~health () in
-                let max_body = max_body_kb * 1024 in
-                if opt_routes then begin
-                  let s =
-                    Posetrl_serve.Server.create ~max_body ~queue_cap:queue
-                      ~telemetry ~port ~engine ()
-                  in
-                  srv := Some s;
-                  Obs.Console.info
-                    "optimization service on http://127.0.0.1:%d  \
-                     (POST /optimize /optimize/batch; GET /metrics /healthz /serve)\n%!"
-                    (Posetrl_serve.Server.port s);
-                  let last_snapshot = ref 0.0 in
-                  let snapshot () =
-                    Option.iter
-                      (fun r ->
-                        Obs.Run.write_serve r (Posetrl_serve.Server.stats_json s))
-                      run
-                  in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      snapshot ();
-                      Posetrl_serve.Server.close s)
-                    (fun () ->
-                      let done_ () =
-                        !stop
-                        || match max_requests with
-                           | Some n -> Posetrl_serve.Server.requests s >= n
-                           | None -> false
-                      in
-                      while not (done_ ()) do
-                        Posetrl_serve.Server.pump s;
-                        let now = Unix.gettimeofday () in
-                        if now -. !last_snapshot > 1.0 then begin
-                          last_snapshot := now;
-                          snapshot ()
-                        end;
-                        (try Unix.sleepf 0.005
-                         with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-                      done);
-                  let stats = Posetrl_serve.Server.stats_json s in
-                  [ ("requests",
-                     Obs.Json.Int (Posetrl_serve.Server.requests s));
-                    ("stats", stats) ]
-                end
-                else begin
-                  let s = Obs.Httpd.create ~max_body ~port ~handler:telemetry () in
-                  Obs.Console.info
-                    "telemetry on http://127.0.0.1:%d  (GET /metrics /healthz \
-                     /alerts /runs)\n%!"
-                    (Obs.Httpd.port s);
-                  Fun.protect
-                    ~finally:(fun () -> Obs.Httpd.close s)
-                    (fun () ->
-                      while not !stop do
-                        Obs.Httpd.pump s;
-                        (try Unix.sleepf 0.005
-                         with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-                      done);
-                  [ ("requests", Obs.Json.Int 0) ]
-                end)))
+    let work run ~pump:_ pool =
+      let agent = load_agent ?pool ?weights actions in
+      let engine =
+        Posetrl_serve.Engine.create ~cache_bytes:(cache_mb * 1024 * 1024)
+          ~sanitize ~agent ~actions ~target:tgt ()
+      in
+      let srv = ref None in
+      let health () =
+        let reqs =
+          match !srv with Some s -> Posetrl_serve.Server.requests s | None -> 0
+        in
+        Obs.Json.Obj
+          [ ("status", Obs.Json.Str "running");
+            ("kind", Obs.Json.Str "serve");
+            ("opt_routes", Obs.Json.Bool opt_routes);
+            ("uptime_s", Obs.Json.Float (Unix.gettimeofday () -. started));
+            ("requests", Obs.Json.Int reqs);
+            ("run",
+             match run with
+             | Some r -> Obs.Json.Str (Obs.Run.dir r)
+             | None -> Obs.Json.Null) ]
+      in
+      let telemetry = Obs.Httpd.telemetry_handler ~health () in
+      let max_body = max_body_kb * 1024 in
+      let sleep () =
+        try Unix.sleepf 0.005 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      in
+      if opt_routes then begin
+        let s =
+          Posetrl_serve.Server.create ~max_body ~queue_cap:queue ~telemetry
+            ~port ~engine ()
+        in
+        srv := Some s;
+        Obs.Console.info
+          "optimization service on http://127.0.0.1:%d  \
+           (POST /optimize /optimize/batch; GET /metrics /healthz /serve)\n%!"
+          (Posetrl_serve.Server.port s);
+        let last_snapshot = ref 0.0 in
+        let snapshot () =
+          Option.iter
+            (fun r ->
+              Obs.Run.write r Obs.Run.Serve (Posetrl_serve.Server.stats_json s))
+            run
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            snapshot ();
+            Posetrl_serve.Server.close s)
+          (fun () ->
+            let done_ () =
+              !stop
+              || match max_requests with
+                 | Some n -> Posetrl_serve.Server.requests s >= n
+                 | None -> false
+            in
+            while not (done_ ()) do
+              Posetrl_serve.Server.pump s;
+              let now = Unix.gettimeofday () in
+              if now -. !last_snapshot > 1.0 then begin
+                last_snapshot := now;
+                snapshot ()
+              end;
+              sleep ()
+            done);
+        [ ("requests", Obs.Json.Int (Posetrl_serve.Server.requests s));
+          ("stats", Posetrl_serve.Server.stats_json s) ]
+      end
+      else begin
+        let s = Obs.Httpd.create ~max_body ~port ~handler:telemetry () in
+        Obs.Console.info
+          "telemetry on http://127.0.0.1:%d  (GET /metrics /healthz \
+           /alerts /runs)\n%!"
+          (Obs.Httpd.port s);
+        Fun.protect
+          ~finally:(fun () -> Obs.Httpd.close s)
+          (fun () ->
+            while not !stop do
+              Obs.Httpd.pump s;
+              sleep ()
+            done);
+        [ ("requests", Obs.Json.Int 0) ]
+      end
+    in
+    with_session session ~kind:"serve"
+      ~meta:
+        [ ("action_space", Obs.Json.Str actions.O.Action_space.name);
+          ("target", Obs.Json.Str tgt.CG.Target.name);
+          ("opt_routes", Obs.Json.Bool opt_routes);
+          ("weights",
+           match weights with Some w -> Obs.Json.Str w | None -> Obs.Json.Null) ]
+      work
+      (fun _ result -> result)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1883,12 +1769,13 @@ let serve_cmd =
              cache, admission sanitizing (400 + lint diagnostics), bounded \
              queueing (429 + Retry-After) and batched policy inference \
              across concurrent requests")
-    Term.(const go $ port $ opt_routes $ weights $ space $ target $ jobs_arg
-          $ cache_mb $ queue $ max_body_kb $ max_requests $ serve_sanitize
-          $ run_dir_arg
-          $ run_name_arg $ trace_arg $ metrics_arg)
-
-(* --- lint -------------------------------------------------------------------- *)
+    Term.(const go $ port $ opt_routes $ weights $ space_arg $ target_arg
+          $ cache_mb $ queue $ max_body_kb $ max_requests
+          $ sanitize_arg ~default:A.Sanitize.Ssa
+              ~doc:"Sanitizer level for admission and every rollout pass \
+                    application: off, structural, ssa (default) or equiv \
+                    (translation validation of each pass the policy applies)."
+          $ session_term)
 
 (* --- validate --------------------------------------------------------------
 
@@ -1898,31 +1785,24 @@ let serve_cmd =
    pass input). The CI acceptance gate for the Equiv tier. *)
 
 let validate_cmd =
-  let program =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"PROGRAM"
-           ~doc:"Benchmark name or path to a textual MiniIR file \
-                 (default: every program of the bundled suites).")
-  in
-  let level =
-    Arg.(value & opt string "all" & info [ "O"; "level" ] ~docv:"LEVEL"
-           ~doc:"Pipeline level to validate (O0 O1 O2 O3 Os Oz) or `all`.")
-  in
-  let v_sanitize =
-    Arg.(value & opt string "equiv" & info [ "sanitize" ] ~docv:"LEVEL"
-           ~doc:"Sanitizer level to validate at (default equiv).")
-  in
-  let go program level v_sanitize trace metrics =
-    let sanitize = sanitize_of_string v_sanitize in
-    let levels =
-      if String.equal level "all" then P.Pipelines.[ O0; O1; O2; O3; Os; Oz ]
-      else
-        match P.Pipelines.level_of_string level with
-        | Some l -> [ l ]
-        | None -> failwith ("unknown level " ^ level)
+  (* -O takes `all` (the default) on top of the six levels *)
+  let levels =
+    let all = P.Pipelines.[ O0; O1; O2; O3; Os; Oz ] in
+    let parse = function
+      | "all" -> Ok all
+      | s -> Result.map (fun l -> [ l ]) (Arg.conv_parser level_conv s)
     in
+    let print ppf = function
+      | [ l ] -> Arg.conv_printer level_conv ppf l
+      | _ -> Format.pp_print_string ppf "all"
+    in
+    level_arg (Arg.conv (parse, print)) all
+      ~doc:"Pipeline level to validate (O0 O1 O2 O3 Os Oz) or `all`."
+  in
+  let go program levels sanitize trace metrics =
     let programs =
       match program with
-      | Some p -> [ (p, fun () -> load_program p) ]
+      | Some p -> [ p ]
       | None ->
         List.concat_map (fun s -> s.W.Suites.programs) W.Suites.validation_suites
     in
@@ -1944,7 +1824,7 @@ let validate_cmd =
                     name
                     (P.Pipelines.level_to_string l)
                     pass (List.length errors)
-                    (if List.length errors = 1 then "" else "s")
+                    (plural (List.length errors))
                     (match repro_path with
                      | Some p -> "  repro " ^ p
                      | None -> ""))
@@ -1965,56 +1845,40 @@ let validate_cmd =
              suite: every pass application is differentially simulated \
              against its input (--sanitize equiv, the default) or checked \
              at a lower sanitizer tier")
-    Term.(const go $ program $ level $ v_sanitize $ trace_arg $ metrics_arg)
+    Term.(const go
+          $ Arg.value
+              (program_pos
+                 ~doc:"Benchmark name or path to a textual MiniIR file \
+                       (default: every program of the bundled suites).")
+          $ levels
+          $ sanitize_arg ~default:A.Sanitize.Equiv
+              ~doc:"Sanitizer level to validate at (default equiv)."
+          $ trace_arg $ metrics_arg)
 
 let lint_cmd =
-  let program =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"PROGRAM"
-           ~doc:"Benchmark name or path to a textual MiniIR file \
-                 (omit with --suite).")
-  in
   let suite =
     Arg.(value & flag & info [ "suite" ]
            ~doc:"Lint every program of the bundled validation suites.")
-  in
-  let level =
-    Arg.(value & opt (some string) None & info [ "O"; "level" ] ~docv:"LEVEL"
-           ~doc:"Run pipeline \\$(docv) (O0 O1 O2 O3 Os Oz) before linting — \
-                 `--suite -O Oz --fail-on error` is the CI gate over the \
-                 optimized workloads.")
   in
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Emit the findings as a JSON document instead of a table.")
   in
   let fail_on =
-    Arg.(value & opt (some string) None & info [ "fail-on" ] ~docv:"SEVERITY"
-           ~doc:"Exit 4 when any finding of severity \\$(docv) (error, \
-                 warning or info) or higher is present — the CI gate.")
+    let print ppf sev = Format.pp_print_string ppf (A.Lint.severity_to_string sev) in
+    Arg.(value
+         & opt (some (conv' (A.Lint.severity_of_string, print))) None
+         & info [ "fail-on" ] ~docv:"SEVERITY"
+             ~doc:"Exit 4 when any finding of severity \\$(docv) (error, \
+                   warning or info) or higher is present — the CI gate.")
   in
-  let go program suite level json fail_on trace metrics =
-    let threshold =
-      Option.map
-        (fun s ->
-          match A.Lint.severity_of_string s with
-          | Ok sev -> sev
-          | Error e -> failwith e)
-        fail_on
-    in
-    let opt_level =
-      Option.map
-        (fun l ->
-          match P.Pipelines.level_of_string l with
-          | Some l -> l
-          | None -> failwith ("unknown level " ^ l))
-        level
-    in
+  let go program suite level json threshold trace metrics =
     let programs =
       if suite then
         List.concat_map (fun s -> s.W.Suites.programs) W.Suites.validation_suites
       else
         match program with
-        | Some p -> [ (p, fun () -> load_program p) ]
+        | Some p -> [ p ]
         | None -> failwith "lint: give a PROGRAM or --suite"
     in
     let reports =
@@ -2023,9 +1887,7 @@ let lint_cmd =
             (fun (name, mk) ->
               let m = mk () in
               let m =
-                match opt_level with
-                | Some l -> P.Pass_manager.run_level l m
-                | None -> m
+                Option.fold ~none:m ~some:(fun l -> P.Pass_manager.run_level l m) level
               in
               (name, A.Lint.lint_module m))
             programs)
@@ -2037,7 +1899,7 @@ let lint_cmd =
               [ ("kind", Obs.Json.Str "lint-run");
                 ("level",
                  match level with
-                 | Some l -> Obs.Json.Str l
+                 | Some l -> Obs.Json.Str (P.Pipelines.level_to_string l)
                  | None -> Obs.Json.Null);
                 ("modules",
                  Obs.Json.Arr
@@ -2068,11 +1930,11 @@ let lint_cmd =
       let all = List.concat_map snd reports in
       Printf.printf "%d module%s linted: %d error%s, %d warning%s, %d info\n"
         (List.length reports)
-        (if List.length reports = 1 then "" else "s")
+        (plural (List.length reports))
         (A.Lint.count A.Lint.Error all)
-        (if A.Lint.count A.Lint.Error all = 1 then "" else "s")
+        (plural (A.Lint.count A.Lint.Error all))
         (A.Lint.count A.Lint.Warning all)
-        (if A.Lint.count A.Lint.Warning all = 1 then "" else "s")
+        (plural (A.Lint.count A.Lint.Warning all))
         (A.Lint.count A.Lint.Info all)
     end;
     match threshold with
@@ -2087,8 +1949,17 @@ let lint_cmd =
        ~doc:"Static findings over a module or the bundled suites: verifier \
              and SSA dominance errors, attribute contradictions, dead \
              stores, unreachable blocks, dead code")
-    Term.(const go $ program $ suite $ level $ json $ fail_on $ trace_arg
-          $ metrics_arg)
+    Term.(const go
+          $ Arg.value
+              (program_pos
+                 ~doc:"Benchmark name or path to a textual MiniIR file (omit \
+                       with --suite).")
+          $ suite
+          $ level_arg (Arg.some level_conv) None
+              ~doc:"Run pipeline \\$(docv) (O0 O1 O2 O3 Os Oz) before linting — \
+                    `--suite -O Oz --fail-on error` is the CI gate over the \
+                    optimized workloads."
+          $ json $ fail_on $ trace_arg $ metrics_arg)
 
 let () =
   let doc = "POSET-RL: phase ordering for size and execution time with RL" in

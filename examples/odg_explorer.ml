@@ -45,7 +45,7 @@ let () =
   in
   (* promote to SSA first so the loop walk has something to chew on *)
   let m = P.Pass_manager.run P.Config.oz [ "mem2reg"; "simplifycfg" ] m in
-  let m' = P.Pass_manager.run ~verify:true P.Config.oz loop_walk m in
+  let m' = P.Pass_manager.run ~sanitize:Structural P.Config.oz loop_walk m in
   Printf.printf "  instructions: %d -> %d\n" (Modul.insn_count m) (Modul.insn_count m');
   let obs = Posetrl_interp.Interp.observe in
   assert (obs m = obs m');

@@ -27,7 +27,6 @@ type t = {
   pass_cfg : Posetrl_passes.Config.t;
   weights : Reward.weights;
   max_steps : int;
-  verify : bool;
   sanitize : Posetrl_analysis.Sanitize.level;
   repro_dir : string option;
   (* episode state *)
@@ -40,7 +39,7 @@ type t = {
 let default_max_steps = 15
 
 let create ?(weights = Reward.paper_weights) ?(max_steps = default_max_steps)
-    ?(pass_cfg = Posetrl_passes.Config.oz) ?(verify = false)
+    ?(pass_cfg = Posetrl_passes.Config.oz)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir
     ~(target : Posetrl_codegen.Target.t) ~(actions : Odg.Action_space.t) () : t =
   { target;
@@ -48,7 +47,6 @@ let create ?(weights = Reward.paper_weights) ?(max_steps = default_max_steps)
     pass_cfg;
     weights;
     max_steps;
-    verify;
     sanitize;
     repro_dir;
     current = None;
@@ -92,7 +90,7 @@ let step (t : t) (action : int) : step_result =
           ("passes", Obs.Event.S (String.concat " " names)) ]
       (fun sp ->
         let m' =
-          Posetrl_passes.Pass_manager.run ~verify:t.verify ~sanitize:t.sanitize
+          Posetrl_passes.Pass_manager.run ~sanitize:t.sanitize
             ?repro_dir:t.repro_dir t.pass_cfg names m
         in
         let curr = Reward.measure t.target m' in

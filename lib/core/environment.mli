@@ -14,15 +14,14 @@ val create :
   ?weights:Reward.weights ->
   ?max_steps:int ->
   ?pass_cfg:Posetrl_passes.Config.t ->
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   target:Posetrl_codegen.Target.t ->
   actions:Posetrl_odg.Action_space.t ->
   unit -> t
-(** [verify] runs the structural verifier after every pass a step
-    applies; [sanitize] layers the Posetrl_analysis sanitizer (SSA
-    dominance at [Ssa]) with repros written to [repro_dir] on failure. *)
+(** [sanitize] checks every pass a step applies (the structural
+    verifier at [Structural], SSA dominance from [Ssa] up), with repros
+    written to [repro_dir] on failure. *)
 
 val n_actions : t -> int
 

@@ -38,17 +38,17 @@ let run_time (m : Modul.t) : int option =
   | { Posetrl_interp.Interp.cycles; _ } -> Some cycles
   | exception Posetrl_interp.Interp.Trap _ -> None
 
-let evaluate_program ?(measure_time = true) ?(verify = false)
+let evaluate_program ?(measure_time = true)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ~(agent : Rl.Dqn.t)
     ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t) ~(name : string) (m : Modul.t) :
     program_result =
   let size_of m = Posetrl_codegen.Objfile.size target m in
   let m_oz =
-    Posetrl_passes.Pass_manager.run_level ~verify ~sanitize ?repro_dir
+    Posetrl_passes.Pass_manager.run_level ~sanitize ?repro_dir
       Posetrl_passes.Pipelines.Oz m
   in
-  let rollout = Inference.predict ~verify ~sanitize ?repro_dir ~agent ~actions ~target m in
+  let rollout = Inference.predict ~sanitize ?repro_dir ~agent ~actions ~target m in
   let m_model = rollout.Inference.optimized in
   { prog_name = name;
     size_unopt = size_of m;
@@ -76,7 +76,7 @@ let m_pool_tasks = Obs.Metrics.counter "posetrl.pool.eval_tasks"
 let m_pool_task_s = Obs.Metrics.histogram "posetrl.pool.task_seconds"
 let m_pool_batch_s = Obs.Metrics.histogram "posetrl.pool.batch_seconds"
 
-let evaluate_programs ?(measure_time = true) ?(verify = false)
+let evaluate_programs ?(measure_time = true)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ?pool
     ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t)
@@ -84,8 +84,8 @@ let evaluate_programs ?(measure_time = true) ?(verify = false)
   (* the sanitizer keeps all its state per-call (see Posetrl_analysis),
      so sanitized evaluation is safe on pool workers *)
   let eval_one (name, mk) =
-    evaluate_program ~measure_time ~verify ~sanitize ?repro_dir ~agent ~actions
-      ~target ~name (mk ())
+    evaluate_program ~measure_time ~sanitize ?repro_dir ~agent ~actions ~target
+      ~name (mk ())
   in
   match pool with
   | None -> List.map eval_one programs

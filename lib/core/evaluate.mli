@@ -23,7 +23,6 @@ val run_time : Posetrl_ir.Modul.t -> int option
 
 val evaluate_program :
   ?measure_time:bool ->
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   agent:Posetrl_rl.Dqn.t ->
@@ -31,12 +30,11 @@ val evaluate_program :
   target:Posetrl_codegen.Target.t ->
   name:string ->
   Posetrl_ir.Modul.t -> program_result
-(** [verify]/[sanitize] check every pass both the Oz baseline and the
-    model rollout apply (see {!Environment.create}). *)
+(** [sanitize] checks every pass both the Oz baseline and the model
+    rollout apply (see {!Environment.create}). *)
 
 val evaluate_programs :
   ?measure_time:bool ->
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   ?pool:Posetrl_support.Pool.t ->

@@ -17,7 +17,7 @@ type rollout = {
    [Dqn.greedy_actions] gemm scores all the modules' states. Every
    environment has the same episode length, so all rows turn terminal
    on the same step and the batch never shrinks. *)
-let predict_batch ?(max_steps = Environment.default_max_steps) ?(verify = false)
+let predict_batch ?(max_steps = Environment.default_max_steps)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir
     ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t) (ms : Modul.t list) : rollout list =
@@ -26,7 +26,7 @@ let predict_batch ?(max_steps = Environment.default_max_steps) ?(verify = false)
   let envs =
     Array.map
       (fun _ ->
-        Environment.create ~max_steps ~verify ~sanitize ?repro_dir ~target ~actions ())
+        Environment.create ~max_steps ~sanitize ?repro_dir ~target ~actions ())
       ms
   in
   let states = Array.mapi (fun i m -> Environment.reset envs.(i) m) ms in
@@ -48,11 +48,10 @@ let predict_batch ?(max_steps = Environment.default_max_steps) ?(verify = false)
         optimized = Environment.current_module envs.(i);
         reward = reward.(i) })
 
-let predict ?max_steps ?verify ?sanitize ?repro_dir ~agent ~actions ~target
+let predict ?max_steps ?sanitize ?repro_dir ~agent ~actions ~target
     (m : Modul.t) : rollout =
   match
-    predict_batch ?max_steps ?verify ?sanitize ?repro_dir ~agent ~actions ~target
-      [ m ]
+    predict_batch ?max_steps ?sanitize ?repro_dir ~agent ~actions ~target [ m ]
   with
   | [ r ] -> r
   | _ -> assert false

@@ -9,7 +9,6 @@ type rollout = {
 
 val predict_batch :
   ?max_steps:int ->
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   agent:Posetrl_rl.Dqn.t ->
@@ -24,7 +23,6 @@ val predict_batch :
 
 val predict :
   ?max_steps:int ->
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   agent:Posetrl_rl.Dqn.t ->

@@ -159,7 +159,7 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
     ?(health = Obs.Health.default_config)
     ?(on_alert = fun (_ : Obs.Health.alert) -> ())
     ?inject_nan_at ?coverage
-    ?pool ?(verify = false) ?(sanitize = Posetrl_analysis.Sanitize.Off)
+    ?pool ?(sanitize = Posetrl_analysis.Sanitize.Off)
     ?repro_dir
     ~(seed : int) ~(corpus : Modul.t array)
     ~(actions : Posetrl_odg.Action_space.t)
@@ -168,8 +168,8 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
   let rng = Rng.create seed in
   let net_rng = Rng.split rng in
   let env =
-    Environment.create ~max_steps:hp.max_episode_steps ~verify ~sanitize
-      ?repro_dir ~target ~actions ()
+    Environment.create ~max_steps:hp.max_episode_steps ~sanitize ?repro_dir
+      ~target ~actions ()
   in
   (* [pool] parallelizes the batch dimension of the DQN's gemm kernels;
      row partitioning keeps training byte-identical to --jobs 1 *)
@@ -221,8 +221,8 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
         corpus.(k * Array.length corpus / max 1 (min 8 (Array.length corpus))))
   in
   let probe_score () =
-    Inference.predict_batch ~max_steps:hp.max_episode_steps ~verify ~sanitize
-      ?repro_dir ~agent ~actions ~target probe_set
+    Inference.predict_batch ~max_steps:hp.max_episode_steps ~sanitize ?repro_dir
+      ~agent ~actions ~target probe_set
     |> List.fold_left (fun acc (r : Inference.rollout) -> acc +. r.Inference.reward) 0.0
   in
   let best_score = ref neg_infinity in

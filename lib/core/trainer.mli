@@ -93,7 +93,6 @@ val train :
   ?inject_nan_at:int ->
   ?coverage:Posetrl_obs.Coverage.t ->
   ?pool:Posetrl_support.Pool.t ->
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   seed:int ->

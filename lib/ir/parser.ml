@@ -8,6 +8,11 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* A literal [of_opt] rejects (out of range, malformed) is a parse error,
+   never the stdlib's Failure/Invalid_argument. *)
+let convert what (of_opt : string -> 'a option) (text : string) : 'a =
+  match of_opt text with Some v -> v | None -> fail "bad %s %s" what text
+
 (* --- lexer -------------------------------------------------------------- *)
 
 type token =
@@ -71,7 +76,7 @@ let tokenize (src : string) : token list =
       advance ();
       let digits = read_while is_digit in
       if String.length digits = 0 then fail "expected register number after %%";
-      push (REG (int_of_string digits))
+      push (REG (convert "register number" int_of_string_opt digits))
     | '@' ->
       advance ();
       let name = read_while is_ident_char in
@@ -96,14 +101,20 @@ let tokenize (src : string) : token list =
            | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
            | Some 'x' ->
              advance ();
-             let h1 = Option.get (peek ()) in advance ();
-             let h2 = Option.get (peek ()) in advance ();
-             Buffer.add_char buf (Char.chr (int_of_string (Printf.sprintf "0x%c%c" h1 h2)));
+             if !i + 2 > n then fail "unterminated string";
+             let hex = String.sub src !i 2 in
+             i := !i + 2;
+             Buffer.add_char buf
+               (Char.chr (convert "\\x escape" int_of_string_opt ("0x" ^ hex)));
              go ()
            | Some d1 when is_digit d1 ->
              (* decimal escape \DDD as produced by %S *)
              let d = read_while is_digit in
-             Buffer.add_char buf (Char.chr (int_of_string d));
+             let byte s =
+               Option.bind (int_of_string_opt s) (fun c ->
+                   if c <= 255 then Some (Char.chr c) else None)
+             in
+             Buffer.add_char buf (convert "decimal escape" byte d);
              go ()
            | _ -> fail "bad escape in string")
         | Some c -> advance (); Buffer.add_char buf c; go ()
@@ -130,8 +141,8 @@ let tokenize (src : string) : token list =
       end;
       let text = String.sub src start (!i - start) in
       if String.equal text "-" then fail "stray '-'";
-      if !is_float then push (FLOAT (float_of_string text))
-      else push (INT (Int64.of_string text))
+      if !is_float then push (FLOAT (convert "float literal" float_of_string_opt text))
+      else push (INT (convert "integer literal" Int64.of_string_opt text))
     | c when is_ident_start c ->
       let word = read_while is_ident_char in
       (match word with

@@ -29,10 +29,10 @@ val render :
     "(not recorded)" placeholder, never a blank or garbled row;
     [Some []] — healthy; [Some l] — red rows for the latest alerts.
 
-    [coverage] is the result of {!Run.read_coverage}: [None] — absent
+    [coverage] is the result of [Run.read info Coverage]: [None] — absent
     or corrupt, rendered as "(not recorded)"; [Some doc] — the edge /
     entropy / node summary of the coverage document.
 
-    [serve] is the result of {!Run.read_serve}: [None] — not a serve
+    [serve] is the result of [Run.read info Serve]: [None] — not a serve
     run, the row is simply omitted; [Some doc] — a request / cache-hit /
     queue-depth / latency-percentile summary of the daemon's stats. *)

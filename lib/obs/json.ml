@@ -121,7 +121,11 @@ let of_string (s : string) : t =
          | 'u' ->
            advance ();
            if !pos + 4 > n then fail "short unicode escape";
-           let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+           let code =
+             match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+             | Some code -> code
+             | None -> fail "bad unicode escape"
+           in
            pos := !pos + 4;
            (* trace strings are ASCII; clamp the rest *)
            Buffer.add_char b (if code < 128 then Char.chr code else '?')
@@ -141,12 +145,14 @@ let of_string (s : string) : t =
     in
     while !pos < n && is_num_char s.[!pos] do advance () done;
     let tok = String.sub s start (!pos - start) in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok then
-      Float (float_of_string tok)
-    else
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> Float (float_of_string tok)
+    if tok = "" then fail "expected a value";
+    let float () =
+      match float_of_string_opt tok with
+      | Some f -> Float f
+      | None -> pos := start; fail ("malformed number " ^ tok)
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok then float ()
+    else match int_of_string_opt tok with Some i -> Int i | None -> float ()
   in
   let rec parse_value () =
     skip_ws ();

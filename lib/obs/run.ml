@@ -19,22 +19,22 @@
 let default_root = "runs"
 
 let manifest_file = "manifest.json"
-let progress_file = "progress.jsonl"
-let eval_file = "eval.json"
-let trace_file = "trace.jsonl"
-let attrib_file = "attrib.json"
-let alerts_file = "alerts.jsonl"
-let coverage_file = "coverage.json"
-let serve_file = "serve.json"
 
 let manifest_path dir = Filename.concat dir manifest_file
-let progress_path dir = Filename.concat dir progress_file
-let eval_path dir = Filename.concat dir eval_file
-let trace_path dir = Filename.concat dir trace_file
-let attrib_path dir = Filename.concat dir attrib_file
-let alerts_path dir = Filename.concat dir alerts_file
-let coverage_path dir = Filename.concat dir coverage_file
-let serve_path dir = Filename.concat dir serve_file
+let progress_path dir = Filename.concat dir "progress.jsonl"
+let trace_path dir = Filename.concat dir "trace.jsonl"
+let alerts_path dir = Filename.concat dir "alerts.jsonl"
+
+(* The whole-document files a run may hold, each replaced atomically. *)
+type doc = Eval | Attrib | Coverage | Serve
+
+let doc_path (d : doc) dir =
+  Filename.concat dir
+    (match d with
+     | Eval -> "eval.json"
+     | Attrib -> "attrib.json"
+     | Coverage -> "coverage.json"
+     | Serve -> "serve.json")
 
 let rec mkdir_p (dir : string) : unit =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -121,17 +121,8 @@ let progress (t : t) (record : Json.t) : unit =
     t.r_pending <- 0
   end
 
-let write_eval (t : t) (doc : Json.t) : unit =
-  Runlog.write_json_file (eval_path t.r_dir) doc
-
-let write_attrib (t : t) (doc : Json.t) : unit =
-  Runlog.write_json_file (attrib_path t.r_dir) doc
-
-let write_coverage (t : t) (doc : Json.t) : unit =
-  Runlog.write_json_file (coverage_path t.r_dir) doc
-
-let write_serve (t : t) (doc : Json.t) : unit =
-  Runlog.write_json_file (serve_path t.r_dir) doc
+let write (t : t) (d : doc) (json : Json.t) : unit =
+  Runlog.write_json_file (doc_path d t.r_dir) json
 
 (* Alerts are rare and each one matters, so unlike progress records they
    flush immediately — a crash right after an alert keeps it on disk. *)
@@ -216,37 +207,16 @@ let read_progress (i : info) : Json.t list * int =
   let path = progress_path i.run_dir in
   if Sys.file_exists path then Runlog.read_jsonl path else ([], 0)
 
-let read_eval (i : info) : Json.t option =
-  let path = eval_path i.run_dir in
-  if Sys.file_exists path then Some (Runlog.read_json_file path) else None
-
-(* The health/attribution readers follow the [list_runs] hardening
-   contract: runs that predate the watchdog (no file) and runs whose
-   file is torn or corrupt both render as "no data", never an
-   exception — `posetrl explain` and `watch` must work on any ledger. *)
-
-let read_attrib (i : info) : Json.t option =
-  let path = attrib_path i.run_dir in
+(* The document readers follow the [list_runs] hardening contract: runs
+   that predate a layer (no file) and runs whose file is torn or corrupt
+   both render as "no data", never an exception — `posetrl runs`,
+   `explain` and `watch` must work on any ledger. *)
+let read (i : info) (d : doc) : Json.t option =
+  let path = doc_path d i.run_dir in
   if not (Sys.file_exists path) then None
   else
     match Runlog.read_json_file path with
-    | doc -> Some doc
-    | exception (Sys_error _ | Json.Parse_error _) -> None
-
-let read_coverage (i : info) : Json.t option =
-  let path = coverage_path i.run_dir in
-  if not (Sys.file_exists path) then None
-  else
-    match Runlog.read_json_file path with
-    | doc -> Some doc
-    | exception (Sys_error _ | Json.Parse_error _) -> None
-
-let read_serve (i : info) : Json.t option =
-  let path = serve_path i.run_dir in
-  if not (Sys.file_exists path) then None
-  else
-    match Runlog.read_json_file path with
-    | doc -> Some doc
+    | json -> Some json
     | exception (Sys_error _ | Json.Parse_error _) -> None
 
 let read_alerts (i : info) : (Json.t list * int) option =
@@ -314,7 +284,7 @@ let compare_runs ?(thresholds = default_thresholds) ~(base : info)
      if b <> None || c <> None then
        push (mk_delta "final_mean_reward" b c false "missing on one side"));
   (* per-suite avg size reduction (eval.json) *)
-  (match read_eval base, read_eval cand with
+  (match read base Eval, read cand Eval with
    | Some eb, Some ec ->
      let cand_reds = eval_suite_reds ec in
      List.iter

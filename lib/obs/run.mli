@@ -8,13 +8,23 @@ val default_root : string
 
 val manifest_path : string -> string
 val progress_path : string -> string
-val eval_path : string -> string
 val trace_path : string -> string
-val attrib_path : string -> string
 val alerts_path : string -> string
-val coverage_path : string -> string
-val serve_path : string -> string
 (** Paths of the ledger files inside a run directory. *)
+
+type doc =
+  | Eval      (** [eval.json]: per-suite size/throughput tables *)
+  | Attrib    (** [attrib.json]: [Posetrl_rl.Attrib.to_json] of the
+                  trainer's attribution table *)
+  | Coverage  (** [coverage.json]: [Coverage.to_json] of the trainer's
+                  (or eval's) coverage table *)
+  | Serve     (** [serve.json]: the serve daemon's rolling stats snapshot,
+                  [Posetrl_serve.Server.stats_json] *)
+(** The whole-document files a run directory may hold. *)
+
+val doc_path : doc -> string -> string
+(** [doc_path d dir] is the path of document [d] inside run directory
+    [dir]. *)
 
 (** {1 Writing side} *)
 
@@ -38,21 +48,8 @@ val progress : t -> Json.t -> unit
     killed run keeps a readable prefix. Records normally come from
     {!Runlog.tick_record} / {!Runlog.episode_record}. *)
 
-val write_eval : t -> Json.t -> unit
-(** Write [eval.json] (atomic replace). *)
-
-val write_attrib : t -> Json.t -> unit
-(** Write [attrib.json] (atomic replace) — normally
-    [Posetrl_rl.Attrib.to_json] of the trainer's attribution table. *)
-
-val write_coverage : t -> Json.t -> unit
-(** Write [coverage.json] (atomic replace) — normally
-    [Coverage.to_json] of the trainer's (or eval's) coverage table. *)
-
-val write_serve : t -> Json.t -> unit
-(** Write [serve.json] (atomic replace) — the serve daemon's rolling
-    stats snapshot (requests, cache hit rate, latency percentiles),
-    normally [Posetrl_serve.Server.stats_json]. *)
+val write : t -> doc -> Json.t -> unit
+(** Write a document (atomic replace). *)
 
 val alert : t -> Json.t -> unit
 (** Append a watchdog alert record to [alerts.jsonl] and flush
@@ -92,20 +89,10 @@ val read_progress : info -> Json.t list * int
 (** The progress records plus the count of torn/unparseable lines;
     [([], 0)] if the stream is absent. *)
 
-val read_eval : info -> Json.t option
-
-val read_attrib : info -> Json.t option
-(** The run's attribution document. Never raises: [None] means the file
-    is absent (run predates the watchdog layer) {e or} corrupt — either
-    way the caller renders "no data". *)
-
-val read_coverage : info -> Json.t option
-(** The run's coverage document. Never raises: [None] means absent (run
-    predates the coverage layer) {e or} corrupt. *)
-
-val read_serve : info -> Json.t option
-(** The run's serve-stats document. Never raises: [None] means absent
-    (not a serve run) {e or} corrupt. *)
+val read : info -> doc -> Json.t option
+(** A run's document. Never raises: [None] means the file is absent (an
+    eval-less run, a run predating the layer, not a serve run) {e or}
+    torn or corrupt — either way the caller renders "no data". *)
 
 val read_alerts : info -> (Json.t list * int) option
 (** The run's alert records plus the torn-line count. Never raises:

@@ -33,16 +33,4 @@ let function_pass name ~description f =
    instrumentation bookkeeping); here it is the identity on the IR. *)
 let no_op_pass name ~description = mk name ~description (fun _ m -> m)
 
-let run ?(verify = false) (p : t) (cfg : Config.t) (m : Modul.t) : Modul.t =
-  let m' = p.run cfg m in
-  if verify then begin
-    match Verifier.verify_module m' with
-    | [] -> ()
-    | errs ->
-      let msg =
-        Printf.sprintf "pass %s produced invalid IR:\n%s" p.name
-          (String.concat "\n" (List.map Verifier.error_to_string errs))
-      in
-      raise (Verifier.Invalid msg)
-  end;
-  m'
+let run (p : t) (cfg : Config.t) (m : Modul.t) : Modul.t = p.run cfg m

@@ -36,6 +36,6 @@ val no_op_pass : string -> description:string -> t
 (** A pass with no IR effect (pass-manager barriers, instrumentation
     hooks our programs never request). *)
 
-val run : ?verify:bool -> t -> Config.t -> Modul.t -> Modul.t
-(** Run the pass; with [~verify:true] the output is checked by
-    {!Verifier} and {!Verifier.Invalid} is raised on malformed IR. *)
+val run : t -> Config.t -> Modul.t -> Modul.t
+(** Run the pass, unchecked; {!Pass_manager.run_pass} adds the
+    sanitizer's per-pass IR check. *)

@@ -1,8 +1,8 @@
-(** Sequencing of passes by name, with optional per-pass structural
-    verification ([~verify]) and semantic sanitizing ([~sanitize]): at
-    [Structural] or [Ssa] level every pass's output is re-verified, and
-    on failure the failing input is delta-minimized and written to
-    [~repro_dir] before {!Posetrl_analysis.Sanitize.Failed} is raised. *)
+(** Sequencing of passes by name, with optional per-pass semantic
+    sanitizing ([~sanitize]): at [Structural] or above every pass's
+    output is re-verified, and on failure the failing input is
+    delta-minimized and written to [~repro_dir] before
+    {!Posetrl_analysis.Sanitize.Failed} is raised. *)
 
 open Posetrl_ir
 
@@ -14,16 +14,14 @@ type stats = {
 }
 
 val run_pass :
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   Pass.t -> Config.t -> Modul.t -> Modul.t
 (** Run a single (possibly unregistered) pass through the production
-    verify/sanitize path. Tests use this to prove the sanitizer catches
+    sanitize path. Tests use this to prove the sanitizer catches
     a deliberately miscompiling pass. *)
 
 val run_names :
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   ?collect:bool ->
@@ -32,13 +30,11 @@ val run_names :
     are gathered. Unknown names raise [Invalid_argument]. *)
 
 val run :
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   Config.t -> string list -> Modul.t -> Modul.t
 
 val run_level :
-  ?verify:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   Pipelines.level -> Modul.t -> Modul.t

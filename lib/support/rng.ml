@@ -11,8 +11,6 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* Core SplitMix64 step: advances the state and mixes it into an output. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden;
@@ -40,16 +38,11 @@ let int t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-(* Uniform float in [lo, hi). *)
-let uniform t lo hi = lo +. ((hi -. lo) *. float t)
-
 (* Standard normal via Box-Muller. *)
 let normal t =
   let u1 = max 1e-12 (float t) in
   let u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
-let gaussian t ~mean ~stddev = mean +. (stddev *. normal t)
 
 (* Pick a uniformly random element of a non-empty array. *)
 let choose t arr =

@@ -8,9 +8,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh stream determined entirely by [seed]. *)
 
-val copy : t -> t
-(** Independent copy that replays the same future draws. *)
-
 val split : t -> t
 (** Derive an independent child stream, advancing the parent. *)
 
@@ -25,13 +22,8 @@ val int : t -> int -> int
 
 val bool : t -> bool
 
-val uniform : t -> float -> float -> float
-(** [uniform t lo hi] is uniform in [lo, hi). *)
-
 val normal : t -> float
 (** Standard normal deviate (Box-Muller). *)
-
-val gaussian : t -> mean:float -> stddev:float -> float
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

@@ -44,15 +44,6 @@ let median l =
     if n mod 2 = 1 then arr.(n / 2)
     else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0
 
-type summary = { n : int; min : float; mean : float; max : float; stddev : float }
-
-let summarize l =
-  { n = List.length l;
-    min = minimum l;
-    mean = mean l;
-    max = maximum l;
-    stddev = stddev l }
-
 (* Unicode block-character sparkline of a series, downsampled to [width]
    columns by bucket-averaging. Non-finite samples are dropped; a flat
    series renders at mid-height so it stays visible. *)

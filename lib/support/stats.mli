@@ -15,10 +15,6 @@ val geomean : float list -> float
 
 val median : float list -> float
 
-type summary = { n : int; min : float; mean : float; max : float; stddev : float }
-
-val summarize : float list -> summary
-
 val sparkline : ?width:int -> float list -> string
 (** Unicode block-character rendering of a series (▁▂▃▄▅▆▇█),
     downsampled to [width] columns (default 60) by bucket-averaging.

@@ -29,8 +29,6 @@ let add_row t row =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- row :: t.rows
 
-let addf_cell f = Printf.sprintf "%.2f" f
-
 let pad align width s =
   let n = String.length s in
   if n >= width then s

@@ -13,8 +13,5 @@ val create : title:string -> headers:string list -> ?aligns:align list -> unit -
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument on a row of the wrong width. *)
 
-val addf_cell : float -> string
-(** Format a float cell with two decimals. *)
-
 val render : t -> string
 val print : t -> unit

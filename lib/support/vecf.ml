@@ -14,21 +14,13 @@ let copy = Array.copy
 
 let dim = Array.length
 
-let of_list = Array.of_list
-
-let fill_zero (v : t) = Array.fill v 0 (Array.length v) 0.0
-
 let check_same_dim a b name =
   if Array.length a <> Array.length b then
     invalid_arg (Printf.sprintf "Vecf.%s: dimension mismatch (%d vs %d)" name (Array.length a) (Array.length b))
 
-let map = Array.map
-
 let map2 f a b =
   check_same_dim a b "map2";
   Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let add a b = map2 ( +. ) a b
 
 let sub a b = map2 ( -. ) a b
 
@@ -57,10 +49,6 @@ let dot a b =
   !acc
 
 let norm2 a = sqrt (dot a a)
-
-let norm1 a = Array.fold_left (fun acc x -> acc +. abs_float x) 0.0 a
-
-let linf a = Array.fold_left (fun acc x -> max acc (abs_float x)) 0.0 a
 
 let normalize a =
   let n = norm2 a in
@@ -96,10 +84,3 @@ let argmax a =
   !best
 
 let max_elt a = a.(argmax a)
-
-let clip ~lo ~hi = Array.map (fun x -> Float.min hi (Float.max lo x))
-
-let concat = Array.append
-
-let pp ppf v =
-  Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any "; ") (float_dfrac 4)) v

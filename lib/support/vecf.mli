@@ -11,28 +11,19 @@ val create : int -> t
 val init : int -> (int -> float) -> t
 val copy : t -> t
 val dim : t -> int
-val of_list : float list -> t
-val fill_zero : t -> unit
 
-val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
+val sub : t -> t -> t
 (** @raise Invalid_argument on dimension mismatch (as do all binary ops). *)
 
-val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
 
 val axpy : k:float -> t -> t -> unit
 (** [axpy ~k a b] performs [a <- a + k*b] in place. *)
 
 val add_inplace : t -> t -> unit
-val scale_inplace : float -> t -> unit
 
 val dot : t -> t -> float
 val norm2 : t -> float
-val norm1 : t -> float
-val linf : t -> float
 
 val normalize : t -> t
 (** Unit-norm copy; near-zero vectors are returned unchanged. *)
@@ -45,7 +36,3 @@ val sum : t list -> t
 
 val argmax : t -> int
 val max_elt : t -> float
-
-val clip : lo:float -> hi:float -> t -> t
-val concat : t -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -172,18 +172,18 @@ let test_run_coverage_file () =
       in
       let info () = Obs.Run.find rdir in
       Alcotest.(check bool) "absent file is None" true
-        (Obs.Run.read_coverage (info ()) = None);
-      Obs.Run.write_coverage run (Cov.to_json (tiny_table ()));
+        (Obs.Run.read (info ()) Obs.Run.Coverage = None);
+      Obs.Run.write run Obs.Run.Coverage (Cov.to_json (tiny_table ()));
       Obs.Run.finish run;
-      (match Option.bind (Obs.Run.read_coverage (info ())) Cov.of_json with
+      (match Option.bind (Obs.Run.read (info ()) Obs.Run.Coverage) Cov.of_json with
        | Some t -> Alcotest.(check int) "written table read back" 3 (Cov.steps t)
        | None -> Alcotest.fail "coverage.json should read back");
       (* a torn write must degrade to None, never an exception *)
-      let oc = open_out (Obs.Run.coverage_path rdir) in
+      let oc = open_out (Obs.Run.doc_path Obs.Run.Coverage rdir) in
       output_string oc "{\"kind\": \"cov";
       close_out oc;
       Alcotest.(check bool) "corrupt file is None" true
-        (Obs.Run.read_coverage (info ()) = None))
+        (Obs.Run.read (info ()) Obs.Run.Coverage = None))
 
 let test_to_dot_heat () =
   let t = Cov.create tiny_universe in

@@ -197,10 +197,31 @@ let test_roundtrip_suites () =
       Alcotest.(check string) (name ^ " roundtrip") text (Printer.module_to_string m'))
     (Posetrl_workloads.Suites.all_programs ())
 
+(* malformed input is a Parse_error, never a stdlib Failure or
+   Invalid_argument from a literal conversion: serve parses untrusted
+   MiniIR and catches only Parse_error *)
 let test_parser_rejects_garbage () =
-  Alcotest.(check bool) "parse error" true
-    (try ignore (Parser.parse_module "module x\nfunc oops"); false
-     with Parser.Parse_error _ -> true)
+  let body insn = "module x\nfunc @main(): i64 {\nentry:\n  " ^ insn ^ "\n}\n" in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check bool) (what ^ " is a Parse_error") true
+        (match Parser.parse_module text with
+         | _ -> false
+         | exception Parser.Parse_error _ -> true))
+    [ ("garbage", "module x\nfunc oops");
+      ("i64 overflow", body "ret i64 99999999999999999999999");
+      ("register overflow", body "ret i64 %99999999999999999999999");
+      ("float without exponent digits", body "ret double 1e");
+      ("\\x at end of input", "module x\nconst @s: i8 x 1 = bytes \"\\x4");
+      ("\\x non-hex", "module x\nconst @s: i8 x 1 = bytes \"\\xZZ\"\n");
+      ("decimal escape above 255", "module x\nconst @s: i8 x 1 = bytes \"\\999\"\n");
+      ("decimal escape overflow",
+       "module x\nconst @s: i8 x 1 = bytes \"\\99999999999999999999999\"\n") ];
+  (* escapes that parse keep their bytes *)
+  let m = Parser.parse_module "module x\nconst @s: i8 x 3 = bytes \"\\x41\\066\\t\"\n" in
+  Alcotest.(check string) "escapes decode"
+    "module x\n\nconst @s: i8 x 3 = bytes \"AB\\t\"\n\n"
+    (Printer.module_to_string m)
 
 let test_parser_global_forms () =
   let text =

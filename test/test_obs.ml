@@ -288,6 +288,21 @@ let test_json_values () =
   let e' = Event.of_json (Obs.Json.of_string (Obs.Json.to_string (Event.to_json e))) in
   Alcotest.(check bool) "event equal after round trip" true (e = e')
 
+(* malformed bodies are Parse_error, never a stdlib exception: serve
+   catches only Parse_error around untrusted JSON *)
+let test_json_malformed () =
+  List.iter
+    (fun body ->
+      Alcotest.(check bool) (body ^ " is a Parse_error") true
+        (match Obs.Json.of_string body with
+         | _ -> false
+         | exception Obs.Json.Parse_error _ -> true))
+    [ "garbage"; "[1.2.3]"; "[-]"; "[\"\\uZZZZ\"]"; "[1e]"; "\"\\u00" ];
+  (* well-formed numbers and escapes keep their values *)
+  Alcotest.(check string) "valid document unchanged"
+    "[1.5,-2,300.0,\"A\",-0.5]"
+    (Obs.Json.to_string (Obs.Json.of_string "[1.5, -2, 3e2, \"\\u0041\", -5e-1]"))
+
 let suite =
   [ Alcotest.test_case "counter semantics" `Quick test_counter;
     Alcotest.test_case "labeled series" `Quick test_labels;
@@ -304,4 +319,5 @@ let suite =
     Alcotest.test_case "jsonl golden round trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "report aggregation" `Quick test_report_aggregation;
     Alcotest.test_case "report empty trace" `Quick test_report_render_empty;
-    Alcotest.test_case "json value kinds" `Quick test_json_values ]
+    Alcotest.test_case "json value kinds" `Quick test_json_values;
+    Alcotest.test_case "json malformed is Parse_error" `Quick test_json_malformed ]

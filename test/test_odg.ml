@@ -150,7 +150,7 @@ let test_actions_runnable () =
     (fun (space : O.Action_space.t) ->
       Array.iteri
         (fun idx action ->
-          let m' = P.Pass_manager.run ~verify:true P.Config.oz action m in
+          let m' = P.Pass_manager.run ~sanitize:Structural P.Config.oz action m in
           Alcotest.(check bool)
             (Printf.sprintf "%s action %d" space.O.Action_space.name idx)
             true

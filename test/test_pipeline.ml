@@ -17,7 +17,7 @@ let test_each_pass_preserves_suites () =
       let p = P.Registry.find_exn pass_name in
       List.iter
         (fun (prog_name, m) ->
-          let m' = P.Pass.run ~verify:true p P.Config.oz m in
+          let m' = P.Pass_manager.run_pass ~sanitize:Structural p P.Config.oz m in
           Alcotest.(check bool)
             (Printf.sprintf "%s on %s" pass_name prog_name)
             true
@@ -31,7 +31,7 @@ let test_pipelines_preserve_suites () =
     (fun level ->
       List.iter
         (fun (prog_name, m) ->
-          let m' = P.Pass_manager.run_level ~verify:true level m in
+          let m' = P.Pass_manager.run_level ~sanitize:Structural level m in
           Alcotest.(check bool)
             (Printf.sprintf "%s on %s" (P.Pipelines.level_to_string level) prog_name)
             true
@@ -76,7 +76,7 @@ let test_oz_twice_stable () =
   List.iter
     (fun (prog_name, m) ->
       let m1 = P.Pass_manager.run_level P.Pipelines.Oz m in
-      let m2 = P.Pass_manager.run_level ~verify:true P.Pipelines.Oz m1 in
+      let m2 = P.Pass_manager.run_level ~sanitize:Structural P.Pipelines.Oz m1 in
       Alcotest.(check bool) (prog_name ^ " behaviour") true (observe m1 = observe m2))
     (Lazy.force all_programs)
 
@@ -89,7 +89,7 @@ let prop_random_pass_preserves =
       let m = W.Genprog.generate ~seed in
       let pass_name = List.nth (P.Registry.names ()) pass_idx in
       let p = P.Registry.find_exn pass_name in
-      let m' = P.Pass.run ~verify:true p P.Config.oz m in
+      let m' = P.Pass_manager.run_pass ~sanitize:Structural p P.Config.oz m in
       observe m = observe m')
 
 let prop_oz_preserves_random =
@@ -97,7 +97,7 @@ let prop_oz_preserves_random =
     QCheck2.Gen.(int_range 200_000 220_000)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
-      let m' = P.Pass_manager.run_level ~verify:true P.Pipelines.Oz m in
+      let m' = P.Pass_manager.run_level ~sanitize:Structural P.Pipelines.Oz m in
       observe m = observe m')
 
 let prop_o3_preserves_random =
@@ -105,7 +105,7 @@ let prop_o3_preserves_random =
     QCheck2.Gen.(int_range 300_000 320_000)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
-      let m' = P.Pass_manager.run_level ~verify:true P.Pipelines.O3 m in
+      let m' = P.Pass_manager.run_level ~sanitize:Structural P.Pipelines.O3 m in
       observe m = observe m')
 
 (* property: parser round trip on random programs *)
@@ -133,10 +133,11 @@ let prop_oz_twice_random =
     (fun seed ->
       let m = W.Genprog.generate ~seed in
       let m1 = P.Pass_manager.run_level P.Pipelines.Oz m in
-      let m2 = P.Pass_manager.run_level ~verify:true P.Pipelines.Oz m1 in
+      let m2 = P.Pass_manager.run_level ~sanitize:Structural P.Pipelines.Oz m1 in
       observe m1 = observe m2)
 
-(* failure injection: a deliberately broken pass is caught by ~verify *)
+(* failure injection: a deliberately broken pass is caught by the
+   structural sanitizer *)
 let test_verify_catches_broken_pass () =
   let broken =
     P.Pass.mk "deliberately-broken" ~description:"drops every terminator target"
@@ -153,8 +154,11 @@ let test_verify_catches_broken_pass () =
   in
   let m = Testutil.sum_squares_module () in
   Alcotest.(check bool) "verifier fires" true
-    (try ignore (P.Pass.run ~verify:true broken P.Config.oz m); false
-     with Verifier.Invalid _ -> true)
+    (try
+       ignore (P.Pass_manager.run_pass ~sanitize:Structural broken P.Config.oz m);
+       false
+     with Posetrl_analysis.Sanitize.Failed { pass; _ } ->
+       String.equal pass "deliberately-broken")
 
 (* the size model grows when code is added *)
 let prop_size_monotone_in_functions =

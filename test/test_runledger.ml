@@ -173,11 +173,11 @@ let test_attrib_alerts_lifecycle () =
       Run.alert run
         (Json.Obj [ ("kind", Json.Str "alert"); ("rule", Json.Str "nan_loss");
                     ("step", Json.Int 200) ]);
-      Run.write_attrib run
+      Run.write run Run.Attrib
         (Json.Obj [ ("kind", Json.Str "attrib"); ("steps", Json.Int 3) ]);
       Run.finish run;
       let info = Run.load dir in
-      (match Run.read_attrib info with
+      (match Run.read info Run.Attrib with
        | Some doc ->
          Alcotest.(check (option (float 0.0))) "attrib read back" (Some 3.0)
            (Runlog.num "steps" doc)
@@ -196,7 +196,7 @@ let test_attrib_alerts_missing_is_none () =
       Runlog.write_json_file (Run.manifest_path dir)
         (Json.Obj [ ("id", Json.Str "old"); ("status", Json.Str "complete") ]);
       let info = Run.load dir in
-      Alcotest.(check bool) "attrib None" true (Run.read_attrib info = None);
+      Alcotest.(check bool) "attrib None" true (Run.read info Run.Attrib = None);
       Alcotest.(check bool) "alerts None" true (Run.read_alerts info = None))
 
 let test_attrib_corrupt_is_none () =
@@ -204,12 +204,22 @@ let test_attrib_corrupt_is_none () =
       let dir = Filename.concat root "r1" in
       let run = Run.create ~dir ~name:"t" ~meta:[] () in
       Run.finish run;
-      let oc = open_out (Run.attrib_path dir) in
-      output_string oc "{ torn mid-write";
-      close_out oc;
+      let tear doc =
+        let oc = open_out (Run.doc_path doc dir) in
+        output_string oc "{ torn mid-write";
+        close_out oc
+      in
+      tear Run.Attrib;
+      tear Run.Eval;
       let info = Run.load dir in
       Alcotest.(check bool) "corrupt attrib is None, not an exception" true
-        (Run.read_attrib info = None))
+        (Run.read info Run.Attrib = None);
+      Alcotest.(check bool) "torn eval.json is None, not an exception" true
+        (Run.read info Run.Eval = None);
+      (* `runs compare` on the torn run: the suite metrics are missing,
+         never an exception *)
+      Alcotest.(check bool) "compare survives a torn eval.json" false
+        (Run.has_regression (Run.compare_runs ~base:info ~cand:info ())))
 
 let test_alerts_torn_line_skipped () =
   with_temp_dir (fun root ->
@@ -324,7 +334,7 @@ let mk_run ~root ~id ~reward ~suites () =
   (match suites with
    | [] -> ()
    | s ->
-     Run.write_eval run
+     Run.write run Run.Eval
        (Json.Obj
           [ ("suites",
              Json.Arr

@@ -292,6 +292,24 @@ let test_server_admission_and_limits () =
       let diag = Json.of_string (body_of r1) in
       Alcotest.(check bool) "diagnostics present" true
         (Runlog.field "diagnostics" diag <> None);
+      (* literals the stdlib conversions reject: each one a 400, and the
+         daemon keeps answering *)
+      List.iter
+        (fun (path, body) ->
+          let s = send ~port (post ~path body) in
+          Server.pump srv;
+          Alcotest.(check int) (path ^ " " ^ body ^ " is 400") 400
+            (status_of (recv s)))
+        [ ("/optimize/batch", "garbage");
+          ("/optimize/batch", "[1.2.3]");
+          ("/optimize/batch", "[-]");
+          ("/optimize/batch", "[\"\\uZZZZ\"]");
+          ("/optimize",
+           "module m\nfunc @main(): i64 {\nentry:\n  ret i64 \
+            99999999999999999999999\n}\n") ];
+      let s = send ~port "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" in
+      Server.pump srv;
+      Alcotest.(check int) "healthz still answers" 200 (status_of (recv s));
       (* a body over the bound: 413 before any parsing happens *)
       let s2 = send ~port (post (String.make 2048 'x')) in
       Server.pump srv;

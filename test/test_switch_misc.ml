@@ -22,7 +22,7 @@ let switch_module ?(key = 2) () =
 
 let test_switch_through_oz () =
   let m = switch_module () in
-  let m' = Posetrl_passes.Pass_manager.run_level ~verify:true Posetrl_passes.Pipelines.Oz m in
+  let m' = Posetrl_passes.Pass_manager.run_level ~sanitize:Structural Posetrl_passes.Pipelines.Oz m in
   check_same_behaviour "switch through Oz" m m';
   Alcotest.(check string) "300" "300" (ret_of m')
 
@@ -36,7 +36,7 @@ let test_sccp_folds_switch () =
 let test_switch_default_taken () =
   let m = switch_module ~key:42 () in
   Alcotest.(check string) "default" "999" (ret_of m);
-  let m' = Posetrl_passes.Pass_manager.run_level ~verify:true Posetrl_passes.Pipelines.O2 m in
+  let m' = Posetrl_passes.Pass_manager.run_level ~sanitize:Structural Posetrl_passes.Pipelines.O2 m in
   Alcotest.(check string) "default after O2" "999" (ret_of m')
 
 let test_switch_roundtrip () =
@@ -84,7 +84,7 @@ let test_switch_in_loop () =
   let expect = ret_of m in
   List.iter
     (fun level ->
-      let m' = Posetrl_passes.Pass_manager.run_level ~verify:true level m in
+      let m' = Posetrl_passes.Pass_manager.run_level ~sanitize:Structural level m in
       Alcotest.(check string)
         (Posetrl_passes.Pipelines.level_to_string level ^ " preserves switch loop")
         expect (ret_of m'))

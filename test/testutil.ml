@@ -40,10 +40,10 @@ let wrap_main (build : Builder.t -> unit) : Modul.t =
   Modul.mk ~name:"test" [ Builder.finish b ]
 
 let run_pass (name : string) (m : Modul.t) : Modul.t =
-  P.Pass.run ~verify:true (P.Registry.find_exn name) P.Config.oz m
+  P.Pass_manager.run_pass ~sanitize:Structural (P.Registry.find_exn name) P.Config.oz m
 
 let run_pass_cfg (name : string) (cfg : P.Config.t) (m : Modul.t) : Modul.t =
-  P.Pass.run ~verify:true (P.Registry.find_exn name) cfg m
+  P.Pass_manager.run_pass ~sanitize:Structural (P.Registry.find_exn name) cfg m
 
 (* observable behaviour: Ok (return value string, stdout) or Error trap *)
 let observe (m : Modul.t) = Posetrl_interp.Interp.observe m
