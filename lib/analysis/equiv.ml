@@ -20,8 +20,9 @@
    bounded run performs.
 
    Checks are cheap in the common case: most pass applications are no-ops,
-   and a byte-identical printed module short-circuits before any
-   interpretation happens. *)
+   and a module bit-exactly equal to its input ([Modul.equal]: float
+   constants by bit pattern, so a flipped sign of zero is a change)
+   short-circuits before any interpretation happens. *)
 
 open Posetrl_ir
 module Obs = Posetrl_obs
@@ -176,21 +177,22 @@ let concrete_args ~seed (f : Func.t) : Interp.value list option =
    "before" module of pass N+1 *is* the "after" module of pass N, so
    without this every module's main gets interpreted twice. Keyed on
    (module identity, seed); tiny LRU since chains only ever need the
-   last module or two. *)
-let main_memo : (Modul.t * int * (string * string, string) result) list ref =
-  ref []
+   last module or two. Domain-local, like [Vocabulary]'s cache: pooled
+   sanitized runs each keep their own, and an entry depends only on its
+   module, so results do not depend on which domain ran what. *)
+let main_memo : (Modul.t * int * (string * string, string) result) list Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> [])
 
 let memo_limit = 8
 
 let observe_main ~fuel ~seed ~args (m : Modul.t) =
-  match List.find_opt (fun (m', s, _) -> m' == m && s = seed) !main_memo with
+  let memo = Domain.DLS.get main_memo in
+  match List.find_opt (fun (m', s, _) -> m' == m && s = seed) memo with
   | Some (_, _, r) -> r
   | None ->
     let r = observe ~fuel ~entry:"main" ~args m in
-    let kept =
-      List.filteri (fun i _ -> i < memo_limit - 1) !main_memo
-    in
-    main_memo := (m, seed, r) :: kept;
+    let kept = List.filteri (fun i _ -> i < memo_limit - 1) memo in
+    Domain.DLS.set main_memo ((m, seed, r) :: kept);
     r
 
 let check_main ~seeds ~fuel ~(before : Modul.t) ~(after : Modul.t) : verdict =
@@ -231,7 +233,7 @@ let signature_equal (a : Func.t) (b : Func.t) =
 let validate ?(seeds = default_seeds) ?(fuel = default_fuel)
     ?(per_function = true) ~(before : Modul.t) (after : Modul.t) :
     mismatch list =
-  if before == after || Stdlib.compare before after = 0 then []
+  if Modul.equal before after then []
   else
     Obs.Span.with_ "posetrl.analysis.equiv.validate"
       ~attrs:[ ("module", Obs.Event.S after.Modul.name) ]
@@ -255,7 +257,7 @@ let validate ?(seeds = default_seeds) ?(fuel = default_fuel)
                 match SMap.find_opt fa.Func.name befores with
                 | Some fb
                   when signature_equal fb fa && harnessable fa
-                       && Stdlib.compare fb fa <> 0 -> (
+                       && not (Func.equal fb fa) -> (
                   match check_func_pair ~seeds ~fuel ~before ~after fa with
                   | Fail d -> record fa.Func.name d
                   | Pass | Skip -> ())

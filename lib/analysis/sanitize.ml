@@ -1,6 +1,7 @@
 (* The semantic sanitizer: structural verification plus SSA dominance
-   checking, run after every pass when the pass manager's [~sanitize]
-   level asks for it, with a minimized repro written out on failure.
+   checking, run after every pass that changed its module when the pass
+   manager's [~sanitize] level asks for it, with a minimized repro
+   written out on failure.
 
    Levels:
      - [Off]        — no checking (production default)
@@ -15,8 +16,9 @@
    Instrumentation follows the repo convention: counters
    [posetrl.analysis.sanitize.checks] / [.failures], span
    [posetrl.analysis.sanitize.check]. All checking state is per-call
-   (the verifier and dominator computation allocate locally), so
-   sanitized evaluation is safe under [--jobs N]. *)
+   (the verifier and dominator computation allocate locally) or
+   domain-local ([Equiv]'s memo of main observations), so sanitized
+   evaluation is safe under [--jobs N]. *)
 
 open Posetrl_ir
 module Obs = Posetrl_obs
@@ -71,22 +73,25 @@ let mismatch_errors (ms : Equiv.mismatch list) : Verifier.error list =
    plus (at [Equiv], when [after] is well-formed) differential simulation
    against [before]. [per_function] should be false for module-scope
    passes (inlining/IPO), whose per-function behaviour may legitimately
-   change. *)
+   change. An application that returned its input is not checked: every
+   caller's [before] has already passed. *)
 let check_transform (level : level) ?(per_function = true) ~(before : Modul.t)
     (after : Modul.t) : Verifier.error list =
-  match check_module level after with
-  | (_ :: _) as errs -> errs
-  | [] ->
-    if level = Equiv then
-      Obs.Span.with_ "posetrl.analysis.sanitize.equiv" (fun _ ->
-          let ms = Equiv.validate ~per_function ~before after in
-          let errs = mismatch_errors ms in
-          if errs <> [] then
-            Obs.Metrics.inc
-              ~by:(float_of_int (List.length errs))
-              (Obs.Metrics.counter "posetrl.analysis.sanitize.failures");
-          errs)
-    else []
+  if after == before then []
+  else
+    match check_module level after with
+    | (_ :: _) as errs -> errs
+    | [] ->
+      if level = Equiv then
+        Obs.Span.with_ "posetrl.analysis.sanitize.equiv" (fun _ ->
+            let ms = Equiv.validate ~per_function ~before after in
+            let errs = mismatch_errors ms in
+            if errs <> [] then
+              Obs.Metrics.inc
+                ~by:(float_of_int (List.length errs))
+                (Obs.Metrics.counter "posetrl.analysis.sanitize.failures");
+            errs)
+      else []
 
 exception Failed of {
   pass : string;
@@ -98,8 +103,10 @@ let () =
   Printexc.register_printer (function
     | Failed { pass; errors; repro_path } ->
       Some
-        (Printf.sprintf "sanitizer: pass %s produced invalid IR (%d error%s)%s\n%s"
-           pass (List.length errors)
+        (Printf.sprintf "sanitizer: %s invalid IR (%d error%s)%s\n%s"
+           (if String.equal pass "input" then "input is"
+            else Printf.sprintf "pass %s produced" pass)
+           (List.length errors)
            (if List.length errors = 1 then "" else "s")
            (match repro_path with
             | Some p -> Printf.sprintf "; repro at %s" p

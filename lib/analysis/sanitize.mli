@@ -33,11 +33,14 @@ val check_module : level -> Modul.t -> Verifier.error list
    module, plus (at [Equiv], when it is well-formed) differential
    simulation against [before]. [per_function] should be false for
    module-scope passes (inlining/IPO), whose per-function behaviour may
-   legitimately change. *)
+   legitimately change. Returns [] when the after module is [before]
+   itself ([==]): callers pass a [before] that has already been checked. *)
 val check_transform :
   level -> ?per_function:bool -> before:Modul.t -> Modul.t ->
   Verifier.error list
 
+(* [pass] names the pass whose output failed, or is ["input"] when the
+   module handed to the pass manager failed before any pass ran. *)
 exception Failed of {
   pass : string;
   errors : Verifier.error list;

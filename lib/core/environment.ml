@@ -33,6 +33,7 @@ type t = {
   mutable current : Modul.t option;
   mutable base : Reward.baseline;
   mutable last : Reward.measurement;
+  mutable state : float array;  (* [observe] of [current] *)
   mutable step_idx : int;
 }
 
@@ -52,6 +53,7 @@ let create ?(weights = Reward.paper_weights) ?(max_steps = default_max_steps)
     current = None;
     base = { Reward.bin_size = 0.0; Reward.throughput = 0.0 };
     last = { Reward.bin_size = 0.0; Reward.throughput = 0.0 };
+    state = [||];
     step_idx = 0 }
 
 let n_actions (t : t) = Odg.Action_space.n_actions t.actions
@@ -67,8 +69,9 @@ let reset (t : t) (m : Modul.t) : float array =
   t.current <- Some m;
   t.base <- meas;
   t.last <- meas;
+  t.state <- observe m;
   t.step_idx <- 0;
-  observe m
+  t.state
 
 type step_result = {
   state : float array;
@@ -93,7 +96,10 @@ let step (t : t) (action : int) : step_result =
           Posetrl_passes.Pass_manager.run ~sanitize:t.sanitize
             ?repro_dir:t.repro_dir t.pass_cfg names m
         in
-        let curr = Reward.measure t.target m' in
+        (* passes that changed nothing hand back the module itself, whose
+           measurement and state are already known *)
+        let unchanged = m' == m in
+        let curr = if unchanged then t.last else Reward.measure t.target m' in
         let comps =
           Reward.decompose ~weights:t.weights ~base:t.base ~last:t.last ~curr ()
         in
@@ -111,7 +117,8 @@ let step (t : t) (action : int) : step_result =
         Obs.Metrics.inc m_steps;
         Obs.Metrics.observe m_reward reward;
         Obs.Metrics.observe m_step_seconds (Obs.Clock.now () -. t0);
-        { state = observe m';
+        if not unchanged then t.state <- observe m';
+        { state = t.state;
           reward;
           r_binsize = comps.Reward.binsize;
           r_throughput = comps.Reward.throughput;

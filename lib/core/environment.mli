@@ -44,7 +44,11 @@ type step_result = {
 }
 
 val step : t -> int -> step_result
-(** Apply the action's pass sub-sequence and re-measure.
+(** Apply the action's pass sub-sequence and re-measure. A step whose
+    passes changed nothing (they return the module itself, see
+    {!Posetrl_passes.Pass.run}) is not re-measured or re-embedded: it
+    returns the previous state array. States are shared, never mutated,
+    by the environment or by its callers.
     @raise Invalid_argument if called before {!reset}. *)
 
 val current_module : t -> Posetrl_ir.Modul.t

@@ -9,6 +9,13 @@ type t = {
 
 let mk label insns term = { label; insns; term }
 
+(* Bit-exact equality ([Instr.equal]), short-circuiting on [==]. *)
+let equal (a : t) (b : t) =
+  a == b
+  || String.equal a.label b.label
+     && List.equal Instr.equal a.insns b.insns
+     && Instr.equal_term a.term b.term
+
 let phis b = List.filter (fun i -> Instr.is_phi i.Instr.op) b.insns
 
 let non_phis b = List.filter (fun i -> not (Instr.is_phi i.Instr.op)) b.insns

@@ -26,6 +26,17 @@ let declare ?(attrs = Attrs.empty) ~name ~params ~ret () =
 
 let is_declaration f = f.blocks = []
 
+(* Bit-exact equality: float constants compare by bit pattern and
+   attributes as sets (passes rebuild equal sets with different tree
+   shapes); [==] short-circuits at every level. *)
+let equal (a : t) (b : t) =
+  a == b
+  || String.equal a.name b.name
+     && a.next_id = b.next_id && a.linkage = b.linkage
+     && Types.equal a.ret b.ret && a.params = b.params
+     && Attrs.equal a.attrs b.attrs
+     && List.equal Block.equal a.blocks b.blocks
+
 let entry f =
   match f.blocks with
   | [] -> invalid_arg ("Func.entry: declaration " ^ f.name)

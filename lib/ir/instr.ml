@@ -126,6 +126,19 @@ let result_ty = function
   | Expect (ty, _, _) -> ty
   | Intrinsic (_, ty, _) -> ty
 
+(* --- bit-exact identity -------------------------------------------------- *)
+
+(* [op] with every operand in its bit-exact form ([Value.exact]): the key
+   CSE and GVN tables look expressions up under, so that fadd x, -0.0 and
+   fadd x, 0.0 stay apart under polymorphic compare and hash. *)
+let exact_key (op : op) : op = map_operands Value.exact op
+
+let equal (a : t) (b : t) =
+  a == b || (a.id = b.id && (a.op == b.op || exact_key a.op = exact_key b.op))
+
+let equal_term (a : term) (b : term) =
+  a == b || map_term_operands Value.exact a = map_term_operands Value.exact b
+
 let is_phi = function Phi _ -> true | _ -> false
 
 (* An instruction is pure if it neither reads nor writes memory and cannot

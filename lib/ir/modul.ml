@@ -9,6 +9,14 @@ type t = {
 
 let mk ?(globals = []) ~name funcs = { name; globals; funcs }
 
+(* Bit-exact equality ([Func.equal], [Global.equal]): what "a pass
+   changed nothing" means. *)
+let equal (a : t) (b : t) =
+  a == b
+  || String.equal a.name b.name
+     && List.equal Global.equal a.globals b.globals
+     && List.equal Func.equal a.funcs b.funcs
+
 let find_func m name = List.find_opt (fun f -> String.equal f.Func.name name) m.funcs
 
 let find_func_exn m name =

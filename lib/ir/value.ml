@@ -53,12 +53,16 @@ let const_ty = function
   | Cnull -> Types.Ptr
   | Cundef ty -> ty
 
-let equal (a : t) (b : t) =
-  match a, b with
-  | Const (Cfloat x), Const (Cfloat y) ->
-    (* bitwise comparison so that nan = nan and -0. <> 0. for CSE purposes *)
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | _ -> a = b
+(* Polymorphic compare, equality and hash see -0. and 0. as one float
+   (and every NaN as one). The bit-exact form tells them apart: a float
+   constant becomes its bit pattern as an F64-typed integer constant, a
+   form no parsed or built constant has. *)
+let exact = function
+  | Const (Cfloat f) -> Const (Cint (Types.F64, Int64.bits_of_float f))
+  | v -> v
+
+(* floats by bit pattern, so that nan = nan and -0. <> 0. for CSE *)
+let equal (a : t) (b : t) = exact a = exact b
 
 (* Floats are printed so they survive a print/parse round trip and are
    lexically distinct from integers (always contain '.', 'e' or a letter). *)

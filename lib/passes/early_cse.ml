@@ -9,6 +9,7 @@
 
 open Posetrl_ir
 
+(* keyed on [Instr.exact_key] *)
 module OpMap = Map.Make (struct
   type t = Instr.op
   let compare = Stdlib.compare
@@ -48,12 +49,13 @@ let run_with ~memssa (f : Func.t) : Func.t =
         (fun sc (i : Instr.t) ->
           let op = i.Instr.op in
           if Instr.is_pure op && i.Instr.id >= 0 then begin
-            match OpMap.find_opt op sc.avail with
+            let key = Instr.exact_key op in
+            match OpMap.find_opt key sc.avail with
             | Some leader ->
               Hashtbl.replace subst i.Instr.id leader;
               Hashtbl.replace killed i.Instr.id ();
               sc
-            | None -> { sc with avail = OpMap.add op (Value.Reg i.Instr.id) sc.avail }
+            | None -> { sc with avail = OpMap.add key (Value.Reg i.Instr.id) sc.avail }
           end
           else
             match op with

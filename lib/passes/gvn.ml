@@ -20,7 +20,9 @@
 open Posetrl_ir
 module Alias = Posetrl_analysis.Alias
 
-(* Canonical key for value numbering: commutative operands sorted. *)
+(* Canonical key for value numbering: commutative operands sorted. The
+   leader table is keyed on its [Instr.exact_key], so float constants
+   that differ only in the sign of zero get different numbers. *)
 let key_of (op : Instr.op) : Instr.op =
   match op with
   | Instr.Binop (b, ty, x, y) when Instr.is_commutative b && Stdlib.compare x y > 0 ->
@@ -64,7 +66,7 @@ let run_func (pcfg : Config.t) (f : Func.t) : Func.t =
           in
           if i.Instr.id >= 0 && Instr.is_pure i.Instr.op then begin
             let op = Instr.map_operands resolve i.Instr.op in
-            let key = key_of op in
+            let key = Instr.exact_key (key_of op) in
             match Hashtbl.find_opt leaders key with
             | Some (lblk, lreg)
               when (not (Hashtbl.mem killed lreg))

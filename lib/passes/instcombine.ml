@@ -42,13 +42,15 @@ let combine_op (defs : (int, Instr.op) Hashtbl.t) (op : op) :
        (match b, x, y with
         (* x + 0, x - 0, x | 0, x ^ 0, x << 0, ... *)
         | (Add | Sub | Or | Xor | Shl | Lshr | Ashr), x, y when Value.is_zero y -> ignore x; `Value x
-        | (Fadd | Fsub), x, Value.Const (Value.Cfloat 0.0) -> `Value x
+        (* only the IEEE-exact float identities: x + -0.0 and x - 0.0 are x
+           for every x, but -0.0 + 0.0 is 0.0 *)
+        | Fadd, x, y when Value.equal y (Value.cfloat (-0.0)) -> `Value x
+        | Fsub, x, y when Value.equal y (Value.cfloat 0.0) -> `Value x
         (* 0 - x stays; x * 1, x / 1 *)
         | (Mul | Sdiv | Udiv), x, y when Value.is_one y -> `Value x
         | (Fmul | Fdiv), x, Value.Const (Value.Cfloat 1.0) -> `Value x
         (* x * 0, x & 0 *)
         | (Mul | And), _, y when Value.is_zero y -> `Value (Value.cint ty 0L)
-        | Fmul, _, Value.Const (Value.Cfloat 0.0) -> `Value (Value.cfloat 0.0)
         (* x & -1 = x; x | -1 = -1 *)
         | And, x, y when Value.is_all_ones y -> `Value x
         | Or, _, y when Value.is_all_ones y -> `Value y

@@ -33,4 +33,26 @@ let function_pass name ~description f =
    instrumentation bookkeeping); here it is the identity on the IR. *)
 let no_op_pass name ~description = mk name ~description (fun _ m -> m)
 
-let run (p : t) (cfg : Config.t) (m : Modul.t) : Modul.t = p.run cfg m
+(* [x]'s namesake in [before] when the two are [equal], else [x]. *)
+let reuse ~name ~equal before x =
+  match List.find_opt (fun y -> String.equal (name y) (name x)) before with
+  | Some y when equal y x -> y
+  | _ -> x
+
+(* "Unchanged" means physically equal: the input itself when the pass
+   changed nothing, and otherwise the input's own copy of every function
+   and global that came back equal. Everything downstream (the
+   sanitizer, the environment's measurement and embedding) keys on
+   [==]. *)
+let run (p : t) (cfg : Config.t) (m : Modul.t) : Modul.t =
+  let out = p.run cfg m in
+  if Modul.equal m out then m
+  else
+    { out with
+      Modul.funcs =
+        List.map (reuse ~name:(fun f -> f.Func.name) ~equal:Func.equal m.Modul.funcs)
+          out.Modul.funcs;
+      globals =
+        List.map
+          (reuse ~name:(fun g -> g.Global.name) ~equal:Global.equal m.Modul.globals)
+          out.Modul.globals }

@@ -38,4 +38,8 @@ val no_op_pass : string -> description:string -> t
 
 val run : t -> Config.t -> Modul.t -> Modul.t
 (** Run the pass, unchecked; {!Pass_manager.run_pass} adds the
-    sanitizer's per-pass IR check. *)
+    sanitizer's per-pass IR check. The result shares what the pass left
+    unchanged with the input: it is the input itself when it is
+    {!Posetrl_ir.Modul.equal} to it, and otherwise every function and
+    global equal to its same-named input is the input's own copy
+    ([==]). *)

@@ -2,13 +2,15 @@
    sanitizing (the test suite's main weapon against miscompiling
    passes).
 
-   [~sanitize] is the one per-pass IR check: after every pass the output
-   is re-verified at the requested level (structural, structural + SSA
-   dominance, or — at [equiv] — also translation-validated against the
-   pass input); on failure the failing input is delta-minimized by
+   [~sanitize] is the one per-pass IR check: the input of a run is
+   verified once, and after every pass that changed the module the
+   output is re-verified at the requested level (structural, structural
+   + SSA dominance, or — at [equiv] — also translation-validated against
+   the pass input); on failure the failing input is delta-minimized by
    re-running just that pass, the repro is written to [~repro_dir] (a
    run ledger's repros/ directory in the CLI), and
-   [Posetrl_analysis.Sanitize.Failed] is raised. *)
+   [Posetrl_analysis.Sanitize.Failed] is raised. A pass that changed
+   nothing returns its input ([Pass.run]), which has already passed. *)
 
 open Posetrl_ir
 module Obs = Posetrl_obs
@@ -60,6 +62,9 @@ let run_one ~sanitize ~repro_dir (cfg : Config.t) (name : string)
 
 let run_names ?(sanitize = Sanitize.Off) ?repro_dir ?(collect = false) (cfg : Config.t) (names : string list) (m : Modul.t) :
     Modul.t * stats list =
+  (match Sanitize.check_module sanitize m with
+   | [] -> ()
+   | errors -> raise (Sanitize.Failed { pass = "input"; errors; repro_path = None }));
   let stats = ref [] in
   let m =
     List.fold_left

@@ -1,8 +1,9 @@
 (** Sequencing of passes by name, with optional per-pass semantic
-    sanitizing ([~sanitize]): at [Structural] or above every pass's
-    output is re-verified, and on failure the failing input is
-    delta-minimized and written to [~repro_dir] before
-    {!Posetrl_analysis.Sanitize.Failed} is raised. *)
+    sanitizing ([~sanitize]): at [Structural] or above the input is
+    verified once and every pass output that differs from its input is
+    re-verified; on failure the failing input is delta-minimized and
+    written to [~repro_dir] before {!Posetrl_analysis.Sanitize.Failed}
+    is raised. *)
 
 open Posetrl_ir
 
@@ -27,7 +28,9 @@ val run_names :
   ?collect:bool ->
   Config.t -> string list -> Modul.t -> Modul.t * stats list
 (** Run the named passes in order; with [~collect:true] per-pass stats
-    are gathered. Unknown names raise [Invalid_argument]. *)
+    are gathered. Unknown names raise [Invalid_argument]; an input that
+    fails the [~sanitize] check raises
+    {!Posetrl_analysis.Sanitize.Failed} with [pass = "input"]. *)
 
 val run :
   ?sanitize:Posetrl_analysis.Sanitize.level ->

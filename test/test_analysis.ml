@@ -710,6 +710,23 @@ let test_equiv_catches_semantic_miscompile () =
     Alcotest.(check bool) "repro re-fails translation validation" true
       (A.Sanitize.check_transform A.Sanitize.Equiv ~before:repro out <> [])
 
+(* main prints -0.0 + z: -0.000000 for z = -0.0, 0.000000 for z = 0.0.
+   Polymorphic compare equates the two modules; validation must not. *)
+let test_equiv_sees_signed_zero () =
+  let prog z =
+    let b = Builder.create ~linkage:Func.External ~name:"main" ~params:[] ~ret:Types.I64 () in
+    Builder.block b "entry";
+    let r = Builder.fadd b (Value.cfloat (-0.0)) (Value.cfloat z) in
+    ignore (Builder.call b Types.I64 "print_f64" [ r ]);
+    Builder.ret b Types.I64 (Value.ci64 0);
+    Modul.mk ~name:"signed_zero" [ Builder.finish b ]
+  in
+  let before = prog (-0.0) and after = prog 0.0 in
+  Alcotest.(check bool) "modules differ" false (Modul.equal before after);
+  Alcotest.(check (list string)) "mismatch through main" [ "main" ]
+    (List.map (fun (m : A.Equiv.mismatch) -> m.A.Equiv.func)
+       (A.Equiv.validate ~before after))
+
 let test_equiv_accepts_behavior_preserving_pipeline () =
   (* smallest two suite programs through full pipelines under the equiv
      tier; the whole-suite sweep is the CI `posetrl validate` job *)
@@ -787,6 +804,8 @@ let suite =
       test_absint_sound_on_suites;
     Alcotest.test_case "equiv tier catches a semantic miscompile" `Quick
       test_equiv_catches_semantic_miscompile;
+    Alcotest.test_case "equiv tier sees a flipped sign of zero" `Quick
+      test_equiv_sees_signed_zero;
     Alcotest.test_case "equiv tier accepts real pipelines (sampled)" `Slow
       test_equiv_accepts_behavior_preserving_pipeline;
     Alcotest.test_case "lint --json golden is byte-stable" `Quick

@@ -383,6 +383,77 @@ let test_summarize_suite () =
    | Some t -> check_float "time" 10.0 t
    | None -> Alcotest.fail "time expected")
 
+(* --- unchanged is physically equal -------------------------------------------- *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Along random 15-step ODG schedules on generated programs: each pass
+   application prints as the raw pass output, returns its input exactly
+   when that output is [Modul.equal] to it and returns every input
+   function an output function equals; each environment step reports
+   the state and reward a fresh measurement of its module gives, and an
+   unchanged step the previous state array. *)
+let prop_unchanged_is_physical =
+  let module P = Posetrl_passes in
+  let module M = Posetrl_ir.Modul in
+  let actions = O.Action_space.odg in
+  QCheck2.Test.make ~count:20
+    ~name:"unchanged modules are physically equal along ODG schedules"
+    QCheck2.Gen.(
+      pair (int_range 0 100_000)
+        (list_repeat C.Environment.default_max_steps
+           (int_range 0 (O.Action_space.n_actions actions - 1))))
+    (fun (seed, schedule) ->
+      let print = Posetrl_ir.Printer.module_to_string in
+      let run_pass m name =
+        let p = P.Registry.find_exn name in
+        let raw = p.P.Pass.run P.Config.oz m in
+        let out = P.Pass.run p P.Config.oz m in
+        if not (String.equal (print raw) (print out)) then
+          QCheck2.Test.fail_reportf "%s: output differs from the raw pass" name;
+        if (out == m) <> M.equal m raw then
+          QCheck2.Test.fail_reportf "%s: returned input <> Modul.equal" name;
+        List.iter
+          (fun (f : Posetrl_ir.Func.t) ->
+            match M.find_func m f.Posetrl_ir.Func.name with
+            | Some g when Posetrl_ir.Func.equal g f && g != f ->
+              QCheck2.Test.fail_reportf "%s: equal function %s not shared" name
+                f.Posetrl_ir.Func.name
+            | _ -> ())
+          out.M.funcs;
+        out
+      in
+      let m0 = W.Genprog.generate ~seed in
+      let env = C.Environment.create ~target:x86 ~actions () in
+      let state = ref (C.Environment.reset env m0) in
+      let base = C.Reward.measure x86 m0 in
+      let last = ref base in
+      let m = ref m0 in
+      List.iteri
+        (fun k a ->
+          let before = C.Environment.current_module env in
+          m := List.fold_left run_pass !m (O.Action_space.action actions a);
+          let res = C.Environment.step env a in
+          let cur = C.Environment.current_module env in
+          let curr = C.Reward.measure x86 cur in
+          let comps = C.Reward.decompose ~base ~last:!last ~curr () in
+          let fresh = C.Environment.observe cur in
+          if not (String.equal (print cur) (print !m)) then
+            QCheck2.Test.fail_reportf "step %d: module differs from the pass chain" k;
+          if not (Array.for_all2 bits_equal res.C.Environment.state fresh) then
+            QCheck2.Test.fail_reportf "step %d: state differs from observe" k;
+          if not
+               (bits_equal res.C.Environment.reward comps.C.Reward.total
+                && bits_equal res.C.Environment.r_binsize comps.C.Reward.binsize
+                && bits_equal res.C.Environment.r_throughput comps.C.Reward.throughput)
+          then QCheck2.Test.fail_reportf "step %d: reward differs from measure" k;
+          if (cur == before) <> (res.C.Environment.state == !state) then
+            QCheck2.Test.fail_reportf "step %d: state reused <> module unchanged" k;
+          state := res.C.Environment.state;
+          last := curr)
+        schedule;
+      true)
+
 let suite =
   [ Alcotest.test_case "reward weights" `Quick test_reward_weights_default;
     Alcotest.test_case "reward binsize (Eqn 2)" `Quick test_reward_binsize_component;
@@ -401,4 +472,5 @@ let suite =
     Alcotest.test_case "apply sequence" `Quick test_apply_sequence;
     Alcotest.test_case "evaluate program" `Slow test_evaluate_program_fields;
     Alcotest.test_case "summarize suite" `Quick test_summarize_suite;
-    QCheck_alcotest.to_alcotest prop_predict_batch_matches_reference ]
+    QCheck_alcotest.to_alcotest prop_predict_batch_matches_reference;
+    QCheck_alcotest.to_alcotest prop_unchanged_is_physical ]

@@ -30,6 +30,27 @@ let test_value_equal () =
   Alcotest.(check bool) "reg eq" true (Value.equal (Value.Reg 3) (Value.Reg 3));
   Alcotest.(check bool) "reg ne" false (Value.equal (Value.Reg 3) (Value.Reg 4))
 
+(* Bit-exact module equality: float constants and float initializers by
+   bit pattern, attributes as sets whatever order built them. *)
+let test_module_equal_bit_exact () =
+  let prog ?(attrs = []) ?(init = [| 0.0 |]) z =
+    let b = Builder.create ~attrs:(Attrs.of_list attrs) ~name:"main" ~params:[] ~ret:Types.F64 () in
+    Builder.block b "entry";
+    let r = Builder.fadd b (Value.cfloat 1.0) (Value.cfloat z) in
+    Builder.ret b Types.F64 r;
+    Modul.mk ~name:"m"
+      ~globals:[ Global.mk ~init:(Global.Floats init) "g" Types.F64 1 ]
+      [ Builder.finish b ]
+  in
+  Alcotest.(check bool) "same build" true (Modul.equal (prog 0.0) (prog 0.0));
+  Alcotest.(check bool) "sign of a zero operand" false
+    (Modul.equal (prog 0.0) (prog (-0.0)));
+  Alcotest.(check bool) "sign of a zero initializer" false
+    (Modul.equal (prog ~init:[| 0.0 |] 0.0) (prog ~init:[| -0.0 |] 0.0));
+  let abc = [ Attrs.nounwind; Attrs.readonly; Attrs.optsize; Attrs.cold ] in
+  Alcotest.(check bool) "attribute sets, not their shape" true
+    (Modul.equal (prog ~attrs:abc 0.0) (prog ~attrs:(List.rev abc) 0.0))
+
 let test_value_predicates () =
   Alcotest.(check bool) "zero" true (Value.is_zero (Value.ci64 0));
   Alcotest.(check bool) "null is zero" true (Value.is_zero Value.cnull);
@@ -316,6 +337,7 @@ let suite =
     Alcotest.test_case "type wrap" `Quick test_type_wrap;
     Alcotest.test_case "type strings" `Quick test_type_strings;
     Alcotest.test_case "value equal" `Quick test_value_equal;
+    Alcotest.test_case "module equality is bit-exact" `Quick test_module_equal_bit_exact;
     Alcotest.test_case "value predicates" `Quick test_value_predicates;
     Alcotest.test_case "instr operands" `Quick test_instr_operands;
     Alcotest.test_case "instr purity" `Quick test_instr_purity;

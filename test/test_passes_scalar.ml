@@ -681,6 +681,34 @@ let test_mldst_motion_sinks_stores () =
   check_same_behaviour "mldst" m m';
   Alcotest.(check int) "stores merged" 2 (count_insns is_store m')
 
+(* --- signed zeros ----------------------------------------------------------- *)
+
+(* probe(-0.0) prints x + -0.0, x + 0.0, x - 0.0, x - -0.0 and x * 0.0,
+   which are -0, 0, -0, 0 and -0: merging or folding float constants by
+   value rather than by bit pattern flips a sign. *)
+let test_signed_zeros_survive () =
+  let bp = Builder.create ~name:"probe" ~params:[ Types.F64 ] ~ret:Types.I64 () in
+  Builder.block bp "entry";
+  let x = Builder.param bp 0 in
+  List.iter
+    (fun (op, z) ->
+      let r = Builder.binop bp op Types.F64 x (Value.cfloat z) in
+      ignore (Builder.call bp Types.I64 "print_f64" [ r ]))
+    [ (Instr.Fadd, -0.0); (Instr.Fadd, 0.0); (Instr.Fsub, 0.0);
+      (Instr.Fsub, -0.0); (Instr.Fmul, 0.0) ];
+  Builder.ret bp Types.I64 (Value.ci64 0);
+  let b = Builder.create ~linkage:Func.External ~name:"main" ~params:[] ~ret:Types.I64 () in
+  Builder.block b "entry";
+  let r = Builder.call b Types.I64 "probe" [ Value.cfloat (-0.0) ] in
+  Builder.ret b Types.I64 r;
+  let print_f64 = Func.declare ~name:"print_f64" ~params:[ Types.F64 ] ~ret:Types.I64 () in
+  let m = Modul.mk ~name:"signed_zero" [ print_f64; Builder.finish bp; Builder.finish b ] in
+  Alcotest.(check bool) "reference output" true
+    (observe m = Ok ("0", "-0.000000\n0.000000\n-0.000000\n0.000000\n-0.000000\n"));
+  List.iter
+    (fun name -> check_same_behaviour name m (run_pass name m))
+    [ "early-cse"; "early-cse-memssa"; "gvn"; "instcombine" ]
+
 let suite =
   [ Alcotest.test_case "instcombine add zero" `Quick test_instcombine_add_zero;
     Alcotest.test_case "instcombine mul pow2" `Quick test_instcombine_mul_pow2;
@@ -719,4 +747,6 @@ let suite =
     Alcotest.test_case "simplifycfg constant branch" `Quick test_simplifycfg_folds_constant_branch;
     Alcotest.test_case "speculative execution" `Quick test_speculative_execution_hoists;
     Alcotest.test_case "memcpyopt expands" `Quick test_memcpyopt_expands_small;
-    Alcotest.test_case "mldst-motion" `Quick test_mldst_motion_sinks_stores ]
+    Alcotest.test_case "mldst-motion" `Quick test_mldst_motion_sinks_stores;
+    Alcotest.test_case "signed zeros survive cse, gvn, instcombine" `Quick
+      test_signed_zeros_survive ]

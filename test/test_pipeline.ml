@@ -136,21 +136,20 @@ let prop_oz_twice_random =
       let m2 = P.Pass_manager.run_level ~sanitize:Structural P.Pipelines.Oz m1 in
       observe m1 = observe m2)
 
+(* every branch of [m] retargeted to a block that does not exist *)
+let dangle_targets (m : Modul.t) : Modul.t =
+  Modul.map_defined
+    (Func.map_blocks (fun b ->
+         { b with
+           Block.term = Instr.map_term_labels (fun _ -> "no-such-block") b.Block.term }))
+    m
+
 (* failure injection: a deliberately broken pass is caught by the
    structural sanitizer *)
 let test_verify_catches_broken_pass () =
   let broken =
     P.Pass.mk "deliberately-broken" ~description:"drops every terminator target"
-      (fun _cfg m ->
-        Modul.map_defined
-          (fun f ->
-            Func.map_blocks
-              (fun b ->
-                { b with
-                  Block.term =
-                    Instr.map_term_labels (fun _ -> "no-such-block") b.Block.term })
-              f)
-          m)
+      (fun _cfg -> dangle_targets)
   in
   let m = Testutil.sum_squares_module () in
   Alcotest.(check bool) "verifier fires" true
@@ -159,6 +158,15 @@ let test_verify_catches_broken_pass () =
        false
      with Posetrl_analysis.Sanitize.Failed { pass; _ } ->
        String.equal pass "deliberately-broken")
+
+(* an invalid input is blamed on the input, not on the first pass, even
+   when that pass changes nothing and so is never checked itself *)
+let test_sanitize_blames_invalid_input () =
+  let m = dangle_targets (Testutil.sum_squares_module ()) in
+  match P.Pass_manager.run ~sanitize:Structural P.Config.oz [ "barrier" ] m with
+  | _ -> Alcotest.fail "invalid input accepted"
+  | exception Posetrl_analysis.Sanitize.Failed { pass; _ } ->
+    Alcotest.(check string) "blamed" "input" pass
 
 (* the size model grows when code is added *)
 let prop_size_monotone_in_functions =
@@ -193,4 +201,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interp_deterministic;
     QCheck_alcotest.to_alcotest prop_oz_twice_random;
     Alcotest.test_case "verify catches broken pass" `Quick test_verify_catches_broken_pass;
+    Alcotest.test_case "sanitizer blames an invalid input" `Quick
+      test_sanitize_blames_invalid_input;
     QCheck_alcotest.to_alcotest prop_size_monotone_in_functions ]
