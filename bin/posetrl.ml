@@ -470,53 +470,16 @@ let train_cmd =
        and the trainer fold the same table *)
     let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
     let work run ~pump pool =
-      (* progress lines read back from the metrics registry (the trainer
-         refreshes the posetrl.train.* series before each tick), so the
-         metrics layer — not the progress record — is the source of truth *)
-      let metric name = Option.value ~default:0.0 (Obs.Metrics.value name) in
-      let on_progress (p : C.Trainer.progress) =
-        Obs.Console.info
-          "  step %6d  episode %5d  eps %.3f  mean-reward %7.2f  mean-size-gain %6.2f%%  loss %.4f\n%!"
-          (int_of_float (metric "posetrl.train.steps"))
-          (int_of_float (metric "posetrl.train.episodes"))
-          (metric "posetrl.train.epsilon")
-          (metric "posetrl.train.mean_reward")
-          (metric "posetrl.train.mean_size_gain")
-          (metric "posetrl.train.loss");
-        let gauge = Obs.Metrics.value in
-        let count name = Option.map int_of_float (gauge name) in
-        Option.iter
-          (fun r ->
-            Obs.Run.progress r
-              (Obs.Runlog.tick_record ?q_mean:(gauge "posetrl.dqn.q_mean")
-                 ?q_max:(gauge "posetrl.dqn.q_max")
-                 ?gc_minor:(count "posetrl.gc.minor_collections")
-                 ?gc_major:(count "posetrl.gc.major_collections")
-                 ?gc_heap_mb:
-                   (Option.map (fun w -> w *. 8.0 /. 1e6) (gauge "posetrl.gc.heap_words"))
-                 ?gc_alloc_mb_s:(gauge "posetrl.gc.alloc_rate_mb_s")
-                 ~step:p.C.Trainer.step
-                 ~episode:p.C.Trainer.episode ~epsilon:p.C.Trainer.epsilon_now
-                 ~mean_reward:p.C.Trainer.mean_reward
-                 ~mean_size_gain:p.C.Trainer.mean_size_gain
-                 ~r_binsize:p.C.Trainer.r_binsize
-                 ~r_throughput:p.C.Trainer.r_throughput ~loss:p.C.Trainer.loss ()))
-          run
-      in
-      let on_episode (e : C.Trainer.episode_summary) =
-        Option.iter
-          (fun r ->
-            Obs.Run.progress r
-              (Obs.Runlog.episode_record ~actions:e.C.Trainer.ep_actions
-                 ~step_rewards:e.C.Trainer.ep_step_rewards
-                 ~episode:e.C.Trainer.ep_index
-                 ~step:e.C.Trainer.ep_end_step ~reward:e.C.Trainer.ep_reward
-                 ~r_binsize:e.C.Trainer.ep_r_binsize
-                 ~r_throughput:e.C.Trainer.ep_r_throughput
-                 ~size_gain_pct:e.C.Trainer.ep_size_gain_pct
-                 ~thru_gain_pct:e.C.Trainer.ep_thru_gain_pct
-                 ~epsilon:e.C.Trainer.ep_epsilon ~loss:e.C.Trainer.ep_loss ()))
-          run
+      (* the trainer builds the ledger's records; persist each one and
+         print the progress line from each tick *)
+      let on_record r =
+        Option.iter (fun run -> Obs.Run.progress run r) run;
+        if Obs.Runlog.str "kind" r = Some "tick" then
+          let f k = Option.value ~default:0.0 (Obs.Runlog.num k r) in
+          Obs.Console.info
+            "  step %6d  episode %5d  eps %.3f  mean-reward %7.2f  mean-size-gain %6.2f%%  loss %.4f\n%!"
+            (int_of_float (f "step")) (int_of_float (f "episode")) (f "epsilon")
+            (f "mean_reward") (f "mean_size_gain") (f "loss")
       in
       let on_alert (a : Obs.Health.alert) =
         let j = Obs.Health.alert_to_json a in
@@ -525,7 +488,7 @@ let train_cmd =
         Obs.Console.info "  ALERT [%s] %s step %d: %s\n%!" a.Obs.Health.a_severity
           a.Obs.Health.a_rule a.Obs.Health.a_step a.Obs.Health.a_message
       in
-      C.Trainer.train ?pool ~hp ~on_progress ~on_episode
+      C.Trainer.train ?pool ~hp ~on_record
         ~on_step:(fun _ -> pump ()) ~on_alert ?inject_nan_at:inject_nan ~coverage
         ~sanitize ~repro_dir:(repro_dir_of_run run) ~seed ~corpus ~actions
         ~target:tgt ()
@@ -1166,13 +1129,7 @@ let runs_cmd =
    selection-count array sized by the largest action id seen. *)
 let drift_windows ~(windows : int) (episodes : Obs.Json.t list) :
     (int * int * int array) list =
-  let actions_of r =
-    match Obs.Runlog.field "actions" r with
-    | Some (Obs.Json.Arr l) ->
-      List.filter_map (function Obs.Json.Int a when a >= 0 -> Some a | _ -> None) l
-    | _ -> []
-  in
-  let all = Array.of_list (List.map actions_of episodes) in
+  let all = Array.of_list (List.map Obs.Runlog.episode_actions episodes) in
   let n_act = 1 + Array.fold_left (List.fold_left max) 0 all in
   let n_ep = Array.length all in
   let per = max 1 ((n_ep + windows - 1) / windows) in
@@ -1183,6 +1140,21 @@ let drift_windows ~(windows : int) (episodes : Obs.Json.t list) :
         List.iter (fun a -> hist.(a) <- hist.(a) + 1) all.(e)
       done;
       (lo, hi, hist))
+
+(* The recompute contract of `explain` and `coverage`: a streaming table
+   (steps [steps]) must equal its brute-force replay of the ledger
+   (steps [recomputed]) exactly. CI greps the "matches the ... stream
+   exactly" line. *)
+let print_recompute_check ~name ~doc ~stream ~missing ~steps ~recomputed equal =
+  if recomputed = 0 && steps > 0 then
+    Printf.printf
+      "%s check: episode records carry no %s; recompute skipped\n" name missing
+  else if equal then
+    Printf.printf "%s check: table matches the %s stream exactly (%d steps)\n"
+      name stream steps
+  else
+    Printf.printf "%s check: DIVERGENCE between %s and the episode stream\n"
+      name doc
 
 let print_alert_line (a : Obs.Json.t) =
   Printf.printf "  [%s] %-16s step %-8s %s\n"
@@ -1262,25 +1234,14 @@ let explain_cmd =
          if List.length taken > top then
            Printf.printf "  (%d more actions with selections not shown)\n"
              (List.length taken - top);
-         (* the recompute contract: the streaming table must equal the
-            brute-force fold over the ledger's per-step rewards, float
-            for float — CI greps the "matches" line *)
          let recomputed =
            Attrib.of_records ~n_actions:n ~max_pos:(Attrib.max_pos at) records
          in
-         if Attrib.steps recomputed = 0 && Attrib.steps at > 0 then
-           print_string
-             "attribution check: episode records carry no per-step rewards \
-              (pre-attribution ledger); recompute skipped\n"
-         else if Attrib.equal at recomputed then
-           Printf.printf
-             "attribution check: table matches the episode stream exactly \
-              (%d steps)\n"
-             (Attrib.steps at)
-         else
-           print_string
-             "attribution check: DIVERGENCE between attrib.json and the \
-              episode stream\n");
+         print_recompute_check ~name:"attribution" ~doc:"attrib.json"
+           ~stream:"episode"
+           ~missing:"per-step rewards (pre-attribution ledger)"
+           ~steps:(Attrib.steps at) ~recomputed:(Attrib.steps recomputed)
+           (Attrib.equal at recomputed));
     (* 2 — top schedules with their per-pass reward breakdown *)
     let episodes =
       List.filter (fun r -> Obs.Runlog.str "kind" r = Some "episode") records
@@ -1298,15 +1259,9 @@ let explain_cmd =
         (fun i (rew, r) ->
           if i < schedules then begin
             let seq =
-              match Obs.Runlog.field "actions" r with
-              | Some (Obs.Json.Arr l) ->
-                String.concat "->"
-                  (List.filter_map
-                     (function
-                       | Obs.Json.Int a -> Some (string_of_int a)
-                       | _ -> None)
-                     l)
-              | _ -> "-"
+              match Obs.Runlog.episode_actions r with
+              | [] -> "-"
+              | l -> String.concat "->" (List.map string_of_int l)
             in
             Printf.printf "  #%d  episode %s  reward %8.3f  seq %s\n" (i + 1)
               (match Obs.Runlog.num "episode" r with
@@ -1433,25 +1388,15 @@ let coverage_cmd =
                  [ string_of_int a; string_of_int b; string_of_int count ])
              trans;
            Tbl.print t);
-        (* the recompute contract, same shape as `posetrl explain`'s
-           attribution check: the streaming table must equal the
-           brute-force fold over the ledger — CI greps the line *)
         let recomputed =
           Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov)
             (read_progress info)
         in
-        if Obs.Coverage.steps recomputed = 0 && Obs.Coverage.steps cov > 0 then
-          print_string
-            "coverage check: episode records carry no step stream \
-             (eval run or pre-attribution ledger); recompute skipped\n"
-        else if Obs.Coverage.equal cov recomputed then
-          Printf.printf
-            "coverage check: table matches the step stream exactly (%d steps)\n"
-            (Obs.Coverage.steps cov)
-        else
-          print_string
-            "coverage check: DIVERGENCE between coverage.json and the \
-             episode stream\n";
+        print_recompute_check ~name:"coverage" ~doc:"coverage.json"
+          ~stream:"step" ~missing:"step stream (eval run or pre-attribution ledger)"
+          ~steps:(Obs.Coverage.steps cov)
+          ~recomputed:(Obs.Coverage.steps recomputed)
+          (Obs.Coverage.equal cov recomputed);
         (match dot with
          | Some out ->
            let oc = open_out out in

@@ -49,14 +49,22 @@ let aval_to_string = function
   | PAny -> "ptr"
   | Top -> "top"
 
-let aval_equal (a : aval) (b : aval) = Stdlib.compare a b = 0
+(* Float constants compare by bit pattern, the rule of [Value.exact]:
+   polymorphic compare sees -0. and 0. as one value, and a join that
+   kept either sign would claim a constant the program does not have. *)
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let aval_equal (a : aval) (b : aval) =
+  match a, b with
+  | Fconst x, Fconst y -> same_float x y
+  | _ -> Stdlib.compare a b = 0
 
 let join_aval a b =
   match a, b with
   | Bot, x | x, Bot -> x
   | Top, _ | _, Top -> Top
   | Range (al, ah), Range (bl, bh) -> Range (min al bl, max ah bh)
-  | Fconst x, Fconst y -> if Stdlib.compare x y = 0 then a else Top
+  | Fconst x, Fconst y -> if same_float x y then a else Top
   | PNull, PNull -> PNull
   | PNonNull, PNonNull -> PNonNull
   | (PNull | PNonNull | PAny), (PNull | PNonNull | PAny) -> PAny

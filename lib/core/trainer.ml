@@ -13,8 +13,8 @@ module Rl = Posetrl_rl
 module Obs = Posetrl_obs
 
 (* Metric handles (global registry, registered once). The gauges are
-   refreshed right before each [on_progress] tick so a caller can render
-   its progress line entirely from [Obs.Metrics.value]. *)
+   refreshed right before each tick record, so a live /metrics scrape
+   shows the same windowed means the ledger persists. *)
 let m_steps = Obs.Metrics.counter "posetrl.train.steps"
 let m_episodes = Obs.Metrics.counter "posetrl.train.episodes"
 let m_target_syncs = Obs.Metrics.counter "posetrl.train.target_syncs"
@@ -95,36 +95,6 @@ let fast = {
   replay_capacity = 4_000;
 }
 
-type progress = {
-  step : int;
-  episode : int;
-  epsilon_now : float;
-  mean_reward : float;   (* running mean episode reward *)
-  mean_size_gain : float;
-  r_binsize : float;     (* running mean per-episode Eqn-2 component sum *)
-  r_throughput : float;  (* running mean per-episode Eqn-3 component sum *)
-  loss : float;
-}
-
-(* One record per finished episode — the reward decomposition the run
-   ledger streams to progress.jsonl. Component sums are unweighted
-   (Eqns 2-3); the manifest's α/β recover the weighted split. *)
-type episode_summary = {
-  ep_index : int;
-  ep_end_step : int;
-  ep_reward : float;
-  ep_r_binsize : float;
-  ep_r_throughput : float;
-  ep_size_gain_pct : float;
-  ep_thru_gain_pct : float;
-  ep_epsilon : float;
-  ep_loss : float;
-  ep_actions : int list;   (* sub-sequence ids taken this episode, in order *)
-  ep_step_rewards : (float * float * float) list;
-  (* per-step (reward, r_binsize, r_throughput), aligned with ep_actions —
-     what the ledger persists so attribution is recomputable offline *)
-}
-
 type result = {
   agent : Rl.Dqn.t;
   episodes : int;
@@ -153,10 +123,8 @@ let make_coverage ?registry (actions : Posetrl_odg.Action_space.t) :
   Obs.Coverage.create ?registry ~state_dim:Environment.state_dim
     (coverage_universe actions)
 
-let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
-    ?(on_episode = fun (_ : episode_summary) -> ())
+let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
     ?(on_step = fun (_ : int) -> ())
-    ?(health = Obs.Health.default_config)
     ?(on_alert = fun (_ : Obs.Health.alert) -> ())
     ?inject_nan_at ?coverage
     ?pool ?(sanitize = Posetrl_analysis.Sanitize.Off)
@@ -197,7 +165,7 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
     | None -> make_coverage ~registry:Obs.Metrics.global actions
   in
   (* watchdog state: engine + the last-window action histogram it reads *)
-  let watchdog = Obs.Health.create ~config:health () in
+  let watchdog = Obs.Health.create () in
   let win_actions = Array.make (Environment.n_actions env) 0 in
   let episode = ref 0 in
   let reward_window = Queue.create () in
@@ -313,21 +281,24 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
       end;
       maybe_snapshot ();
       if !step mod 200 = 0 then begin
-        Obs.Metrics.set m_mean_reward (window_mean reward_window);
-        Obs.Metrics.set m_mean_size_gain (window_mean size_window);
-        Obs.Metrics.set m_r_binsize (window_mean bin_window);
-        Obs.Metrics.set m_r_throughput (window_mean thr_window);
-        ignore (Obs.Prof.sample_gc ());
+        let mean_reward = window_mean reward_window in
+        let mean_size_gain = window_mean size_window in
+        let r_binsize = window_mean bin_window in
+        let r_throughput = window_mean thr_window in
+        Obs.Metrics.set m_mean_reward mean_reward;
+        Obs.Metrics.set m_mean_size_gain mean_size_gain;
+        Obs.Metrics.set m_r_binsize r_binsize;
+        Obs.Metrics.set m_r_throughput r_throughput;
+        let gc = Obs.Prof.sample_gc () in
+        let q_max = Obs.Metrics.value "posetrl.dqn.q_max" in
         (* watchdog tick: snapshot the vital signs and run the rules;
            alerts never feed back into training arithmetic *)
         let sample =
           { Obs.Health.s_step = !step;
             s_episode = !episode;
             s_loss = !last_loss;
-            s_mean_reward = window_mean reward_window;
-            s_q_max =
-              Option.value ~default:0.0
-                (Obs.Metrics.value "posetrl.dqn.q_max");
+            s_mean_reward = mean_reward;
+            s_q_max = Option.value ~default:0.0 q_max;
             s_replay_size = Rl.Replay.size replay;
             s_replay_capacity = Rl.Replay.capacity replay;
             s_replay_age_mean = Rl.Replay.mean_age ~now:!step replay;
@@ -337,15 +308,14 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
         Array.fill win_actions 0 (Array.length win_actions) 0;
         List.iter on_alert (Obs.Health.check watchdog sample);
         Obs.Coverage.sample coverage ~step:!step;
-        on_progress
-          { step = !step;
-            episode = !episode;
-            epsilon_now = epsilon;
-            mean_reward = window_mean reward_window;
-            mean_size_gain = window_mean size_window;
-            r_binsize = window_mean bin_window;
-            r_throughput = window_mean thr_window;
-            loss = !last_loss }
+        on_record
+          (Obs.Runlog.tick_record
+             ?q_mean:(Obs.Metrics.value "posetrl.dqn.q_mean") ?q_max
+             ~gc_minor:gc.Obs.Prof.gs_minor ~gc_major:gc.Obs.Prof.gs_major
+             ~gc_heap_mb:(float_of_int gc.Obs.Prof.gs_heap_w *. 8.0 /. 1e6)
+             ~gc_alloc_mb_s:gc.Obs.Prof.gs_alloc_mb_s ~step:!step
+             ~episode:!episode ~epsilon ~mean_reward ~mean_size_gain ~r_binsize
+             ~r_throughput ~loss:!last_loss ())
       end;
       on_step !step
     done;
@@ -358,18 +328,12 @@ let train ?(hp = paper) ?(on_progress = fun (_ : progress) -> ())
     push_window size_window size_gain;
     Obs.Span.set_attr ep_span "reward" (Obs.Event.F !ep_reward);
     Obs.Span.set_attr ep_span "size_gain_pct" (Obs.Event.F size_gain);
-    on_episode
-      { ep_index = !episode;
-        ep_end_step = !step;
-        ep_reward = !ep_reward;
-        ep_r_binsize = !ep_bin;
-        ep_r_throughput = !ep_thr;
-        ep_size_gain_pct = size_gain;
-        ep_thru_gain_pct = thr_gain;
-        ep_epsilon = Rl.Schedule.value hp.epsilon !step;
-        ep_loss = !last_loss;
-        ep_actions = List.rev !ep_actions;
-        ep_step_rewards = List.rev !ep_steps })
+    on_record
+      (Obs.Runlog.episode_record ~actions:(List.rev !ep_actions)
+         ~step_rewards:(List.rev !ep_steps) ~episode:!episode ~step:!step
+         ~reward:!ep_reward ~r_binsize:!ep_bin ~r_throughput:!ep_thr
+         ~size_gain_pct:size_gain ~thru_gain_pct:thr_gain
+         ~epsilon:(Rl.Schedule.value hp.epsilon !step) ~loss:!last_loss ()))
   done);
   (* hand back the best snapshot (or the final weights if snapshots are
      disabled or the final policy is the best one seen) *)

@@ -24,36 +24,6 @@ val paper : hyperparams
 val fast : hyperparams
 (** A scaled-down schedule for quick experiments and the bench harness. *)
 
-type progress = {
-  step : int;
-  episode : int;
-  epsilon_now : float;
-  mean_reward : float;
-  mean_size_gain : float;
-  r_binsize : float;     (** windowed mean per-episode Eqn-2 component sum *)
-  r_throughput : float;  (** windowed mean per-episode Eqn-3 component sum *)
-  loss : float;
-}
-
-type episode_summary = {
-  ep_index : int;
-  ep_end_step : int;
-  ep_reward : float;
-  ep_r_binsize : float;     (** episode sum of unweighted Eqn-2 components *)
-  ep_r_throughput : float;  (** episode sum of unweighted Eqn-3 components *)
-  ep_size_gain_pct : float;
-  ep_thru_gain_pct : float;
-  ep_epsilon : float;
-  ep_loss : float;
-  ep_actions : int list;    (** sub-sequence ids taken this episode, in order *)
-  ep_step_rewards : (float * float * float) list;
-  (** per-step (reward, r_binsize, r_throughput), aligned with
-      [ep_actions] — persisted so attribution is recomputable from the
-      ledger alone *)
-}
-(** One record per finished episode; the run ledger streams these to
-    [progress.jsonl] as the reward-decomposition telemetry. *)
-
 type result = {
   agent : Posetrl_rl.Dqn.t;
   episodes : int;
@@ -85,10 +55,8 @@ val make_coverage :
 
 val train :
   ?hp:hyperparams ->
-  ?on_progress:(progress -> unit) ->
-  ?on_episode:(episode_summary -> unit) ->
+  ?on_record:(Posetrl_obs.Json.t -> unit) ->
   ?on_step:(int -> unit) ->
-  ?health:Posetrl_obs.Health.config ->
   ?on_alert:(Posetrl_obs.Health.alert -> unit) ->
   ?inject_nan_at:int ->
   ?coverage:Posetrl_obs.Coverage.t ->
@@ -106,13 +74,24 @@ val train :
     DESIGN.md §9). Returns the best-probe-score snapshot when
     [hp.snapshot_every > 0], otherwise the final weights.
 
+    [on_record] receives the run ledger's progress records, in the
+    order [progress.jsonl] stores them: a
+    {!Posetrl_obs.Runlog.tick_record} every 200 steps (windowed means,
+    the [posetrl.dqn.q_*] gauges and the tick's
+    {!Posetrl_obs.Prof.sample_gc} reading), and a
+    {!Posetrl_obs.Runlog.episode_record} per finished episode (reward
+    decomposition, actions and per-step rewards). The tick record of a
+    step that also ends an episode comes first. Every field but the
+    [gc_*] ones is deterministic per seed and identical across [pool]
+    widths.
+
     [on_step] fires once per environment step (after the step's metric
     updates) with the global step index — the hook the CLI uses to pump
     the [--serve] telemetry server ({!Posetrl_obs.Httpd.pump}) without
     threads. It must be cheap and must not raise.
 
-    A {!Posetrl_obs.Health} watchdog (configured by [health]) runs on
-    every progress tick; [on_alert] fires once per alert as it happens
+    A {!Posetrl_obs.Health} watchdog ({!Posetrl_obs.Health.default_config})
+    runs on every tick; [on_alert] fires once per alert as it happens
     (the CLI appends them to the run dir's [alerts.jsonl]), and the full
     list comes back in [result.alerts]. [inject_nan_at] poisons one
     online-network weight at that global step — fault injection for

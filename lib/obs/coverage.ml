@@ -475,55 +475,13 @@ let of_json (doc : Json.t) : t option =
 
 (* --- brute-force recompute from the run ledger ---------------------------- *)
 
-(* Replay the ledger against the same arithmetic as the streaming fold.
-   Episode records land in the file *after* any tick record emitted
-   mid-episode, so the flattened step stream (each step's global index
-   recovered from the episode's end step) is merged with the tick steps
-   by index: a tick at step S samples after every step with index ≤ S,
-   exactly as the trainer does. *)
-let of_records ?sketch_bits ?sketch_seed ?state_dim ~(like : universe)
-    (records : Json.t list) : t =
-  let t = create ?sketch_bits ?sketch_seed ?state_dim like in
-  let flat = ref [] in
-  let ticks = ref [] in
-  List.iter
-    (fun r ->
-      match Runlog.str "kind" r with
-      | Some "episode" ->
-        let steps = Runlog.episode_steps r in
-        let n = List.length steps in
-        let ep_end =
-          match Runlog.num "step" r with
-          | Some s -> int_of_float s
-          | None -> 0
-        in
-        List.iteri
-          (fun i (action, rw, rb, rt) ->
-            flat := (ep_end - n + 1 + i, i, action, rw, rb, rt) :: !flat)
-          steps
-      | Some "tick" -> (
-        match Runlog.num "step" r with
-        | Some s -> ticks := int_of_float s :: !ticks
-        | None -> ())
-      | _ -> ())
+(* Replay the ledger's step stream ([Runlog.replay]: ticks interleaved
+   by global step index, exactly where the trainer sampled) through the
+   same arithmetic as the streaming fold. *)
+let of_records ~(like : universe) (records : Json.t list) : t =
+  let t = create like in
+  Runlog.replay ~n_actions:t.n_actions ~observe:(observe t) ~sample:(sample t)
     records;
-  let obs (_, pos, action, reward, r_binsize, r_throughput) =
-    if action >= 0 && action < t.n_actions then
-      observe t ~action ~pos ~reward ~r_binsize ~r_throughput
-  in
-  let rec split_le s acc = function
-    | ((g, _, _, _, _, _) as x) :: rest when g <= s -> split_le s (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  let rec go flat = function
-    | [] -> List.iter obs flat
-    | s :: rest ->
-      let now, later = split_le s [] flat in
-      List.iter obs now;
-      sample t ~step:s;
-      go later rest
-  in
-  go (List.rev !flat) (List.rev !ticks);
   t
 
 (* --- heat-annotated ODG rendering ----------------------------------------- *)

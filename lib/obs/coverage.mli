@@ -112,14 +112,11 @@ val of_json : Json.t -> t option
 (** Robust reader: [None] on anything structurally off, never an
     exception. *)
 
-val of_records :
-  ?sketch_bits:int -> ?sketch_seed:int -> ?state_dim:int ->
-  like:universe -> Json.t list -> t
-(** Brute-force recompute from progress.jsonl records (in file order):
-    episode step streams are re-indexed to global steps and merged
-    with the tick records so every {!sample} lands exactly where the
-    streaming table sampled it. The result is {!equal} to the
-    streaming table of the same run. *)
+val of_records : like:universe -> Json.t list -> t
+(** Brute-force recompute from progress.jsonl records (in file order)
+    through {!Runlog.replay}: every {!observe} in step order, every
+    {!sample} exactly where the streaming table sampled it. The result
+    is {!equal} to the streaming table of the same run. *)
 
 val to_dot : ?k:int -> t -> string
 (** Heat-annotated Graphviz rendering of the universe, structurally

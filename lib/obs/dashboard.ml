@@ -9,17 +9,11 @@ let action_histogram (records : Json.t list) : (int * int) list =
   List.iter
     (fun r ->
       if Runlog.str "kind" r = Some "episode" then
-        match Runlog.field "actions" r with
-        | Some (Json.Arr actions) ->
-          List.iter
-            (fun a ->
-              match a with
-              | Json.Int i ->
-                Hashtbl.replace counts i
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts i))
-              | _ -> ())
-            actions
-        | _ -> ())
+        List.iter
+          (fun a ->
+            Hashtbl.replace counts a
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts a)))
+          (Runlog.episode_actions r))
     records;
   Hashtbl.fold (fun a n acc -> (a, n) :: acc) counts []
   |> List.sort (fun (a1, n1) (a2, n2) -> compare (n2, a1) (n1, a2))

@@ -4,8 +4,8 @@
     polling interval until the manifest leaves ["running"]. *)
 
 val action_histogram : Json.t list -> (int * int) list
-(** Per-action selection counts folded from the ["actions"] arrays of
-    the ["episode"] progress records, sorted by count descending. *)
+(** Per-action selection counts folded from the ["episode"] progress
+    records' {!Runlog.episode_actions}, sorted by count descending. *)
 
 val render :
   ?width:int ->

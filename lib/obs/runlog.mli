@@ -37,7 +37,7 @@ val tick_record :
   mean_size_gain:float -> r_binsize:float -> r_throughput:float ->
   loss:float -> unit -> Json.t
 (** A ["kind":"tick"] progress record: the trainer's periodic windowed
-    means (one per [on_progress] tick). [q_mean]/[q_max] carry the
+    means (one per 200-step tick). [q_mean]/[q_max] carry the
     agent's latest Q-value diagnostics when available; the [gc_*]
     fields carry the tick's {!Prof.sample_gc} reading (cumulative
     minor/major collection counts, major heap MB, allocation MB/s).
@@ -60,11 +60,32 @@ val episode_record :
     have no such field); floats print as %.17g, so attribution
     recomputed from the ledger is float-exact. *)
 
+val episode_actions : Json.t -> int list
+(** The sub-sequence ids of one ["episode"] record's [actions] array, in
+    order (entries that are not non-negative ints are dropped); [[]]
+    when the field is absent. The one reader behind {!episode_steps},
+    the [posetrl watch] action histogram and [posetrl explain]. *)
+
 val episode_steps : Json.t -> (int * float * float * float) list
 (** [(action, reward, r_binsize, r_throughput)] per step of one
-    ["episode"] record, read back from the [actions] and [steps] fields
-    {!episode_record} writes; [[]] for records without the step
-    stream. *)
+    ["episode"] record: {!episode_actions} zipped with the [steps]
+    triples {!episode_record} writes; [[]] for records without the step
+    stream (or whose two arrays differ in length). *)
+
+val replay :
+  n_actions:int ->
+  observe:
+    (action:int -> pos:int -> reward:float -> r_binsize:float ->
+     r_throughput:float -> unit) ->
+  sample:(step:int -> unit) -> Json.t list -> unit
+(** Replay progress records (in file order) as the trainer's step
+    stream: [observe] gets every step of every episode record in order,
+    [pos] being its position within the episode, and [sample] every tick
+    step, called after all steps with a global index up to it and before
+    the first later one (global indices are recovered from each episode
+    record's end [step]). Steps whose action is [>= n_actions] are
+    skipped. The one ledger replay behind [Attrib.of_records] and
+    {!Coverage.of_records}. *)
 
 val series :
   kind:string -> x:string -> y:string -> Json.t list -> (float * float) list

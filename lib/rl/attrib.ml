@@ -194,13 +194,6 @@ let of_json (doc : Obs.Json.t) : t option =
 let of_records ~(n_actions : int) ~(max_pos : int)
     (records : Obs.Json.t list) : t =
   let t = create ~n_actions ~max_pos () in
-  List.iter
-    (fun r ->
-      if Obs.Runlog.str "kind" r = Some "episode" then
-        List.iteri
-          (fun pos (action, reward, r_binsize, r_throughput) ->
-            if action >= 0 && action < n_actions then
-              observe t ~action ~pos ~reward ~r_binsize ~r_throughput)
-          (Obs.Runlog.episode_steps r))
-    records;
+  Obs.Runlog.replay ~n_actions ~observe:(observe t)
+    ~sample:(fun ~step:_ -> ()) records;
   t

@@ -603,6 +603,41 @@ let test_absint_constant_branch () =
         | _ -> false)
    | [] -> Alcotest.fail "empty entry")
 
+(* A phi of -0.0 and 0.0 under an unknown branch is no single constant:
+   the join compares float constants by bit pattern. *)
+let test_absint_signed_zero_join () =
+  let z = A.Absint.Fconst (-0.0) and p = A.Absint.Fconst 0.0 in
+  let is_const = function A.Absint.Fconst _ -> true | _ -> false in
+  Alcotest.(check bool) "-0.0 and 0.0 differ" false (A.Absint.aval_equal z p);
+  Alcotest.(check bool) "join -0.0 0.0 is not a constant" false
+    (is_const (A.Absint.join_aval z p));
+  Alcotest.(check bool) "join 0.0 -0.0 is not a constant" false
+    (is_const (A.Absint.join_aval p z));
+  Alcotest.(check bool) "join of equal bits stays constant" true
+    (A.Absint.aval_equal z (A.Absint.join_aval z z));
+  let b =
+    Builder.create ~name:"f" ~params:[ Types.I64 ] ~ret:Types.F64 ()
+  in
+  Builder.block b "entry";
+  let c = Builder.icmp b Instr.Eq Types.I64 (Builder.param b 0) (Value.ci64 0) in
+  Builder.cbr b c "then" "else";
+  Builder.block b "then";
+  Builder.br b "join";
+  Builder.block b "else";
+  Builder.br b "join";
+  Builder.block b "join";
+  let phi =
+    Builder.phi b Types.F64
+      [ ("then", Value.cfloat (-0.0)); ("else", Value.cfloat 0.0) ]
+  in
+  Builder.ret b Types.F64 phi;
+  let f = Builder.finish b in
+  match phi with
+  | Value.Reg r ->
+    Alcotest.(check bool) "phi of both zeros is not a constant" false
+      (is_const (A.Absint.val_of (A.Absint.of_func f) r))
+  | _ -> Alcotest.fail "phi is not a register"
+
 let test_absint_lint_rules () =
   let f = Testutil.main_func (const_branch_module ()) in
   let fs = A.Lint.absint_findings f in
@@ -797,6 +832,8 @@ let suite =
       test_alias_witness;
     Alcotest.test_case "absint: constant branch folds to a singleton" `Quick
       test_absint_constant_branch;
+    Alcotest.test_case "absint: joining -0.0 and 0.0 is not a constant" `Quick
+      test_absint_signed_zero_join;
     Alcotest.test_case "lint: range rules fire on a constant branch" `Quick
       test_absint_lint_rules;
     QCheck_alcotest.to_alcotest prop_absint_sound;

@@ -6,6 +6,7 @@ module O = Posetrl_odg
 module CG = Posetrl_codegen
 module W = Posetrl_workloads
 module Rl = Posetrl_rl
+module Obs = Posetrl_obs
 
 let x86 = CG.Target.x86_64
 
@@ -166,75 +167,103 @@ let test_trainer_smoke () =
   Alcotest.(check int) "rollout length" 15 (List.length roll.C.Inference.actions);
   Testutil.check_same_behaviour "rollout result" m roll.C.Inference.optimized
 
-let test_trainer_progress () =
-  (* the on_progress callback: fields populated, step monotone on the
-     200-step tick grid, ε following the fast schedule exactly *)
+(* Every progress record one training run hands [on_record], in order,
+   with the run's result. *)
+let train_records ~hp ~seed =
   let corpus = W.Genprog.corpus ~n:4 () in
+  let records = ref [] in
+  let res =
+    C.Trainer.train ~hp
+      ~on_record:(fun r -> records := r :: !records)
+      ~seed ~corpus ~actions:O.Action_space.manual ~target:x86 ()
+  in
+  (res, List.rev !records)
+
+let of_kind kind = List.filter (fun r -> Obs.Runlog.str "kind" r = Some kind)
+let num k r = Option.get (Obs.Runlog.num k r)
+
+let test_trainer_progress () =
+  (* the tick records: fields populated, step monotone on the 200-step
+     tick grid, ε following the fast schedule exactly *)
   let hp = { C.Trainer.fast with C.Trainer.total_steps = 600 } in
-  let ticks = ref [] in
-  ignore
-    (C.Trainer.train ~hp
-       ~on_progress:(fun p -> ticks := p :: !ticks)
-       ~seed:7 ~corpus ~actions:O.Action_space.manual ~target:x86 ());
-  let ticks = List.rev !ticks in
+  let _, records = train_records ~hp ~seed:7 in
+  let ticks = of_kind "tick" records in
   Alcotest.(check int) "one tick per 200 steps" 3 (List.length ticks);
   ignore
     (List.fold_left
-       (fun prev (p : C.Trainer.progress) ->
-         Alcotest.(check bool) "step monotone" true (p.C.Trainer.step > prev);
-         Alcotest.(check int) "tick grid" 0 (p.C.Trainer.step mod 200);
-         Alcotest.(check bool) "episode populated" true (p.C.Trainer.episode >= 1);
+       (fun prev r ->
+         let step = int_of_float (num "step" r) in
+         Alcotest.(check bool) "step monotone" true (step > prev);
+         Alcotest.(check int) "tick grid" 0 (step mod 200);
+         Alcotest.(check bool) "episode populated" true (num "episode" r >= 1.0);
          check_float "epsilon follows fast schedule"
-           (Rl.Schedule.value hp.C.Trainer.epsilon p.C.Trainer.step)
-           p.C.Trainer.epsilon_now;
+           (Rl.Schedule.value hp.C.Trainer.epsilon step)
+           (num "epsilon" r);
          Alcotest.(check bool) "mean reward finite" true
-           (Float.is_finite p.C.Trainer.mean_reward);
+           (Float.is_finite (num "mean_reward" r));
          Alcotest.(check bool) "reward components finite" true
-           (Float.is_finite p.C.Trainer.r_binsize
-            && Float.is_finite p.C.Trainer.r_throughput);
-         Alcotest.(check bool) "loss finite" true (Float.is_finite p.C.Trainer.loss);
-         p.C.Trainer.step)
+           (Float.is_finite (num "r_binsize" r)
+            && Float.is_finite (num "r_throughput" r));
+         Alcotest.(check bool) "loss finite" true (Float.is_finite (num "loss" r));
+         step)
        0 ticks);
   (* past the warmup + batch fill, training has actually happened *)
   match List.rev ticks with
   | last :: _ ->
     Alcotest.(check bool) "loss nonzero by final tick" true
-      (last.C.Trainer.loss <> 0.0)
+      (num "loss" last <> 0.0)
   | [] -> ()
 
 let test_trainer_episode_stream () =
-  (* the on_episode stream: one summary per finished episode, indices
-     monotone, and each episode's reward recombining from its components
-     with the paper weights *)
-  let corpus = W.Genprog.corpus ~n:4 () in
-  let eps = ref [] in
-  let res =
-    C.Trainer.train ~hp:tiny_hp
-      ~on_episode:(fun e -> eps := e :: !eps)
-      ~seed:11 ~corpus ~actions:O.Action_space.manual ~target:x86 ()
-  in
-  let eps = List.rev !eps in
-  Alcotest.(check int) "one summary per episode" res.C.Trainer.episodes
+  (* the episode records: one per finished episode, indices consecutive,
+     and each episode's reward recombining from its components with the
+     paper weights *)
+  let res, records = train_records ~hp:tiny_hp ~seed:11 in
+  let eps = of_kind "episode" records in
+  Alcotest.(check int) "one record per episode" res.C.Trainer.episodes
     (List.length eps);
   ignore
     (List.fold_left
-       (fun prev (e : C.Trainer.episode_summary) ->
-         Alcotest.(check int) "indices consecutive" (prev + 1) e.C.Trainer.ep_index;
+       (fun prev r ->
+         let index = int_of_float (num "episode" r) in
+         Alcotest.(check int) "indices consecutive" (prev + 1) index;
          Alcotest.(check (float 1e-6)) "reward recombines (Eqn 1)"
-           ((10.0 *. e.C.Trainer.ep_r_binsize)
-            +. (5.0 *. e.C.Trainer.ep_r_throughput))
-           e.C.Trainer.ep_reward;
+           ((10.0 *. num "r_binsize" r) +. (5.0 *. num "r_throughput" r))
+           (num "reward" r);
+         let epsilon = num "epsilon" r in
          Alcotest.(check bool) "epsilon in range" true
-           (e.C.Trainer.ep_epsilon >= 0.0 && e.C.Trainer.ep_epsilon <= 1.0);
+           (epsilon >= 0.0 && epsilon <= 1.0);
          Alcotest.(check bool) "gains finite" true
-           (Float.is_finite e.C.Trainer.ep_size_gain_pct
-            && Float.is_finite e.C.Trainer.ep_thru_gain_pct);
-         e.C.Trainer.ep_index)
+           (Float.is_finite (num "size_gain_pct" r)
+            && Float.is_finite (num "thru_gain_pct" r));
+         Alcotest.(check int) "one step triple per action"
+           (List.length (Obs.Runlog.episode_actions r))
+           (List.length (Obs.Runlog.episode_steps r));
+         index)
        0 eps)
+
+let test_trainer_record_fields () =
+  (* tick records carry the agent's Q diagnostics and the tick's GC
+     reading; every episode reaches the stream *)
+  let res, records = train_records ~hp:tiny_hp ~seed:5 in
+  let ticks = of_kind "tick" records in
+  Alcotest.(check bool) "a tick fired" true (ticks <> []);
+  List.iter
+    (fun r ->
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " present") true
+            (Obs.Runlog.num k r <> None))
+        [ "q_mean"; "q_max"; "gc_minor"; "gc_major"; "gc_heap_mb";
+          "gc_alloc_mb_s" ])
+    ticks;
+  Alcotest.(check int) "episode records = result.episodes"
+    res.C.Trainer.episodes
+    (List.length (of_kind "episode" records))
 
 let test_trainer_metrics_registry () =
   (* the trainer publishes its posetrl.train.* series to the global
-     registry; the CLI progress line renders from these *)
+     registry; a live /metrics scrape reads these *)
   let corpus = W.Genprog.corpus ~n:4 () in
   let before =
     Option.value ~default:0.0
@@ -467,6 +496,8 @@ let suite =
     Alcotest.test_case "environment n_actions" `Quick test_environment_n_actions;
     Alcotest.test_case "trainer smoke" `Slow test_trainer_smoke;
     Alcotest.test_case "trainer progress callback" `Slow test_trainer_progress;
+    Alcotest.test_case "trainer episode stream" `Slow test_trainer_episode_stream;
+    Alcotest.test_case "trainer record fields" `Slow test_trainer_record_fields;
     Alcotest.test_case "trainer metrics registry" `Slow test_trainer_metrics_registry;
     Alcotest.test_case "trainer deterministic" `Slow test_trainer_deterministic;
     Alcotest.test_case "apply sequence" `Quick test_apply_sequence;

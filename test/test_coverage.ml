@@ -251,36 +251,15 @@ let cov_hp =
     C.Trainer.target_sync_every = 60 }
 
 (* One short training run; returns the streaming table and the progress
-   records (ticks and episodes interleaved) exactly as the CLI would
-   persist them to progress.jsonl. *)
+   records (ticks and episodes interleaved) the trainer hands
+   [on_record] — what the CLI persists to progress.jsonl. *)
 let train_capture ~seed ~jobs =
   let corpus = W.Genprog.corpus ~n:4 () in
   let records = ref [] in
-  let on_progress (p : C.Trainer.progress) =
-    records :=
-      Obs.Runlog.tick_record ~step:p.C.Trainer.step
-        ~episode:p.C.Trainer.episode ~epsilon:p.C.Trainer.epsilon_now
-        ~mean_reward:p.C.Trainer.mean_reward
-        ~mean_size_gain:p.C.Trainer.mean_size_gain
-        ~r_binsize:p.C.Trainer.r_binsize
-        ~r_throughput:p.C.Trainer.r_throughput ~loss:p.C.Trainer.loss ()
-      :: !records
-  in
-  let on_episode (e : C.Trainer.episode_summary) =
-    records :=
-      Obs.Runlog.episode_record ~actions:e.C.Trainer.ep_actions
-        ~step_rewards:e.C.Trainer.ep_step_rewards ~episode:e.C.Trainer.ep_index
-        ~step:e.C.Trainer.ep_end_step ~reward:e.C.Trainer.ep_reward
-        ~r_binsize:e.C.Trainer.ep_r_binsize
-        ~r_throughput:e.C.Trainer.ep_r_throughput
-        ~size_gain_pct:e.C.Trainer.ep_size_gain_pct
-        ~thru_gain_pct:e.C.Trainer.ep_thru_gain_pct
-        ~epsilon:e.C.Trainer.ep_epsilon ~loss:e.C.Trainer.ep_loss ()
-      :: !records
-  in
   let train pool =
-    C.Trainer.train ?pool ~hp:cov_hp ~on_progress ~on_episode ~seed ~corpus
-      ~actions:O.Action_space.manual ~target:x86 ()
+    C.Trainer.train ?pool ~hp:cov_hp
+      ~on_record:(fun r -> records := r :: !records)
+      ~seed ~corpus ~actions:O.Action_space.manual ~target:x86 ()
   in
   let res =
     if jobs <= 1 then train None

@@ -243,26 +243,16 @@ let tiny_hp =
     C.Trainer.warmup_steps = 32;
     C.Trainer.target_sync_every = 60 }
 
-(* One short training run; returns the streaming table and the episode
-   records exactly as the CLI would persist them to progress.jsonl. *)
+(* One short training run; returns the streaming table and the progress
+   records the trainer hands [on_record] — what the CLI persists to
+   progress.jsonl. *)
 let train_capture ~seed ~jobs =
   let corpus = W.Genprog.corpus ~n:4 () in
   let records = ref [] in
-  let on_episode (e : C.Trainer.episode_summary) =
-    records :=
-      Obs.Runlog.episode_record ~actions:e.C.Trainer.ep_actions
-        ~step_rewards:e.C.Trainer.ep_step_rewards ~episode:e.C.Trainer.ep_index
-        ~step:e.C.Trainer.ep_end_step ~reward:e.C.Trainer.ep_reward
-        ~r_binsize:e.C.Trainer.ep_r_binsize
-        ~r_throughput:e.C.Trainer.ep_r_throughput
-        ~size_gain_pct:e.C.Trainer.ep_size_gain_pct
-        ~thru_gain_pct:e.C.Trainer.ep_thru_gain_pct
-        ~epsilon:e.C.Trainer.ep_epsilon ~loss:e.C.Trainer.ep_loss ()
-      :: !records
-  in
   let train pool =
-    C.Trainer.train ?pool ~hp:tiny_hp ~on_episode ~seed ~corpus
-      ~actions:O.Action_space.manual ~target:x86 ()
+    C.Trainer.train ?pool ~hp:tiny_hp
+      ~on_record:(fun r -> records := r :: !records)
+      ~seed ~corpus ~actions:O.Action_space.manual ~target:x86 ()
   in
   let res =
     if jobs <= 1 then train None

@@ -109,6 +109,45 @@ let test_progress_records_and_series () =
   check_float "r_throughput persisted" 0.2
     (Option.get (Runlog.num "r_throughput" ep))
 
+let episode ?step_rewards ~actions ~step () =
+  Runlog.episode_record ?step_rewards ~actions ~episode:0 ~step ~reward:0.0
+    ~r_binsize:0.0 ~r_throughput:0.0 ~size_gain_pct:0.0 ~thru_gain_pct:0.0
+    ~epsilon:1.0 ~loss:0.0 ()
+
+let test_episode_actions_without_steps () =
+  (* a pre-attribution ledger: actions but no per-step rewards *)
+  let ep = episode ~actions:[ 3; 1; 4 ] ~step:3 () in
+  Alcotest.(check (list int)) "actions read back" [ 3; 1; 4 ]
+    (Runlog.episode_actions ep);
+  Alcotest.(check int) "no step stream" 0 (List.length (Runlog.episode_steps ep));
+  let tick = Runlog.tick_record ~step:0 ~episode:0 ~epsilon:1.0 ~mean_reward:0.0
+      ~mean_size_gain:0.0 ~r_binsize:0.0 ~r_throughput:0.0 ~loss:0.0 () in
+  Alcotest.(check (list int)) "no actions on a tick" [] (Runlog.episode_actions tick)
+
+let test_replay_interleaves_ticks () =
+  (* episode 1 is steps 1-3; the tick at step 5 lands mid-episode 2
+     (steps 4-7) but after it in the file; action 9 is out of range *)
+  let steps n = List.init n (fun i -> (float_of_int i, 0.0, 0.0)) in
+  let tick step =
+    Runlog.tick_record ~step ~episode:1 ~epsilon:1.0 ~mean_reward:0.0
+      ~mean_size_gain:0.0 ~r_binsize:0.0 ~r_throughput:0.0 ~loss:0.0 ()
+  in
+  let records =
+    [ episode ~actions:[ 0; 1; 2 ] ~step_rewards:(steps 3) ~step:3 ();
+      tick 5;
+      episode ~actions:[ 3; 9; 4; 5 ] ~step_rewards:(steps 4) ~step:7 ();
+      tick 8 ]
+  in
+  let log = ref [] in
+  Runlog.replay ~n_actions:8
+    ~observe:(fun ~action ~pos ~reward:_ ~r_binsize:_ ~r_throughput:_ ->
+      log := Printf.sprintf "a%d@%d" action pos :: !log)
+    ~sample:(fun ~step -> log := Printf.sprintf "tick%d" step :: !log)
+    records;
+  Alcotest.(check (list string)) "trainer order"
+    [ "a0@0"; "a1@1"; "a2@2"; "a3@0"; "tick5"; "a4@2"; "a5@3"; "tick8" ]
+    (List.rev !log)
+
 (* --- Run: directory lifecycle ------------------------------------------------- *)
 
 let test_run_lifecycle () =
@@ -463,6 +502,10 @@ let suite =
     Alcotest.test_case "jsonl torn line" `Quick test_read_jsonl_torn_line;
     Alcotest.test_case "progress records + series" `Quick
       test_progress_records_and_series;
+    Alcotest.test_case "episode actions without steps" `Quick
+      test_episode_actions_without_steps;
+    Alcotest.test_case "replay interleaves ticks" `Quick
+      test_replay_interleaves_ticks;
     Alcotest.test_case "run lifecycle" `Quick test_run_lifecycle;
     Alcotest.test_case "killed run keeps prefix" `Quick
       test_run_progress_flush_prefix;
