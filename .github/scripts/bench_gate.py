@@ -42,21 +42,14 @@ GATE_TABLE = [
                "translation-validation check of the equiv tier",
     },
     {
-        "kind": "bench-prof",
-        "gated": ("span_disabled_rel", "counter_inc_rel", "hist_observe_rel"),
-        "why": "profiling-disabled overhead: span no-sink fast path and "
-               "the counter/histogram updates every run pays",
-    },
-    {
-        "kind": "bench-health",
-        "gated": ("watchdog_tick_rel", "attrib_observe_rel"),
-        "why": "watchdog rule pass (per trainer tick) and streaming "
-               "attribution update (per env step)",
-    },
-    {
-        "kind": "bench-coverage",
-        "gated": ("coverage_observe_rel",),
-        "why": "streaming decision-space coverage fold (per env step)",
+        "kind": "bench-obs",
+        "gated": ("span_disabled_rel", "counter_inc_rel", "hist_observe_rel",
+                  "watchdog_tick_rel", "attrib_observe_rel",
+                  "coverage_observe_rel"),
+        "why": "telemetry every run pays: span no-sink fast path and "
+               "counter/histogram updates, the watchdog rule pass (per "
+               "trainer tick), and the streaming attribution and coverage "
+               "folds (per env step)",
     },
     {
         "kind": "bench-serve",

@@ -7,8 +7,8 @@
 
    Usage:  dune exec bench/main.exe [-- section ...]
    Sections: fig1 tables123 fig4 table4 table5 fig5 table6 ablations micro
-   parallel analysis (default: all). The training budget per model is
-   configurable with POSETRL_BENCH_STEPS (default 12000). *)
+   parallel analysis obs serve (default: all). The training budget per
+   model is configurable with POSETRL_BENCH_STEPS (default 12000). *)
 
 open Posetrl_ir
 open Posetrl_support
@@ -423,7 +423,7 @@ let print_bechamel_rows rows =
 
 (* --- the gated sections' shared path ---------------------------------------
 
-   Each gated section (parallel, analysis, prof, health, coverage, serve)
+   Each gated section (parallel, analysis, obs, serve)
    writes BENCH_<what>.json for the bench-regression CI job. Raw ns/run
    numbers don't transfer between machines, so every gated cost is
    reported relative to a calibration row benched in the same process:
@@ -718,20 +718,25 @@ let analysis () =
         ("effects_rel", ns "effects-summary") ]
 
 (* ======================================================================== *)
-(* profiling: disabled-path overhead + atomic metrics + collector costs       *)
+(* obs: the telemetry every run pays, per hook                               *)
 (* ======================================================================== *)
 
-(* Benches the observability hot paths the profiling subsystem leans on
-   and writes BENCH_prof.json for the bench-regression CI job. The gated
-   rows are the *disabled* costs — a span with no sink and an atomic
-   counter/histogram update — i.e. the overhead every training and eval
-   run pays whether or not profiling is on. Each row batches 100
-   operations so the calibration-relative ratio sits well above timer
-   noise. Collector-side costs (folding an event, GC sampling) are
-   reported for context but not gated: they only run when profiling is
-   explicitly requested. *)
-let prof_bench () =
-  section_header "Profiling overhead (span fast path + atomic metrics)";
+(* Benches the observability hooks that run whether or not anyone looks
+   and writes BENCH_obs.json for the bench-regression CI job. Gated rows:
+   - the *disabled* profiling costs — a span with no sink and an atomic
+     counter/histogram update;
+   - the full watchdog rule pass (once per 200-step trainer tick), on
+     healthy samples: the gate bounds a quiet watchdog, the common case;
+   - the streaming attribution and coverage folds (once per environment
+     step), the latter over the real ODG universe.
+   Each batches 100 operations so the calibration-relative ratio sits
+   well above timer noise. Context rows, not gated: a gauge set, the
+   profile collector's per-event fold and the GC sample (they run only
+   when profiling is requested, or once per tick), the coverage state
+   sketch (a handful of dot products per step) and the per-tick entropy
+   sample. *)
+let obs_bench () =
+  section_header "Observability overhead (profiling, health, coverage hooks)";
   let open Bechamel in
   let r = Obs.Metrics.create () in
   let c = Obs.Metrics.counter ~r "posetrl.bench.ctr" in
@@ -743,8 +748,30 @@ let prof_bench () =
       attrs = [];
       t_start = 0.0; dur = 1e-5; self = 1e-5; depth = 0; tid = 0 }
   in
+  let watchdog = Obs.Health.create ~registry:r () in
+  let healthy step =
+    { Obs.Health.s_step = step;
+      s_episode = step / 15;
+      s_loss = 0.5;
+      s_mean_reward = 5.0;
+      s_q_max = 12.0;
+      s_replay_size = 4096;
+      s_replay_capacity = 10_000;
+      s_replay_age_mean = 800.0;
+      s_weights_finite = true;
+      s_actions = Array.init 34 (fun i -> (i * 7) mod 13) }
+  in
+  let attrib = Posetrl_rl.Attrib.create ~n_actions:34 ~max_pos:15 () in
+  let universe = C.Trainer.coverage_universe O.Action_space.odg in
+  let cov = Obs.Coverage.create ~state_dim:C.Environment.state_dim universe in
+  let n_actions = Array.length universe.Obs.Coverage.action_paths in
+  let state =
+    Array.init C.Environment.state_dim (fun i -> Float.sin (float_of_int i))
+  in
+  let tick = ref 0 in
+  let step = ref 0 in
   let bench =
-    bench_gated ~group:"prof"
+    bench_gated ~group:"obs"
       [ Test.make ~name:"span-disabled-100"
           (Staged.stage (fun () ->
                for _i = 1 to 100 do
@@ -762,95 +789,20 @@ let prof_bench () =
         Test.make ~name:"prof-add-event"
           (Staged.stage (fun () -> Obs.Prof.add collector ev));
         Test.make ~name:"sample-gc"
-          (Staged.stage (fun () -> ignore (Obs.Prof.sample_gc ~r ()))) ]
-  in
-  let _, ns = bench in
-  write_gated ~what:"prof" bench
-    ~gate:
-      [ ("span_disabled_rel", ns "span-disabled-100");
-        ("counter_inc_rel", ns "counter-inc-100");
-        ("hist_observe_rel", ns "hist-observe-100");
-        ("gauge_set_rel", ns "gauge-set-100");
-        ("prof_add_rel", ns "prof-add-event");
-        ("sample_gc_rel", ns "sample-gc") ]
-
-(* ======================================================================== *)
-(* training-health: per-tick watchdog cost + attribution-update cost          *)
-(* ======================================================================== *)
-
-(* Benches the health layer's always-on costs and writes
-   BENCH_health.json for the bench-regression CI job. Two gated rows:
-   the full watchdog rule pass (runs once per 200-step trainer tick) and
-   the streaming attribution update (runs once per environment step).
-   Both are batched ×100 so the calibration-relative ratio sits well
-   above timer noise. The samples are healthy — the gate bounds the cost
-   of a quiet watchdog, the common case; alert formatting is rare and
-   off the hot path. *)
-let health_bench () =
-  section_header "Training-health overhead (watchdog tick + attribution update)";
-  let open Bechamel in
-  let r = Obs.Metrics.create () in
-  let watchdog = Obs.Health.create ~registry:r () in
-  let healthy step =
-    { Obs.Health.s_step = step;
-      s_episode = step / 15;
-      s_loss = 0.5;
-      s_mean_reward = 5.0;
-      s_q_max = 12.0;
-      s_replay_size = 4096;
-      s_replay_capacity = 10_000;
-      s_replay_age_mean = 800.0;
-      s_weights_finite = true;
-      s_actions = Array.init 34 (fun i -> (i * 7) mod 13) }
-  in
-  let attrib = Posetrl_rl.Attrib.create ~n_actions:34 ~max_pos:15 () in
-  let step = ref 0 in
-  let bench =
-    bench_gated ~group:"health"
-      [ Test.make ~name:"watchdog-check-100"
+          (Staged.stage (fun () -> ignore (Obs.Prof.sample_gc ~r ())));
+        Test.make ~name:"watchdog-check-100"
           (Staged.stage (fun () ->
                for _i = 1 to 100 do
-                 incr step;
-                 ignore (Obs.Health.check watchdog (healthy (!step * 200)))
+                 incr tick;
+                 ignore (Obs.Health.check watchdog (healthy (!tick * 200)))
                done));
         Test.make ~name:"attrib-observe-100"
           (Staged.stage (fun () ->
                for i = 1 to 100 do
                  Posetrl_rl.Attrib.observe attrib ~action:(i mod 34) ~pos:(i mod 15)
                    ~reward:0.25 ~r_binsize:0.1 ~r_throughput:0.03
-               done)) ]
-  in
-  let _, ns = bench in
-  write_gated ~what:"health" bench
-    ~gate:
-      [ ("watchdog_tick_rel", ns "watchdog-check-100");
-        ("attrib_observe_rel", ns "attrib-observe-100") ]
-
-(* ======================================================================== *)
-(* coverage: per-step decision-space observe cost                            *)
-(* ======================================================================== *)
-
-(* Benches the coverage table's always-on cost and writes
-   BENCH_coverage.json for the bench-regression CI job. One gated row:
-   the streaming [Coverage.observe] fold over the real ODG universe
-   (runs once per environment step, same cadence as attrib-observe),
-   batched ×100 like the other per-step rows. [observe_state] and
-   [sample] are context rows — the sketch projection is a handful of
-   dot products per step and the entropy sample runs once per 200-step
-   tick, so neither gates. *)
-let coverage_bench () =
-  section_header "Coverage overhead (per-step decision-space observe)";
-  let open Bechamel in
-  let universe = C.Trainer.coverage_universe O.Action_space.odg in
-  let cov = Obs.Coverage.create ~state_dim:C.Environment.state_dim universe in
-  let n_actions = Array.length universe.Obs.Coverage.action_paths in
-  let state =
-    Array.init C.Environment.state_dim (fun i -> Float.sin (float_of_int i))
-  in
-  let step = ref 0 in
-  let bench =
-    bench_gated ~group:"coverage"
-      [ Test.make ~name:"coverage-observe-100"
+               done));
+        Test.make ~name:"coverage-observe-100"
           (Staged.stage (fun () ->
                for _i = 1 to 100 do
                  incr step;
@@ -864,8 +816,17 @@ let coverage_bench () =
           (Staged.stage (fun () -> Obs.Coverage.sample cov ~step:!step)) ]
   in
   let _, ns = bench in
-  write_gated ~what:"coverage" bench
-    ~gate:[ ("coverage_observe_rel", ns "coverage-observe-100") ]
+  write_gated ~what:"obs" bench
+    ~gate:
+      [ ("span_disabled_rel", ns "span-disabled-100");
+        ("counter_inc_rel", ns "counter-inc-100");
+        ("hist_observe_rel", ns "hist-observe-100");
+        ("gauge_set_rel", ns "gauge-set-100");
+        ("prof_add_rel", ns "prof-add-event");
+        ("sample_gc_rel", ns "sample-gc");
+        ("watchdog_tick_rel", ns "watchdog-check-100");
+        ("attrib_observe_rel", ns "attrib-observe-100");
+        ("coverage_observe_rel", ns "coverage-observe-100") ]
 
 (* ======================================================================== *)
 (* serve: in-process load generator against the optimization daemon         *)
@@ -1017,9 +978,7 @@ let sections : (string * (unit -> unit)) list =
     ("micro", micro);
     ("parallel", parallel);
     ("analysis", analysis);
-    ("prof", prof_bench);
-    ("health", health_bench);
-    ("coverage", coverage_bench);
+    ("obs", obs_bench);
     ("serve", serve_bench) ]
 
 let () =

@@ -641,7 +641,11 @@ let report_cmd =
                  in ui.perfetto.dev or chrome://tracing for a flamegraph view.")
   in
   let go file top_k chrome folded =
-    let events = Obs.Report.read_jsonl file in
+    let events, dropped = Obs.Report.read_trace file in
+    if events = [] && dropped > 0 then
+      failwith (Printf.sprintf "%s: no trace events" file);
+    if dropped > 0 then
+      Printf.printf "(%d torn trace line%s skipped)\n" dropped (plural dropped);
     (match chrome with
      | Some out ->
        Obs.Chrome.write ~path:out events;
@@ -658,9 +662,10 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Aggregate a span trace into per-span, per-pass and per-action tables")
+       ~doc:"Aggregate a span trace (e.g. a run's trace.jsonl) into a \
+             hotspot table plus per-pass and per-action tables")
     Term.(const go $ file
-          $ top_arg ~default:20 ~doc:"Rows in the span-summary table."
+          $ top_arg ~default:20 ~doc:"Rows in the hotspot table."
           $ chrome
           $ folded_arg
               ~doc:"Also export the trace as folded stacks (self-time in µs) \
@@ -820,7 +825,6 @@ let profile_cmd =
 (* --- runs (the ledger) ------------------------------------------------------- *)
 
 module Tbl = Posetrl_support.Table
-module Stats = Posetrl_support.Stats
 module Attrib = Posetrl_rl.Attrib
 
 let root_arg =
@@ -844,10 +848,6 @@ let read_progress ?(indent = "") (info : Obs.Run.info) : Obs.Json.t list =
     Printf.printf "%s(%d torn progress line%s skipped)\n" indent dropped
       (plural dropped);
   records
-
-let print_run_header (info : Obs.Run.info) =
-  let get k = Option.value ~default:"?" (Obs.Runlog.str k info.Obs.Run.manifest) in
-  Printf.printf "run %s  [%s, %s]\n" info.Obs.Run.run_id (get "kind") (get "status")
 
 let runs_list_cmd =
   let go root =
@@ -914,22 +914,7 @@ let runs_show_cmd =
     let records = read_progress ~indent:"  " info in
     if records <> [] then begin
       Printf.printf "\ntraining curves (%d progress records):\n" (List.length records);
-      let curve ~kind ~y label =
-        match Obs.Runlog.series ~kind ~x:"step" ~y records with
-        | [] -> ()
-        | pts ->
-          let ys = List.map snd pts in
-          Printf.printf "  %-14s n=%-5d last %10.3f  min %10.3f  max %10.3f  %s\n"
-            label (List.length ys)
-            (List.nth ys (List.length ys - 1))
-            (Stats.minimum ys) (Stats.maximum ys) (Stats.sparkline ys)
-      in
-      curve ~kind:"episode" ~y:"reward" "reward";
-      curve ~kind:"episode" ~y:"r_binsize" "r_binsize";
-      curve ~kind:"episode" ~y:"r_throughput" "r_throughput";
-      curve ~kind:"episode" ~y:"size_gain_pct" "size gain %";
-      curve ~kind:"tick" ~y:"loss" "loss";
-      curve ~kind:"tick" ~y:"epsilon" "epsilon"
+      print_string (Obs.Dashboard.curves records)
     end;
     match Obs.Run.read info Obs.Run.Eval with
     | Some doc -> print_newline (); print_eval_tables doc
@@ -1089,38 +1074,11 @@ let runs_compare_cmd =
     Term.(const go $ root_arg $ base $ cand $ reward_drop $ size_drop
           $ wall_factor $ attrib_flag $ coverage_flag)
 
-let runs_profile_cmd =
-  let go root id top folded =
-    let info = Obs.Run.find ~root id in
-    let trace = Obs.Run.trace_path info.Obs.Run.run_dir in
-    if not (Sys.file_exists trace) then
-      failwith
-        (Printf.sprintf "run %s has no trace.jsonl" info.Obs.Run.run_id);
-    let prof = Obs.Prof.of_events (Obs.Report.read_jsonl trace) in
-    print_string
-      (Obs.Prof.render ~top
-         ~title:(Printf.sprintf "hotspots (%s)" info.Obs.Run.run_id)
-         prof);
-    match folded with
-    | Some out ->
-      Obs.Prof.write_folded ~path:out prof;
-      Printf.printf "folded stacks written to %s\n" out
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Rebuild a hotspot profile (and optionally folded stacks) from a \
-             persisted run's trace.jsonl")
-    Term.(const go $ root_arg $ run_pos ()
-          $ top_arg ~default:15 ~doc:"Rows in the hotspot table."
-          $ folded_arg
-              ~doc:"Also write folded stacks (flamegraph.pl format) to \\$(docv).")
-
 let runs_cmd =
   Cmd.group
     (Cmd.info "runs"
        ~doc:"The run ledger: list, inspect and compare persisted runs")
-    [ runs_list_cmd; runs_show_cmd; runs_compare_cmd; runs_profile_cmd ]
+    [ runs_list_cmd; runs_show_cmd; runs_compare_cmd ]
 
 (* --- explain (policy introspection from the ledger) -------------------------- *)
 
@@ -1172,7 +1130,9 @@ let explain_cmd =
   in
   let go root id top schedules =
     let info = Obs.Run.find ~root id in
-    print_run_header info;
+    print_string
+      (Obs.Dashboard.header ~id:info.Obs.Run.run_id
+         ~manifest:info.Obs.Run.manifest);
     let records = read_progress info in
     (* 1 — per-pass reward attribution (attrib.json, verified vs ledger) *)
     (match Obs.Run.read info Obs.Run.Attrib with
@@ -1325,7 +1285,9 @@ let explain_cmd =
 let coverage_cmd =
   let go root id top dot =
     let info = Obs.Run.find ~root id in
-    print_run_header info;
+    print_string
+      (Obs.Dashboard.header ~id:info.Obs.Run.run_id
+         ~manifest:info.Obs.Run.manifest);
     match Obs.Run.read info Obs.Run.Coverage with
     | None ->
       print_string
@@ -1440,7 +1402,9 @@ let watch_cmd =
       (* None = run predates the watchdog; the dashboard renders a
          placeholder row for it, not a blank or garbled line *)
       let alerts = Option.map fst (Obs.Run.read_alerts info) in
-      let coverage = Obs.Run.read info Obs.Run.Coverage in
+      let coverage =
+        Option.bind (Obs.Run.read info Obs.Run.Coverage) Obs.Coverage.of_json
+      in
       let serve = Obs.Run.read info Obs.Run.Serve in
       Obs.Dashboard.render ~alerts ~coverage ~serve ~id:info.Obs.Run.run_id
         ~manifest:info.Obs.Run.manifest ~records ~dropped ()

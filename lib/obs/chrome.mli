@@ -1,5 +1,5 @@
 (** Chrome trace-event export: convert a span trace ([trace.jsonl], as
-    read by {!Report.read_jsonl}) into the Trace Event Format JSON array
+    read by {!Report.read_trace}) into the Trace Event Format JSON array
     loadable by Perfetto ([ui.perfetto.dev]) and [chrome://tracing],
     giving per-pass self-time a flamegraph view. Surfaced as
     [posetrl report FILE.jsonl --chrome out.json]. *)

@@ -6,17 +6,12 @@
    can't depend on obs), but they must tick on the same clock as the
    spans and pool-utilization math built on top of them. *)
 
-let real () = Unix.gettimeofday ()
-let source = ref real
+let source = ref Unix.gettimeofday
 let now () = !source ()
 
 let set f =
   source := f;
   Posetrl_support.Pool.clock := f
-
-let reset () =
-  source := real;
-  Posetrl_support.Pool.clock := Unix.gettimeofday
 
 let with_fake ?(start = 0.0) f =
   let t = ref start in

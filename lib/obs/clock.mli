@@ -14,9 +14,6 @@ val now : unit -> float
 val set : (unit -> float) -> unit
 (** Replace the time source. *)
 
-val reset : unit -> unit
-(** Restore the default (wall-clock) source. *)
-
 val with_fake : ?start:float -> ((float -> unit) -> 'a) -> 'a
 (** [with_fake f] installs a fake clock starting at [start] (default 0)
     and calls [f advance] where [advance d] moves the clock forward by

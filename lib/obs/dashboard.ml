@@ -23,15 +23,38 @@ let last_of (xs : (float * float) list) : float option =
 
 let fmt_opt fmt = function Some v -> Printf.sprintf fmt v | None -> "-"
 
-let render ?(width = 60) ?(alerts : Json.t list option = None)
-    ?(coverage : Json.t option = None) ?(serve : Json.t option = None)
+let header ~(id : string) ~(manifest : Json.t) : string =
+  let get k = Option.value ~default:"?" (Runlog.str k manifest) in
+  Printf.sprintf "run %s  [%s, %s]\n" id (get "kind") (get "status")
+
+let curves (records : Json.t list) : string =
+  let buf = Buffer.create 512 in
+  let curve label kind y =
+    match Runlog.series ~kind ~x:"step" ~y records with
+    | [] -> ()
+    | pts ->
+      let ys = List.map snd pts in
+      Printf.bprintf buf "%-13s n=%-5d last %10.3f  min %10.3f  max %10.3f  %s\n"
+        label (List.length ys)
+        (List.nth ys (List.length ys - 1))
+        (Stats.minimum ys) (Stats.maximum ys)
+        (Stats.sparkline ys)
+  in
+  curve "reward" "episode" "reward";
+  curve "r_binsize" "episode" "r_binsize";
+  curve "r_throughput" "episode" "r_throughput";
+  curve "size gain %" "episode" "size_gain_pct";
+  curve "epsilon" "tick" "epsilon";
+  curve "loss" "tick" "loss";
+  Buffer.contents buf
+
+let render ?(alerts : Json.t list option = None)
+    ?(coverage : Coverage.t option = None) ?(serve : Json.t option = None)
     ~(id : string) ~(manifest : Json.t) ~(records : Json.t list)
     ~(dropped : int) () : string =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let status = Option.value ~default:"?" (Runlog.str "status" manifest) in
-  let kind = Option.value ~default:"?" (Runlog.str "kind" manifest) in
-  add "run %s  [%s, %s]\n" id kind status;
+  Buffer.add_string buf (header ~id ~manifest);
   let series kind y = Runlog.series ~kind ~x:"step" ~y records in
   let ticks_step = series "tick" "epsilon" in
   let last_tick key = last_of (series "tick" key) in
@@ -77,29 +100,15 @@ let render ?(width = 60) ?(alerts : Json.t list option = None)
          let step = Option.value ~default:(-1.0) (Runlog.num "step" a) in
          add "  \027[31m! %-16s step %-8.0f %s\027[0m\n" rule step msg)
        shown);
-  (* Coverage row: the run's coverage.json summary (two states — the
-     document is absent on pre-coverage ledgers). *)
+  (* Coverage row: the run's coverage table (two states — coverage.json
+     is absent on pre-coverage ledgers). *)
   (match coverage with
    | None -> add "coverage (not recorded by this run)\n"
-   | Some doc ->
-     let n k = Runlog.num k doc in
-     add "coverage edges %s/%s (%s%%)  entropy %s bits  nodes %s/%s\n"
-       (fmt_opt "%.0f" (n "edges_visited"))
-       (match Runlog.field "universe" doc with
-        | Some u ->
-          (match Runlog.field "edges" u with
-           | Some (Json.Arr es) -> string_of_int (List.length es)
-           | _ -> "-")
-        | None -> "-")
-       (fmt_opt "%.1f" (n "edge_pct"))
-       (fmt_opt "%.2f" (n "entropy_bits"))
-       (fmt_opt "%.0f" (n "nodes_visited"))
-       (match Runlog.field "universe" doc with
-        | Some u ->
-          (match Runlog.field "nodes" u with
-           | Some (Json.Arr ns) -> string_of_int (List.length ns)
-           | _ -> "-")
-        | None -> "-"));
+   | Some cov ->
+     add "coverage edges %d/%d (%.1f%%)  entropy %.2f bits  nodes %d/%d\n"
+       (Coverage.edges_visited cov) (Coverage.edge_count cov)
+       (Coverage.edge_pct cov) (Coverage.entropy cov)
+       (Coverage.nodes_visited cov) (Coverage.node_count cov));
   (* Serve row: only present on runs that wrote serve.json (the
      optimization daemon) — train/eval frames are unchanged. *)
   (match serve with
@@ -113,23 +122,7 @@ let render ?(width = 60) ?(alerts : Json.t list option = None)
        (fmt_opt "%.2f" (Option.map (fun v -> v *. 1e3) (n "latency_p50_s")))
        (fmt_opt "%.2f" (Option.map (fun v -> v *. 1e3) (n "latency_p99_s")))
        (fmt_opt "%.0f" (n "rejected")));
-  let curve label pts =
-    match pts with
-    | [] -> ()
-    | pts ->
-      let ys = List.map snd pts in
-      add "%-13s n=%-5d last %10.3f  min %10.3f  max %10.3f  %s\n" label
-        (List.length ys)
-        (List.nth ys (List.length ys - 1))
-        (Stats.minimum ys) (Stats.maximum ys)
-        (Stats.sparkline ~width ys)
-  in
-  curve "reward" (series "episode" "reward");
-  curve "r_binsize" (series "episode" "r_binsize");
-  curve "r_throughput" (series "episode" "r_throughput");
-  curve "size gain %" (series "episode" "size_gain_pct");
-  curve "epsilon" (series "tick" "epsilon");
-  curve "loss" (series "tick" "loss");
+  Buffer.add_string buf (curves records);
   (match action_histogram records with
    | [] -> ()
    | hist ->

@@ -7,10 +7,19 @@ val action_histogram : Json.t list -> (int * int) list
 (** Per-action selection counts folded from the ["episode"] progress
     records' {!Runlog.episode_actions}, sorted by count descending. *)
 
+val header : id:string -> manifest:Json.t -> string
+(** ["run <id>  [<kind>, <status>]"], newline-terminated: the first line
+    of a frame, and of [posetrl explain] and [posetrl coverage]. *)
+
+val curves : Json.t list -> string
+(** One sparkline row per series of the progress records (episode
+    reward, its two components and size gain, then tick ε and loss),
+    each with its count, last, min and max; a series with no points is
+    omitted. Also the curve block of [posetrl runs show]. *)
+
 val render :
-  ?width:int ->
   ?alerts:Json.t list option ->
-  ?coverage:Json.t option ->
+  ?coverage:Coverage.t option ->
   ?serve:Json.t option ->
   id:string ->
   manifest:Json.t ->
@@ -21,17 +30,16 @@ val render :
 (** One frame: run header (status, step/episode/ε/loss from the latest
     tick), a watchdog-alerts row, a decision-space coverage row, reward
     / reward-component / ε / loss sparklines, and the action-selection
-    histogram. [width] bounds the sparkline columns (default 60).
-    Renders a clear placeholder when [records] is empty.
+    histogram. Renders a clear placeholder when [records] is empty.
 
     [alerts] is the result of {!Run.read_alerts} (records only):
     [None] — the run predates the watchdog, rendered as a
     "(not recorded)" placeholder, never a blank or garbled row;
     [Some []] — healthy; [Some l] — red rows for the latest alerts.
 
-    [coverage] is the result of [Run.read info Coverage]: [None] — absent
-    or corrupt, rendered as "(not recorded)"; [Some doc] — the edge /
-    entropy / node summary of the coverage document.
+    [coverage] is the run's table as {!Coverage.of_json} reads
+    [Run.read info Coverage]: [None] — absent or corrupt, rendered as
+    "(not recorded)"; [Some cov] — its edge / entropy / node summary.
 
     [serve] is the result of [Run.read info Serve]: [None] — not a serve
     run, the row is simply omitted; [Some doc] — a request / cache-hit /

@@ -32,7 +32,7 @@ type key = string * (string * string) list
    carry their own mutex so bucket count, sum and count move together.
    The histogram lock is per-row and [observe] sites run at tick/task
    frequency, so contention is nil; the counter CAS costs a few ns over
-   a plain add (benched in the "prof" bench section). *)
+   a plain add (benched in the "obs" bench section). *)
 type t = { cells : (key, cell) Hashtbl.t; lock : Mutex.t }
 
 let create () = { cells = Hashtbl.create 64; lock = Mutex.create () }
@@ -41,8 +41,6 @@ let global = create ()
 let locked (r : t) (f : unit -> 'a) : 'a =
   Mutex.lock r.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
-
-let reset (r : t) = locked r (fun () -> Hashtbl.reset r.cells)
 
 let norm_labels labels = List.sort compare labels
 

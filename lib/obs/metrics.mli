@@ -28,10 +28,6 @@ type histogram
 val create : unit -> t
 val global : t
 
-val reset : t -> unit
-(** Drop every registered series (handles from before the reset keep
-    working but are no longer reachable from snapshots). *)
-
 val counter : ?r:t -> ?labels:(string * string) list -> string -> counter
 (** Look up or register a monotone counter.
     @raise Invalid_argument if the series exists with another kind. *)

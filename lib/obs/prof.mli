@@ -22,7 +22,7 @@ val sink : t -> Sink.t
 (** A span sink feeding the collector; [close] is a no-op. *)
 
 val of_events : Event.t list -> t
-(** Fold an event list (e.g. [Report.read_jsonl] output) into a fresh
+(** Fold an event list (e.g. [Report.read_trace] output) into a fresh
     collector. *)
 
 val collect : ?alloc:bool -> (unit -> 'a) -> 'a * t

@@ -1,14 +1,8 @@
-(* Trace report aggregator: JSONL in, sorted tables out. *)
+(* Trace report: JSONL in, the hotspot table plus per-pass and
+   per-action tables out. Span aggregation is Prof's; this module adds
+   the two attribute-keyed folds. *)
 
 open Posetrl_support
-
-type span_row = {
-  sr_name : string;
-  sr_count : int;
-  sr_cum : float;
-  sr_self : float;
-  sr_max : float;
-}
 
 type pass_row = {
   pr_pass : string;
@@ -27,26 +21,14 @@ type action_row = {
   ar_mean_reward : float;
 }
 
-let read_jsonl (path : string) : Event.t list =
-  let ic = open_in path in
-  let events = ref [] in
-  let lineno = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          incr lineno;
-          if String.trim line <> "" then
-            match Event.of_json (Json.of_string line) with
-            | e -> events := e :: !events
-            | exception (Json.Parse_error _ | Invalid_argument _) ->
-              failwith
-                (Printf.sprintf "%s:%d: malformed trace line" path !lineno)
-        done;
-        assert false
-      with End_of_file -> List.rev !events)
+(* Lines that are not JSON or not an event are skipped and counted
+   alike: a killed run tears its last line. *)
+let read_trace (path : string) : Event.t list * int =
+  Runlog.read_jsonl
+    (fun j -> match Event.of_json j with
+       | e -> Some e
+       | exception Invalid_argument _ -> None)
+    path
 
 (* fold rows into a table keyed by [key], then sort by cum desc *)
 let group_fold (type k) (key : Event.t -> k option)
@@ -67,16 +49,6 @@ let group_fold (type k) (key : Event.t -> k option)
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
 
 let by_cum_desc cum a b = compare (cum b) (cum a)
-
-let spans (events : Event.t list) : span_row list =
-  group_fold (fun e -> Some e.Event.name) events
-  |> List.map (fun (name, es) ->
-         { sr_name = name;
-           sr_count = List.length es;
-           sr_cum = List.fold_left (fun a e -> a +. e.Event.dur) 0.0 es;
-           sr_self = List.fold_left (fun a e -> a +. e.Event.self) 0.0 es;
-           sr_max = List.fold_left (fun a e -> Float.max a e.Event.dur) 0.0 es })
-  |> List.sort (by_cum_desc (fun r -> r.sr_cum))
 
 let passes (events : Event.t list) : pass_row list =
   group_fold (fun e -> Event.attr_string e "pass") events
@@ -117,27 +89,11 @@ let actions (events : Event.t list) : action_row list =
              /. float_of_int (max 1 n) })
   |> List.sort (by_cum_desc (fun r -> r.ar_cum))
 
-let top k l = List.filteri (fun i _ -> i < k) l
-
 let secs s = Printf.sprintf "%.6f" s
 
 let render ?(top_k = 20) (events : Event.t list) : string =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%d trace events\n\n" (List.length events));
-  let span_tbl =
-    Table.create ~title:(Printf.sprintf "span summary (top %d by cumulative time)" top_k)
-      ~headers:[ "span"; "count"; "cum s"; "self s"; "max s" ]
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ()
-  in
-  List.iter
-    (fun r ->
-      Table.add_row span_tbl
-        [ r.sr_name; string_of_int r.sr_count; secs r.sr_cum; secs r.sr_self;
-          secs r.sr_max ])
-    (top top_k (spans events));
-  Buffer.add_string buf (Table.render span_tbl);
+  Buffer.add_string buf (Prof.render ~top:top_k (Prof.of_events events));
   (match passes events with
    | [] -> ()
    | ps ->

@@ -1,14 +1,6 @@
-(** Offline trace analysis: fold a JSONL trace (written by
-    {!Sink.jsonl}) into per-span cumulative/self-time aggregates and
-    the per-pass / per-action tables surfaced by [posetrl report]. *)
-
-type span_row = {
-  sr_name : string;
-  sr_count : int;
-  sr_cum : float;                (** Σ dur, seconds *)
-  sr_self : float;               (** Σ self, seconds *)
-  sr_max : float;                (** max single dur, seconds *)
-}
+(** Offline trace analysis behind [posetrl report]: a JSONL trace
+    (written by {!Sink.jsonl}) folded into {!Prof}'s hotspot table plus
+    per-pass and per-action tables. *)
 
 type pass_row = {
   pr_pass : string;
@@ -27,12 +19,10 @@ type action_row = {
   ar_mean_reward : float;
 }
 
-val read_jsonl : string -> Event.t list
-(** Parse a JSONL trace file; blank lines are skipped.
-    @raise Failure on a malformed line (with its line number). *)
-
-val spans : Event.t list -> span_row list
-(** Aggregate by span name, sorted by cumulative time descending. *)
+val read_trace : string -> Event.t list * int
+(** Read a JSONL trace through {!Runlog.read_jsonl}. Lines that are not
+    JSON or not an {!Event} (e.g. a final line torn by a killed
+    process) are skipped; the second component counts them. *)
 
 val passes : Event.t list -> pass_row list
 (** Aggregate events carrying a ["pass"] attribute by pass name,
@@ -41,8 +31,6 @@ val passes : Event.t list -> pass_row list
 val actions : Event.t list -> action_row list
 (** Aggregate [posetrl.env.step] events by action index. *)
 
-val top : int -> 'a list -> 'a list
-(** First [k] elements (the whole list if shorter). *)
-
 val render : ?top_k:int -> Event.t list -> string
-(** The full report: span summary, per-pass table, per-action table. *)
+(** The full report: {!Prof.render}'s hotspot table ([top_k] rows,
+    default 20), then the per-pass and per-action tables. *)

@@ -107,10 +107,6 @@ let create ?(root = default_root) ?dir ~(name : string)
   write_manifest t ~status:"running";
   t
 
-let set_meta (t : t) (extra : (string * Json.t) list) : unit =
-  t.r_meta <- merge_fields t.r_meta extra;
-  write_manifest t ~status:(if t.r_finished then "complete" else "running")
-
 let progress_flush_every = 8
 
 let progress (t : t) (record : Json.t) : unit =
@@ -205,7 +201,7 @@ let find ?(root = default_root) (id_or_dir : string) : info =
 
 let read_progress (i : info) : Json.t list * int =
   let path = progress_path i.run_dir in
-  if Sys.file_exists path then Runlog.read_jsonl path else ([], 0)
+  if Sys.file_exists path then Runlog.read_jsonl Option.some path else ([], 0)
 
 (* The document readers follow the [list_runs] hardening contract: runs
    that predate a layer (no file) and runs whose file is torn or corrupt
@@ -223,7 +219,7 @@ let read_alerts (i : info) : (Json.t list * int) option =
   let path = alerts_path i.run_dir in
   if not (Sys.file_exists path) then None
   else
-    match Runlog.read_jsonl path with
+    match Runlog.read_jsonl Option.some path with
     | records -> Some records
     | exception Sys_error _ -> None
 

@@ -40,9 +40,6 @@ val create :
 
 val dir : t -> string
 
-val set_meta : t -> (string * Json.t) list -> unit
-(** Merge fields into the manifest (later keys win) and rewrite it. *)
-
 val progress : t -> Json.t -> unit
 (** Append a record to [progress.jsonl]; flushed every few records so a
     killed run keeps a readable prefix. Records normally come from

@@ -28,9 +28,12 @@ let read_json_file (path : string) : Json.t =
       Json.of_string (String.trim (really_input_string ic n)))
 
 (* Parse a JSONL stream, dropping lines that fail to parse (a crash can
-   tear the last line). Returns the records plus the dropped-line count
-   so callers can surface data loss instead of hiding it. *)
-let read_jsonl (path : string) : Json.t list * int =
+   tear the last line) or that [convert] rejects. Each line is converted
+   as it is read, so no line's JSON tree outlives it. Returns the records
+   plus the dropped-line count so callers can surface data loss instead
+   of hiding it. *)
+let read_jsonl (convert : Json.t -> 'a option) (path : string) :
+    'a list * int =
   let ic = open_in path in
   let records = ref [] in
   let dropped = ref 0 in
@@ -41,8 +44,9 @@ let read_jsonl (path : string) : Json.t list * int =
          while true do
            let line = input_line ic in
            if String.trim line <> "" then
-             match Json.of_string line with
-             | j -> records := j :: !records
+             match convert (Json.of_string line) with
+             | Some r -> records := r :: !records
+             | None -> incr dropped
              | exception Json.Parse_error _ -> incr dropped
          done
        with End_of_file -> ());

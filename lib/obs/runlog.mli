@@ -11,9 +11,11 @@ val write_json_file : string -> Json.t -> unit
 val read_json_file : string -> Json.t
 (** @raise Json.Parse_error on malformed content, [Sys_error] if absent. *)
 
-val read_jsonl : string -> Json.t list * int
-(** Parse a JSONL stream. Unparseable lines (e.g. a final line torn by a
-    killed process) are skipped; the second component counts them. *)
+val read_jsonl : (Json.t -> 'a option) -> string -> 'a list * int
+(** Parse a JSONL stream, converting each line as it is read (pass
+    [Option.some] to keep the JSON). Unparseable lines (e.g. a final
+    line torn by a killed process) and lines the conversion maps to
+    [None] are skipped; the second component counts them. *)
 
 val append_jsonl_line : out_channel -> Json.t -> unit
 

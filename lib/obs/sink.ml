@@ -1,11 +1,9 @@
-(* Built-in span sinks: ring buffer, JSONL writer, console printer. *)
+(* Built-in span sinks: ring buffer and JSONL writer. *)
 
 type t = {
   emit : Event.t -> unit;
   close : unit -> unit;
 }
-
-let null = { emit = ignore; close = ignore }
 
 let memory ?(capacity = 4096) () : t * (unit -> Event.t list) =
   let q : Event.t Queue.t = Queue.create () in
@@ -15,12 +13,8 @@ let memory ?(capacity = 4096) () : t * (unit -> Event.t list) =
   in
   ({ emit; close = ignore }, fun () -> List.of_seq (Queue.to_seq q))
 
-let jsonl ?(append = false) ?(flush_every = 64) (path : string) : t =
-  let oc =
-    if append then
-      open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
-    else open_out path
-  in
+let jsonl ?(flush_every = 64) (path : string) : t =
+  let oc = open_out path in
   (* flush on a period so a killed process still leaves every line up to
      the last flush intact and parseable (crash tolerance) *)
   let pending = ref 0 in
@@ -34,20 +28,3 @@ let jsonl ?(append = false) ?(flush_every = 64) (path : string) : t =
           pending := 0
         end);
     close = (fun () -> close_out oc) }
-
-let console ?(oc = stdout) () : t =
-  { emit =
-      (fun e ->
-        let attrs =
-          match e.Event.attrs with
-          | [] -> ""
-          | kvs ->
-            " "
-            ^ String.concat " "
-                (List.map
-                   (fun (k, v) -> k ^ "=" ^ Event.value_to_string v)
-                   kvs)
-        in
-        Printf.fprintf oc "%*s%s %.6fs (self %.6fs)%s\n" (2 * e.Event.depth) ""
-          e.Event.name e.Event.dur e.Event.self attrs);
-    close = (fun () -> flush oc) }

@@ -1,29 +1,21 @@
 (** Span-event sinks: where completed spans go.
 
-    Three built-ins — an in-memory ring buffer (tests), a JSONL writer
-    (offline analysis via [Report]), and a human-readable console
-    printer. Sinks are installed into the span layer with
-    {!Span.install} / {!Span.with_sink}. *)
+    Two built-ins — an in-memory ring buffer (tests) and a JSONL writer
+    (offline analysis via [Report]). Sinks are installed into the span
+    layer with {!Span.install} / {!Span.with_sink}. *)
 
 type t = {
   emit : Event.t -> unit;
   close : unit -> unit;  (** flush and release resources; idempotent use is the caller's job *)
 }
 
-val null : t
-(** Discards everything; useful for overhead measurement. *)
-
 val memory : ?capacity:int -> unit -> t * (unit -> Event.t list)
 (** Ring buffer keeping the last [capacity] events (default 4096).
     The second component returns the retained events oldest-first. *)
 
-val jsonl : ?append:bool -> ?flush_every:int -> string -> t
-(** Write one JSON object per event to the given file path. With
-    [~append:true] an existing file is extended instead of truncated
-    (resumed runs share one trace). The channel is flushed every
-    [flush_every] events (default 64; [<= 0] disables periodic
-    flushing), so a killed process still leaves a readable prefix.
-    [close] flushes and closes the channel. *)
-
-val console : ?oc:out_channel -> unit -> t
-(** Indented, human-readable one-line-per-span output (default stdout). *)
+val jsonl : ?flush_every:int -> string -> t
+(** Write one JSON object per event to the given file path, truncating
+    an existing file. The channel is flushed every [flush_every] events
+    (default 64; [<= 0] disables periodic flushing), so a killed process
+    still leaves a readable prefix. [close] flushes and closes the
+    channel. *)

@@ -212,10 +212,26 @@ let test_jsonl_roundtrip () =
                     emit_fixture advance));
             events ())
       in
-      let parsed = Obs.Report.read_jsonl path in
+      let parsed, dropped = Obs.Report.read_trace path in
       Alcotest.(check int) "event count" (List.length golden) (List.length parsed);
+      Alcotest.(check int) "nothing dropped" 0 dropped;
       (* byte-exact structural round trip against the in-memory golden *)
-      Alcotest.(check bool) "events round-trip" true (parsed = golden))
+      Alcotest.(check bool) "events round-trip" true (parsed = golden);
+      (* a killed run tears its last line: the reader skips and counts
+         it, and every complete event still reads back *)
+      let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+      output_string oc "{\"name\":\"posetrl.env.st";
+      close_out oc;
+      let parsed, dropped = Obs.Report.read_trace path in
+      Alcotest.(check int) "torn line dropped" 1 dropped;
+      Alcotest.(check bool) "events before the torn line" true (parsed = golden);
+      (* a JSON line that is not an event is skipped and counted too *)
+      let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+      output_string oc "\n{\"kind\":\"tick\",\"step\":200}\n";
+      close_out oc;
+      let parsed, dropped = Obs.Report.read_trace path in
+      Alcotest.(check int) "non-event line dropped" 2 dropped;
+      Alcotest.(check bool) "events unchanged" true (parsed = golden))
 
 let test_report_aggregation () =
   let path = Filename.temp_file "posetrl_obs" ".jsonl" in
@@ -224,16 +240,17 @@ let test_report_aggregation () =
     (fun () ->
       Obs.Clock.with_fake (fun advance ->
           Span.with_sink (Obs.Sink.jsonl path) (fun () -> emit_fixture advance));
-      let events = Obs.Report.read_jsonl path in
-      (* span table: env.step cum = 3 * 1.5, self = 3 * 0.5 *)
-      (match Obs.Report.spans events with
-       | [ step; pass ] ->
-         Alcotest.(check string) "top span" "posetrl.env.step" step.Obs.Report.sr_name;
-         Alcotest.(check int) "step count" 3 step.Obs.Report.sr_count;
-         check_float "step cum" 4.5 step.Obs.Report.sr_cum;
-         check_float "step self" 1.5 step.Obs.Report.sr_self;
-         check_float "pass cum" 3.0 pass.Obs.Report.sr_cum
-       | rows -> Alcotest.failf "expected 2 span rows, got %d" (List.length rows));
+      let events, _ = Obs.Report.read_trace path in
+      (* hotspots: env.step total = 3 * 1.5, self = 3 * 0.5; pass.run
+         (self 3.0) ranks first by self time *)
+      (match Obs.Prof.hotspots (Obs.Prof.of_events events) with
+       | [ pass; step ] ->
+         Alcotest.(check string) "step span" "posetrl.env.step" step.Obs.Prof.e_name;
+         Alcotest.(check int) "step count" 3 step.Obs.Prof.e_count;
+         check_float "step total" 4.5 step.Obs.Prof.e_total;
+         check_float "step self" 1.5 step.Obs.Prof.e_self;
+         check_float "pass total" 3.0 pass.Obs.Prof.e_total
+       | rows -> Alcotest.failf "expected 2 hotspot rows, got %d" (List.length rows));
       (* pass table groups by pass attr and sums insn deltas *)
       (match Obs.Report.passes events with
        | [ scfg; licm ] ->
@@ -251,8 +268,8 @@ let test_report_aggregation () =
          check_float "mean reward" 1.0 a3.Obs.Report.ar_mean_reward;
          check_float "negative delta" (-8.0) a7.Obs.Report.ar_d_size
        | rows -> Alcotest.failf "expected 2 action rows, got %d" (List.length rows));
-      (* the rendered report carries all three tables with the fixture's
-         span/pass/action rows *)
+      (* the rendered report carries the hotspot, pass and action tables
+         with the fixture's span/pass/action rows *)
       let rendered = Obs.Report.render events in
       let contains needle =
         let nl = String.length needle and hl = String.length rendered in
@@ -260,13 +277,12 @@ let test_report_aggregation () =
         Alcotest.(check bool) (Printf.sprintf "render mentions %S" needle) true (go 0)
       in
       List.iter contains
-        [ "span summary"; "per-pass cumulative time"; "per-action";
+        [ "hotspots"; "per-pass cumulative time"; "per-action";
           "posetrl.env.step"; "posetrl.pass.run"; "simplifycfg"; "licm" ])
 
 let test_report_render_empty () =
   (* an empty trace still renders (headers only), and the aggregators
      agree it holds nothing *)
-  Alcotest.(check int) "no spans" 0 (List.length (Obs.Report.spans []));
   Alcotest.(check int) "no actions" 0 (List.length (Obs.Report.actions []));
   Alcotest.(check bool) "render total on empty" true
     (String.length (Obs.Report.render []) > 0)

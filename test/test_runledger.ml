@@ -77,7 +77,7 @@ let test_read_jsonl_torn_line () =
       (* a killed process tears the last line mid-object *)
       output_string oc "{\"step\": 3, \"mean_rew";
       close_out oc;
-      let records, dropped = Runlog.read_jsonl path in
+      let records, dropped = Runlog.read_jsonl Option.some path in
       Alcotest.(check int) "intact records kept" 2 (List.length records);
       Alcotest.(check int) "torn line counted" 1 dropped;
       Alcotest.(check (option (float 0.0))) "records parse" (Some 2.0)
@@ -302,7 +302,7 @@ let test_run_progress_flush_prefix () =
              ~mean_size_gain:0.0 ~r_binsize:0.0 ~r_throughput:0.0 ~loss:0.0 ())
       done;
       (* no finish, no close: read what made it to disk *)
-      let records, _ = Runlog.read_jsonl (Run.progress_path dir) in
+      let records, _ = Runlog.read_jsonl Option.some (Run.progress_path dir) in
       Alcotest.(check bool)
         (Printf.sprintf "flushed prefix (%d records)" (List.length records))
         true
@@ -478,22 +478,19 @@ let test_sink_flush_every () =
       Alcotest.(check int) "close flushes the tail" 10
         (List.length (read_lines path)))
 
-let test_sink_append () =
+let test_sink_truncates () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "trace.jsonl" in
       let s1 = Obs.Sink.jsonl path in
       s1.Obs.Sink.emit (mk_event "first");
       s1.Obs.Sink.close ();
-      (* append extends; the default truncates *)
-      let s2 = Obs.Sink.jsonl ~append:true path in
+      (* a second sink on the same path starts the trace over *)
+      let s2 = Obs.Sink.jsonl path in
       s2.Obs.Sink.emit (mk_event "second");
       s2.Obs.Sink.close ();
-      Alcotest.(check int) "appended" 2 (List.length (read_lines path));
-      let s3 = Obs.Sink.jsonl path in
-      s3.Obs.Sink.emit (mk_event "third");
-      s3.Obs.Sink.close ();
-      let events = Obs.Report.read_jsonl path in
-      Alcotest.(check (list string)) "truncate is still the default" [ "third" ]
+      let events, dropped = Obs.Report.read_trace path in
+      Alcotest.(check int) "nothing dropped" 0 dropped;
+      Alcotest.(check (list string)) "only the second sink's event" [ "second" ]
         (List.map (fun e -> e.Obs.Event.name) events))
 
 let suite =
@@ -534,4 +531,5 @@ let suite =
     Alcotest.test_case "compare missing metrics" `Quick
       test_compare_missing_never_regresses;
     Alcotest.test_case "sink flush_every" `Quick test_sink_flush_every;
-    Alcotest.test_case "sink append flag" `Quick test_sink_append ]
+    Alcotest.test_case "sink truncates an existing trace" `Quick
+      test_sink_truncates ]

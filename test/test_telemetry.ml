@@ -529,7 +529,7 @@ let test_dashboard_coverage_row () =
   (* pre-coverage run: an explicit placeholder, like the alerts row *)
   Alcotest.(check bool) "placeholder for pre-coverage runs" true
     (contains (render None) "coverage (not recorded by this run)");
-  (* a real document renders the summary straight from coverage.json *)
+  (* a real table renders its edge / entropy / node summary *)
   let cov =
     Obs.Coverage.create
       { Obs.Coverage.nodes = [| "a"; "b"; "c" |];
@@ -538,7 +538,7 @@ let test_dashboard_coverage_row () =
   in
   Obs.Coverage.observe cov ~action:0 ~pos:0 ~reward:0.0 ~r_binsize:0.0
     ~r_throughput:0.0;
-  let frame = render (Some (Obs.Coverage.to_json cov)) in
+  let frame = render (Some cov) in
   Alcotest.(check bool) "edge fraction rendered" true
     (contains frame "coverage edges 1/2 (50.0%)");
   Alcotest.(check bool) "entropy rendered" true (contains frame "0.00 bits");
