@@ -14,6 +14,7 @@ module Obs = Posetrl_obs
 
 let m_steps = Obs.Metrics.counter "posetrl.env.steps"
 let m_resets = Obs.Metrics.counter "posetrl.env.resets"
+let m_noop_skips = Obs.Metrics.counter "posetrl.env.noop_skips"
 
 let m_step_seconds = Obs.Metrics.histogram "posetrl.env.step_seconds"
 
@@ -34,6 +35,7 @@ type t = {
   mutable base : Reward.baseline;
   mutable last : Reward.measurement;
   mutable state : float array;  (* [observe] of [current] *)
+  mutable noops : int list;  (* actions seen to return [current] itself *)
   mutable step_idx : int;
 }
 
@@ -54,6 +56,7 @@ let create ?(weights = Reward.paper_weights) ?(max_steps = default_max_steps)
     base = { Reward.bin_size = 0.0; Reward.throughput = 0.0 };
     last = { Reward.bin_size = 0.0; Reward.throughput = 0.0 };
     state = [||];
+    noops = [];
     step_idx = 0 }
 
 let n_actions (t : t) = Odg.Action_space.n_actions t.actions
@@ -70,6 +73,7 @@ let reset (t : t) (m : Modul.t) : float array =
   t.base <- meas;
   t.last <- meas;
   t.state <- observe m;
+  t.noops <- [];
   t.step_idx <- 0;
   t.state
 
@@ -92,13 +96,24 @@ let step (t : t) (action : int) : step_result =
         [ ("action", Obs.Event.I action);
           ("passes", Obs.Event.S (String.concat " " names)) ]
       (fun sp ->
+        (* every pass is a pure function of (config, module) and the
+           module already passed the input check, so an action seen to
+           leave this module unchanged would again: skip its passes *)
+        let known_noop = List.mem action t.noops in
         let m' =
-          Posetrl_passes.Pass_manager.run ~sanitize:t.sanitize
-            ?repro_dir:t.repro_dir t.pass_cfg names m
+          if known_noop then begin
+            Obs.Metrics.inc m_noop_skips;
+            m
+          end
+          else
+            Posetrl_passes.Pass_manager.run ~sanitize:t.sanitize
+              ?repro_dir:t.repro_dir t.pass_cfg names m
         in
         (* passes that changed nothing hand back the module itself, whose
            measurement and state are already known *)
         let unchanged = m' == m in
+        if not unchanged then t.noops <- []
+        else if not known_noop then t.noops <- action :: t.noops;
         let curr = if unchanged then t.last else Reward.measure t.target m' in
         let comps =
           Reward.decompose ~weights:t.weights ~base:t.base ~last:t.last ~curr ()

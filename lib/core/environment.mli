@@ -47,8 +47,11 @@ val step : t -> int -> step_result
 (** Apply the action's pass sub-sequence and re-measure. A step whose
     passes changed nothing (they return the module itself, see
     {!Posetrl_passes.Pass.run}) is not re-measured or re-embedded: it
-    returns the previous state array. States are shared, never mutated,
-    by the environment or by its callers.
+    returns the previous state array. A step on an action already seen
+    to leave the current module unchanged runs no pass (and so no
+    sanitizer check): passes are pure functions of their config and
+    module, so it takes the unchanged path directly. States are shared,
+    never mutated, by the environment or by its callers.
     @raise Invalid_argument if called before {!reset}. *)
 
 val current_module : t -> Posetrl_ir.Modul.t

@@ -7,7 +7,14 @@
    operand (the use-def information IR2Vec derives from reaching
    definitions). Function embeddings are sums of their instruction
    embeddings, and the program embedding is the sum over defined
-   functions — 300-dimensional, as used by the paper. *)
+   functions — 300-dimensional, as used by the paper.
+
+   A base embedding depends only on the opcode name, the result type and
+   the operand kinds, so it is memoized on them, domain-local and capped
+   like the vocabulary's seed cache ([Vocabulary.memo]). Memoized vectors
+   are shared and never written: the flow refinement builds each
+   instruction's refined vector in one scratch vector per function, with
+   the same float operations in the same order as a fresh copy would. *)
 
 open Posetrl_ir
 open Posetrl_support
@@ -26,28 +33,40 @@ let operand_kind (v : Value.t) : string =
   | Value.Reg _ -> "variable"
   | Value.Global _ -> "global"
 
-let base_insn_embedding (op : Instr.op) : Vecf.t =
+(* Opcode name, result type ([None] for a terminator) and operand kinds:
+   everything a base embedding reads. *)
+let base_key : (string * Types.t option * string list, Vecf.t) Hashtbl.t
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+
+let memo_entries () = Hashtbl.length (Domain.DLS.get base_key)
+
+let base_embedding ((name, ty, kinds) : string * Types.t option * string list) :
+    Vecf.t =
   let acc = Vecf.create Vocabulary.dimension in
-  Vecf.axpy ~k:w_opcode acc (Vocabulary.opcode (Instr.opcode_name op));
-  let ty = Instr.result_ty op in
-  Vecf.axpy ~k:w_type acc (Vocabulary.ty (Types.to_string ty));
-  List.iter
-    (fun v -> Vecf.axpy ~k:w_arg acc (Vocabulary.operand_kind (operand_kind v)))
-    (Instr.operands op);
+  Vecf.axpy ~k:w_opcode acc (Vocabulary.opcode name);
+  Option.iter
+    (fun ty -> Vecf.axpy ~k:w_type acc (Vocabulary.ty (Types.to_string ty)))
+    ty;
+  List.iter (fun k -> Vecf.axpy ~k:w_arg acc (Vocabulary.operand_kind k)) kinds;
   acc
 
+let base_insn_embedding (op : Instr.op) : Vecf.t =
+  Vocabulary.memo base_key
+    ( Instr.opcode_name op,
+      Some (Instr.result_ty op),
+      List.map operand_kind (Instr.operands op) )
+    base_embedding
+
 let base_term_embedding (t : Instr.term) : Vecf.t =
-  let acc = Vecf.create Vocabulary.dimension in
-  Vecf.axpy ~k:w_opcode acc (Vocabulary.opcode (Instr.term_name t));
-  List.iter
-    (fun v -> Vecf.axpy ~k:w_arg acc (Vocabulary.operand_kind (operand_kind v)))
-    (Instr.term_operands t);
-  acc
+  Vocabulary.memo base_key
+    (Instr.term_name t, None, List.map operand_kind (Instr.term_operands t))
+    base_embedding
 
 (* Function-level embedding with one round of use-def flow refinement. *)
 let embed_func (f : Func.t) : Vecf.t =
-  if Func.is_declaration f then Vecf.create Vocabulary.dimension
-  else begin
+  let acc = Vecf.create Vocabulary.dimension in
+  if not (Func.is_declaration f) then begin
     (* base embeddings per defining register *)
     let base : (int, Vecf.t) Hashtbl.t = Hashtbl.create 64 in
     Func.iter_insns
@@ -55,9 +74,10 @@ let embed_func (f : Func.t) : Vecf.t =
         if i.Instr.id >= 0 then
           Hashtbl.replace base i.Instr.id (base_insn_embedding i.Instr.op))
       f;
-    let acc = Vecf.create Vocabulary.dimension in
-    let add_refined (op : Instr.op) (self : Vecf.t) =
-      let v = Vecf.copy self in
+    (* acc += self + w_flow * (the base of each operand's definition) *)
+    let v = Vecf.create Vocabulary.dimension in
+    let add_refined (self : Vecf.t) (operands : Value.t list) =
+      Array.blit self 0 v 0 Vocabulary.dimension;
       List.iter
         (fun operand ->
           match operand with
@@ -66,7 +86,7 @@ let embed_func (f : Func.t) : Vecf.t =
              | Some def -> Vecf.axpy ~k:w_flow v def
              | None -> ())
           | _ -> ())
-        (Instr.operands op);
+        operands;
       Vecf.add_inplace acc v
     in
     List.iter
@@ -77,23 +97,14 @@ let embed_func (f : Func.t) : Vecf.t =
               if i.Instr.id >= 0 then Hashtbl.find base i.Instr.id
               else base_insn_embedding i.Instr.op
             in
-            add_refined i.Instr.op self)
+            add_refined self (Instr.operands i.Instr.op))
           b.Block.insns;
         (* terminators contribute too; flow refinement over their uses *)
-        let tv = base_term_embedding b.Block.term in
-        List.iter
-          (fun operand ->
-            match operand with
-            | Value.Reg r ->
-              (match Hashtbl.find_opt base r with
-               | Some def -> Vecf.axpy ~k:w_flow tv def
-               | None -> ())
-            | _ -> ())
-          (Instr.term_operands b.Block.term);
-        Vecf.add_inplace acc tv)
-      f.Func.blocks;
-    acc
-  end
+        add_refined (base_term_embedding b.Block.term)
+          (Instr.term_operands b.Block.term))
+      f.Func.blocks
+  end;
+  acc
 
 let embed_program_raw (m : Modul.t) : Vecf.t =
   let acc = Vecf.create Vocabulary.dimension in

@@ -295,24 +295,28 @@ let test_trainer_deterministic () =
 
 (* --- the greedy rollout against a per-module reference ------------------------ *)
 
-(* One module's greedy episode, stepped on its own: reset, then the
-   agent's greedy action and an environment step until terminal. *)
+(* One module's greedy episode, stepped on its own without the
+   environment (and so without its no-op memo): the agent's greedy
+   action, then the action's passes, a fresh measurement and a fresh
+   embedding, until [max_steps]. *)
 let ref_rollout ~max_steps ~(agent : Rl.Dqn.t) (m : Posetrl_ir.Modul.t) :
     int list * string * float =
-  let env = C.Environment.create ~max_steps ~target:x86 ~actions:O.Action_space.odg () in
-  let state = ref (C.Environment.reset env m) in
-  let taken = ref [] and total = ref 0.0 and terminal = ref false in
-  while not !terminal do
-    let a = Rl.Dqn.greedy_action agent !state in
-    taken := a :: !taken;
-    let res = C.Environment.step env a in
-    total := !total +. res.C.Environment.reward;
-    state := res.C.Environment.state;
-    terminal := res.C.Environment.terminal
-  done;
-  ( List.rev !taken,
-    Posetrl_ir.Printer.module_to_string (C.Environment.current_module env),
-    !total )
+  let actions = O.Action_space.odg in
+  let base = C.Reward.measure x86 m in
+  let rec go k m last state taken total =
+    if k = max_steps then
+      (List.rev taken, Posetrl_ir.Printer.module_to_string m, total)
+    else
+      let a = Rl.Dqn.greedy_action agent state in
+      let m' =
+        Posetrl_passes.Pass_manager.run Posetrl_passes.Config.oz
+          (O.Action_space.action actions a) m
+      in
+      let curr = C.Reward.measure x86 m' in
+      let r = (C.Reward.decompose ~base ~last ~curr ()).C.Reward.total in
+      go (k + 1) m' curr (C.Environment.observe m') (a :: taken) (total +. r)
+  in
+  go 0 m base (C.Environment.observe m) [] 0.0
 
 (* validation programs and training-corpus programs, side by side *)
 let rollout_programs =
@@ -483,6 +487,92 @@ let prop_unchanged_is_physical =
         schedule;
       true)
 
+(* --- a known no-op runs no pass ------------------------------------------------ *)
+
+type noop_program = Suite of int | Generated of int
+
+(* (program, sanitize level, schedule): 15 ODG actions drawn from an
+   alphabet of three, so actions repeat on modules they left unchanged *)
+let gen_noop_case =
+  let n = O.Action_space.n_actions O.Action_space.odg in
+  QCheck2.Gen.(
+    let* prog =
+      oneof
+        [ map (fun i -> Suite i) (int_range 0 54);
+          map (fun s -> Generated s) (int_range 0 100_000) ]
+    in
+    let* level = oneofl Posetrl_analysis.Sanitize.[ Off; Ssa ] in
+    let* alphabet = list_repeat 3 (int_range 0 (n - 1)) in
+    let+ schedule = list_repeat C.Environment.default_max_steps (oneofl alphabet) in
+    (prog, level, schedule))
+
+(* Every environment step (state bits, reward bits, both components,
+   printed module) equals a reference that calls the pass manager,
+   [Reward.measure], [Reward.decompose] and [Environment.observe]
+   directly; a step on an action already seen to leave the module
+   unchanged since the last change or [reset] runs no pass and counts
+   one no-op skip. *)
+let prop_known_noop_runs_no_pass =
+  let module P = Posetrl_passes in
+  let actions = O.Action_space.odg in
+  let count name = Option.value ~default:0.0 (Obs.Metrics.value name) in
+  let runs () = count "posetrl.pass.runs" and skips () = count "posetrl.env.noop_skips" in
+  QCheck2.Test.make ~count:30
+    ~print:(fun (prog, level, schedule) ->
+      Printf.sprintf "%s at %s: [%s]"
+        (match prog with
+         | Suite i -> Printf.sprintf "program %d" i
+         | Generated s -> Printf.sprintf "genprog %d" s)
+        (Posetrl_analysis.Sanitize.level_to_string level)
+        (String.concat ";" (List.map string_of_int schedule)))
+    ~name:"a known no-op step runs no pass and matches the reference"
+    gen_noop_case
+    (fun (prog, sanitize, schedule) ->
+      let print = Posetrl_ir.Printer.module_to_string in
+      let m0 =
+        match prog with
+        | Suite i -> (Lazy.force rollout_programs).(i)
+        | Generated seed -> W.Genprog.generate ~seed
+      in
+      let env = C.Environment.create ~sanitize ~target:x86 ~actions () in
+      (* a first episode leaves no-ops behind for [reset] to forget *)
+      ignore (C.Environment.reset env (Testutil.sum_squares_module ()));
+      List.iter (fun a -> ignore (C.Environment.step env a)) schedule;
+      ignore (C.Environment.reset env m0);
+      let base = C.Reward.measure x86 m0 in
+      let m = ref m0 and last = ref base and noops = ref [] in
+      List.iteri
+        (fun k a ->
+          let names = O.Action_space.action actions a in
+          let known = List.mem a !noops in
+          let runs0 = runs () and skips0 = skips () in
+          let res = C.Environment.step env a in
+          let ran = runs () -. runs0 and skipped = skips () -. skips0 in
+          if known && (ran <> 0.0 || skipped <> 1.0) then
+            QCheck2.Test.fail_reportf "step %d: known no-op %d ran %g passes, %g skips" k a
+              ran skipped;
+          if (not known) && (ran <> float_of_int (List.length names) || skipped <> 0.0)
+          then
+            QCheck2.Test.fail_reportf "step %d: action %d ran %g of %d passes, %g skips" k a
+              ran (List.length names) skipped;
+          let m' = P.Pass_manager.run ~sanitize P.Config.oz names !m in
+          let curr = C.Reward.measure x86 m' in
+          let comps = C.Reward.decompose ~base ~last:!last ~curr () in
+          if not (String.equal (print (C.Environment.current_module env)) (print m')) then
+            QCheck2.Test.fail_reportf "step %d: module differs from the reference" k;
+          if not (Array.for_all2 bits_equal res.C.Environment.state (C.Environment.observe m'))
+          then QCheck2.Test.fail_reportf "step %d: state differs from the reference" k;
+          if not
+               (bits_equal res.C.Environment.reward comps.C.Reward.total
+                && bits_equal res.C.Environment.r_binsize comps.C.Reward.binsize
+                && bits_equal res.C.Environment.r_throughput comps.C.Reward.throughput)
+          then QCheck2.Test.fail_reportf "step %d: reward differs from the reference" k;
+          if m' == !m then (if not known then noops := a :: !noops) else noops := [];
+          m := m';
+          last := curr)
+        schedule;
+      true)
+
 let suite =
   [ Alcotest.test_case "reward weights" `Quick test_reward_weights_default;
     Alcotest.test_case "reward binsize (Eqn 2)" `Quick test_reward_binsize_component;
@@ -504,4 +594,5 @@ let suite =
     Alcotest.test_case "evaluate program" `Slow test_evaluate_program_fields;
     Alcotest.test_case "summarize suite" `Quick test_summarize_suite;
     QCheck_alcotest.to_alcotest prop_predict_batch_matches_reference;
-    QCheck_alcotest.to_alcotest prop_unchanged_is_physical ]
+    QCheck_alcotest.to_alcotest prop_unchanged_is_physical;
+    QCheck_alcotest.to_alcotest prop_known_noop_runs_no_pass ]

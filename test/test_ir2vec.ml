@@ -81,6 +81,149 @@ let prop_embedding_deterministic =
       let a = E.embed_program m and b = E.embed_program m in
       a = b)
 
+(* --- the memoized encoder against the unmemoized formula ----------------------- *)
+
+(* IR2Vec's composition as first written: seed vectors from [Vocabulary]
+   and a fresh vector per instruction. *)
+module Ref = struct
+  let operand_kind (v : Value.t) =
+    match v with
+    | Value.Const (Value.Cint _) -> "const-int"
+    | Value.Const (Value.Cfloat _) -> "const-float"
+    | Value.Const Value.Cnull -> "const-null"
+    | Value.Const (Value.Cundef _) -> "undef"
+    | Value.Reg _ -> "variable"
+    | Value.Global _ -> "global"
+
+  let base_insn (op : Instr.op) =
+    let acc = Vecf.create V.dimension in
+    Vecf.axpy ~k:1.0 acc (V.opcode (Instr.opcode_name op));
+    Vecf.axpy ~k:0.5 acc (V.ty (Types.to_string (Instr.result_ty op)));
+    List.iter
+      (fun v -> Vecf.axpy ~k:0.2 acc (V.operand_kind (operand_kind v)))
+      (Instr.operands op);
+    acc
+
+  let base_term (t : Instr.term) =
+    let acc = Vecf.create V.dimension in
+    Vecf.axpy ~k:1.0 acc (V.opcode (Instr.term_name t));
+    List.iter
+      (fun v -> Vecf.axpy ~k:0.2 acc (V.operand_kind (operand_kind v)))
+      (Instr.term_operands t);
+    acc
+
+  let embed_func (f : Func.t) =
+    let base = Hashtbl.create 64 in
+    Func.iter_insns
+      (fun _ i -> if i.Instr.id >= 0 then Hashtbl.replace base i.Instr.id (base_insn i.Instr.op))
+      f;
+    let acc = Vecf.create V.dimension in
+    let refine v operands =
+      List.iter
+        (function
+          | Value.Reg r ->
+            Option.iter (fun def -> Vecf.axpy ~k:0.25 v def) (Hashtbl.find_opt base r)
+          | _ -> ())
+        operands;
+      Vecf.add_inplace acc v
+    in
+    List.iter
+      (fun (b : Block.t) ->
+        List.iter
+          (fun (i : Instr.t) ->
+            let self =
+              if i.Instr.id >= 0 then Hashtbl.find base i.Instr.id else base_insn i.Instr.op
+            in
+            refine (Vecf.copy self) (Instr.operands i.Instr.op))
+          b.Block.insns;
+        refine (base_term b.Block.term) (Instr.term_operands b.Block.term))
+      f.Func.blocks;
+    acc
+
+  let embed_program (m : Modul.t) =
+    let acc = Vecf.create V.dimension in
+    List.iter
+      (fun f -> if not (Func.is_declaration f) then Vecf.add_inplace acc (embed_func f))
+      m.Modul.funcs;
+    acc
+
+  let embed_program_state m =
+    let e = embed_program m in
+    let n = Vecf.norm2 e in
+    if n < 1e-9 then e else Vecf.scale (1.0 /. (1.0 +. n)) e
+end
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let check_matches_ref name m =
+  Alcotest.(check bool) (name ^ ": embed_program") true
+    (same_bits (E.embed_program m) (Ref.embed_program m));
+  Alcotest.(check bool) (name ^ ": embed_program_state") true
+    (same_bits (E.embed_program_state m) (Ref.embed_program_state m))
+
+(* the 31 validation programs and 24 training-corpus programs, raw and
+   at -Oz *)
+let memo_programs =
+  lazy
+    (let raw =
+       Posetrl_workloads.Suites.all_programs ()
+       @ List.mapi
+           (fun i m -> (Printf.sprintf "corpus %d" i, m))
+           (Array.to_list (Posetrl_workloads.Suites.training_corpus ~n:24 ()))
+     in
+     raw
+     @ List.map
+         (fun (name, m) ->
+           ( name ^ " -Oz",
+             Posetrl_passes.Pass_manager.run_level Posetrl_passes.Pipelines.Oz m ))
+         raw)
+
+let test_memo_matches_reference () =
+  let progs = Lazy.force memo_programs in
+  Alcotest.(check int) "110 modules" 110 (List.length progs);
+  List.iter (fun (name, m) -> check_matches_ref name m) progs
+
+let prop_memo_matches_reference_genprog =
+  QCheck2.Test.make ~count:40 ~name:"memoized embedding = reference on generated programs"
+    QCheck2.Gen.(int_range 600_000 620_000)
+    (fun seed ->
+      let m = Posetrl_workloads.Genprog.generate ~seed in
+      same_bits (E.embed_program m) (Ref.embed_program m)
+      && same_bits (E.embed_program_state m) (Ref.embed_program_state m))
+
+let test_memo_second_domain () =
+  let ms = List.map snd (Lazy.force memo_programs) in
+  let here = List.map E.embed_program_state ms in
+  let there = Domain.join (Domain.spawn (fun () -> List.map E.embed_program_state ms)) in
+  Alcotest.(check bool) "same bits on a second domain" true (List.for_all2 same_bits here there)
+
+(* one load per vector width: each width is a new seed-cache entity
+   ("type:<n x i64>") and a new base-embedding key *)
+let wide_module ~widths =
+  Testutil.wrap_main (fun b ->
+      Builder.block b "entry";
+      let p = Builder.alloca b Types.I64 1 in
+      for n = 1 to widths do
+        ignore (Builder.load b (Types.Vec (Types.I64, n)) p)
+      done;
+      Builder.ret b Types.I64 (Value.ci64 0))
+
+let test_memo_tables_capped () =
+  let cap = V.max_entries in
+  let sum_squares = Testutil.sum_squares_module () in
+  let before = E.embed_program_state sum_squares in
+  for round = 1 to 3 do
+    let m = wide_module ~widths:(cap + 100 * round) in
+    check_matches_ref (Printf.sprintf "%d widths" (cap + 100 * round)) m;
+    Alcotest.(check bool) "seed cache capped" true (V.cache_entries () <= cap);
+    Alcotest.(check bool) "base memo capped" true (E.memo_entries () <= cap)
+  done;
+  Alcotest.(check bool) "embeddings keep their bits" true
+    (same_bits before (E.embed_program_state sum_squares));
+  check_matches_ref "sum_squares after clearing" sum_squares
+
 let suite =
   [ Alcotest.test_case "dimension" `Quick test_dimension;
     Alcotest.test_case "vocabulary deterministic" `Quick test_vocabulary_deterministic;
@@ -91,4 +234,8 @@ let suite =
     Alcotest.test_case "state bounded" `Quick test_state_bounded;
     Alcotest.test_case "empty module" `Quick test_empty_module;
     Alcotest.test_case "declarations" `Quick test_declaration_contributes_nothing;
-    QCheck_alcotest.to_alcotest prop_embedding_deterministic ]
+    QCheck_alcotest.to_alcotest prop_embedding_deterministic;
+    Alcotest.test_case "memoized embedding = reference" `Quick test_memo_matches_reference;
+    QCheck_alcotest.to_alcotest prop_memo_matches_reference_genprog;
+    Alcotest.test_case "memoized embedding on a second domain" `Quick test_memo_second_domain;
+    Alcotest.test_case "memo tables are capped" `Quick test_memo_tables_capped ]
