@@ -105,20 +105,10 @@ let program_pos ~(doc : string) =
 let run_pos ?(doc = "Run id (under --root) or a run directory path.") () =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN" ~doc)
 
-let jobs_arg ?(default = 1)
-    ?(doc =
-      "Worker domains for parallel work: suite programs in `eval`, the \
-       minibatch gemm rows in `train`. Results are byte-identical to --jobs 1 \
-       (see DESIGN.md §9). Default 1 (sequential, no domains spawned).") () =
-  Arg.(value & opt int default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
 let top_arg ~(default : int) ~(doc : string) =
   Arg.(value & opt int default & info [ "top" ] ~docv:"K" ~doc)
-
-let folded_arg ~(doc : string) =
-  Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded" ~doc)
 
 let dot_arg ~(doc : string) =
   Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"OUT.dot" ~doc)
@@ -160,7 +150,7 @@ let with_jobs ~(jobs : int) (f : Posetrl_support.Pool.t option -> 'a) : 'a =
   if jobs <= 1 then f None
   else Posetrl_support.Pool.with_pool ~name:"posetrl" ~jobs (fun p -> f (Some p))
 
-(* The policy network eval, serve and profile roll out: the trainer's
+(* The policy network eval and serve roll out: the trainer's
    architecture from a seeded init, loaded from [weights] when given. *)
 let load_agent ?pool ?(seed = 0) ?weights (actions : O.Action_space.t) =
   let agent =
@@ -191,9 +181,16 @@ let session_term =
     Arg.(value & opt (some string) None & info [ "run" ] ~docv:"NAME"
            ~doc:"Persist this run in the ledger under runs/<timestamp>-\\$(docv).")
   in
+  let jobs =
+    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Worker domains for parallel work: suite programs in `eval`, \
+                 the minibatch gemm rows in `train`. Results are \
+                 byte-identical to --jobs 1 (see DESIGN.md §9). Default 1 \
+                 (sequential, no domains spawned).")
+  in
   Term.(const (fun run_dir run_name trace metrics jobs ->
             { run_dir; run_name; trace; metrics; jobs })
-        $ run_dir $ run_name $ trace_arg $ metrics_arg $ jobs_arg ())
+        $ run_dir $ run_name $ trace_arg $ metrics_arg $ jobs)
 
 (* Live telemetry over HTTP while a train or eval run is in flight. *)
 type telemetry = { port : int option; grace : float }
@@ -633,19 +630,39 @@ let eval_cmd =
 let report_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.jsonl"
-           ~doc:"Trace file written by --trace.")
+           ~doc:"Trace file written by --trace (a run's trace.jsonl).")
+  in
+  let other =
+    Arg.(value & pos 1 (some string) None & info [] ~docv:"OTHER.jsonl"
+           ~doc:"A second trace: after FILE's tables, compare per-span \
+                 self-time of FILE (A) against \\$(docv) (B), e.g. an eval \
+                 run at --jobs 1 against one at --jobs 4.")
   in
   let chrome =
     Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"OUT.json"
            ~doc:"Also export the trace as Chrome trace-event JSON — load it \
                  in ui.perfetto.dev or chrome://tracing for a flamegraph view.")
   in
-  let go file top_k chrome folded =
-    let events, dropped = Obs.Report.read_trace file in
+  let folded =
+    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"OUT.folded"
+           ~doc:"Also export the trace as folded stacks (self-time in µs) \
+                 for flamegraph.pl / inferno / speedscope.")
+  in
+  (* a killed run tears its trace's last line: skip it and say so *)
+  let read path =
+    let events, dropped = Obs.Report.read_trace path in
     if events = [] && dropped > 0 then
-      failwith (Printf.sprintf "%s: no trace events" file);
-    if dropped > 0 then
-      Printf.printf "(%d torn trace line%s skipped)\n" dropped (plural dropped);
+      failwith (Printf.sprintf "%s: no trace events" path);
+    let note =
+      if dropped = 0 then None
+      else Some (Printf.sprintf "%d torn trace line%s skipped" dropped (plural dropped))
+    in
+    (events, note)
+  in
+  let go file other top_k chrome folded =
+    let events, note = read file in
+    let other = Option.map (fun path -> (path, read path)) other in
+    Option.iter (Printf.printf "(%s)\n") note;
     (match chrome with
      | Some out ->
        Obs.Chrome.write ~path:out events;
@@ -658,169 +675,24 @@ let report_cmd =
        Printf.printf "folded stacks written to %s (%d events)\n" out
          (List.length events)
      | None -> ());
-    print_string (Obs.Report.render ~top_k events)
+    print_string (Obs.Report.render ~top_k events);
+    Option.iter
+      (fun (path, (events_b, note_b)) ->
+        print_newline ();
+        Option.iter (Printf.printf "(%s: %s)\n" path) note_b;
+        print_string
+          (Obs.Prof.render_compare ~top:top_k ~a:file ~b:path
+             (Obs.Prof.of_events events) (Obs.Prof.of_events events_b)))
+      other
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Aggregate a span trace (e.g. a run's trace.jsonl) into a \
-             hotspot table plus per-pass and per-action tables")
-    Term.(const go $ file
-          $ top_arg ~default:20 ~doc:"Rows in the hotspot table."
-          $ chrome
-          $ folded_arg
-              ~doc:"Also export the trace as folded stacks (self-time in µs) \
-                    for flamegraph.pl / inferno / speedscope.")
-
-(* --- profile ----------------------------------------------------------------- *)
-
-(* Runs a workload under a profiling collector (plus per-span allocation
-   attribution) and prints hotspot attribution. The sequential (jobs=1)
-   run is the attribution baseline; with --jobs N > 1 the same workload
-   re-runs on the pool and the per-span self-times are tabled side by
-   side — the measured answer to "where does the pooled run spend its
-   time". *)
-let profile_cmd =
-  let mode =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"MODE"
-           ~doc:"Workload to profile: train (a short fast-schedule training \
-                 run) or eval (the validation suites under a fixed-seed \
-                 model).")
-  in
-  let suite =
-    Arg.(value & opt ~vopt:"all" string "all" & info [ "suite" ] ~docv:"SUITE"
-           ~doc:"Restrict eval mode to one validation suite (default: all).")
-  in
-  let steps =
-    Arg.(value & opt int 600 & info [ "steps" ]
-           ~doc:"Training steps for profile train (fast schedule).")
-  in
-  let go mode suite level jobs top folded steps seed =
-    let module SPool = Posetrl_support.Pool in
-    let actions = O.Action_space.odg in
-    let tgt = CG.Target.x86_64 in
-    let suites =
-      if suite = "all" then W.Suites.validation_suites
-      else
-        match
-          List.filter
-            (fun s -> s.W.Suites.suite_name = suite)
-            W.Suites.validation_suites
-        with
-        | [] ->
-          failwith
-            (Printf.sprintf "unknown suite %s (have: %s)" suite
-               (String.concat ", "
-                  (List.map
-                     (fun s -> s.W.Suites.suite_name)
-                     W.Suites.validation_suites)))
-        | l -> l
-    in
-    let eval_workload pool =
-      match level with
-      | Some lvl ->
-        let progs =
-          Array.of_list (List.concat_map (fun s -> s.W.Suites.programs) suites)
-        in
-        (match pool with
-         | None ->
-           Array.iter
-             (fun (name, mk) ->
-               Obs.Span.with_
-                 ~attrs:[ ("program", Obs.Event.S name) ]
-                 "posetrl.profile.program"
-                 (fun _ -> ignore (P.Pass_manager.run_level lvl (mk ()))))
-             progs
-         | Some p ->
-           let t0 = Obs.Clock.now () in
-           let _, timings =
-             SPool.map_timed p
-               (fun (_, mk) -> ignore (P.Pass_manager.run_level lvl (mk ())))
-               progs
-           in
-           let t1 = Obs.Clock.now () in
-           ignore
-             (Obs.Prof.note_pool_batch ~jobs:(SPool.jobs p) ~t0 ~t1 timings);
-           Array.iter
-             (fun (tm : SPool.timing) ->
-               Obs.Span.emit
-                 ~attrs:
-                   [ ("program", Obs.Event.S (fst progs.(tm.SPool.t_index))) ]
-                 ~tid:tm.SPool.t_domain ~name:"posetrl.pool.task"
-                 ~t_start:tm.SPool.t_start ~dur:tm.SPool.t_dur ())
-             timings)
-      | None ->
-        let agent = load_agent ~seed actions in
-        List.iter
-          (fun s ->
-            ignore
-              (C.Evaluate.evaluate_programs ?pool ~measure_time:false ~agent
-                 ~actions ~target:tgt s.W.Suites.programs))
-          suites
-    in
-    let train_workload pool =
-      let hp =
-        { C.Trainer.fast with
-          C.Trainer.total_steps = steps;
-          C.Trainer.epsilon =
-            Posetrl_rl.Schedule.create ~start:1.0 ~stop:0.05
-              ~decay_steps:(max 1 (steps * 2 / 3)) () }
-      in
-      let corpus = W.Suites.training_corpus ~n:16 () in
-      ignore (C.Trainer.train ?pool ~hp ~seed ~corpus ~actions ~target:tgt ())
-    in
-    let workload =
-      match mode with
-      | "eval" -> eval_workload
-      | "train" -> train_workload
-      | m -> failwith ("unknown profile mode " ^ m ^ " (expected train or eval)")
-    in
-    let run_one jobs =
-      let mark = Obs.Prof.gc_mark () in
-      let (), prof =
-        Obs.Prof.collect (fun () -> with_jobs ~jobs (fun pool -> workload pool))
-      in
-      (prof, Obs.Prof.gc_delta mark)
-    in
-    let prof1, gc1 = run_one 1 in
-    print_string (Obs.Prof.render ~top ~title:"hotspots (jobs=1)" prof1);
-    print_string (Obs.Prof.render_gc gc1);
-    (match folded with
-     | Some out ->
-       Obs.Prof.write_folded ~path:out prof1;
-       Printf.printf "folded stacks written to %s\n" out
-     | None -> ());
-    if jobs > 1 then begin
-      let profN, gcN = run_one jobs in
-      print_newline ();
-      print_string (Obs.Prof.render_compare ~jobs prof1 profN);
-      (match Obs.Metrics.value "posetrl.pool.busy_frac" with
-       | Some busy ->
-         Printf.printf "pool: busy=%.1f%% mean queue wait %.1f us\n"
-           (100.0 *. busy)
-           (1e6
-            *. Option.value ~default:0.0
-                 (Obs.Metrics.value "posetrl.pool.queue_wait_mean_s"))
-       | None -> ());
-      print_string (Obs.Prof.render_gc gcN)
-    end
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Run a workload under the hotspot profiler: ranked self-time \
-             table, jobs-1-vs-N comparison, GC/alloc totals, optional \
-             flamegraph export")
-    Term.(const go $ mode $ suite
-          $ level_arg (Arg.some level_conv) None
-              ~doc:"Eval mode: profile the \\$(docv) pass pipeline over the \
-                    suite programs instead of the model rollout."
-          $ jobs_arg ~default:4
-              ~doc:"Pool size for the comparison run (default 4); 1 profiles \
-                    the sequential run only." ()
-          $ top_arg ~default:15 ~doc:"Rows in the hotspot table."
-          $ folded_arg
-              ~doc:"Write the sequential run's folded stacks (flamegraph.pl \
-                    format) to \\$(docv)."
-          $ steps $ seed_arg)
+             hotspot table plus per-pass and per-action tables; given a \
+             second trace, also compare per-span self-time")
+    Term.(const go $ file $ other
+          $ top_arg ~default:20 ~doc:"Rows in the hotspot and comparison tables."
+          $ chrome $ folded)
 
 (* --- runs (the ledger) ------------------------------------------------------- *)
 
@@ -1877,7 +1749,7 @@ let () =
     Cmd.eval ~catch:false
       (Cmd.group info
          [ opt_cmd; run_cmd; train_cmd; eval_cmd; serve_cmd; lint_cmd;
-           validate_cmd; report_cmd; profile_cmd; runs_cmd; explain_cmd;
+           validate_cmd; report_cmd; runs_cmd; explain_cmd;
            coverage_cmd; watch_cmd; odg_cmd; list_cmd; dump_cmd ])
   with
   | code -> exit code

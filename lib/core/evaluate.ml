@@ -8,6 +8,7 @@
 
 open Posetrl_ir
 module Rl = Posetrl_rl
+module Obs = Posetrl_obs
 
 type program_result = {
   prog_name : string;
@@ -33,10 +34,13 @@ let time_improvement_pct (r : program_result) : float option =
     Some (100.0 *. float_of_int (toz - tm) /. float_of_int toz)
   | _ -> None
 
+(* The span sits here rather than in [Interp.run] so the equiv
+   sanitizer's many simulations stay unspanned. *)
 let run_time (m : Modul.t) : int option =
-  match Posetrl_interp.Interp.run m with
-  | { Posetrl_interp.Interp.cycles; _ } -> Some cycles
-  | exception Posetrl_interp.Interp.Trap _ -> None
+  Obs.Span.with_ "posetrl.interp.run" (fun _ ->
+      match Posetrl_interp.Interp.run m with
+      | { Posetrl_interp.Interp.cycles; _ } -> Some cycles
+      | exception Posetrl_interp.Interp.Trap _ -> None)
 
 let evaluate_program ?(measure_time = true)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ~(agent : Rl.Dqn.t)
@@ -64,12 +68,13 @@ let evaluate_program ?(measure_time = true)
    workload generators carry their own seeded RNGs), runs the greedy
    rollout and sizes the three binaries. Results come back in input
    order from [Pool.map_timed], so the output — and everything derived
-   from it (eval.json) — is byte-identical to the sequential path. The
-   owner domain then emits one span per task from the recorded wall
-   timings and feeds the [posetrl.pool.*] series. *)
+   from it (eval.json) — is byte-identical to the sequential path. Each
+   program runs inside one [posetrl.eval.program] span opened on the
+   domain that evaluates it, so a trace's self-times add up to its wall
+   time on every domain; the owner then feeds the [posetrl.pool.*]
+   series from the recorded task timings. *)
 
 module Pool = Posetrl_support.Pool
-module Obs = Posetrl_obs
 
 let m_pool_jobs = Obs.Metrics.gauge "posetrl.pool.jobs"
 let m_pool_tasks = Obs.Metrics.counter "posetrl.pool.eval_tasks"
@@ -84,8 +89,10 @@ let evaluate_programs ?(measure_time = true)
   (* the sanitizer keeps all its state per-call (see Posetrl_analysis),
      so sanitized evaluation is safe on pool workers *)
   let eval_one (name, mk) =
-    evaluate_program ~measure_time ~sanitize ?repro_dir ~agent ~actions ~target
-      ~name (mk ())
+    Obs.Span.with_ ~attrs:[ ("program", Obs.Event.S name) ]
+      "posetrl.eval.program" (fun _ ->
+        evaluate_program ~measure_time ~sanitize ?repro_dir ~agent ~actions
+          ~target ~name (mk ()))
   in
   match pool with
   | None -> List.map eval_one programs
@@ -99,15 +106,10 @@ let evaluate_programs ?(measure_time = true)
     let t1 = Obs.Clock.now () in
     Obs.Metrics.observe m_pool_batch_s (t1 -. t0);
     ignore (Obs.Prof.note_pool_batch ~jobs:(Pool.jobs p) ~t0 ~t1 timings);
-    let names = Array.of_list (List.map fst programs) in
     Array.iter
       (fun (tm : Pool.timing) ->
         Obs.Metrics.inc m_pool_tasks;
-        Obs.Metrics.observe m_pool_task_s tm.Pool.t_dur;
-        Obs.Span.emit
-          ~attrs:[ ("program", Obs.Event.S names.(tm.Pool.t_index)) ]
-          ~tid:tm.Pool.t_domain
-          ~name:"posetrl.pool.task" ~t_start:tm.Pool.t_start ~dur:tm.Pool.t_dur ())
+        Obs.Metrics.observe m_pool_task_s tm.Pool.t_dur)
       timings;
     Array.to_list results
 

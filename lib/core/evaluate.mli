@@ -19,7 +19,8 @@ val time_improvement_pct : program_result -> float option
     metric of Table V. *)
 
 val run_time : Posetrl_ir.Modul.t -> int option
-(** Interpreter cycles of a module's main, or [None] on a trap. *)
+(** Interpreter cycles of a module's main, or [None] on a trap; traced
+    as a [posetrl.interp.run] span. *)
 
 val evaluate_program :
   ?measure_time:bool ->
@@ -45,8 +46,10 @@ val evaluate_programs :
 (** Evaluate a list of (name, module-builder) programs, in input order.
     With [pool] the programs run across the pool's domains; results are
     byte-identical to the sequential path (greedy rollouts are RNG-free
-    and [Pool.map] preserves order). Each task feeds the
-    [posetrl.pool.*] metrics and emits a [posetrl.pool.task] span. *)
+    and [Pool.map] preserves order). Each program runs inside one
+    [posetrl.eval.program] span (attr [program]) on the domain that
+    evaluates it; with [pool], each task also feeds the
+    [posetrl.pool.*] metrics. *)
 
 type suite_summary = {
   suite : string;

@@ -16,7 +16,7 @@
      to pending child stacks: when the parent at depth d completes, it
      prefixes its name onto everything pending at depth d+1.
 
-   - GC/allocation and pool-utilization telemetry: [sample_gc] turns
+   - GC and pool-utilization telemetry: [sample_gc] turns
      [Gc.quick_stat] into posetrl.gc.* gauges on the trainer tick;
      [note_pool_batch] turns a [Pool.map_timed] timing array into
      queue-depth/busy-fraction gauges and a dispatch-latency histogram.
@@ -70,7 +70,6 @@ type agg = {
   mutable a_count : int;
   mutable a_total : float;              (* Σ dur   (seconds) *)
   mutable a_self : float;               (* Σ self  (seconds) *)
-  mutable a_alloc : float;              (* Σ self_alloc_b attr (bytes) *)
   a_samples : buf;                      (* per-event self times *)
 }
 
@@ -98,8 +97,7 @@ let add (t : t) (e : Event.t) =
     | Some a -> a
     | None ->
       let a =
-        { a_count = 0; a_total = 0.0; a_self = 0.0; a_alloc = 0.0;
-          a_samples = buf_create () }
+        { a_count = 0; a_total = 0.0; a_self = 0.0; a_samples = buf_create () }
       in
       Hashtbl.add t.by_name e.Event.name a;
       a
@@ -107,9 +105,6 @@ let add (t : t) (e : Event.t) =
   a.a_count <- a.a_count + 1;
   a.a_total <- a.a_total +. e.Event.dur;
   a.a_self <- a.a_self +. e.Event.self;
-  (match Event.attr_float e "self_alloc_b" with
-   | Some b -> a.a_alloc <- a.a_alloc +. b
-   | None -> ());
   buf_push t.rng a.a_samples a.a_count e.Event.self;
   (* fold the event into the per-tid stack reconstruction *)
   let per =
@@ -149,6 +144,11 @@ let of_events (events : Event.t list) : t =
   List.iter (add t) events;
   t
 
+let collect (f : unit -> 'a) : 'a * t =
+  let t = create () in
+  let v = Span.with_sink (sink t) f in
+  (v, t)
+
 (* --- ranked hotspot entries ---------------------------------------------- *)
 
 type entry = {
@@ -156,7 +156,6 @@ type entry = {
   e_count : int;
   e_total : float;
   e_self : float;
-  e_alloc_b : float;
   e_p50 : float;
   e_p99 : float;
 }
@@ -166,9 +165,6 @@ let events (t : t) = t.n_events
 let total_self (t : t) : float =
   Hashtbl.fold (fun _ a acc -> acc +. a.a_self) t.by_name 0.0
 
-let total_alloc (t : t) : float =
-  Hashtbl.fold (fun _ a acc -> acc +. a.a_alloc) t.by_name 0.0
-
 let hotspots (t : t) : entry list =
   Hashtbl.fold
     (fun name a acc ->
@@ -176,7 +172,6 @@ let hotspots (t : t) : entry list =
         e_count = a.a_count;
         e_total = a.a_total;
         e_self = a.a_self;
-        e_alloc_b = a.a_alloc;
         e_p50 = buf_quantile a.a_samples 0.5;
         e_p99 = buf_quantile a.a_samples 0.99 }
       :: acc)
@@ -193,18 +188,17 @@ let self_of (t : t) (name : string) : float =
 
 let ms v = Printf.sprintf "%.2f" (v *. 1e3)
 let us v = Printf.sprintf "%.0f" (v *. 1e6)
-let mb v = Printf.sprintf "%.2f" (v /. 1e6)
 
-let render ?(top = 15) ?(title = "hotspots") (t : t) : string =
+let render ?(top = 15) (t : t) : string =
   let total = total_self t in
   let entries = hotspots t in
   let shown = List.filteri (fun i _ -> i < top) entries in
   let tbl =
-    Table.create ~title
+    Table.create ~title:"hotspots"
       ~headers:[ "#"; "span"; "n"; "total ms"; "self ms"; "self%"; "cum%";
-                 "p50 us"; "p99 us"; "alloc MB" ]
+                 "p50 us"; "p99 us" ]
       ~aligns:[ Table.Right; Table.Left; Table.Right; Table.Right; Table.Right;
-                Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
+                Table.Right; Table.Right; Table.Right; Table.Right ]
       ()
   in
   let cum = ref 0.0 in
@@ -221,48 +215,33 @@ let render ?(top = 15) ?(title = "hotspots") (t : t) : string =
           Printf.sprintf "%.1f" (pct e.e_self);
           Printf.sprintf "%.1f" (pct !cum);
           us e.e_p50;
-          us e.e_p99;
-          (if e.e_alloc_b > 0.0 then mb e.e_alloc_b else "-") ])
+          us e.e_p99 ])
     shown;
   let omitted = List.length entries - List.length shown in
   Table.render tbl
-  ^ Printf.sprintf "%d events, %d span names%s; total self %s ms%s\n"
+  ^ Printf.sprintf "%d events, %d span names%s; total self %s ms\n"
       t.n_events (List.length entries)
       (if omitted > 0 then Printf.sprintf " (%d rows omitted)" omitted else "")
       (ms total)
-      (let a = total_alloc t in
-       if a > 0.0 then Printf.sprintf ", self-alloc %s MB" (mb a) else "")
 
-(* jobs-1 vs jobs-N comparison over the union of both runs' top spans *)
-let render_compare ?(top = 10) ~(jobs : int) (seq : t) (par : t) : string =
+(* Per-span self-time of profile [pa] (labelled [a]) against [pb] over
+   the union of both profiles' top spans, ranked by A's self-time. *)
+let render_compare ?(top = 10) ~(a : string) ~(b : string) (pa : t) (pb : t) :
+    string =
   let tbl =
     Table.create
-      ~title:(Printf.sprintf "self-time: jobs=1 vs jobs=%d" jobs)
-      ~headers:[ "span"; "self@1 ms"; Printf.sprintf "self@%d ms" jobs; "x" ]
+      ~title:(Printf.sprintf "self-time: A = %s vs B = %s" a b)
+      ~headers:[ "span"; "A self ms"; "B self ms"; "A/B" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
       ()
   in
-  let names =
-    let top_of t = List.filteri (fun i _ -> i < top) (hotspots t) in
-    List.sort_uniq compare
-      (List.map (fun e -> e.e_name) (top_of seq @ top_of par))
-  in
-  let ranked =
-    List.sort
-      (fun a b -> compare (self_of seq b) (self_of seq a))
-      names
-  in
-  List.iter
-    (fun name ->
-      let s = self_of seq name and p = self_of par name in
-      Table.add_row tbl
-        [ name; ms s; ms p;
-          (if p > 0.0 then Printf.sprintf "%.2f" (s /. p) else "-") ])
-    ranked;
-  Table.add_row tbl
-    [ "(total)"; ms (total_self seq); ms (total_self par);
-      (let p = total_self par in
-       if p > 0.0 then Printf.sprintf "%.2f" (total_self seq /. p) else "-") ];
+  let ratio x y = if y > 0.0 then Printf.sprintf "%.2f" (x /. y) else "-" in
+  let row name x y = Table.add_row tbl [ name; ms x; ms y; ratio x y ] in
+  let top_of p = List.filteri (fun i _ -> i < top) (hotspots p) in
+  List.sort_uniq compare (List.map (fun e -> e.e_name) (top_of pa @ top_of pb))
+  |> List.stable_sort (fun x y -> compare (self_of pa y) (self_of pa x))
+  |> List.iter (fun name -> row name (self_of pa name) (self_of pb name));
+  row "(total)" (total_self pa) (total_self pb);
   Table.render tbl
 
 (* --- folded-stack (flamegraph.pl) export --------------------------------- *)
@@ -303,46 +282,7 @@ let write_folded ~(path : string) (t : t) : unit =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (folded t))
 
-(* --- GC / allocation telemetry ------------------------------------------- *)
-
-type gc_mark = {
-  gm_time : float;
-  gm_stat : Gc.stat;                    (* quick_stat: no heap walk *)
-  gm_alloc_b : float;
-}
-
-let gc_mark () : gc_mark =
-  { gm_time = Clock.now ();
-    gm_stat = Gc.quick_stat ();
-    gm_alloc_b = Gc.allocated_bytes () }
-
-type gc_delta = {
-  d_elapsed_s : float;
-  d_alloc_b : float;                    (* bytes allocated on this domain *)
-  d_minor : int;                        (* minor collections *)
-  d_major : int;                        (* major collections *)
-  d_promoted_w : float;                 (* words promoted to the major heap *)
-  d_heap_w : int;                       (* major heap words now *)
-}
-
-let gc_delta (m : gc_mark) : gc_delta =
-  let s = Gc.quick_stat () in
-  { d_elapsed_s = Clock.now () -. m.gm_time;
-    d_alloc_b = Float.max 0.0 (Gc.allocated_bytes () -. m.gm_alloc_b);
-    d_minor = s.Gc.minor_collections - m.gm_stat.Gc.minor_collections;
-    d_major = s.Gc.major_collections - m.gm_stat.Gc.major_collections;
-    d_promoted_w = s.Gc.promoted_words -. m.gm_stat.Gc.promoted_words;
-    d_heap_w = s.Gc.heap_words }
-
-let render_gc (d : gc_delta) : string =
-  let rate =
-    if d.d_elapsed_s > 0.0 then d.d_alloc_b /. d.d_elapsed_s /. 1e6 else 0.0
-  in
-  Printf.sprintf
-    "GC/alloc: %.2f MB allocated (%.1f MB/s), %d minor / %d major \
-     collections, %.2f Mw promoted, major heap %.2f MB\n"
-    (d.d_alloc_b /. 1e6) rate d.d_minor d.d_major (d.d_promoted_w /. 1e6)
-    (float_of_int d.d_heap_w *. 8.0 /. 1e6)
+(* --- GC telemetry ---------------------------------------------------------- *)
 
 (* gauge handles + the previous sample, for the allocation-rate gauge;
    [sample_gc] runs on the trainer tick (one domain), so a plain ref is
@@ -438,21 +378,3 @@ let note_pool_batch ?(r = Metrics.global) ~(jobs : int) ~(t0 : float)
     (fun tm -> Metrics.observe h (Float.max 0.0 (tm.Pool.t_start -. t0)))
     timings;
   u
-
-let render_pool (u : pool_util) : string =
-  Printf.sprintf
-    "pool: jobs=%d tasks=%d busy=%.1f%% mean queue wait %.1f us, first-wave \
-     dispatch %.1f us\n"
-    u.pu_jobs u.pu_tasks (100.0 *. u.pu_busy_frac) (u.pu_queue_mean *. 1e6)
-    (u.pu_dispatch_s *. 1e6)
-
-(* --- profiled workload runner -------------------------------------------- *)
-
-let collect ?(alloc = true) (f : unit -> 'a) : 'a * t =
-  let t = create () in
-  let prev_alloc = Span.alloc_attrs_enabled () in
-  Span.set_alloc_attrs alloc;
-  let restore () = Span.set_alloc_attrs prev_alloc in
-  match Span.with_sink (sink t) f with
-  | v -> restore (); (v, t)
-  | exception e -> restore (); raise e

@@ -1,4 +1,4 @@
-(** Profiling: hotspot attribution, flamegraph export, GC/allocation and
+(** Profiling: hotspot attribution, flamegraph export, GC and
     pool-utilization telemetry (DESIGN.md §11).
 
     The streaming collector folds a span-event stream into per-span-name
@@ -25,10 +25,9 @@ val of_events : Event.t list -> t
 (** Fold an event list (e.g. [Report.read_trace] output) into a fresh
     collector. *)
 
-val collect : ?alloc:bool -> (unit -> 'a) -> 'a * t
+val collect : (unit -> 'a) -> 'a * t
 (** Run a workload with a collector sink installed and return its result
-    plus the profile. [alloc] (default true) switches per-span
-    allocation attribution on for the duration ({!Span.set_alloc_attrs}). *)
+    plus the profile. *)
 
 (** {1 Hotspots} *)
 
@@ -37,8 +36,6 @@ type entry = {
   e_count : int;
   e_total : float;   (** Σ dur, seconds *)
   e_self : float;    (** Σ self, seconds *)
-  e_alloc_b : float; (** Σ per-event self-allocated bytes (0 unless
-                         allocation attribution was on) *)
   e_p50 : float;     (** median per-event self time, seconds *)
   e_p99 : float;
 }
@@ -49,17 +46,18 @@ val hotspots : t -> entry list
 
 val events : t -> int
 val total_self : t -> float
-val total_alloc : t -> float
 val self_of : t -> string -> float
 
-val render : ?top:int -> ?title:string -> t -> string
+val render : ?top:int -> t -> string
 (** Ranked hotspot table (default top 15) with self%% and cumulative%%
     columns, followed by a totals line. *)
 
-val render_compare : ?top:int -> jobs:int -> t -> t -> string
-(** [render_compare ~jobs seq par] tables per-span self-time of a jobs-1
-    run against a jobs-[jobs] run over the union of both runs' top
-    spans, plus a totals row. *)
+val render_compare : ?top:int -> a:string -> b:string -> t -> t -> string
+(** [render_compare ~a ~b pa pb] tables per-span self-time of profile
+    [pa] (labelled [a] in the title) against [pb] (labelled [b]) over
+    the union of both profiles' [top] spans (default 10), ranked by
+    [pa]'s self-time, plus a totals row. A span missing from one
+    profile reads 0.00 on that side. *)
 
 (** {1 Folded-stack export} *)
 
@@ -72,24 +70,7 @@ val folded : t -> string
 
 val write_folded : path:string -> t -> unit
 
-(** {1 GC / allocation telemetry} *)
-
-type gc_mark
-(** A point-in-time GC snapshot ([Gc.quick_stat] — no heap walk). *)
-
-val gc_mark : unit -> gc_mark
-
-type gc_delta = {
-  d_elapsed_s : float;
-  d_alloc_b : float;     (** bytes allocated on this domain since the mark *)
-  d_minor : int;
-  d_major : int;
-  d_promoted_w : float;
-  d_heap_w : int;        (** major heap words at delta time (not a delta) *)
-}
-
-val gc_delta : gc_mark -> gc_delta
-val render_gc : gc_delta -> string
+(** {1 GC telemetry} *)
 
 type gc_sample = {
   gs_minor : int;
@@ -130,5 +111,3 @@ val note_pool_batch :
 (** {!pool_util}, also published to metrics: busy-fraction and
     queue-wait gauges plus the [posetrl.pool.dispatch_s] per-task
     queue-wait histogram. *)
-
-val render_pool : pool_util -> string

@@ -6,13 +6,6 @@
    tree. Children complete before their parents, so a JSONL trace lists
    events innermost-first.
 
-   When allocation attribution is switched on ([set_alloc_attrs true],
-   done by the profiler), the same online scheme runs over
-   [Gc.allocated_bytes] — domain-local in OCaml 5 — and every event
-   carries "alloc_b" (inclusive) and "self_alloc_b" (minus direct
-   children) attributes. Off by default: the flag costs one branch when
-   tracing is on and nothing when it is off.
-
    The fast path matters: with no sink installed [with_] must not read
    the clock or allocate a span, because it wraps Dqn forwards, MCA
    evaluations and every pass execution. *)
@@ -24,21 +17,14 @@ type t = {
   mutable s_children : float;
   s_depth : int;
   s_live : bool;
-  s_alloc_start : float;           (* Gc.allocated_bytes at open; nan = off *)
-  mutable s_alloc_children : float;
 }
 
 (* shared no-op span handed to callbacks when tracing is off *)
 let disabled_span =
   { s_name = ""; s_attrs = []; s_start = 0.0; s_children = 0.0; s_depth = 0;
-    s_live = false; s_alloc_start = Float.nan; s_alloc_children = 0.0 }
+    s_live = false }
 
 let sinks : Sink.t list ref = ref []
-
-(* opt-in per-span allocation attribution (see Prof) *)
-let alloc_attrs = ref false
-let set_alloc_attrs b = alloc_attrs := b
-let alloc_attrs_enabled () = !alloc_attrs
 
 (* The span stack is domain-local: a worker domain nests its own spans
    without racing the owner's stack or inheriting its depth. Sinks stay
@@ -80,25 +66,12 @@ let finish (sp : t) =
   let stack = stack () in
   (match !stack with _ :: rest -> stack := rest | [] -> ());
   let dur = t1 -. sp.s_start in
-  let attrs =
-    if Float.is_nan sp.s_alloc_start then sp.s_attrs
-    else begin
-      let alloc = Float.max 0.0 (Gc.allocated_bytes () -. sp.s_alloc_start) in
-      (match !stack with
-       | parent :: _ when not (Float.is_nan parent.s_alloc_start) ->
-         parent.s_alloc_children <- parent.s_alloc_children +. alloc
-       | _ -> ());
-      ("self_alloc_b", Event.F (Float.max 0.0 (alloc -. sp.s_alloc_children)))
-      :: ("alloc_b", Event.F alloc)
-      :: sp.s_attrs
-    end
-  in
   (match !stack with
    | parent :: _ -> parent.s_children <- parent.s_children +. dur
    | [] -> ());
   emit_event
     { Event.name = sp.s_name;
-      attrs = List.rev attrs;
+      attrs = List.rev sp.s_attrs;
       t_start = sp.s_start;
       dur;
       self = Float.max 0.0 (dur -. sp.s_children);
@@ -115,9 +88,7 @@ let with_ ?(attrs = []) (name : string) (f : t -> 'a) : 'a =
         s_start = Clock.now ();
         s_children = 0.0;
         s_depth = List.length !stack;
-        s_live = true;
-        s_alloc_start = (if !alloc_attrs then Gc.allocated_bytes () else Float.nan);
-        s_alloc_children = 0.0 }
+        s_live = true }
     in
     stack := sp :: !stack;
     match f sp with
@@ -130,12 +101,11 @@ let with_ ?(attrs = []) (name : string) (f : t -> 'a) : 'a =
       raise e
   end
 
-(* Emit a pre-timed complete event at the caller's current depth — used
-   by pool owners to record per-task spans measured on worker domains
-   without threading sink state through the workers. [tid] defaults to
-   the caller's domain; pool owners pass the worker's recorded domain id
-   so the event lands on the track that actually ran the task. *)
-let emit ?(attrs = []) ?tid ~(name : string) ~(t_start : float) ~(dur : float)
+(* Emit a pre-timed complete event at the caller's current depth, on the
+   caller's domain — for work that does not nest inside one callback (a
+   queued serve request is answered on a later pump than the one that
+   read it). *)
+let emit ?(attrs = []) ~(name : string) ~(t_start : float) ~(dur : float)
     () : unit =
   if !sinks != [] then
     emit_event
@@ -145,4 +115,4 @@ let emit ?(attrs = []) ?tid ~(name : string) ~(t_start : float) ~(dur : float)
         dur;
         self = dur;
         depth = List.length !(stack ());
-        tid = (match tid with Some t -> t | None -> self_tid ()) }
+        tid = self_tid () }

@@ -7,7 +7,11 @@
 
     With no sink installed, [with_] is a no-op wrapper: no clock read,
     no allocation beyond the closure call — cheap enough to leave on
-    every hot path permanently. *)
+    every hot path permanently.
+
+    The span stack is domain-local and the emit path is serialized, so
+    spans opened on pool worker domains trace safely: they nest
+    per-domain and their JSONL lines never interleave. *)
 
 type t
 (** A live span handle, valid only inside its [with_] callback. *)
@@ -37,28 +41,8 @@ val with_sink : Sink.t -> (unit -> 'a) -> 'a
 
 val emit :
   ?attrs:(string * Event.value) list ->
-  ?tid:int ->
   name:string -> t_start:float -> dur:float -> unit -> unit
 (** Emit a pre-timed complete event (self = dur) at the caller's current
-    nesting depth; a no-op with no sink installed. This is how a pool
-    owner records per-task spans that were measured on worker domains:
-    the workers only take timestamps, and the owner emits after the
-    batch drains, so sink state never crosses domains. [tid] defaults to
-    the calling domain's id; pool owners pass the worker domain id
-    recorded in {!Posetrl_support.Pool.timing} so the event lands on the
-    track that actually ran the task.
-
-    The span stack itself is domain-local and the emit path is
-    serialized, so spans opened {e on} worker domains (deep inside pass
-    or environment code) also trace safely — they nest per-domain and
-    their JSONL lines never interleave. *)
-
-val set_alloc_attrs : bool -> unit
-(** Opt into per-span allocation attribution: every span event gains
-    ["alloc_b"] (bytes allocated on the emitting domain while the span
-    was open, including children) and ["self_alloc_b"] (minus direct
-    children) attributes, computed online from [Gc.allocated_bytes].
-    Off by default; switched on by the profiler ({!Prof}). *)
-
-val alloc_attrs_enabled : unit -> bool
-(** Whether per-span allocation attribution is currently on. *)
+    nesting depth, on the calling domain; a no-op with no sink
+    installed. For work whose lifetime does not nest inside one
+    callback, such as a queued serve request. *)

@@ -1,8 +1,8 @@
 (* Tests for the profiling layer (Posetrl_obs.Prof): self-vs-total time
    over nested span streams under a fake clock, folded-stack goldens,
-   GC-gauge sampling (including the trainer tick), pool-utilization
-   aggregates, and the atomic counter/histogram updates under
-   concurrent domains. *)
+   eval traces whose roots are the evaluated programs, GC-gauge sampling
+   (including the trainer tick), pool-utilization aggregates, and the
+   atomic counter/histogram updates under concurrent domains. *)
 
 module Obs = Posetrl_obs
 module M = Obs.Metrics
@@ -35,7 +35,7 @@ let test_collect_self_time () =
      outer spends 12ms around a 5ms child, three times over *)
   Obs.Clock.with_fake (fun advance ->
       let (), p =
-        Prof.collect ~alloc:false (fun () ->
+        Prof.collect (fun () ->
             for _ = 1 to 3 do
               Span.with_ "outer" (fun _ ->
                   advance 0.010;
@@ -66,8 +66,8 @@ let test_hotspot_aggregates () =
   (* offline replay: counts, sums and quantiles from hand-built events *)
   let p =
     Prof.of_events
-      [ ev ~dur:0.010 ~self:0.004 ~attrs:[ ("self_alloc_b", Event.F 1000.0) ] "a";
-        ev ~dur:0.020 ~self:0.006 ~attrs:[ ("self_alloc_b", Event.F 500.0) ] "a";
+      [ ev ~dur:0.010 ~self:0.004 "a";
+        ev ~dur:0.020 ~self:0.006 "a";
         ev ~dur:0.001 ~self:0.001 "b" ]
   in
   match Prof.hotspots p with
@@ -76,11 +76,9 @@ let test_hotspot_aggregates () =
     Alcotest.(check int) "count" 2 a.Prof.e_count;
     check_float "total" 0.030 a.Prof.e_total;
     check_float "self" 0.010 a.Prof.e_self;
-    check_float "alloc attr summed" 1500.0 a.Prof.e_alloc_b;
     check_float "p50" 0.004 a.Prof.e_p50;
     check_float "p99" 0.006 a.Prof.e_p99;
-    Alcotest.(check string) "rank 2" "b" b.Prof.e_name;
-    check_float "total_alloc" 1500.0 (Prof.total_alloc p)
+    Alcotest.(check string) "rank 2" "b" b.Prof.e_name
   | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es)
 
 let test_quantiles () =
@@ -96,28 +94,24 @@ let test_quantiles () =
     check_float "p99" 0.99 e.Prof.e_p99
   | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es)
 
-let test_alloc_attribution () =
-  (* collect ~alloc:true attributes bytes to the allocating span and
-     restores the global flag on the way out *)
-  let (), p =
-    Prof.collect (fun () ->
-        Span.with_ "posetrl.test.alloc" (fun _ ->
-            ignore (Sys.opaque_identity (Array.make 100_000 0.0))))
-  in
-  (* 100k floats is ~0.8 MB before any surrounding noise *)
-  Alcotest.(check bool) "alloc attributed" true
-    (Prof.total_alloc p >= 700_000.0);
-  Alcotest.(check bool) "flag restored" false (Span.alloc_attrs_enabled ())
-
 let test_render_smoke () =
   let p = Prof.of_events [ ev ~dur:0.01 ~self:0.01 "posetrl.x" ] in
   let s = Prof.render ~top:5 p in
   Alcotest.(check bool) "row rendered" true (contains s "posetrl.x");
   Alcotest.(check bool) "totals line" true (contains s "1 events, 1 span names");
-  let q = Prof.of_events [ ev ~dur:0.002 ~self:0.002 "posetrl.x" ] in
-  let cmp = Prof.render_compare ~jobs:4 p q in
-  Alcotest.(check bool) "compare title" true (contains cmp "jobs=4");
-  Alcotest.(check bool) "speedup column" true (contains cmp "5.00")
+  let q =
+    Prof.of_events
+      [ ev ~dur:0.002 ~self:0.002 "posetrl.x";
+        ev ~dur:0.003 ~self:0.003 "posetrl.only_b" ]
+  in
+  let cmp = Prof.render_compare ~a:"j1.jsonl" ~b:"j4.jsonl" p q in
+  Alcotest.(check bool) "compare title carries both labels" true
+    (contains cmp "self-time: A = j1.jsonl vs B = j4.jsonl");
+  Alcotest.(check bool) "A/B ratio column" true (contains cmp "5.00");
+  Alcotest.(check bool) "span only in B reads 0.00 on A" true
+    (contains cmp "| posetrl.only_b |      0.00 |      3.00 | 0.00 |");
+  Alcotest.(check bool) "totals row" true
+    (contains cmp "| (total)        |     10.00 |      5.00 | 2.00 |")
 
 (* --- folded-stack export ------------------------------------------------------ *)
 
@@ -154,20 +148,72 @@ let test_folded_multi_domain () =
     "domain-3;task 4000\nmain;batch 8000\nmain;batch;task 2000\n"
     (Prof.folded p)
 
-(* --- GC / allocation telemetry ------------------------------------------------ *)
+(* --- eval traces ---------------------------------------------------------------- *)
 
-let test_gc_delta () =
-  Obs.Clock.with_fake (fun advance ->
-      let m = Prof.gc_mark () in
-      ignore (Sys.opaque_identity (Array.make 100_000 0.0));
-      advance 2.0;
-      let d = Prof.gc_delta m in
-      check_float "elapsed on the obs clock" 2.0 d.Prof.d_elapsed_s;
-      Alcotest.(check bool) "allocation counted" true
-        (d.Prof.d_alloc_b >= 700_000.0);
-      Alcotest.(check bool) "heap words present" true (d.Prof.d_heap_w > 0);
-      Alcotest.(check bool) "render" true
-        (contains (Prof.render_gc d) "MB allocated"))
+let test_eval_program_spans () =
+  (* each evaluated program is one posetrl.eval.program span, opened on
+     the domain that evaluates it, and nothing else is a root: a
+     domain's self-times then add up to its traced wall time, pooled
+     or not *)
+  let programs = List.filteri (fun i _ -> i < 3) W.Mibench.all in
+  let names = List.sort compare (List.map fst programs) in
+  let n = List.length programs in
+  let actions = O.Action_space.odg in
+  let agent =
+    Posetrl_rl.Dqn.create (Posetrl_support.Rng.create 0)
+      ~state_dim:C.Environment.state_dim ~hidden:[ 32 ]
+      ~n_actions:(O.Action_space.n_actions actions)
+  in
+  let check label ?pool () =
+    let events = ref [] in
+    let capture =
+      { Obs.Sink.emit = (fun e -> events := e :: !events); close = ignore }
+    in
+    let _, p =
+      Prof.collect (fun () ->
+          Span.with_sink capture (fun () ->
+              C.Evaluate.evaluate_programs ?pool ~agent ~actions ~target:x86
+                programs))
+    in
+    let count name =
+      match List.find_opt (fun e -> e.Prof.e_name = name) (Prof.hotspots p) with
+      | Some e -> e.Prof.e_count
+      | None -> 0
+    in
+    Alcotest.(check int) (label ^ ": one program span per program") n
+      (count "posetrl.eval.program");
+    Alcotest.(check int) (label ^ ": two interpreter runs per program") (2 * n)
+      (count "posetrl.interp.run");
+    let roots = List.filter (fun e -> e.Event.depth = 0) !events in
+    List.iter
+      (fun e ->
+        Alcotest.(check string) (label ^ ": every root is a program")
+          "posetrl.eval.program" e.Event.name)
+      roots;
+    Alcotest.(check (list string)) (label ^ ": program attrs") names
+      (List.sort compare
+         (List.filter_map (fun e -> Event.attr_string e "program") roots));
+    (* per domain, Σ self over all events = Σ dur of its roots *)
+    List.iter
+      (fun tid ->
+        let sum f l =
+          List.fold_left (fun a e -> if e.Event.tid = tid then a +. f e else a) 0.0 l
+        in
+        Alcotest.(check (float 1e-6)) (label ^ ": self adds up to root time")
+          (sum (fun e -> e.Event.dur) roots)
+          (sum (fun e -> e.Event.self) !events))
+      (List.sort_uniq compare (List.map (fun e -> e.Event.tid) !events));
+    roots
+  in
+  let main = (Domain.self () :> int) in
+  let seq = check "sequential" () in
+  Alcotest.(check bool) "sequential programs on the calling domain" true
+    (List.for_all (fun e -> e.Event.tid = main) seq);
+  let par = Pool.with_pool ~jobs:2 (fun pool -> check "2-domain pool" ~pool ()) in
+  Alcotest.(check bool) "pooled programs on worker domains" true
+    (List.for_all (fun e -> e.Event.tid <> main) par)
+
+(* --- GC telemetry -------------------------------------------------------------- *)
 
 let test_sample_gc_gauges () =
   let r = M.create () in
@@ -218,8 +264,6 @@ let test_pool_util_deterministic () =
   check_float "busy = 1.4 / (2 x 1.0)" 0.7 u.Prof.pu_busy_frac;
   check_float "queue mean over all tasks" (0.7 /. 3.0) u.Prof.pu_queue_mean;
   check_float "dispatch = mean of first wave" 0.05 u.Prof.pu_dispatch_s;
-  Alcotest.(check bool) "render" true
-    (contains (Prof.render_pool u) "jobs=2 tasks=3");
   (* note_pool_batch publishes the same numbers to metrics *)
   let r = M.create () in
   let u' = Prof.note_pool_batch ~r ~jobs:2 ~t0:0.0 ~t1:1.0 timings in
@@ -295,11 +339,10 @@ let suite =
   [ Alcotest.test_case "collect self vs total time" `Quick test_collect_self_time;
     Alcotest.test_case "hotspot aggregates" `Quick test_hotspot_aggregates;
     Alcotest.test_case "quantiles" `Quick test_quantiles;
-    Alcotest.test_case "alloc attribution" `Quick test_alloc_attribution;
     Alcotest.test_case "render smoke" `Quick test_render_smoke;
     Alcotest.test_case "folded golden" `Quick test_folded_golden;
     Alcotest.test_case "folded multi-domain" `Quick test_folded_multi_domain;
-    Alcotest.test_case "gc delta" `Quick test_gc_delta;
+    Alcotest.test_case "eval program spans" `Quick test_eval_program_spans;
     Alcotest.test_case "gc sample gauges" `Quick test_sample_gc_gauges;
     Alcotest.test_case "train gc smoke" `Slow test_train_gc_smoke;
     Alcotest.test_case "pool util deterministic" `Quick test_pool_util_deterministic;
