@@ -668,13 +668,7 @@ let analysis () =
   let funcs = Modul.defined_funcs big in
   let bench =
     bench_gated ~group:"analysis"
-      [ Test.make ~name:"liveness-largest"
-          (Staged.stage (fun () ->
-               List.iter (fun f -> ignore (A.Liveness.of_func f)) funcs));
-        Test.make ~name:"reaching-largest"
-          (Staged.stage (fun () ->
-               List.iter (fun f -> ignore (A.Reaching.of_func f)) funcs));
-        Test.make ~name:"effects-summary"
+      [ Test.make ~name:"effects-summary"
           (Staged.stage (fun () -> ignore (A.Effects.summarize big)));
         Test.make ~name:"alias-summary"
           (Staged.stage (fun () -> ignore (A.Alias.summarize big)));
@@ -708,13 +702,11 @@ let analysis () =
       [ ("subject", Obs.Json.Str name);
         ("subject_insns", Obs.Json.Int (Modul.insn_count big)) ]
     ~gate:
-      [ ("liveness_rel", ns "liveness-largest");
-        ("sanitize_rel", ns "sanitize-ssa-largest");
+      [ ("sanitize_rel", ns "sanitize-ssa-largest");
         ("lint_rel", ns "lint-largest");
         ("alias_rel", ns "alias-summary");
         ("absint_rel", ns "absint-largest");
         ("equiv_rel", ns "equiv-validate-func");
-        ("reaching_rel", ns "reaching-largest");
         ("effects_rel", ns "effects-summary") ]
 
 (* ======================================================================== *)

@@ -321,10 +321,9 @@ let json_of_hp (hp : C.Trainer.hyperparams) : Obs.Json.t =
       ("beta", Float C.Reward.paper_weights.C.Reward.beta) ]
 
 let report_module (target : CG.Target.t) (label : string) (m : Modul.t) =
-  let s = CG.Objfile.measure target m in
+  let { Posetrl_mca.Mca.size; text; throughput } = Posetrl_mca.Mca.measure target m in
   Printf.printf "%-10s insns=%-5d size=%-6dB text=%-6dB mca-throughput=%.3f\n"
-    label (Modul.insn_count m) (CG.Objfile.total s) s.CG.Objfile.text
-    (Posetrl_mca.Mca.throughput target m)
+    label (Modul.insn_count m) size text throughput
 
 (* --- opt ------------------------------------------------------------------ *)
 

@@ -606,10 +606,7 @@ let of_func ?(widen_budget = default_widen_budget) (f : Func.t) : t =
       let edge ~pred ~succ fact =
         refine_edge ~defs ~block_map ~pred ~succ fact
       in
-      let result =
-        Solver.solve ~direction:Dataflow.Forward ~init:init_env ~edge ~transfer
-          f
-      in
+      let result = Solver.solve ~init:init_env ~edge ~transfer f in
       (* replay each reachable block once to record per-register values *)
       let vals = ref IMap.empty in
       List.iter

@@ -33,14 +33,8 @@ module LSet = Set.Make (struct
   let compare = Stdlib.compare
 end)
 
-let loc_to_string = function
-  | LAlloca r -> Printf.sprintf "alloca %%%d" r
-  | LGlobal g -> Printf.sprintf "@%s" g
-  | LUnknown -> "unknown"
-
 type finfo = {
   points_to : LSet.t IMap.t; (* pointer register -> may-point-to set *)
-  allocas : ISet.t;          (* alloca instruction ids in the function *)
   escaped : ISet.t;          (* allocas whose address leaves the function *)
 }
 
@@ -64,14 +58,6 @@ let of_func (f : Func.t) : finfo =
       (fun tbl (p, ty) ->
         if Types.equal ty Types.Ptr then IMap.add p unknown tbl else tbl)
       IMap.empty f.Func.params
-  in
-  let allocas =
-    Func.fold_insns
-      (fun acc _ i ->
-        match i.Instr.op with
-        | Instr.Alloca _ -> ISet.add i.Instr.id acc
-        | _ -> acc)
-      ISet.empty f
   in
   (* round-robin to a fixpoint: each constraint only unions sets *)
   let tbl = ref tbl in
@@ -140,13 +126,12 @@ let of_func (f : Func.t) : finfo =
       | Instr.Ret (Some (_, v)) -> escape_via v
       | _ -> ())
     f.Func.blocks;
-  { points_to = tbl; allocas; escaped = !escaped }
+  { points_to = tbl; escaped = !escaped }
 
 (* --- queries -------------------------------------------------------------- *)
 
 let pts (fi : finfo) (v : Value.t) : LSet.t = pts_under fi.points_to v
 let is_escaped (fi : finfo) (a : int) : bool = ISet.mem a fi.escaped
-let private_allocas (fi : finfo) : ISet.t = ISet.diff fi.allocas fi.escaped
 
 let locs_overlap (fi : finfo) (l1 : loc) (l2 : loc) : bool =
   match l1, l2 with
@@ -209,22 +194,8 @@ let modref_equal a b =
   && a.mod_unknown = b.mod_unknown
   && a.ref_unknown = b.ref_unknown
 
-let modref_to_string mr =
-  let side name set unknown =
-    match SSet.elements set, unknown with
-    | [], false -> name ^ " nothing"
-    | gs, u ->
-      Printf.sprintf "%s {%s%s}" name (String.concat ", " gs)
-        (if u then (if gs = [] then "unknown" else ", unknown") else "")
-  in
-  side "mod" mr.mod_globals mr.mod_unknown
-  ^ "; "
-  ^ side "ref" mr.ref_globals mr.ref_unknown
-
-type t = {
-  finfos : finfo SMap.t;    (* per defined function *)
-  modrefs : modref SMap.t;  (* every function, declarations included *)
-}
+(* mod/ref summary of every function, declarations included *)
+type t = modref SMap.t
 
 let declared_modref (f : Func.t) : modref =
   if Func.has_attr Attrs.readnone f then modref_bottom
@@ -320,9 +291,7 @@ let summarize (m : Modul.t) : t =
       in
       let modrefs = fix init in
       Obs.Span.set_attr sp "funcs" (Obs.Event.I (List.length defined));
-      { finfos; modrefs })
-
-let finfo_of (t : t) (name : string) : finfo option = SMap.find_opt name t.finfos
+      modrefs)
 
 let modref_of (t : t) (name : string) : modref =
-  Option.value (SMap.find_opt name t.modrefs) ~default:modref_top
+  Option.value (SMap.find_opt name t) ~default:modref_top

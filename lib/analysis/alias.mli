@@ -18,8 +18,6 @@ type loc = LAlloca of int | LGlobal of string | LUnknown
 
 module LSet : Set.S with type elt = loc
 
-val loc_to_string : loc -> string
-
 (* Per-function points-to facts. *)
 type finfo
 
@@ -30,9 +28,6 @@ val of_func : Func.t -> finfo
 val pts : finfo -> Value.t -> LSet.t
 
 val is_escaped : finfo -> int -> bool
-
-(* Allocas whose address never escapes the function. *)
-val private_allocas : finfo -> ISet.t
 
 (* May the two locations denote overlapping memory? [LUnknown] overlaps
    everything except non-escaping allocas. *)
@@ -62,14 +57,12 @@ val modref_bottom : modref
 val modref_top : modref
 val modref_join : modref -> modref -> modref
 val modref_equal : modref -> modref -> bool
-val modref_to_string : modref -> string
 
 (* Module-wide summary: per-function points-to plus the mod/ref
    fixpoint over the call graph. *)
 type t
 
 val summarize : Modul.t -> t
-val finfo_of : t -> string -> finfo option
 
 (* Mod/ref summary for the named function; [modref_top] for unknown or
    external functions. *)

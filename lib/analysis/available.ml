@@ -61,22 +61,13 @@ let transfer (b : Block.t) (inb : fact) : fact =
   | All -> All (* unreachable block: vacuously everything *)
   | Avail s -> Avail (SSet.union s (exprs_of_block b))
 
-type t = {
-  avail_in : fact SMap.t;
-  avail_out : fact SMap.t;
-  iterations : int;
-}
+(* the fact at each block's entry *)
+type t = fact SMap.t
 
 let of_func (f : Func.t) : t =
-  let r =
-    Solver.solve ~direction:Dataflow.Forward ~init:(Avail SSet.empty) ~transfer f
-  in
-  { avail_in = r.Solver.at_entry;
-    avail_out = r.Solver.at_exit;
-    iterations = r.Solver.iterations }
+  (Solver.solve ~init:(Avail SSet.empty) ~transfer f).Solver.at_entry
 
-let avail_in (t : t) label =
-  Option.value (SMap.find_opt label t.avail_in) ~default:All
+let avail_in (t : t) label = Option.value (SMap.find_opt label t) ~default:All
 
 (* Pure instructions whose expression is already available at block
    entry (recomputations a CSE/GVN pass could forward): (block, id). *)

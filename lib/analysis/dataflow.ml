@@ -1,9 +1,9 @@
-(* Generic monotone dataflow framework over a function CFG.
+(* Generic monotone forward dataflow framework over a function CFG.
 
    A client supplies a join-semilattice (LATTICE) and a per-block
    transfer function; [Make(L).solve] runs the classic worklist
-   algorithm in either direction and returns the fixed-point facts at
-   every block boundary.
+   algorithm in reverse post-order and returns the fixed-point fact at
+   every block entry.
 
    Termination: transfer functions are required to be monotone and the
    lattice to have finite height. Facts start at [L.bottom] and are only
@@ -29,25 +29,19 @@ module type LATTICE = sig
   val join : t -> t -> t
 end
 
-type direction = Forward | Backward
-
 module Make (L : LATTICE) = struct
   type result = {
-    at_entry : L.t SMap.t;  (* fact at block entry (live-in style) *)
-    at_exit : L.t SMap.t;   (* fact at block exit (live-out style) *)
+    at_entry : L.t SMap.t;  (* joined fact entering the block's transfer *)
     iterations : int;       (* transfer applications until the fixpoint *)
   }
 
   let entry_fact result label =
     Option.value (SMap.find_opt label result.at_entry) ~default:L.bottom
 
-  let exit_fact result label =
-    Option.value (SMap.find_opt label result.at_exit) ~default:L.bottom
-
   (* [edge ~pred ~succ fact] refines the fact flowing along one CFG edge
-     before it is joined (liveness uses it to add phi-operand uses on
-     the edge they are live on). Defaults to the identity. *)
-  let solve ?(direction = Forward) ?(init = L.bottom)
+     before it is joined (the abstract interpreter uses it for branch
+     refinement). Defaults to the identity. *)
+  let solve ?(init = L.bottom)
       ?(edge = fun ~pred:_ ~succ:_ fact -> fact)
       ~(transfer : Block.t -> L.t -> L.t) (f : Func.t) : result =
     let cfg = Cfg.of_func f in
@@ -55,9 +49,9 @@ module Make (L : LATTICE) = struct
     let n = Array.length blocks in
     let index = Hashtbl.create (2 * n) in
     Array.iteri (fun i b -> Hashtbl.replace index b.Block.label i) blocks;
-    (* process in an order that reaches the fixpoint quickly: reverse
-       post-order for forward problems, post-order for backward ones;
-       blocks unreachable from the entry keep their list position *)
+    (* process in reverse post-order, which reaches the fixpoint
+       quickly; blocks unreachable from the entry keep their list
+       position *)
     let order =
       let visited = Array.make n false in
       let ranked =
@@ -68,9 +62,7 @@ module Make (L : LATTICE) = struct
               visited.(i) <- true;
               Some i
             | None -> None)
-          (match direction with
-           | Forward -> Cfg.rpo cfg
-           | Backward -> Cfg.postorder cfg)
+          (Cfg.rpo cfg)
       in
       let rest = ref [] in
       for i = n - 1 downto 0 do
@@ -78,22 +70,11 @@ module Make (L : LATTICE) = struct
       done;
       Array.of_list (ranked @ !rest)
     in
-    (* facts, indexed by block: [inputs] is the joined fact entering the
-       transfer, [outputs] the transfer result *)
+    (* facts, indexed by block: [joined] is the fact entering the
+       transfer, [transferred] the transfer result *)
     let joined = Array.make n L.bottom in
     let transferred = Array.make n L.bottom in
     let entry_label = cfg.Cfg.entry in
-    let neighbours_in l =
-      (* edges whose facts feed block [l] *)
-      match direction with
-      | Forward -> List.map (fun p -> (p, l)) (Cfg.preds cfg l)
-      | Backward -> List.map (fun s -> (l, s)) (Cfg.succs cfg l)
-    in
-    let neighbours_out l =
-      match direction with
-      | Forward -> Cfg.succs cfg l
-      | Backward -> Cfg.preds cfg l
-    in
     let on_queue = Array.make n false in
     let queue = Queue.create () in
     Array.iter
@@ -114,22 +95,15 @@ module Make (L : LATTICE) = struct
           (Printf.sprintf
              "Dataflow.solve: no fixpoint after %d iterations in %s (non-monotone transfer?)"
              !iterations f.Func.name);
-      let boundary =
-        (* the entry block (forward) / exit blocks (backward) additionally
-           receive the boundary fact [init] *)
-        match direction with
-        | Forward -> if String.equal l entry_label then Some init else None
-        | Backward -> if Cfg.succs cfg l = [] then Some init else None
-      in
       let joined_in =
+        (* the entry block additionally receives the boundary fact [init] *)
         List.fold_left
-          (fun acc (p, s) ->
-            let feeding = if direction = Forward then p else s in
-            match Hashtbl.find_opt index feeding with
+          (fun acc p ->
+            match Hashtbl.find_opt index p with
             | None -> acc
-            | Some j -> L.join acc (edge ~pred:p ~succ:s transferred.(j)))
-          (Option.value boundary ~default:L.bottom)
-          (neighbours_in l)
+            | Some j -> L.join acc (edge ~pred:p ~succ:l transferred.(j)))
+          (if String.equal l entry_label then init else L.bottom)
+          (Cfg.preds cfg l)
       in
       joined.(i) <- joined_in;
       let out = transfer b joined_in in
@@ -142,19 +116,12 @@ module Make (L : LATTICE) = struct
               on_queue.(j) <- true;
               Queue.add j queue
             | _ -> ())
-          (neighbours_out l)
+          (Cfg.succs cfg l)
       end
     done;
-    let to_map arr =
+    let at_entry =
       Array.to_seqi blocks
-      |> Seq.fold_left (fun m (i, b) -> SMap.add b.Block.label arr.(i) m) SMap.empty
+      |> Seq.fold_left (fun m (i, b) -> SMap.add b.Block.label joined.(i) m) SMap.empty
     in
-    (* at_entry/at_exit are direction-independent names: for a forward
-       problem the transfer input sits at the block entry; for a
-       backward one it sits at the exit *)
-    match direction with
-    | Forward ->
-      { at_entry = to_map joined; at_exit = to_map transferred; iterations = !iterations }
-    | Backward ->
-      { at_entry = to_map transferred; at_exit = to_map joined; iterations = !iterations }
+    { at_entry; iterations = !iterations }
 end

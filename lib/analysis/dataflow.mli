@@ -1,7 +1,7 @@
-(* Generic monotone dataflow framework over a function CFG: a client
-   supplies a join-semilattice and a per-block transfer function, and
-   [Make(L).solve] runs the classic worklist algorithm in either
-   direction to a fixed point. Transfer functions must be monotone and
+(* Generic monotone forward dataflow framework over a function CFG: a
+   client supplies a join-semilattice and a per-block transfer function,
+   and [Make(L).solve] runs the classic worklist algorithm in reverse
+   post-order to a fixed point. Transfer functions must be monotone and
    the lattice of finite height; a safety bound turns an accidental
    non-monotone transfer into an exception instead of a hang. All
    solver state is allocated per call, so concurrent solves from
@@ -20,26 +20,20 @@ module type LATTICE = sig
   val join : t -> t -> t
 end
 
-type direction = Forward | Backward
-
 module Make (L : LATTICE) : sig
   type result = {
-    at_entry : L.t SMap.t;  (* fact at block entry (live-in style) *)
-    at_exit : L.t SMap.t;   (* fact at block exit (live-out style) *)
+    at_entry : L.t SMap.t;  (* joined fact entering the block's transfer *)
     iterations : int;       (* transfer applications until the fixpoint *)
   }
 
   val entry_fact : result -> string -> L.t
-  val exit_fact : result -> string -> L.t
 
   (* [solve ~transfer f] computes the fixpoint. [init] is the boundary
-     fact fed into the entry block (forward) or the exit blocks
-     (backward). [edge ~pred ~succ fact] refines the fact flowing along
-     one CFG edge before it is joined — liveness uses it for
-     phi-operand edge uses, the abstract interpreter for branch
-     refinement; it defaults to the identity. *)
+     fact fed into the entry block. [edge ~pred ~succ fact] refines the
+     fact flowing along one CFG edge before it is joined — the abstract
+     interpreter uses it for branch refinement; it defaults to the
+     identity. *)
   val solve :
-    ?direction:direction ->
     ?init:L.t ->
     ?edge:(pred:string -> succ:string -> L.t -> L.t) ->
     transfer:(Block.t -> L.t -> L.t) ->

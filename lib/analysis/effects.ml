@@ -86,8 +86,6 @@ let summarize (m : Modul.t) : t =
 let effect_of (t : t) name =
   Option.value (SMap.find_opt name t.summaries) ~default:ReadWrite
 
-let is_pure_call (t : t) name = effect_of t name = Pure
-
 (* Defined functions whose computed summary is strictly better than what
    their attributes claim — candidates for a purity annotation. *)
 let missing_purity_attrs (t : t) (m : Modul.t) : (string * effect_kind) list =

@@ -271,5 +271,3 @@ let validate ?(seeds = default_seeds) ?(fuel = default_fuel)
             (Obs.Metrics.counter "posetrl.analysis.equiv.mismatches");
         Obs.Span.set_attr sp "mismatches" (Obs.Event.I (List.length out));
         out)
-
-let mismatch_to_string m = Printf.sprintf "%s: %s" m.func m.detail

@@ -45,5 +45,3 @@ val with_harness : Modul.t -> Func.t -> Modul.t
 val validate :
   ?seeds:int -> ?fuel:int -> ?per_function:bool -> before:Modul.t ->
   Modul.t -> mismatch list
-
-val mismatch_to_string : mismatch -> string

@@ -47,14 +47,6 @@ type finding = {
   message : string;
 }
 
-let finding_to_string f =
-  Printf.sprintf "%-7s %-22s %s%s: %s"
-    (severity_to_string f.severity)
-    f.rule
-    f.func
-    (match f.block with Some b -> "/" ^ b | None -> "")
-    f.message
-
 let verifier_findings (m : Modul.t) : finding list =
   let structural = Verifier.verify_module m in
   let with_dom = Verifier.verify_module ~dom:true m in

@@ -1,4 +1,4 @@
-(* Static IR lint: turns the analyses (verifier, liveness, use-def,
+(* Static IR lint: turns the analyses (verifier, use-def demand,
    available expressions, effects, points-to, value ranges) into a
    structured findings report for `posetrl lint`.
 
@@ -29,8 +29,6 @@ type finding = {
   block : string option;
   message : string;
 }
-
-val finding_to_string : finding -> string
 
 (* Individual rule groups, exposed for targeted testing. *)
 val verifier_findings : Modul.t -> finding list

@@ -1,52 +1,12 @@
-(* Use-def chains and demand-driven liveness over them.
+(* Demanded registers: what observable behaviour transitively reads,
+   chased backward through use-def chains.
 
-   [of_func] builds both directions of the chain in one traversal:
-   definitions (SSA register -> defining site) and uses (register ->
-   every site that reads it, including terminators). [demand_closure]
-   is the mark phase of aggressive DCE factored out so the dce pass and
-   the lint dead-code report share one implementation: seed from the
-   side-effect roots, then chase operands through the def table. *)
+   [demand_closure] is the mark phase of aggressive DCE factored out so
+   the dce pass and the lint dead-code report share one implementation:
+   seed from the side-effect roots, then chase operands through the def
+   table. *)
 
 open Posetrl_ir
-module ISet = Set.Make (Int)
-
-type site = {
-  block : string;
-  insn : Instr.t option; (* None = use in the block's terminator *)
-}
-
-type t = {
-  defs : (int, string * Instr.t) Hashtbl.t;
-  uses : (int, site list) Hashtbl.t;
-}
-
-let of_func (f : Func.t) : t =
-  let defs = Func.def_map f in
-  let uses : (int, site list) Hashtbl.t = Hashtbl.create 64 in
-  let add_use site v =
-    match v with
-    | Value.Reg r ->
-      let cur = Option.value (Hashtbl.find_opt uses r) ~default:[] in
-      Hashtbl.replace uses r (site :: cur)
-    | _ -> ()
-  in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun (i : Instr.t) ->
-          let site = { block = b.Block.label; insn = Some i } in
-          List.iter (add_use site) (Instr.operands i.Instr.op))
-        b.Block.insns;
-      let site = { block = b.Block.label; insn = None } in
-      List.iter (add_use site) (Instr.term_operands b.Block.term))
-    f.Func.blocks;
-  { defs; uses }
-
-let def_site (t : t) r = Hashtbl.find_opt t.defs r
-
-let uses_of (t : t) r = Option.value (Hashtbl.find_opt t.uses r) ~default:[]
-
-let use_count (t : t) r = List.length (uses_of t r)
 
 (* Registers transitively demanded by observable behaviour: terminator
    operands and side-effecting instructions are roots; demand propagates

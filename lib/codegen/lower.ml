@@ -122,16 +122,11 @@ let spill_minsts (t : Target.t) (b : Block.t) : minst list =
          [ mi MStore (if t.arch = X86_64 then 5 else 4);
            mi MLoad (if t.arch = X86_64 then 5 else 4) ]))
 
-type lowered_block = {
-  label : string;
-  minsts : minst list;
-}
-
+(* A function's lowering: one machine-instruction list per block, in
+   the order of [f.Func.blocks]. *)
 type lowered_func = {
-  func_name : string;
-  blocks : lowered_block list;
+  blocks : minst list list;
   code_bytes : int;
-  n_minsts : int;
   call_sites : int; (* relocation count *)
 }
 
@@ -139,16 +134,13 @@ let lower_func (t : Target.t) (f : Func.t) : lowered_func =
   let blocks =
     List.map
       (fun (b : Block.t) ->
-        let minsts =
-          List.concat_map (lower_insn t) b.Block.insns
-          @ lower_term t b.Block.term @ spill_minsts t b
-        in
-        { label = b.Block.label; minsts })
+        List.concat_map (lower_insn t) b.Block.insns
+        @ lower_term t b.Block.term @ spill_minsts t b)
       f.Func.blocks
   in
   let body_bytes =
     List.fold_left
-      (fun acc lb -> List.fold_left (fun acc m -> acc + m.bytes) acc lb.minsts)
+      (fun acc minsts -> List.fold_left (fun acc m -> acc + m.bytes) acc minsts)
       0 blocks
   in
   let call_sites =
@@ -165,11 +157,6 @@ let lower_func (t : Target.t) (f : Func.t) : lowered_func =
                  (Instr.operands op)))
       0 f
   in
-  let n_minsts =
-    List.fold_left (fun acc lb -> acc + List.length lb.minsts) 0 blocks
-  in
-  { func_name = f.Func.name;
-    blocks;
+  { blocks;
     code_bytes = t.prologue_bytes + body_bytes + t.epilogue_bytes;
-    n_minsts;
     call_sites }

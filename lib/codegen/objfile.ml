@@ -12,7 +12,6 @@ open Posetrl_ir
 type section_sizes = {
   text : int;
   data : int;
-  bss : int; (* informational; does not contribute to object size *)
   relocs : int;
   symtab : int;
   headers : int;
@@ -20,29 +19,27 @@ type section_sizes = {
 
 let align n a = (n + a - 1) / a * a
 
-let measure (t : Target.t) (m : Modul.t) : section_sizes =
+(* Section sizes of [m], given the lowerings of its defined functions in
+   module order. *)
+let sections (t : Target.t) (m : Modul.t) (lowered : Lower.lowered_func list) :
+    section_sizes =
   let text, relocs =
     List.fold_left
-      (fun (text, relocs) f ->
-        if Func.is_declaration f then (text, relocs)
-        else begin
-          let lf = Lower.lower_func t f in
-          (align text t.Target.func_align + lf.Lower.code_bytes,
-           relocs + (lf.Lower.call_sites * t.Target.call_reloc_bytes))
-        end)
-      (0, 0) m.Modul.funcs
+      (fun (text, relocs) (lf : Lower.lowered_func) ->
+        (align text t.Target.func_align + lf.Lower.code_bytes,
+         relocs + (lf.Lower.call_sites * t.Target.call_reloc_bytes)))
+      (0, 0) lowered
   in
-  let data, bss =
+  let data =
     List.fold_left
-      (fun (data, bss) (g : Global.t) ->
+      (fun data (g : Global.t) ->
         match g.Global.init with
-        | None -> (data, bss)
-        | Some Global.Zeroinit -> (data, align bss 8 + Global.size_bytes g)
-        | Some _ -> (align data 8 + Global.size_bytes g, bss))
-      (0, 0) m.Modul.globals
+        | None | Some Global.Zeroinit -> data (* bss: no file space *)
+        | Some _ -> align data 8 + Global.size_bytes g)
+      0 m.Modul.globals
   in
   let symbols =
-    List.length (Modul.defined_funcs m)
+    List.length lowered
     + List.length (List.filter Global.is_definition m.Modul.globals)
   in
   let sym_names =
@@ -53,12 +50,14 @@ let measure (t : Target.t) (m : Modul.t) : section_sizes =
   in
   { text = align text t.Target.func_align;
     data;
-    bss;
     relocs;
     symtab = (symbols * t.Target.symtab_entry_bytes) + sym_names;
     headers = t.Target.header_bytes }
 
-(* Total object-file size in bytes: every section but bss. *)
+let measure (t : Target.t) (m : Modul.t) : section_sizes =
+  sections t m (List.map (Lower.lower_func t) (Modul.defined_funcs m))
+
+(* Total object-file size in bytes. *)
 let total (s : section_sizes) : int =
   s.text + s.data + s.relocs + s.symtab + s.headers
 
@@ -66,6 +65,3 @@ let size (t : Target.t) (m : Modul.t) : int = total (measure t m)
 
 (* Text-only size, useful for per-function reporting. *)
 let text_size (t : Target.t) (m : Modul.t) : int = (measure t m).text
-
-let func_size (t : Target.t) (f : Func.t) : int =
-  if Func.is_declaration f then 0 else (Lower.lower_func t f).Lower.code_bytes

@@ -67,5 +67,3 @@ let aarch64 = {
   symtab_entry_bytes = 24;
   header_bytes = 680;
 }
-
-let arch_to_string = function X86_64 -> "x86" | AArch64 -> "AArch64"

@@ -47,11 +47,7 @@ let decompose ?(weights = paper_weights) ~(base : baseline)
     binsize;
     throughput }
 
-let compute ?(weights = paper_weights) ~(base : baseline) ~(last : measurement)
-    ~(curr : measurement) () : float =
-  (decompose ~weights ~base ~last ~curr ()).total
-
 (* Measurement of a module under a target. *)
 let measure (target : Posetrl_codegen.Target.t) (m : Posetrl_ir.Modul.t) : measurement =
-  { bin_size = float_of_int (Posetrl_codegen.Objfile.size target m);
-    throughput = Posetrl_mca.Mca.throughput target m }
+  let { Posetrl_mca.Mca.size; throughput; _ } = Posetrl_mca.Mca.measure target m in
+  { bin_size = float_of_int size; throughput }

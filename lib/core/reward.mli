@@ -35,10 +35,6 @@ val decompose :
 (** Eqn 1 plus its unweighted Eqn-2/3 components, which the run ledger
     persists per step ([progress.jsonl]). *)
 
-val compute :
-  ?weights:weights -> base:baseline -> last:measurement -> curr:measurement ->
-  unit -> float
-(** Eqn 1 ([(decompose ...).total]). *)
-
 val measure : Posetrl_codegen.Target.t -> Posetrl_ir.Modul.t -> measurement
-(** Object size (codegen model) and MCA throughput of a module. *)
+(** Object size and MCA throughput of a module, read off one lowering
+    ({!Posetrl_mca.Mca.measure}). *)

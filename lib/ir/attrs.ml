@@ -18,8 +18,6 @@ let to_list = S.elements
 
 let add = S.add
 
-let remove = S.remove
-
 let mem = S.mem
 
 let union = S.union

@@ -57,6 +57,3 @@ let rpo t =
   in
   dfs t.entry;
   !order
-
-(* Post-order (reverse of rpo). *)
-let postorder t = List.rev (rpo t)

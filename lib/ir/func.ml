@@ -98,10 +98,6 @@ let use_counts f =
     f.blocks;
   tbl
 
-(* Allocate [n] fresh registers; returns the first id and the updated
-   function. Passes typically use the mutable [fresh_counter] instead. *)
-let alloc_regs f n = (f.next_id, { f with next_id = f.next_id + n })
-
 (* Mutable fresh-id source for use inside a pass body. *)
 type counter = { mutable next : int }
 
@@ -114,10 +110,6 @@ let fresh c =
 
 let commit_counter f c = { f with next_id = c.next }
 
-let param_regs f = List.map fst f.params
-
 let has_attr a f = Attrs.mem a f.attrs
 
 let add_attr a f = { f with attrs = Attrs.add a f.attrs }
-
-let remove_attr a f = { f with attrs = Attrs.remove a f.attrs }

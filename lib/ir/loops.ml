@@ -111,10 +111,6 @@ let compute (f : Func.t) =
 
 let depth t label = Option.value (SMap.find_opt label t.depth_of) ~default:0
 
-let innermost t =
-  let max_depth = List.fold_left (fun d l -> max d l.depth) 0 t.loops in
-  List.filter (fun l -> l.depth = max_depth) t.loops
-
 (* Loops whose body contains no other loop's header. *)
 let leaf_loops t =
   List.filter

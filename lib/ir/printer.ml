@@ -96,6 +96,4 @@ let pp_module ppf (m : Modul.t) =
   if m.Modul.globals <> [] then Fmt.pf ppf "@\n";
   List.iter (fun f -> Fmt.pf ppf "%a@\n" pp_func f) m.Modul.funcs
 
-let func_to_string f = Fmt.str "%a" pp_func f
-
 let module_to_string m = Fmt.str "%a" pp_module m

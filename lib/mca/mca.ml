@@ -9,7 +9,8 @@
    frequency estimate (10× per loop-nest level, LLVM's classic static
    heuristic); and the module's throughput is the inverse of the weighted
    cycle total, so that "higher throughput, lesser runtime" holds by
-   construction. *)
+   construction. [measure] sizes the object file from the same lowering,
+   so a measurement lowers each function once. *)
 
 open Posetrl_ir
 open Posetrl_codegen
@@ -56,13 +57,12 @@ let model_of (t : Target.t) : resource_model =
       vec_units = 2.0 }
 
 (* steady-state cycles for one execution of a lowered block *)
-let block_cycles (t : Target.t) (lb : Lower.lowered_block) : float =
+let block_cycles (t : Target.t) (minsts : minst list) : float =
   let rm = model_of t in
   let count klass =
-    float_of_int
-      (List.length (List.filter (fun m -> m.Target.klass = klass) lb.Lower.minsts))
+    float_of_int (List.length (List.filter (fun m -> m.Target.klass = klass) minsts))
   in
-  let total = float_of_int (List.length lb.Lower.minsts) in
+  let total = float_of_int (List.length minsts) in
   let pressures =
     [ (count MAlu +. count MLea +. count MMov) /. rm.alu_units;
       count MMul /. rm.mul_units;
@@ -80,13 +80,15 @@ let block_cycles (t : Target.t) (lb : Lower.lowered_block) : float =
 (* static block frequency: 10 per loop level, capped; entry-relative *)
 let max_loop_boost = 3
 
-let block_freqs (f : Func.t) : (string * float) list =
+(* Weighted cycles of a defined function, from its lowering: the lowered
+   blocks are walked in step with [f.Func.blocks]. *)
+let func_cycles (t : Target.t) (f : Func.t) (lf : Lower.lowered_func) : float =
   let li = Loops.compute f in
-  List.map
-    (fun (b : Block.t) ->
+  List.fold_left2
+    (fun acc (b : Block.t) minsts ->
       let d = min max_loop_boost (Loops.depth li b.Block.label) in
-      (b.Block.label, 10.0 ** float_of_int d))
-    f.Func.blocks
+      acc +. ((10.0 ** float_of_int d) *. block_cycles t minsts))
+    0.0 f.Func.blocks lf.Lower.blocks
 
 type estimate = {
   cycles : float;      (* weighted static cycles *)
@@ -95,31 +97,37 @@ type estimate = {
 
 let throughput_scale = 1.0e6
 
-let estimate_func (t : Target.t) (f : Func.t) : float =
-  if Func.is_declaration f then 0.0
-  else begin
-    let lf = Lower.lower_func t f in
-    let freqs = block_freqs f in
+(* The one lowering walk: each defined function of [m] lowered once, in
+   module order, with the module's weighted cycles. *)
+let lower_module (t : Target.t) (m : Modul.t) : Lower.lowered_func list * estimate =
+  let lowered, cycles =
     List.fold_left
-      (fun acc (lb : Lower.lowered_block) ->
-        let freq = Option.value (List.assoc_opt lb.Lower.label freqs) ~default:1.0 in
-        acc +. (freq *. block_cycles t lb))
-      0.0 lf.Lower.blocks
-  end
-
-let estimate (t : Target.t) (m : Modul.t) : estimate =
-  let cycles =
-    List.fold_left (fun acc f -> acc +. estimate_func t f) 0.0 m.Modul.funcs
+      (fun (lowered, cycles) f ->
+        let lf = Lower.lower_func t f in
+        (lf :: lowered, cycles +. func_cycles t f lf))
+      ([], 0.0) (Modul.defined_funcs m)
   in
   let cycles = Float.max 1.0 cycles in
-  { cycles; throughput = throughput_scale /. cycles }
+  (List.rev lowered, { cycles; throughput = throughput_scale /. cycles })
+
+let estimate (t : Target.t) (m : Modul.t) : estimate = snd (lower_module t m)
 
 module Obs = Posetrl_obs
 
 let m_evals = Obs.Metrics.counter "posetrl.mca.evals"
 
-let throughput (t : Target.t) (m : Modul.t) : float =
+(* What one compile step yields (the paper's Fig. 3: one object, sized
+   for Eqn 2 and fed to llvm-mca for Eqn 3): object size, text size and
+   MCA throughput, read off a single lowering of each function. *)
+type measurement = { size : int; text : int; throughput : float }
+
+let measure (t : Target.t) (m : Modul.t) : measurement =
   Obs.Metrics.inc m_evals;
-  Obs.Span.with_ "posetrl.mca.throughput"
+  Obs.Span.with_ "posetrl.measure"
     ~attrs:[ ("target", Obs.Event.S t.name) ]
-    (fun _ -> (estimate t m).throughput)
+    (fun _ ->
+      let lowered, e = lower_module t m in
+      let s = Objfile.sections t m lowered in
+      { size = Objfile.total s; text = s.Objfile.text; throughput = e.throughput })
+
+let throughput (t : Target.t) (m : Modul.t) : float = (measure t m).throughput

@@ -239,11 +239,3 @@ let of_rows (rows : float array array) : t =
   m
 
 let row (m : t) (i : int) : float array = Array.sub m.data (i * m.cols) m.cols
-
-let map_inplace f m =
-  for i = 0 to Array.length m.data - 1 do
-    m.data.(i) <- f m.data.(i)
-  done
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)

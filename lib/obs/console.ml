@@ -2,12 +2,8 @@
    lines, so CLI/bench output goes through the observability layer
    rather than scattered bare Printf calls. *)
 
-let out : out_channel ref = ref stdout
-
-let set_channel oc = out := oc
-
-let info fmt = Printf.fprintf !out fmt
+let info fmt = Printf.printf fmt
 
 let print_metrics ?(title = "metrics") ?(r = Metrics.global) () =
-  output_string !out (Metrics.render ~title (Metrics.snapshot ~r ()));
-  flush !out
+  print_string (Metrics.render ~title (Metrics.snapshot ~r ()));
+  flush stdout

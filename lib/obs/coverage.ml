@@ -135,7 +135,6 @@ let node_count (t : t) = Array.length t.universe.nodes
 let edge_count (t : t) = Array.length t.universe.edges
 let node_name (t : t) (i : int) = t.universe.nodes.(i)
 let node_visits (t : t) (i : int) = t.node_counts.(i)
-let action_count (t : t) (a : int) = t.action_counts.(a)
 let transition (t : t) ~(from : int) ~(to_ : int) = t.transitions.(from).(to_)
 
 let nodes_visited (t : t) =

@@ -67,7 +67,6 @@ val node_count : t -> int
 val edge_count : t -> int
 val node_name : t -> int -> string
 val node_visits : t -> int -> int
-val action_count : t -> int -> int
 val transition : t -> from:int -> to_:int -> int
 
 val nodes_visited : t -> int

@@ -25,11 +25,6 @@ type t = {
   tid : int;                          (* emitting domain id (0 = main) *)
 }
 
-let value_to_string = function
-  | S s -> s
-  | I i -> string_of_int i
-  | F f -> Printf.sprintf "%g" f
-
 let value_to_json = function
   | S s -> Json.Str s
   | I i -> Json.Int i

@@ -293,7 +293,6 @@ let last_sample : (Metrics.t * float * float) option ref = ref None
 type gc_sample = {
   gs_minor : int;
   gs_major : int;
-  gs_promoted_w : float;
   gs_heap_w : int;
   gs_alloc_mb_s : float;
 }
@@ -318,7 +317,6 @@ let sample_gc ?(r = Metrics.global) () : gc_sample =
   Metrics.set (Metrics.gauge ~r "posetrl.gc.alloc_rate_mb_s") (rate_b_s /. 1e6);
   { gs_minor = s.Gc.minor_collections;
     gs_major = s.Gc.major_collections;
-    gs_promoted_w = s.Gc.promoted_words;
     gs_heap_w = s.Gc.heap_words;
     gs_alloc_mb_s = rate_b_s /. 1e6 }
 

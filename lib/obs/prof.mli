@@ -75,7 +75,6 @@ val write_folded : path:string -> t -> unit
 type gc_sample = {
   gs_minor : int;
   gs_major : int;
-  gs_promoted_w : float;
   gs_heap_w : int;
   gs_alloc_mb_s : float; (** allocation rate since the previous sample *)
 }

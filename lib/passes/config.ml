@@ -71,9 +71,3 @@ let oz = {
   unroll_count = 2; unroll_partial = 1; unroll_size_limit = 12;
   vectorize = false;
 }
-
-let default = oz
-
-let pp ppf c =
-  Fmt.pf ppf "{size=%d opt=%d inline<=%d unroll<=%d vec=%b}" c.size_level
-    c.opt_level c.inline_threshold c.unroll_count c.vectorize

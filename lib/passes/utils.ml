@@ -27,33 +27,6 @@ let trivial_dce (f : Func.t) : Func.t =
   in
   go f
 
-(* Also removes side-effect-free non-pure instructions that are safe to
-   drop when unused: loads, allocas, read-only calls. *)
-let aggressive_trivial_dce ?(is_dead_call = fun _ -> false) (f : Func.t) : Func.t =
-  let rec go f =
-    let uses = Func.use_counts f in
-    let used r = Option.value (Hashtbl.find_opt uses r) ~default:0 > 0 in
-    let changed = ref false in
-    let droppable (op : Instr.op) =
-      Instr.is_pure op
-      ||
-      match op with
-      | Instr.Load _ | Instr.Alloca _ | Instr.Phi _ -> true
-      | Instr.Call (_, g, _) -> is_dead_call g
-      | _ -> false
-    in
-    let keep (i : Instr.t) =
-      if i.Instr.id >= 0 && (not (used i.Instr.id)) && droppable i.Instr.op then begin
-        changed := true;
-        false
-      end
-      else true
-    in
-    let f' = Func.map_blocks (Block.filter_insns keep) f in
-    if !changed then go f' else f'
-  in
-  go f
-
 (* --- CFG cleanup -------------------------------------------------------- *)
 
 (* Drop blocks unreachable from the entry and fix up phi nodes of the

@@ -11,6 +11,7 @@ open Posetrl_ir
 module C = Posetrl_core
 module O = Posetrl_odg
 module CG = Posetrl_codegen
+module Mca = Posetrl_mca.Mca
 module Rl = Posetrl_rl
 module A = Posetrl_analysis
 module Obs = Posetrl_obs
@@ -115,28 +116,20 @@ let admit (t : t) (body : string) : (admitted, Obs.Json.t) result =
 
 (* --- result documents ------------------------------------------------------ *)
 
-(* One lowering-based size model pass and one MCA estimate per module;
-   the measurement objects and the deltas are all read off them. *)
-type measurement = { size : int; text : int; throughput : float }
-
-let measure (t : t) (m : Modul.t) : measurement =
-  let s = CG.Objfile.measure t.target m in
-  { size = CG.Objfile.total s;
-    text = s.CG.Objfile.text;
-    throughput = Posetrl_mca.Mca.throughput t.target m }
-
-let measure_json (x : measurement) : Obs.Json.t =
+(* The size and throughput objects of a result document: one
+   [Mca.measure] per module. *)
+let measure_json (x : Mca.measurement) : Obs.Json.t =
   Obs.Json.Obj
-    [ ("size_b", Obs.Json.Int x.size);
-      ("text_b", Obs.Json.Int x.text);
-      ("throughput", Obs.Json.Float x.throughput) ]
+    [ ("size_b", Obs.Json.Int x.Mca.size);
+      ("text_b", Obs.Json.Int x.Mca.text);
+      ("throughput", Obs.Json.Float x.Mca.throughput) ]
 
 let pct num den = if den = 0.0 then 0.0 else 100.0 *. num /. den
 
 let result_json (t : t) ~(input : Modul.t) ~(schedule : int list)
     ~(optimized : Modul.t) : Obs.Json.t =
-  let i = measure t input and o = measure t optimized in
-  let isize = float_of_int i.size and osize = float_of_int o.size in
+  let i = Mca.measure t.target input and o = Mca.measure t.target optimized in
+  let isize = float_of_int i.Mca.size and osize = float_of_int o.Mca.size in
   Obs.Json.Obj
     [ ("kind", Obs.Json.Str "optimize-result");
       ("module", Obs.Json.Str input.Modul.name);
@@ -155,7 +148,7 @@ let result_json (t : t) ~(input : Modul.t) ~(schedule : int list)
        Obs.Json.Obj
          [ ("size_reduction_pct", Obs.Json.Float (pct (isize -. osize) isize));
            ("throughput_improvement_pct",
-            Obs.Json.Float (pct (o.throughput -. i.throughput) i.throughput)) ]);
+            Obs.Json.Float (pct (o.Mca.throughput -. i.Mca.throughput) i.Mca.throughput)) ]);
       ("optimized_ir", Obs.Json.Str (Printer.module_to_string optimized)) ]
 
 (* --- the cached entry point ------------------------------------------------ *)

@@ -39,10 +39,8 @@ type t = {
 }
 
 type timing = {
-  t_index : int;               (* task index within the batch *)
   t_start : float;             (* clock reading at task start *)
   t_dur : float;               (* wall seconds spent in the task *)
-  t_domain : int;              (* id of the domain that ran the task *)
 }
 
 (* Timing stamps read this instead of Unix.gettimeofday directly so the
@@ -117,17 +115,13 @@ let map_timed (t : t) (f : 'a -> 'b) (xs : 'a array) : 'b array * timing array =
   if n = 0 then ([||], [||])
   else if t.p_jobs = 1 then begin
     (* inline sequential path: same code shape, no queue traffic *)
-    let timings =
-      Array.make n { t_index = 0; t_start = 0.0; t_dur = 0.0; t_domain = 0 }
-    in
+    let timings = Array.make n { t_start = 0.0; t_dur = 0.0 } in
     let results =
       Array.mapi
         (fun i x ->
           let t0 = !clock () in
           let r = f x in
-          timings.(i) <-
-            { t_index = i; t_start = t0; t_dur = !clock () -. t0;
-              t_domain = (Domain.self () :> int) };
+          timings.(i) <- { t_start = t0; t_dur = !clock () -. t0 };
           r)
         xs
     in
@@ -135,9 +129,7 @@ let map_timed (t : t) (f : 'a -> 'b) (xs : 'a array) : 'b array * timing array =
   end
   else begin
     let results : 'b option array = Array.make n None in
-    let timings =
-      Array.make n { t_index = 0; t_start = 0.0; t_dur = 0.0; t_domain = 0 }
-    in
+    let timings = Array.make n { t_start = 0.0; t_dur = 0.0 } in
     let first_err : (int * exn * Printexc.raw_backtrace) option ref = ref None in
     let remaining = ref n in
     let task i () =
@@ -149,9 +141,7 @@ let map_timed (t : t) (f : 'a -> 'b) (xs : 'a array) : 'b array * timing array =
       in
       let dur = !clock () -. t0 in
       Mutex.lock t.p_lock;
-      timings.(i) <-
-        { t_index = i; t_start = t0; t_dur = dur;
-          t_domain = (Domain.self () :> int) };
+      timings.(i) <- { t_start = t0; t_dur = dur };
       (match outcome with
        | Ok v -> results.(i) <- Some v
        | Error (e, bt) ->

@@ -32,10 +32,8 @@ val with_pool : ?name:string -> jobs:int -> (t -> 'a) -> 'a
     the way out, exception or not. *)
 
 type timing = {
-  t_index : int;   (** task index within the batch *)
   t_start : float; (** {!clock} reading at task start *)
   t_dur : float;   (** wall seconds spent in the task *)
-  t_domain : int;  (** id of the domain that ran the task (0 = main) *)
 }
 
 val clock : (unit -> float) ref

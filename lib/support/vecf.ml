@@ -35,11 +35,6 @@ let axpy ~k a b =
 
 let add_inplace a b = axpy ~k:1.0 a b
 
-let scale_inplace k a =
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- k *. a.(i)
-  done
-
 let dot a b =
   check_same_dim a b "dot";
   let acc = ref 0.0 in
@@ -57,23 +52,6 @@ let normalize a =
 let cosine a b =
   let na = norm2 a and nb = norm2 b in
   if na < 1e-12 || nb < 1e-12 then 0.0 else dot a b /. (na *. nb)
-
-let mean vs =
-  match vs with
-  | [] -> invalid_arg "Vecf.mean: empty list"
-  | v0 :: _ ->
-    let acc = create (dim v0) in
-    List.iter (fun v -> add_inplace acc v) vs;
-    scale_inplace (1.0 /. float_of_int (List.length vs)) acc;
-    acc
-
-let sum vs =
-  match vs with
-  | [] -> invalid_arg "Vecf.sum: empty list"
-  | v0 :: _ ->
-    let acc = create (dim v0) in
-    List.iter (fun v -> add_inplace acc v) vs;
-    acc
 
 let argmax a =
   if Array.length a = 0 then invalid_arg "Vecf.argmax: empty";

@@ -31,8 +31,5 @@ val normalize : t -> t
 val cosine : t -> t -> float
 (** Cosine similarity; 0 when either vector is near-zero. *)
 
-val mean : t list -> t
-val sum : t list -> t
-
 val argmax : t -> int
 val max_elt : t -> float

@@ -1,10 +1,10 @@
 (* Posetrl_analysis: dataflow framework, analyses, sanitizer, delta
    minimizer and lint.
 
-   The framework is checked against an independent brute-force liveness
-   recompute on generated programs (qcheck); the sanitizer against a
-   deliberately miscompiling pass whose minimized repro must re-fail
-   verification; the dce/dse ports against verbatim copies of the
+   The framework is checked against an independent brute-force
+   available-expressions recompute on generated programs (qcheck); the
+   sanitizer against a deliberately miscompiling pass whose minimized
+   repro must re-fail verification; the dce/dse ports against verbatim copies of the
    pre-port implementations (byte-identical printer output). *)
 
 open Posetrl_ir
@@ -13,99 +13,84 @@ module P = Posetrl_passes
 module W = Posetrl_workloads
 module Pool = Posetrl_support.Pool
 module ISet = Set.Make (Int)
+module SSet = Set.Make (String)
 module SMap = Map.Make (String)
 
-(* --- brute-force liveness oracle ------------------------------------------ *)
+(* --- brute-force available-expressions oracle ------------------------------ *)
 
-(* Naive round-robin per-block recompute, sharing no code with the
-   worklist framework: iterate the dataflow equations over the plain
-   block list until nothing changes. *)
-let brute_liveness (f : Func.t) : ISet.t SMap.t * ISet.t SMap.t =
+(* Naive round-robin recompute over the reachable blocks, sharing no
+   code with the worklist framework: every block starts at "all
+   expressions" (absent from [out]) and the equations are iterated over
+   the plain block list until nothing changes. Returns each reachable
+   block's entry fact; [None] is "all expressions". *)
+let brute_avail_in (f : Func.t) : (string * SSet.t option) list =
   let cfg = Cfg.of_func f in
-  let bmap = Func.block_map f in
-  let regs vs =
-    ISet.of_list (List.filter_map (function Value.Reg r -> Some r | _ -> None) vs)
+  let reach = Cfg.reachable cfg in
+  let blocks =
+    List.filter (fun (b : Block.t) -> Cfg.SSet.mem b.Block.label reach) f.Func.blocks
   in
-  let block_in (b : Block.t) (out : ISet.t) : ISet.t =
-    let live = ref (ISet.union out (regs (Instr.term_operands b.Block.term))) in
-    List.iter
-      (fun (i : Instr.t) ->
-        if i.Instr.id >= 0 then live := ISet.remove i.Instr.id !live;
-        match i.Instr.op with
-        | Instr.Phi _ -> ()
-        | op -> live := ISet.union !live (regs (Instr.operands op)))
-      (List.rev b.Block.insns);
-    !live
+  let out : (string, SSet.t) Hashtbl.t = Hashtbl.create 16 in
+  let meet acc p =
+    match acc, Hashtbl.find_opt out p with
+    | None, x | x, None -> x
+    | Some a, Some b -> Some (SSet.inter a b)
   in
-  let phi_uses ~(succ : string) ~(pred : string) : ISet.t =
-    match SMap.find_opt succ bmap with
-    | None -> ISet.empty
-    | Some sb ->
-      List.fold_left
-        (fun acc (i : Instr.t) ->
-          match i.Instr.op with
-          | Instr.Phi (_, incs) ->
-            (match List.assoc_opt pred incs with
-             | Some (Value.Reg r) -> ISet.add r acc
-             | _ -> acc)
-          | _ -> acc)
-        ISet.empty sb.Block.insns
+  let avail_in (b : Block.t) =
+    let l = b.Block.label in
+    List.fold_left meet
+      (if String.equal l cfg.Cfg.entry then Some SSet.empty else None)
+      (List.filter (fun p -> Cfg.SSet.mem p reach) (Cfg.preds cfg l))
   in
-  let live_in = ref SMap.empty and live_out = ref SMap.empty in
-  let get m l = Option.value (SMap.find_opt l !m) ~default:ISet.empty in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun (b : Block.t) ->
-        let l = b.Block.label in
-        let out =
-          List.fold_left
-            (fun acc s ->
-              ISet.union acc (ISet.union (get live_in s) (phi_uses ~succ:s ~pred:l)))
-            ISet.empty (Cfg.succs cfg l)
-        in
-        let inn = block_in b out in
-        if not (ISet.equal out (get live_out l)) || not (ISet.equal inn (get live_in l))
-        then begin
-          changed := true;
-          live_out := SMap.add l out !live_out;
-          live_in := SMap.add l inn !live_in
-        end)
-      f.Func.blocks
+        match avail_in b with
+        | None -> ()
+        | Some s ->
+          let o = SSet.union s (A.Available.exprs_of_block b) in
+          let l = b.Block.label in
+          if not (Option.equal SSet.equal (Some o) (Hashtbl.find_opt out l)) then begin
+            changed := true;
+            Hashtbl.replace out l o
+          end)
+      blocks
   done;
-  (!live_in, !live_out)
+  List.map (fun (b : Block.t) -> (b.Block.label, avail_in b)) blocks
 
-let liveness_matches_brute (m : Modul.t) : bool =
+let available_matches_brute (m : Modul.t) : bool =
   List.for_all
     (fun (f : Func.t) ->
-      let lv = A.Liveness.of_func f in
-      let bin, bout = brute_liveness f in
+      let av = A.Available.of_func f in
       List.for_all
-        (fun (b : Block.t) ->
-          let l = b.Block.label in
-          ISet.equal (A.Liveness.live_in lv l)
-            (Option.value (SMap.find_opt l bin) ~default:ISet.empty)
-          && ISet.equal (A.Liveness.live_out lv l)
-               (Option.value (SMap.find_opt l bout) ~default:ISet.empty))
-        f.Func.blocks)
+        (fun (l, brute) ->
+          match A.Available.avail_in av l, brute with
+          | A.Available.Avail s, Some s' -> SSet.equal s s'
+          | A.Available.All, None -> true
+          | _ -> false)
+        (brute_avail_in f))
     (Modul.defined_funcs m)
 
-let prop_liveness_eq_brute =
-  QCheck2.Test.make ~count:60 ~name:"framework liveness = brute-force recompute"
+let prop_available_eq_brute =
+  QCheck2.Test.make ~count:60
+    ~name:"framework available expressions = brute-force recompute"
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let m =
         if seed mod 2 = 0 then W.Templates.generate ~seed
         else W.Genprog.generate ~seed
       in
-      liveness_matches_brute m)
+      available_matches_brute m
+      && available_matches_brute (P.Pass_manager.run_level P.Pipelines.Oz m))
 
-let test_liveness_on_suites () =
+let test_available_on_suites () =
   List.iter
     (fun (name, m) ->
-      Alcotest.(check bool) (name ^ ": liveness = brute force") true
-        (liveness_matches_brute m))
+      Alcotest.(check bool) (name ^ ": available expressions = brute force") true
+        (available_matches_brute m);
+      Alcotest.(check bool) (name ^ " -Oz: available expressions = brute force") true
+        (available_matches_brute (P.Pass_manager.run_level P.Pipelines.Oz m)))
     (W.Suites.all_programs ())
 
 (* --- forward analyses ------------------------------------------------------ *)
@@ -126,20 +111,6 @@ let diamond_module () : Modul.t =
       Builder.block b "join";
       let p = Builder.phi b Types.I64 [ ("left", l); ("right", r) ] in
       Builder.ret b Types.I64 p)
-
-let test_reaching_defs () =
-  let m = diamond_module () in
-  let f = Testutil.main_func m in
-  let rd = A.Reaching.of_func f in
-  let x_id =
-    match (List.hd f.Func.blocks).Block.insns with
-    | i :: _ -> i.Instr.id
-    | [] -> Alcotest.fail "empty entry"
-  in
-  Alcotest.(check bool) "entry def reaches join" true
-    (ISet.mem x_id (A.Reaching.reach_in rd "join"));
-  Alcotest.(check bool) "join defs do not reach entry" false
-    (ISet.mem x_id (A.Reaching.reach_in rd "entry"))
 
 let test_available_exprs () =
   (* the same pure expression on both arms is available (and redundant)
@@ -800,10 +771,9 @@ let test_lint_json_golden () =
   Alcotest.(check string) "lint --json output is byte-stable" expected got
 
 let suite =
-  [ QCheck_alcotest.to_alcotest prop_liveness_eq_brute;
-    Alcotest.test_case "liveness = brute force on all suites" `Quick
-      test_liveness_on_suites;
-    Alcotest.test_case "reaching definitions on a diamond" `Quick test_reaching_defs;
+  [ QCheck_alcotest.to_alcotest prop_available_eq_brute;
+    Alcotest.test_case "available expressions = brute force on all suites" `Quick
+      test_available_on_suites;
     Alcotest.test_case "available expressions flag a redundant recompute" `Quick
       test_available_exprs;
     Alcotest.test_case "effect summaries over the callgraph" `Quick

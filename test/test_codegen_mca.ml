@@ -48,13 +48,12 @@ let test_aarch64_fixed_width_dominates_encoding () =
   let f = Testutil.main_func m in
   let lf = CG.Lower.lower_func arm f in
   List.iter
-    (fun (lb : CG.Lower.lowered_block) ->
-      List.iter
-        (fun (mi : CG.Target.minst) ->
-          Alcotest.(check bool) "arm encodings 4-byte-ish" true
-            (mi.CG.Target.bytes = 4 || mi.CG.Target.bytes = 8 || mi.CG.Target.bytes = 1))
-        lb.CG.Lower.minsts)
+    (List.iter (fun (mi : CG.Target.minst) ->
+         Alcotest.(check bool) "arm encodings 4-byte-ish" true
+           (mi.CG.Target.bytes = 4 || mi.CG.Target.bytes = 8 || mi.CG.Target.bytes = 1)))
     lf.CG.Lower.blocks
+
+let func_size f = (CG.Lower.lower_func x86 f).CG.Lower.code_bytes
 
 let test_wide_immediate_costs_more () =
   let mk v =
@@ -66,8 +65,8 @@ let test_wide_immediate_costs_more () =
         let y = Builder.add b Types.I64 x (Value.ci64 v) in
         Builder.ret b Types.I64 y)
   in
-  let small = CG.Objfile.func_size x86 (Testutil.main_func (mk 5)) in
-  let wide = CG.Objfile.func_size x86 (Testutil.main_func (mk 123456789)) in
+  let small = func_size (Testutil.main_func (mk 5)) in
+  let wide = func_size (Testutil.main_func (mk 123456789)) in
   Alcotest.(check bool) "wide immediate bigger" true (wide > small)
 
 let test_bss_free_data_costly () =
@@ -103,8 +102,8 @@ let test_spill_model_kicks_in () =
         in
         Builder.ret b Types.I64 sum)
   in
-  let small = CG.Objfile.func_size x86 (Testutil.main_func (mk 4)) in
-  let big = CG.Objfile.func_size x86 (Testutil.main_func (mk 40)) in
+  let small = func_size (Testutil.main_func (mk 4)) in
+  let big = func_size (Testutil.main_func (mk 40)) in
   (* 10x the values but more than 10x the bytes due to spills *)
   Alcotest.(check bool) "spills add bytes" true (big > small * 10)
 
@@ -179,6 +178,162 @@ let test_mca_oz_vs_unopt () =
     true
     (!faster * 10 >= !total * 7)
 
+(* --- one lowering per measurement ------------------------------------------ *)
+
+(* The measurement as it was computed before [Mca.measure] existed: the
+   object sections from one [Lower.lower_func] walk, and an MCA estimate
+   from a second walk that looks each block's loop-depth frequency up by
+   its label. [Mca.measure] must reproduce it bit for bit. *)
+module Ref = struct
+  let align n a = (n + a - 1) / a * a
+
+  (* (object size, text size) *)
+  let sizes (t : CG.Target.t) (m : Modul.t) : int * int =
+    let text, relocs =
+      List.fold_left
+        (fun (text, relocs) f ->
+          if Func.is_declaration f then (text, relocs)
+          else begin
+            let lf = CG.Lower.lower_func t f in
+            (align text t.CG.Target.func_align + lf.CG.Lower.code_bytes,
+             relocs + (lf.CG.Lower.call_sites * t.CG.Target.call_reloc_bytes))
+          end)
+        (0, 0) m.Modul.funcs
+    in
+    let data =
+      List.fold_left
+        (fun data (g : Global.t) ->
+          match g.Global.init with
+          | None | Some Global.Zeroinit -> data
+          | Some _ -> align data 8 + Global.size_bytes g)
+        0 m.Modul.globals
+    in
+    let symbols =
+      List.length (Modul.defined_funcs m)
+      + List.length (List.filter Global.is_definition m.Modul.globals)
+    in
+    let sym_names =
+      List.fold_left (fun acc f -> acc + String.length f.Func.name + 1) 0 m.Modul.funcs
+      + List.fold_left
+          (fun acc (g : Global.t) -> acc + String.length g.Global.name + 1)
+          0 m.Modul.globals
+    in
+    let text = align text t.CG.Target.func_align in
+    ( text + data + relocs
+      + (symbols * t.CG.Target.symtab_entry_bytes) + sym_names
+      + t.CG.Target.header_bytes,
+      text )
+
+  let block_cycles (t : CG.Target.t) (minsts : CG.Target.minst list) : float =
+    let rm = Mca.model_of t in
+    let count klass =
+      float_of_int
+        (List.length (List.filter (fun m -> m.CG.Target.klass = klass) minsts))
+    in
+    let total = float_of_int (List.length minsts) in
+    let pressures =
+      CG.Target.
+        [ (count MAlu +. count MLea +. count MMov) /. rm.Mca.alu_units;
+          count MMul /. rm.Mca.mul_units;
+          count MDiv *. rm.Mca.div_rthru;
+          (count MFpAdd +. count MFpMul) /. rm.Mca.fp_units;
+          count MFpDiv *. rm.Mca.fpdiv_rthru;
+          count MLoad /. rm.Mca.load_units;
+          count MStore /. rm.Mca.store_units;
+          (count MBranch +. count MCall) /. rm.Mca.branch_units;
+          (count MVecAlu +. count MVecMem) /. rm.Mca.vec_units;
+          total /. rm.Mca.dispatch_width ]
+    in
+    Float.max 1.0 (List.fold_left Float.max 0.0 pressures)
+
+  let func_cycles (t : CG.Target.t) (f : Func.t) : float =
+    if Func.is_declaration f then 0.0
+    else begin
+      let li = Loops.compute f in
+      let freqs =
+        List.map
+          (fun (b : Block.t) ->
+            let d = min 3 (Loops.depth li b.Block.label) in
+            (b.Block.label, 10.0 ** float_of_int d))
+          f.Func.blocks
+      in
+      let lf = CG.Lower.lower_func t f in
+      List.fold_left2
+        (fun acc (b : Block.t) minsts ->
+          let freq =
+            Option.value (List.assoc_opt b.Block.label freqs) ~default:1.0
+          in
+          acc +. (freq *. block_cycles t minsts))
+        0.0 f.Func.blocks lf.CG.Lower.blocks
+    end
+
+  (* (cycles, throughput) *)
+  let estimate (t : CG.Target.t) (m : Modul.t) : float * float =
+    let cycles =
+      List.fold_left (fun acc f -> acc +. func_cycles t f) 0.0 m.Modul.funcs
+    in
+    let cycles = Float.max 1.0 cycles in
+    (cycles, 1.0e6 /. cycles)
+end
+
+let bits x = Printf.sprintf "%h" x
+
+let check_measure_matches_ref name t m =
+  let size, text = Ref.sizes t m and cycles, thr = Ref.estimate t m in
+  let x = Mca.measure t m in
+  let e = Mca.estimate t m in
+  let label what = Printf.sprintf "%s (%s): %s" name t.CG.Target.name what in
+  Alcotest.(check int) (label "measure size") size x.Mca.size;
+  Alcotest.(check int) (label "measure text") text x.Mca.text;
+  Alcotest.(check string) (label "measure throughput") (bits thr) (bits x.Mca.throughput);
+  Alcotest.(check int) (label "Objfile.size") size (CG.Objfile.size t m);
+  Alcotest.(check int) (label "Objfile.text_size") text (CG.Objfile.text_size t m);
+  Alcotest.(check string) (label "estimate cycles") (bits cycles) (bits e.Mca.cycles);
+  Alcotest.(check string) (label "estimate throughput") (bits thr) (bits e.Mca.throughput);
+  Alcotest.(check string) (label "throughput") (bits thr) (bits (Mca.throughput t m))
+
+(* 15 random ODG actions, as one training episode could take them *)
+let odg_walk ~seed (m : Modul.t) : Modul.t =
+  let rng = Posetrl_support.Rng.create seed in
+  let space = Posetrl_odg.Action_space.odg in
+  let n = Posetrl_odg.Action_space.n_actions space in
+  let rec go k m =
+    if k = 0 then m
+    else
+      let a = Posetrl_support.Rng.int rng n in
+      go (k - 1) (P.Pass_manager.run P.Config.oz (Posetrl_odg.Action_space.action space a) m)
+  in
+  go 15 m
+
+(* the 130-program training corpus, the 31 validation programs and 40
+   generated programs; each raw, at -Oz, at -O3 and after an ODG walk,
+   on both targets *)
+let test_measure_matches_reference () =
+  let programs =
+    List.mapi
+      (fun i m -> (Printf.sprintf "corpus %d" i, m))
+      (Array.to_list (W.Suites.training_corpus ()))
+    @ W.Suites.all_programs ()
+    @ List.init 40 (fun k ->
+          (Printf.sprintf "genprog %d" k, W.Genprog.generate ~seed:(700_000 + k)))
+  in
+  let n = ref 0 in
+  List.iteri
+    (fun i (name, m) ->
+      List.iter
+        (fun (variant, m) ->
+          List.iter
+            (fun t ->
+              check_measure_matches_ref (name ^ variant) t m;
+              incr n)
+            [ x86; arm ])
+        [ ("", m);
+          (" -Oz", P.Pass_manager.run_level P.Pipelines.Oz m);
+          (" -O3", P.Pass_manager.run_level P.Pipelines.O3 m);
+          (" walk", odg_walk ~seed:(31 + i) m) ])
+    programs;
+  Alcotest.(check int) "measurements" 1608 !n
+
 let suite =
   [ Alcotest.test_case "size positive on suites" `Quick test_size_positive_on_suites;
     Alcotest.test_case "Oz binary smaller" `Quick test_more_insns_more_bytes;
@@ -191,4 +346,6 @@ let suite =
     Alcotest.test_case "mca inverse cycles" `Quick test_mca_throughput_inverse_cycles;
     Alcotest.test_case "mca loop weighting" `Quick test_mca_loop_weighting;
     Alcotest.test_case "mca division bottleneck" `Quick test_mca_division_bottleneck;
-    Alcotest.test_case "mca Oz vs unopt" `Quick test_mca_oz_vs_unopt ]
+    Alcotest.test_case "mca Oz vs unopt" `Quick test_mca_oz_vs_unopt;
+    Alcotest.test_case "one measurement = two-lowering reference" `Slow
+      test_measure_matches_reference ]

@@ -14,6 +14,9 @@ let meas size thr = { C.Reward.bin_size = size; C.Reward.throughput = thr }
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* the Eqn-1 reward of one step *)
+let reward ~base ~last ~curr = (C.Reward.decompose ~base ~last ~curr ()).C.Reward.total
+
 (* --- reward (Eqns 1-3) ------------------------------------------------------ *)
 
 let test_reward_weights_default () =
@@ -34,17 +37,13 @@ let test_reward_throughput_component () =
 
 let test_reward_combined () =
   let base = meas 1000.0 10.0 in
-  let r =
-    C.Reward.compute ~base ~last:(meas 1000.0 10.0) ~curr:(meas 900.0 11.0) ()
-  in
+  let r = reward ~base ~last:(meas 1000.0 10.0) ~curr:(meas 900.0 11.0) in
   (* 10 * 0.1 + 5 * 0.1 = 1.5 *)
   check_float "R" 1.5 r
 
 let test_reward_negative_on_growth () =
   let base = meas 1000.0 10.0 in
-  let r =
-    C.Reward.compute ~base ~last:(meas 1000.0 10.0) ~curr:(meas 1100.0 10.0) ()
-  in
+  let r = reward ~base ~last:(meas 1000.0 10.0) ~curr:(meas 1100.0 10.0) in
   Alcotest.(check bool) "size growth punished" true (r < 0.0)
 
 let test_reward_telescopes () =
@@ -53,17 +52,16 @@ let test_reward_telescopes () =
   let states = [ meas 1000.0 10.0; meas 950.0 10.5; meas 930.0 10.2; meas 800.0 11.0 ] in
   let rec steps acc = function
     | a :: (b :: _ as rest) ->
-      steps (acc +. C.Reward.compute ~base ~last:a ~curr:b ()) rest
+      steps (acc +. reward ~base ~last:a ~curr:b) rest
     | _ -> acc
   in
   let stepwise = steps 0.0 states in
-  let direct =
-    C.Reward.compute ~base ~last:(List.hd states) ~curr:(List.nth states 3) ()
-  in
+  let direct = reward ~base ~last:(List.hd states) ~curr:(List.nth states 3) in
   check_float "telescoping" direct stepwise
 
 let test_reward_decompose () =
-  (* decompose = compute plus the unweighted Eqn-2/3 parts it is made of *)
+  (* decompose = the Eqn-1 total plus the unweighted Eqn-2/3 parts it is
+     made of *)
   let base = meas 1000.0 10.0 in
   let last = meas 950.0 10.5 and curr = meas 900.0 11.0 in
   let c = C.Reward.decompose ~base ~last ~curr () in
@@ -73,8 +71,6 @@ let test_reward_decompose () =
     (C.Reward.r_throughput ~base ~last ~curr) c.C.Reward.throughput;
   check_float "total recombines with paper weights"
     ((10.0 *. c.C.Reward.binsize) +. (5.0 *. c.C.Reward.throughput))
-    c.C.Reward.total;
-  check_float "compute agrees" (C.Reward.compute ~base ~last ~curr ())
     c.C.Reward.total;
   (* custom weights flow through the recombination *)
   let w = { C.Reward.alpha = 2.0; beta = 3.0 } in
