@@ -872,66 +872,20 @@ let runs_compare_cmd =
         deltas;
       Tbl.print t
     end;
-    if attrib then begin
-      (* informational only — attribution shifts explain a reward delta,
-         they don't gate it, so this never affects the exit code *)
-      let table_of (i : Obs.Run.info) =
-        Option.bind (Obs.Run.read i Obs.Run.Attrib) Attrib.of_json
-      in
-      match table_of b, table_of c with
-      | None, _ | _, None ->
-        Printf.printf
-          "attribution: no data on at least one side (pre-attribution run \
-           or unreadable attrib.json)\n"
-      | Some ab, Some ac ->
-        let n = min (Attrib.n_actions ab) (Attrib.n_actions ac) in
-        let shift a = Attrib.total_reward ac a -. Attrib.total_reward ab a in
-        let rows =
-          List.init n Fun.id
-          |> List.filter (fun a -> Attrib.count ab a > 0 || Attrib.count ac a > 0)
-          |> List.sort (fun x y ->
-                 compare (Float.abs (shift y)) (Float.abs (shift x)))
-        in
-        let t =
-          Tbl.create ~title:"per-action reward attribution (base vs candidate)"
-            ~headers:[ "action"; "count b/c"; "reward base"; "reward cand";
-                       "shift" ]
-            ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
-            ()
-        in
-        List.iteri
-          (fun i a ->
-            if i < 15 then
-              Tbl.add_row t
-                [ string_of_int a;
-                  Printf.sprintf "%d/%d" (Attrib.count ab a) (Attrib.count ac a);
-                  Printf.sprintf "%.3f" (Attrib.total_reward ab a);
-                  Printf.sprintf "%.3f" (Attrib.total_reward ac a);
-                  Printf.sprintf "%+.3f" (shift a) ])
-          rows;
-        Tbl.print t
-    end;
-    if coverage then begin
-      (* informational only, like --attrib: an exploration shift explains
-         a reward delta, it doesn't gate the comparison *)
-      let cov_of (i : Obs.Run.info) =
-        Option.bind (Obs.Run.read i Obs.Run.Coverage) Obs.Coverage.of_json
-      in
-      match cov_of b, cov_of c with
-      | None, _ | _, None ->
-        Printf.printf
-          "coverage: no data on at least one side (pre-coverage run or \
-           unreadable coverage.json)\n"
-      | Some cb, Some cc ->
-        Printf.printf
-          "coverage: edges %.1f%% -> %.1f%% (%+.1f pts)  entropy %.3f -> \
-           %.3f bits (%+.3f)  nodes %d -> %d\n"
-          (Obs.Coverage.edge_pct cb) (Obs.Coverage.edge_pct cc)
-          (Obs.Coverage.edge_pct cc -. Obs.Coverage.edge_pct cb)
-          (Obs.Coverage.entropy cb) (Obs.Coverage.entropy cc)
-          (Obs.Coverage.entropy cc -. Obs.Coverage.entropy cb)
-          (Obs.Coverage.nodes_visited cb) (Obs.Coverage.nodes_visited cc)
-    end;
+    (* informational only: attribution and exploration shifts explain a
+       reward delta, they never affect the exit code *)
+    let table (i : Obs.Run.info) doc of_json =
+      Option.bind (Obs.Run.read i doc) of_json
+    in
+    if attrib then
+      print_string
+        (Attrib.render_shift ~base:(table b Obs.Run.Attrib Attrib.of_json)
+           ~cand:(table c Obs.Run.Attrib Attrib.of_json));
+    if coverage then
+      print_string
+        (Obs.Coverage.render_shift
+           ~base:(table b Obs.Run.Coverage Obs.Coverage.of_json)
+           ~cand:(table c Obs.Run.Coverage Obs.Coverage.of_json));
     if Obs.Run.has_regression deltas then begin
       Printf.printf "regression detected\n";
       exit 3
@@ -953,23 +907,6 @@ let runs_cmd =
 
 (* --- explain (policy introspection from the ledger) -------------------------- *)
 
-(* The per-window action histograms behind the drift timeline: episode
-   records chunked into [windows] consecutive groups, each folded into a
-   selection-count array sized by the largest action id seen. *)
-let drift_windows ~(windows : int) (episodes : Obs.Json.t list) :
-    (int * int * int array) list =
-  let all = Array.of_list (List.map Obs.Runlog.episode_actions episodes) in
-  let n_act = 1 + Array.fold_left (List.fold_left max) 0 all in
-  let n_ep = Array.length all in
-  let per = max 1 ((n_ep + windows - 1) / windows) in
-  List.init ((n_ep + per - 1) / per) (fun i ->
-      let lo = i * per and hi = min n_ep ((i + 1) * per) - 1 in
-      let hist = Array.make n_act 0 in
-      for e = lo to hi do
-        List.iter (fun a -> hist.(a) <- hist.(a) + 1) all.(e)
-      done;
-      (lo, hi, hist))
-
 (* The recompute contract of `explain` and `coverage`: a streaming table
    (steps [steps]) must equal its brute-force replay of the ledger
    (steps [recomputed]) exactly. CI greps the "matches the ... stream
@@ -985,14 +922,26 @@ let print_recompute_check ~name ~doc ~stream ~missing ~steps ~recomputed equal =
     Printf.printf "%s check: DIVERGENCE between %s and the episode stream\n"
       name doc
 
-let print_alert_line (a : Obs.Json.t) =
-  Printf.printf "  [%s] %-16s step %-8s %s\n"
-    (Option.value ~default:"?" (Obs.Runlog.str "severity" a))
-    (Option.value ~default:"?" (Obs.Runlog.str "rule" a))
-    (match Obs.Runlog.num "step" a with
-     | Some s -> Printf.sprintf "%.0f" s
-     | None -> "-")
-    (Option.value ~default:"" (Obs.Runlog.str "message" a))
+(* A run's table from one ledger document, or the line saying why there
+   is none: the run predates the layer or the file is unreadable, or the
+   file is structurally invalid. *)
+let read_table (info : Obs.Run.info) doc of_json ~(what : string) =
+  let file = Filename.basename (Obs.Run.doc_path doc info.Obs.Run.run_dir) in
+  match Obs.Run.read info doc with
+  | None ->
+    Error
+      (Printf.sprintf "%s: no data (run predates the %s layer, or %s is unreadable)\n"
+         what what file)
+  | Some j ->
+    Option.to_result (of_json j)
+      ~none:(Printf.sprintf "%s: %s is structurally invalid — no data\n" what file)
+
+(* A run's alerts as [Health.alert_of_json] decodes them, with the torn
+   line count; [None] when the run predates the watchdog. *)
+let read_alerts (info : Obs.Run.info) : (Obs.Health.alert list * int) option =
+  Option.map
+    (fun (records, torn) -> (List.filter_map Obs.Health.alert_of_json records, torn))
+    (Obs.Run.read_alerts info)
 
 let explain_cmd =
   let schedules =
@@ -1006,138 +955,23 @@ let explain_cmd =
          ~manifest:info.Obs.Run.manifest);
     let records = read_progress info in
     (* 1 — per-pass reward attribution (attrib.json, verified vs ledger) *)
-    (match Obs.Run.read info Obs.Run.Attrib with
-     | None ->
-       print_string
-         "\nattribution: no data (run predates the attribution layer, or \
-          attrib.json is unreadable)\n"
-     | Some doc ->
-       match Attrib.of_json doc with
-       | None ->
-         print_string
-           "\nattribution: attrib.json is structurally invalid — no data\n"
-       | Some at ->
-         let n = Attrib.n_actions at in
-         let labels = Array.make n "" in
-         (match Obs.Runlog.field "actions" doc with
-          | Some (Obs.Json.Arr entries) ->
-            List.iter
-              (fun e ->
-                match Obs.Runlog.num "action" e, Obs.Runlog.str "passes" e with
-                | Some a, Some p ->
-                  let a = int_of_float a in
-                  if a >= 0 && a < n then labels.(a) <- p
-                | _ -> ())
-              entries
-          | _ -> ());
-         Printf.printf "\nper-action reward attribution (%d steps):\n"
-           (Attrib.steps at);
-         let taken =
-           List.init n Fun.id
-           |> List.filter (fun a -> Attrib.count at a > 0)
-           |> List.sort (fun a b ->
-                  compare (Attrib.total_reward at b) (Attrib.total_reward at a))
-         in
-         let t =
-           Tbl.create ~title:"reward attribution (attrib.json)"
-             ~headers:[ "action"; "count"; "reward"; "mean"; "binsize";
-                        "throughput"; "top pos"; "passes" ]
-             ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
-                       Tbl.Right; Tbl.Right; Tbl.Left ]
-             ()
-         in
-         List.iteri
-           (fun i a ->
-             if i < top then
-               Tbl.add_row t
-                 [ string_of_int a;
-                   string_of_int (Attrib.count at a);
-                   Printf.sprintf "%.3f" (Attrib.total_reward at a);
-                   Printf.sprintf "%.3f" (Attrib.mean_reward at a);
-                   Printf.sprintf "%.3f" (Attrib.total_binsize at a);
-                   Printf.sprintf "%.3f" (Attrib.total_throughput at a);
-                   (match Attrib.top_position at a with
-                    | Some p -> string_of_int p
-                    | None -> "-");
-                   labels.(a) ])
-           taken;
-         Tbl.print t;
-         if List.length taken > top then
-           Printf.printf "  (%d more actions with selections not shown)\n"
-             (List.length taken - top);
-         let recomputed =
-           Attrib.of_records ~n_actions:n ~max_pos:(Attrib.max_pos at) records
-         in
-         print_recompute_check ~name:"attribution" ~doc:"attrib.json"
-           ~stream:"episode"
-           ~missing:"per-step rewards (pre-attribution ledger)"
-           ~steps:(Attrib.steps at) ~recomputed:(Attrib.steps recomputed)
-           (Attrib.equal at recomputed));
-    (* 2 — top schedules with their per-pass reward breakdown *)
-    let episodes =
-      List.filter (fun r -> Obs.Runlog.str "kind" r = Some "episode") records
-    in
-    let scored =
-      List.filter_map
-        (fun r -> Option.map (fun rew -> (rew, r)) (Obs.Runlog.num "reward" r))
-        episodes
-      |> List.sort (fun (a, _) (b, _) -> compare b a)
-    in
-    if scored <> [] then begin
-      Printf.printf "\ntop %d schedules by episode reward:\n"
-        (min schedules (List.length scored));
-      List.iteri
-        (fun i (rew, r) ->
-          if i < schedules then begin
-            let seq =
-              match Obs.Runlog.episode_actions r with
-              | [] -> "-"
-              | l -> String.concat "->" (List.map string_of_int l)
-            in
-            Printf.printf "  #%d  episode %s  reward %8.3f  seq %s\n" (i + 1)
-              (match Obs.Runlog.num "episode" r with
-               | Some e -> Printf.sprintf "%.0f" e
-               | None -> "?")
-              rew seq;
-            List.iteri
-              (fun p (a, sr, rb, rt) ->
-                Printf.printf
-                  "        pos %-2d action %-3d r %8.3f  (binsize %8.3f  \
-                   throughput %8.3f)\n"
-                  p a sr rb rt)
-              (Obs.Runlog.episode_steps r)
-          end)
-        scored
-    end;
-    (* 3 — action-distribution drift timeline (KL between consecutive
-       episode windows, same divergence the watchdog's drift rule uses) *)
-    (match drift_windows ~windows:8 episodes with
-     | [] | [ _ ] -> ()
-     | (_ :: _ :: _) as ws ->
-       Printf.printf "\naction-distribution drift (KL vs previous window):\n";
-       let threshold = Obs.Health.default_config.Obs.Health.drift_kl in
-       ignore
-         (List.fold_left
-            (fun prev (lo, hi, hist) ->
-              (match prev with
-               | None -> ()
-               | Some prev_hist ->
-                 let d = Obs.Health.kl hist prev_hist in
-                 Printf.printf "  episodes %4d-%-4d  KL %.4f%s\n" lo hi d
-                   (if d > threshold then "  << drift" else ""));
-              Some hist)
-            None ws));
-    (* 4 — watchdog alerts *)
-    (match Obs.Run.read_alerts info with
-     | None ->
-       print_string
-         "\nalerts: not recorded by this run (predates the watchdog)\n"
-     | Some ([], _) -> print_string "\nalerts: none\n"
-     | Some (alerts, torn) ->
-       Printf.printf "\nalerts (%d fired):\n" (List.length alerts);
-       List.iter print_alert_line alerts;
-       if torn > 0 then
-         Printf.printf "  (%d torn alert line%s skipped)\n" torn (plural torn))
+    (match read_table info Obs.Run.Attrib Attrib.of_json ~what:"attribution" with
+     | Error why -> print_string ("\n" ^ why)
+     | Ok at ->
+       print_string (Attrib.render ~top at);
+       let recomputed =
+         Attrib.of_records ~n_actions:(Attrib.n_actions at)
+           ~max_pos:(Attrib.max_pos at) records
+       in
+       print_recompute_check ~name:"attribution" ~doc:"attrib.json"
+         ~stream:"episode"
+         ~missing:"per-step rewards (pre-attribution ledger)"
+         ~steps:(Attrib.steps at) ~recomputed:(Attrib.steps recomputed)
+         (Attrib.equal at recomputed));
+    (* 2 — top schedules, 3 — the drift timeline, 4 — watchdog alerts *)
+    print_string (Obs.Dashboard.schedules ~k:schedules records);
+    print_string (Obs.Dashboard.drift records);
+    print_string (Obs.Health.render (read_alerts info))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1159,84 +993,26 @@ let coverage_cmd =
     print_string
       (Obs.Dashboard.header ~id:info.Obs.Run.run_id
          ~manifest:info.Obs.Run.manifest);
-    match Obs.Run.read info Obs.Run.Coverage with
-    | None ->
-      print_string
-        "coverage: no data (run predates the coverage layer, or \
-         coverage.json is unreadable)\n"
-    | Some doc ->
-      match Obs.Coverage.of_json doc with
-      | None ->
-        print_string "coverage: coverage.json is structurally invalid — no data\n"
-      | Some cov ->
-        Printf.printf
-          "\ndecision-space coverage (%d steps, %d episodes):\n\
-          \  ODG edges visited   %d/%d (%.1f%%)\n\
-          \  ODG nodes visited   %d/%d\n\
-          \  action entropy      %.3f bits (max %.3f over %d actions)\n\
-          \  state sketch        %d/%d buckets occupied\n"
-          (Obs.Coverage.steps cov) (Obs.Coverage.episodes cov)
-          (Obs.Coverage.edges_visited cov) (Obs.Coverage.edge_count cov)
-          (Obs.Coverage.edge_pct cov)
-          (Obs.Coverage.nodes_visited cov) (Obs.Coverage.node_count cov)
-          (Obs.Coverage.entropy cov)
-          (Float.log2 (float_of_int (Obs.Coverage.n_actions cov)))
-          (Obs.Coverage.n_actions cov)
-          (Obs.Coverage.sketch_occupied cov)
-          (1 lsl Obs.Coverage.sketch_bits cov);
-        (match Obs.Coverage.top_edges cov ~k:top with
-         | [] -> print_string "no visited edges\n"
-         | edges ->
-           let t =
-             Tbl.create ~title:"hottest ODG edges (coverage.json)"
-               ~headers:[ "edge"; "visits"; "mean r"; "mean binsize";
-                          "mean throughput" ]
-               ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
-               ()
-           in
-           List.iter
-             (fun (u, v, count, r, rb, rt) ->
-               let mean x = x /. float_of_int count in
-               Tbl.add_row t
-                 [ Printf.sprintf "%s -> %s" (Obs.Coverage.node_name cov u)
-                     (Obs.Coverage.node_name cov v);
-                   string_of_int count;
-                   Printf.sprintf "%.3f" (mean r);
-                   Printf.sprintf "%.3f" (mean rb);
-                   Printf.sprintf "%.3f" (mean rt) ])
-             edges;
-           Tbl.print t);
-        (match Obs.Coverage.top_transitions cov ~k:top with
-         | [] -> ()
-         | trans ->
-           let t =
-             Tbl.create ~title:"top action transitions"
-               ~headers:[ "from"; "to"; "count" ]
-               ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right ]
-               ()
-           in
-           List.iter
-             (fun (a, b, count) ->
-               Tbl.add_row t
-                 [ string_of_int a; string_of_int b; string_of_int count ])
-             trans;
-           Tbl.print t);
-        let recomputed =
-          Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov)
-            (read_progress info)
-        in
-        print_recompute_check ~name:"coverage" ~doc:"coverage.json"
-          ~stream:"step" ~missing:"step stream (eval run or pre-attribution ledger)"
-          ~steps:(Obs.Coverage.steps cov)
-          ~recomputed:(Obs.Coverage.steps recomputed)
-          (Obs.Coverage.equal cov recomputed);
-        (match dot with
-         | Some out ->
-           let oc = open_out out in
-           output_string oc (Obs.Coverage.to_dot cov);
-           close_out oc;
-           Printf.printf "coverage heat dot written to %s\n" out
-         | None -> ())
+    match read_table info Obs.Run.Coverage Obs.Coverage.of_json ~what:"coverage" with
+    | Error why -> print_string why
+    | Ok cov ->
+      print_string (Obs.Coverage.render ~top cov);
+      let recomputed =
+        Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov)
+          (read_progress info)
+      in
+      print_recompute_check ~name:"coverage" ~doc:"coverage.json"
+        ~stream:"step" ~missing:"step stream (eval run or pre-attribution ledger)"
+        ~steps:(Obs.Coverage.steps cov)
+        ~recomputed:(Obs.Coverage.steps recomputed)
+        (Obs.Coverage.equal cov recomputed);
+      (match dot with
+       | Some out ->
+         let oc = open_out out in
+         output_string oc (Obs.Coverage.to_dot cov);
+         close_out oc;
+         Printf.printf "coverage heat dot written to %s\n" out
+       | None -> ())
   in
   Cmd.v
     (Cmd.info "coverage"
@@ -1272,7 +1048,7 @@ let watch_cmd =
       let records, dropped = Obs.Run.read_progress info in
       (* None = run predates the watchdog; the dashboard renders a
          placeholder row for it, not a blank or garbled line *)
-      let alerts = Option.map fst (Obs.Run.read_alerts info) in
+      let alerts = Option.map fst (read_alerts info) in
       let coverage =
         Option.bind (Obs.Run.read info Obs.Run.Coverage) Obs.Coverage.of_json
       in

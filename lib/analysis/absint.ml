@@ -544,7 +544,7 @@ let refine_edge ~(defs : (int, string * Instr.t) Hashtbl.t)
 
 (* --- widening ------------------------------------------------------------- *)
 
-let default_widen_budget = 8
+let widen_budget = 8
 
 let widen_aval ~(prev : aval) (cur : aval) : aval =
   match prev, cur with
@@ -573,7 +573,7 @@ type t = {
   iterations : int;
 }
 
-let of_func ?(widen_budget = default_widen_budget) (f : Func.t) : t =
+let of_func (f : Func.t) : t =
   Obs.Span.with_ "posetrl.analysis.absint"
     ~attrs:[ ("func", Obs.Event.S f.Func.name) ]
     (fun sp ->

@@ -52,8 +52,7 @@ type t = {
   iterations : int;
 }
 
-val default_widen_budget : int
-val of_func : ?widen_budget:int -> Func.t -> t
+val of_func : Func.t -> t
 
 (* Abstract value of register [r] at its definition; [Bot] if never
    computed (e.g. the defining block is unreachable). *)

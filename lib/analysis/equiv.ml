@@ -137,14 +137,14 @@ let compare_obs before after : verdict =
   | Error e, Ok (r2, _) -> Fail (Printf.sprintf "before traps (%s), after ret=%s" e r2)
 
 let default_fuel = 2_000_000
-let default_seeds = 2
+let seeds = 2
 
 let observe ~fuel ~entry ?(args = []) m =
   try Interp.observe ~fuel ~entry ~args m with
   | Failure msg | Invalid_argument msg -> Error ("interp failure: " ^ msg)
 
 (* Drive one (before, after) function pair through [seeds] harness runs. *)
-let check_func_pair ~seeds ~fuel ~(before : Modul.t) ~(after : Modul.t)
+let check_func_pair ~fuel ~(before : Modul.t) ~(after : Modul.t)
     (f : Func.t) : verdict =
   let rec go seed =
     if seed >= seeds then Pass
@@ -195,7 +195,7 @@ let observe_main ~fuel ~seed ~args (m : Modul.t) =
     Domain.DLS.set main_memo ((m, seed, r) :: kept);
     r
 
-let check_main ~seeds ~fuel ~(before : Modul.t) ~(after : Modul.t) : verdict =
+let check_main ~fuel ~(before : Modul.t) ~(after : Modul.t) : verdict =
   match Modul.find_func before "main", Modul.find_func after "main" with
   | Some fb, Some _ when not (Func.is_declaration fb) ->
     (* a nullary main runs identically under every seed *)
@@ -230,7 +230,7 @@ let signature_equal (a : Func.t) (b : Func.t) =
    Module-scope passes (inlining, IPO, global DCE) legitimately change
    individual function behaviour in ways that only whole-program
    observation can judge, so they are validated through main alone. *)
-let validate ?(seeds = default_seeds) ?(fuel = default_fuel)
+let validate ?(fuel = default_fuel)
     ?(per_function = true) ~(before : Modul.t) (after : Modul.t) :
     mismatch list =
   if Modul.equal before after then []
@@ -241,7 +241,7 @@ let validate ?(seeds = default_seeds) ?(fuel = default_fuel)
         Obs.Metrics.inc (Obs.Metrics.counter "posetrl.analysis.equiv.checks");
         let mismatches = ref [] in
         let record func detail = mismatches := { func; detail } :: !mismatches in
-        (match check_main ~seeds ~fuel ~before ~after with
+        (match check_main ~fuel ~before ~after with
          | Fail d -> record "main" d
          | Pass | Skip -> ());
         if per_function && Option.is_none (Modul.find_func before harness_name)
@@ -258,7 +258,7 @@ let validate ?(seeds = default_seeds) ?(fuel = default_fuel)
                 | Some fb
                   when signature_equal fb fa && harnessable fa
                        && not (Func.equal fb fa) -> (
-                  match check_func_pair ~seeds ~fuel ~before ~after fa with
+                  match check_func_pair ~fuel ~before ~after fa with
                   | Fail d -> record fa.Func.name d
                   | Pass | Skip -> ())
                 | _ -> ())

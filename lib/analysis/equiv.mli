@@ -23,7 +23,6 @@ type mismatch = {
 val harness_name : string
 
 val default_fuel : int
-val default_seeds : int
 
 (* Can [f] be driven from a harness? Every parameter must be a scalar
    or one of a bounded number of pointers. *)
@@ -43,5 +42,4 @@ val with_harness : Modul.t -> Func.t -> Modul.t
    Module-scope passes (inlining, IPO) are validated through [main]
    alone. *)
 val validate :
-  ?seeds:int -> ?fuel:int -> ?per_function:bool -> before:Modul.t ->
-  Modul.t -> mismatch list
+  ?fuel:int -> ?per_function:bool -> before:Modul.t -> Modul.t -> mismatch list

@@ -191,7 +191,7 @@ let absint_findings (f : Func.t) : finding list =
                           "%%%d: operands %s and %s may wrap %s" i.Instr.id
                           (Absint.aval_to_string ax)
                           (Absint.aval_to_string ay)
-                          (Fmt.str "%a" Types.pp ty) }
+                          (Types.to_string ty) }
                 else None
               | _ -> None)
             b.Block.insns)
@@ -266,7 +266,7 @@ let alias_findings (f : Func.t) : finding list =
             func = f.Func.name;
             block = Some b.Block.label;
             message =
-              Fmt.str
+              Format.asprintf
                 "%d store pair%s may alias (e.g. %a vs %a): their order \
                  constrains dse/licm/gvn"
                 !count

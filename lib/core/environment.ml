@@ -25,7 +25,6 @@ let m_reward =
 type t = {
   target : Posetrl_codegen.Target.t;
   actions : Odg.Action_space.t;
-  pass_cfg : Posetrl_passes.Config.t;
   weights : Reward.weights;
   max_steps : int;
   sanitize : Posetrl_analysis.Sanitize.level;
@@ -42,12 +41,10 @@ type t = {
 let default_max_steps = 15
 
 let create ?(weights = Reward.paper_weights) ?(max_steps = default_max_steps)
-    ?(pass_cfg = Posetrl_passes.Config.oz)
     ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir
     ~(target : Posetrl_codegen.Target.t) ~(actions : Odg.Action_space.t) () : t =
   { target;
     actions;
-    pass_cfg;
     weights;
     max_steps;
     sanitize;
@@ -107,7 +104,7 @@ let step (t : t) (action : int) : step_result =
           end
           else
             Posetrl_passes.Pass_manager.run ~sanitize:t.sanitize
-              ?repro_dir:t.repro_dir t.pass_cfg names m
+              ?repro_dir:t.repro_dir Posetrl_passes.Config.oz names m
         in
         (* passes that changed nothing hand back the module itself, whose
            measurement and state are already known *)

@@ -13,7 +13,6 @@ val default_max_steps : int
 val create :
   ?weights:Reward.weights ->
   ?max_steps:int ->
-  ?pass_cfg:Posetrl_passes.Config.t ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   target:Posetrl_codegen.Target.t ->

@@ -81,8 +81,7 @@ let m_pool_tasks = Obs.Metrics.counter "posetrl.pool.eval_tasks"
 let m_pool_task_s = Obs.Metrics.histogram "posetrl.pool.task_seconds"
 let m_pool_batch_s = Obs.Metrics.histogram "posetrl.pool.batch_seconds"
 
-let evaluate_programs ?(measure_time = true)
-    ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ?pool
+let evaluate_programs ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ?pool
     ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t)
     (programs : (string * (unit -> Modul.t)) list) : program_result list =
@@ -91,7 +90,7 @@ let evaluate_programs ?(measure_time = true)
   let eval_one (name, mk) =
     Obs.Span.with_ ~attrs:[ ("program", Obs.Event.S name) ]
       "posetrl.eval.program" (fun _ ->
-        evaluate_program ~measure_time ~sanitize ?repro_dir ~agent ~actions
+        evaluate_program ~sanitize ?repro_dir ~agent ~actions
           ~target ~name (mk ()))
   in
   match pool with

@@ -35,7 +35,6 @@ val evaluate_program :
     rollout apply (see {!Environment.create}). *)
 
 val evaluate_programs :
-  ?measure_time:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   ?repro_dir:string ->
   ?pool:Posetrl_support.Pool.t ->
@@ -62,9 +61,6 @@ type suite_summary = {
 
 val summarize_suite : suite:string -> program_result list -> suite_summary
 (** The min/avg/max aggregation of Table IV plus the Table V average. *)
-
-val result_to_json : program_result -> Posetrl_obs.Json.t
-val summary_to_json : suite_summary -> Posetrl_obs.Json.t
 
 val suites_to_json :
   (suite_summary * program_result list) list -> Posetrl_obs.Json.t

@@ -57,12 +57,11 @@ let predict ?max_steps ?sanitize ?repro_dir ~agent ~actions ~target
   | _ -> assert false
 
 (* Apply an explicit action-index sequence (replay of a Table-VI row). *)
-let apply_sequence ?(pass_cfg = Posetrl_passes.Config.oz)
-    ~(actions : Posetrl_odg.Action_space.t) (seq : int list) (m : Modul.t) :
-    Modul.t =
+let apply_sequence ~(actions : Posetrl_odg.Action_space.t) (seq : int list)
+    (m : Modul.t) : Modul.t =
   List.fold_left
     (fun m a ->
-      Posetrl_passes.Pass_manager.run pass_cfg
+      Posetrl_passes.Pass_manager.run Posetrl_passes.Config.oz
         (Posetrl_odg.Action_space.action actions a)
         m)
     m seq

@@ -32,7 +32,6 @@ val predict :
 (** {!predict_batch} on one module. *)
 
 val apply_sequence :
-  ?pass_cfg:Posetrl_passes.Config.t ->
   actions:Posetrl_odg.Action_space.t ->
   int list -> Posetrl_ir.Modul.t -> Posetrl_ir.Modul.t
 (** Replay an explicit action-index sequence. *)

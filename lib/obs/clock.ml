@@ -13,8 +13,8 @@ let set f =
   source := f;
   Posetrl_support.Pool.clock := f
 
-let with_fake ?(start = 0.0) f =
-  let t = ref start in
+let with_fake f =
+  let t = ref 0.0 in
   let saved = !source in
   set (fun () -> !t);
   Fun.protect

@@ -14,8 +14,8 @@ val now : unit -> float
 val set : (unit -> float) -> unit
 (** Replace the time source. *)
 
-val with_fake : ?start:float -> ((float -> unit) -> 'a) -> 'a
-(** [with_fake f] installs a fake clock starting at [start] (default 0)
+val with_fake : ((float -> unit) -> 'a) -> 'a
+(** [with_fake f] installs a fake clock starting at 0
     and calls [f advance] where [advance d] moves the clock forward by
     [d] seconds. The previous source is restored on exit, including on
     exceptions. *)

@@ -26,6 +26,7 @@
    tables (tests, `posetrl coverage`) stay silent. *)
 
 module Rng = Posetrl_support.Rng
+module Tbl = Posetrl_support.Table
 
 type universe = {
   nodes : string array;
@@ -62,7 +63,9 @@ type t = {
   sketch_bits : int;
   sketch_seed : int;
   state_dim : int;
-  proj : float array array; (* sketch_bits × state_dim, seeded *)
+  proj : float array array Lazy.t;
+  (* sketch_bits × state_dim, seeded; built by the first [observe_state],
+     so a table read from disk never builds it *)
   sketch : int array; (* 2^sketch_bits bucket counts *)
   metrics : metric_handles option;
 }
@@ -93,13 +96,12 @@ let create ?registry ?(sketch_bits = 6) ?(sketch_seed = 9461)
     u.edges;
   (* fixed seeded projection, filled in row-major order so the sketch
      is identical for any two tables built with the same seed *)
-  let rng = Rng.create sketch_seed in
-  let proj = Array.make_matrix sketch_bits state_dim 0.0 in
-  for i = 0 to sketch_bits - 1 do
-    for d = 0 to state_dim - 1 do
-      proj.(i).(d) <- Rng.normal rng
-    done
-  done;
+  let proj =
+    lazy
+      (let rng = Rng.create sketch_seed in
+       Array.init sketch_bits (fun _ ->
+           Array.init state_dim (fun _ -> Rng.normal rng)))
+  in
   let metrics =
     Option.map
       (fun r ->
@@ -133,7 +135,6 @@ let steps (t : t) = t.steps
 let episodes (t : t) = t.episodes
 let node_count (t : t) = Array.length t.universe.nodes
 let edge_count (t : t) = Array.length t.universe.edges
-let node_name (t : t) (i : int) = t.universe.nodes.(i)
 let node_visits (t : t) (i : int) = t.node_counts.(i)
 let transition (t : t) ~(from : int) ~(to_ : int) = t.transitions.(from).(to_)
 
@@ -209,9 +210,10 @@ let observe (t : t) ~(action : int) ~(pos : int) ~(reward : float)
    one of 2^bits buckets. Same seed + same step stream → same sketch. *)
 let observe_state (t : t) (state : float array) : unit =
   let d = min t.state_dim (Array.length state) in
+  let proj = Lazy.force t.proj in
   let idx = ref 0 in
   for i = 0 to t.sketch_bits - 1 do
-    let row = t.proj.(i) in
+    let row = proj.(i) in
     let dot = ref 0.0 in
     for j = 0 to d - 1 do
       dot := !dot +. (row.(j) *. state.(j))
@@ -220,7 +222,6 @@ let observe_state (t : t) (state : float array) : unit =
   done;
   t.sketch.(!idx) <- t.sketch.(!idx) + 1
 
-let sketch_bits (t : t) = t.sketch_bits
 let sketch_buckets (t : t) = Array.copy t.sketch
 
 let sketch_occupied (t : t) =
@@ -349,128 +350,67 @@ let to_json (t : t) : Json.t =
            ("state_dim", Int t.state_dim);
            ("buckets", ints t.sketch) ]) ]
 
-(* Robust reader: anything structurally off yields [None], never an
-   exception — coverage.json is ledger data and may be torn or from a
-   different version. *)
-let of_json (doc : Json.t) : t option =
+(* Total reader: coverage.json is ledger data and may be torn or from
+   another version. Every array is decoded and checked against the
+   universe before [create] sizes a table, so the action×action matrix
+   is only built when the document holds one. *)
+let of_json : Json.t -> t option =
   let open Json in
-  let int_of = function
-    | Int i -> Some i
-    | Float f -> Some (int_of_float f)
-    | _ -> None
-  in
-  let float_of = function
-    | Float f -> Some f
-    | Int i -> Some (float_of_int i)
-    | Null -> Some Float.nan (* non-finite floats serialize as null *)
-    | _ -> None
-  in
-  let member k j = Runlog.field k j in
-  let int_array = function
-    | Some (Arr xs) ->
-      let out = List.filter_map int_of xs in
-      if List.length out = List.length xs then Some (Array.of_list out) else None
-    | _ -> None
-  in
-  match
-    ( Runlog.str "kind" doc,
-      member "universe" doc,
-      Option.bind (member "steps" doc) int_of,
-      Option.bind (member "episodes" doc) int_of )
-  with
-  | Some "coverage", Some uni, Some steps, Some episodes -> (
-    let nodes =
-      match member "nodes" uni with
-      | Some (Arr xs) ->
-        let out = List.filter_map (function Str s -> Some s | _ -> None) xs in
-        if List.length out = List.length xs then Some (Array.of_list out) else None
-      | _ -> None
-    in
-    let edges =
-      match member "edges" uni with
-      | Some (Arr xs) ->
-        let out =
-          List.filter_map
-            (function
-              | Arr [ a; b ] -> (
-                match (int_of a, int_of b) with
-                | Some u, Some v -> Some (u, v)
-                | _ -> None)
-              | _ -> None)
-            xs
-        in
-        if List.length out = List.length xs then Some (Array.of_list out) else None
-      | _ -> None
-    in
-    let paths =
-      match member "action_paths" uni with
-      | Some (Arr xs) ->
-        let out = List.filter_map (fun p -> int_array (Some p)) xs in
-        if List.length out = List.length xs then Some (Array.of_list out) else None
-      | _ -> None
-    in
-    let sketch = member "sketch" doc in
-    let sk k = Option.bind (Option.bind sketch (member k)) int_of in
-    match (nodes, edges, paths, sk "bits", sk "seed", sk "state_dim") with
-    | Some nodes, Some edges, Some action_paths, Some bits, Some seed, Some dim
-      when Array.length action_paths > 0 -> (
+  let ints = array int in
+  decode (fun doc ->
+      let uni = field "universe" doc and sketch = field "sketch" doc in
+      let u =
+        { nodes = array string (field "nodes" uni);
+          edges =
+            array
+              (fun e ->
+                match list int e with [ u; v ] -> (u, v) | _ -> raise Decode)
+              (field "edges" uni);
+          action_paths = array ints (field "action_paths" uni) }
+      in
+      let n_actions = Array.length u.action_paths in
+      let node_counts = ints (field "node_counts" doc)
+      and action_counts = ints (field "action_counts" doc)
+      and transitions = array ints (field "transitions" doc)
+      and cells =
+        array
+          (fun c ->
+            { e_count = int (field "count" c);
+              e_reward = float (field "reward_total" c);
+              e_binsize = float (field "r_binsize_total" c);
+              e_throughput = float (field "r_throughput_total" c) })
+          (field "edges" doc)
+      and series =
+        list
+          (fun p ->
+            (int (field "step" p), float (field "edge_pct" p),
+             float (field "entropy" p)))
+          (field "series" doc)
+      and buckets = ints (field "buckets" sketch) in
+      if string (field "kind" doc) <> "coverage" || n_actions = 0
+         || Array.length node_counts <> Array.length u.nodes
+         || Array.length action_counts <> n_actions
+         || Array.length transitions <> n_actions
+         || Array.exists (fun row -> Array.length row <> n_actions) transitions
+         || Array.length cells <> Array.length u.edges
+      then raise Decode;
       match
-        create ~sketch_bits:bits ~sketch_seed:seed ~state_dim:dim
-          { nodes; edges; action_paths }
+        create ~sketch_bits:(int (field "bits" sketch))
+          ~sketch_seed:(int (field "seed" sketch))
+          ~state_dim:(int (field "state_dim" sketch)) u
       with
-      | exception Invalid_argument _ -> None
-      | t -> (
-        t.steps <- steps;
-        t.episodes <- episodes;
-        let ok = ref true in
-        let fill_ints dst = function
-          | Some src when Array.length src = Array.length dst ->
-            Array.blit src 0 dst 0 (Array.length src)
-          | _ -> ok := false
-        in
-        fill_ints t.node_counts (int_array (member "node_counts" doc));
-        fill_ints t.action_counts (int_array (member "action_counts" doc));
-        (match member "transitions" doc with
-         | Some (Arr rows) when List.length rows = t.n_actions ->
-           List.iteri (fun i row -> fill_ints t.transitions.(i) (int_array (Some row))) rows
-         | _ -> ok := false);
-        (match member "edges" doc with
-         | Some (Arr cells) when List.length cells = Array.length t.edge_cells ->
-           List.iteri
-             (fun i cell ->
-               match
-                 ( Option.bind (member "count" cell) int_of,
-                   Option.bind (member "reward_total" cell) float_of,
-                   Option.bind (member "r_binsize_total" cell) float_of,
-                   Option.bind (member "r_throughput_total" cell) float_of )
-               with
-               | Some count, Some r, Some rb, Some rt ->
-                 let c = t.edge_cells.(i) in
-                 c.e_count <- count;
-                 c.e_reward <- r;
-                 c.e_binsize <- rb;
-                 c.e_throughput <- rt
-               | _ -> ok := false)
-             cells
-         | _ -> ok := false);
-        (match member "series" doc with
-         | Some (Arr points) ->
-           List.iter
-             (fun p ->
-               match
-                 ( Option.bind (member "step" p) int_of,
-                   Option.bind (member "edge_pct" p) float_of,
-                   Option.bind (member "entropy" p) float_of )
-               with
-               | Some s, Some pct, Some ent ->
-                 t.series_rev <- (s, pct, ent) :: t.series_rev
-               | _ -> ok := false)
-             points
-         | _ -> ok := false);
-        fill_ints t.sketch (int_array (Option.bind sketch (member "buckets")));
-        if !ok then Some t else None))
-    | _ -> None)
-  | _ -> None
+      | exception Invalid_argument _ -> raise Decode
+      | t when Array.length buckets <> Array.length t.sketch -> raise Decode
+      | t ->
+        { t with
+          node_counts;
+          edge_cells = cells;
+          transitions;
+          action_counts;
+          steps = int (field "steps" doc);
+          episodes = int (field "episodes" doc);
+          series_rev = List.rev series;
+          sketch = buckets })
 
 (* --- brute-force recompute from the run ledger ---------------------------- *)
 
@@ -482,6 +422,68 @@ let of_records ~(like : universe) (records : Json.t list) : t =
   Runlog.replay ~n_actions:t.n_actions ~observe:(observe t) ~sample:(sample t)
     records;
   t
+
+(* --- rendering (posetrl coverage, posetrl runs compare --coverage) --------- *)
+
+(* The body of `posetrl coverage`: the summary block, then the [top]
+   hottest ODG edges with their mean reward split and the [top] most
+   frequent action transitions. *)
+let render ~(top : int) (t : t) : string =
+  let buf = Buffer.create 2048 in
+  Printf.bprintf buf
+    "\ndecision-space coverage (%d steps, %d episodes):\n\
+    \  ODG edges visited   %d/%d (%.1f%%)\n\
+    \  ODG nodes visited   %d/%d\n\
+    \  action entropy      %.3f bits (max %.3f over %d actions)\n\
+    \  state sketch        %d/%d buckets occupied\n"
+    t.steps t.episodes (edges_visited t) (edge_count t) (edge_pct t)
+    (nodes_visited t) (node_count t) (entropy t)
+    (Float.log2 (float_of_int t.n_actions))
+    t.n_actions (sketch_occupied t) (1 lsl t.sketch_bits);
+  (match top_edges t ~k:top with
+   | [] -> Buffer.add_string buf "no visited edges\n"
+   | edges ->
+     let tbl =
+       Tbl.create ~title:"hottest ODG edges (coverage.json)"
+         ~headers:[ "edge"; "visits"; "mean r"; "mean binsize"; "mean throughput" ]
+         ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
+         ()
+     in
+     List.iter
+       (fun (u, v, count, r, rb, rt) ->
+         let mean x = Printf.sprintf "%.3f" (x /. float_of_int count) in
+         Tbl.add_row tbl
+           [ Printf.sprintf "%s -> %s" t.universe.nodes.(u) t.universe.nodes.(v);
+             string_of_int count; mean r; mean rb; mean rt ])
+       edges;
+     Buffer.add_string buf (Tbl.render tbl));
+  (match top_transitions t ~k:top with
+   | [] -> ()
+   | trans ->
+     let tbl =
+       Tbl.create ~title:"top action transitions" ~headers:[ "from"; "to"; "count" ]
+         ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right ] ()
+     in
+     List.iter
+       (fun (a, b, count) ->
+         Tbl.add_row tbl [ string_of_int a; string_of_int b; string_of_int count ])
+       trans;
+     Buffer.add_string buf (Tbl.render tbl));
+  Buffer.contents buf
+
+(* `posetrl runs compare --coverage`: edge coverage, entropy and nodes,
+   base -> candidate. Informational, like the attribution shift. *)
+let render_shift ~(base : t option) ~(cand : t option) : string =
+  match base, cand with
+  | None, _ | _, None ->
+    "coverage: no data on at least one side (pre-coverage run or \
+     unreadable coverage.json)\n"
+  | Some b, Some c ->
+    Printf.sprintf
+      "coverage: edges %.1f%% -> %.1f%% (%+.1f pts)  entropy %.3f -> %.3f \
+       bits (%+.3f)  nodes %d -> %d\n"
+      (edge_pct b) (edge_pct c) (edge_pct c -. edge_pct b) (entropy b) (entropy c)
+      (entropy c -. entropy b) (nodes_visited b) (nodes_visited c)
 
 (* --- heat-annotated ODG rendering ----------------------------------------- *)
 

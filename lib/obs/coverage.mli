@@ -50,7 +50,8 @@ val observe :
 
 val observe_state : t -> float array -> unit
 (** Fold one (pre-action) IR2Vec embedding into the visitation sketch:
-    the sign pattern of the seeded projections selects a bucket. *)
+    the sign pattern of the seeded projections selects a bucket. The
+    first call builds the projection ([sketch_bits × state_dim]). *)
 
 val sample : t -> step:int -> unit
 (** Append a (step, edge-coverage %, entropy bits) point to the time
@@ -65,7 +66,6 @@ val steps : t -> int
 val episodes : t -> int
 val node_count : t -> int
 val edge_count : t -> int
-val node_name : t -> int -> string
 val node_visits : t -> int -> int
 val transition : t -> from:int -> to_:int -> int
 
@@ -90,7 +90,6 @@ val top_edges : t -> k:int -> (int * int * int * float * float * float) list
 val top_transitions : t -> k:int -> (int * int * int) list
 (** The [k] most frequent action→action transitions. *)
 
-val sketch_bits : t -> int
 val sketch_buckets : t -> int array
 val sketch_occupied : t -> int
 (** Buckets with at least one visit (of [2^sketch_bits]). *)
@@ -108,14 +107,27 @@ val to_json : t -> Json.t
     floats as %.17g so a reload round-trips exactly. *)
 
 val of_json : Json.t -> t option
-(** Robust reader: [None] on anything structurally off, never an
-    exception. *)
+(** Total reader over {!Json.decode}: [None] on anything structurally
+    off, never an exception. It decodes every array and checks it
+    against the universe before it allocates the table, and a table read
+    this way never builds the sketch projection. *)
 
 val of_records : like:universe -> Json.t list -> t
 (** Brute-force recompute from progress.jsonl records (in file order)
     through {!Runlog.replay}: every {!observe} in step order, every
     {!sample} exactly where the streaming table sampled it. The result
     is {!equal} to the streaming table of the same run. *)
+
+val render : top:int -> t -> string
+(** The body of [posetrl coverage]: steps, episodes, edge and node
+    coverage, action entropy against its maximum, sketch occupancy, then
+    the [top] hottest edges (mean reward split per visit) and the [top]
+    most frequent action transitions. *)
+
+val render_shift : base:t option -> cand:t option -> string
+(** The [posetrl runs compare --coverage] line: edge %, entropy and
+    nodes visited, base → candidate; a "no data" line when either side
+    has no readable table. *)
 
 val to_dot : ?k:int -> t -> string
 (** Heat-annotated Graphviz rendering of the universe, structurally

@@ -4,7 +4,9 @@
 
 open Posetrl_support
 
-let action_histogram (records : Json.t list) : (int * int) list =
+(* Per-action selection counts over the ["episode"] records, keyed by
+   action id: the one count behind the histogram and the drift windows. *)
+let action_counts (records : Json.t list) : (int, int) Hashtbl.t =
   let counts = Hashtbl.create 37 in
   List.iter
     (fun r ->
@@ -15,7 +17,10 @@ let action_histogram (records : Json.t list) : (int * int) list =
               (1 + Option.value ~default:0 (Hashtbl.find_opt counts a)))
           (Runlog.episode_actions r))
     records;
-  Hashtbl.fold (fun a n acc -> (a, n) :: acc) counts []
+  counts
+
+let action_histogram (records : Json.t list) : (int * int) list =
+  Hashtbl.fold (fun a n acc -> (a, n) :: acc) (action_counts records) []
   |> List.sort (fun (a1, n1) (a2, n2) -> compare (n2, a1) (n1, a2))
 
 let last_of (xs : (float * float) list) : float option =
@@ -48,7 +53,7 @@ let curves (records : Json.t list) : string =
   curve "loss" "tick" "loss";
   Buffer.contents buf
 
-let render ?(alerts : Json.t list option = None)
+let render ?(alerts : Health.alert list option = None)
     ?(coverage : Coverage.t option = None) ?(serve : Json.t option = None)
     ~(id : string) ~(manifest : Json.t) ~(records : Json.t list)
     ~(dropped : int) () : string =
@@ -89,17 +94,12 @@ let render ?(alerts : Json.t list option = None)
      let n = List.length fired in
      add "alerts \027[31m%d fired\027[0m%s\n" n
        (if n > 5 then " (last 5 shown)" else "");
-     let shown =
-       if n <= 5 then fired
-       else List.filteri (fun i _ -> i >= n - 5) fired
-     in
-     List.iter
-       (fun a ->
-         let rule = Option.value ~default:"?" (Runlog.str "rule" a) in
-         let msg = Option.value ~default:"" (Runlog.str "message" a) in
-         let step = Option.value ~default:(-1.0) (Runlog.num "step" a) in
-         add "  \027[31m! %-16s step %-8.0f %s\027[0m\n" rule step msg)
-       shown);
+     List.iteri
+       (fun i (a : Health.alert) ->
+         if i >= n - 5 then
+           add "  \027[31m! %-16s step %-8d %s\027[0m\n" a.a_rule a.a_step
+             a.a_message)
+       fired);
   (* Coverage row: the run's coverage table (two states — coverage.json
      is absent on pre-coverage ledgers). *)
   (match coverage with
@@ -135,4 +135,70 @@ let render ?(alerts : Json.t list option = None)
            add "  action %-3d %6d %s\n" action n
              (String.make (max 1 (n * 30 / max_n)) '#'))
        hist);
+  Buffer.contents buf
+
+(* The top [k] episodes by reward, each with its per-step reward split. *)
+let schedules ~(k : int) (records : Json.t list) : string =
+  let scored =
+    List.filter_map
+      (fun r ->
+        if Runlog.str "kind" r <> Some "episode" then None
+        else Option.map (fun rew -> (rew, r)) (Runlog.num "reward" r))
+      records
+    |> List.sort (fun (a, _) (b, _) -> compare b a)
+  in
+  let buf = Buffer.create 1024 in
+  if scored <> [] then
+    Printf.bprintf buf "\ntop %d schedules by episode reward:\n"
+      (min k (List.length scored));
+  List.iteri
+    (fun i (rew, r) ->
+      if i < k then begin
+        Printf.bprintf buf "  #%d  episode %s  reward %8.3f  seq %s\n" (i + 1)
+          (match Runlog.num "episode" r with
+           | Some e -> Printf.sprintf "%.0f" e
+           | None -> "?")
+          rew
+          (match Runlog.episode_actions r with
+           | [] -> "-"
+           | l -> String.concat "->" (List.map string_of_int l));
+        List.iteri
+          (fun p (a, sr, rb, rt) ->
+            Printf.bprintf buf
+              "        pos %-2d action %-3d r %8.3f  (binsize %8.3f  \
+               throughput %8.3f)\n"
+              p a sr rb rt)
+          (Runlog.episode_steps r)
+      end)
+    scored;
+  Buffer.contents buf
+
+(* The drift timeline: the episodes in 8 consecutive windows, each
+   window's action counts against the previous window's by [Health.kl].
+   Its smoothing makes the histogram width part of the value, so every
+   window spans the largest action id of any episode. *)
+let drift (records : Json.t list) : string =
+  let episodes = List.filter (fun r -> Runlog.str "kind" r = Some "episode") records in
+  let n_ep = List.length episodes in
+  let per = max 1 ((n_ep + 7) / 8) in
+  let width = 1 + Hashtbl.fold (fun a _ m -> max a m) (action_counts episodes) 0 in
+  let window i =
+    let h = Array.make width 0 in
+    Hashtbl.iter (fun a n -> h.(a) <- n)
+      (action_counts (List.filteri (fun e _ -> e / per = i) episodes));
+    h
+  in
+  let buf = Buffer.create 512 in
+  if n_ep > per then
+    Buffer.add_string buf "\naction-distribution drift (KL vs previous window):\n";
+  let prev = ref (window 0) in
+  for i = 1 to (n_ep - 1) / per do
+    let h = window i in
+    let d = Health.kl h !prev in
+    Printf.bprintf buf "  episodes %4d-%-4d  KL %.4f%s\n" (i * per)
+      (min n_ep ((i + 1) * per) - 1)
+      d
+      (if d > Health.default_config.drift_kl then "  << drift" else "");
+    prev := h
+  done;
   Buffer.contents buf

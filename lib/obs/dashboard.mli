@@ -7,6 +7,19 @@ val action_histogram : Json.t list -> (int * int) list
 (** Per-action selection counts folded from the ["episode"] progress
     records' {!Runlog.episode_actions}, sorted by count descending. *)
 
+val schedules : k:int -> Json.t list -> string
+(** The [posetrl explain] top-schedules block: the [k] episode records
+    with the highest reward, each with its action sequence and its
+    per-step (reward, binsize, throughput) split; [""] when no episode
+    record carries a reward. *)
+
+val drift : Json.t list -> string
+(** The [posetrl explain] drift timeline: the episode records cut into
+    8 consecutive windows, each window's action counts (the same count
+    as {!action_histogram}) compared with the previous window's by
+    {!Health.kl}, and flagged past the watchdog's default [drift_kl];
+    [""] when there are fewer than two windows. *)
+
 val header : id:string -> manifest:Json.t -> string
 (** ["run <id>  [<kind>, <status>]"], newline-terminated: the first line
     of a frame, and of [posetrl explain] and [posetrl coverage]. *)
@@ -18,7 +31,7 @@ val curves : Json.t list -> string
     omitted. Also the curve block of [posetrl runs show]. *)
 
 val render :
-  ?alerts:Json.t list option ->
+  ?alerts:Health.alert list option ->
   ?coverage:Coverage.t option ->
   ?serve:Json.t option ->
   id:string ->
@@ -32,9 +45,9 @@ val render :
     / reward-component / ε / loss sparklines, and the action-selection
     histogram. Renders a clear placeholder when [records] is empty.
 
-    [alerts] is the result of {!Run.read_alerts} (records only):
-    [None] — the run predates the watchdog, rendered as a
-    "(not recorded)" placeholder, never a blank or garbled row;
+    [alerts] is the run's alerts as {!Health.alert_of_json} decodes
+    {!Run.read_alerts}: [None] — the run predates the watchdog, rendered
+    as a "(not recorded)" placeholder, never a blank or garbled row;
     [Some []] — healthy; [Some l] — red rows for the latest alerts.
 
     [coverage] is the run's table as {!Coverage.of_json} reads

@@ -30,13 +30,14 @@ let value_to_json = function
   | I i -> Json.Int i
   | F f -> Json.Float f
 
+(* A nested attr value is not an event attr: the line is skipped. *)
 let value_of_json = function
   | Json.Str s -> S s
   | Json.Int i -> I i
   | Json.Float f -> F f
   | Json.Bool b -> S (string_of_bool b)
   | Json.Null -> S "null"
-  | _ -> invalid_arg "Event.value_of_json: nested attr value"
+  | Json.Arr _ | Json.Obj _ -> raise Json.Decode
 
 let to_json (e : t) : Json.t =
   Json.Obj
@@ -48,32 +49,19 @@ let to_json (e : t) : Json.t =
       ("tid", Json.Int e.tid);
       ("attrs", Json.Obj (List.map (fun (k, v) -> (k, value_to_json v)) e.attrs)) ]
 
-let number_to_float = function
-  | Json.Int i -> float_of_int i
-  | Json.Float f -> f
-  | _ -> invalid_arg "Event.of_json: expected number"
-
+(* @raise Json.Decode on a line that is not an event *)
 let of_json (j : Json.t) : t =
-  let get k = match Json.member k j with
-    | Some v -> v
-    | None -> invalid_arg ("Event.of_json: missing field " ^ k)
-  in
-  let attrs =
-    match Json.member "attrs" j with
-    | Some (Json.Obj kvs) -> List.map (fun (k, v) -> (k, value_of_json v)) kvs
-    | _ -> []
-  in
-  { name = (match get "name" with Json.Str s -> s | _ -> invalid_arg "Event.of_json: name");
-    attrs;
-    t_start = number_to_float (get "t");
-    dur = number_to_float (get "dur");
-    self = number_to_float (get "self");
-    depth = (match get "depth" with Json.Int i -> i | v -> int_of_float (number_to_float v));
-    tid =
-      (match Json.member "tid" j with
-       | Some (Json.Int i) -> i
-       | Some v -> int_of_float (number_to_float v)
-       | None -> 0) }
+  let open Json in
+  { name = string (field "name" j);
+    attrs =
+      (match member "attrs" j with
+       | Some (Obj kvs) -> List.map (fun (k, v) -> (k, value_of_json v)) kvs
+       | _ -> []);
+    t_start = float (field "t" j);
+    dur = float (field "dur" j);
+    self = float (field "self" j);
+    depth = int (field "depth" j);
+    tid = Option.fold ~none:0 ~some:int (member "tid" j) }
 
 (* attr accessors used by the report aggregator *)
 

@@ -116,14 +116,6 @@ let json_of_value (v : float) : Json.t =
   else if Float.is_nan v then Json.Str "nan"
   else Json.Str (if v > 0.0 then "inf" else "-inf")
 
-let value_of_json : Json.t option -> float = function
-  | Some (Json.Float f) -> f
-  | Some (Json.Int i) -> float_of_int i
-  | Some (Json.Str "nan") -> Float.nan
-  | Some (Json.Str "inf") -> Float.infinity
-  | Some (Json.Str "-inf") -> Float.neg_infinity
-  | _ -> Float.nan
-
 let alert_to_json (a : alert) : Json.t =
   Json.Obj
     [ ("kind", Json.Str "alert");
@@ -133,16 +125,40 @@ let alert_to_json (a : alert) : Json.t =
       ("message", Json.Str a.a_message);
       ("value", json_of_value a.a_value) ]
 
-let alert_of_json (j : Json.t) : alert option =
-  match Runlog.str "rule" j, Runlog.num "step" j with
-  | Some rule, Some step ->
-    Some
-      { a_rule = rule;
-        a_step = int_of_float step;
-        a_severity = Option.value ~default:"warn" (Runlog.str "severity" j);
-        a_message = Option.value ~default:"" (Runlog.str "message" j);
-        a_value = value_of_json (Runlog.field "value" j) }
-  | _ -> None
+let alert_of_json : Json.t -> alert option =
+  Json.decode (fun j ->
+      let optional k default =
+        Option.fold ~none:default ~some:Json.string (Json.member k j)
+      in
+      { a_rule = Json.string (Json.field "rule" j);
+        a_step = Json.int (Json.field "step" j);
+        a_severity = optional "severity" "warn";
+        a_message = optional "message" "";
+        a_value =
+          (match Json.member "value" j with
+           | Some (Json.Str "inf") -> Float.infinity
+           | Some (Json.Str "-inf") -> Float.neg_infinity
+           | Some v -> (try Json.float v with Json.Decode -> Float.nan)
+           | None -> Float.nan) })
+
+(* The alerts section of `posetrl explain`: [None] when the run has no
+   alerts.jsonl, else the decoded alerts and the torn-line count. *)
+let render (alerts : (alert list * int) option) : string =
+  match alerts with
+  | None -> "\nalerts: not recorded by this run (predates the watchdog)\n"
+  | Some ([], _) -> "\nalerts: none\n"
+  | Some (alerts, torn) ->
+    let buf = Buffer.create 256 in
+    Printf.bprintf buf "\nalerts (%d fired):\n" (List.length alerts);
+    List.iter
+      (fun a ->
+        Printf.bprintf buf "  [%s] %-16s step %-8d %s\n" a.a_severity a.a_rule
+          a.a_step a.a_message)
+      alerts;
+    if torn > 0 then
+      Printf.bprintf buf "  (%d torn alert line%s skipped)\n" torn
+        (if torn = 1 then "" else "s");
+    Buffer.contents buf
 
 (* --- the rule pass --------------------------------------------------------- *)
 

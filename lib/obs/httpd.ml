@@ -26,9 +26,8 @@ type handler = request -> response
 let default_max_body = 1 lsl 20 (* 1 MiB *)
 let max_head = 8192
 
-let response ?(status = 200) ?(content_type = "text/plain; charset=utf-8")
-    ?(headers = []) (body : string) : response =
-  { status; content_type; headers; body }
+let response ?(status = 200) ?(headers = []) (body : string) : response =
+  { status; content_type = "text/plain; charset=utf-8"; headers; body }
 
 let json_response ?(status = 200) ?(headers = []) (j : Json.t) : response =
   { status;

@@ -35,11 +35,9 @@ type handler = request -> response
 val default_max_body : int
 (** 1 MiB — the default bound on a POST body. *)
 
-val response :
-  ?status:int -> ?content_type:string -> ?headers:(string * string) list ->
-  string -> response
-(** Defaults: status 200, content-type [text/plain; charset=utf-8],
-    no extra headers. *)
+val response : ?status:int -> ?headers:(string * string) list -> string -> response
+(** A [text/plain; charset=utf-8] response. Defaults: status 200, no
+    extra headers. *)
 
 val json_response :
   ?status:int -> ?headers:(string * string) list -> Json.t -> response

@@ -1,7 +1,7 @@
-(* Minimal JSON used by the JSONL trace sink and the report aggregator.
-   Only the subset the trace schema needs: objects, arrays, strings,
-   ints, floats, bools, null. No external dependency, so the obs layer
-   stays installable in the sealed container. *)
+(* Minimal JSON used by the trace sink, the run ledger and the serve
+   daemon: objects, arrays, strings, ints, floats, bools, null, and the
+   total decoders every ledger reader is written over. No external
+   dependency. *)
 
 type t =
   | Null
@@ -207,3 +207,40 @@ let member (key : string) (j : t) : t option =
   match j with
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
+
+(* --- total decoding ---------------------------------------------------- *)
+
+(* The one way a ledger reader turns a parsed document into values: each
+   decoder raises [Decode] on a missing field or a value of the wrong
+   shape, and [decode] maps that to [None], so a reader is total without
+   an option match per field. A reader decodes every array the document
+   holds and checks the lengths against each other before it allocates a
+   table from a size the document declares. *)
+
+exception Decode
+
+let decode (f : t -> 'a) (j : t) : 'a option =
+  match f j with v -> Some v | exception Decode -> None
+
+let field (key : string) (j : t) : t =
+  match member key j with Some v -> v | None -> raise Decode
+
+let int : t -> int = function
+  | Int i -> i
+  | Float f when Float.is_integer f && Float.abs f < 0x1p62 -> int_of_float f
+  | _ -> raise Decode
+
+(* [write] emits every non-finite float as null; read it back as nan *)
+let float : t -> float = function
+  | Float f -> f
+  | Int i -> float_of_int i
+  | Null -> Float.nan
+  | _ -> raise Decode
+
+let string : t -> string = function Str s -> s | _ -> raise Decode
+
+let list (f : t -> 'a) : t -> 'a list = function
+  | Arr xs -> List.map f xs
+  | _ -> raise Decode
+
+let array (f : t -> 'a) (j : t) : 'a array = Array.of_list (list f j)

@@ -24,11 +24,7 @@ type action_row = {
 (* Lines that are not JSON or not an event are skipped and counted
    alike: a killed run tears its last line. *)
 let read_trace (path : string) : Event.t list * int =
-  Runlog.read_jsonl
-    (fun j -> match Event.of_json j with
-       | e -> Some e
-       | exception Invalid_argument _ -> None)
-    path
+  Runlog.read_jsonl (Json.decode Event.of_json) path
 
 (* fold rows into a table keyed by [key], then sort by cum desc *)
 let group_fold (type k) (key : Event.t -> k option)

@@ -61,25 +61,16 @@ let append_jsonl_line (oc : out_channel) (j : Json.t) : unit =
 let str (key : string) (j : Json.t) : string option =
   match Json.member key j with Some (Json.Str s) -> Some s | _ -> None
 
-let num (key : string) (j : Json.t) : float option =
-  match Json.member key j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let field (key : string) (j : Json.t) : Json.t option = Json.member key j
 
-(* nested lookup: [path ["result"; "final_mean_reward"] manifest] *)
-let rec path (keys : string list) (j : Json.t) : Json.t option =
-  match keys with
-  | [] -> Some j
-  | k :: rest -> Option.bind (Json.member k j) (path rest)
-
+(* nested lookup: [path_num ["result"; "final_mean_reward"] manifest] *)
 let path_num (keys : string list) (j : Json.t) : float option =
-  match path keys j with
+  match List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) keys with
   | Some (Json.Float f) -> Some f
   | Some (Json.Int i) -> Some (float_of_int i)
   | _ -> None
+
+let num (key : string) (j : Json.t) : float option = path_num [ key ] j
 
 (* --- progress-record schema ----------------------------------------------- *)
 

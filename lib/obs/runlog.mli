@@ -25,11 +25,9 @@ val num : string -> Json.t -> float option
 
 val field : string -> Json.t -> Json.t option
 
-val path : string list -> Json.t -> Json.t option
-(** Nested object lookup, e.g.
-    [path ["result"; "final_mean_reward"] manifest]. *)
-
 val path_num : string list -> Json.t -> float option
+(** A number at a nested object path, e.g.
+    [path_num ["result"; "final_mean_reward"] manifest]. *)
 
 val tick_record :
   ?q_mean:float -> ?q_max:float ->

@@ -5,11 +5,11 @@ type t = {
   close : unit -> unit;
 }
 
-let memory ?(capacity = 4096) () : t * (unit -> Event.t list) =
+let memory () : t * (unit -> Event.t list) =
   let q : Event.t Queue.t = Queue.create () in
   let emit e =
     Queue.add e q;
-    if Queue.length q > capacity then ignore (Queue.pop q)
+    if Queue.length q > 4096 then ignore (Queue.pop q)
   in
   ({ emit; close = ignore }, fun () -> List.of_seq (Queue.to_seq q))
 

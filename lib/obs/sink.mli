@@ -9,8 +9,8 @@ type t = {
   close : unit -> unit;  (** flush and release resources; idempotent use is the caller's job *)
 }
 
-val memory : ?capacity:int -> unit -> t * (unit -> Event.t list)
-(** Ring buffer keeping the last [capacity] events (default 4096).
+val memory : unit -> t * (unit -> Event.t list)
+(** Ring buffer keeping the last 4096 events.
     The second component returns the retained events oldest-first. *)
 
 val jsonl : ?flush_every:int -> string -> t

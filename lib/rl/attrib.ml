@@ -15,6 +15,7 @@
    `posetrl explain`) stay silent. *)
 
 module Obs = Posetrl_obs
+module Tbl = Posetrl_support.Table
 
 type cell = {
   mutable count : int;
@@ -29,6 +30,7 @@ type t = {
   max_pos : int;
   cells : cell array;
   mutable steps : int;
+  labels : string array;   (* per-action pass list as attrib.json stores it *)
   metrics : (Obs.Metrics.counter * Obs.Metrics.gauge) array option;
   (* per-action (posetrl.attrib.count, posetrl.attrib.reward_total) *)
 }
@@ -56,6 +58,7 @@ let create ?registry ~(n_actions : int) ~(max_pos : int) () : t =
     max_pos;
     cells = Array.init n_actions (fun _ -> fresh_cell max_pos);
     steps = 0;
+    labels = Array.make n_actions "";
     metrics }
 
 let n_actions (t : t) = t.n_actions
@@ -104,7 +107,7 @@ let top_position (t : t) (a : int) : int option =
   end
 
 (* exact structural equality — the determinism/recompute contract is
-   float-for-float, not approximate *)
+   float-for-float, not approximate; the labels are not part of the fold *)
 let equal (a : t) (b : t) : bool =
   a.n_actions = b.n_actions && a.max_pos = b.max_pos && a.steps = b.steps
   && Array.for_all2
@@ -118,7 +121,8 @@ let equal (a : t) (b : t) : bool =
 
 (* --- persistence (attrib.json) ------------------------------------------- *)
 
-let to_json ?(labels = fun (_ : int) -> "") (t : t) : Obs.Json.t =
+let to_json ?labels (t : t) : Obs.Json.t =
+  let label = Option.value labels ~default:(Array.get t.labels) in
   let open Obs.Json in
   Obj
     [ ("kind", Str "attrib");
@@ -131,7 +135,7 @@ let to_json ?(labels = fun (_ : int) -> "") (t : t) : Obs.Json.t =
               let c = t.cells.(a) in
               Obj
                 [ ("action", Int a);
-                  ("passes", Str (labels a));
+                  ("passes", Str (label a));
                   ("count", Int c.count);
                   ("reward_total", Float c.total_reward);
                   ("reward_mean", Float (mean_reward t a));
@@ -141,53 +145,106 @@ let to_json ?(labels = fun (_ : int) -> "") (t : t) : Obs.Json.t =
                    Arr (Array.to_list (Array.map (fun n -> Int n) c.positions)))
                 ]))) ]
 
-(* Robust reader: anything structurally off yields [None], never an
-   exception — attrib.json is ledger data and may be torn or from a
-   different version. *)
-let of_json (doc : Obs.Json.t) : t option =
+(* Total reader: attrib.json is ledger data and may be torn or from
+   another version. Every entry is decoded and its positions checked
+   against [max_pos] before the table exists, so a size the document
+   declares but does not hold allocates nothing. *)
+let of_json : Obs.Json.t -> t option =
   let open Obs.Json in
-  let int_of = function Int i -> Some i | Float f -> Some (int_of_float f) | _ -> None in
-  let float_of = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None in
-  let member k j = Obs.Runlog.field k j in
-  match
-    ( Obs.Runlog.str "kind" doc,
-      Option.bind (member "n_actions" doc) int_of,
-      Option.bind (member "max_pos" doc) int_of,
-      Option.bind (member "steps" doc) int_of,
-      member "actions" doc )
-  with
-  | Some "attrib", Some n_actions, Some max_pos, Some steps, Some (Arr actions)
-    when n_actions > 0 && max_pos > 0 && List.length actions = n_actions -> (
-    let t = create ~n_actions ~max_pos () in
-    t.steps <- steps;
-    let ok = ref true in
-    List.iter
-      (fun entry ->
-        match
-          ( Option.bind (member "action" entry) int_of,
-            Option.bind (member "count" entry) int_of,
-            Option.bind (member "reward_total" entry) float_of,
-            Option.bind (member "r_binsize_total" entry) float_of,
-            Option.bind (member "r_throughput_total" entry) float_of,
-            member "positions" entry )
-        with
-        | Some a, Some count, Some rt, Some rb, Some rth, Some (Arr ps)
-          when a >= 0 && a < n_actions && List.length ps = max_pos ->
-          let c = t.cells.(a) in
-          c.count <- count;
-          c.total_reward <- rt;
-          c.total_binsize <- rb;
-          c.total_throughput <- rth;
-          List.iteri
-            (fun p v ->
-              match int_of v with
-              | Some n -> c.positions.(p) <- n
-              | None -> ok := false)
-            ps
-        | _ -> ok := false)
-      actions;
-    if !ok then Some t else None)
-  | _ -> None
+  decode (fun doc ->
+      let max_pos = int (field "max_pos" doc) in
+      let entry a e =
+        let positions = array int (field "positions" e) in
+        if int (field "action" e) <> a || Array.length positions <> max_pos then
+          raise Decode;
+        ( string (field "passes" e),
+          { count = int (field "count" e);
+            total_reward = float (field "reward_total" e);
+            total_binsize = float (field "r_binsize_total" e);
+            total_throughput = float (field "r_throughput_total" e);
+            positions } )
+      in
+      let entries =
+        Array.of_list (List.mapi entry (list Fun.id (field "actions" doc)))
+      in
+      let n_actions = Array.length entries in
+      if string (field "kind" doc) <> "attrib" || max_pos <= 0 || n_actions = 0
+         || int (field "n_actions" doc) <> n_actions
+      then raise Decode;
+      { n_actions;
+        max_pos;
+        cells = Array.map snd entries;
+        steps = int (field "steps" doc);
+        labels = Array.map fst entries;
+        metrics = None })
+
+(* --- rendering (posetrl explain, posetrl runs compare --attrib) ------------ *)
+
+(* The attribution table of `posetrl explain`: the [top] selected actions
+   by total reward, with their reward split, most frequent schedule
+   position and pass labels. *)
+let render ~(top : int) (t : t) : string =
+  let taken =
+    List.init t.n_actions Fun.id
+    |> List.filter (fun a -> count t a > 0)
+    |> List.sort (fun a b -> compare (total_reward t b) (total_reward t a))
+  in
+  let tbl =
+    Tbl.create ~title:"reward attribution (attrib.json)"
+      ~headers:[ "action"; "count"; "reward"; "mean"; "binsize"; "throughput";
+                 "top pos"; "passes" ]
+      ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
+                Tbl.Right; Tbl.Right; Tbl.Left ]
+      ()
+  in
+  List.iteri
+    (fun i a ->
+      if i < top then
+        Tbl.add_row tbl
+          [ string_of_int a;
+            string_of_int (count t a);
+            Printf.sprintf "%.3f" (total_reward t a);
+            Printf.sprintf "%.3f" (mean_reward t a);
+            Printf.sprintf "%.3f" (total_binsize t a);
+            Printf.sprintf "%.3f" (total_throughput t a);
+            Option.fold ~none:"-" ~some:string_of_int (top_position t a);
+            t.labels.(a) ])
+    taken;
+  let hidden = List.length taken - top in
+  Printf.sprintf "\nper-action reward attribution (%d steps):\n%s%s" t.steps
+    (Tbl.render tbl)
+    (if hidden > 0 then
+       Printf.sprintf "  (%d more actions with selections not shown)\n" hidden
+     else "")
+
+(* `posetrl runs compare --attrib`: the 15 actions whose total reward moved
+   most between two runs. Informational: a shift explains a reward delta,
+   it does not gate it. *)
+let render_shift ~(base : t option) ~(cand : t option) : string =
+  match base, cand with
+  | None, _ | _, None ->
+    "attribution: no data on at least one side (pre-attribution run or \
+     unreadable attrib.json)\n"
+  | Some b, Some c ->
+    let shift a = total_reward c a -. total_reward b a in
+    let tbl =
+      Tbl.create ~title:"per-action reward attribution (base vs candidate)"
+        ~headers:[ "action"; "count b/c"; "reward base"; "reward cand"; "shift" ]
+        ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
+        ()
+    in
+    List.init (min b.n_actions c.n_actions) Fun.id
+    |> List.filter (fun a -> count b a > 0 || count c a > 0)
+    |> List.sort (fun x y -> compare (Float.abs (shift y)) (Float.abs (shift x)))
+    |> List.iteri (fun i a ->
+           if i < 15 then
+             Tbl.add_row tbl
+               [ string_of_int a;
+                 Printf.sprintf "%d/%d" (count b a) (count c a);
+                 Printf.sprintf "%.3f" (total_reward b a);
+                 Printf.sprintf "%.3f" (total_reward c a);
+                 Printf.sprintf "%+.3f" (shift a) ]);
+    Tbl.render tbl
 
 (* --- brute-force recompute from the run ledger ---------------------------- *)
 

@@ -51,7 +51,6 @@ type t = {
   engine : Engine.t;
   telemetry : Httpd.handler;
   queue_cap : int;
-  retry_after_s : int;
   mutable requests : int;
   mutable optimize_requests : int;
   mutable rejected : int;
@@ -66,10 +65,9 @@ type t = {
 let default_queue_cap = 64
 let lat_window = 4096
 
-let create ?(backlog = 64) ?(max_body = Httpd.default_max_body)
-    ?(queue_cap = default_queue_cap) ?(retry_after_s = 1)
-    ?(telemetry : Httpd.handler option) ~(port : int) ~(engine : Engine.t) () :
-    t =
+let create ?(max_body = Httpd.default_max_body)
+    ?(queue_cap = default_queue_cap) ?(telemetry : Httpd.handler option)
+    ~(port : int) ~(engine : Engine.t) () : t =
   let telemetry =
     match telemetry with
     | Some h -> h
@@ -82,7 +80,7 @@ let create ?(backlog = 64) ?(max_body = Httpd.default_max_body)
   (* the daemon never dispatches through a handler — pump owns routing —
      but Httpd.create requires one; anything reaching it is a bug *)
   let httpd =
-    Httpd.create ~backlog ~max_body ~port
+    Httpd.create ~backlog:64 ~max_body ~port
       ~handler:(fun _ -> Httpd.error_response 500 "unreachable")
       ()
   in
@@ -90,7 +88,6 @@ let create ?(backlog = 64) ?(max_body = Httpd.default_max_body)
     engine;
     telemetry;
     queue_cap = max 1 queue_cap;
-    retry_after_s = max 1 retry_after_s;
     requests = 0;
     optimize_requests = 0;
     rejected = 0;
@@ -166,7 +163,7 @@ let too_busy (t : t) : Httpd.response =
   Obs.Metrics.inc m_rejected_queue;
   t.rejected <- t.rejected + 1;
   Httpd.error_response
-    ~headers:[ ("Retry-After", string_of_int t.retry_after_s) ]
+    ~headers:[ ("Retry-After", "1") ]
     429 "optimization queue full, retry later"
 
 (* Parse an /optimize/batch body: a JSON array of MiniIR texts, or an
@@ -174,23 +171,15 @@ let too_busy (t : t) : Httpd.response =
 let batch_texts (body : string) : (string list, string) result =
   match Obs.Json.of_string body with
   | exception Obs.Json.Parse_error msg -> Error ("invalid JSON body: " ^ msg)
-  | doc ->
-    let arr =
-      match doc with
-      | Obs.Json.Arr _ -> Some doc
-      | _ -> Obs.Json.member "modules" doc
+  | doc -> (
+    let items =
+      match doc with Obs.Json.Arr _ -> Some doc | _ -> Obs.Json.member "modules" doc
     in
-    (match arr with
-     | Some (Obs.Json.Arr items) ->
-       let texts =
-         List.filter_map
-           (function Obs.Json.Str s -> Some s | _ -> None)
-           items
-       in
-       if List.length texts <> List.length items then
-         Error "every batch entry must be a MiniIR text string"
-       else Ok texts
-     | _ -> Error "expected a JSON array of MiniIR texts (or {\"modules\": [...]})")
+    match items with
+    | Some (Obs.Json.Arr _ as items) ->
+      Option.to_result ~none:"every batch entry must be a MiniIR text string"
+        Obs.Json.(decode (list string) items)
+    | _ -> Error "expected a JSON array of MiniIR texts (or {\"modules\": [...]})")
 
 let items_of_batch (t : t) (texts : string list) : item list =
   List.map

@@ -22,10 +22,8 @@ val default_queue_cap : int
 (** 64 queued cache-misses per pump. *)
 
 val create :
-  ?backlog:int ->
   ?max_body:int ->
   ?queue_cap:int ->
-  ?retry_after_s:int ->
   ?telemetry:Posetrl_obs.Httpd.handler ->
   port:int ->
   engine:Engine.t ->

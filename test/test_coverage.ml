@@ -120,6 +120,17 @@ let test_json_roundtrip_exact () =
     Alcotest.(check int) "sketch occupancy preserved" (Cov.sketch_occupied t)
       (Cov.sketch_occupied t')
 
+(* [tiny_table]'s coverage.json with one field rewritten at [path] *)
+let tiny_doc_with (path : string list) (v : Obs.Json.t) : Obs.Json.t =
+  let rec set path (j : Obs.Json.t) =
+    match path, j with
+    | [], _ -> v
+    | k :: rest, Obs.Json.Obj kvs ->
+      Obs.Json.Obj (List.map (fun (k', x) -> (k', if k' = k then set rest x else x)) kvs)
+    | _ -> j
+  in
+  set path (Cov.to_json (tiny_table ()))
+
 let test_of_json_robust () =
   let bad =
     [ Obs.Json.Str "x";
@@ -142,12 +153,122 @@ let test_of_json_robust () =
                          Obs.Json.Arr [ Obs.Json.Arr [ Obs.Json.Int 0 ] ]) ] )
                 | kv -> kv)
               fields)
-       | j -> j) ]
+       | j -> j);
+      (* every length consistent, one edge endpoint out of range *)
+      tiny_doc_with [ "universe"; "edges" ]
+        (Obs.Json.Arr
+           (List.map
+              (fun (u, v) -> Obs.Json.Arr [ Obs.Json.Int u; Obs.Json.Int v ])
+              [ (0, 1); (1, 2); (2, 9) ])) ]
   in
   List.iter
     (fun doc ->
       Alcotest.(check bool) "malformed doc is None" true (Cov.of_json doc = None))
     bad
+
+let read_bounded ~what doc =
+  let text = Obs.Json.to_string doc in
+  let read, bytes =
+    Testutil.allocated (fun () -> Cov.of_json (Obs.Json.of_string text))
+  in
+  if bytes >= 16e6 then Alcotest.failf "%s: reading allocated %.0f bytes" what bytes;
+  read
+
+(* 3,000 empty action paths declare a 3,000² transition matrix the
+   document does not hold: rejected without allocating it *)
+let test_of_json_bounded_paths () =
+  let doc =
+    tiny_doc_with [ "universe"; "action_paths" ]
+      (Obs.Json.Arr (List.init 3000 (fun _ -> Obs.Json.Arr [])))
+  in
+  Alcotest.(check bool) "invalid, as before" true
+    (read_bounded ~what:"3,000 empty paths" doc = None)
+
+(* a valid table whose sketch projection would be 6 × 2,000,000: a
+   loaded table never uses the projection, so reading never builds it *)
+let test_of_json_lazy_projection () =
+  let doc = tiny_doc_with [ "sketch"; "state_dim" ] (Obs.Json.Int 2_000_000) in
+  match read_bounded ~what:"state_dim 2,000,000" doc with
+  | Some t -> Alcotest.(check bool) "valid, as before" true (Cov.equal t (tiny_table ()))
+  | None -> Alcotest.fail "a valid table read as invalid"
+
+let test_render_golden () =
+  let base = tiny_table () in
+  Cov.sample base ~step:3;
+  let cand = tiny_table () in
+  Cov.observe cand ~action:1 ~pos:1 ~reward:0.5 ~r_binsize:0.5 ~r_throughput:0.0;
+  Alcotest.(check string) "coverage body" {|
+decision-space coverage (3 steps, 2 episodes):
+  ODG edges visited   3/3 (100.0%)
+  ODG nodes visited   4/4
+  action entropy      1.585 bits (max 1.585 over 3 actions)
+  state sketch        0/64 buckets occupied
+== hottest ODG edges (coverage.json) ==
+| edge   | visits | mean r | mean binsize | mean throughput |
+|--------|--------|--------|--------------|-----------------|
+| a -> b |      1 |  1.000 |        0.500 |           0.250 |
+| b -> c |      1 |  2.000 |        1.000 |           0.500 |
+== top action transitions ==
+| from | to | count |
+|------|----|-------|
+|    0 |  1 |     1 |
+|} (Cov.render ~top:2 base);
+  Alcotest.(check string) "no visited edges"
+    {|
+decision-space coverage (0 steps, 0 episodes):
+  ODG edges visited   0/3 (0.0%)
+  ODG nodes visited   0/4
+  action entropy      0.000 bits (max 1.585 over 3 actions)
+  state sketch        0/64 buckets occupied
+no visited edges
+|}
+    (Cov.render ~top:2 (Cov.create tiny_universe));
+  Alcotest.(check string) "compare --coverage"
+    {|coverage: edges 100.0% -> 100.0% (+0.0 pts)  entropy 1.585 -> 1.500 bits (-0.085)  nodes 4 -> 4
+|}
+    (Cov.render_shift ~base:(Some base) ~cand:(Some cand));
+  Alcotest.(check string) "one side without data"
+    {|coverage: no data on at least one side (pre-coverage run or unreadable coverage.json)
+|}
+    (Cov.render_shift ~base:(Some base) ~cand:None)
+
+(* a streamed table over a random universe: random steps, embeddings and
+   samples *)
+let gen_coverage =
+  QCheck2.Gen.(
+    let* n_nodes = int_range 1 5 in
+    let node = int_bound (n_nodes - 1) in
+    let* edges = array_size (int_range 0 6) (pair node node)
+    and* action_paths = array_size (int_range 1 4) (array_size (int_range 0 3) node) in
+    let reward = frequency [ (9, float_range (-1e3) 1e3); (1, return Float.nan) ] in
+    let+ steps =
+      list_size (int_range 0 25)
+        (tup4 (int_bound (Array.length action_paths - 1)) (int_range 0 3) reward
+           (pair (array_size (int_range 0 4) (float_range (-1.0) 1.0)) bool))
+    in
+    let t =
+      Cov.create
+        { Cov.nodes = Array.init n_nodes (Printf.sprintf "n%d"); edges; action_paths }
+    in
+    List.iteri
+      (fun i (action, pos, reward, (state, tick)) ->
+        Cov.observe_state t state;
+        Cov.observe t ~action ~pos ~reward ~r_binsize:(reward /. 2.0)
+          ~r_throughput:(-.reward);
+        if tick then Cov.sample t ~step:i)
+      steps;
+    t)
+
+let prop_reader =
+  QCheck2.Test.make ~count:300
+    ~name:"coverage.json reads back equal, and is total under one mutation"
+    QCheck2.Gen.(pair gen_coverage int)
+    (fun (t, seed) ->
+      let doc = Cov.to_json t in
+      (match Cov.of_json (Testutil.reread doc) with
+       | Some t' -> Cov.equal t t' && Cov.sketch_buckets t = Cov.sketch_buckets t'
+       | None -> false)
+      && Testutil.total_under_mutation Cov.of_json doc seed)
 
 let rec rm_rf (path : string) : unit =
   if Sys.file_exists path then
@@ -299,6 +420,12 @@ let suite =
       test_json_roundtrip_exact;
     Alcotest.test_case "coverage reader rejects malformed docs" `Quick
       test_of_json_robust;
+    Alcotest.test_case "coverage reader allocates only what the doc holds"
+      `Quick test_of_json_bounded_paths;
+    Alcotest.test_case "coverage reader never builds the projection" `Quick
+      test_of_json_lazy_projection;
+    Alcotest.test_case "coverage renderers golden" `Quick test_render_golden;
+    QCheck_alcotest.to_alcotest prop_reader;
     Alcotest.test_case "run ledger coverage.json read/write hardened" `Quick
       test_run_coverage_file;
     Alcotest.test_case "heat dot export" `Quick test_to_dot_heat;

@@ -234,6 +234,135 @@ let test_attrib_of_json_robust () =
         (Rl.Attrib.of_json doc = None))
     bad
 
+(* --- attribution: the bounded reader and the renderers ------------------------ *)
+
+(* attrib.json declaring max_pos 4,000,000 over two actions whose
+   position arrays hold one entry each: the reader must reject it
+   without allocating the 64 MB of position cells the header declares *)
+let test_attrib_of_json_bounded () =
+  let entry a =
+    Obs.Json.Obj
+      [ ("action", Obs.Json.Int a); ("passes", Obs.Json.Str "");
+        ("count", Obs.Json.Int 1); ("reward_total", Obs.Json.Float 1.0);
+        ("reward_mean", Obs.Json.Float 1.0);
+        ("r_binsize_total", Obs.Json.Float 0.5);
+        ("r_throughput_total", Obs.Json.Float 0.5);
+        ("positions", Obs.Json.Arr [ Obs.Json.Int 1 ]) ]
+  in
+  let text =
+    Obs.Json.to_string
+      (Obs.Json.Obj
+         [ ("kind", Obs.Json.Str "attrib"); ("n_actions", Obs.Json.Int 2);
+           ("max_pos", Obs.Json.Int 4_000_000); ("steps", Obs.Json.Int 2);
+           ("actions", Obs.Json.Arr [ entry 0; entry 1 ]) ])
+  in
+  let read, bytes =
+    Testutil.allocated (fun () -> Rl.Attrib.of_json (Obs.Json.of_string text))
+  in
+  Alcotest.(check bool) "invalid, as before" true (read = None);
+  if bytes >= 16e6 then Alcotest.failf "reading allocated %.0f bytes" bytes
+
+(* four actions (action 1 never taken), labels as attrib.json stores them *)
+let attrib_fixture extra =
+  let t = Rl.Attrib.create ~n_actions:4 ~max_pos:3 () in
+  List.iter
+    (fun (action, pos, reward) ->
+      Rl.Attrib.observe t ~action ~pos ~reward ~r_binsize:(reward /. 4.0)
+        ~r_throughput:(reward /. 8.0))
+    ([ (2, 0, 1.5); (2, 1, 0.5); (0, 2, -1.0); (3, 1, 3.0) ] @ extra);
+  Option.get
+    (Rl.Attrib.of_json
+       (Rl.Attrib.to_json ~labels:(fun a -> Printf.sprintf "pass%d,dce" a) t))
+
+let test_attrib_render_golden () =
+  let base = attrib_fixture [] in
+  let cand = attrib_fixture [ (0, 0, 4.0); (1, 5, -0.25) ] in
+  Alcotest.(check string) "explain table"
+    {|
+per-action reward attribution (4 steps):
+== reward attribution (attrib.json) ==
+| action | count | reward |  mean | binsize | throughput | top pos | passes    |
+|--------|-------|--------|-------|---------|------------|---------|-----------|
+|      3 |     1 |  3.000 | 3.000 |   0.750 |      0.375 |       1 | pass3,dce |
+|      2 |     2 |  2.000 | 1.000 |   0.500 |      0.250 |       0 | pass2,dce |
+  (1 more actions with selections not shown)
+|}
+    (Rl.Attrib.render ~top:2 base);
+  Alcotest.(check string) "compare --attrib"
+    {|== per-action reward attribution (base vs candidate) ==
+| action | count b/c | reward base | reward cand |  shift |
+|--------|-----------|-------------|-------------|--------|
+|      0 |       1/2 |      -1.000 |       3.000 | +4.000 |
+|      1 |       0/1 |       0.000 |      -0.250 | -0.250 |
+|      2 |       2/2 |       2.000 |       2.000 | +0.000 |
+|      3 |       1/1 |       3.000 |       3.000 | +0.000 |
+|}
+    (Rl.Attrib.render_shift ~base:(Some base) ~cand:(Some cand));
+  Alcotest.(check string) "one side without data"
+    {|attribution: no data on at least one side (pre-attribution run or unreadable attrib.json)
+|}
+    (Rl.Attrib.render_shift ~base:None ~cand:(Some cand))
+
+let gen_reward =
+  QCheck2.Gen.(frequency [ (9, float_range (-1e3) 1e3); (1, return Float.nan) ])
+
+(* a streamed table (random observations, any position: clamped) and
+   its attrib.json under random labels *)
+let gen_attrib =
+  QCheck2.Gen.(
+    let* n_actions = int_range 1 5 and* max_pos = int_range 1 4 in
+    let+ steps =
+      list_size (int_range 0 30)
+        (triple (int_bound (n_actions - 1)) (int_range (-1) 6)
+           (pair gen_reward gen_reward))
+    and+ labels =
+      array_size (return n_actions) (string_size ~gen:printable (int_range 0 8))
+    in
+    let t = Rl.Attrib.create ~n_actions ~max_pos () in
+    List.iter
+      (fun (action, pos, (reward, r_binsize)) ->
+        Rl.Attrib.observe t ~action ~pos ~reward ~r_binsize
+          ~r_throughput:(reward -. r_binsize))
+      steps;
+    (t, Rl.Attrib.to_json ~labels:(Array.get labels) t))
+
+let prop_attrib_reader =
+  QCheck2.Test.make ~count:300
+    ~name:"attrib.json reads back equal, and is total under one mutation"
+    QCheck2.Gen.(pair gen_attrib int)
+    (fun ((t, doc), seed) ->
+      (match Rl.Attrib.of_json (Testutil.reread doc) with
+       | Some t' ->
+         (* the labels too: the document writes back byte for byte *)
+         Rl.Attrib.equal t t'
+         && Obs.Json.to_string (Rl.Attrib.to_json t') = Obs.Json.to_string doc
+       | None -> false)
+      && Testutil.total_under_mutation Rl.Attrib.of_json doc seed)
+
+let gen_alert =
+  QCheck2.Gen.(
+    let+ a_rule = oneofl H.rules
+    and+ a_step = int_range 0 1_000_000
+    and+ a_severity = oneofl [ "error"; "warn" ]
+    and+ a_message = string_size ~gen:printable (int_range 0 30)
+    and+ a_value =
+      frequency
+        [ (6, float);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]) ]
+    in
+    { H.a_rule; a_step; a_severity; a_message; a_value })
+
+let prop_alert_reader =
+  QCheck2.Test.make ~count:300
+    ~name:"alert records read back equal, and are total under one mutation"
+    QCheck2.Gen.(pair gen_alert int)
+    (fun (a, seed) ->
+      let doc = H.alert_to_json a in
+      (match H.alert_of_json (Testutil.reread doc) with
+       | Some b -> compare a b = 0 (* compare: nan equals nan *)
+       | None -> false)
+      && Testutil.total_under_mutation H.alert_of_json doc seed)
+
 (* --- attribution: streaming = recompute (the determinism property) ----------- *)
 
 let tiny_hp =
@@ -307,4 +436,9 @@ let suite =
       test_attrib_json_roundtrip;
     Alcotest.test_case "attrib reader rejects malformed docs" `Quick
       test_attrib_of_json_robust;
+    Alcotest.test_case "attrib reader allocates only what the doc holds"
+      `Quick test_attrib_of_json_bounded;
+    Alcotest.test_case "attrib renderers golden" `Quick test_attrib_render_golden;
+    QCheck_alcotest.to_alcotest prop_attrib_reader;
+    QCheck_alcotest.to_alcotest prop_alert_reader;
     QCheck_alcotest.to_alcotest prop_streaming_eq_recompute ]

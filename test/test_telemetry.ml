@@ -505,9 +505,8 @@ let test_dashboard_alerts_row () =
     (contains (render (Some [])) "alerts none");
   (* fired alerts render as red rows, newest kept under the cap *)
   let alert step =
-    Obs.Health.alert_to_json
-      { Obs.Health.a_rule = "reward_collapse"; a_step = step;
-        a_severity = "warn"; a_message = "collapse"; a_value = 1.0 }
+    { Obs.Health.a_rule = "reward_collapse"; a_step = step;
+      a_severity = "warn"; a_message = "collapse"; a_value = 1.0 }
   in
   let one = render (Some [ alert 400 ]) in
   Alcotest.(check bool) "count row" true (contains one "1 fired");
@@ -544,6 +543,55 @@ let test_dashboard_coverage_row () =
   Alcotest.(check bool) "entropy rendered" true (contains frame "0.00 bits");
   Alcotest.(check bool) "node fraction rendered" true
     (contains frame "nodes 2/3")
+
+(* episode records with their per-step reward split, as the trainer
+   writes them *)
+let episode ~episode ~reward actions =
+  Runlog.episode_record ~actions
+    ~step_rewards:(List.mapi (fun i a -> (float_of_int (a - i), 0.5, 0.25)) actions)
+    ~episode ~step:(10 * episode) ~reward ~r_binsize:0.0 ~r_throughput:0.0
+    ~size_gain_pct:0.0 ~thru_gain_pct:0.0 ~epsilon:1.0 ~loss:0.0 ()
+
+let test_dashboard_explain_golden () =
+  let records =
+    [ episode ~episode:1 ~reward:2.5 [ 0; 0; 0; 0 ];
+      Runlog.tick_record ~step:20 ~episode:2 ~epsilon:0.9 ~mean_reward:1.0
+        ~mean_size_gain:0.0 ~r_binsize:0.0 ~r_throughput:0.0 ~loss:0.0 ();
+      episode ~episode:2 ~reward:(-1.0) [ 0; 0; 0; 1 ];
+      episode ~episode:3 ~reward:7.25 (List.init 10 (fun _ -> 2));
+      episode ~episode:4 ~reward:0.0 [ 2 ] ]
+  in
+  Alcotest.(check string) "top schedules"
+    {|
+top 2 schedules by episode reward:
+  #1  episode 3  reward    7.250  seq 2->2->2->2->2->2->2->2->2->2
+        pos 0  action 2   r    2.000  (binsize    0.500  throughput    0.250)
+        pos 1  action 2   r    1.000  (binsize    0.500  throughput    0.250)
+        pos 2  action 2   r    0.000  (binsize    0.500  throughput    0.250)
+        pos 3  action 2   r   -1.000  (binsize    0.500  throughput    0.250)
+        pos 4  action 2   r   -2.000  (binsize    0.500  throughput    0.250)
+        pos 5  action 2   r   -3.000  (binsize    0.500  throughput    0.250)
+        pos 6  action 2   r   -4.000  (binsize    0.500  throughput    0.250)
+        pos 7  action 2   r   -5.000  (binsize    0.500  throughput    0.250)
+        pos 8  action 2   r   -6.000  (binsize    0.500  throughput    0.250)
+        pos 9  action 2   r   -7.000  (binsize    0.500  throughput    0.250)
+  #2  episode 1  reward    2.500  seq 0->0->0->0
+        pos 0  action 0   r    0.000  (binsize    0.500  throughput    0.250)
+        pos 1  action 0   r   -1.000  (binsize    0.500  throughput    0.250)
+        pos 2  action 0   r   -2.000  (binsize    0.500  throughput    0.250)
+        pos 3  action 0   r   -3.000  (binsize    0.500  throughput    0.250)
+|}
+    (Obs.Dashboard.schedules ~k:2 records);
+  Alcotest.(check string) "drift timeline"
+    {|
+action-distribution drift (KL vs previous window):
+  episodes    1-1     KL 0.0705
+  episodes    2-2     KL 1.2500  << drift
+  episodes    3-3     KL 0.3263
+|}
+    (Obs.Dashboard.drift records);
+  Alcotest.(check string) "one window: no timeline" ""
+    (Obs.Dashboard.drift [ episode ~episode:1 ~reward:1.0 [ 3 ] ])
 
 (* --- progress-record diagnostics fields ----------------------------------------- *)
 
@@ -590,6 +638,8 @@ let suite =
     Alcotest.test_case "action histogram" `Quick test_action_histogram;
     Alcotest.test_case "dashboard render" `Quick test_dashboard_render;
     Alcotest.test_case "dashboard alerts row" `Quick test_dashboard_alerts_row;
+    Alcotest.test_case "explain schedules and drift golden" `Quick
+      test_dashboard_explain_golden;
     Alcotest.test_case "dashboard coverage row" `Quick
       test_dashboard_coverage_row;
     Alcotest.test_case "record diagnostics" `Quick test_record_diagnostic_fields ]

@@ -77,3 +77,47 @@ let ret_of (m : Modul.t) : string =
   match observe m with
   | Ok (r, _) -> r
   | Error e -> Alcotest.fail ("program trapped: " ^ e)
+
+(* --- ledger readers ------------------------------------------------------- *)
+
+module Json = Posetrl_obs.Json
+
+(* A document through the printer and the parser: what a reader sees on
+   disk. *)
+let reread (j : Json.t) : Json.t = Json.of_string (Json.to_string j)
+
+(* [f ()] and the bytes allocated while it ran. *)
+let allocated (f : unit -> 'a) : 'a * float =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+(* One random structural mutation: descend to a random node, then drop
+   one of its fields, shorten or lengthen it (an array), or replace it
+   with a value of another type. *)
+let rec mutate_json (st : Random.State.t) (j : Json.t) : Json.t =
+  let pick n = Random.State.int st n in
+  let at i f xs = List.mapi (fun k x -> if k = i then f x else x) xs in
+  match j with
+  | Json.Obj kvs when kvs <> [] && pick 3 > 0 ->
+    Json.Obj (at (pick (List.length kvs)) (fun (k, v) -> (k, mutate_json st v)) kvs)
+  | Json.Arr xs when xs <> [] && pick 3 > 0 ->
+    Json.Arr (at (pick (List.length xs)) (mutate_json st) xs)
+  | Json.Obj kvs when kvs <> [] && pick 2 = 0 ->
+    let i = pick (List.length kvs) in
+    Json.Obj (List.filteri (fun k _ -> k <> i) kvs)
+  | Json.Arr (x :: rest) when pick 2 = 0 ->
+    if pick 2 = 0 then Json.Arr rest else Json.Arr (x :: x :: rest)
+  | Json.Int _ -> Json.Str "0"
+  | Json.Float _ -> Json.Bool true
+  | Json.Str _ -> Json.Int 0
+  | Json.Bool _ | Json.Null -> Json.Arr []
+  | Json.Arr _ -> Json.Obj []
+  | Json.Obj _ -> Json.Float 0.5
+
+(* A reader is total on [doc] under one random mutation per seed: it
+   returns [None] or [Some], and never raises. *)
+let total_under_mutation (reader : Json.t -> 'a option) (doc : Json.t)
+    (seed : int) : bool =
+  match reader (reread (mutate_json (Random.State.make [| seed |]) doc)) with
+  | Some _ | None -> true
