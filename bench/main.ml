@@ -824,7 +824,7 @@ let obs_bench () =
 (* serve: in-process load generator against the optimization daemon         *)
 (* ======================================================================== *)
 
-(* Benches `posetrl serve --opt` end to end — socket in, admission,
+(* Benches `posetrl serve` end to end — socket in, admission,
    policy rollout, JSON out — and writes BENCH_serve.json for the
    bench-regression CI job. Two phases: a *cold* sweep where every
    request is a distinct suite module (all cache misses, fired in

@@ -52,13 +52,12 @@ let target_arg =
   Arg.(value & opt target_conv CG.Target.x86_64 & info [ "target" ]
          ~docv:"TARGET" ~doc:"x86 or aarch64.")
 
+(* The action spaces by name: --space's spellings, and the names a run's
+   manifest records as its "action_space". *)
+let spaces = [ ([ "odg" ], O.Action_space.odg); ([ "manual" ], O.Action_space.manual) ]
+
 let space_arg =
-  Arg.(value
-       & opt
-           (spellings ~what:"action space"
-              [ ([ "odg" ], O.Action_space.odg);
-                ([ "manual" ], O.Action_space.manual) ])
-           O.Action_space.odg
+  Arg.(value & opt (spellings ~what:"action space" spaces) O.Action_space.odg
        & info [ "space" ] ~docv:"SPACE" ~doc:"Action space: odg or manual.")
 
 let sanitize_arg ~(default : A.Sanitize.level) ~(doc : string) =
@@ -235,10 +234,8 @@ let with_telemetry ~(alerts : unit -> Obs.Json.t list)
           ("mean_reward", Float (metric "posetrl.train.mean_reward"));
           ("run", match run_dir with Some d -> Str d | None -> Null) ]
     in
-    let server =
-      Obs.Httpd.create ~port
-        ~handler:(Obs.Httpd.telemetry_handler ~alerts ~coverage ~health ()) ()
-    in
+    let handler = Obs.Httpd.telemetry_handler ~alerts ~coverage ~health () in
+    let server = Obs.Httpd.create ~port () in
     Obs.Console.info
       "telemetry on http://127.0.0.1:%d  (/metrics /healthz /alerts /coverage \
        /runs)\n%!"
@@ -246,14 +243,14 @@ let with_telemetry ~(alerts : unit -> Obs.Json.t list)
     Fun.protect
       ~finally:(fun () -> Obs.Httpd.close server)
       (fun () ->
-        let r = f ~pump:(fun () -> Obs.Httpd.pump server) in
+        let r = f ~pump:(fun () -> Obs.Httpd.pump server handler) in
         status := "done";
         if tm.grace > 0.0 then begin
           Obs.Console.info "%s done; serving final state for %.1fs\n%!" kind
             tm.grace;
           let deadline = Obs.Clock.now () +. tm.grace in
           while Obs.Clock.now () < deadline do
-            Obs.Httpd.pump server;
+            Obs.Httpd.pump server handler;
             Unix.sleepf 0.05
           done
         end;
@@ -505,7 +502,7 @@ let train_cmd =
       let n_alerts = List.length res.C.Trainer.alerts in
       if n_alerts > 0 then
         Obs.Console.info "training-health: %d alert%s fired (see \
-                          alerts.jsonl / `posetrl explain`)\n"
+                          alerts.jsonl / `posetrl runs show`)\n"
           n_alerts (plural n_alerts);
       Obs.Console.info
         "coverage: %d/%d ODG edges (%.1f%%), action entropy %.3f bits\n"
@@ -713,11 +710,10 @@ let json_scalar : Obs.Json.t -> string = function
 let fmt_num = function Some v -> Printf.sprintf "%.3f" v | None -> "-"
 
 (* A run's progress records; torn lines are reported, never fatal. *)
-let read_progress ?(indent = "") (info : Obs.Run.info) : Obs.Json.t list =
+let read_progress (info : Obs.Run.info) : Obs.Json.t list =
   let records, dropped = Obs.Run.read_progress info in
   if dropped > 0 then
-    Printf.printf "%s(%d torn progress line%s skipped)\n" indent dropped
-      (plural dropped);
+    Printf.printf "  (%d torn progress line%s skipped)\n" dropped (plural dropped);
   records
 
 let runs_list_cmd =
@@ -771,30 +767,132 @@ let print_eval_tables (doc : Obs.Json.t) =
     Tbl.print t
   | _ -> ()
 
+(* The recompute contract of the run report's attribution and coverage
+   sections: a streaming table (steps [steps]) must equal its
+   brute-force replay of the ledger (steps [recomputed]) exactly. CI
+   greps the "matches the ... stream exactly" line. *)
+let print_recompute_check ~name ~doc ~stream ~missing ~steps ~recomputed equal =
+  if recomputed = 0 && steps > 0 then
+    Printf.printf
+      "%s check: episode records carry no %s; recompute skipped\n" name missing
+  else if equal then
+    Printf.printf "%s check: table matches the %s stream exactly (%d steps)\n"
+      name stream steps
+  else
+    Printf.printf "%s check: DIVERGENCE between %s and the episode stream\n"
+      name doc
+
+(* A run's table from one ledger document, or the line saying why there
+   is none: the run predates the layer or the file is unreadable, or the
+   file is structurally invalid. *)
+let read_table (info : Obs.Run.info) doc of_json ~(what : string) =
+  let file = Filename.basename (Obs.Run.doc_path doc info.Obs.Run.run_dir) in
+  match Obs.Run.read info doc with
+  | None ->
+    Error
+      (Printf.sprintf "%s: no data (run predates the %s layer, or %s is unreadable)\n"
+         what what file)
+  | Some j ->
+    Option.to_result (of_json j)
+      ~none:(Printf.sprintf "%s: %s is structurally invalid — no data\n" what file)
+
+(* A run's alerts as [Health.alert_of_json] decodes them, with the torn
+   line count; [None] when the run predates the watchdog. *)
+let read_alerts (info : Obs.Run.info) : (Obs.Health.alert list * int) option =
+  Option.map
+    (fun (records, torn) -> (List.filter_map Obs.Health.alert_of_json records, torn))
+    (Obs.Run.read_alerts info)
+
+(* The run report, one section per ledger document: the manifest,
+   training curves and eval tables; per-action reward attribution, top
+   schedules, the drift timeline and watchdog alerts; then
+   decision-space coverage. A section whose document the run lacks says
+   so in one line. *)
 let runs_show_cmd =
-  let go root id =
+  let schedules =
+    Arg.(value & opt int 5 & info [ "schedules" ] ~docv:"K"
+           ~doc:"Top schedules (episodes ranked by reward) to break down per pass.")
+  in
+  let go root id top schedules dot =
     let info = Obs.Run.find ~root id in
+    let manifest = info.Obs.Run.manifest in
     Printf.printf "run %s (%s)\n" info.Obs.Run.run_id info.Obs.Run.run_dir;
-    (match info.Obs.Run.manifest with
+    (match manifest with
      | Obs.Json.Obj fields ->
        List.iter
          (fun (k, v) ->
            if k <> "id" then Printf.printf "  %-18s %s\n" k (json_scalar v))
          fields
      | _ -> ());
-    let records = read_progress ~indent:"  " info in
+    let records = read_progress info in
     if records <> [] then begin
       Printf.printf "\ntraining curves (%d progress records):\n" (List.length records);
       print_string (Obs.Dashboard.curves records)
     end;
-    match Obs.Run.read info Obs.Run.Eval with
-    | Some doc -> print_newline (); print_eval_tables doc
-    | None -> ()
+    (match Obs.Run.read info Obs.Run.Eval with
+     | Some doc -> print_newline (); print_eval_tables doc
+     | None -> ());
+    (match read_table info Obs.Run.Attrib Attrib.of_json ~what:"attribution" with
+     | Error why -> print_string ("\n" ^ why)
+     | Ok at ->
+       print_string (Attrib.render ~top at);
+       let recomputed =
+         Attrib.of_records ~n_actions:(Attrib.n_actions at)
+           ~max_pos:(Attrib.max_pos at) records
+       in
+       print_recompute_check ~name:"attribution" ~doc:"attrib.json"
+         ~stream:"episode"
+         ~missing:"per-step rewards (pre-attribution ledger)"
+         ~steps:(Attrib.steps at) ~recomputed:(Attrib.steps recomputed)
+         (Attrib.equal at recomputed));
+    print_string (Obs.Dashboard.schedules ~k:schedules records);
+    (* the drift windows span the run's action space: no known space,
+       no timeline *)
+    Option.iter
+      (fun name ->
+        match List.find_opt (fun (names, _) -> List.mem name names) spaces with
+        | Some (_, space) ->
+          print_string
+            (Obs.Dashboard.drift ~n_actions:(O.Action_space.n_actions space) records)
+        | None -> ())
+      (Obs.Runlog.str "action_space" manifest);
+    print_string (Obs.Health.render (read_alerts info));
+    match read_table info Obs.Run.Coverage Obs.Coverage.of_json ~what:"coverage" with
+    | Error why -> print_string why
+    | Ok cov ->
+      print_string (Obs.Coverage.render ~top cov);
+      let recomputed =
+        Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov) records
+      in
+      print_recompute_check ~name:"coverage" ~doc:"coverage.json"
+        ~stream:"step" ~missing:"step stream (eval run or pre-attribution ledger)"
+        ~steps:(Obs.Coverage.steps cov)
+        ~recomputed:(Obs.Coverage.steps recomputed)
+        (Obs.Coverage.equal cov recomputed);
+      Option.iter
+        (fun out ->
+          let oc = open_out out in
+          output_string oc (Obs.Coverage.to_dot cov);
+          close_out oc;
+          Printf.printf "coverage heat dot written to %s\n" out)
+        dot
   in
   Cmd.v
     (Cmd.info "show"
-       ~doc:"Show a run: manifest, ASCII training curves, eval tables")
-    Term.(const go $ root_arg $ run_pos ())
+       ~doc:"Show a run: manifest, ASCII training curves, eval tables, the \
+             per-action reward-attribution table (verified against the \
+             episode stream), top schedules with per-pass reward breakdown, \
+             the action-distribution drift timeline, watchdog alerts, and \
+             decision-space coverage (verified against the step stream). \
+             Degrades gracefully on runs predating these ledger files.")
+    Term.(const go $ root_arg $ run_pos ()
+          $ top_arg ~default:10
+              ~doc:"Rows in the attribution, edge and transition tables."
+          $ schedules
+          $ dot_arg
+              ~doc:"Write a heat-annotated ODG rendering to \\$(docv): visited \
+                    edges colour-ramp grey to red by visit count, unvisited \
+                    edges dashed (same layout as `posetrl odg --dot`).")
 
 let runs_compare_cmd =
   let base =
@@ -821,20 +919,7 @@ let runs_compare_cmd =
          & info [ "max-wall-factor" ] ~docv:"X"
              ~doc:"Regression when candidate wall time exceeds \\$(docv) times base (0 disables).")
   in
-  let attrib_flag =
-    Arg.(value & flag & info [ "attrib" ]
-           ~doc:"Also diff the two runs' per-action reward attribution \
-                 (attrib.json): actions ranked by the reward-total shift. \
-                 Runs without attribution data report 'no data' and never \
-                 fail the comparison.")
-  in
-  let coverage_flag =
-    Arg.(value & flag & info [ "coverage" ]
-           ~doc:"Also diff the two runs' decision-space coverage \
-                 (coverage.json): ODG edge coverage %% and action-entropy \
-                 shift. Informational only — never fails the comparison.")
-  in
-  let go root base cand reward_drop size_drop wall_factor attrib coverage =
+  let go root base cand reward_drop size_drop wall_factor =
     let b = Obs.Run.find ~root base in
     let c = Obs.Run.find ~root cand in
     let thresholds =
@@ -877,15 +962,13 @@ let runs_compare_cmd =
     let table (i : Obs.Run.info) doc of_json =
       Option.bind (Obs.Run.read i doc) of_json
     in
-    if attrib then
-      print_string
-        (Attrib.render_shift ~base:(table b Obs.Run.Attrib Attrib.of_json)
-           ~cand:(table c Obs.Run.Attrib Attrib.of_json));
-    if coverage then
-      print_string
-        (Obs.Coverage.render_shift
-           ~base:(table b Obs.Run.Coverage Obs.Coverage.of_json)
-           ~cand:(table c Obs.Run.Coverage Obs.Coverage.of_json));
+    print_string
+      (Attrib.render_shift ~base:(table b Obs.Run.Attrib Attrib.of_json)
+         ~cand:(table c Obs.Run.Attrib Attrib.of_json));
+    print_string
+      (Obs.Coverage.render_shift
+         ~base:(table b Obs.Run.Coverage Obs.Coverage.of_json)
+         ~cand:(table c Obs.Run.Coverage Obs.Coverage.of_json));
     if Obs.Run.has_regression deltas then begin
       Printf.printf "regression detected\n";
       exit 3
@@ -895,139 +978,18 @@ let runs_compare_cmd =
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Diff two runs against regression thresholds; exits 3 on regression \
-             (usable as a CI gate)")
+             (usable as a CI gate). Also diffs their per-action reward \
+             attribution (attrib.json) and decision-space coverage \
+             (coverage.json); these shifts are informational and never \
+             fail the comparison")
     Term.(const go $ root_arg $ base $ cand $ reward_drop $ size_drop
-          $ wall_factor $ attrib_flag $ coverage_flag)
+          $ wall_factor)
 
 let runs_cmd =
   Cmd.group
     (Cmd.info "runs"
        ~doc:"The run ledger: list, inspect and compare persisted runs")
     [ runs_list_cmd; runs_show_cmd; runs_compare_cmd ]
-
-(* --- explain (policy introspection from the ledger) -------------------------- *)
-
-(* The recompute contract of `explain` and `coverage`: a streaming table
-   (steps [steps]) must equal its brute-force replay of the ledger
-   (steps [recomputed]) exactly. CI greps the "matches the ... stream
-   exactly" line. *)
-let print_recompute_check ~name ~doc ~stream ~missing ~steps ~recomputed equal =
-  if recomputed = 0 && steps > 0 then
-    Printf.printf
-      "%s check: episode records carry no %s; recompute skipped\n" name missing
-  else if equal then
-    Printf.printf "%s check: table matches the %s stream exactly (%d steps)\n"
-      name stream steps
-  else
-    Printf.printf "%s check: DIVERGENCE between %s and the episode stream\n"
-      name doc
-
-(* A run's table from one ledger document, or the line saying why there
-   is none: the run predates the layer or the file is unreadable, or the
-   file is structurally invalid. *)
-let read_table (info : Obs.Run.info) doc of_json ~(what : string) =
-  let file = Filename.basename (Obs.Run.doc_path doc info.Obs.Run.run_dir) in
-  match Obs.Run.read info doc with
-  | None ->
-    Error
-      (Printf.sprintf "%s: no data (run predates the %s layer, or %s is unreadable)\n"
-         what what file)
-  | Some j ->
-    Option.to_result (of_json j)
-      ~none:(Printf.sprintf "%s: %s is structurally invalid — no data\n" what file)
-
-(* A run's alerts as [Health.alert_of_json] decodes them, with the torn
-   line count; [None] when the run predates the watchdog. *)
-let read_alerts (info : Obs.Run.info) : (Obs.Health.alert list * int) option =
-  Option.map
-    (fun (records, torn) -> (List.filter_map Obs.Health.alert_of_json records, torn))
-    (Obs.Run.read_alerts info)
-
-let explain_cmd =
-  let schedules =
-    Arg.(value & opt int 5 & info [ "schedules" ] ~docv:"K"
-           ~doc:"Top schedules (episodes ranked by reward) to break down per pass.")
-  in
-  let go root id top schedules =
-    let info = Obs.Run.find ~root id in
-    print_string
-      (Obs.Dashboard.header ~id:info.Obs.Run.run_id
-         ~manifest:info.Obs.Run.manifest);
-    let records = read_progress info in
-    (* 1 — per-pass reward attribution (attrib.json, verified vs ledger) *)
-    (match read_table info Obs.Run.Attrib Attrib.of_json ~what:"attribution" with
-     | Error why -> print_string ("\n" ^ why)
-     | Ok at ->
-       print_string (Attrib.render ~top at);
-       let recomputed =
-         Attrib.of_records ~n_actions:(Attrib.n_actions at)
-           ~max_pos:(Attrib.max_pos at) records
-       in
-       print_recompute_check ~name:"attribution" ~doc:"attrib.json"
-         ~stream:"episode"
-         ~missing:"per-step rewards (pre-attribution ledger)"
-         ~steps:(Attrib.steps at) ~recomputed:(Attrib.steps recomputed)
-         (Attrib.equal at recomputed));
-    (* 2 — top schedules, 3 — the drift timeline, 4 — watchdog alerts *)
-    print_string (Obs.Dashboard.schedules ~k:schedules records);
-    print_string (Obs.Dashboard.drift records);
-    print_string (Obs.Health.render (read_alerts info))
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:"Replay a run's ledger into a policy-introspection report: the \
-             per-action reward-attribution table (verified against the \
-             episode stream), top schedules with per-pass reward breakdown, \
-             the action-distribution drift timeline, and any watchdog alerts. \
-             Degrades gracefully on runs predating these fields.")
-    Term.(const go $ root_arg $ run_pos ()
-          $ top_arg ~default:10
-              ~doc:"Rows in the attribution table (actions ranked by total reward)."
-          $ schedules)
-
-(* --- coverage (decision-space coverage from the ledger) ---------------------- *)
-
-let coverage_cmd =
-  let go root id top dot =
-    let info = Obs.Run.find ~root id in
-    print_string
-      (Obs.Dashboard.header ~id:info.Obs.Run.run_id
-         ~manifest:info.Obs.Run.manifest);
-    match read_table info Obs.Run.Coverage Obs.Coverage.of_json ~what:"coverage" with
-    | Error why -> print_string why
-    | Ok cov ->
-      print_string (Obs.Coverage.render ~top cov);
-      let recomputed =
-        Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov)
-          (read_progress info)
-      in
-      print_recompute_check ~name:"coverage" ~doc:"coverage.json"
-        ~stream:"step" ~missing:"step stream (eval run or pre-attribution ledger)"
-        ~steps:(Obs.Coverage.steps cov)
-        ~recomputed:(Obs.Coverage.steps recomputed)
-        (Obs.Coverage.equal cov recomputed);
-      (match dot with
-       | Some out ->
-         let oc = open_out out in
-         output_string oc (Obs.Coverage.to_dot cov);
-         close_out oc;
-         Printf.printf "coverage heat dot written to %s\n" out
-       | None -> ())
-  in
-  Cmd.v
-    (Cmd.info "coverage"
-       ~doc:"Decision-space coverage report for a ledger run: ODG edge \
-             coverage with per-edge mean rewards, action-transition \
-             hot list, entropy and state-sketch occupancy (verified \
-             against the episode stream), plus a heat-annotated ODG \
-             dot export. Degrades gracefully on runs predating \
-             coverage.json.")
-    Term.(const go $ root_arg $ run_pos ()
-          $ top_arg ~default:10 ~doc:"Rows in the edge and transition tables."
-          $ dot_arg
-              ~doc:"Write a heat-annotated ODG rendering to \\$(docv): visited \
-                    edges colour-ramp grey to red by visit count, unvisited \
-                    edges dashed (same layout as `posetrl odg --dot`).")
 
 (* --- watch (live dashboard) -------------------------------------------------- *)
 
@@ -1186,13 +1148,6 @@ let serve_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"PORT"
            ~doc:"Listen on 127.0.0.1:\\$(docv) (0 picks a free port).")
   in
-  let opt_routes =
-    Arg.(value & flag & info [ "opt" ]
-           ~doc:"Enable the optimization routes: POST /optimize (MiniIR text \
-                 in, optimized IR + schedule + size/throughput deltas out) \
-                 and POST /optimize/batch. Without this flag only the \
-                 telemetry GET routes are served.")
-  in
   let weights =
     Arg.(value & opt (some string) None & info [ "weights" ] ~docv:"FILE"
            ~doc:"Weights file saved by `posetrl train`; without it the daemon \
@@ -1217,8 +1172,8 @@ let serve_cmd =
            ~doc:"Exit after answering \\$(docv) requests (CI smoke hooks); \
                  default: serve until SIGINT/SIGTERM.")
   in
-  let go port opt_routes weights actions tgt cache_mb queue max_body_kb
-      max_requests sanitize session =
+  let go port weights actions tgt cache_mb queue max_body_kb max_requests
+      sanitize session =
     let stop = ref false in
     let handle = Sys.Signal_handle (fun _ -> stop := true) in
     Sys.set_signal Sys.sigint handle;
@@ -1238,7 +1193,6 @@ let serve_cmd =
         Obs.Json.Obj
           [ ("status", Obs.Json.Str "running");
             ("kind", Obs.Json.Str "serve");
-            ("opt_routes", Obs.Json.Bool opt_routes);
             ("uptime_s", Obs.Json.Float (Unix.gettimeofday () -. started));
             ("requests", Obs.Json.Int reqs);
             ("run",
@@ -1247,71 +1201,48 @@ let serve_cmd =
              | None -> Obs.Json.Null) ]
       in
       let telemetry = Obs.Httpd.telemetry_handler ~health () in
-      let max_body = max_body_kb * 1024 in
-      let sleep () =
-        try Unix.sleepf 0.005 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      let s =
+        Posetrl_serve.Server.create ~max_body:(max_body_kb * 1024)
+          ~queue_cap:queue ~telemetry ~port ~engine ()
       in
-      if opt_routes then begin
-        let s =
-          Posetrl_serve.Server.create ~max_body ~queue_cap:queue ~telemetry
-            ~port ~engine ()
-        in
-        srv := Some s;
-        Obs.Console.info
-          "optimization service on http://127.0.0.1:%d  \
-           (POST /optimize /optimize/batch; GET /metrics /healthz /serve)\n%!"
-          (Posetrl_serve.Server.port s);
-        let last_snapshot = ref 0.0 in
-        let snapshot () =
-          Option.iter
-            (fun r ->
-              Obs.Run.write r Obs.Run.Serve (Posetrl_serve.Server.stats_json s))
-            run
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            snapshot ();
-            Posetrl_serve.Server.close s)
-          (fun () ->
-            let done_ () =
-              !stop
-              || match max_requests with
-                 | Some n -> Posetrl_serve.Server.requests s >= n
-                 | None -> false
-            in
-            while not (done_ ()) do
-              Posetrl_serve.Server.pump s;
-              let now = Unix.gettimeofday () in
-              if now -. !last_snapshot > 1.0 then begin
-                last_snapshot := now;
-                snapshot ()
-              end;
-              sleep ()
-            done);
-        [ ("requests", Obs.Json.Int (Posetrl_serve.Server.requests s));
-          ("stats", Posetrl_serve.Server.stats_json s) ]
-      end
-      else begin
-        let s = Obs.Httpd.create ~max_body ~port ~handler:telemetry () in
-        Obs.Console.info
-          "telemetry on http://127.0.0.1:%d  (GET /metrics /healthz \
-           /alerts /runs)\n%!"
-          (Obs.Httpd.port s);
-        Fun.protect
-          ~finally:(fun () -> Obs.Httpd.close s)
-          (fun () ->
-            while not !stop do
-              Obs.Httpd.pump s;
-              sleep ()
-            done);
-        [ ("requests", Obs.Json.Int 0) ]
-      end
+      srv := Some s;
+      Obs.Console.info
+        "optimization service on http://127.0.0.1:%d  \
+         (POST /optimize /optimize/batch; GET /metrics /healthz /serve)\n%!"
+        (Posetrl_serve.Server.port s);
+      let last_snapshot = ref 0.0 in
+      let snapshot () =
+        Option.iter
+          (fun r -> Obs.Run.write r Obs.Run.Serve (Posetrl_serve.Server.stats_json s))
+          run
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          snapshot ();
+          Posetrl_serve.Server.close s)
+        (fun () ->
+          let done_ () =
+            !stop
+            || match max_requests with
+               | Some n -> Posetrl_serve.Server.requests s >= n
+               | None -> false
+          in
+          while not (done_ ()) do
+            Posetrl_serve.Server.pump s;
+            let now = Unix.gettimeofday () in
+            if now -. !last_snapshot > 1.0 then begin
+              last_snapshot := now;
+              snapshot ()
+            end;
+            try Unix.sleepf 0.005 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          done);
+      [ ("requests", Obs.Json.Int (Posetrl_serve.Server.requests s));
+        ("stats", Posetrl_serve.Server.stats_json s) ]
     in
     with_session session ~kind:"serve"
       ~meta:
         [ ("action_space", Obs.Json.Str actions.O.Action_space.name);
           ("target", Obs.Json.Str tgt.CG.Target.name);
-          ("opt_routes", Obs.Json.Bool opt_routes);
           ("weights",
            match weights with Some w -> Obs.Json.Str w | None -> Obs.Json.Null) ]
       work
@@ -1325,7 +1256,7 @@ let serve_cmd =
              cache, admission sanitizing (400 + lint diagnostics), bounded \
              queueing (429 + Retry-After) and batched policy inference \
              across concurrent requests")
-    Term.(const go $ port $ opt_routes $ weights $ space_arg $ target_arg
+    Term.(const go $ port $ weights $ space_arg $ target_arg
           $ cache_mb $ queue $ max_body_kb $ max_requests
           $ sanitize_arg ~default:A.Sanitize.Ssa
               ~doc:"Sanitizer level for admission and every rollout pass \
@@ -1524,8 +1455,8 @@ let () =
     Cmd.eval ~catch:false
       (Cmd.group info
          [ opt_cmd; run_cmd; train_cmd; eval_cmd; serve_cmd; lint_cmd;
-           validate_cmd; report_cmd; runs_cmd; explain_cmd;
-           coverage_cmd; watch_cmd; odg_cmd; list_cmd; dump_cmd ])
+           validate_cmd; report_cmd; runs_cmd; watch_cmd; odg_cmd; list_cmd;
+           dump_cmd ])
   with
   | code -> exit code
   | exception (Failure msg | Sys_error msg) ->

@@ -33,10 +33,6 @@ val join_aval : aval -> aval -> aval
 (* Could the abstract value contain the concrete integer [v]? *)
 val contains_int : aval -> int64 -> bool
 
-(* Abstract transfer for a binop / an icmp, exposed for testing. *)
-val eval_binop_aval : Instr.binop -> Types.t -> aval -> aval -> aval
-val eval_icmp_aval : Instr.icmp -> aval -> aval -> aval
-
 (* Could [x op y] at type [ty] wrap around the type's bounds? False
    only when the intervals prove it cannot (a full-range operand is
    treated as "no information", not as a guaranteed wrap). *)
@@ -57,8 +53,6 @@ val of_func : Func.t -> t
 (* Abstract value of register [r] at its definition; [Bot] if never
    computed (e.g. the defining block is unreachable). *)
 val val_of : t -> int -> aval
-
-val env_at_entry : t -> string -> env
 
 (* Can the labelled block execute at all, given the path conditions? *)
 val reachable : t -> string -> bool

@@ -27,8 +27,6 @@ val of_func : Func.t -> finfo
    the unknown location. *)
 val pts : finfo -> Value.t -> LSet.t
 
-val is_escaped : finfo -> int -> bool
-
 (* May the two locations denote overlapping memory? [LUnknown] overlaps
    everything except non-escaping allocas. *)
 val locs_overlap : finfo -> loc -> loc -> bool
@@ -53,9 +51,7 @@ type modref = {
   ref_unknown : bool;
 }
 
-val modref_bottom : modref
 val modref_top : modref
-val modref_join : modref -> modref -> modref
 val modref_equal : modref -> modref -> bool
 
 (* Module-wide summary: per-function points-to plus the mod/ref

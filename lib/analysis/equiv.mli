@@ -18,23 +18,11 @@ type mismatch = {
   detail : string;
 }
 
-(* Name of the synthetic driver function; a module that already defines
-   it is validated through [main] only. *)
-val harness_name : string
-
 val default_fuel : int
 
 (* Can [f] be driven from a harness? Every parameter must be a scalar
    or one of a bounded number of pointers. *)
 val harnessable : Func.t -> bool
-
-(* The driver function for [f] at a given seed: seeds the scratch
-   buffer, calls [f] with deterministic arguments, prints the return
-   value and every scratch cell. Exposed for testing. *)
-val build_harness : seed:int -> Func.t -> Func.t
-
-(* [m] with [h] appended to its function list. *)
-val with_harness : Modul.t -> Func.t -> Modul.t
 
 (* Validate one pass application; [] means no divergence observed.
    [per_function] should be true for function-scope passes: each

@@ -20,7 +20,6 @@ type severity = Error | Warning | Info
 
 val severity_to_string : severity -> string
 val severity_of_string : string -> (severity, string) result
-val severity_rank : severity -> int
 
 type finding = {
   severity : severity;
@@ -30,15 +29,9 @@ type finding = {
   message : string;
 }
 
-(* Individual rule groups, exposed for targeted testing. *)
-val verifier_findings : Modul.t -> finding list
-val unreachable_findings : Func.t -> finding list
-val dead_store_findings : Func.t -> finding list
-val dead_code_findings : Func.t -> finding list
-val redundant_expr_findings : Func.t -> finding list
+(* The value-range rule group alone (dead-branch, contradicted-range,
+   possible-overflow), for tests that pin its findings. *)
 val absint_findings : Func.t -> finding list
-val alias_findings : Func.t -> finding list
-val effects_findings : Modul.t -> finding list
 
 (* All rules over every defined function, sorted by severity
    (descending), rule, function and block for a stable report. *)
@@ -50,5 +43,4 @@ val count : severity -> finding list -> int
    gate. *)
 val reaches : severity -> finding list -> bool
 
-val finding_to_json : finding -> Posetrl_obs.Json.t
 val to_json : name:string -> finding list -> Posetrl_obs.Json.t

@@ -22,8 +22,6 @@ val level_to_string : level -> string
 (* Accepts "off", "structural", "ssa"/"full", "equiv"/"tv". *)
 val level_of_string : string -> (level, string) result
 
-val wants_dom : level -> bool
-
 (* Verifier errors for [m] at [level]; [] at [Off]. [Equiv] checks the
    same well-formedness as [Ssa] here — behavioural validation needs
    the pre-pass module too and lives in [check_transform]. *)
@@ -46,19 +44,6 @@ exception Failed of {
   errors : Verifier.error list;
   repro_path : string option;
 }
-
-(* Shrink a failing input with the greedy delta debugger; [run_pass]
-   re-runs the offending pass on each candidate, and a candidate counts
-   as still-failing when [check_transform] rejects the application. *)
-val minimize_input :
-  level:level -> ?per_function:bool -> run_pass:(Modul.t -> Modul.t) ->
-  Modul.t -> Modul.t
-
-(* Write the repro module as a .mir next to a .json describing the
-   failure; returns the .mir path. [dir] is created if missing. *)
-val write_repro :
-  dir:string -> pass:string -> level:level ->
-  errors:Verifier.error list -> Modul.t -> string
 
 (* Full failure protocol used by the pass manager: minimize, write the
    repro (when a directory is given) and raise [Failed]. *)

@@ -18,10 +18,6 @@ val time_improvement_pct : program_result -> float option
 (** % execution-time decrease vs Oz (positive = model faster), the
     metric of Table V. *)
 
-val run_time : Posetrl_ir.Modul.t -> int option
-(** Interpreter cycles of a module's main, or [None] on a trap; traced
-    as a [posetrl.interp.run] span. *)
-
 val evaluate_program :
   ?measure_time:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->

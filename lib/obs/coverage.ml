@@ -23,7 +23,7 @@
 
    Metric exposure is opt-in per table ([registry]): the trainer's
    table publishes posetrl.coverage.* gauges on [sample]; recomputed
-   tables (tests, `posetrl coverage`) stay silent. *)
+   tables (tests, `posetrl runs show`) stay silent. *)
 
 module Rng = Posetrl_support.Rng
 module Tbl = Posetrl_support.Table
@@ -423,11 +423,11 @@ let of_records ~(like : universe) (records : Json.t list) : t =
     records;
   t
 
-(* --- rendering (posetrl coverage, posetrl runs compare --coverage) --------- *)
+(* --- rendering (posetrl runs show, posetrl runs compare) ------------------- *)
 
-(* The body of `posetrl coverage`: the summary block, then the [top]
-   hottest ODG edges with their mean reward split and the [top] most
-   frequent action transitions. *)
+(* The coverage section of `posetrl runs show`: the summary block, then
+   the [top] hottest ODG edges with their mean reward split and the
+   [top] most frequent action transitions. *)
 let render ~(top : int) (t : t) : string =
   let buf = Buffer.create 2048 in
   Printf.bprintf buf
@@ -471,8 +471,8 @@ let render ~(top : int) (t : t) : string =
      Buffer.add_string buf (Tbl.render tbl));
   Buffer.contents buf
 
-(* `posetrl runs compare --coverage`: edge coverage, entropy and nodes,
-   base -> candidate. Informational, like the attribution shift. *)
+(* The coverage line of `posetrl runs compare`: edge coverage, entropy
+   and nodes, base -> candidate. Informational, like the attribution shift. *)
 let render_shift ~(base : t option) ~(cand : t option) : string =
   match base, cand with
   | None, _ | _, None ->

@@ -119,13 +119,13 @@ val of_records : like:universe -> Json.t list -> t
     is {!equal} to the streaming table of the same run. *)
 
 val render : top:int -> t -> string
-(** The body of [posetrl coverage]: steps, episodes, edge and node
-    coverage, action entropy against its maximum, sketch occupancy, then
-    the [top] hottest edges (mean reward split per visit) and the [top]
-    most frequent action transitions. *)
+(** The coverage section of [posetrl runs show]: steps, episodes, edge
+    and node coverage, action entropy against its maximum, sketch
+    occupancy, then the [top] hottest edges (mean reward split per
+    visit) and the [top] most frequent action transitions. *)
 
 val render_shift : base:t option -> cand:t option -> string
-(** The [posetrl runs compare --coverage] line: edge %, entropy and
+(** The coverage line of [posetrl runs compare]: edge %, entropy and
     nodes visited, base → candidate; a "no data" line when either side
     has no readable table. *)
 

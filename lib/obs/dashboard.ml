@@ -176,16 +176,22 @@ let schedules ~(k : int) (records : Json.t list) : string =
 (* The drift timeline: the episodes in 8 consecutive windows, each
    window's action counts against the previous window's by [Health.kl].
    Its smoothing makes the histogram width part of the value, so every
-   window spans the largest action id of any episode. *)
-let drift (records : Json.t list) : string =
+   window spans the largest in-range action id of any episode; ids at or
+   past [n_actions] are skipped, as [Runlog.replay] skips them. *)
+let drift ~(n_actions : int) (records : Json.t list) : string =
   let episodes = List.filter (fun r -> Runlog.str "kind" r = Some "episode") records in
   let n_ep = List.length episodes in
   let per = max 1 ((n_ep + 7) / 8) in
-  let width = 1 + Hashtbl.fold (fun a _ m -> max a m) (action_counts episodes) 0 in
+  let counts eps =
+    let c = action_counts eps in
+    Hashtbl.filter_map_inplace (fun a n -> if a < n_actions then Some n else None) c;
+    c
+  in
+  let width = 1 + Hashtbl.fold (fun a _ m -> max a m) (counts episodes) 0 in
   let window i =
     let h = Array.make width 0 in
     Hashtbl.iter (fun a n -> h.(a) <- n)
-      (action_counts (List.filteri (fun e _ -> e / per = i) episodes));
+      (counts (List.filteri (fun e _ -> e / per = i) episodes));
     h
   in
   let buf = Buffer.create 512 in

@@ -8,21 +8,20 @@ val action_histogram : Json.t list -> (int * int) list
     records' {!Runlog.episode_actions}, sorted by count descending. *)
 
 val schedules : k:int -> Json.t list -> string
-(** The [posetrl explain] top-schedules block: the [k] episode records
+(** The [posetrl runs show] top-schedules block: the [k] episode records
     with the highest reward, each with its action sequence and its
     per-step (reward, binsize, throughput) split; [""] when no episode
     record carries a reward. *)
 
-val drift : Json.t list -> string
-(** The [posetrl explain] drift timeline: the episode records cut into
+val drift : n_actions:int -> Json.t list -> string
+(** The [posetrl runs show] drift timeline: the episode records cut into
     8 consecutive windows, each window's action counts (the same count
-    as {!action_histogram}) compared with the previous window's by
-    {!Health.kl}, and flagged past the watchdog's default [drift_kl];
-    [""] when there are fewer than two windows. *)
-
-val header : id:string -> manifest:Json.t -> string
-(** ["run <id>  [<kind>, <status>]"], newline-terminated: the first line
-    of a frame, and of [posetrl explain] and [posetrl coverage]. *)
+    as {!action_histogram}, minus the action ids at or past
+    [n_actions], which {!Runlog.replay} skips too) compared with the
+    previous window's by {!Health.kl}, and flagged past the watchdog's
+    default [drift_kl]; [""] when there are fewer than two windows.
+    Every window spans the largest in-range action id the episodes
+    name, so an out-of-range id costs nothing. *)
 
 val curves : Json.t list -> string
 (** One sparkline row per series of the progress records (episode

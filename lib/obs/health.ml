@@ -141,7 +141,7 @@ let alert_of_json : Json.t -> alert option =
            | Some v -> (try Json.float v with Json.Decode -> Float.nan)
            | None -> Float.nan) })
 
-(* The alerts section of `posetrl explain`: [None] when the run has no
+(* The alerts section of `posetrl runs show`: [None] when the run has no
    alerts.jsonl, else the decoded alerts and the torn-line count. *)
 let render (alerts : (alert list * int) option) : string =
   match alerts with

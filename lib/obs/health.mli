@@ -71,7 +71,7 @@ val alerts : t -> alert list
 val kl : int array -> int array -> float
 (** KL divergence between two count histograms with +1 Laplace
     smoothing (shorter array zero-padded) — the action-drift distance,
-    also behind [Dashboard.drift], the [posetrl explain] timeline. *)
+    also behind [Dashboard.drift], the [posetrl runs show] timeline. *)
 
 val alert_to_json : alert -> Json.t
 (** The [alerts.jsonl] record schema ([kind = "alert"]). Non-finite
@@ -82,10 +82,10 @@ val alert_of_json : Json.t -> alert option
 (** Robust inverse of {!alert_to_json}, through {!Json.decode}: [None]
     when [rule] or [step] is missing or mistyped, never an exception. A
     missing [severity] reads as ["warn"], a missing [message] as [""].
-    The one reader of alert records: [posetrl explain] and [posetrl
+    The one reader of alert records: [posetrl runs show] and [posetrl
     watch] render what it returns. *)
 
 val render : (alert list * int) option -> string
-(** The alerts section of [posetrl explain]: [None] — the run predates
+(** The alerts section of [posetrl runs show]: [None] — the run predates
     the watchdog; [Some (alerts, torn)] — one line per decoded alert
     (severity, rule, step, message), then the torn-line count. *)

@@ -211,15 +211,13 @@ let telemetry_handler ?(registry = Metrics.global)
 type t = {
   sock : Unix.file_descr;
   t_port : int;
-  handler : handler;
   max_body : int;
   mutable closed : bool;
 }
 
 type client = { fd : Unix.file_descr; mutable open_ : bool }
 
-let create ?(backlog = 16) ?(max_body = default_max_body) ~(port : int)
-    ~(handler : handler) () : t =
+let create ?(backlog = 16) ?(max_body = default_max_body) ~(port : int) () : t =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -234,7 +232,7 @@ let create ?(backlog = 16) ?(max_body = default_max_body) ~(port : int)
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  { sock; t_port; handler; max_body; closed = false }
+  { sock; t_port; max_body; closed = false }
 
 let port (t : t) = t.t_port
 
@@ -325,7 +323,7 @@ let respond (c : client) (resp : response) : unit =
         with Unix.Unix_error _ | Sys_error _ -> ())
   end
 
-let pump (t : t) : unit =
+let pump (t : t) (handler : handler) : unit =
   let continue_ = ref true in
   while !continue_ do
     match accept t with
@@ -333,7 +331,7 @@ let pump (t : t) : unit =
     | Some (client, Error resp) -> respond client resp
     | Some (client, Ok req) ->
       let resp =
-        try t.handler req with e -> error_response 500 (Printexc.to_string e)
+        try handler req with e -> error_response 500 (Printexc.to_string e)
       in
       respond client resp
   done

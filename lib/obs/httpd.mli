@@ -85,8 +85,7 @@ type client
 (** An accepted connection whose request has been read; owned by the
     caller until {!respond} (which writes and closes it). *)
 
-val create :
-  ?backlog:int -> ?max_body:int -> port:int -> handler:handler -> unit -> t
+val create : ?backlog:int -> ?max_body:int -> port:int -> unit -> t
 (** Bind and listen on [127.0.0.1:port] ([port = 0] picks a free port —
     read it back with {!port}). [max_body] bounds POST bodies
     ({!default_max_body}). @raise Unix.Unix_error if the bind fails
@@ -105,8 +104,8 @@ val respond : client -> response -> unit
 (** Write the response and close the connection; socket errors are
     swallowed, double-responds are no-ops. *)
 
-val pump : t -> unit
-(** Accept and serve every connection currently pending through the
+val pump : t -> handler -> unit
+(** Accept and serve every connection currently pending through
     [handler]; returns immediately when none are. Per-client errors
     (torn connections, read timeouts) are swallowed. Call this from a
     training/eval loop tick. *)

@@ -37,15 +37,13 @@ val inc : ?by:float -> counter -> unit
 val gauge : ?r:t -> ?labels:(string * string) list -> string -> gauge
 val set : gauge -> float -> unit
 
-val default_buckets : float array
-(** Log-spaced seconds buckets (1µs … 10s) for timing histograms. *)
-
 val histogram :
   ?r:t -> ?labels:(string * string) list -> ?buckets:float array -> string ->
   histogram
 (** Fixed upper-bound buckets (ascending); values above the last bound
-    land in an implicit overflow bucket. [buckets] is only consulted
-    when the series is first created. *)
+    land in an implicit overflow bucket. [buckets] defaults to
+    log-spaced seconds buckets (1µs … 10s), for timing histograms, and
+    is only consulted when the series is first created. *)
 
 val observe : histogram -> float -> unit
 

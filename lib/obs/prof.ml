@@ -60,8 +60,7 @@ let buf_quantile (b : buf) (q : float) : float =
   else begin
     let s = Array.sub b.data 0 b.len in
     Array.sort compare s;
-    let rank = int_of_float (ceil (q *. float_of_int b.len)) in
-    s.(max 0 (min (b.len - 1) (rank - 1)))
+    Stats.nearest_rank s q
   end
 
 (* --- the streaming collector --------------------------------------------- *)

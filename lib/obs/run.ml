@@ -205,8 +205,8 @@ let read_progress (i : info) : Json.t list * int =
 
 (* The document readers follow the [list_runs] hardening contract: runs
    that predate a layer (no file) and runs whose file is torn or corrupt
-   both render as "no data", never an exception — `posetrl runs`,
-   `explain` and `watch` must work on any ledger. *)
+   both render as "no data", never an exception — `posetrl runs` and
+   `watch` must work on any ledger. *)
 let read (i : info) (d : doc) : Json.t option =
   let path = doc_path d i.run_dir in
   if not (Sys.file_exists path) then None

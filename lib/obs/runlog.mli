@@ -64,7 +64,7 @@ val episode_actions : Json.t -> int list
 (** The sub-sequence ids of one ["episode"] record's [actions] array, in
     order (entries that are not non-negative ints are dropped); [[]]
     when the field is absent. The one reader behind {!episode_steps},
-    the [posetrl watch] action histogram and [posetrl explain]. *)
+    the [posetrl watch] action histogram and [posetrl runs show]. *)
 
 val episode_steps : Json.t -> (int * float * float * float) list
 (** [(action, reward, r_binsize, r_throughput)] per step of one

@@ -13,11 +13,8 @@ type t = {
 val manual : t
 (** Table II: the 15 manually grouped sub-sequences. *)
 
-val odg_table : string list list
-(** Table III as printed in the paper. *)
-
 val odg : t
-(** Table III as an action space. *)
+(** Table III, as printed in the paper, as an action space. *)
 
 val derived : ?k:int -> unit -> t
 (** The action space produced by {!Walks.derive} on the default graph. *)

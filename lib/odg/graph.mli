@@ -14,10 +14,6 @@ type t = {
   preds : SSet.t SMap.t;
 }
 
-val of_sequence : string list -> t
-(** Build the graph from a pass sequence (consecutive-pair edges,
-    deduplicated). *)
-
 val default : t lazy_t
 (** The graph of the canonical -Oz sequence (Table I). *)
 

@@ -5,12 +5,6 @@
     critical node. For the default graph at k ≥ 8 this yields exactly the
     paper's 34 sub-sequences (Table III). *)
 
-val max_walk_len : int
-
-val walks_from :
-  Graph.t -> critical:Graph.SSet.t -> string -> string list list
-(** All maximal walks from one critical node. *)
-
 val derive : ?k:int -> Graph.t -> string list list
 (** All walks from every critical node, deduplicated and sorted. *)
 

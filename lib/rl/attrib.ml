@@ -12,7 +12,7 @@
 
    Metric exposure is opt-in per table ([registry]): the trainer's table
    publishes posetrl.attrib.* labeled series; recomputed tables (tests,
-   `posetrl explain`) stay silent. *)
+   `posetrl runs show`) stay silent. *)
 
 module Obs = Posetrl_obs
 module Tbl = Posetrl_support.Table
@@ -178,9 +178,9 @@ let of_json : Obs.Json.t -> t option =
         labels = Array.map fst entries;
         metrics = None })
 
-(* --- rendering (posetrl explain, posetrl runs compare --attrib) ------------ *)
+(* --- rendering (posetrl runs show, posetrl runs compare) ------------------- *)
 
-(* The attribution table of `posetrl explain`: the [top] selected actions
+(* The attribution table of `posetrl runs show`: the [top] selected actions
    by total reward, with their reward split, most frequent schedule
    position and pass labels. *)
 let render ~(top : int) (t : t) : string =
@@ -217,9 +217,9 @@ let render ~(top : int) (t : t) : string =
        Printf.sprintf "  (%d more actions with selections not shown)\n" hidden
      else "")
 
-(* `posetrl runs compare --attrib`: the 15 actions whose total reward moved
-   most between two runs. Informational: a shift explains a reward delta,
-   it does not gate it. *)
+(* The attribution section of `posetrl runs compare`: the 15 actions
+   whose total reward moved most between two runs. Informational: a
+   shift explains a reward delta, it does not gate it. *)
 let render_shift ~(base : t option) ~(cand : t option) : string =
   match base, cand with
   | None, _ | _, None ->

@@ -1,4 +1,4 @@
-(* The optimization engine behind `posetrl serve --opt`: admission
+(* The optimization engine behind `posetrl serve`: admission
    control (parse + sanitize untrusted IR), the IR-digest result cache,
    and the answer to a batch of requests. Concurrent cache misses share
    one [Inference.predict_batch], the lockstep greedy rollout: per

@@ -1,4 +1,4 @@
-(** The optimization engine behind [posetrl serve --opt]: admission
+(** The optimization engine behind [posetrl serve]: admission
     control over untrusted IR, the IR-digest LRU result cache, and the
     answer to a batch of requests, whose cache misses share one
     {!Posetrl_core.Inference.predict_batch} (one gemm per episode step

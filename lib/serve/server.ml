@@ -77,14 +77,7 @@ let create ?(max_body = Httpd.default_max_body)
           Obs.Json.Obj [ ("status", Obs.Json.Str "running") ])
         ()
   in
-  (* the daemon never dispatches through a handler — pump owns routing —
-     but Httpd.create requires one; anything reaching it is a bug *)
-  let httpd =
-    Httpd.create ~backlog:64 ~max_body ~port
-      ~handler:(fun _ -> Httpd.error_response 500 "unreachable")
-      ()
-  in
-  { httpd;
+  { httpd = Httpd.create ~backlog:64 ~max_body ~port ();
     engine;
     telemetry;
     queue_cap = max 1 queue_cap;
@@ -98,7 +91,6 @@ let create ?(max_body = Httpd.default_max_body)
 let port (t : t) = Httpd.port t.httpd
 let close (t : t) = Httpd.close t.httpd
 let requests (t : t) = t.requests
-let optimize_requests (t : t) = t.optimize_requests
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -107,20 +99,14 @@ let record_latency (t : t) (dt : float) : unit =
   t.lat_n <- t.lat_n + 1;
   Obs.Metrics.observe m_latency dt
 
-let percentile (sorted : float array) (p : float) : float =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
-
 let latency_percentiles (t : t) : float * float =
   let n = min t.lat_n lat_window in
   if n = 0 then (0.0, 0.0)
   else begin
     let xs = Array.sub t.lat 0 n in
     Array.sort compare xs;
-    (percentile xs 0.50, percentile xs 0.99)
+    (Posetrl_support.Stats.nearest_rank xs 0.50,
+     Posetrl_support.Stats.nearest_rank xs 0.99)
   end
 
 let stats_json (t : t) : Obs.Json.t =

@@ -40,9 +40,6 @@ val close : t -> unit
 val requests : t -> int
 (** Total requests answered (all routes, including errors). *)
 
-val optimize_requests : t -> int
-(** POST /optimize + /optimize/batch requests answered. *)
-
 val stats_json : t -> Posetrl_obs.Json.t
 (** The rolling stats document ([kind = "serve-stats"]): request and
     rejection totals, queue depth/cap, cache hit/miss/byte counters,

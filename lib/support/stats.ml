@@ -44,6 +44,13 @@ let median l =
     if n mod 2 = 1 then arr.(n / 2)
     else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0
 
+(* Nearest-rank quantile: the element at the clamped index
+   ceil(q * n) - 1 of an ascending array. *)
+let nearest_rank (sorted : float array) (q : float) : float =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
+
 (* Unicode block-character sparkline of a series, downsampled to [width]
    columns by bucket-averaging. Non-finite samples are dropped; a flat
    series renders at mid-height so it stays visible. *)

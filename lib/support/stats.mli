@@ -15,6 +15,11 @@ val geomean : float list -> float
 
 val median : float list -> float
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank sorted q] is the nearest-rank [q]-quantile of an
+    ascending array: the element at index [ceil (q * n) - 1], clamped
+    to [0, n - 1]. [nan] on an empty array. *)
+
 val sparkline : ?width:int -> float list -> string
 (** Unicode block-character rendering of a series (▁▂▃▄▅▆▇█),
     downsampled to [width] columns (default 60) by bucket-averaging.

@@ -223,7 +223,7 @@ decision-space coverage (0 steps, 0 episodes):
 no visited edges
 |}
     (Cov.render ~top:2 (Cov.create tiny_universe));
-  Alcotest.(check string) "compare --coverage"
+  Alcotest.(check string) "runs compare coverage line"
     {|coverage: edges 100.0% -> 100.0% (+0.0 pts)  entropy 1.585 -> 1.500 bits (-0.085)  nodes 4 -> 4
 |}
     (Cov.render_shift ~base:(Some base) ~cand:(Some cand));

@@ -277,7 +277,7 @@ let attrib_fixture extra =
 let test_attrib_render_golden () =
   let base = attrib_fixture [] in
   let cand = attrib_fixture [ (0, 0, 4.0); (1, 5, -0.25) ] in
-  Alcotest.(check string) "explain table"
+  Alcotest.(check string) "runs show attribution table"
     {|
 per-action reward attribution (4 steps):
 == reward attribution (attrib.json) ==
@@ -288,7 +288,7 @@ per-action reward attribution (4 steps):
   (1 more actions with selections not shown)
 |}
     (Rl.Attrib.render ~top:2 base);
-  Alcotest.(check string) "compare --attrib"
+  Alcotest.(check string) "runs compare attribution shift"
     {|== per-action reward attribution (base vs candidate) ==
 | action | count b/c | reward base | reward cand |  shift |
 |--------|-----------|-------------|-------------|--------|

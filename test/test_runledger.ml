@@ -198,7 +198,7 @@ let test_run_lifecycle () =
 (* --- attrib.json / alerts.jsonl hardening ------------------------------------
    The health-layer files follow the same robustness contract as the
    rest of the ledger: missing or corrupt → "no data" (None), never an
-   exception — `posetrl explain` and `watch` must render any ledger,
+   exception — `posetrl runs show` and `watch` must render any ledger,
    including PR 2–6 runs that predate these files. *)
 
 let test_attrib_alerts_lifecycle () =

@@ -102,6 +102,19 @@ let test_stats_pct () =
 let test_stats_stddev () =
   check_float "stddev" (sqrt 2.5) (Stats.stddev [ 1.0; 2.0; 3.0; 4.0; 5.0 ])
 
+(* element i of the array is i + 1, so each expected value reads as
+   the 1-based rank ceil(q * n), clamped to [1, n] *)
+let test_stats_nearest_rank () =
+  let ranked n = Array.init n (fun i -> float_of_int (i + 1)) in
+  List.iter
+    (fun (n, q, want) ->
+      check_float (Printf.sprintf "n=%d q=%g" n q) want
+        (Stats.nearest_rank (ranked n) q))
+    [ (1, 0.0, 1.0); (1, 0.5, 1.0); (1, 0.99, 1.0); (1, 1.0, 1.0);
+      (2, 0.0, 1.0); (2, 0.5, 1.0); (2, 0.99, 2.0); (2, 1.0, 2.0);
+      (200, 0.0, 1.0); (200, 0.5, 100.0); (200, 0.99, 198.0); (200, 1.0, 200.0) ];
+  Alcotest.(check bool) "empty is nan" true (Float.is_nan (Stats.nearest_rank [||] 0.5))
+
 let test_table_render () =
   let t =
     Table.create ~title:"t" ~headers:[ "a"; "bb" ]
@@ -143,5 +156,6 @@ let suite =
     Alcotest.test_case "stats geomean" `Quick test_stats_geomean;
     Alcotest.test_case "stats pct" `Quick test_stats_pct;
     Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
+    Alcotest.test_case "stats nearest rank" `Quick test_stats_nearest_rank;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table bad row" `Quick test_table_bad_row ]

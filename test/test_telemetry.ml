@@ -336,20 +336,18 @@ let test_coverage_route () =
 (* --- Httpd: live socket -------------------------------------------------------- *)
 
 let test_live_socket () =
-  let server =
-    Httpd.create ~port:0
-      ~handler:(fun req ->
-        if req.Httpd.path = "/healthz" then
-          Httpd.json_response (Json.Obj [ ("status", Json.Str "running") ])
-        else Httpd.response ~status:404 "nope")
-      ()
+  let handler req =
+    if req.Httpd.path = "/healthz" then
+      Httpd.json_response (Json.Obj [ ("status", Json.Str "running") ])
+    else Httpd.response ~status:404 "nope"
   in
+  let server = Httpd.create ~port:0 () in
   Fun.protect
     ~finally:(fun () -> Httpd.close server)
     (fun () ->
       Alcotest.(check bool) "ephemeral port assigned" true (Httpd.port server > 0);
       (* no pending connection: pump returns immediately *)
-      Httpd.pump server;
+      Httpd.pump server handler;
       let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
@@ -358,7 +356,7 @@ let test_live_socket () =
             (Unix.ADDR_INET (Unix.inet_addr_loopback, Httpd.port server));
           let req = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" in
           ignore (Unix.write_substring sock req 0 (String.length req));
-          Httpd.pump server;
+          Httpd.pump server handler;
           let buf = Bytes.create 8192 in
           let n = ref 0 and eof = ref false in
           while not !eof do
@@ -589,9 +587,27 @@ action-distribution drift (KL vs previous window):
   episodes    2-2     KL 1.2500  << drift
   episodes    3-3     KL 0.3263
 |}
-    (Obs.Dashboard.drift records);
+    (Obs.Dashboard.drift ~n_actions:4 records);
   Alcotest.(check string) "one window: no timeline" ""
-    (Obs.Dashboard.drift [ episode ~episode:1 ~reward:1.0 [ 3 ] ])
+    (Obs.Dashboard.drift ~n_actions:4 [ episode ~episode:1 ~reward:1.0 [ 3 ] ])
+
+(* An action id past the run's action space is skipped: it neither
+   widens the windows (the timeline stays cheap) nor changes a byte. *)
+let test_drift_out_of_range_id () =
+  let records crafted =
+    List.init 16 (fun e ->
+        let actions = [ 1; 0; e mod 3 ] in
+        episode ~episode:e ~reward:0.0
+          (if e = 0 && crafted then 2_000_000 :: actions else actions))
+  in
+  let clean = Obs.Dashboard.drift ~n_actions:4 (records false) in
+  let before = Gc.allocated_bytes () in
+  let crafted = Obs.Dashboard.drift ~n_actions:4 (records true) in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1 MB allocated (%.0f B)" allocated)
+    true (allocated < 1e6);
+  Alcotest.(check string) "same timeline as without the id" clean crafted
 
 (* --- progress-record diagnostics fields ----------------------------------------- *)
 
@@ -640,6 +656,8 @@ let suite =
     Alcotest.test_case "dashboard alerts row" `Quick test_dashboard_alerts_row;
     Alcotest.test_case "explain schedules and drift golden" `Quick
       test_dashboard_explain_golden;
+    Alcotest.test_case "drift skips out-of-range action ids" `Quick
+      test_drift_out_of_range_id;
     Alcotest.test_case "dashboard coverage row" `Quick
       test_dashboard_coverage_row;
     Alcotest.test_case "record diagnostics" `Quick test_record_diagnostic_fields ]
