@@ -117,7 +117,7 @@ let output_arg ~(doc : string) path default =
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE.jsonl"
-         ~doc:"Write a JSONL span trace to \\$(docv) (analyse with `posetrl report`).")
+         ~doc:"Write a JSONL span trace to $(docv) (analyse with `posetrl report`).")
 
 let metrics_arg =
   Arg.(value & flag & info [ "metrics" ]
@@ -173,12 +173,12 @@ type session = {
 let session_term =
   let run_dir =
     Arg.(value & opt (some string) None & info [ "run-dir" ] ~docv:"DIR"
-           ~doc:"Persist this run in the ledger at \\$(docv): manifest.json, \
+           ~doc:"Persist this run in the ledger at $(docv): manifest.json, \
                  progress.jsonl, eval.json, trace.jsonl. Inspect with `posetrl runs`.")
   in
   let run_name =
     Arg.(value & opt (some string) None & info [ "run" ] ~docv:"NAME"
-           ~doc:"Persist this run in the ledger under runs/<timestamp>-\\$(docv).")
+           ~doc:"Persist this run in the ledger under runs/<timestamp>-$(docv).")
   in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
@@ -197,13 +197,13 @@ type telemetry = { port : int option; grace : float }
 let telemetry_term =
   let port =
     Arg.(value & opt (some int) None & info [ "serve" ] ~docv:"PORT"
-           ~doc:"Serve live telemetry over HTTP on 127.0.0.1:\\$(docv) while the \
+           ~doc:"Serve live telemetry over HTTP on 127.0.0.1:$(docv) while the \
                  run is in flight: GET /metrics (Prometheus exposition), \
                  /healthz, /runs, /runs/ID/progress.")
   in
   let grace =
     Arg.(value & opt float 5.0 & info [ "serve-grace" ] ~docv:"SECS"
-           ~doc:"With --serve: keep answering requests for \\$(docv) seconds \
+           ~doc:"With --serve: keep answering requests for $(docv) seconds \
                  after the run finishes, so a scraper can observe the final \
                  'done' /healthz state and the last metric values.")
   in
@@ -390,9 +390,11 @@ let opt_cmd =
 (* --- run ------------------------------------------------------------------- *)
 
 let run_cmd =
-  let go (_, mk) level =
+  let go (spec, mk) level =
     let m = mk () in
     let m = Option.fold ~none:m ~some:(fun l -> P.Pass_manager.run_level l m) level in
+    if Option.is_none (Modul.find_func m "main") then
+      failwith (Printf.sprintf "%s: no function @main to run" spec);
     let module I = Posetrl_interp.Interp in
     match I.run m with
     | o ->
@@ -430,7 +432,7 @@ let train_cmd =
   let inject_nan =
     Arg.(value & opt (some int) None & info [ "inject-nan" ] ~docv:"STEP"
            ~doc:"Fault injection: poison one online-network weight with NaN at \
-                 global step \\$(docv), so the training-health watchdog's \
+                 global step $(docv), so the training-health watchdog's \
                  nan_loss rule fires. CI uses this to exercise the alert \
                  pipeline end to end; never set it for real training.")
   in
@@ -631,7 +633,7 @@ let report_cmd =
   let other =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"OTHER.jsonl"
            ~doc:"A second trace: after FILE's tables, compare per-span \
-                 self-time of FILE (A) against \\$(docv) (B), e.g. an eval \
+                 self-time of FILE (A) against $(docv) (B), e.g. an eval \
                  run at --jobs 1 against one at --jobs 4.")
   in
   let chrome =
@@ -890,7 +892,7 @@ let runs_show_cmd =
               ~doc:"Rows in the attribution, edge and transition tables."
           $ schedules
           $ dot_arg
-              ~doc:"Write a heat-annotated ODG rendering to \\$(docv): visited \
+              ~doc:"Write a heat-annotated ODG rendering to $(docv): visited \
                     edges colour-ramp grey to red by visit count, unvisited \
                     edges dashed (same layout as `posetrl odg --dot`).")
 
@@ -907,17 +909,17 @@ let runs_compare_cmd =
   let reward_drop =
     Arg.(value & opt float d.Obs.Run.max_reward_drop_pct
          & info [ "max-reward-drop" ] ~docv:"PCT"
-             ~doc:"Regression when final mean reward drops more than \\$(docv)%% vs base.")
+             ~doc:"Regression when final mean reward drops more than $(docv)% vs base.")
   in
   let size_drop =
     Arg.(value & opt float d.Obs.Run.max_size_drop_pts
          & info [ "max-size-drop" ] ~docv:"PTS"
-             ~doc:"Regression when a suite's avg size reduction drops more than \\$(docv) points.")
+             ~doc:"Regression when a suite's avg size reduction drops more than $(docv) points.")
   in
   let wall_factor =
     Arg.(value & opt float d.Obs.Run.max_wall_factor
          & info [ "max-wall-factor" ] ~docv:"X"
-             ~doc:"Regression when candidate wall time exceeds \\$(docv) times base (0 disables).")
+             ~doc:"Regression when candidate wall time exceeds $(docv) times base (0 disables).")
   in
   let go root base cand reward_drop size_drop wall_factor =
     let b = Obs.Run.find ~root base in
@@ -1138,7 +1140,7 @@ let dump_cmd =
               (program_pos
                  ~doc:"Benchmark name (e.g. crc32) or path to a textual MiniIR \
                        file.")
-          $ output_arg ~doc:"Write to \\$(docv) instead of stdout."
+          $ output_arg ~doc:"Write to $(docv) instead of stdout."
               Arg.(some string) None)
 
 (* --- serve (optimization-as-a-service daemon) -------------------------------- *)
@@ -1146,7 +1148,7 @@ let dump_cmd =
 let serve_cmd =
   let port =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"PORT"
-           ~doc:"Listen on 127.0.0.1:\\$(docv) (0 picks a free port).")
+           ~doc:"Listen on 127.0.0.1:$(docv) (0 picks a free port).")
   in
   let weights =
     Arg.(value & opt (some string) None & info [ "weights" ] ~docv:"FILE"
@@ -1165,11 +1167,11 @@ let serve_cmd =
   in
   let max_body_kb =
     Arg.(value & opt int 1024 & info [ "max-body-kb" ] ~docv:"KB"
-           ~doc:"Reject POST bodies larger than \\$(docv) KiB with a 413.")
+           ~doc:"Reject POST bodies larger than $(docv) KiB with a 413.")
   in
   let max_requests =
     Arg.(value & opt (some int) None & info [ "max-requests" ] ~docv:"N"
-           ~doc:"Exit after answering \\$(docv) requests (CI smoke hooks); \
+           ~doc:"Exit after answering $(docv) requests (CI smoke hooks); \
                  default: serve until SIGINT/SIGTERM.")
   in
   let go port weights actions tgt cache_mb queue max_body_kb max_requests
@@ -1356,7 +1358,7 @@ let lint_cmd =
     Arg.(value
          & opt (some (conv' (A.Lint.severity_of_string, print))) None
          & info [ "fail-on" ] ~docv:"SEVERITY"
-             ~doc:"Exit 4 when any finding of severity \\$(docv) (error, \
+             ~doc:"Exit 4 when any finding of severity $(docv) (error, \
                    warning or info) or higher is present — the CI gate.")
   in
   let go program suite level json threshold trace metrics =
@@ -1443,7 +1445,7 @@ let lint_cmd =
                        with --suite).")
           $ suite
           $ level_arg (Arg.some level_conv) None
-              ~doc:"Run pipeline \\$(docv) (O0 O1 O2 O3 Os Oz) before linting — \
+              ~doc:"Run pipeline $(docv) (O0 O1 O2 O3 Os Oz) before linting — \
                     `--suite -O Oz --fail-on error` is the CI gate over the \
                     optimized workloads."
           $ json $ fail_on $ trace_arg $ metrics_arg)

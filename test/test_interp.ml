@@ -166,29 +166,28 @@ let test_memcpy_op () =
   in
   Alcotest.(check int64) "memcpy copied" 11L (ret_i64 m)
 
-let test_vector_ops () =
-  let m =
-    Testutil.wrap_main (fun b ->
-        Builder.block b "entry";
-        let a = Builder.alloca b Types.I64 4 in
-        (* write 1,2,3,4 *)
-        List.iteri
-          (fun k v ->
-            let p = Builder.gep b Types.I64 a (Value.ci64 k) in
-            Builder.store b Types.I64 (Value.ci64 v) p)
-          [ 1; 2; 3; 4 ];
-        let vec_ty = Types.Vec (Types.I64, 4) in
-        let v = Builder.load b vec_ty a in
-        (* splat 10 and add *)
-        let s = Builder.cast b Instr.Bitcast ~from_ty:Types.I64 ~to_ty:vec_ty (Value.ci64 10) in
-        let sum = Builder.add b vec_ty v s in
-        Builder.store b vec_ty sum a;
-        (* read back element 2 -> 13 *)
-        let p2 = Builder.gep b Types.I64 a (Value.ci64 2) in
-        let x = Builder.load b Types.I64 p2 in
-        Builder.ret b Types.I64 x)
-  in
-  Alcotest.(check int64) "vector lane" 13L (ret_i64 m)
+let vector_module () =
+  Testutil.wrap_main (fun b ->
+      Builder.block b "entry";
+      let a = Builder.alloca b Types.I64 4 in
+      (* write 1,2,3,4 *)
+      List.iteri
+        (fun k v ->
+          let p = Builder.gep b Types.I64 a (Value.ci64 k) in
+          Builder.store b Types.I64 (Value.ci64 v) p)
+        [ 1; 2; 3; 4 ];
+      let vec_ty = Types.Vec (Types.I64, 4) in
+      let v = Builder.load b vec_ty a in
+      (* splat 10 and add *)
+      let s = Builder.cast b Instr.Bitcast ~from_ty:Types.I64 ~to_ty:vec_ty (Value.ci64 10) in
+      let sum = Builder.add b vec_ty v s in
+      Builder.store b vec_ty sum a;
+      (* read back element 2 -> 13 *)
+      let p2 = Builder.gep b Types.I64 a (Value.ci64 2) in
+      let x = Builder.load b Types.I64 p2 in
+      Builder.ret b Types.I64 x)
+
+let test_vector_ops () = Alcotest.(check int64) "vector lane" 13L (ret_i64 (vector_module ()))
 
 let test_switch_dispatch () =
   let b = Builder.create ~linkage:Func.External ~name:"main" ~params:[] ~ret:Types.I64 () in
@@ -221,6 +220,114 @@ let test_cycles_monotone_in_work () =
   let c100 = (run_main (mk 100)).I.cycles in
   Alcotest.(check bool) "more work, more cycles" true (c100 > c10 * 5)
 
+(* --- traps on malformed modules ---------------------------------------------
+
+   The parser does not verify, so these modules are written as text. Each
+   pins the exact message: the equiv sanitizer and `posetrl run` print
+   it. *)
+
+let trap_of (src : string) : string =
+  match I.observe (Parser.parse_module src) with
+  | Error e -> e
+  | Ok (r, _) -> Alcotest.failf "expected a trap, returned %s" r
+
+let main_body body = "module t\n\nfunc @main(): i64 {\n" ^ body ^ "}\n"
+
+(* name, message, module *)
+let malformed : (string * string * string) list =
+  [ ("unknown block", "jump to unknown block nowhere", main_body "entry:\n  br nowhere\n");
+    ( "missing phi incoming", "phi %1 missing incoming from body",
+      main_body
+        "entry:\n  br body\nbody:\n  br join\n\
+         join:\n  %1 = phi i64 [entry: 0]\n  ret i64 %1\n" );
+    ( "phi in entry", "phi in entry block",
+      main_body "entry:\n  %0 = phi i64 [entry: 0]\n  ret i64 %0\n" );
+    ( "phi after a non-phi", "phi executed outside block entry",
+      main_body
+        "entry:\n  br next\nnext:\n  %1 = add i64 1, 2\n\
+         %2 = phi i64 [entry: 0]\n  ret i64 %2\n" );
+    ( "unassigned register", "read of unassigned register %7 in @main",
+      main_body "entry:\n  ret i64 %7\n" );
+    ( "unknown global", "unknown global @nope",
+      main_body "entry:\n  %0 = load i64, @nope\n  ret i64 %0\n" );
+    ( "arity mismatch", "arity mismatch calling @f",
+      "module t\n\nfunc @f(%0: i64): i64 {\nentry:\n  ret i64 %0\n}\n\n"
+      ^ "func @main(): i64 {\nentry:\n  %0 = call i64 @f(1, 2)\n  ret i64 %0\n}\n" );
+    (* the first global sits at address 16, the bottom of the heap *)
+    ( "indirect call to data", "indirect call to non-function address 16",
+      "module t\n\ninternal global @g: i64 x 1 = zeroinit\n\n"
+      ^ "func @main(): i64 {\nentry:\n  %0 = callind i64 @g(1)\n  ret i64 %0\n}\n" );
+    ( "unknown intrinsic", "unknown intrinsic frobnicate",
+      main_body "entry:\n  intrinsic frobnicate void ()\n  ret i64 0\n" );
+    (* operands are read right to left: the second operand traps first *)
+    ( "binop operand order", "read of unassigned register %5 in @main",
+      main_body "entry:\n  %0 = add i64 %4, %5\n  ret i64 %0\n" );
+    ( "store operand order", "read of unassigned register %4 in @main",
+      main_body "entry:\n  store i64 %4, %5\n  ret i64 0\n" );
+    ( "call arguments left to right", "read of unassigned register %4 in @main",
+      "module t\n\nfunc @f(%0: i64, %1: i64): i64 {\nentry:\n  ret i64 %0\n}\n\n"
+      ^ "func @main(): i64 {\nentry:\n  %0 = call i64 @f(%4, %5)\n  ret i64 %0\n}\n" ) ]
+
+let test_malformed_traps () =
+  List.iter
+    (fun (name, want, src) -> Alcotest.(check string) name want (trap_of src))
+    malformed
+
+(* Every trap above sits on a path that never runs here: traps are
+   raised when the operation executes, never when a function is
+   entered. *)
+let untaken_src =
+  main_body
+    "entry:\n  %0 = select i64 1, 5, %99\n  cbr 1, done, bad\n\
+     bad:\n  %1 = load i64, @nope\n  %2 = add i64 %1, %98\n\
+     intrinsic frobnicate void ()\n  %3 = phi i64 [done: 0]\n  br nowhere\n\
+     done:\n  ret i64 %0\n"
+
+let test_untaken_path_does_not_trap () =
+  Alcotest.(check (result (pair string string) string)) "returns" (Ok ("5", ""))
+    (I.observe (Parser.parse_module untaken_src))
+
+let callind_src =
+  "module t\n\ninternal func @sq(%0: i64): i64 {\nentry:\n  %1 = mul i64 %0, %0\n\
+   ret i64 %1\n}\n\nfunc @main(): i64 {\nentry:\n  %0 = callind i64 @sq(7)\n\
+   %1 = call i64 @sq(%0)\n  ret i64 %1\n}\n"
+
+let test_callind_through_function_address () =
+  let o = run_main (Parser.parse_module callind_src) in
+  Alcotest.(check int64) "sq (sq 7)" 2401L
+    (match o.I.ret with I.VInt v -> v | _ -> Alcotest.fail "expected integer return");
+  (* two calls (6 each), two muls (4 each), three rets (2 each) *)
+  Alcotest.(check int) "cycles" 26 o.I.cycles;
+  Alcotest.(check int) "dynamic instructions" 4 o.I.dyn_insns
+
+(* Shapes the workloads never produce: a switch with a repeated case
+   value and a phi with a repeated incoming label (the first of each
+   wins), a cbr with one target twice, and two functions of one name (a
+   call and an indirect call through the name's address both run the
+   first). *)
+let edge_src =
+  "module t\n\nfunc @f(%0: i64): i64 {\nentry:\n  %1 = add i64 %0, 1\n  ret i64 %1\n}\n\n\
+   func @f(%0: i64): i64 {\nentry:\n  ret i64 0\n}\n\n\
+   func @main(): i64 {\nentry:\n  br head\n\
+   head:\n  %0 = phi i64 [entry: 0], [latch: %5], [entry: 7]\n\
+   %1 = phi i64 [entry: 0], [latch: %6]\n  %2 = icmp slt i64 %0, 6\n  cbr %2, body, exit\n\
+   body:\n  %3 = srem i64 %0, 3\n  switch i64 %3 [0: a, 1: b, 0: b], default c\n\
+   a:\n  br latch\nb:\n  br latch\nc:\n  cbr 1, latch, latch\n\
+   latch:\n  %4 = phi i64 [a: 10], [b: 20], [c: 30], [a: 99]\n  %5 = add i64 %0, 1\n\
+   %7 = call i64 @f(%4)\n  %8 = callind i64 @f(%7)\n  %6 = add i64 %1, %8\n  br head\n\
+   exit:\n  ret i64 %1\n}\n"
+
+(* a gep over a vector type steps by the element size *)
+let vector_gep_src =
+  main_body
+    "entry:\n  %0 = alloca i64 x 4\n  %1 = gep i64 %0, 1\n  store i64 5, %1\n\
+     %2 = gep <4 x i64> %0, 1\n  %3 = load i64, %2\n  ret i64 %3\n"
+
+let test_edge_shapes () =
+  Alcotest.(check int64) "first case, first incoming, first definition" 132L
+    (ret_i64 (Parser.parse_module edge_src));
+  Alcotest.(check int64) "vector gep" 5L (ret_i64 (Parser.parse_module vector_gep_src))
+
 (* property: Fold.fold_op agrees with interpreter execution on random
    integer binops *)
 let prop_fold_matches_interp =
@@ -250,6 +357,123 @@ let prop_fold_matches_interp =
          | _ -> false)
       | Some _ -> false)
 
+(* --- the resolved interpreter against the reference (interp_ref.ml) -------- *)
+
+module R = Interp_ref
+
+let rec of_ref : R.value -> I.value = function
+  | R.VInt x -> I.VInt x
+  | R.VFloat f -> I.VFloat f
+  | R.VPtr p -> I.VPtr p
+  | R.VVec vs -> I.VVec (Array.map of_ref vs)
+  | R.VUndef -> I.VUndef
+
+(* floats by their bits, so -0.0 and 0.0 (or two NaNs) stay apart *)
+let rec show (v : I.value) : string =
+  match v with
+  | I.VInt x -> Int64.to_string x
+  | I.VFloat f -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
+  | I.VPtr p -> Printf.sprintf "ptr:%d" p
+  | I.VVec vs -> "<" ^ String.concat ", " (Array.to_list (Array.map show vs)) ^ ">"
+  | I.VUndef -> "undef"
+
+(* the same distinction as a hash, without allocating: it runs on every
+   on_assign call *)
+let rec value_hash (v : I.value) : int =
+  match v with
+  | I.VInt x -> Hashtbl.hash (0, x)
+  | I.VFloat f -> Hashtbl.hash (1, Int64.bits_of_float f)
+  | I.VPtr p -> Hashtbl.hash (2, p)
+  | I.VVec vs -> Array.fold_left (fun h v -> Hashtbl.hash (h, value_hash v)) 3 vs
+  | I.VUndef -> 4
+
+(* A run's outcome (floats by bits) or the exception it raised, the
+   number of on_assign calls and a hash of their sequence. *)
+type seen = {
+  result : (string * int * int * string, string) result;
+  assigns : int;
+  assign_hash : int;
+}
+
+let seen_of (run : (fname:string -> int -> I.value -> unit) option -> I.outcome) ~(hook : bool)
+    : seen =
+  let n = ref 0 and h = ref 0 in
+  let on_assign ~fname r v =
+    incr n;
+    h := Hashtbl.hash (!h, Hashtbl.hash fname, r, value_hash v)
+  in
+  let result =
+    match run (if hook then Some on_assign else None) with
+    | o ->
+      Ok (show o.I.ret, o.I.cycles, o.I.dyn_insns, o.I.output)
+    | exception (I.Trap msg | R.Trap msg) -> Error ("trap: " ^ msg)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  { result; assigns = !n; assign_hash = !h }
+
+(* Both interpreters on [m], four ways: default fuel with and without the
+   hook, and two small fuels that stop mid-run. *)
+let same_as_reference (m : Modul.t) : (string, string) result =
+  let ways = [ (None, false); (None, true); (Some 3_000, false); (Some 777, true) ] in
+  let differs (fuel, hook) =
+    let mine = seen_of ~hook (fun on_assign -> I.run ?fuel ?on_assign m) in
+    let theirs =
+      seen_of ~hook (fun on_assign ->
+          let on_assign = Option.map (fun h ~fname r v -> h ~fname r (of_ref v)) on_assign in
+          let o = R.run ?fuel ?on_assign m in
+          { I.ret = of_ref o.R.ret; cycles = o.R.cycles; dyn_insns = o.R.dyn_insns;
+            output = o.R.output })
+    in
+    mine <> theirs
+  in
+  match List.find_opt differs ways with
+  | None -> Ok m.Modul.name
+  | Some (fuel, hook) ->
+    Error
+      (Printf.sprintf "%s differs at fuel %s%s" m.Modul.name
+         (Option.fold ~none:"default" ~some:string_of_int fuel)
+         (if hook then " with on_assign" else ""))
+
+(* the 31 validation programs and every fifth training-corpus program,
+   raw (O0) and at -Oz, and the hand-written modules above: the
+   malformed ones, and the switches and vectors no workload has *)
+let test_matches_reference_on_suites () =
+  let raw =
+    List.map snd (Posetrl_workloads.Suites.all_programs ())
+    @ List.filteri (fun k _ -> k mod 5 = 0)
+        (Array.to_list (Posetrl_workloads.Suites.training_corpus ()))
+  in
+  let oz = List.map (Posetrl_passes.Pass_manager.run_level Posetrl_passes.Pipelines.Oz) raw in
+  let hand =
+    List.map Parser.parse_module
+      (untaken_src :: callind_src :: edge_src :: vector_gep_src
+       :: List.map (fun (_, _, src) -> src) malformed)
+    @ List.map (fun key -> Test_switch_misc.switch_module ~key ()) [ 0; 1; 2; 42 ]
+    @ [ vector_module (); Testutil.sum_squares_module () ]
+  in
+  List.iter
+    (fun m -> Alcotest.(check (result string string)) "same outcome" (Ok m.Modul.name)
+        (same_as_reference m))
+    (raw @ oz @ hand)
+
+(* Genprog and Templates programs after 15 random ODG actions, as one
+   training episode could take them *)
+let prop_matches_reference_under_odg_schedules =
+  let space = Posetrl_odg.Action_space.odg in
+  QCheck2.Test.make ~count:50 ~name:"resolved interpreter = reference under random ODG schedules"
+    QCheck2.Gen.(
+      triple (int_range 800_000 900_000) bool
+        (list_repeat 15 (int_range 0 (Posetrl_odg.Action_space.n_actions space - 1))))
+    (fun (seed, templ, schedule) ->
+      let m =
+        if templ then Posetrl_workloads.Templates.generate ~seed
+        else Posetrl_workloads.Genprog.generate ~seed
+      in
+      let m = Posetrl_core.Inference.apply_sequence ~actions:space schedule m in
+      match same_as_reference m with
+      | Ok _ -> true
+      | Error e -> QCheck2.Test.fail_report e)
+
 let suite =
   [ Alcotest.test_case "arith wrapping" `Quick test_arith_wrapping;
     Alcotest.test_case "division trap" `Quick test_division_trap;
@@ -264,4 +488,12 @@ let suite =
     Alcotest.test_case "vector ops" `Quick test_vector_ops;
     Alcotest.test_case "switch dispatch" `Quick test_switch_dispatch;
     Alcotest.test_case "cycles monotone" `Quick test_cycles_monotone_in_work;
+    Alcotest.test_case "malformed-module trap messages" `Quick test_malformed_traps;
+    Alcotest.test_case "untaken path does not trap" `Quick test_untaken_path_does_not_trap;
+    Alcotest.test_case "callind through a function address" `Quick
+      test_callind_through_function_address;
+    Alcotest.test_case "repeated cases, incomings and names" `Quick test_edge_shapes;
+    Alcotest.test_case "resolved interpreter = reference on the suites" `Quick
+      test_matches_reference_on_suites;
+    QCheck_alcotest.to_alcotest prop_matches_reference_under_odg_schedules;
     QCheck_alcotest.to_alcotest prop_fold_matches_interp ]
