@@ -106,6 +106,16 @@ let run_pos ?(doc = "Run id (under --root) or a run directory path.") () =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
+(* A count that must be at least 1: 0 or a negative value is a usage
+   error naming the flag. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (Printf.sprintf "%s is not a positive integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let top_arg ~(default : int) ~(doc : string) =
   Arg.(value & opt int default & info [ "top" ] ~docv:"K" ~doc)
 
@@ -418,7 +428,7 @@ let run_cmd =
 
 let train_cmd =
   let steps =
-    Arg.(value & opt (some int) None & info [ "steps" ]
+    Arg.(value & opt (some positive_int) None & info [ "steps" ] ~docv:"N"
            ~doc:"Total training timesteps (default: 20100, the paper budget; \
                  with --fast, the fast schedule's 1800).")
   in
@@ -427,7 +437,8 @@ let train_cmd =
            ~doc:"Use the scaled-down fast hyperparameters instead of the paper schedule.")
   in
   let corpus_size =
-    Arg.(value & opt int 130 & info [ "corpus" ] ~doc:"Training corpus size (paper: 130).")
+    Arg.(value & opt positive_int 130 & info [ "corpus" ] ~docv:"N"
+           ~doc:"Training corpus size (paper: 130).")
   in
   let inject_nan =
     Arg.(value & opt (some int) None & info [ "inject-nan" ] ~docv:"STEP"

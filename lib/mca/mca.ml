@@ -56,12 +56,34 @@ let model_of (t : Target.t) : resource_model =
       branch_units = 1.0;
       vec_units = 2.0 }
 
+(* [mclass] as an index into a block's 15 class counts *)
+let class_index = function
+  | MAlu -> 0
+  | MMul -> 1
+  | MDiv -> 2
+  | MFpAdd -> 3
+  | MFpMul -> 4
+  | MFpDiv -> 5
+  | MLoad -> 6
+  | MStore -> 7
+  | MBranch -> 8
+  | MCall -> 9
+  | MMov -> 10
+  | MLea -> 11
+  | MVecAlu -> 12
+  | MVecMem -> 13
+  | MNop -> 14
+
 (* steady-state cycles for one execution of a lowered block *)
 let block_cycles (t : Target.t) (minsts : minst list) : float =
   let rm = model_of t in
-  let count klass =
-    float_of_int (List.length (List.filter (fun m -> m.Target.klass = klass) minsts))
-  in
+  let counts = Array.make 15 0 in
+  List.iter
+    (fun m ->
+      let k = class_index m.Target.klass in
+      counts.(k) <- counts.(k) + 1)
+    minsts;
+  let count klass = float_of_int counts.(class_index klass) in
   let total = float_of_int (List.length minsts) in
   let pressures =
     [ (count MAlu +. count MLea +. count MMov) /. rm.alu_units;

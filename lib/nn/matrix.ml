@@ -40,7 +40,23 @@ let fill_zero m = Array.fill m.data 0 (Array.length m.data) 0.0
    skips the term of an exactly-zero A entry per (i, k) ([gemm],
    [gemm_tn_acc]). Every element is therefore bit-identical whatever the
    blocking, the remainder path or the row partition across the pool —
-   see DESIGN.md §9. *)
+   see DESIGN.md §9.
+
+   Bounds: the accumulate kernels ([acc_rows], [acc_1x8], [acc_1x1])
+   index without bounds checks. [gemm] and [gemm_tn_acc], their only
+   callers, first [check] every operand's length and that the shapes
+   agree, which keeps every index in range. [gemm_nt] keeps its
+   checked loads: unchecked, it ran no faster. *)
+
+(* Raise unless [m.data] holds exactly [m.rows * m.cols] entries. Checked
+   by division, so a product that overflows cannot pass. *)
+let check name m =
+  let len = Array.length m.data in
+  let ok =
+    m.rows >= 0 && m.cols >= 0
+    && if m.cols = 0 then len = 0 else len mod m.cols = 0 && len / m.cols = m.rows
+  in
+  if not ok then invalid_arg (name ^ ": data length is not rows * cols")
 
 let row_slice rows jobs w =
   (* chunk [0, rows) into at most [jobs] contiguous (start, stop) spans *)
@@ -124,36 +140,36 @@ let nt_1x1 ad a0 bd b0 cd c0 kd =
    real saving, and a per-term branch would mispredict. *)
 
 let acc_1x8 ks xs nnz bd cd c0 j =
-  let s0 = ref cd.(c0) and s1 = ref cd.(c0 + 1)
-  and s2 = ref cd.(c0 + 2) and s3 = ref cd.(c0 + 3) in
-  let s4 = ref cd.(c0 + 4) and s5 = ref cd.(c0 + 5)
-  and s6 = ref cd.(c0 + 6) and s7 = ref cd.(c0 + 7) in
+  let s0 = ref (Array.unsafe_get cd c0) and s1 = ref (Array.unsafe_get cd (c0 + 1))
+  and s2 = ref (Array.unsafe_get cd (c0 + 2)) and s3 = ref (Array.unsafe_get cd (c0 + 3)) in
+  let s4 = ref (Array.unsafe_get cd (c0 + 4)) and s5 = ref (Array.unsafe_get cd (c0 + 5))
+  and s6 = ref (Array.unsafe_get cd (c0 + 6)) and s7 = ref (Array.unsafe_get cd (c0 + 7)) in
   for t = 0 to nnz - 1 do
-    let x = xs.(t) and bk = ks.(t) + j in
-    s0 := !s0 +. (x *. bd.(bk));
-    s1 := !s1 +. (x *. bd.(bk + 1));
-    s2 := !s2 +. (x *. bd.(bk + 2));
-    s3 := !s3 +. (x *. bd.(bk + 3));
-    s4 := !s4 +. (x *. bd.(bk + 4));
-    s5 := !s5 +. (x *. bd.(bk + 5));
-    s6 := !s6 +. (x *. bd.(bk + 6));
-    s7 := !s7 +. (x *. bd.(bk + 7))
+    let x = Array.unsafe_get xs t and bk = Array.unsafe_get ks t + j in
+    s0 := !s0 +. (x *. Array.unsafe_get bd bk);
+    s1 := !s1 +. (x *. Array.unsafe_get bd (bk + 1));
+    s2 := !s2 +. (x *. Array.unsafe_get bd (bk + 2));
+    s3 := !s3 +. (x *. Array.unsafe_get bd (bk + 3));
+    s4 := !s4 +. (x *. Array.unsafe_get bd (bk + 4));
+    s5 := !s5 +. (x *. Array.unsafe_get bd (bk + 5));
+    s6 := !s6 +. (x *. Array.unsafe_get bd (bk + 6));
+    s7 := !s7 +. (x *. Array.unsafe_get bd (bk + 7))
   done;
-  cd.(c0) <- !s0;
-  cd.(c0 + 1) <- !s1;
-  cd.(c0 + 2) <- !s2;
-  cd.(c0 + 3) <- !s3;
-  cd.(c0 + 4) <- !s4;
-  cd.(c0 + 5) <- !s5;
-  cd.(c0 + 6) <- !s6;
-  cd.(c0 + 7) <- !s7
+  Array.unsafe_set cd c0 !s0;
+  Array.unsafe_set cd (c0 + 1) !s1;
+  Array.unsafe_set cd (c0 + 2) !s2;
+  Array.unsafe_set cd (c0 + 3) !s3;
+  Array.unsafe_set cd (c0 + 4) !s4;
+  Array.unsafe_set cd (c0 + 5) !s5;
+  Array.unsafe_set cd (c0 + 6) !s6;
+  Array.unsafe_set cd (c0 + 7) !s7
 
 let acc_1x1 ks xs nnz bd cd c0 j =
-  let s = ref cd.(c0) in
+  let s = ref (Array.unsafe_get cd c0) in
   for t = 0 to nnz - 1 do
-    s := !s +. (xs.(t) *. bd.(ks.(t) + j))
+    s := !s +. (Array.unsafe_get xs t *. Array.unsafe_get bd (Array.unsafe_get ks t + j))
   done;
-  cd.(c0) <- !s
+  Array.unsafe_set cd c0 !s
 
 (* C rows [i0, i1) of an accumulate-form product over [kcount] terms:
    row i's A entries sit at [a0 i + k * astep]. *)
@@ -164,10 +180,10 @@ let acc_rows ~a0 ~astep ad bd (c : t) kcount i0 i1 =
     let ai = a0 i and ci = i * n in
     let nnz = ref 0 in
     for k = 0 to kcount - 1 do
-      let x = ad.(ai + (k * astep)) in
+      let x = Array.unsafe_get ad (ai + (k * astep)) in
       if x <> 0.0 then begin
-        ks.(!nnz) <- k * n;
-        xs.(!nnz) <- x;
+        Array.unsafe_set ks !nnz (k * n);
+        Array.unsafe_set xs !nnz x;
         incr nnz
       end
     done;
@@ -184,8 +200,12 @@ let acc_rows ~a0 ~astep ad bd (c : t) kcount i0 i1 =
 
 (* C = A B — the input gradient ([dpre · w]). *)
 let gemm ?pool (a : t) (b : t) : t =
+  check "Matrix.gemm" a;
+  check "Matrix.gemm" b;
   if a.cols <> b.rows then invalid_arg "Matrix.gemm: dimension mismatch";
   let c = create a.rows b.cols in
+  (* [create]'s [rows * cols] can overflow when [a.cols] is 0 *)
+  check "Matrix.gemm" c;
   let kd = a.cols in
   parallel_rows ?pool a.rows
     (acc_rows ~a0:(fun i -> i * kd) ~astep:1 a.data b.data c kd);
@@ -220,6 +240,9 @@ let gemm_nt ?pool (a : t) (b : t) : t =
    C row i is A column i against B, summed over A's rows (the batch
    samples) in ascending order. *)
 let gemm_tn_acc ?pool (c : t) (a : t) (b : t) : unit =
+  check "Matrix.gemm_tn_acc" c;
+  check "Matrix.gemm_tn_acc" a;
+  check "Matrix.gemm_tn_acc" b;
   if a.rows <> b.rows || c.rows <> a.cols || c.cols <> b.cols then
     invalid_arg "Matrix.gemm_tn_acc: dimension mismatch";
   parallel_rows ?pool c.rows
@@ -239,3 +262,10 @@ let of_rows (rows : float array array) : t =
   m
 
 let row (m : t) (i : int) : float array = Array.sub m.data (i * m.cols) m.cols
+
+(* The matrix whose row i is [m]'s row [idx.(i)]. *)
+let gather (m : t) (idx : int array) : t =
+  let c = m.cols in
+  let g = create (Array.length idx) c in
+  Array.iteri (fun i r -> Array.blit m.data (r * c) g.data (i * c) c) idx;
+  g

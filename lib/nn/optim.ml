@@ -29,7 +29,20 @@ let grad_norm (net : Mlp.t) : float =
   done;
   sqrt !acc
 
+(* [step]'s update indexes without bounds checks: each layer's gradients
+   and moments must have its parameters' lengths. *)
+let check_layer (l : Layer.t) =
+  List.iter (Matrix.check "Optim.step") [ l.Layer.w; l.Layer.gw; l.Layer.mw; l.Layer.vw ];
+  let same p rest =
+    if List.exists (fun a -> Array.length a <> Array.length p) rest then
+      invalid_arg "Optim.step: a gradient or moment is not its parameter's size"
+  in
+  same l.Layer.w.Matrix.data
+    [ l.Layer.gw.Matrix.data; l.Layer.mw.Matrix.data; l.Layer.vw.Matrix.data ];
+  same l.Layer.b [ l.Layer.gb; l.Layer.mb; l.Layer.vb ]
+
 let step (o : t) (net : Mlp.t) : unit =
+  Array.iter check_layer net.Mlp.layers;
   o.step_count <- o.step_count + 1;
   let t = float_of_int o.step_count in
   let bc1 = 1.0 -. (o.beta1 ** t) in
@@ -46,11 +59,11 @@ let step (o : t) (net : Mlp.t) : unit =
   (* parameters [p], gradients [g], moments [m]/[v] *)
   let update p g m v =
     for i = 0 to Array.length p - 1 do
-      let gi = g.(i) *. clip_scale in
-      m.(i) <- (b1 *. m.(i)) +. (b1c *. gi);
-      v.(i) <- (b2 *. v.(i)) +. (b2c *. gi *. gi);
-      let mhat = m.(i) /. bc1 and vhat = v.(i) /. bc2 in
-      p.(i) <- p.(i) -. (lr *. mhat /. (sqrt vhat +. eps))
+      let gi = Array.unsafe_get g i *. clip_scale in
+      Array.unsafe_set m i ((b1 *. Array.unsafe_get m i) +. (b1c *. gi));
+      Array.unsafe_set v i ((b2 *. Array.unsafe_get v i) +. (b2c *. gi *. gi));
+      let mhat = Array.unsafe_get m i /. bc1 and vhat = Array.unsafe_get v i /. bc2 in
+      Array.unsafe_set p i (Array.unsafe_get p i -. (lr *. mhat /. (sqrt vhat +. eps)))
     done
   in
   Array.iter

@@ -13,6 +13,8 @@ module Obs = Posetrl_obs
 let m_forwards = Obs.Metrics.counter "posetrl.dqn.forwards"
 let m_batches = Obs.Metrics.counter "posetrl.dqn.train_batches"
 let m_syncs = Obs.Metrics.counter "posetrl.dqn.target_syncs"
+let m_rows = Obs.Metrics.counter "posetrl.dqn.learner_rows"
+let m_memo_hits = Obs.Metrics.counter "posetrl.dqn.target_memo_hits"
 
 (* Q-value drift diagnostics, refreshed on every online forward (the
    fold is ~n_actions float ops — noise next to the MLP itself). A
@@ -20,6 +22,35 @@ let m_syncs = Obs.Metrics.counter "posetrl.dqn.target_syncs"
    signature these exist to surface live (`/metrics`). *)
 let m_q_mean = Obs.Metrics.gauge "posetrl.dqn.q_mean"
 let m_q_max = Obs.Metrics.gauge "posetrl.dqn.q_max"
+
+(* Rows keyed on their bits: 0.0 and -0.0, or two NaN payloads, make
+   different rows, and two arrays with the same bits the same row. *)
+module Rows = Hashtbl.Make (struct
+  type t = float array
+
+  let equal a b =
+    a == b
+    || Array.length a = Array.length b
+       &&
+       let i = ref 0 in
+       while !i < Array.length a && Int64.bits_of_float a.(!i) = Int64.bits_of_float b.(!i) do
+         incr i
+       done;
+       !i = Array.length a
+
+  let hash a =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 31) + Int64.to_int (Int64.bits_of_float a.(i))
+    done;
+    !h land max_int
+end)
+
+type memo = float array Rows.t
+
+(* Between two syncs the fast schedule adds at most 1,600 rows and the
+   paper schedule 4,000, so the cap only bounds misuse. *)
+let memo_cap = 4096
 
 type t = {
   online : Mlp.t;
@@ -32,6 +63,8 @@ type t = {
   (* when set, the batch dimension of the gemm kernels is split across
      the pool's domains; row partitioning keeps the arithmetic
      byte-identical to the serial path *)
+  target_memo : memo;
+  (* the target net's Q rows since the last sync, keyed on the state *)
   mutable train_steps : int;
 }
 
@@ -48,6 +81,7 @@ let create ?(gamma = 0.99) ?(lr = 1e-4) ?(double = true) ?pool (rng : Rng.t)
     n_actions;
     double;
     pool;
+    target_memo = Rows.create 256;
     train_steps = 0 }
 
 (* Count one online forward and refresh the drift gauges from its
@@ -91,42 +125,78 @@ let select_action (t : t) (rng : Rng.t) ~(epsilon : float) (state : float array)
   if Rng.float rng < epsilon then Rng.int rng t.n_actions
   else greedy_action t state
 
-(* TD targets for a whole batch: gather the non-terminal next states
-   into one matrix and run the target (and, for double DQN, the online)
-   network once — two gemm sweeps replace 2n matvec chains. *)
-let td_targets (t : t) (batch : Replay.transition array) : float array =
+(* A batch's distinct rows in first-seen order, each with its index. *)
+type rowset = { index : int Rows.t; mutable rows : float array list; mutable count : int }
+
+let rowset () = { index = Rows.create 64; rows = []; count = 0 }
+
+let slot (s : rowset) (r : float array) : int =
+  match Rows.find_opt s.index r with
+  | Some i -> i
+  | None ->
+    let i = s.count in
+    Rows.add s.index r i;
+    s.rows <- r :: s.rows;
+    s.count <- i + 1;
+    i
+
+let distinct_rows (s : rowset) : float array array = Array.of_list (List.rev s.rows)
+
+(* TD targets: the reward, plus γ times the next state's target-net value
+   for live transitions. For double DQN the online net picks the action
+   that value is read at; [q_next i] is its row for batch.(i)'s next
+   state. The target net's rows come from [target_memo] when it has them,
+   and one forward computes the batch's distinct misses. Each gemm row
+   depends only on its own input row (DESIGN.md §9), so a row is the same
+   bits whichever forward computed it, as long as the target weights have
+   not changed, and only [sync_target] changes them. *)
+let td_targets (t : t) (batch : Replay.transition array) ~(q_next : int -> float array) :
+    float array =
   let targets = Array.map (fun tr -> tr.Replay.reward) batch in
-  let live = ref [] in
+  let live = rowset () in
+  let tidx =
+    Array.map
+      (fun tr ->
+        match tr.Replay.next_state with
+        | Some s' -> slot live s'
+        | None -> -1)
+      batch
+  in
+  let rows = distinct_rows live in
+  let known = Array.map (Rows.find_opt t.target_memo) rows in
+  let miss = List.filter (fun k -> Option.is_none known.(k)) (List.init live.count Fun.id) in
+  let q_tgt = Array.map (Option.value ~default:[||]) known in
+  let nmiss = List.length miss in
+  Obs.Metrics.inc ~by:(float_of_int (live.count - nmiss)) m_memo_hits;
+  if nmiss > 0 then begin
+    Obs.Metrics.inc ~by:(float_of_int nmiss) m_rows;
+    let x = Matrix.of_rows (Array.of_list (List.map (fun k -> rows.(k)) miss)) in
+    let q = Mlp.forward_batch ?pool:t.pool t.target x in
+    List.iteri
+      (fun j k ->
+        q_tgt.(k) <- Matrix.row q j;
+        if Rows.length t.target_memo >= memo_cap then Rows.reset t.target_memo;
+        Rows.replace t.target_memo rows.(k) q_tgt.(k))
+      miss
+  end;
   Array.iteri
-    (fun i tr ->
-      match tr.Replay.next_state with
-      | Some s' -> live := (i, s') :: !live
-      | None -> ())
-    batch;
-  (match List.rev !live with
-   | [] -> ()
-   | live ->
-     let idx = Array.of_list (List.map fst live) in
-     let s' = Matrix.of_rows (Array.of_list (List.map snd live)) in
-     let q_tgt = Mlp.forward_batch ?pool:t.pool t.target s' in
-     let futures =
-       if t.double then begin
-         let q_onl = Mlp.forward_batch ?pool:t.pool t.online s' in
-         Array.init (Array.length idx) (fun k ->
-             let a' = Vecf.argmax (Matrix.row q_onl k) in
-             Matrix.get q_tgt k a')
-       end
-       else
-         Array.init (Array.length idx) (fun k -> Vecf.max_elt (Matrix.row q_tgt k))
-     in
-     Array.iteri
-       (fun k i -> targets.(i) <- targets.(i) +. (t.gamma *. futures.(k)))
-       idx);
+    (fun i k ->
+      if k >= 0 then begin
+        let q = q_tgt.(k) in
+        let future = if t.double then q.(Vecf.argmax (q_next i)) else Vecf.max_elt q in
+        targets.(i) <- targets.(i) +. (t.gamma *. future)
+      end)
+    tidx;
   targets
 
 (* One gradient step over a sampled batch; returns mean Huber loss.
-   True minibatch: one batched forward/backward (a handful of gemms)
-   instead of n per-sample matvec chains. *)
+
+   One online forward covers the batch's distinct rows: its states and,
+   for double DQN, its live next states. The state rows, gathered back
+   into batch order with every layer's cached input and pre-activation,
+   feed the loss and the backward pass; the backward pass and Adam still
+   run over all of the batch's rows, since merging duplicates there
+   would reorder the gradient sums. *)
 let train_batch (t : t) (batch : Replay.transition array) : float =
   let n = Array.length batch in
   if n = 0 then 0.0
@@ -136,16 +206,34 @@ let train_batch (t : t) (batch : Replay.transition array) : float =
       (fun sp ->
         Obs.Metrics.inc m_batches;
         Mlp.zero_grad t.online;
-        let targets = td_targets t batch in
-        let x = Matrix.of_rows (Array.map (fun tr -> tr.Replay.state) batch) in
+        let online = rowset () in
+        let sidx = Array.map (fun tr -> slot online tr.Replay.state) batch in
+        let nidx =
+          Array.map
+            (fun tr ->
+              match tr.Replay.next_state with
+              | Some s' when t.double -> slot online s'
+              | _ -> -1)
+            batch
+        in
+        let x = Matrix.of_rows (distinct_rows online) in
         let q, caches = Mlp.forward_batch_cached ?pool:t.pool t.online x in
+        Obs.Metrics.inc ~by:(float_of_int online.count) m_rows;
+        let targets = td_targets t batch ~q_next:(fun i -> Matrix.row q nidx.(i)) in
+        let caches =
+          Array.map
+            (fun (c : Layer.bcache) ->
+              { Layer.binput = Matrix.gather c.Layer.binput sidx;
+                bpre = Matrix.gather c.Layer.bpre sidx })
+            caches
+        in
         let total = ref 0.0 in
         let dout = Matrix.create n t.n_actions in
         Array.iteri
           (fun i tr ->
             let a = tr.Replay.action in
             let loss, dpred =
-              Loss.huber ~pred:(Matrix.get q i a) ~target:targets.(i) ()
+              Loss.huber ~pred:(Matrix.get q sidx.(i) a) ~target:targets.(i) ()
             in
             total := !total +. loss;
             Matrix.set dout i a (dpred /. float_of_int n))
@@ -169,7 +257,8 @@ let weights_finite (t : t) : bool =
 let sync_target (t : t) =
   Obs.Metrics.inc m_syncs;
   Obs.Span.with_ "posetrl.dqn.sync" (fun _ ->
-      Mlp.copy_params ~src:t.online ~dst:t.target)
+      Mlp.copy_params ~src:t.online ~dst:t.target;
+      Rows.reset t.target_memo)
 
 (* --- persistence ---------------------------------------------------------
 

@@ -16,9 +16,19 @@
 
 open Posetrl_nn
 
+type memo
+(** The target network's Q rows since the last {!sync_target}, keyed on
+    the state's bits. The keys are the next-state arrays of the batches
+    trained on, not copies: a state must not be written after it was
+    trained on (the replay and the environment never write one). Emptied
+    when it reaches 4,096 rows. *)
+
 type t = {
   online : Mlp.t;   (** selects actions; trained every step-batch *)
-  target : Mlp.t;   (** scores the online pick (van Hasselt fix) *)
+  target : Mlp.t;
+  (** scores the online pick (van Hasselt fix). Its weights are written
+      only through {!sync_target} and {!load_weights}: [target_memo]
+      holds its rows until the next sync. *)
   optim : Optim.t;
   gamma : float;
   n_actions : int;
@@ -26,6 +36,7 @@ type t = {
   pool : Posetrl_support.Pool.t option;
   (** when set, the batch dimension of the gemm kernels is split across
       the pool's domains — byte-identical to the serial path *)
+  target_memo : memo;
   mutable train_steps : int;
 }
 
@@ -54,28 +65,34 @@ val select_action :
 (** ε-greedy: consumes one float from the stream, plus one int draw on
     the explore branch — the exact draw pattern seeds replay on. *)
 
-val td_targets : t -> Replay.transition array -> float array
-(** Batched TD targets (one target-network gemm sweep; two for double
-    DQN): the reward, plus γ times the next state's target-network
-    value for non-terminal transitions. *)
-
 val train_batch : t -> Replay.transition array -> float
 (** One gradient step over the batch; returns the mean Huber loss.
-    [0.0] on an empty batch. *)
+    [0.0] on an empty batch. The TD target is the reward, plus γ times
+    the next state's target-network value for non-terminal transitions
+    (for double DQN, at the online network's pick).
+
+    Each distinct row is computed once, with the weights bit-identical
+    to a forward per row: one online forward covers the batch's distinct
+    states and (double DQN) live next states, and the target network's
+    rows come from [target_memo] or one forward over its misses. Rows
+    are distinct by their bits. posetrl.dqn.learner_rows counts the
+    rows both forwards compute, posetrl.dqn.target_memo_hits the
+    distinct next states the memo answers. *)
 
 val weights_finite : t -> bool
 (** NaN/Inf scan of the online parameters — the watchdog's
     weight-health vital sign. O(params), cheap at tick cadence. *)
 
 val sync_target : t -> unit
-(** Copy online parameters into the target network. *)
+(** Copy online parameters into the target network and empty
+    [target_memo]. *)
 
 val save_weights : t -> string -> unit
 (** Plain-text weight dump ([%h] floats — bit-exact round trip). *)
 
 val load_weights : t -> string -> unit
-(** Load weights saved by {!save_weights} into [online] and sync the
-    target. The file is checked whole before any weight is written.
+(** Load weights saved by {!save_weights} into [online] and
+    {!sync_target}. The file is checked whole before any weight is written.
     @raise Failure naming the file and the problem: a bad header, an
     architecture mismatch, a missing line, a weight or bias line whose
     value count differs from its layer's size (the message names the

@@ -482,6 +482,43 @@ let test_skip_input_grad () =
         true (same_bits l.Layer.gb lf.Layer.gb))
     net.Mlp.layers
 
+(* The accumulate kernels and Adam's update index without bounds checks;
+   a matrix whose data is shorter than rows * cols must be refused before
+   they run, not read past. *)
+let test_short_data_rejected () =
+  let rng = Rng.create 31 in
+  let short (m : Matrix.t) =
+    { m with Matrix.data = Array.sub m.Matrix.data 0 (Array.length m.Matrix.data - 1) }
+  in
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with
+       | _ -> false
+       | exception Invalid_argument _ -> true)
+  in
+  let a = random_matrix rng 3 4 and b = random_matrix rng 4 9 in
+  rejects "gemm, short A" (fun () -> Matrix.gemm (short a) b);
+  rejects "gemm, short B" (fun () -> Matrix.gemm a (short b));
+  let c = random_matrix rng 4 9 and x = random_matrix rng 3 4 and y = random_matrix rng 3 9 in
+  rejects "gemm_tn_acc, short C" (fun () -> Matrix.gemm_tn_acc (short c) x y);
+  rejects "gemm_tn_acc, short A" (fun () -> Matrix.gemm_tn_acc c (short x) y);
+  rejects "gemm_tn_acc, short B" (fun () -> Matrix.gemm_tn_acc c x (short y));
+  let net = Mlp.create rng [ 4; 8; 3 ] in
+  let with_layer0 f =
+    { net with Mlp.layers = Array.mapi (fun k l -> if k = 0 then f l else l) net.Mlp.layers }
+  in
+  let optim = Optim.create () in
+  rejects "Optim.step, short gradient" (fun () ->
+      Optim.step optim (with_layer0 (fun l -> { l with Layer.gw = short l.Layer.gw })));
+  rejects "Optim.step, short moment" (fun () ->
+      Optim.step optim (with_layer0 (fun l -> { l with Layer.vw = short l.Layer.vw })));
+  rejects "Optim.step, short weights" (fun () ->
+      Optim.step optim (with_layer0 (fun l -> { l with Layer.w = short l.Layer.w })));
+  rejects "Optim.step, short bias moment" (fun () ->
+      Optim.step optim
+        (with_layer0 (fun l -> { l with Layer.mb = Array.sub l.Layer.mb 0 7 })));
+  Alcotest.(check int) "a refused step is not counted" 0 optim.Optim.step_count
+
 let suite =
   [ Alcotest.test_case "matvec" `Quick test_matvec;
     Alcotest.test_case "matvec transpose" `Quick test_matvec_t;
@@ -507,4 +544,5 @@ let suite =
       test_batch_forward_matches_per_sample;
     Alcotest.test_case "batch backward = per-sample" `Quick
       test_batch_backward_matches_per_sample;
-    Alcotest.test_case "skipped input grad keeps grads" `Quick test_skip_input_grad ]
+    Alcotest.test_case "skipped input grad keeps grads" `Quick test_skip_input_grad;
+    Alcotest.test_case "short matrix data rejected" `Quick test_short_data_rejected ]

@@ -1,10 +1,12 @@
 (* Tests for the RL substrate: replay buffer, schedule, the DDQN
-   learning simple known-optimal environments, and the batched DQN
-   calls against per-sample references. *)
+   learning simple known-optimal environments, the batched DQN calls
+   against per-sample references, and the learner against Dqn_ref. *)
 
 open Posetrl_support
 module Rl = Posetrl_rl
 module Mlp = Posetrl_nn.Mlp
+module Layer = Posetrl_nn.Layer
+module Matrix = Posetrl_nn.Matrix
 module Metrics = Posetrl_obs.Metrics
 
 let tr s a r ns =
@@ -171,10 +173,136 @@ let prop_td_targets_match_reference =
         (fun jobs ->
           Pool.with_pool ~jobs (fun p ->
               let agent = drifted_agent ~pool:p ~double seed in
-              let got = Rl.Dqn.td_targets agent batch in
+              let got = Dqn_ref.td_targets agent batch in
               Array.length got = n
               && Array.for_all2 same_bits got (Array.map (ref_td_target agent) batch)))
         [ 1; 2; 3 ])
+
+(* --- the learner against the reference ------------------------------------
+
+   [Rl.Dqn.train_batch] computes each distinct row once: one online
+   forward over the batch's distinct states and next states, and the
+   target net's rows memoized until the next sync. Dqn_ref keeps the
+   learner that ran every row. Both must train to the same bits. *)
+
+let net_bits (net : Mlp.t) : int64 list =
+  Array.to_list net.Mlp.layers
+  |> List.concat_map (fun (l : Layer.t) ->
+         Array.to_list l.Layer.w.Matrix.data @ Array.to_list l.Layer.b)
+  |> List.map Int64.bits_of_float
+
+(* Rows chosen to repeat: a few base states, bit-equal copies of them,
+   and a state whose 0.0 entry is -0.0 in its twin. *)
+let state_pool rng =
+  let base = Array.init 5 (fun _ -> random_state rng) in
+  let zero = random_state rng in
+  zero.(3) <- 0.0;
+  let neg_zero = Array.copy zero in
+  neg_zero.(3) <- -0.0;
+  Array.concat [ base; Array.map Array.copy base; [| zero; neg_zero |] ]
+
+(* Duplicated states, next states that are the state itself (a no-op
+   step), copies and terminal transitions, all in one batch. *)
+let planted_batch rng pool n =
+  let pick () = pool.(Rng.int rng (Array.length pool)) in
+  Array.init n (fun _ ->
+      let s = pick () in
+      let next =
+        match Rng.int rng 4 with
+        | 0 -> None
+        | 1 -> Some s
+        | 2 -> Some (Array.copy s)
+        | _ -> Some (pick ())
+      in
+      tr s (Rng.int rng 5) (Rng.normal rng) next)
+
+(* (seed, double) *)
+let prop_learner_matches_reference =
+  QCheck2.Test.make ~count:25
+    ~print:(fun (seed, double) -> Printf.sprintf "seed=%d double=%b" seed double)
+    ~name:"train_batch = reference learner (loss and weight bits)"
+    QCheck2.Gen.(pair (int_range 0 10_000) bool)
+    (fun (seed, double) ->
+      let path = Filename.temp_file "posetrl" ".weights" in
+      Rl.Dqn.save_weights (drifted_agent ~double (seed + 7)) path;
+      let ok =
+        List.for_all
+          (fun jobs ->
+            Pool.with_pool ~jobs (fun p ->
+                let agent = drifted_agent ~pool:p ~double seed in
+                let reference = drifted_agent ~double seed in
+                let rng = Rng.create (seed + 1) in
+                let pool = state_pool rng in
+                List.for_all
+                  (fun step ->
+                    (* a sync and a load between batches: both must
+                       forget the memoized target rows *)
+                    if step = 4 then List.iter Rl.Dqn.sync_target [ agent; reference ];
+                    if step = 7 then
+                      List.iter (fun a -> Rl.Dqn.load_weights a path) [ agent; reference ];
+                    let batch = planted_batch rng pool (1 + Rng.int rng 40) in
+                    let got = Rl.Dqn.train_batch agent batch in
+                    let want = Dqn_ref.train_batch reference batch in
+                    same_bits got want
+                    && net_bits agent.Rl.Dqn.online = net_bits reference.Rl.Dqn.online
+                    && net_bits agent.Rl.Dqn.target = net_bits reference.Rl.Dqn.target)
+                  (List.init 10 Fun.id)))
+          [ 1; 2; 3 ]
+      in
+      Sys.remove path;
+      ok)
+
+let counter name = Option.value ~default:0.0 (Metrics.value name)
+
+(* Rows are distinct by their bits: copies merge, a -0.0 entry does not. *)
+let test_learner_counts_distinct_rows () =
+  let agent = drifted_agent ~double:true 11 in
+  let rng = Rng.create 12 in
+  let a = random_state rng and b = random_state rng and c = random_state rng in
+  a.(0) <- 0.0;
+  let a_neg = Array.copy a in
+  a_neg.(0) <- -0.0;
+  let batch =
+    [| tr a 0 1.0 (Some a);
+       tr (Array.copy a) 1 0.5 None;
+       tr b 2 0.0 (Some c);
+       tr a_neg 3 (-1.0) (Some (Array.copy c));
+       tr b 4 0.2 (Some b) |]
+  in
+  let run () =
+    let rows = counter "posetrl.dqn.learner_rows"
+    and hits = counter "posetrl.dqn.target_memo_hits" in
+    ignore (Rl.Dqn.train_batch agent batch);
+    ( counter "posetrl.dqn.learner_rows" -. rows,
+      counter "posetrl.dqn.target_memo_hits" -. hits )
+  in
+  (* online: a, b, a_neg, c; target: a, c, b *)
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "first batch: rows, hits" (7.0, 0.0)
+    (run ());
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "again: the target rows are memoized"
+    (4.0, 3.0) (run ());
+  Rl.Dqn.sync_target agent;
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "after a sync: computed again" (7.0, 0.0)
+    (run ())
+
+(* The memo holds 4,096 rows, and is emptied before it would grow past. *)
+let test_target_memo_cap () =
+  let agent = drifted_agent ~double:false 13 in
+  let rng = Rng.create 14 in
+  let s = random_state rng in
+  let fill = Array.init 4096 (fun _ -> tr s 0 0.0 (Some (random_state rng))) in
+  let hits batch =
+    let before = counter "posetrl.dqn.target_memo_hits" in
+    ignore (Rl.Dqn.train_batch agent batch);
+    counter "posetrl.dqn.target_memo_hits" -. before
+  in
+  let first = fill.(0) in
+  let fresh = tr s 0 0.0 (Some (random_state rng)) in
+  Alcotest.(check (float 0.0)) "4,096 misses" 0.0 (hits fill);
+  Alcotest.(check (float 0.0)) "a full memo keeps its first row" 1.0 (hits [| first |]);
+  Alcotest.(check (float 0.0)) "the 4,097th row is a miss" 0.0 (hits [| fresh |]);
+  Alcotest.(check (float 0.0)) "which emptied the memo" 0.0 (hits [| first |]);
+  Alcotest.(check (float 0.0)) "and the memo goes on" 1.0 (hits [| fresh |])
 
 let test_greedy_actions_match_greedy_action () =
   Pool.with_pool ~jobs:2 (fun p ->
@@ -289,4 +417,8 @@ let suite =
       test_load_rejects_extra_values;
     Alcotest.test_case "greedy_actions = map greedy_action" `Quick
       test_greedy_actions_match_greedy_action;
-    QCheck_alcotest.to_alcotest prop_td_targets_match_reference ]
+    QCheck_alcotest.to_alcotest prop_td_targets_match_reference;
+    Alcotest.test_case "learner counts distinct rows" `Quick
+      test_learner_counts_distinct_rows;
+    Alcotest.test_case "target memo cap" `Quick test_target_memo_cap;
+    QCheck_alcotest.to_alcotest prop_learner_matches_reference ]
