@@ -153,6 +153,23 @@ let repro_dir_of_run (run : Obs.Run.t option) : string =
   | Some r -> Filename.concat (Obs.Run.dir r) "repros"
   | None -> Filename.concat "runs" "repros"
 
+(* The one place a sanitizer failure's minimized repro reaches the disk;
+   [None] for an input that failed before any pass ran. *)
+let write_repro ~(dir : string) : exn -> string option = function
+  | A.Sanitize.Failed { pass; level; errors; repro = Some m } ->
+    Some (A.Sanitize.write_repro ~dir ~pass ~level ~errors m)
+  | _ -> None
+
+(* A sanitizer failure escaping [f] leaves its repro in [dir] and names
+   it on stderr, then aborts the command (exit 2, see the handler at the
+   end of this file) once every enclosing scope has closed. *)
+let with_repro ~(dir : string) (f : unit -> 'a) : 'a =
+  try f ()
+  with A.Sanitize.Failed _ as e ->
+    Option.iter (Printf.eprintf "posetrl: repro written to %s\n%!")
+      (write_repro ~dir e);
+    raise e
+
 (* [f] gets [Some pool] only when parallelism was actually requested, so
    the sequential path stays domain-free. *)
 let with_jobs ~(jobs : int) (f : Posetrl_support.Pool.t option -> 'a) : 'a =
@@ -272,7 +289,8 @@ let with_telemetry ~(alerts : unit -> Obs.Json.t list)
    run's trace.jsonl and any --trace sink capturing the span stream.
    [finish] then gets [work]'s result once the trace and metrics are
    out, and returns the manifest's result fields; the manifest is
-   finished even when either raises. *)
+   finished even when either raises. A sanitizer failure leaves its
+   repro in the run's repros/ ([runs/repros] without a run). *)
 let with_session ?(telemetry = { port = None; grace = 0.0 })
     ?(alerts = fun () -> []) ?(coverage = fun () -> None) (s : session)
     ~(kind : string) ~(meta : (string * Obs.Json.t) list)
@@ -287,9 +305,10 @@ let with_session ?(telemetry = { port = None; grace = 0.0 })
       Some (Obs.Run.create ?dir ~name ~meta:(("kind", Obs.Json.Str kind) :: meta) ())
   in
   let body ~pump () =
-    finish run
-      (with_obs ~trace:s.trace ~metrics:s.metrics (fun () ->
-           with_jobs ~jobs:s.jobs (work run ~pump)))
+    with_repro ~dir:(repro_dir_of_run run) (fun () ->
+        finish run
+          (with_obs ~trace:s.trace ~metrics:s.metrics (fun () ->
+               with_jobs ~jobs:s.jobs (work run ~pump))))
   in
   with_telemetry ~alerts ~coverage telemetry ~kind
     ~run_dir:(Option.map Obs.Run.dir run) (fun ~pump ->
@@ -358,10 +377,10 @@ let opt_cmd =
   in
   let run (_, mk) level passes tgt emit sanitize alias inject_bug trace metrics =
     let m = mk () in
-    let repro_dir = repro_dir_of_run None in
     let with_alias cfg = { cfg with P.Config.use_alias = alias } in
     report_module tgt "input" m;
     let m' =
+      with_repro ~dir:(repro_dir_of_run None) @@ fun () ->
       with_obs ~trace ~metrics (fun () ->
           let m' =
             match passes with
@@ -370,15 +389,14 @@ let opt_cmd =
               List.iter
                 (fun n -> if Option.is_none (P.Registry.find n) then failwith ("unknown pass " ^ n))
                 names;
-              P.Pass_manager.run ~sanitize ~repro_dir (with_alias P.Config.oz)
-                names m
+              P.Pass_manager.run ~sanitize (with_alias P.Config.oz) names m
             | None ->
-              P.Pass_manager.run ~sanitize ~repro_dir
+              P.Pass_manager.run ~sanitize
                 (with_alias (P.Pipelines.config_of level))
                 (P.Pipelines.sequence_of level) m
           in
           if inject_bug then
-            P.Pass_manager.run_pass ~sanitize ~repro_dir P.Sink.pass
+            P.Pass_manager.run_pass ~sanitize P.Sink.pass
               (with_alias P.Config.oz) m'
           else m')
     in
@@ -496,8 +514,7 @@ let train_cmd =
       in
       C.Trainer.train ?pool ~hp ~on_record
         ~on_step:(fun _ -> pump ()) ~on_alert ?inject_nan_at:inject_nan ~coverage
-        ~sanitize ~repro_dir:(repro_dir_of_run run) ~seed ~corpus ~actions
-        ~target:tgt ()
+        ~sanitize ~seed ~corpus ~actions ~target:tgt ()
     in
     let finish run (res : C.Trainer.result) =
       Posetrl_rl.Dqn.save_weights res.C.Trainer.agent out;
@@ -569,14 +586,13 @@ let eval_cmd =
        results come back in input order, so the table is byte-identical
        across --jobs settings like eval.json itself *)
     let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
-    let work run ~pump pool =
+    let work _ ~pump pool =
       List.map
         (fun suite ->
           pump ();
           let results =
-            C.Evaluate.evaluate_programs ?pool ~sanitize
-              ~repro_dir:(repro_dir_of_run run) ~agent ~actions ~target:tgt
-              suite.W.Suites.programs
+            C.Evaluate.evaluate_programs ?pool ~sanitize ~agent ~actions
+              ~target:tgt suite.W.Suites.programs
           in
           ( C.Evaluate.summarize_suite ~suite:suite.W.Suites.suite_name results,
             results ))
@@ -1306,7 +1322,6 @@ let validate_cmd =
       | None ->
         List.concat_map (fun s -> s.W.Suites.programs) W.Suites.validation_suites
     in
-    let repro_dir = repro_dir_of_run None in
     let failures = ref 0 and checked = ref 0 in
     with_obs ~trace ~metrics (fun () ->
         List.iter
@@ -1314,18 +1329,16 @@ let validate_cmd =
             List.iter
               (fun (name, mk) ->
                 incr checked;
-                match
-                  P.Pass_manager.run_level ~sanitize ~repro_dir l (mk ())
-                with
+                match P.Pass_manager.run_level ~sanitize l (mk ()) with
                 | _ -> ()
-                | exception A.Sanitize.Failed { pass; errors; repro_path } ->
+                | exception (A.Sanitize.Failed { pass; errors; _ } as e) ->
                   incr failures;
                   Printf.printf "FAIL  %-22s %-3s pass %s (%d error%s)%s\n%!"
                     name
                     (P.Pipelines.level_to_string l)
                     pass (List.length errors)
                     (plural (List.length errors))
-                    (match repro_path with
+                    (match write_repro ~dir:(repro_dir_of_run None) e with
                      | Some p -> "  repro " ^ p
                      | None -> ""))
               programs;
@@ -1475,3 +1488,6 @@ let () =
   | exception (Failure msg | Sys_error msg) ->
     Printf.eprintf "posetrl: error: %s\n" msg;
     exit 1
+  | exception (A.Sanitize.Failed _ as e) ->
+    Printf.eprintf "posetrl: error: %s\n" (Printexc.to_string e);
+    exit 2

@@ -1,7 +1,7 @@
 (* The semantic sanitizer: structural verification plus SSA dominance
    checking, run after every pass that changed its module when the pass
-   manager's [~sanitize] level asks for it, with a minimized repro
-   written out on failure.
+   manager's [~sanitize] level asks for it. A failure carries the
+   delta-minimized failing input, which [write_repro] puts on disk.
 
    Levels:
      - [Off]        — no checking (production default)
@@ -95,22 +95,20 @@ let check_transform (level : level) ?(per_function = true) ~(before : Modul.t)
 
 exception Failed of {
   pass : string;
+  level : level;
   errors : Verifier.error list;
-  repro_path : string option;
+  repro : Modul.t option;
 }
 
 let () =
   Printexc.register_printer (function
-    | Failed { pass; errors; repro_path } ->
+    | Failed { pass; errors; _ } ->
       Some
-        (Printf.sprintf "sanitizer: %s invalid IR (%d error%s)%s\n%s"
+        (Printf.sprintf "sanitizer: %s invalid IR (%d error%s)\n%s"
            (if String.equal pass "input" then "input is"
             else Printf.sprintf "pass %s produced" pass)
            (List.length errors)
            (if List.length errors = 1 then "" else "s")
-           (match repro_path with
-            | Some p -> Printf.sprintf "; repro at %s" p
-            | None -> "")
            (String.concat "\n" (List.map Verifier.error_to_string errors)))
     | _ -> None)
 
@@ -136,15 +134,9 @@ let minimize_input ~(level : level) ?(per_function = true)
 
 (* Write the minimized repro as a .mir next to a .json describing the
    failure; returns the .mir path. [dir] is created if missing. *)
-let rec mkdir_p (dir : string) : unit =
-  if not (Sys.file_exists dir) && not (String.equal dir "") then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let write_repro ~(dir : string) ~(pass : string) ~(level : level)
     ~(errors : Verifier.error list) (repro : Modul.t) : string =
-  mkdir_p dir;
+  Obs.Runlog.mkdir_p dir;
   let base =
     (* distinct per (pass, module); repeated failures overwrite, which
        is what a debugging loop wants *)
@@ -172,13 +164,10 @@ let write_repro ~(dir : string) ~(pass : string) ~(level : level)
   mir_path
 
 (* Full failure protocol used by the pass manager: the output of [pass]
-   on [input] failed the [level] check — minimize, write the repro (when
-   a directory is given) and raise [Failed]. *)
+   on [input] failed the [level] check — minimize [input] and raise
+   [Failed] carrying the result. *)
 let fail ~(pass : string) ~(level : level) ?(per_function = true)
-    ~(repro_dir : string option) ~(run_pass : Modul.t -> Modul.t)
-    ~(errors : Verifier.error list) (input : Modul.t) : 'a =
+    ~(run_pass : Modul.t -> Modul.t) ~(errors : Verifier.error list)
+    (input : Modul.t) : 'a =
   let repro = minimize_input ~level ~per_function ~run_pass input in
-  let repro_path =
-    Option.map (fun dir -> write_repro ~dir ~pass ~level ~errors repro) repro_dir
-  in
-  raise (Failed { pass; errors; repro_path })
+  raise (Failed { pass; level; errors; repro = Some repro })

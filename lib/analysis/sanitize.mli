@@ -1,7 +1,7 @@
 (* The semantic sanitizer: structural verification, SSA dominance
    checking and (at [Equiv]) translation validation, run after every
-   pass when the pass manager's [~sanitize] level asks for it, with a
-   minimized repro written out on failure.
+   pass when the pass manager's [~sanitize] level asks for it. A failure
+   carries the delta-minimized failing input; [write_repro] saves it.
 
    Levels:
      - [Off]        — no checking (production default)
@@ -37,17 +37,28 @@ val check_transform :
   level -> ?per_function:bool -> before:Modul.t -> Modul.t ->
   Verifier.error list
 
-(* [pass] names the pass whose output failed, or is ["input"] when the
-   module handed to the pass manager failed before any pass ran. *)
+(* [pass] names the pass whose output failed the [level] check, or is
+   ["input"] when the module handed to the pass manager failed before
+   any pass ran. [repro] is the pass's input, delta-minimized so that
+   the pass still fails on it; [None] for ["input"]. *)
 exception Failed of {
   pass : string;
+  level : level;
   errors : Verifier.error list;
-  repro_path : string option;
+  repro : Modul.t option;
 }
 
-(* Full failure protocol used by the pass manager: minimize, write the
-   repro (when a directory is given) and raise [Failed]. *)
+(* Full failure protocol used by the pass manager: minimize the failing
+   input by re-running the pass through [run_pass] and raise [Failed]. *)
 val fail :
   pass:string -> level:level -> ?per_function:bool ->
-  repro_dir:string option -> run_pass:(Modul.t -> Modul.t) ->
-  errors:Verifier.error list -> Modul.t -> 'a
+  run_pass:(Modul.t -> Modul.t) -> errors:Verifier.error list ->
+  Modul.t -> 'a
+
+(* Write a failure's repro into [dir] (created if missing) as
+   [sanitize-<pass>-<module>.mir] plus a [.json] sidecar naming the
+   pass, level and errors; returns the .mir path. Bumps
+   [posetrl.analysis.sanitize.repros]. *)
+val write_repro :
+  dir:string -> pass:string -> level:level -> errors:Verifier.error list ->
+  Modul.t -> string

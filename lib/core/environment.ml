@@ -28,7 +28,6 @@ type t = {
   weights : Reward.weights;
   max_steps : int;
   sanitize : Posetrl_analysis.Sanitize.level;
-  repro_dir : string option;
   (* episode state *)
   mutable current : Modul.t option;
   mutable base : Reward.baseline;
@@ -41,14 +40,12 @@ type t = {
 let default_max_steps = 15
 
 let create ?(weights = Reward.paper_weights) ?(max_steps = default_max_steps)
-    ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir
-    ~(target : Posetrl_codegen.Target.t) ~(actions : Odg.Action_space.t) () : t =
+    ?(sanitize = Posetrl_analysis.Sanitize.Off) ~(target : Posetrl_codegen.Target.t) ~(actions : Odg.Action_space.t) () : t =
   { target;
     actions;
     weights;
     max_steps;
     sanitize;
-    repro_dir;
     current = None;
     base = { Reward.bin_size = 0.0; Reward.throughput = 0.0 };
     last = { Reward.bin_size = 0.0; Reward.throughput = 0.0 };
@@ -104,7 +101,7 @@ let step (t : t) (action : int) : step_result =
           end
           else
             Posetrl_passes.Pass_manager.run ~sanitize:t.sanitize
-              ?repro_dir:t.repro_dir Posetrl_passes.Config.oz names m
+              Posetrl_passes.Config.oz names m
         in
         (* passes that changed nothing hand back the module itself, whose
            measurement and state are already known *)

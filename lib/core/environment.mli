@@ -14,13 +14,12 @@ val create :
   ?weights:Reward.weights ->
   ?max_steps:int ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
-  ?repro_dir:string ->
   target:Posetrl_codegen.Target.t ->
   actions:Posetrl_odg.Action_space.t ->
   unit -> t
 (** [sanitize] checks every pass a step applies (the structural
-    verifier at [Structural], SSA dominance from [Ssa] up), with repros
-    written to [repro_dir] on failure. *)
+    verifier at [Structural], SSA dominance from [Ssa] up); a failure
+    raises {!Posetrl_analysis.Sanitize.Failed} out of {!step}. *)
 
 val n_actions : t -> int
 

@@ -43,16 +43,15 @@ let run_time (m : Modul.t) : int option =
       | exception Posetrl_interp.Interp.Trap _ -> None)
 
 let evaluate_program ?(measure_time = true)
-    ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ~(agent : Rl.Dqn.t)
+    ?(sanitize = Posetrl_analysis.Sanitize.Off) ~(agent : Rl.Dqn.t)
     ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t) ~(name : string) (m : Modul.t) :
     program_result =
   let size_of m = Posetrl_codegen.Objfile.size target m in
   let m_oz =
-    Posetrl_passes.Pass_manager.run_level ~sanitize ?repro_dir
-      Posetrl_passes.Pipelines.Oz m
+    Posetrl_passes.Pass_manager.run_level ~sanitize Posetrl_passes.Pipelines.Oz m
   in
-  let rollout = Inference.predict ~sanitize ?repro_dir ~agent ~actions ~target m in
+  let rollout = Inference.predict ~sanitize ~agent ~actions ~target m in
   let m_model = rollout.Inference.optimized in
   { prog_name = name;
     size_unopt = size_of m;
@@ -81,7 +80,7 @@ let m_pool_tasks = Obs.Metrics.counter "posetrl.pool.eval_tasks"
 let m_pool_task_s = Obs.Metrics.histogram "posetrl.pool.task_seconds"
 let m_pool_batch_s = Obs.Metrics.histogram "posetrl.pool.batch_seconds"
 
-let evaluate_programs ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ?pool
+let evaluate_programs ?(sanitize = Posetrl_analysis.Sanitize.Off) ?pool
     ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t)
     (programs : (string * (unit -> Modul.t)) list) : program_result list =
@@ -90,8 +89,7 @@ let evaluate_programs ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir ?po
   let eval_one (name, mk) =
     Obs.Span.with_ ~attrs:[ ("program", Obs.Event.S name) ]
       "posetrl.eval.program" (fun _ ->
-        evaluate_program ~sanitize ?repro_dir ~agent ~actions
-          ~target ~name (mk ()))
+        evaluate_program ~sanitize ~agent ~actions ~target ~name (mk ()))
   in
   match pool with
   | None -> List.map eval_one programs

@@ -21,7 +21,6 @@ val time_improvement_pct : program_result -> float option
 val evaluate_program :
   ?measure_time:bool ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
-  ?repro_dir:string ->
   agent:Posetrl_rl.Dqn.t ->
   actions:Posetrl_odg.Action_space.t ->
   target:Posetrl_codegen.Target.t ->
@@ -32,7 +31,6 @@ val evaluate_program :
 
 val evaluate_programs :
   ?sanitize:Posetrl_analysis.Sanitize.level ->
-  ?repro_dir:string ->
   ?pool:Posetrl_support.Pool.t ->
   agent:Posetrl_rl.Dqn.t ->
   actions:Posetrl_odg.Action_space.t ->

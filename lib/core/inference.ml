@@ -18,15 +18,13 @@ type rollout = {
    environment has the same episode length, so all rows turn terminal
    on the same step and the batch never shrinks. *)
 let predict_batch ?(max_steps = Environment.default_max_steps)
-    ?(sanitize = Posetrl_analysis.Sanitize.Off) ?repro_dir
-    ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
+    ?(sanitize = Posetrl_analysis.Sanitize.Off) ~(agent : Rl.Dqn.t) ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t) (ms : Modul.t list) : rollout list =
   let ms = Array.of_list ms in
   let n = Array.length ms in
   let envs =
     Array.map
-      (fun _ ->
-        Environment.create ~max_steps ~sanitize ?repro_dir ~target ~actions ())
+      (fun _ -> Environment.create ~max_steps ~sanitize ~target ~actions ())
       ms
   in
   let states = Array.mapi (fun i m -> Environment.reset envs.(i) m) ms in
@@ -48,11 +46,9 @@ let predict_batch ?(max_steps = Environment.default_max_steps)
         optimized = Environment.current_module envs.(i);
         reward = reward.(i) })
 
-let predict ?max_steps ?sanitize ?repro_dir ~agent ~actions ~target
-    (m : Modul.t) : rollout =
-  match
-    predict_batch ?max_steps ?sanitize ?repro_dir ~agent ~actions ~target [ m ]
-  with
+let predict ?max_steps ?sanitize ~agent ~actions ~target (m : Modul.t) :
+    rollout =
+  match predict_batch ?max_steps ?sanitize ~agent ~actions ~target [ m ] with
   | [ r ] -> r
   | _ -> assert false
 

@@ -10,7 +10,6 @@ type rollout = {
 val predict_batch :
   ?max_steps:int ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
-  ?repro_dir:string ->
   agent:Posetrl_rl.Dqn.t ->
   actions:Posetrl_odg.Action_space.t ->
   target:Posetrl_codegen.Target.t ->
@@ -24,7 +23,6 @@ val predict_batch :
 val predict :
   ?max_steps:int ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
-  ?repro_dir:string ->
   agent:Posetrl_rl.Dqn.t ->
   actions:Posetrl_odg.Action_space.t ->
   target:Posetrl_codegen.Target.t ->

@@ -128,7 +128,6 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
     ?(on_alert = fun (_ : Obs.Health.alert) -> ())
     ?inject_nan_at ?coverage
     ?pool ?(sanitize = Posetrl_analysis.Sanitize.Off)
-    ?repro_dir
     ~(seed : int) ~(corpus : Modul.t array)
     ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t) () : result =
@@ -136,8 +135,8 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
   let rng = Rng.create seed in
   let net_rng = Rng.split rng in
   let env =
-    Environment.create ~max_steps:hp.max_episode_steps ~sanitize ?repro_dir
-      ~target ~actions ()
+    Environment.create ~max_steps:hp.max_episode_steps ~sanitize ~target
+      ~actions ()
   in
   (* [pool] parallelizes the batch dimension of the DQN's gemm kernels;
      row partitioning keeps training byte-identical to --jobs 1 *)
@@ -189,8 +188,8 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
         corpus.(k * Array.length corpus / max 1 (min 8 (Array.length corpus))))
   in
   let probe_score () =
-    Inference.predict_batch ~max_steps:hp.max_episode_steps ~sanitize ?repro_dir
-      ~agent ~actions ~target probe_set
+    Inference.predict_batch ~max_steps:hp.max_episode_steps ~sanitize ~agent
+      ~actions ~target probe_set
     |> List.fold_left (fun acc (r : Inference.rollout) -> acc +. r.Inference.reward) 0.0
   in
   let best_score = ref neg_infinity in

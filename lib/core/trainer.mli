@@ -62,7 +62,6 @@ val train :
   ?coverage:Posetrl_obs.Coverage.t ->
   ?pool:Posetrl_support.Pool.t ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
-  ?repro_dir:string ->
   seed:int ->
   corpus:Posetrl_ir.Modul.t array ->
   actions:Posetrl_odg.Action_space.t ->

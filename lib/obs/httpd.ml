@@ -195,15 +195,21 @@ let telemetry_handler ?(registry = Metrics.global)
   | [ ""; "runs" ] ->
     json_response (Json.Arr (List.map run_summary (Run.list_runs ~root:runs_root ())))
   | [ ""; "runs"; id; "progress" ] ->
-    (match Run.find ~root:runs_root id with
-     | info ->
+    (* only a run that /runs lists: the id is untrusted, and [Run.find]
+       would also take it as a path relative to the working directory *)
+    (match
+       List.find_opt
+         (fun (i : Run.info) -> String.equal i.Run.run_id id)
+         (Run.list_runs ~root:runs_root ())
+     with
+     | Some info ->
        let records, dropped = Run.read_progress info in
        json_response
          (Json.Obj
             [ ("id", Json.Str info.Run.run_id);
               ("dropped", Json.Int dropped);
               ("records", Json.Arr records) ])
-     | exception Failure msg -> error_response 404 msg)
+     | None -> error_response 404 (Printf.sprintf "no run %s" id))
   | _ -> error_response 404 (Printf.sprintf "no route for %s" req.path)
 
 (* --- the socket loop ------------------------------------------------------- *)

@@ -75,7 +75,9 @@ val telemetry_handler :
     - [GET /coverage] — the [coverage] thunk's document (the live
       {!Coverage} table; 404 when the thunk yields [None], the default);
     - [GET /runs] — JSON array of the {!Run} ledger under [runs_root];
-    - [GET /runs/:id/progress] — that run's progress records;
+    - [GET /runs/:id/progress] — that run's progress records, when
+      [:id] is one that [GET /runs] lists (a 404 otherwise: ids are
+      never resolved as paths);
     - anything else — a JSON 404. *)
 
 type t

@@ -36,12 +36,6 @@ let doc_path (d : doc) dir =
      | Coverage -> "coverage.json"
      | Serve -> "serve.json")
 
-let rec mkdir_p (dir : string) : unit =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let iso8601 (t : float) : string =
   let tm = Unix.gmtime t in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -92,7 +86,7 @@ let create ?(root = default_root) ?dir ~(name : string)
     | Some d -> d
     | None -> Filename.concat root (timestamp_id created name)
   in
-  mkdir_p dir;
+  Runlog.mkdir_p dir;
   let t =
     { r_dir = dir;
       r_created = created;

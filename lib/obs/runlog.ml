@@ -9,6 +9,14 @@
 
 (* --- JSON file IO -------------------------------------------------------- *)
 
+(* A directory that another process (or a parallel CI job) creates
+   between the existence check and the mkdir is fine. *)
+let rec mkdir_p (dir : string) : unit =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let write_json_file (path : string) (j : Json.t) : unit =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in

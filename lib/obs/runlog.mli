@@ -4,6 +4,9 @@
     [Run] builds the run-directory lifecycle on top of this; the bench
     harness and tests use it directly. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents, like [mkdir -p]. *)
+
 val write_json_file : string -> Json.t -> unit
 (** Write one JSON document (tmp file + rename, so a crash mid-write
     never leaves a torn file), newline-terminated. *)

@@ -11,8 +11,8 @@
    to the streaming table.
 
    Metric exposure is opt-in per table ([registry]): the trainer's table
-   publishes posetrl.attrib.* labeled series; recomputed tables (tests,
-   `posetrl runs show`) stay silent. *)
+   publishes the posetrl.attrib.reward_total labeled gauge; recomputed
+   tables (tests, `posetrl runs show`) stay silent. *)
 
 module Obs = Posetrl_obs
 module Tbl = Posetrl_support.Table
@@ -31,8 +31,9 @@ type t = {
   cells : cell array;
   mutable steps : int;
   labels : string array;   (* per-action pass list as attrib.json stores it *)
-  metrics : (Obs.Metrics.counter * Obs.Metrics.gauge) array option;
-  (* per-action (posetrl.attrib.count, posetrl.attrib.reward_total) *)
+  metrics : Obs.Metrics.gauge array option;
+  (* per-action posetrl.attrib.reward_total; the per-action count is
+     posetrl.train.action_selected, which the trainer publishes *)
 }
 
 let fresh_cell max_pos =
@@ -49,9 +50,9 @@ let create ?registry ~(n_actions : int) ~(max_pos : int) () : t =
     Option.map
       (fun r ->
         Array.init n_actions (fun i ->
-            let labels = [ ("action", string_of_int i) ] in
-            ( Obs.Metrics.counter ~r ~labels "posetrl.attrib.count",
-              Obs.Metrics.gauge ~r ~labels "posetrl.attrib.reward_total" )))
+            Obs.Metrics.gauge ~r
+              ~labels:[ ("action", string_of_int i) ]
+              "posetrl.attrib.reward_total"))
       registry
   in
   { n_actions;
@@ -79,10 +80,7 @@ let observe (t : t) ~(action : int) ~(pos : int) ~(reward : float)
   t.steps <- t.steps + 1;
   match t.metrics with
   | None -> ()
-  | Some handles ->
-    let ctr, g = handles.(action) in
-    Obs.Metrics.inc ctr;
-    Obs.Metrics.set g c.total_reward
+  | Some gauges -> Obs.Metrics.set gauges.(action) c.total_reward
 
 let count (t : t) (a : int) = t.cells.(a).count
 let total_reward (t : t) (a : int) = t.cells.(a).total_reward

@@ -207,20 +207,23 @@ let test_sanitizer_catches_miscompile () =
     (Verifier.verify_module broken = []);
   Alcotest.(check bool) "dominance check sees the bug" true
     (Verifier.verify_module ~dom:true broken <> []);
-  let repro_dir = Filename.concat (Filename.get_temp_dir_name ()) "posetrl-test-repros" in
-  match
-    P.Pass_manager.run_pass ~sanitize:A.Sanitize.Ssa ~repro_dir sink_pass
-      P.Config.oz m
-  with
+  match P.Pass_manager.run_pass ~sanitize:A.Sanitize.Ssa sink_pass P.Config.oz m with
   | _ -> Alcotest.fail "sanitizer did not catch the sunk def"
-  | exception A.Sanitize.Failed { pass; errors; repro_path } ->
+  | exception A.Sanitize.Failed { pass; level; errors; repro } ->
     Alcotest.(check string) "failure names the pass" "sink-bug" pass;
+    Alcotest.(check bool) "failure names the level" true (level = A.Sanitize.Ssa);
     Alcotest.(check bool) "failure carries errors" true (errors <> []);
-    let path =
-      match repro_path with
-      | Some p -> p
-      | None -> Alcotest.fail "no repro written"
+    let repro =
+      match repro with
+      | Some r -> r
+      | None -> Alcotest.fail "no minimized repro"
     in
+    (* the written .mir parses back to the minimized module *)
+    let dir = Filename.concat (Filename.get_temp_dir_name ()) "posetrl-test-repros" in
+    let path = A.Sanitize.write_repro ~dir ~pass ~level ~errors repro in
+    Alcotest.(check string) "repro file name"
+      ("sanitize-sink-bug-" ^ repro.Modul.name ^ ".mir")
+      (Filename.basename path);
     let repro = Parser.parse_module (read_file path) in
     Alcotest.(check bool) "repro input is itself dominance-clean" true
       (Verifier.verify_module ~dom:true repro = []);
@@ -689,15 +692,11 @@ let test_equiv_catches_semantic_miscompile () =
   | _ -> ()
   | exception A.Sanitize.Failed _ ->
     Alcotest.fail "ssa tier should be blind to a semantic-only bug");
-  let repro_dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "posetrl-test-equiv-repros"
-  in
   match
-    P.Pass_manager.run_pass ~sanitize:A.Sanitize.Equiv ~repro_dir P.Sink.pass
-      P.Config.oz m
+    P.Pass_manager.run_pass ~sanitize:A.Sanitize.Equiv P.Sink.pass P.Config.oz m
   with
   | _ -> Alcotest.fail "equiv tier missed the miscompile"
-  | exception A.Sanitize.Failed { pass; errors; repro_path } ->
+  | exception A.Sanitize.Failed { pass; errors; repro; _ } ->
     Alcotest.(check string) "failure names the pass" "sink" pass;
     Alcotest.(check bool) "errors mention translation validation" true
       (List.exists
@@ -705,12 +704,11 @@ let test_equiv_catches_semantic_miscompile () =
            String.length e.Verifier.message >= 22
            && String.sub e.Verifier.message 0 22 = "translation validation")
          errors);
-    let path =
-      match repro_path with
-      | Some p -> p
-      | None -> Alcotest.fail "no repro written"
+    let repro =
+      match repro with
+      | Some r -> r
+      | None -> Alcotest.fail "no minimized repro"
     in
-    let repro = Parser.parse_module (read_file path) in
     (* the minimized repro still diverges under the pass *)
     let out = P.Sink.pass.P.Pass.run P.Config.oz repro in
     Alcotest.(check bool) "repro re-fails translation validation" true

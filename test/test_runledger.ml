@@ -446,6 +446,35 @@ let test_compare_missing_never_regresses () =
         (Run.has_regression deltas);
       Alcotest.(check bool) "still reported" true (deltas <> []))
 
+(* [max_wall_factor] gates the manifests' wall_s only when set *)
+let test_compare_wall_factor () =
+  with_temp_dir (fun root ->
+      let timed id secs =
+        Obs.Clock.with_fake (fun advance ->
+            let run = Run.create ~dir:(Filename.concat root id) ~name:id ~meta:[] () in
+            advance secs;
+            Run.finish run);
+        Run.load (Filename.concat root id)
+      in
+      let base = timed "base" 10.0 in
+      let wall deltas =
+        List.find (fun d -> d.Run.d_metric = "wall_s") deltas
+      in
+      let strict = { Run.default_thresholds with Run.max_wall_factor = 1.5 } in
+      let slow = timed "slow" 20.0 in
+      let d = wall (Run.compare_runs ~thresholds:strict ~base ~cand:slow ()) in
+      Alcotest.(check bool) "2x base flagged at 1.5" true d.Run.d_regressed;
+      Alcotest.(check (option (float 1e-9))) "base wall_s" (Some 10.0) d.Run.d_base;
+      Alcotest.(check (option (float 1e-9))) "cand wall_s" (Some 20.0) d.Run.d_cand;
+      let near = timed "near" 12.0 in
+      Alcotest.(check bool) "1.2x base passes at 1.5" false
+        (wall (Run.compare_runs ~thresholds:strict ~base ~cand:near ()))
+          .Run.d_regressed;
+      let d = wall (Run.compare_runs ~base ~cand:slow ()) in
+      Alcotest.(check bool) "default 0 never flags" false d.Run.d_regressed;
+      Alcotest.(check string) "default 0 is informational" "informational"
+        d.Run.d_note)
+
 (* --- Sink.jsonl: crash tolerance ---------------------------------------------- *)
 
 let read_lines path =
@@ -530,6 +559,7 @@ let suite =
       test_compare_size_regression;
     Alcotest.test_case "compare missing metrics" `Quick
       test_compare_missing_never_regresses;
+    Alcotest.test_case "compare max_wall_factor" `Quick test_compare_wall_factor;
     Alcotest.test_case "sink flush_every" `Quick test_sink_flush_every;
     Alcotest.test_case "sink truncates an existing trace" `Quick
       test_sink_truncates ]

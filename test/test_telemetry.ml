@@ -237,7 +237,14 @@ let test_render_response () =
   Alcotest.(check bool) "body last" true (String.ends_with ~suffix:"\r\n\r\nhello" wire)
 
 let test_telemetry_routes () =
-  with_temp_dir (fun root ->
+  with_temp_dir (fun tmp ->
+      (* two runs the /runs routes must not reach: [tmp] itself, the
+         parent of the runs root, and [tmp/elsewhere], outside it *)
+      Run.finish (Run.create ~dir:tmp ~name:"parent" ~meta:[] ());
+      Run.finish
+        (Run.create ~dir:(Filename.concat tmp "elsewhere") ~name:"elsewhere"
+           ~meta:[] ());
+      let root = Filename.concat tmp "runs" in
       let dir = Filename.concat root "r1" in
       let run = Run.create ~dir ~name:"r1" ~meta:[ ("kind", Json.Str "train") ] () in
       Run.progress run
@@ -277,6 +284,16 @@ let test_telemetry_routes () =
           | _ -> Alcotest.fail "expected one progress record"));
       Alcotest.(check int) "unknown run 404" 404
         (get "/runs/nope/progress").Httpd.status;
+      Alcotest.(check int) "the root's parent 404" 404
+        (get "/runs/../progress").Httpd.status;
+      (* a run directory relative to the daemon's working directory *)
+      let cwd = Sys.getcwd () in
+      Sys.chdir tmp;
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir cwd)
+        (fun () ->
+          Alcotest.(check int) "a run outside the root 404" 404
+            (get "/runs/elsewhere/progress").Httpd.status);
       Alcotest.(check int) "unknown route 404" 404 (get "/nope").Httpd.status;
       (* no alerts thunk wired: /alerts still answers, with [] *)
       Alcotest.(check string) "alerts default empty" "[]\n"

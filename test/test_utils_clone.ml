@@ -181,17 +181,31 @@ let test_pipeline_levels () =
   Alcotest.(check bool) "bad level" true (P.Pipelines.level_of_string "O9" = None);
   Alcotest.(check int) "O0 empty" 0 (List.length (P.Pipelines.sequence_of P.Pipelines.O0))
 
+(* per-pass instruction counts are the [posetrl.pass.run] span's attrs *)
 let test_pass_manager_stats () =
+  let module Obs = Posetrl_obs in
   let m = sum_squares_module () in
-  let _, stats =
-    P.Pass_manager.run_names ~collect:true P.Config.oz
-      [ "mem2reg"; "instcombine" ] m
+  let sink, events = Obs.Sink.memory () in
+  ignore
+    (Obs.Span.with_sink sink (fun () ->
+         P.Pass_manager.run P.Config.oz [ "mem2reg"; "instcombine" ] m));
+  let runs =
+    List.filter
+      (fun (e : Obs.Event.t) -> e.Obs.Event.name = "posetrl.pass.run")
+      (events ())
   in
-  Alcotest.(check int) "two entries" 2 (List.length stats);
-  let first = List.hd stats in
-  Alcotest.(check string) "name" "mem2reg" first.P.Pass_manager.pass_name;
+  let attr e k = List.assoc k e.Obs.Event.attrs in
+  Alcotest.(check (list string)) "one span per pass, in order"
+    [ "mem2reg"; "instcombine" ]
+    (List.map
+       (fun e -> match attr e "pass" with Obs.Event.S s -> s | _ -> "?")
+       runs);
+  let count e k = match attr e k with Obs.Event.I n -> n | _ -> -1 in
+  let first = List.hd runs in
+  Alcotest.(check int) "counts the input" (Modul.insn_count m)
+    (count first "insns_before");
   Alcotest.(check bool) "shrunk" true
-    (first.P.Pass_manager.insns_after < first.P.Pass_manager.insns_before)
+    (count first "insns_after" < count first "insns_before")
 
 let test_pass_manager_unknown_pass () =
   let m = sum_squares_module () in
