@@ -36,10 +36,9 @@ GATE_TABLE = [
     },
     {
         "kind": "bench-analysis",
-        "gated": ("sanitize_rel", "lint_rel", "alias_rel", "absint_rel",
-                  "equiv_rel"),
+        "gated": ("sanitize_rel", "lint_rel", "absint_rel", "equiv_rel"),
         "why": "the sanitizer and lint on their hot path, "
-               "plus the alias/value-range analyses and the bounded "
+               "plus the value-range analysis and the bounded "
                "translation-validation check of the equiv tier",
     },
     {

@@ -670,8 +670,6 @@ let analysis () =
     bench_gated ~group:"analysis"
       [ Test.make ~name:"effects-summary"
           (Staged.stage (fun () -> ignore (A.Effects.summarize big)));
-        Test.make ~name:"alias-summary"
-          (Staged.stage (fun () -> ignore (A.Alias.summarize big)));
         Test.make ~name:"absint-largest"
           (Staged.stage (fun () ->
                List.iter (fun f -> ignore (A.Absint.of_func f)) funcs));
@@ -704,7 +702,6 @@ let analysis () =
     ~gate:
       [ ("sanitize_rel", ns "sanitize-ssa-largest");
         ("lint_rel", ns "lint-largest");
-        ("alias_rel", ns "alias-summary");
         ("absint_rel", ns "absint-largest");
         ("equiv_rel", ns "equiv-validate-func");
         ("effects_rel", ns "effects-summary") ]

@@ -354,18 +354,23 @@ let report_module (target : CG.Target.t) (label : string) (m : Modul.t) =
 (* --- opt ------------------------------------------------------------------ *)
 
 let opt_cmd =
+  (* every name must be a registered pass: an unknown or empty one is a
+     usage error naming --passes *)
+  let passes_conv =
+    let parse s =
+      let names = String.split_on_char ',' s |> List.map String.trim in
+      match List.find_opt (fun n -> Option.is_none (P.Registry.find n)) names with
+      | None -> Ok names
+      | Some n -> Error (Printf.sprintf "unknown pass %S" n)
+    in
+    Arg.conv' (parse, fun ppf names -> Format.pp_print_string ppf (String.concat "," names))
+  in
   let passes =
-    Arg.(value & opt (some string) None & info [ "passes" ] ~docv:"P1,P2,..."
+    Arg.(value & opt (some passes_conv) None & info [ "passes" ] ~docv:"P1,P2,..."
            ~doc:"Explicit comma-separated pass list (overrides --level).")
   in
   let emit =
     Arg.(value & flag & info [ "emit" ] ~doc:"Print the optimized module.")
-  in
-  let alias =
-    Arg.(value & flag & info [ "alias" ]
-           ~doc:"Consult the interprocedural alias analysis in dse/licm/gvn \
-                 (opt-in; byte-identical to the legacy facts on the bundled \
-                 suites, and sometimes smaller on other programs).")
   in
   let inject_bug =
     Arg.(value & flag & info [ "inject-bug" ]
@@ -375,29 +380,22 @@ let opt_cmd =
                  --sanitize equiv catches it. Testing hook for the \
                  translation-validation tier.")
   in
-  let run (_, mk) level passes tgt emit sanitize alias inject_bug trace metrics =
+  let run (_, mk) level passes tgt emit sanitize inject_bug trace metrics =
     let m = mk () in
-    let with_alias cfg = { cfg with P.Config.use_alias = alias } in
     report_module tgt "input" m;
     let m' =
       with_repro ~dir:(repro_dir_of_run None) @@ fun () ->
       with_obs ~trace ~metrics (fun () ->
           let m' =
             match passes with
-            | Some ps ->
-              let names = String.split_on_char ',' ps |> List.map String.trim in
-              List.iter
-                (fun n -> if Option.is_none (P.Registry.find n) then failwith ("unknown pass " ^ n))
-                names;
-              P.Pass_manager.run ~sanitize (with_alias P.Config.oz) names m
+            | Some names -> P.Pass_manager.run ~sanitize P.Config.oz names m
             | None ->
               P.Pass_manager.run ~sanitize
-                (with_alias (P.Pipelines.config_of level))
+                (P.Pipelines.config_of level)
                 (P.Pipelines.sequence_of level) m
           in
           if inject_bug then
-            P.Pass_manager.run_pass ~sanitize P.Sink.pass
-              (with_alias P.Config.oz) m'
+            P.Pass_manager.run_pass ~sanitize P.Sink.pass P.Config.oz m'
           else m')
     in
     report_module tgt "output" m';
@@ -413,7 +411,7 @@ let opt_cmd =
               P.Pipelines.Oz
           $ passes $ target_arg $ emit
           $ sanitize_arg ~default:A.Sanitize.Structural ~doc:sanitize_doc
-          $ alias $ inject_bug $ trace_arg $ metrics_arg)
+          $ inject_bug $ trace_arg $ metrics_arg)
 
 (* --- run ------------------------------------------------------------------- *)
 

@@ -176,6 +176,18 @@ let verify_func ?(dom = false) (m : Modul.t) (f : Func.t) : error list =
                      <> List.length (Instr.operands i.Instr.op) then
                     err ~block "call @%s: arity mismatch" g
                 | None -> err ~block "call to undefined function @%s" g)
+             (* integer binops on integer lanes, float binops on f64
+                lanes: the constant folders and the interpreter assume it *)
+             | Instr.Binop (op, ty, _, _) ->
+               let float_op =
+                 match op with
+                 | Instr.Fadd | Instr.Fsub | Instr.Fmul | Instr.Fdiv -> true
+                 | _ -> false
+               in
+               let elt = Types.elt_type ty in
+               if not (if float_op then Types.is_float elt else Types.is_integer elt) then
+                 err ~block "%s on non-%s type %s" (Instr.binop_name op)
+                   (if float_op then "float" else "integer") (Types.to_string ty)
              | _ -> ());
             List.iter check_value (Instr.operands i.Instr.op);
             let ty = Instr.result_ty i.Instr.op in

@@ -16,10 +16,6 @@ type t = {
   vector_width : int;
   speculate_max_insns : int; (* speculative-execution hoisting budget *)
   jump_threading_max : int;  (* max block size to duplicate when threading *)
-  use_alias : bool;          (* consult Posetrl_analysis.Alias in dse/licm/gvn
-                                (opt-in; byte-identical to legacy on the
-                                validation suites, sometimes smaller on the
-                                training corpus) *)
 }
 
 let o0 = {
@@ -28,7 +24,6 @@ let o0 = {
   unroll_count = 0; unroll_partial = 1; unroll_size_limit = 0;
   vectorize = false; vector_width = 1;
   speculate_max_insns = 0; jump_threading_max = 0;
-  use_alias = false;
 }
 
 let o1 = {
@@ -37,7 +32,6 @@ let o1 = {
   unroll_count = 4; unroll_partial = 1; unroll_size_limit = 24;
   vectorize = false; vector_width = 1;
   speculate_max_insns = 2; jump_threading_max = 4;
-  use_alias = false;
 }
 
 let o2 = {
@@ -46,7 +40,6 @@ let o2 = {
   unroll_count = 16; unroll_partial = 4; unroll_size_limit = 120;
   vectorize = true; vector_width = 4;
   speculate_max_insns = 4; jump_threading_max = 8;
-  use_alias = false;
 }
 
 let o3 = {

@@ -2,15 +2,14 @@
 
    Hoists pure instructions whose operands are loop-invariant into the
    preheader, and hoists loads when the loop contains no may-write to
-   memory. Runs innermost-out so invariants bubble up through nests. *)
+   memory ([Instr.writes_memory]). Runs innermost-out so invariants
+   bubble up through nests. *)
 
 open Posetrl_ir
 module SSet = Set.Make (String)
 module ISet = Set.Make (Int)
-module Alias = Posetrl_analysis.Alias
 
-let hoist_one_loop ?(alias : Alias.finfo option) (f : Func.t)
-    (loop : Loops.loop) : Func.t * bool =
+let hoist_one_loop (f : Func.t) (loop : Loops.loop) : Func.t * bool =
   match loop.Loops.preheader with
   | None -> (f, false)
   | Some pre ->
@@ -32,26 +31,6 @@ let hoist_one_loop ?(alias : Alias.finfo option) (f : Func.t)
           in_loop b.Block.label
           && List.exists (fun (i : Instr.t) -> Instr.writes_memory i.Instr.op) b.Block.insns)
         f.Func.blocks
-    in
-    (* Alias-aware refinement: instead of "any write in the loop", ask
-       whether some write in the loop may clobber this load's pointer. *)
-    let loop_may_clobber (p : Value.t) =
-      match alias with
-      | None -> loop_writes_memory
-      | Some fi ->
-        List.exists
-          (fun (b : Block.t) ->
-            in_loop b.Block.label
-            && List.exists
-                 (fun (i : Instr.t) ->
-                   match i.Instr.op with
-                   | Instr.Store (_, _, q) -> Alias.may_alias fi p q
-                   | Instr.Memcpy (d, _, _) -> Alias.may_alias fi p d
-                   | Instr.Call _ | Instr.Callind _ ->
-                     Alias.call_may_touch fi p
-                   | op -> Instr.writes_memory op)
-                 b.Block.insns)
-          f.Func.blocks
     in
     (* iterate: an instruction becomes invariant once its operands are *)
     let hoisted : Instr.t list ref = ref [] in
@@ -78,7 +57,7 @@ let hoist_one_loop ?(alias : Alias.finfo option) (f : Func.t)
                     Instr.is_pure i.Instr.op
                     ||
                     match i.Instr.op with
-                    | Instr.Load (_, p) -> not (loop_may_clobber p)
+                    | Instr.Load _ -> not loop_writes_memory
                     | _ -> false
                   in
                   (* division can trap; hoisting is safe only when the
@@ -158,10 +137,7 @@ let run_func (cfg : Config.t) (f : Func.t) : Func.t =
             with
             | None -> (f, any)
             | Some loop ->
-              let alias =
-                if cfg.Config.use_alias then Some (Alias.of_func f) else None
-              in
-              let f', c = hoist_one_loop ?alias f loop in
+              let f', c = hoist_one_loop f loop in
               (f', any || c))
           (f, false) loops
       in

@@ -28,7 +28,12 @@ let rotate_one (f : Func.t) (loop : Loops.loop) : Func.t * bool =
          else if in_loop e && not (in_loop t) then (e, t, false)
          else ("", "", true)
        in
-       if String.equal inner "" || String.equal inner loop.Loops.header then (f, false)
+       (* an exit that is also the preheader (an inner loop exiting
+          straight back to its outer header) would need its phis both
+          guarded and redirected: leave such a loop alone *)
+       if String.equal inner "" || String.equal inner loop.Loops.header
+          || String.equal exit_lbl pre
+       then (f, false)
        else begin
          let phis, body_insns = Block.split_phis header in
          if List.length body_insns > max_duplicated_insns

@@ -427,6 +427,7 @@ let prop_unchanged_is_physical =
   let module M = Posetrl_ir.Modul in
   let actions = O.Action_space.odg in
   QCheck2.Test.make ~count:20
+    ~print:QCheck2.Print.(pair int (list int))
     ~name:"unchanged modules are physically equal along ODG schedules"
     QCheck2.Gen.(
       pair (int_range 0 100_000)

@@ -261,6 +261,8 @@ let gen_coverage =
 
 let prop_reader =
   QCheck2.Test.make ~count:300
+    ~print:(fun (t, seed) ->
+        Printf.sprintf "%s, seed %d" (Obs.Json.to_string (Cov.to_json t)) seed)
     ~name:"coverage.json reads back equal, and is total under one mutation"
     QCheck2.Gen.(pair gen_coverage int)
     (fun (t, seed) ->
@@ -392,6 +394,7 @@ let train_capture ~seed ~jobs =
 
 let prop_streaming_eq_recompute =
   QCheck2.Test.make ~count:2
+    ~print:QCheck2.Print.int
     ~name:"streaming coverage = ledger recompute (jobs 1 and 4)"
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->

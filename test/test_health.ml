@@ -328,6 +328,8 @@ let gen_attrib =
 
 let prop_attrib_reader =
   QCheck2.Test.make ~count:300
+    ~print:(fun ((_, doc), seed) ->
+        Printf.sprintf "%s, seed %d" (Obs.Json.to_string doc) seed)
     ~name:"attrib.json reads back equal, and is total under one mutation"
     QCheck2.Gen.(pair gen_attrib int)
     (fun ((t, doc), seed) ->
@@ -354,6 +356,8 @@ let gen_alert =
 
 let prop_alert_reader =
   QCheck2.Test.make ~count:300
+    ~print:(fun (a, seed) ->
+        Printf.sprintf "%s, seed %d" (Obs.Json.to_string (H.alert_to_json a)) seed)
     ~name:"alert records read back equal, and are total under one mutation"
     QCheck2.Gen.(pair gen_alert int)
     (fun (a, seed) ->
@@ -393,6 +397,7 @@ let train_capture ~seed ~jobs =
 
 let prop_streaming_eq_recompute =
   QCheck2.Test.make ~count:3
+    ~print:QCheck2.Print.int
     ~name:"streaming attribution = ledger recompute (jobs 1 and 4)"
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->

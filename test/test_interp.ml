@@ -332,6 +332,7 @@ let test_edge_shapes () =
    integer binops *)
 let prop_fold_matches_interp =
   QCheck2.Test.make ~count:500 ~name:"fold_op agrees with interpreter"
+    ~print:QCheck2.Print.(triple int int int)
     QCheck2.Gen.(triple (int_range 0 12) (int_range (-1000) 1000) (int_range (-1000) 1000))
     (fun (opidx, a, b) ->
       let bop =
@@ -461,6 +462,7 @@ let test_matches_reference_on_suites () =
 let prop_matches_reference_under_odg_schedules =
   let space = Posetrl_odg.Action_space.odg in
   QCheck2.Test.make ~count:50 ~name:"resolved interpreter = reference under random ODG schedules"
+    ~print:QCheck2.Print.(triple int bool (list int))
     QCheck2.Gen.(
       triple (int_range 800_000 900_000) bool
         (list_repeat 15 (int_range 0 (Posetrl_odg.Action_space.n_actions space - 1))))

@@ -149,6 +149,37 @@ let test_verifier_ret_type () =
   in
   Alcotest.(check bool) "caught" false (Verifier.is_valid (Modul.mk ~name:"bad" [ f ]))
 
+(* integer binops take integer (vector) types, fadd/fsub/fmul/fdiv take
+   f64 (vectors): the constant folders wrap integer results and raise on
+   any other type *)
+let test_verifier_binop_types () =
+  let errors op ty =
+    let insns = [ Instr.mk 0 (Instr.Binop (op, ty, Value.Reg 1, Value.Reg 1)) ] in
+    let blk = Block.mk "entry" insns (Instr.Ret (Some (Types.I64, Value.ci64 0))) in
+    let f =
+      Func.mk ~linkage:Func.External ~name:"main" ~params:[ (1, ty) ]
+        ~ret:Types.I64 ~blocks:[ blk ] ~next_id:2 ()
+    in
+    List.map Verifier.error_to_string (Verifier.verify_module (Modul.mk ~name:"t" [ f ]))
+  in
+  List.iter
+    (fun (op, ty, want) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s %s" (Instr.binop_name op) (Types.to_string ty))
+        want (errors op ty))
+    [ (Instr.Mul, Types.Ptr, [ "main/entry: mul on non-integer type ptr" ]);
+      (Instr.Add, Types.F64, [ "main/entry: add on non-integer type f64" ]);
+      (Instr.Shl, Types.Vec (Types.F64, 2),
+       [ "main/entry: shl on non-integer type <2 x f64>" ]);
+      (Instr.Fadd, Types.I64, [ "main/entry: fadd on non-float type i64" ]);
+      (Instr.Fdiv, Types.Vec (Types.I32, 4),
+       [ "main/entry: fdiv on non-float type <4 x i32>" ]);
+      (Instr.Mul, Types.I64, []);
+      (Instr.Xor, Types.I1, []);
+      (Instr.Add, Types.Vec (Types.I32, 4), []);
+      (Instr.Fmul, Types.F64, []);
+      (Instr.Fsub, Types.Vec (Types.F64, 2), []) ]
+
 let test_verifier_accepts_suites () =
   List.iter
     (fun (name, m) ->
@@ -350,6 +381,7 @@ let suite =
     Alcotest.test_case "verifier duplicate def" `Quick test_verifier_catches_duplicate_def;
     Alcotest.test_case "verifier phi position" `Quick test_verifier_catches_phi_after_insn;
     Alcotest.test_case "verifier ret type" `Quick test_verifier_ret_type;
+    Alcotest.test_case "verifier binop types" `Quick test_verifier_binop_types;
     Alcotest.test_case "verifier accepts suites" `Quick test_verifier_accepts_suites;
     Alcotest.test_case "verifier ~dom catches undominated use" `Quick
       test_verifier_dom_catches_undominated_use;

@@ -75,6 +75,7 @@ let test_declaration_contributes_nothing () =
 
 let prop_embedding_deterministic =
   QCheck2.Test.make ~count:40 ~name:"embedding deterministic per program"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 500_000 520_000)
     (fun seed ->
       let m = Posetrl_workloads.Genprog.generate ~seed in
@@ -187,6 +188,7 @@ let test_memo_matches_reference () =
 
 let prop_memo_matches_reference_genprog =
   QCheck2.Test.make ~count:40 ~name:"memoized embedding = reference on generated programs"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 600_000 620_000)
     (fun seed ->
       let m = Posetrl_workloads.Genprog.generate ~seed in

@@ -82,6 +82,25 @@ let test_loop_rotate_preserves_zero_trip () =
   check_same_behaviour "zero-trip" m m';
   Alcotest.(check string) "0" "0" (ret_of m')
 
+(* An inner loop that exits straight back to an outer header which is
+   also its preheader: rotating it would have to guard and redirect the
+   same block's phis, so the pass leaves it alone. *)
+let exit_is_preheader_src =
+  "module rot\n\nfunc @main(): i64 {\nentry:\n  br outer\nouter:\n\
+   %1 = phi i64 [entry: 0], [inner: %5]\n  br inner\ninner:\n\
+   %2 = phi i64 [outer: 0], [body: %4]\n  %3 = icmp slt i64 %2, 7\n\
+   %5 = add i64 %1, 1\n  cbr %3, body, outer\nbody:\n\
+   %4 = add i64 %2, 1\n  br inner\n}\n"
+
+let test_loop_rotate_exit_is_preheader () =
+  let m = Parser.parse_module exit_is_preheader_src in
+  let m' =
+    P.Pass_manager.run_pass ~sanitize:Posetrl_analysis.Sanitize.Ssa
+      (P.Registry.find_exn "loop-rotate") P.Config.oz m
+  in
+  Alcotest.(check string) "loop left alone" (Printer.module_to_string m)
+    (Printer.module_to_string m')
+
 (* --- licm ------------------------------------------------------------------------ *)
 
 let test_licm_hoists_invariant () =
@@ -397,6 +416,8 @@ let suite =
     Alcotest.test_case "lcssa valid" `Quick test_lcssa_valid;
     Alcotest.test_case "loop-rotate bottom test" `Quick test_loop_rotate_bottom_tests;
     Alcotest.test_case "loop-rotate zero trip" `Quick test_loop_rotate_preserves_zero_trip;
+    Alcotest.test_case "loop-rotate skips an exit that is its preheader" `Quick
+      test_loop_rotate_exit_is_preheader;
     Alcotest.test_case "licm hoists" `Quick test_licm_hoists_invariant;
     Alcotest.test_case "unroll full" `Quick test_loop_unroll_full;
     Alcotest.test_case "unroll threshold" `Quick test_loop_unroll_respects_threshold;

@@ -84,6 +84,7 @@ let test_oz_twice_stable () =
    behaviour and verifier validity *)
 let prop_random_pass_preserves =
   QCheck2.Test.make ~count:120 ~name:"random pass preserves random program"
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 53))
     (fun (seed, pass_idx) ->
       let m = W.Genprog.generate ~seed in
@@ -94,6 +95,7 @@ let prop_random_pass_preserves =
 
 let prop_oz_preserves_random =
   QCheck2.Test.make ~count:25 ~name:"Oz pipeline preserves random program"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 200_000 220_000)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
@@ -102,6 +104,7 @@ let prop_oz_preserves_random =
 
 let prop_o3_preserves_random =
   QCheck2.Test.make ~count:25 ~name:"O3 pipeline preserves random program"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 300_000 320_000)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
@@ -111,6 +114,7 @@ let prop_o3_preserves_random =
 (* property: parser round trip on random programs *)
 let prop_roundtrip_random =
   QCheck2.Test.make ~count:60 ~name:"print/parse round trip on random program"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 400_000 420_000)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
@@ -121,6 +125,7 @@ let prop_roundtrip_random =
 (* property: the interpreter is deterministic *)
 let prop_interp_deterministic =
   QCheck2.Test.make ~count:40 ~name:"interpreter deterministic"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 800_000 800_200)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
@@ -129,6 +134,7 @@ let prop_interp_deterministic =
 (* property: Oz twice on a random program preserves behaviour *)
 let prop_oz_twice_random =
   QCheck2.Test.make ~count:15 ~name:"Oz twice preserves random program"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 810_000 810_100)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
@@ -171,6 +177,7 @@ let test_sanitize_blames_invalid_input () =
 (* the size model grows when code is added *)
 let prop_size_monotone_in_functions =
   QCheck2.Test.make ~count:20 ~name:"object size grows with added functions"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 820_000 820_100)
     (fun seed ->
       let m1 = W.Genprog.generate ~seed in

@@ -9,6 +9,7 @@ open Posetrl_support
    Pool.map ~jobs:n f xs = List.map f xs for any n *)
 let prop_map_matches_list_map =
   QCheck2.Test.make ~count:40
+    ~print:QCheck2.Print.(pair int (list int))
     ~name:"Pool.map agrees with List.map (jobs 1/2/8)"
     QCheck2.Gen.(
       pair (int_range 0 2)

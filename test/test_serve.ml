@@ -112,6 +112,7 @@ let schedule_of (doc : Json.t) : int list =
    byte-identical to a plain [Inference.predict] rollout. *)
 let prop_cache_identity =
   QCheck2.Test.make ~count:4
+    ~print:QCheck2.Print.int
     ~name:"/optimize = cached /optimize = Inference.predict"
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
@@ -306,7 +307,11 @@ let test_server_admission_and_limits () =
           ("/optimize/batch", "[\"\\uZZZZ\"]");
           ("/optimize",
            "module m\nfunc @main(): i64 {\nentry:\n  ret i64 \
-            99999999999999999999999\n}\n") ];
+            99999999999999999999999\n}\n");
+          (* well-formed text, but integer arithmetic on a pointer *)
+          ("/optimize",
+           "module m\nfunc @main(): i64 {\nentry:\n  %0 = alloca i64 x 1\n\
+            %1 = mul ptr %0, 16\n  %2 = load i64, %1\n  ret i64 %2\n}\n") ];
       let s = send ~port "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" in
       Server.pump srv;
       Alcotest.(check int) "healthz still answers" 200 (status_of (recv s));

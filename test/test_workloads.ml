@@ -66,6 +66,7 @@ let test_corpus_diverse () =
 
 let prop_generated_programs_valid =
   QCheck2.Test.make ~count:100 ~name:"generated programs verify and terminate"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 600_000 650_000)
     (fun seed ->
       let m = W.Genprog.generate ~seed in
@@ -74,6 +75,7 @@ let prop_generated_programs_valid =
 
 let prop_template_programs_valid =
   QCheck2.Test.make ~count:60 ~name:"template kernels verify, run, survive Oz"
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_range 700_000 700_500)
     (fun seed ->
       let m = W.Templates.generate ~seed in
