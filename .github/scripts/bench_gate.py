@@ -36,10 +36,12 @@ GATE_TABLE = [
     },
     {
         "kind": "bench-analysis",
-        "gated": ("sanitize_rel", "lint_rel", "absint_rel", "equiv_rel"),
+        "gated": ("sanitize_rel", "lint_rel", "absint_rel", "equiv_rel",
+                  "interp_rel"),
         "why": "the sanitizer and lint on their hot path, "
-               "plus the value-range analysis and the bounded "
-               "translation-validation check of the equiv tier",
+               "plus the value-range analysis, the bounded "
+               "translation-validation check of the equiv tier and "
+               "the interpreter it and eval run programs with",
     },
     {
         "kind": "bench-obs",

@@ -644,13 +644,13 @@ let parallel () =
              ("speedup_x", Obs.Json.Float speedup) ]) ]
 
 (* ======================================================================== *)
-(* static analysis: dataflow solver, sanitizer and lint micro-benches         *)
+(* static analysis: dataflow solver, sanitizer, lint and interpreter benches  *)
 (* ======================================================================== *)
 
-(* Benches Posetrl_analysis on the largest bundled workload and writes
-   BENCH_analysis.json. *)
+(* Benches Posetrl_analysis and the interpreter on the largest bundled
+   workload and writes BENCH_analysis.json. *)
 let analysis () =
-  section_header "Static analysis (dataflow solver + sanitizer + lint)";
+  section_header "Static analysis (dataflow solver + sanitizer + lint + interpreter)";
   let open Bechamel in
   let module A = Posetrl_analysis in
   (* largest validation program by instruction count — the worst case
@@ -692,7 +692,11 @@ let analysis () =
            Staged.stage (fun () ->
                ignore (A.Equiv.validate ~fuel:50_000 ~before:eb ea)));
         Test.make ~name:"lint-largest"
-          (Staged.stage (fun () -> ignore (A.Lint.lint_module big_oz))) ]
+          (Staged.stage (fun () -> ignore (A.Lint.lint_module big_oz)));
+        Test.make ~name:"interp-largest"
+          (* one run of the subject at Oz: the interpreter the equiv
+             tier simulates with and eval times programs by *)
+          (Staged.stage (fun () -> ignore (I.run big_oz))) ]
   in
   let _, ns = bench in
   write_gated ~what:"analysis" bench
@@ -704,6 +708,7 @@ let analysis () =
         ("lint_rel", ns "lint-largest");
         ("absint_rel", ns "absint-largest");
         ("equiv_rel", ns "equiv-validate-func");
+        ("interp_rel", ns "interp-largest");
         ("effects_rel", ns "effects-summary") ]
 
 (* ======================================================================== *)

@@ -419,20 +419,26 @@ let run_cmd =
   let go (spec, mk) level =
     let m = mk () in
     let m = Option.fold ~none:m ~some:(fun l -> P.Pass_manager.run_level l m) level in
-    if Option.is_none (Modul.find_func m "main") then
-      failwith (Printf.sprintf "%s: no function @main to run" spec);
+    let main =
+      match Modul.find_func m "main" with
+      | Some f -> f
+      | None -> failwith (Printf.sprintf "%s: no function @main to run" spec)
+    in
     let module I = Posetrl_interp.Interp in
-    match I.run m with
-    | o ->
-      print_string o.I.output;
-      Printf.printf "return: %s\ncycles: %d\ndynamic instructions: %d\n"
-        (match o.I.ret with
-         | I.VInt v -> Int64.to_string v
-         | I.VFloat f -> string_of_float f
-         | I.VPtr p -> Printf.sprintf "ptr:%d" p
-         | _ -> "void")
-        o.I.cycles o.I.dyn_insns
-    | exception I.Trap e -> Printf.printf "trap: %s\n" e
+    let o =
+      try I.run m with I.Trap e -> failwith (Printf.sprintf "%s: trap: %s" spec e)
+    in
+    let rec show = function
+      | I.VInt v -> Int64.to_string v
+      | I.VFloat f -> string_of_float f
+      | I.VPtr p -> Printf.sprintf "ptr:%d" p
+      | I.VVec vs -> "<" ^ String.concat ", " (Array.to_list (Array.map show vs)) ^ ">"
+      | I.VUndef -> "undef"
+    in
+    print_string o.I.output;
+    Printf.printf "return: %s\ncycles: %d\ndynamic instructions: %d\n"
+      (if Types.equal main.Func.ret Types.Void then "void" else show o.I.ret)
+      o.I.cycles o.I.dyn_insns
   in
   Cmd.v (Cmd.info "run" ~doc:"Interpret a module")
     Term.(const go

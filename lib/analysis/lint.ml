@@ -226,7 +226,7 @@ let alias_findings (f : Func.t) : finding list =
     match const_gep p, const_gep q with
     | Some (b1, t1, k1), Some (b2, t2, k2) ->
       Value.equal b1 b2 && Types.equal t1 t2 && not (Int64.equal k1 k2)
-    | _ -> None <> None
+    | _ -> false
   in
   List.filter_map
     (fun (b : Block.t) ->
@@ -268,7 +268,7 @@ let alias_findings (f : Func.t) : finding list =
             message =
               Format.asprintf
                 "%d store pair%s may alias (e.g. %a vs %a): their order \
-                 constrains dse/licm/gvn"
+                 must be kept"
                 !count
                 (if !count = 1 then "" else "s")
                 Printer.pp_value p Printer.pp_value q })

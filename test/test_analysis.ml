@@ -397,6 +397,28 @@ let test_lint_flags_dead_store () =
   Alcotest.(check bool) "dead store reported" true
     (List.exists (fun (f : A.Lint.finding) -> f.A.Lint.rule = "dead-store") fs)
 
+(* may-alias-store-conflict: stores to distinct constant offsets of one
+   gep base are apart; stores through two pointer parameters are not *)
+let test_lint_may_alias_stores () =
+  let conflicts src =
+    List.filter
+      (fun (f : A.Lint.finding) -> f.A.Lint.rule = "may-alias-store-conflict")
+      (A.Lint.lint_module (Parser.parse_module src))
+  in
+  let func body = "module t\n\nfunc @f(%0: ptr, %1: ptr): i64 {\nentry:\n" ^ body ^ "  ret i64 0\n}\n" in
+  Alcotest.(check int) "distinct constant offsets of one base" 0
+    (List.length
+       (conflicts
+          (func
+             "  %2 = gep i64 %0, 1\n  %3 = gep i64 %0, 2\n\
+              store i64 1, %2\n  store i64 2, %3\n")));
+  match conflicts (func "  store i64 1, %0\n  store i64 2, %1\n") with
+  | [ g ] ->
+    Alcotest.(check string) "severity" "info" (A.Lint.severity_to_string g.A.Lint.severity);
+    Alcotest.(check string) "message"
+      "1 store pair may alias (e.g. %0 vs %1): their order must be kept" g.A.Lint.message
+  | gs -> Alcotest.failf "expected one finding for two parameters, got %d" (List.length gs)
+
 let test_lint_flags_undominated_use () =
   let broken = sink_pass.P.Pass.run P.Config.oz (diamond_module ()) in
   let fs = A.Lint.lint_module broken in
@@ -748,6 +770,8 @@ let suite =
     Alcotest.test_case "lint flags a dead store" `Quick test_lint_flags_dead_store;
     Alcotest.test_case "lint flags an undominated use as error" `Quick
       test_lint_flags_undominated_use;
+    Alcotest.test_case "lint: may-alias stores, offsets apart and parameters not" `Quick
+      test_lint_may_alias_stores;
     Alcotest.test_case "lint: sampled suites at -Oz have zero errors" `Slow
       test_lint_suite_oz_zero_errors;
     Alcotest.test_case "sanitized evaluation is pool-deterministic" `Slow

@@ -231,7 +231,17 @@ let trap_of (src : string) : string =
   | Error e -> e
   | Ok (r, _) -> Alcotest.failf "expected a trap, returned %s" r
 
-let main_body body = "module t\n\nfunc @main(): i64 {\n" ^ body ^ "}\n"
+let main_body ?(name = "t") body = "module " ^ name ^ "\n\nfunc @main(): i64 {\n" ^ body ^ "}\n"
+
+(* an unknown global read after the loop exits, as a load's address and
+   as a phi's incoming value *)
+let unknown_global_src ~phi =
+  main_body
+    ("entry:\n  br loop\nloop:\n  %0 = phi i64 [entry: 0], [loop: %1]\n  %1 = add i64 %0, 1\n\
+      %2 = icmp slt i64 %1, 5\n  cbr %2, loop, bad\n"
+    ^
+    if phi then "bad:\n  br join\njoin:\n  %3 = phi ptr [bad: @nope]\n  %4 = load i64, %3\n  ret i64 %4\n"
+    else "bad:\n  %3 = load i64, @nope\n  ret i64 %3\n")
 
 (* name, message, module *)
 let malformed : (string * string * string) list =
@@ -266,7 +276,10 @@ let malformed : (string * string * string) list =
       main_body "entry:\n  store i64 %4, %5\n  ret i64 0\n" );
     ( "call arguments left to right", "read of unassigned register %4 in @main",
       "module t\n\nfunc @f(%0: i64, %1: i64): i64 {\nentry:\n  ret i64 %0\n}\n\n"
-      ^ "func @main(): i64 {\nentry:\n  %0 = call i64 @f(%4, %5)\n  ret i64 %0\n}\n" ) ]
+      ^ "func @main(): i64 {\nentry:\n  %0 = call i64 @f(%4, %5)\n  ret i64 %0\n}\n" );
+    ("unknown global on a taken path", "unknown global @nope", unknown_global_src ~phi:false);
+    ( "unknown global through a phi on a taken path", "unknown global @nope",
+      unknown_global_src ~phi:true ) ]
 
 let test_malformed_traps () =
   List.iter
@@ -327,6 +340,98 @@ let test_edge_shapes () =
   Alcotest.(check int64) "first case, first incoming, first definition" 132L
     (ret_i64 (Parser.parse_module edge_src));
   Alcotest.(check int64) "vector gep" 5L (ret_i64 (Parser.parse_module vector_gep_src))
+
+(* --- the fast paths' edges ---------------------------------------------------
+
+   The interpreter computes the common tag and type combinations in an
+   unboxed frame and hands every other one to its boxed evaluator. Each
+   module below sits on a seam between the two; the reference test
+   below runs each of them. *)
+
+(* Undef from a call's return keeps the register's previous bits (1 in
+   the last round), which no integer read may see: as a binop, icmp,
+   select and cbr operand, and through a phi. *)
+let undef_edges_src =
+  "module undef_edges\n\n\
+   internal func @u(%0: i64): i64 {\nentry:\n  %1 = icmp eq i64 %0, 0\n  cbr %1, zero, other\n\
+   zero:\n  ret i64 undef\nother:\n  ret i64 %0\n}\n\n\
+   func @main(): i64 {\nentry:\n  br loop\n\
+   loop:\n  %0 = phi i64 [entry: 3], [latch: %9]\n  %1 = call i64 @u(%0)\n\
+   %2 = add i64 %1, 100\n  %3 = icmp eq i64 %1, 1\n  %4 = zext i1 %3 to i64\n\
+   %5 = select i64 %1, 10, 20\n  %6 = call i64 @print_i64(%2)\n  %7 = call i64 @print_i64(%4)\n\
+   %8 = call i64 @print_i64(%5)\n  cbr %1, one, other\n\
+   one:\n  br latch\nother:\n  br latch\n\
+   latch:\n  %10 = phi i64 [one: 1], [other: 0]\n  %11 = call i64 @print_i64(%10)\n\
+   %9 = sub i64 %0, 1\n  %12 = icmp sge i64 %9, 0\n  cbr %12, loop, exit\n\
+   exit:\n  %13 = phi i64 [latch: %1]\n  %14 = mul i64 %13, 3\n  %15 = add i64 undef, %14\n\
+   ret i64 %15\n}\n"
+
+(* A pointer as an integer operand and an integer as a pointer; a
+   pointer compare reads an integer as [as_ptr] does, cut to 63 bits. *)
+let ptr_int_edges_src =
+  main_body ~name:"ptr_int_edges"
+    "entry:\n  %0 = alloca i64 x 4\n  %1 = add i64 %0, 8\n  store i64 42, %1\n\
+     %2 = gep i64 %0, 1\n  %3 = load i64, %2\n  %4 = icmp eq i64 %1, %2\n\
+     %5 = icmp eq ptr %1, %2\n  %6 = sub i64 %2, %0\n  %7 = gep i64 %1, 1\n\
+     store i64 7, %7\n  %8 = load i64, %7\n  %9 = icmp ult ptr %0, %2\n\
+     %10 = icmp eq ptr -1, 9223372036854775807\n  %11 = alloca ptr x 2\n\
+     store ptr %2, %11\n  %12 = gep ptr %11, 1\n  store ptr %1, %12\n\
+     %13 = load ptr, %12\n  %14 = load i64, %11\n  %15 = icmp eq ptr %13, %2\n\
+     %16 = select ptr %4, %1, %0\n  %17 = load i64, %16\n\
+     %18 = call i64 @print_i64(%3)\n  %19 = call i64 @print_i64(%6)\n\
+     %20 = call i64 @print_i64(%8)\n  %21 = sub i64 %14, %0\n  %22 = call i64 @print_i64(%21)\n\
+     %23 = call i64 @print_i64(%17)\n  %24 = zext i1 %4 to i64\n  %25 = zext i1 %5 to i64\n\
+     %26 = zext i1 %9 to i64\n  %27 = zext i1 %10 to i64\n  %28 = zext i1 %15 to i64\n\
+     %29 = shl i64 %25, 1\n  %30 = shl i64 %26, 2\n  %31 = shl i64 %27, 3\n\
+     %32 = shl i64 %28, 4\n  %33 = or i64 %24, %29\n  %34 = or i64 %33, %30\n\
+     %35 = or i64 %34, %31\n  %36 = or i64 %35, %32\n  ret i64 %36\n"
+
+(* -0.0 beside 0.0, and a NaN with a payload, through phis, selects and
+   an f64 store and load, then back to i64 *)
+let float_edges_src =
+  main_body ~name:"float_edges"
+    "entry:\n  %0 = alloca f64 x 1\n  %1 = bitcast i64 9221120237041090611 to f64\n  br loop\n\
+     loop:\n  %2 = phi i64 [entry: 0], [loop: %6]\n  %3 = phi f64 [entry: 0.0], [loop: -0.0]\n\
+     %4 = phi f64 [entry: -0.0], [loop: %1]\n  %5 = phi f64 [entry: %1], [loop: 0.0]\n\
+     %6 = add i64 %2, 1\n  %7 = icmp slt i64 %6, 2\n  cbr %7, loop, exit\n\
+     exit:\n  %8 = select f64 %7, %4, %3\n  %9 = select f64 1, %4, %5\n\
+     store f64 %9, %0\n  %10 = load f64, %0\n  %11 = bitcast f64 %10 to i64\n\
+     %12 = bitcast f64 %8 to i64\n  %13 = fdiv f64 1.0, %5\n  %14 = fdiv f64 1.0, %8\n\
+     %15 = bitcast f64 %13 to i64\n  %16 = bitcast f64 %14 to i64\n  store f64 %8, %0\n\
+     %17 = load i64, %0\n  %18 = fsub f64 0.0, -0.0\n  %19 = bitcast f64 %18 to i64\n\
+     %20 = call i64 @print_i64(%11)\n  %21 = call i64 @print_i64(%12)\n\
+     %22 = call i64 @print_i64(%15)\n  %23 = call i64 @print_i64(%16)\n\
+     %24 = call i64 @print_i64(%17)\n  %25 = call i64 @print_i64(%19)\n  ret i64 %11\n"
+
+(* i1, i8 and i32 results wrap, from operands that are not yet wrapped *)
+let wrap_edges_src =
+  "module wrap_edges\n\ninternal func @w(%0: i64): i64 {\nentry:\n\
+   %1 = add i8 %0, 1\n  %2 = mul i8 %0, %0\n  %3 = shl i8 %0, 7\n  %4 = ashr i8 %3, 3\n\
+   %5 = lshr i8 %0, 1\n  %6 = add i32 %0, 2147483647\n  %7 = mul i32 %0, 65536\n\
+   %8 = shl i32 %0, 31\n  %9 = ashr i32 %8, 4\n  %10 = add i1 %0, 1\n  %11 = mul i1 %0, %0\n\
+   %12 = shl i1 %0, 1\n  %13 = ashr i1 %0, 0\n  %14 = trunc i64 %0 to i8\n\
+   %15 = trunc i64 %0 to i1\n  %16 = trunc i64 %0 to i32\n  %17 = sext i8 %14 to i64\n\
+   %18 = zext i8 %14 to i64\n  %19 = sext i1 %15 to i64\n  %20 = zext i1 %15 to i64\n\
+   %21 = zext i32 %6 to i64\n  %22 = sext i32 %6 to i64\n"
+  ^ String.concat ""
+      (List.init 22 (fun k -> Printf.sprintf "  %%%d = call i64 @print_i64(%%%d)\n" (k + 23) (k + 1)))
+  ^ "  ret i64 %22\n}\n\nfunc @main(): i64 {\nentry:\n  %0 = call i64 @w(127)\n\
+     %1 = call i64 @w(300)\n  %2 = call i64 @w(-1)\n  %3 = call i64 @w(4294967297)\n\
+     %4 = call i64 @w(-129)\n  ret i64 %4\n}\n"
+
+(* vectors through a swapping pair of phis (their moves go through
+   temporaries), a select, a store and a load, and a call's return *)
+let vector_edges_src =
+  "module vector_edges\n\ninternal func @splat(%0: i64): <4 x i64> {\nentry:\n\
+   %1 = bitcast i64 %0 to <4 x i64>\n  ret <4 x i64> %1\n}\n\n\
+   func @main(): i64 {\nentry:\n  %0 = alloca i64 x 4\n  %1 = call <4 x i64> @splat(3)\n\
+   %2 = bitcast i64 5 to <4 x i64>\n  br loop\n\
+   loop:\n  %3 = phi <4 x i64> [entry: %1], [loop: %4]\n  %4 = phi <4 x i64> [entry: %2], [loop: %3]\n\
+   %5 = phi i64 [entry: 0], [loop: %6]\n  %6 = add i64 %5, 1\n  %7 = icmp slt i64 %6, 3\n\
+   cbr %7, loop, exit\n\
+   exit:\n  %8 = add <4 x i64> %3, %4\n  %9 = select <4 x i64> %7, %3, %8\n\
+   store <4 x i64> %9, %0\n  %10 = load <4 x i64>, %0\n  %11 = mul <4 x i64> %10, %3\n\
+   store <4 x i64> %11, %0\n  %12 = gep i64 %0, 2\n  %13 = load i64, %12\n  ret i64 %13\n}\n"
 
 (* property: Fold.fold_op agrees with interpreter execution on random
    integer binops *)
@@ -412,32 +517,37 @@ let seen_of (run : (fname:string -> int -> I.value -> unit) option -> I.outcome)
   in
   { result; assigns = !n; assign_hash = !h }
 
-(* Both interpreters on [m], four ways: default fuel with and without the
-   hook, and two small fuels that stop mid-run. *)
-let same_as_reference (m : Modul.t) : (string, string) result =
-  let ways = [ (None, false); (None, true); (Some 3_000, false); (Some 777, true) ] in
-  let differs (fuel, hook) =
-    let mine = seen_of ~hook (fun on_assign -> I.run ?fuel ?on_assign m) in
-    let theirs =
-      seen_of ~hook (fun on_assign ->
-          let on_assign = Option.map (fun h ~fname r v -> h ~fname r (of_ref v)) on_assign in
-          let o = R.run ?fuel ?on_assign m in
-          { I.ret = of_ref o.R.ret; cycles = o.R.cycles; dyn_insns = o.R.dyn_insns;
-            output = o.R.output })
-    in
-    mine <> theirs
+(* Both interpreters on [m] at [fuel] (None: the default), with or
+   without the hook: [None] when they agree, else what differs. *)
+let differs (m : Modul.t) ((fuel, hook) : int option * bool) : string option =
+  let mine = seen_of ~hook (fun on_assign -> I.run ?fuel ?on_assign m) in
+  let theirs =
+    seen_of ~hook (fun on_assign ->
+        let on_assign = Option.map (fun h ~fname r v -> h ~fname r (of_ref v)) on_assign in
+        let o = R.run ?fuel ?on_assign m in
+        { I.ret = of_ref o.R.ret; cycles = o.R.cycles; dyn_insns = o.R.dyn_insns;
+          output = o.R.output })
   in
-  match List.find_opt differs ways with
-  | None -> Ok m.Modul.name
-  | Some (fuel, hook) ->
-    Error
+  if mine = theirs then None
+  else
+    Some
       (Printf.sprintf "%s differs at fuel %s%s" m.Modul.name
          (Option.fold ~none:"default" ~some:string_of_int fuel)
          (if hook then " with on_assign" else ""))
 
+(* four ways: default fuel with and without the hook, and two small
+   fuels that stop mid-run *)
+let same_as_reference (m : Modul.t) : (string, string) result =
+  match
+    List.find_map (differs m) [ (None, false); (None, true); (Some 3_000, false); (Some 777, true) ]
+  with
+  | None -> Ok m.Modul.name
+  | Some e -> Error e
+
 (* the 31 validation programs and every fifth training-corpus program,
    raw (O0) and at -Oz, and the hand-written modules above: the
-   malformed ones, and the switches and vectors no workload has *)
+   malformed ones, the switches and vectors no workload has, and the
+   fast paths' edges *)
 let test_matches_reference_on_suites () =
   let raw =
     List.map snd (Posetrl_workloads.Suites.all_programs ())
@@ -448,7 +558,8 @@ let test_matches_reference_on_suites () =
   let hand =
     List.map Parser.parse_module
       (untaken_src :: callind_src :: edge_src :: vector_gep_src
-       :: List.map (fun (_, _, src) -> src) malformed)
+       :: List.map (fun (_, _, src) -> src) malformed
+       @ [ undef_edges_src; ptr_int_edges_src; float_edges_src; wrap_edges_src; vector_edges_src ])
     @ List.map (fun key -> Test_switch_misc.switch_module ~key ()) [ 0; 1; 2; 42 ]
     @ [ vector_module (); Testutil.sum_squares_module () ]
   in
@@ -458,23 +569,26 @@ let test_matches_reference_on_suites () =
     (raw @ oz @ hand)
 
 (* Genprog and Templates programs after 15 random ODG actions, as one
-   training episode could take them *)
+   training episode could take them: the four ways, and once more
+   stopped by fuel at any point of the first 3000 steps, with or without
+   the hook *)
 let prop_matches_reference_under_odg_schedules =
   let space = Posetrl_odg.Action_space.odg in
-  QCheck2.Test.make ~count:50 ~name:"resolved interpreter = reference under random ODG schedules"
-    ~print:QCheck2.Print.(triple int bool (list int))
+  QCheck2.Test.make ~count:100 ~name:"resolved interpreter = reference under random ODG schedules"
+    ~print:QCheck2.Print.(tup5 int bool (list int) int bool)
     QCheck2.Gen.(
-      triple (int_range 800_000 900_000) bool
-        (list_repeat 15 (int_range 0 (Posetrl_odg.Action_space.n_actions space - 1))))
-    (fun (seed, templ, schedule) ->
+      tup5 (int_range 800_000 900_000) bool
+        (list_repeat 15 (int_range 0 (Posetrl_odg.Action_space.n_actions space - 1)))
+        (int_range 1 3000) bool)
+    (fun (seed, templ, schedule, fuel, hook) ->
       let m =
         if templ then Posetrl_workloads.Templates.generate ~seed
         else Posetrl_workloads.Genprog.generate ~seed
       in
       let m = Posetrl_core.Inference.apply_sequence ~actions:space schedule m in
-      match same_as_reference m with
-      | Ok _ -> true
-      | Error e -> QCheck2.Test.fail_report e)
+      match same_as_reference m, differs m (Some fuel, hook) with
+      | Ok _, None -> true
+      | Error e, _ | _, Some e -> QCheck2.Test.fail_report e)
 
 let suite =
   [ Alcotest.test_case "arith wrapping" `Quick test_arith_wrapping;
