@@ -496,8 +496,7 @@ let micro () =
   let state_vec = Array.make 300 0.1 in
   let tests =
     Test.make_grouped ~name:"posetrl"
-      [ Test.make ~name:"oz-pipeline(crc32)" (Staged.stage (fun () -> ignore (opt P.Pipelines.Oz m)));
-        Test.make ~name:"ir2vec-embed(crc32)"
+      [ Test.make ~name:"ir2vec-embed(crc32)"
           (Staged.stage (fun () -> ignore (Posetrl_ir2vec.Encoder.embed_program mz)));
         Test.make ~name:"objfile-size(crc32)"
           (Staged.stage (fun () -> ignore (CG.Objfile.size x86 mz)));
@@ -644,13 +643,14 @@ let parallel () =
              ("speedup_x", Obs.Json.Float speedup) ]) ]
 
 (* ======================================================================== *)
-(* static analysis: dataflow solver, sanitizer, lint and interpreter benches  *)
+(* static analysis, interpreter and pass-pipeline benches                     *)
 (* ======================================================================== *)
 
-(* Benches Posetrl_analysis and the interpreter on the largest bundled
-   workload and writes BENCH_analysis.json. *)
+(* Benches Posetrl_analysis, the interpreter and the -Oz pipeline on the
+   largest bundled workload and writes BENCH_analysis.json. *)
 let analysis () =
-  section_header "Static analysis (dataflow solver + sanitizer + lint + interpreter)";
+  section_header
+    "Static analysis (dataflow solver + sanitizer + lint + interpreter + passes)";
   let open Bechamel in
   let module A = Posetrl_analysis in
   (* largest validation program by instruction count — the worst case
@@ -696,7 +696,13 @@ let analysis () =
         Test.make ~name:"interp-largest"
           (* one run of the subject at Oz: the interpreter the equiv
              tier simulates with and eval times programs by *)
-          (Staged.stage (fun () -> ignore (I.run big_oz))) ]
+          (Staged.stage (fun () -> ignore (I.run big_oz)));
+        Test.make ~name:"oz-pipeline-largest"
+          (* all 90 pass runs of -Oz on the raw subject *)
+          (Staged.stage (fun () -> ignore (opt P.Pipelines.Oz big)));
+        Test.make ~name:"oz-pipeline(crc32)"
+          (let m = W.Mibench.crc32 () in
+           Staged.stage (fun () -> ignore (opt P.Pipelines.Oz m))) ]
   in
   let _, ns = bench in
   write_gated ~what:"analysis" bench
@@ -709,6 +715,7 @@ let analysis () =
         ("absint_rel", ns "absint-largest");
         ("equiv_rel", ns "equiv-validate-func");
         ("interp_rel", ns "interp-largest");
+        ("passes_rel", ns "oz-pipeline-largest");
         ("effects_rel", ns "effects-summary") ]
 
 (* ======================================================================== *)

@@ -1191,17 +1191,17 @@ let serve_cmd =
            ~doc:"Byte bound of the IR-hash result cache (LRU beyond it).")
   in
   let queue =
-    Arg.(value & opt int Posetrl_serve.Server.default_queue_cap
+    Arg.(value & opt positive_int Posetrl_serve.Server.default_queue_cap
          & info [ "queue" ] ~docv:"N"
              ~doc:"Max cache-missing requests admitted per pump; beyond it \
                    clients get 429 + Retry-After (backpressure).")
   in
   let max_body_kb =
-    Arg.(value & opt int 1024 & info [ "max-body-kb" ] ~docv:"KB"
+    Arg.(value & opt positive_int 1024 & info [ "max-body-kb" ] ~docv:"KB"
            ~doc:"Reject POST bodies larger than $(docv) KiB with a 413.")
   in
   let max_requests =
-    Arg.(value & opt (some int) None & info [ "max-requests" ] ~docv:"N"
+    Arg.(value & opt (some positive_int) None & info [ "max-requests" ] ~docv:"N"
            ~doc:"Exit after answering $(docv) requests (CI smoke hooks); \
                  default: serve until SIGINT/SIGTERM.")
   in

@@ -66,6 +66,40 @@ let replace_reg r v f =
   let subst = function Value.Reg r' when r' = r -> v | x -> x in
   map_operands subst f
 
+module ISet = Set.Make (Int)
+
+(* Follow [v] through the register substitution [subst] to the end of its
+   chain. A register already visited ends the walk (a self-map or a cycle
+   resolves to the register where it closes). *)
+let resolve (subst : (int, Value.t) Hashtbl.t) (v : Value.t) : Value.t =
+  let rec go seen v =
+    match v with
+    | Value.Reg r when not (ISet.mem r seen) ->
+      (match Hashtbl.find_opt subst r with
+       | Some v' -> go (ISet.add r seen) v'
+       | None -> v)
+    | _ -> v
+  in
+  go ISet.empty v
+
+(* Apply [subst]: every use goes through [resolve], and the instructions
+   defining a substituted register are dropped. An empty table returns
+   [f] itself. *)
+let substitute (subst : (int, Value.t) Hashtbl.t) (f : t) : t =
+  if Hashtbl.length subst = 0 then f
+  else
+    let resolve = resolve subst in
+    let rewrite (i : Instr.t) =
+      if i.Instr.id >= 0 && Hashtbl.mem subst i.Instr.id then None
+      else Some { i with Instr.op = Instr.map_operands resolve i.Instr.op }
+    in
+    map_blocks
+      (fun b ->
+        { b with
+          Block.insns = List.filter_map rewrite b.Block.insns;
+          term = Instr.map_term_operands resolve b.Block.term })
+      f
+
 let iter_insns fn f =
   List.iter (fun b -> List.iter (fn b) b.Block.insns) f.blocks
 

@@ -30,7 +30,6 @@ let run_with ~memssa (f : Func.t) : Func.t =
   let cfg = Cfg.of_func f in
   let dom = Dom.compute cfg in
   let subst : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-  let killed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let rec walk label (sc : scope) =
     let blk = Func.find_block_exn f label in
     (* Memory facts carried down the dominator tree are only valid when
@@ -53,7 +52,6 @@ let run_with ~memssa (f : Func.t) : Func.t =
             match OpMap.find_opt key sc.avail with
             | Some leader ->
               Hashtbl.replace subst i.Instr.id leader;
-              Hashtbl.replace killed i.Instr.id ();
               sc
             | None -> { sc with avail = OpMap.add key (Value.Reg i.Instr.id) sc.avail }
           end
@@ -63,7 +61,6 @@ let run_with ~memssa (f : Func.t) : Func.t =
               (match PtrMap.find_opt p sc.loads with
                | Some (ty', v, g) when Types.equal ty ty' && g = sc.gen ->
                  Hashtbl.replace subst i.Instr.id v;
-                 Hashtbl.replace killed i.Instr.id ();
                  sc
                | _ ->
                  { sc with
@@ -82,22 +79,7 @@ let run_with ~memssa (f : Func.t) : Func.t =
   in
   walk dom.Dom.entry { avail = OpMap.empty; loads = PtrMap.empty; gen = 0 };
   if Hashtbl.length subst = 0 then f
-  else begin
-    let rec resolve v =
-      match v with
-      | Value.Reg r ->
-        (match Hashtbl.find_opt subst r with
-         | Some v' when v' <> v -> resolve v'
-         | _ -> v)
-      | _ -> v
-    in
-    let f =
-      Func.map_blocks
-        (Block.filter_insns (fun i -> not (Hashtbl.mem killed i.Instr.id)))
-        f
-    in
-    Func.map_operands resolve f |> Utils.trivial_dce
-  end
+  else Func.substitute subst f |> Utils.trivial_dce
 
 let pass =
   Pass.function_pass "early-cse"

@@ -28,50 +28,27 @@ let run_func (_cfg : Config.t) (f : Func.t) : Func.t =
      appear before followers on any dominating path. *)
   let leaders : (Instr.op, string * int) Hashtbl.t = Hashtbl.create 64 in
   let subst : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-  let killed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let order = Cfg.rpo cfg in
   List.iter
     (fun label ->
       let blk = Func.find_block_exn f label in
       List.iter
         (fun (i : Instr.t) ->
-          (* resolve operands through pending substitutions first *)
-          let resolve v =
-            match v with
-            | Value.Reg r ->
-              (match Hashtbl.find_opt subst r with Some v' -> v' | None -> v)
-            | _ -> v
-          in
           if i.Instr.id >= 0 && Instr.is_pure i.Instr.op then begin
-            let op = Instr.map_operands resolve i.Instr.op in
+            (* resolve operands through pending substitutions first *)
+            let op = Instr.map_operands (Func.resolve subst) i.Instr.op in
             let key = Instr.exact_key (key_of op) in
             match Hashtbl.find_opt leaders key with
             | Some (lblk, lreg)
-              when (not (Hashtbl.mem killed lreg))
+              when (not (Hashtbl.mem subst lreg))
                    && (String.equal lblk label || Dom.strictly_dominates dom lblk label) ->
-              Hashtbl.replace subst i.Instr.id (Value.Reg lreg);
-              Hashtbl.replace killed i.Instr.id ()
+              Hashtbl.replace subst i.Instr.id (Value.Reg lreg)
             | _ -> Hashtbl.replace leaders key (label, i.Instr.id)
           end)
         blk.Block.insns)
     order;
   if Hashtbl.length subst = 0 then f
-  else begin
-    let rec resolve v =
-      match v with
-      | Value.Reg r ->
-        (match Hashtbl.find_opt subst r with
-         | Some v' when v' <> v -> resolve v'
-         | _ -> v)
-      | _ -> v
-    in
-    let f =
-      Func.map_blocks
-        (Block.filter_insns (fun i -> not (Hashtbl.mem killed i.Instr.id)))
-        f
-    in
-    Func.map_operands resolve f |> Utils.trivial_dce
-  end
+  else Func.substitute subst f |> Utils.trivial_dce
 
 let pass =
   Pass.function_pass "gvn"

@@ -183,49 +183,29 @@ let run_func (_cfg : Config.t) (f : Func.t) : Func.t =
     Func.iter_insns (fun _ i -> if i.Instr.id >= 0 then Hashtbl.replace defs i.Instr.id i.Instr.op) f;
     let subst : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
     let changed = ref false in
-    let rewrite (i : Instr.t) : Instr.t option =
+    let rewrite (i : Instr.t) : Instr.t =
       match combine_op defs i.Instr.op with
       | `Value v ->
         if i.Instr.id >= 0 then begin
           Hashtbl.replace subst i.Instr.id v;
-          changed := true;
-          None
-        end
-        else Some i
+          changed := true
+        end;
+        i
       | `Op op' ->
         changed := true;
         Hashtbl.replace defs i.Instr.id op';
-        Some { i with Instr.op = op' }
+        { i with Instr.op = op' }
       | `Keep ->
         let op' = canonicalize i.Instr.op in
         if op' <> i.Instr.op then begin
           changed := true;
           Hashtbl.replace defs i.Instr.id op';
-          Some { i with Instr.op = op' }
+          { i with Instr.op = op' }
         end
-        else Some i
+        else i
     in
-    let blocks =
-      List.map
-        (fun (b : Block.t) ->
-          { b with Block.insns = List.filter_map rewrite b.Block.insns })
-        f.Func.blocks
-    in
-    let f = Func.with_blocks f blocks in
-    let f =
-      if Hashtbl.length subst = 0 then f
-      else
-        let rec resolve v =
-          match v with
-          | Value.Reg r ->
-            (match Hashtbl.find_opt subst r with
-             | Some v' when v' <> v -> resolve v'
-             | _ -> v)
-          | _ -> v
-        in
-        Func.map_operands resolve f
-    in
-    (f, !changed)
+    let f = Func.map_blocks (Block.map_insns rewrite) f in
+    (Func.substitute subst f, !changed)
   in
   let f = Utils.to_fixed_point ~max_iters:6 step f in
   f |> Utils.fold_terminators |> Utils.trivial_dce
@@ -250,26 +230,7 @@ let simplify_func (_cfg : Config.t) (f : Func.t) : Func.t =
             | None -> ())
         b.Block.insns)
     f.Func.blocks;
-  let f =
-    if Hashtbl.length subst = 0 then f
-    else begin
-      let rec resolve v =
-        match v with
-        | Value.Reg r ->
-          (match Hashtbl.find_opt subst r with
-           | Some v' when v' <> v -> resolve v'
-           | _ -> v)
-        | _ -> v
-      in
-      let f =
-        Func.map_blocks
-          (Block.filter_insns (fun i -> not (Hashtbl.mem subst i.Instr.id)))
-          f
-      in
-      Func.map_operands resolve f
-    end
-  in
-  Utils.trivial_dce f
+  Func.substitute subst f |> Utils.trivial_dce
 
 let instsimplify_pass =
   Pass.function_pass "instsimplify"

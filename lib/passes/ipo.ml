@@ -151,18 +151,7 @@ let run_globalopt (m : Modul.t) : Modul.t =
            | _ -> ())
         | _ -> ())
       f;
-    if Hashtbl.length subst = 0 then f
-    else begin
-      let resolve v =
-        match v with
-        | Value.Reg r -> (match Hashtbl.find_opt subst r with Some v' -> v' | None -> v)
-        | _ -> v
-      in
-      Func.map_blocks
-        (Block.filter_insns (fun i -> not (Hashtbl.mem subst i.Instr.id)))
-        f
-      |> Func.map_operands resolve
-    end
+    Func.substitute subst f
   in
   (* 3. drop stores to internal never-loaded, never-escaping globals *)
   let write_only g =

@@ -9,9 +9,9 @@ open Posetrl_ir
 module SSet = Set.Make (String)
 module ISet = Set.Make (Int)
 
-let hoist_one_loop (f : Func.t) (loop : Loops.loop) : Func.t * bool =
+let hoist_one_loop (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.preheader with
-  | None -> (f, false)
+  | None -> None
   | Some pre ->
     let in_loop b = SSet.mem b loop.Loops.blocks in
     let defined_in_loop =
@@ -81,7 +81,7 @@ let hoist_one_loop (f : Func.t) (loop : Loops.loop) : Func.t * bool =
               b.Block.insns)
         f.Func.blocks
     done;
-    if !hoisted = [] then (f, false)
+    if !hoisted = [] then None
     else begin
       let keep (i : Instr.t) = not (ISet.mem i.Instr.id !hoisted_ids) in
       (* order hoisted instructions by dependency: reuse original block
@@ -117,34 +117,22 @@ let hoist_one_loop (f : Func.t) (loop : Loops.loop) : Func.t * bool =
             else b)
           f.Func.blocks
       in
-      (Func.with_blocks f blocks, true)
+      Some (Func.with_blocks f blocks)
     end
 
 let run_func (cfg : Config.t) (f : Func.t) : Func.t =
-  let f = Loop_simplify.loop_simplify_func cfg f in
-  let rec go f budget =
-    if budget = 0 then f
-    else begin
-      let li = Loops.compute f in
-      (* innermost loops first *)
-      let loops = List.sort (fun a b -> compare b.Loops.depth a.Loops.depth) li.Loops.loops in
-      let f', changed =
-        List.fold_left
-          (fun (f, any) loop ->
-            let li' = Loops.compute f in
-            match
-              List.find_opt (fun l -> String.equal l.Loops.header loop.Loops.header) li'.Loops.loops
-            with
-            | None -> (f, any)
-            | Some loop ->
-              let f', c = hoist_one_loop f loop in
-              (f', any || c))
-          (f, false) loops
-      in
-      if changed then go f' (budget - 1) else f'
-    end
+  (* a hoist moves instructions but leaves the CFG alone, so one
+     [Loops.compute] per round describes every loop of the round *)
+  let round f =
+    let li = Loops.compute f in
+    (* innermost loops first *)
+    let loops = List.sort (fun a b -> compare b.Loops.depth a.Loops.depth) li.Loops.loops in
+    List.fold_left
+      (fun (f, any) loop ->
+        match hoist_one_loop f loop with Some f' -> (f', true) | None -> (f, any))
+      (f, false) loops
   in
-  go f 4
+  Loop_simplify.loop_simplify_func cfg f |> Utils.to_fixed_point ~max_iters:4 round
 
 let pass =
   Pass.function_pass "licm" ~description:"loop-invariant code motion into preheaders"

@@ -9,7 +9,7 @@ open Posetrl_ir
 module SSet = Set.Make (String)
 module ISet = Set.Make (Int)
 
-let delete_one (f : Func.t) (loop : Loops.loop) : Func.t * bool =
+let delete_one (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.preheader, loop.Loops.exits with
   | Some pre, [ exit_lbl ] ->
     let in_loop l = SSet.mem l loop.Loops.blocks in
@@ -20,8 +20,8 @@ let delete_one (f : Func.t) (loop : Loops.loop) : Func.t * bool =
           List.exists (fun (i : Instr.t) -> Instr.has_side_effects i.Instr.op) b.Block.insns)
         loop_blocks
     in
-    if has_side_effects then (f, false)
-    else if Option.is_none (Utils.analyze_counted_loop f loop) then (f, false)
+    if has_side_effects then None
+    else if Option.is_none (Utils.analyze_counted_loop f loop) then None
     else begin
       let loop_defs = ISet.of_list (Clone.region_defs loop_blocks) in
       (* outside uses of loop values: only allowed in exit phis with
@@ -62,7 +62,7 @@ let delete_one (f : Func.t) (loop : Loops.loop) : Func.t * bool =
             List.iter check (Instr.term_operands b.Block.term)
           end)
         f.Func.blocks;
-      if not !ok then (f, false)
+      if not !ok then None
       else begin
         let blocks =
           f.Func.blocks
@@ -95,28 +95,13 @@ let delete_one (f : Func.t) (loop : Loops.loop) : Func.t * bool =
                      b
                  else b)
         in
-        (Func.with_blocks f blocks |> Utils.simplify_single_incoming_phis, true)
+        Some (Func.with_blocks f blocks |> Utils.simplify_single_incoming_phis)
       end
     end
-  | _ -> (f, false)
+  | _ -> None
 
-let run_func (_cfg : Config.t) (f : Func.t) : Func.t =
-  let f = Loop_simplify.loop_simplify_func _cfg f in
-  let rec go f budget =
-    if budget = 0 then f
-    else begin
-      let li = Loops.compute f in
-      let step =
-        List.find_map
-          (fun loop ->
-            let f', changed = delete_one f loop in
-            if changed then Some f' else None)
-          (Loops.leaf_loops li)
-      in
-      match step with Some f' -> go f' (budget - 1) | None -> f
-    end
-  in
-  go f 8
+let run_func (cfg : Config.t) (f : Func.t) : Func.t =
+  Loop_simplify.loop_simplify_func cfg f |> Utils.rewrite_loops ~rounds:8 delete_one
 
 let pass =
   Pass.function_pass "loop-deletion"

@@ -153,17 +153,8 @@ let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
 let run_func (_cfg : Config.t) (f : Func.t) : Func.t =
   (* canonicalize and merge straight-line chains so single-block bodies
      are recognizable *)
-  let f = Loop_simplify.loop_simplify_func _cfg f |> Utils.merge_blocks in
-  let rec go f budget =
-    if budget = 0 then f
-    else begin
-      let li = Loops.compute f in
-      match List.find_map (rewrite_one f) (Loops.leaf_loops li) with
-      | Some f' -> go f' (budget - 1)
-      | None -> f
-    end
-  in
-  go f 4
+  Loop_simplify.loop_simplify_func _cfg f |> Utils.merge_blocks
+  |> Utils.rewrite_loops ~rounds:4 rewrite_one
 
 let pass =
   Pass.function_pass "loop-idiom"

@@ -108,50 +108,33 @@ let loop_sink_pass =
    pointer stored earlier in the same block (same iteration) reuses the
    stored value. *)
 
-let forward_block (b : Block.t) : Block.t * bool =
+(* Record in [subst] each load of [b] that reads what a store earlier in
+   [b] wrote. *)
+let forward_block (subst : (int, Value.t) Hashtbl.t) (b : Block.t) : unit =
   let pending : (Value.t, Types.t * Value.t) Hashtbl.t = Hashtbl.create 8 in
-  let changed = ref false in
-  let subst : (int, Value.t) Hashtbl.t = Hashtbl.create 8 in
-  let insns =
-    List.filter_map
-      (fun (i : Instr.t) ->
-        match i.Instr.op with
-        | Instr.Store (ty, v, p) ->
-          Hashtbl.replace pending p (ty, v);
-          Some i
-        | Instr.Load (ty, p) ->
-          (match Hashtbl.find_opt pending p with
-           | Some (ty', v) when Types.equal ty ty' ->
-             Hashtbl.replace subst i.Instr.id v;
-             changed := true;
-             None
-           | _ -> Some i)
-        | Instr.Call _ | Instr.Callind _ | Instr.Memcpy _ | Instr.Intrinsic _ ->
-          Hashtbl.reset pending;
-          Some i
-        | _ -> Some i)
-      b.Block.insns
-  in
-  if not !changed then (b, false)
-  else begin
-    let resolve v =
-      match v with
-      | Value.Reg r -> (match Hashtbl.find_opt subst r with Some v' -> v' | None -> v)
-      | _ -> v
-    in
-    (Block.map_operands resolve { b with Block.insns }, true)
-  end
+  List.iter
+    (fun (i : Instr.t) ->
+      match i.Instr.op with
+      | Instr.Store (ty, v, p) -> Hashtbl.replace pending p (ty, v)
+      | Instr.Load (ty, p) ->
+        (match Hashtbl.find_opt pending p with
+         | Some (ty', v) when Types.equal ty ty' -> Hashtbl.replace subst i.Instr.id v
+         | _ -> ())
+      | Instr.Call _ | Instr.Callind _ | Instr.Memcpy _ | Instr.Intrinsic _ ->
+        Hashtbl.reset pending
+      | _ -> ())
+    b.Block.insns
 
 let loop_load_elim_pass =
   Pass.function_pass "loop-load-elim"
     ~description:"store-to-load forwarding within loop bodies"
     (fun _cfg f ->
       let li = Loops.compute f in
-      let in_any_loop l = Loops.depth li l > 0 in
-      Func.map_blocks
-        (fun b -> if in_any_loop b.Block.label then fst (forward_block b) else b)
-        f
-      |> Utils.trivial_dce)
+      let subst = Hashtbl.create 8 in
+      List.iter
+        (fun b -> if Loops.depth li b.Block.label > 0 then forward_block subst b)
+        f.Func.blocks;
+      Func.substitute subst f |> Utils.trivial_dce)
 
 (* --- loop-distribute -----------------------------------------------------
 
@@ -289,8 +272,4 @@ let distribute_one (f : Func.t) (loop : Loops.loop) : Func.t option =
 let loop_distribute_pass =
   Pass.function_pass "loop-distribute"
     ~description:"split independent store streams into separate loops"
-    (fun _cfg f ->
-      let li = Loops.compute f in
-      match List.find_map (distribute_one f) (Loops.leaf_loops li) with
-      | Some f' -> f'
-      | None -> f)
+    (fun _cfg f -> Utils.rewrite_loops ~rounds:1 distribute_one f)

@@ -14,9 +14,9 @@ module SSet = Set.Make (String)
 module ISet = Set.Make (Int)
 
 (* Create a preheader for [loop] if it lacks one. *)
-let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t * bool =
+let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.preheader with
-  | Some _ -> (f, false)
+  | Some _ -> None
   | None ->
     let cfg = Cfg.of_func f in
     let outside_preds =
@@ -24,7 +24,7 @@ let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t * bool =
         (fun p -> not (SSet.mem p loop.Loops.blocks))
         (Cfg.preds cfg loop.Loops.header)
     in
-    if outside_preds = [] then (f, false) (* unreachable loop *)
+    if outside_preds = [] then None (* unreachable loop *)
     else begin
       let label = Utils.fresh_label f (loop.Loops.header ^ ".preheader") in
       (* header phis: entries from outside preds must agree, or we must
@@ -82,18 +82,15 @@ let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t * bool =
               else [ b ])
             f.Func.blocks
         in
-        (Func.with_blocks ~next_id:counter.Func.next f blocks, true)
+        Some (Func.with_blocks ~next_id:counter.Func.next f blocks)
       end
-      else begin
-        let f = Utils.insert_block_on_edges f ~froms:outside_preds ~to_:loop.Loops.header ~label in
-        (f, true)
-      end
+      else Some (Utils.insert_block_on_edges f ~froms:outside_preds ~to_:loop.Loops.header ~label)
     end
 
 (* Merge multiple latches through one backedge block. *)
-let ensure_single_latch (f : Func.t) (loop : Loops.loop) : Func.t * bool =
+let ensure_single_latch (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.latches with
-  | [] | [ _ ] -> (f, false)
+  | [] | [ _ ] -> None
   | latches ->
     let header = Func.find_block_exn f loop.Loops.header in
     let phis = Block.phis header in
@@ -114,31 +111,19 @@ let ensure_single_latch (f : Func.t) (loop : Loops.loop) : Func.t * bool =
           | _ -> false)
         phis
     in
-    if conflicting then (f, false) (* would need a phi in the backedge block *)
+    if conflicting then None (* would need a phi in the backedge block *)
     else begin
       let label = Utils.fresh_label f (loop.Loops.header ^ ".backedge") in
-      (Utils.insert_block_on_edges f ~froms:latches ~to_:loop.Loops.header ~label, true)
+      Some (Utils.insert_block_on_edges f ~froms:latches ~to_:loop.Loops.header ~label)
     end
 
 let loop_simplify_func (_cfg : Config.t) (f : Func.t) : Func.t =
-  let rec go f budget =
-    if budget = 0 then f
-    else begin
-      let li = Loops.compute f in
-      let step =
-        List.find_map
-          (fun loop ->
-            let f', changed = ensure_preheader f loop in
-            if changed then Some f'
-            else
-              let f', changed = ensure_single_latch f loop in
-              if changed then Some f' else None)
-          li.Loops.loops
-      in
-      match step with Some f' -> go f' (budget - 1) | None -> f
-    end
-  in
-  go f 16
+  Utils.rewrite_loops ~all:true ~rounds:16
+    (fun f loop ->
+      match ensure_preheader f loop with
+      | None -> ensure_single_latch f loop
+      | changed -> changed)
+    f
 
 let pass =
   Pass.function_pass "loop-simplify"

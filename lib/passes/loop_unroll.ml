@@ -10,7 +10,7 @@ open Posetrl_ir
 module SSet = Set.Make (String)
 module ISet = Set.Make (Int)
 
-let unroll_one (cfg_opt : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * bool =
+let unroll_one (cfg_opt : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.preheader, loop.Loops.latches with
   | Some pre, [ latch ] ->
     (match Utils.analyze_counted_loop f loop with
@@ -29,7 +29,7 @@ let unroll_one (cfg_opt : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * 
        let trip = info.Utils.trip_count in
        if body_size > cfg_opt.Config.unroll_size_limit
           || body_size * trip > cfg_opt.Config.unroll_size_limit * 8
-       then (f, false)
+       then None
        else begin
          (* the only exit edge must be the latch's cbr *)
          let exits_ok =
@@ -64,7 +64,7 @@ let unroll_one (cfg_opt : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * 
                  | _ -> None)
                phis
            in
-           if List.length phi_edges <> List.length phis then (f, false)
+           if List.length phi_edges <> List.length phis then None
            else begin
              let counter = Func.fresh_counter f in
              (* template: loop blocks with header phis stripped *)
@@ -199,12 +199,12 @@ let unroll_one (cfg_opt : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * 
                        b)
                  f'
              in
-             (f', true)
+             Some f'
            end
-         | _ -> (f, false)
+         | _ -> None
        end
-     | _ -> (f, false))
-  | _ -> (f, false)
+     | _ -> None)
+  | _ -> None
 
 (* --- partial unrolling ----------------------------------------------------
 
@@ -217,7 +217,7 @@ let unroll_one (cfg_opt : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * 
    a [u]x bigger body — the canonical O3-vs-Oz trade. *)
 
 let partial_unroll_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) :
-    Func.t * bool =
+    Func.t option =
   let u = cfg.Config.unroll_partial in
   match loop.Loops.preheader, loop.Loops.latches with
   | Some pre, [ latch ] when u >= 2 ->
@@ -234,7 +234,7 @@ let partial_unroll_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) :
            (fun acc (b : Block.t) -> acc + List.length b.Block.insns)
            0 loop_blocks
        in
-       if body_size * u > cfg.Config.unroll_size_limit * 4 then (f, false)
+       if body_size * u > cfg.Config.unroll_size_limit * 4 then None
        else begin
          let exits_ok =
            List.for_all
@@ -267,7 +267,7 @@ let partial_unroll_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) :
                  | _ -> None)
                phis
            in
-           if List.length phi_edges <> List.length phis then (f, false)
+           if List.length phi_edges <> List.length phis then None
            else begin
              let counter = Func.fresh_counter f in
              let template =
@@ -429,41 +429,24 @@ let partial_unroll_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) :
                    else Block.map_operands map_raw b)
                  f'
              in
-             (f', true)
+             Some f'
            end
-         | _ -> (f, false)
+         | _ -> None
        end
-     | _ -> (f, false))
-  | _ -> (f, false)
+     | _ -> None)
+  | _ -> None
 
 let run_func (cfg : Config.t) (f : Func.t) : Func.t =
   if cfg.Config.unroll_count <= 1 then f
   else begin
     (* canonicalize first, as the loop pass manager would *)
-    let f = Loop_simplify.loop_simplify_func cfg f in
-    let rec go f budget =
-      if budget = 0 then f
-      else begin
-        let li = Loops.compute f in
-        (* unroll innermost loops first *)
-        let loops = Loops.leaf_loops li in
-        let step =
-          List.find_map
-            (fun loop ->
-              let f', changed = unroll_one cfg f loop in
-              if changed then Some f'
-              else
-                let f', changed = partial_unroll_one cfg f loop in
-                if changed then Some f' else None)
-            loops
-        in
-        match step with
-        | Some f' -> go f' (budget - 1)
-        | None -> f
-      end
-    in
-    let f = go f 4 in
-    f |> Utils.simplify_single_incoming_phis |> Utils.trivial_dce
+    Loop_simplify.loop_simplify_func cfg f
+    (* unroll innermost loops first *)
+    |> Utils.rewrite_loops ~rounds:4 (fun f loop ->
+           match unroll_one cfg f loop with
+           | None -> partial_unroll_one cfg f loop
+           | changed -> changed)
+    |> Utils.simplify_single_incoming_phis |> Utils.trivial_dce
   end
 
 let pass =

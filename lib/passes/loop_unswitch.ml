@@ -16,16 +16,16 @@ let size_budget (cfg : Config.t) =
   | 1 -> 24
   | _ -> 10
 
-let unswitch_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * bool =
+let unswitch_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.preheader with
-  | None -> (f, false)
+  | None -> None
   | Some pre ->
     let in_loop l = SSet.mem l loop.Loops.blocks in
     let loop_blocks = List.filter (fun (b : Block.t) -> in_loop b.Block.label) f.Func.blocks in
     let body_size =
       List.fold_left (fun acc (b : Block.t) -> acc + List.length b.Block.insns) 0 loop_blocks
     in
-    if body_size > size_budget cfg then (f, false)
+    if body_size > size_budget cfg then None
     else begin
       let loop_defs = ISet.of_list (Clone.region_defs loop_blocks) in
       let invariant v =
@@ -44,7 +44,7 @@ let unswitch_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * bo
           loop_blocks
       in
       match candidate with
-      | None -> (f, false)
+      | None -> None
       | Some (br_block, cond, t_lbl, e_lbl) ->
         (* values defined in the loop and used outside must flow through
            exit phis for the clone's exits to merge; require unique exit
@@ -67,7 +67,7 @@ let unswitch_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * bo
               List.iter check (Instr.term_operands b.Block.term)
             end)
           f.Func.blocks;
-        if !outside_use then (f, false)
+        if !outside_use then None
         else begin
           let counter = Func.fresh_counter f in
           let rename l = if in_loop l then l ^ ".us" else l in
@@ -131,24 +131,13 @@ let unswitch_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t * bo
           let f' =
             Func.with_blocks ~next_id:counter.Func.next f (blocks @ orig_blocks @ cloned)
           in
-          (Utils.remove_unreachable_blocks f', true)
+          Some (Utils.remove_unreachable_blocks f')
         end
     end
 
 let run_func (cfg : Config.t) (f : Func.t) : Func.t =
-  let f = Loop_simplify.loop_simplify_func cfg f in
-  let li = Loops.compute f in
   (* one unswitch per pass invocation per function keeps growth bounded *)
-  let f', _ =
-    List.fold_left
-      (fun (f, done_) loop ->
-        if done_ then (f, done_)
-        else
-          let f', c = unswitch_one cfg f loop in
-          (f', c))
-      (f, false) (Loops.leaf_loops li)
-  in
-  f'
+  Loop_simplify.loop_simplify_func cfg f |> Utils.rewrite_loops ~rounds:1 (unswitch_one cfg)
 
 let pass =
   Pass.function_pass "loop-unswitch"

@@ -210,11 +210,8 @@ let vectorize_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t opt
     | _ -> None
 
 let run_func (cfg : Config.t) (f : Func.t) : Func.t =
-  let f = Loop_simplify.loop_simplify_func cfg f |> Utils.merge_blocks in
-  let li = Loops.compute f in
-  match List.find_map (vectorize_one cfg f) (Loops.leaf_loops li) with
-  | Some f' -> f'
-  | None -> f
+  Loop_simplify.loop_simplify_func cfg f |> Utils.merge_blocks
+  |> Utils.rewrite_loops ~rounds:1 (vectorize_one cfg)
 
 let pass =
   Pass.function_pass "loop-vectorize"

@@ -233,20 +233,8 @@ let run_func (_cfg : Config.t) (f : Func.t) : Func.t =
             Some { nb with Block.insns = phis @ nb.Block.insns })
         f.Func.blocks
     in
-    let resolve v =
-      let rec go v seen =
-        match v with
-        | Value.Reg r when not (ISet.mem r seen) ->
-          (match Hashtbl.find_opt subst r with
-           | Some v' -> go v' (ISet.add r seen)
-           | None -> v)
-        | _ -> v
-      in
-      go v ISet.empty
-    in
-    let f = Func.with_blocks ~next_id:counter.Func.next f blocks in
-    let f = Func.map_operands resolve f in
-    f |> Utils.simplify_single_incoming_phis |> Utils.trivial_dce
+    Func.with_blocks ~next_id:counter.Func.next f blocks
+    |> Func.substitute subst |> Utils.simplify_single_incoming_phis |> Utils.trivial_dce
   end
 
 let pass =

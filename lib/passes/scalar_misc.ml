@@ -521,31 +521,15 @@ let float2int_pass =
    functions slightly better static predictions). *)
 
 let lower_expect_func (_cfg : Config.t) (f : Func.t) : Func.t =
-  let had = ref false in
   let subst = Hashtbl.create 4 in
   Func.iter_insns
     (fun _ i ->
       match i.Instr.op with
-      | Instr.Expect (_, v, _) ->
-        had := true;
-        Hashtbl.replace subst i.Instr.id v
+      | Instr.Expect (_, v, _) -> Hashtbl.replace subst i.Instr.id v
       | _ -> ())
     f;
-  if not !had then f
-  else begin
-    let resolve v =
-      match v with
-      | Value.Reg r -> (match Hashtbl.find_opt subst r with Some v' -> v' | None -> v)
-      | _ -> v
-    in
-    let f =
-      Func.map_blocks
-        (Block.filter_insns (fun i ->
-             match i.Instr.op with Instr.Expect _ -> false | _ -> true))
-        f
-    in
-    Func.map_operands resolve f |> Func.add_attr "branch-hints"
-  end
+  if Hashtbl.length subst = 0 then f
+  else Func.substitute subst f |> Func.add_attr "branch-hints"
 
 let lower_expect_pass =
   Pass.function_pass "lower-expect"
@@ -567,20 +551,7 @@ let lower_ci_func (_cfg : Config.t) (f : Func.t) : Func.t =
         Hashtbl.replace subst i.Instr.id (Value.cint ty (-1L))
       | _ -> ())
     f;
-  if Hashtbl.length subst = 0 then f
-  else begin
-    let resolve v =
-      match v with
-      | Value.Reg r -> (match Hashtbl.find_opt subst r with Some v' -> v' | None -> v)
-      | _ -> v
-    in
-    let f =
-      Func.map_blocks
-        (Block.filter_insns (fun i -> not (Hashtbl.mem subst i.Instr.id)))
-        f
-    in
-    Func.map_operands resolve f
-  end
+  Func.substitute subst f
 
 let lower_ci_pass =
   Pass.function_pass "lower-constant-intrinsics"

@@ -106,24 +106,7 @@ let simplify_single_incoming_phis (f : Func.t) : Func.t =
           | _ -> ())
         b.Block.insns)
     f.Func.blocks;
-  if Hashtbl.length subst = 0 then f
-  else begin
-    (* resolve chains: a -> b where b is itself substituted *)
-    let rec resolve v =
-      match v with
-      | Value.Reg r ->
-        (match Hashtbl.find_opt subst r with
-         | Some v' when v' <> v -> resolve v'
-         | _ -> v)
-      | _ -> v
-    in
-    let f =
-      Func.map_blocks
-        (Block.filter_insns (fun i -> not (Hashtbl.mem subst i.Instr.id)))
-        f
-    in
-    Func.map_operands resolve f
-  end
+  Func.substitute subst f
 
 (* Merge [b] into its unique predecessor when that predecessor
    unconditionally branches to [b]. Applied to a fixed point. *)
@@ -164,11 +147,6 @@ let merge_blocks (f : Func.t) : Func.t =
             Hashtbl.replace subst i.Instr.id v
           | _ -> ())
         phis;
-      let resolve v =
-        match v with
-        | Value.Reg r -> (match Hashtbl.find_opt subst r with Some v' -> v' | None -> v)
-        | _ -> v
-      in
       let merged =
         Block.mk pred.Block.label (pred.Block.insns @ rest) b.Block.term
       in
@@ -181,9 +159,7 @@ let merge_blocks (f : Func.t) : Func.t =
         (* successors of b now see pred as the branching block *)
         |> List.map (Block.rename_phi_pred ~from:b.Block.label ~to_:pred.Block.label)
       in
-      let f = Func.with_blocks f blocks in
-      let f = Func.map_operands resolve f in
-      go f
+      go (Func.substitute subst (Func.with_blocks f blocks))
   in
   go f
 
@@ -336,6 +312,22 @@ let to_fixed_point ?(max_iters = 8) (step : Func.t -> Func.t * bool) (f : Func.t
       if changed then go f' (i + 1) else f'
   in
   go f 0
+
+(* The loop-pass driver: up to [rounds] rounds of computing the loop facts
+   and applying [rewrite] at the first loop where it changes the function.
+   It visits the leaf loops, or with [~all:true] every loop, outermost
+   first. A per-loop rewrite returns [None] when it changes nothing. *)
+let rewrite_loops ?(all = false) ~rounds
+    (rewrite : Func.t -> Loops.loop -> Func.t option) (f : Func.t) : Func.t =
+  let rec go f n =
+    if n = 0 then f
+    else
+      let li = Loops.compute f in
+      match List.find_map (rewrite f) (if all then li.Loops.loops else Loops.leaf_loops li) with
+      | Some f' -> go f' (n - 1)
+      | None -> f
+  in
+  go f rounds
 
 (* Estimate trip count of a simple counted loop:
    header phi  i = phi [init, preheader] [next, latch]

@@ -356,6 +356,50 @@ let test_func_use_counts () =
   (* register 2 (alloca i) is loaded and stored: at least 2 uses *)
   Alcotest.(check bool) "alloca used" true (Hashtbl.length uses > 0)
 
+(* --- register substitution -------------------------------------------- *)
+
+let subst_of (pairs : (int * Value.t) list) : (int, Value.t) Hashtbl.t =
+  Hashtbl.of_seq (List.to_seq pairs)
+
+let check_value = Alcotest.(check (testable Value.pp Value.equal))
+
+let test_resolve_chain () =
+  let s = subst_of [ (1, Value.Reg 2); (2, Value.Reg 3); (3, Value.ci64 7) ] in
+  check_value "1 -> 2 -> 3 -> 7" (Value.ci64 7) (Func.resolve s (Value.Reg 1));
+  check_value "mid-chain" (Value.ci64 7) (Func.resolve s (Value.Reg 2));
+  check_value "unsubstituted" (Value.Reg 4) (Func.resolve s (Value.Reg 4));
+  check_value "constant" (Value.ci64 1) (Func.resolve s (Value.ci64 1))
+
+let test_resolve_self_map () =
+  let s = subst_of [ (5, Value.Reg 5) ] in
+  check_value "self" (Value.Reg 5) (Func.resolve s (Value.Reg 5))
+
+(* a cycle ends at the first register the walk meets again *)
+let test_resolve_cycle () =
+  let s = subst_of [ (6, Value.Reg 7); (7, Value.Reg 6) ] in
+  check_value "6 -> 7 -> 6" (Value.Reg 6) (Func.resolve s (Value.Reg 6));
+  check_value "7 -> 6 -> 7" (Value.Reg 7) (Func.resolve s (Value.Reg 7))
+
+let test_substitute () =
+  let f = Testutil.main_func (Testutil.sum_squares_module ()) in
+  Alcotest.(check bool) "empty table: the function itself" true
+    (Func.substitute (Hashtbl.create 1) f == f);
+  (* the loop's first add reads the accumulator's load: substituting that
+     load drops it and rewrites the add *)
+  let load_acc =
+    Func.fold_insns
+      (fun acc _ i ->
+        match acc, i.Instr.op with
+        | None, Instr.Binop (Instr.Add, _, Value.Reg r, _) -> Some r
+        | _ -> acc)
+      None f
+    |> Option.get
+  in
+  let f' = Func.substitute (subst_of [ (load_acc, Value.ci64 0) ]) f in
+  Alcotest.(check int) "definition dropped" (Func.insn_count f - 1) (Func.insn_count f');
+  Alcotest.(check bool) "no use left" false
+    (Hashtbl.mem (Func.use_counts f') load_acc)
+
 let test_modul_callgraph () =
   let m = Testutil.sum_squares_module () in
   Alcotest.(check (list string)) "main calls square" [ "square" ]
@@ -397,4 +441,8 @@ let suite =
     Alcotest.test_case "loops detection" `Quick test_loops_detection;
     Alcotest.test_case "loops nested depth" `Quick test_loops_nested_depth;
     Alcotest.test_case "func use counts" `Quick test_func_use_counts;
+    Alcotest.test_case "resolve follows a chain" `Quick test_resolve_chain;
+    Alcotest.test_case "resolve stops at a self-map" `Quick test_resolve_self_map;
+    Alcotest.test_case "resolve stops where a cycle closes" `Quick test_resolve_cycle;
+    Alcotest.test_case "substitute drops definitions" `Quick test_substitute;
     Alcotest.test_case "module callgraph" `Quick test_modul_callgraph ]

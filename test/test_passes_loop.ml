@@ -335,6 +335,16 @@ let test_loop_load_elim () =
   check_same_behaviour "loop-load-elim" m m';
   Alcotest.(check string) "28" "28" (ret_of m')
 
+(* store -> load -> store -> load in one loop block: the second load
+   forwards the first load's value, which is itself forwarded. *)
+let test_loop_load_elim_chain () =
+  check_ssa_clean "loop-load-elim"
+    "module chain\n\nfunc @main(): i64 {\nentry:\n  %1 = alloca i64 x 1\n\
+     %2 = alloca i64 x 1\n  br loop\nloop:\n  %3 = phi i64 [entry: 0], [loop: %8]\n\
+     store i64 %3, %1\n  %4 = load i64, %1\n  store i64 %4, %2\n\
+     %5 = load i64, %2\n  %8 = add i64 %5, 1\n  %9 = icmp slt i64 %8, 10\n\
+     cbr %9, loop, exit\nexit:\n  ret i64 %8\n}\n"
+
 let test_loop_distribute () =
   let b = Builder.create ~linkage:Func.External ~name:"main" ~params:[] ~ret:Types.I64 () in
   let c = ctx b in
@@ -430,6 +440,8 @@ let suite =
     Alcotest.test_case "loop-vectorize" `Quick test_loop_vectorize;
     Alcotest.test_case "loop-vectorize off at Oz" `Quick test_loop_vectorize_disabled_at_oz;
     Alcotest.test_case "loop-load-elim" `Quick test_loop_load_elim;
+    Alcotest.test_case "loop-load-elim forwards a forwarded load" `Quick
+      test_loop_load_elim_chain;
     Alcotest.test_case "loop-distribute" `Quick test_loop_distribute;
     Alcotest.test_case "loop-sink" `Quick test_loop_sink;
     Alcotest.test_case "partial unroll" `Quick test_partial_unroll;

@@ -544,6 +544,13 @@ let test_lower_expect () =
   Alcotest.(check bool) "branch-hints attr" true
     (Func.has_attr "branch-hints" (main_func m'))
 
+(* An expect of an expect: the outer one's uses must reach the first
+   operand, not the inner expect it was lowered away from. *)
+let test_lower_expect_nested () =
+  check_ssa_clean "lower-expect"
+    "module nested\n\nfunc @main(): i64 {\nentry:\n  %1 = add i64 40, 2\n\
+     %2 = expect i64 %1, 1\n  %3 = expect i64 %2, 1\n  ret i64 %3\n}\n"
+
 let test_lower_constant_intrinsics () =
   let m =
     wrap_main (fun b ->
@@ -741,6 +748,7 @@ let suite =
     Alcotest.test_case "reassociate" `Quick test_reassociate_constant_meeting;
     Alcotest.test_case "div-rem-pairs" `Quick test_div_rem_pairs;
     Alcotest.test_case "lower-expect" `Quick test_lower_expect;
+    Alcotest.test_case "lower-expect of an expect" `Quick test_lower_expect_nested;
     Alcotest.test_case "lower-constant-intrinsics" `Quick test_lower_constant_intrinsics;
     Alcotest.test_case "float2int" `Quick test_float2int;
     Alcotest.test_case "simplifycfg if-conversion" `Quick test_simplifycfg_if_conversion;

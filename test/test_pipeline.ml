@@ -193,8 +193,136 @@ let prop_size_monotone_in_functions =
       let t = Posetrl_codegen.Target.x86_64 in
       Posetrl_codegen.Objfile.size t m2 > Posetrl_codegen.Objfile.size t m1)
 
+(* --- pinned output bytes ----------------------------------------------- *)
+
+(* One MD5 per group of printed outputs: each -O level over the validation
+   programs; each registered pass alone (Oz configuration) on every raw
+   validation program; and, per action space, 50 seeded 15-action
+   schedules over the validation and 20 Genprog programs, printed after
+   every action. A deliberate output change updates its group's digest
+   and names the group in CHANGES.md. *)
+let pinned_digests =
+  [ ("O0", "d253857a25a7ea5c7aac707999be4760");
+    ("O1", "dc06ffe7e7f5fca1b777e840153c6932");
+    ("O2", "b7ddf1b8395b62b9ec2bed06486279d3");
+    ("O3", "648d8e71ee9f84e69b236e11f97fc045");
+    ("Os", "7b9496b234b878c2ae7ee24f3d74cd2e");
+    ("Oz", "2098bd8019d8aec6a99d944d8957cd5a");
+    ("ee-instrument", "d253857a25a7ea5c7aac707999be4760");
+    ("simplifycfg", "ef47f176dde2155c5880f23f3d2d7c11");
+    ("sroa", "151d9a2f2b28727118129a0d6b260986");
+    ("early-cse", "fc43927a470ed9c5fddee3ca88b32249");
+    ("lower-expect", "d253857a25a7ea5c7aac707999be4760");
+    ("forceattrs", "7a6987a7863b823a9d919395c0dd4f21");
+    ("inferattrs", "d253857a25a7ea5c7aac707999be4760");
+    ("ipsccp", "6279742bb951bc90fa24687715931495");
+    ("called-value-propagation", "d253857a25a7ea5c7aac707999be4760");
+    ("attributor", "0b0d0df67e6593002cfea69423693c90");
+    ("globalopt", "d253857a25a7ea5c7aac707999be4760");
+    ("mem2reg", "151d9a2f2b28727118129a0d6b260986");
+    ("deadargelim", "d253857a25a7ea5c7aac707999be4760");
+    ("instcombine", "c7c05d3a0f82e3eaeaa8b348fbe38890");
+    ("prune-eh", "dc7335e8d684bdc092cf1fceac15950f");
+    ("inline", "9c0beb8a7347701996ad77b44b26fcfb");
+    ("functionattrs", "f0687fe63ca19394d4ba810484f07e99");
+    ("early-cse-memssa", "7cbf09ae9ce3bb8d5362a9d86f6ebfa6");
+    ("speculative-execution", "d80677ba6d8c5904fa4d3be2bd324d4d");
+    ("jump-threading", "d253857a25a7ea5c7aac707999be4760");
+    ("correlated-propagation", "d253857a25a7ea5c7aac707999be4760");
+    ("tailcallelim", "d253857a25a7ea5c7aac707999be4760");
+    ("reassociate", "52e3d18b083fada00cb2313693ebf17d");
+    ("loop-simplify", "d253857a25a7ea5c7aac707999be4760");
+    ("lcssa", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-rotate", "d253857a25a7ea5c7aac707999be4760");
+    ("licm", "40b815ad4b8d8e31b7198a629cad672c");
+    ("loop-unswitch", "d253857a25a7ea5c7aac707999be4760");
+    ("indvars", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-idiom", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-deletion", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-unroll", "d253857a25a7ea5c7aac707999be4760");
+    ("mldst-motion", "00bfa4e80eba9b0a1e30254088348510");
+    ("gvn", "b368e45e30d6e3fb5734ed23dc1950e9");
+    ("memcpyopt", "d253857a25a7ea5c7aac707999be4760");
+    ("sccp", "e74748d242d8dac7c36a8e4fbbcb8c51");
+    ("bdce", "d253857a25a7ea5c7aac707999be4760");
+    ("dse", "d253857a25a7ea5c7aac707999be4760");
+    ("adce", "d253857a25a7ea5c7aac707999be4760");
+    ("barrier", "d253857a25a7ea5c7aac707999be4760");
+    ("elim-avail-extern", "d253857a25a7ea5c7aac707999be4760");
+    ("rpo-functionattrs", "f0687fe63ca19394d4ba810484f07e99");
+    ("globaldce", "d253857a25a7ea5c7aac707999be4760");
+    ("float2int", "d253857a25a7ea5c7aac707999be4760");
+    ("lower-constant-intrinsics", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-distribute", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-vectorize", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-load-elim", "82f74ee7c2494e9d0fcf9613759eb37c");
+    ("alignment-from-assumptions", "d253857a25a7ea5c7aac707999be4760");
+    ("strip-dead-prototypes", "d253857a25a7ea5c7aac707999be4760");
+    ("constmerge", "d253857a25a7ea5c7aac707999be4760");
+    ("loop-sink", "7dfa2c1fb8468e203035a18755f9dbce");
+    ("instsimplify", "3e1955bf2a898e7ae897c3348ab89067");
+    ("div-rem-pairs", "d253857a25a7ea5c7aac707999be4760");
+    ("schedules manual", "6697b3aec3a914153e8005275542ae22");
+    ("schedules odg", "b09e372565cb53dd05d9994efefdff3a") ]
+
+let output_digests () : (string * string) list =
+  let module A = Posetrl_odg.Action_space in
+  let module Rng = Posetrl_support.Rng in
+  let validation = List.map snd (Lazy.force all_programs) in
+  let md5 ms =
+    let buf = Buffer.create 65536 in
+    List.iter (fun m -> Buffer.add_string buf (Printer.module_to_string m)) ms;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  let levels =
+    List.map
+      (fun level ->
+        (P.Pipelines.level_to_string level, md5 (List.map (P.Pass_manager.run_level level) validation)))
+      P.Pipelines.[ O0; O1; O2; O3; Os; Oz ]
+  in
+  let passes =
+    List.map
+      (fun name -> (name, md5 (List.map (P.Pass_manager.run P.Config.oz [ name ]) validation)))
+      (P.Registry.names ())
+  in
+  let pool =
+    Array.of_list (validation @ List.init 20 (fun k -> W.Genprog.generate ~seed:(900_000 + k)))
+  in
+  let schedules (space : A.t) =
+    let rng = Rng.create 2022 in
+    let outputs = ref [] in
+    for _ = 1 to 50 do
+      let m = ref pool.(Rng.int rng (Array.length pool)) in
+      for _ = 1 to 15 do
+        let action = A.action space (Rng.int rng (A.n_actions space)) in
+        m := P.Pass_manager.run P.Config.oz action !m;
+        outputs := !m :: !outputs
+      done
+    done;
+    ("schedules " ^ space.A.name, md5 (List.rev !outputs))
+  in
+  levels @ passes @ [ schedules A.manual; schedules A.odg ]
+
+let test_output_bytes_pinned () =
+  let actual = output_digests () in
+  let moved =
+    List.filter_map
+      (fun (group, digest) ->
+        match List.assoc_opt group pinned_digests with
+        | Some pinned when String.equal pinned digest -> None
+        | pinned ->
+          Some
+            (Printf.sprintf "%s: pinned %s, now %s" group
+               (Option.value pinned ~default:"(none)") digest))
+      actual
+  in
+  Alcotest.(check (list string)) "groups whose output bytes moved" [] moved;
+  Alcotest.(check int) "every pinned group produced" (List.length pinned_digests)
+    (List.length actual)
+
 let suite =
   [ Alcotest.test_case "each pass preserves suites" `Slow test_each_pass_preserves_suites;
+    Alcotest.test_case "pipeline output bytes are pinned" `Slow test_output_bytes_pinned;
     Alcotest.test_case "pipelines preserve suites" `Slow test_pipelines_preserve_suites;
     Alcotest.test_case "Oz shrinks most programs" `Quick test_oz_shrinks_most_programs;
     Alcotest.test_case "Oz sequence counts" `Quick test_oz_sequence_counts;

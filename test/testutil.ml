@@ -58,6 +58,13 @@ let check_same_behaviour msg m m' =
        | _, Error e -> "(opt trap: " ^ e ^ ")"))
     true (a = b)
 
+(* [pass] alone on the module [src], SSA-sanitized, keeps the input's
+   return value and output *)
+let check_ssa_clean (pass : string) (src : string) =
+  let m = Parser.parse_module src in
+  let m' = P.Pass_manager.run ~sanitize:Posetrl_analysis.Sanitize.Ssa P.Config.oz [ pass ] m in
+  check_same_behaviour pass m m'
+
 (* count instructions matching a predicate over the whole module *)
 let count_insns (p : Instr.op -> bool) (m : Modul.t) : int =
   List.fold_left
