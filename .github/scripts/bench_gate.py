@@ -37,12 +37,13 @@ GATE_TABLE = [
     {
         "kind": "bench-analysis",
         "gated": ("sanitize_rel", "lint_rel", "absint_rel", "equiv_rel",
-                  "interp_rel", "passes_rel"),
+                  "interp_rel", "passes_rel", "cfg_rel"),
         "why": "the sanitizer and lint on their hot path, "
                "plus the value-range analysis, the bounded "
                "translation-validation check of the equiv tier, "
                "the interpreter it and eval run programs with, "
-               "and the -Oz pass pipeline",
+               "the -Oz pass pipeline, and the control-flow facts "
+               "(CFG, dominators, loops) the passes rebuild",
     },
     {
         "kind": "bench-obs",

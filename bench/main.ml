@@ -646,11 +646,12 @@ let parallel () =
 (* static analysis, interpreter and pass-pipeline benches                     *)
 (* ======================================================================== *)
 
-(* Benches Posetrl_analysis, the interpreter and the -Oz pipeline on the
-   largest bundled workload and writes BENCH_analysis.json. *)
+(* Benches Posetrl_analysis, the interpreter, the control-flow facts and
+   the -Oz pipeline on the largest bundled workload and writes
+   BENCH_analysis.json. *)
 let analysis () =
   section_header
-    "Static analysis (dataflow solver + sanitizer + lint + interpreter + passes)";
+    "Static analysis (dataflow solver + sanitizer + lint + interpreter + cfg facts + passes)";
   let open Bechamel in
   let module A = Posetrl_analysis in
   (* largest validation program by instruction count — the worst case
@@ -697,6 +698,21 @@ let analysis () =
           (* one run of the subject at Oz: the interpreter the equiv
              tier simulates with and eval times programs by *)
           (Staged.stage (fun () -> ignore (I.run big_oz)));
+        Test.make ~name:"cfg-facts-largest"
+          (* the control-flow facts of every defined function, raw and at
+             -Oz; each function is a distinct object, so consecutive calls
+             never hit Loops.compute's one-entry memo *)
+          (let fs =
+             List.map
+               (fun f -> { f with Func.name = f.Func.name })
+               (funcs @ Modul.defined_funcs big_oz)
+           in
+           Staged.stage (fun () ->
+               List.iter
+                 (fun f ->
+                   ignore (Dom.compute (Cfg.of_func f));
+                   ignore (Loops.compute f))
+                 fs));
         Test.make ~name:"oz-pipeline-largest"
           (* all 90 pass runs of -Oz on the raw subject *)
           (Staged.stage (fun () -> ignore (opt P.Pipelines.Oz big)));
@@ -716,6 +732,7 @@ let analysis () =
         ("equiv_rel", ns "equiv-validate-func");
         ("interp_rel", ns "interp-largest");
         ("passes_rel", ns "oz-pipeline-largest");
+        ("cfg_rel", ns "cfg-facts-largest");
         ("effects_rel", ns "effects-summary") ]
 
 (* ======================================================================== *)

@@ -66,6 +66,22 @@ let sanitize_arg ~(default : A.Sanitize.level) ~(doc : string) =
        & opt (conv' (A.Sanitize.level_of_string, print)) default
        & info [ "sanitize" ] ~docv:"LEVEL" ~doc)
 
+(* The exit codes a command's --help lists under EXIT STATUS, besides
+   Cmdliner's own (0, 123, 124, 125). Every command can exit 1 through
+   the handler at the end of this file. *)
+let exit_error =
+  Cmd.Exit.info 1
+    ~doc:"on an error reported on standard error as $(b,posetrl: error:) \
+          (a missing or malformed input file, a missing run, a module that \
+          traps)."
+
+let exit_sanitizer =
+  Cmd.Exit.info 2
+    ~doc:"when a sanitizer check fails; standard error names the pass and \
+          the minimized repro."
+
+let exits more = (exit_error :: more) @ Cmd.Exit.defaults
+
 let sanitize_doc =
   "Semantic sanitizer level: off, structural (re-verify after every pass), \
    ssa (structural + SSA dominance checking), or equiv (ssa + translation \
@@ -401,7 +417,9 @@ let opt_cmd =
     report_module tgt "output" m';
     if emit then print_string (Printer.module_to_string m')
   in
-  Cmd.v (Cmd.info "opt" ~doc:"Apply an optimization pipeline to a module")
+  Cmd.v
+    (Cmd.info "opt" ~exits:(exits [ exit_sanitizer ])
+       ~doc:"Apply an optimization pipeline to a module")
     Term.(const run
           $ Arg.required
               (program_pos
@@ -440,7 +458,7 @@ let run_cmd =
       (if Types.equal main.Func.ret Types.Void then "void" else show o.I.ret)
       o.I.cycles o.I.dyn_insns
   in
-  Cmd.v (Cmd.info "run" ~doc:"Interpret a module")
+  Cmd.v (Cmd.info "run" ~exits:(exits []) ~doc:"Interpret a module")
     Term.(const go
           $ Arg.required
               (program_pos ~doc:"Benchmark name or path to a textual MiniIR file.")
@@ -567,7 +585,9 @@ let train_cmd =
           ("hyperparams", json_of_hp hp) ]
       work finish
   in
-  Cmd.v (Cmd.info "train" ~doc:"Train a phase-ordering model")
+  Cmd.v
+    (Cmd.info "train" ~exits:(exits [ exit_sanitizer ])
+       ~doc:"Train a phase-ordering model")
     Term.(const go
           $ output_arg ~doc:"Where to save the trained weights." Arg.string
               "posetrl.weights"
@@ -649,7 +669,9 @@ let eval_cmd =
           ("target", Obs.Json.Str tgt.CG.Target.name) ]
       work finish
   in
-  Cmd.v (Cmd.info "eval" ~doc:"Evaluate a trained model on the validation suites")
+  Cmd.v
+    (Cmd.info "eval" ~exits:(exits [ exit_sanitizer ])
+       ~doc:"Evaluate a trained model on the validation suites")
     Term.(const go $ weights $ space_arg $ target_arg
           $ sanitize_arg ~default:A.Sanitize.Off ~doc:sanitize_doc
           $ session_term $ telemetry_term)
@@ -715,7 +737,7 @@ let report_cmd =
       other
   in
   Cmd.v
-    (Cmd.info "report"
+    (Cmd.info "report" ~exits:(exits [])
        ~doc:"Aggregate a span trace (e.g. a run's trace.jsonl) into a \
              hotspot table plus per-pass and per-action tables; given a \
              second trace, also compare per-span self-time")
@@ -776,7 +798,7 @@ let runs_list_cmd =
         runs;
       Tbl.print t
   in
-  Cmd.v (Cmd.info "list" ~doc:"List past runs in the ledger")
+  Cmd.v (Cmd.info "list" ~exits:(exits []) ~doc:"List past runs in the ledger")
     Term.(const go $ root_arg)
 
 let print_eval_tables (doc : Obs.Json.t) =
@@ -911,7 +933,7 @@ let runs_show_cmd =
         dot
   in
   Cmd.v
-    (Cmd.info "show"
+    (Cmd.info "show" ~exits:(exits [])
        ~doc:"Show a run: manifest, ASCII training curves, eval tables, the \
              per-action reward-attribution table (verified against the \
              episode stream), top schedules with per-pass reward breakdown, \
@@ -1010,6 +1032,10 @@ let runs_compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare"
+       ~exits:
+         (exits
+            [ Cmd.Exit.info 3
+                ~doc:"when the candidate run regresses past a threshold." ])
        ~doc:"Diff two runs against regression thresholds; exits 3 on regression \
              (usable as a CI gate). Also diffs their per-action reward \
              attribution (attrib.json) and decision-space coverage \
@@ -1020,7 +1046,7 @@ let runs_compare_cmd =
 
 let runs_cmd =
   Cmd.group
-    (Cmd.info "runs"
+    (Cmd.info "runs" ~exits:(exits [])
        ~doc:"The run ledger: list, inspect and compare persisted runs")
     [ runs_list_cmd; runs_show_cmd; runs_compare_cmd ]
 
@@ -1083,6 +1109,12 @@ let watch_cmd =
   in
   Cmd.v
     (Cmd.info "watch"
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:"on an error reported on standard error as \
+                  $(b,posetrl: error:), or when $(b,--once) finds no such run \
+                  (reported on standard output)."
+          :: Cmd.Exit.defaults)
        ~doc:"Live terminal dashboard for a ledger run: tails progress.jsonl \
              and redraws reward/epsilon/loss sparklines and the action \
              histogram until the run leaves 'running'")
@@ -1118,7 +1150,7 @@ let odg_cmd =
       Printf.printf "wrote %s\n" path
     | None -> ()
   in
-  Cmd.v (Cmd.info "odg" ~doc:"Inspect the Oz Dependence Graph")
+  Cmd.v (Cmd.info "odg" ~exits:(exits []) ~doc:"Inspect the Oz Dependence Graph")
     Term.(const go $ dot_arg ~doc:"Write a graphviz rendering to $(docv)."
           $ k $ walks)
 
@@ -1146,7 +1178,9 @@ let list_cmd =
       print_newline ()
     | w -> failwith ("unknown listing " ^ w)
   in
-  Cmd.v (Cmd.info "list" ~doc:"List passes, benchmarks or the Oz sequence")
+  Cmd.v
+    (Cmd.info "list" ~exits:(exits [])
+       ~doc:"List passes, benchmarks or the Oz sequence")
     Term.(const go $ what)
 
 (* --- dump -------------------------------------------------------------------- *)
@@ -1163,7 +1197,7 @@ let dump_cmd =
     | None -> print_string text
   in
   Cmd.v
-    (Cmd.info "dump"
+    (Cmd.info "dump" ~exits:(exits [])
        ~doc:"Print a bundled benchmark (or a parsed file) as MiniIR text — \
              the wire format `posetrl serve`'s POST /optimize accepts")
     Term.(const go
@@ -1282,7 +1316,7 @@ let serve_cmd =
       (fun _ result -> result)
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits:(exits [ exit_sanitizer ])
        ~doc:"Optimization-as-a-service daemon: POST MiniIR to /optimize and \
              get back optimized IR, the predicted pass schedule and \
              size/throughput deltas as JSON, with an IR-hash LRU result \
@@ -1358,6 +1392,7 @@ let validate_cmd =
   in
   Cmd.v
     (Cmd.info "validate"
+       ~exits:(exits [ Cmd.Exit.info 3 ~doc:"when any pipeline run fails validation." ])
        ~doc:"Translation-validate optimization pipelines over the bundled \
              suite: every pass application is differentially simulated \
              against its input (--sanitize equiv, the default) or checked \
@@ -1463,6 +1498,10 @@ let lint_cmd =
   in
   Cmd.v
     (Cmd.info "lint"
+       ~exits:
+         (exits
+            [ Cmd.Exit.info 4
+                ~doc:"when a finding reaches the $(b,--fail-on) severity." ])
        ~doc:"Static findings over a module or the bundled suites: verifier \
              and SSA dominance errors, attribute contradictions, dead \
              stores, unreachable blocks, dead code")
@@ -1480,7 +1519,19 @@ let lint_cmd =
 
 let () =
   let doc = "POSET-RL: phase ordering for size and execution time with RL" in
-  let info = Cmd.info "posetrl" ~version:"1.0.0" ~doc in
+  let info =
+    Cmd.info "posetrl" ~version:"1.0.0" ~doc
+      ~exits:
+        (exits
+           [ Cmd.Exit.info 2
+               ~doc:"when a sanitizer check fails ($(b,opt), $(b,train), \
+                     $(b,eval), $(b,serve)).";
+             Cmd.Exit.info 3
+               ~doc:"when $(b,validate) finds a failure or $(b,runs compare) \
+                     a regression.";
+             Cmd.Exit.info 4
+               ~doc:"when $(b,lint) has a finding at its $(b,--fail-on) severity." ])
+  in
   match
     Cmd.eval ~catch:false
       (Cmd.group info

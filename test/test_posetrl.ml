@@ -13,6 +13,7 @@ let () =
       ("coverage", Test_coverage.suite);
       ("prof", Test_prof.suite);
       ("ir", Test_ir.suite);
+      ("cfg", Test_cfg.suite);
       ("analysis", Test_analysis.suite);
       ("interp", Test_interp.suite);
       ("passes.scalar", Test_passes_scalar.suite);
