@@ -1080,10 +1080,7 @@ let watch_cmd =
     let rec loop () =
       match Obs.Run.find ~root id with
       | exception Failure msg ->
-        if once then begin
-          Printf.printf "no run to watch: %s\n" msg;
-          exit 1
-        end
+        if once then failwith ("no run to watch: " ^ msg)
         else begin
           clear ();
           Printf.printf "waiting for run %s...\n(%s)\n%!" id msg;
@@ -1108,13 +1105,7 @@ let watch_cmd =
     loop ()
   in
   Cmd.v
-    (Cmd.info "watch"
-       ~exits:
-         (Cmd.Exit.info 1
-            ~doc:"on an error reported on standard error as \
-                  $(b,posetrl: error:), or when $(b,--once) finds no such run \
-                  (reported on standard output)."
-          :: Cmd.Exit.defaults)
+    (Cmd.info "watch" ~exits:(exits [])
        ~doc:"Live terminal dashboard for a ledger run: tails progress.jsonl \
              and redraws reward/epsilon/loss sparklines and the action \
              histogram until the run leaves 'running'")

@@ -61,12 +61,3 @@ let clone_blocks ~(counter : Func.counter) ~(rename_label : string -> string)
       blocks
   in
   (cloned, fun r -> Hashtbl.find_opt reg_map r)
-
-(* Registers defined within a region. *)
-let region_defs (blocks : Block.t list) : int list =
-  List.concat_map
-    (fun (b : Block.t) ->
-      List.filter_map
-        (fun (i : Instr.t) -> if i.Instr.id >= 0 then Some i.Instr.id else None)
-        b.Block.insns)
-    blocks

@@ -7,44 +7,40 @@
 
 type t = {
   size_level : int;          (* 0 = speed, 1 = -Os, 2 = -Oz *)
-  opt_level : int;           (* 0..3 *)
   inline_threshold : int;    (* max callee cost eligible for inlining *)
   unroll_count : int;        (* full-unroll trip-count limit *)
   unroll_partial : int;      (* partial unroll factor; 1 disables *)
   unroll_size_limit : int;   (* max body size (insns) eligible for unrolling *)
-  vectorize : bool;
-  vector_width : int;
+  vector_width : int;        (* loop-vectorize's width; below 2 disables *)
   speculate_max_insns : int; (* speculative-execution hoisting budget *)
-  jump_threading_max : int;  (* max block size to duplicate when threading *)
 }
 
 let o0 = {
-  size_level = 0; opt_level = 0;
+  size_level = 0;
   inline_threshold = 0;
   unroll_count = 0; unroll_partial = 1; unroll_size_limit = 0;
-  vectorize = false; vector_width = 1;
-  speculate_max_insns = 0; jump_threading_max = 0;
+  vector_width = 1;
+  speculate_max_insns = 0;
 }
 
 let o1 = {
-  size_level = 0; opt_level = 1;
+  size_level = 0;
   inline_threshold = 25;
   unroll_count = 4; unroll_partial = 1; unroll_size_limit = 24;
-  vectorize = false; vector_width = 1;
-  speculate_max_insns = 2; jump_threading_max = 4;
+  vector_width = 1;
+  speculate_max_insns = 2;
 }
 
 let o2 = {
-  size_level = 0; opt_level = 2;
+  size_level = 0;
   inline_threshold = 225;
   unroll_count = 16; unroll_partial = 4; unroll_size_limit = 120;
-  vectorize = true; vector_width = 4;
-  speculate_max_insns = 4; jump_threading_max = 8;
+  vector_width = 4;
+  speculate_max_insns = 4;
 }
 
 let o3 = {
   o2 with
-  opt_level = 3;
   inline_threshold = 275;
   unroll_count = 32; unroll_partial = 8; unroll_size_limit = 200;
 }
@@ -54,7 +50,6 @@ let os = {
   size_level = 1;
   inline_threshold = 50;
   unroll_count = 4; unroll_partial = 1; unroll_size_limit = 32;
-  vectorize = true;
 }
 
 let oz = {
@@ -62,5 +57,5 @@ let oz = {
   size_level = 2;
   inline_threshold = 5;
   unroll_count = 2; unroll_partial = 1; unroll_size_limit = 12;
-  vectorize = false;
+  vector_width = 1;
 }

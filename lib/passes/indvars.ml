@@ -7,7 +7,6 @@
    equality-testable counted loops to [ne], LLVM's canonical exit test. *)
 
 open Posetrl_ir
-module SSet = Set.Make (String)
 
 let run_func (_cfg : Config.t) (f : Func.t) : Func.t =
   let f = Loop_simplify.loop_simplify_func _cfg f in
@@ -19,7 +18,7 @@ let run_func (_cfg : Config.t) (f : Func.t) : Func.t =
       match Utils.analyze_counted_loop f loop with
       | None -> f
       | Some info ->
-        let in_loop l = SSet.mem l loop.Loops.blocks in
+        let in_loop = Utils.in_loop loop in
         (* final values on loop exit *)
         let final_phi =
           Int64.add info.Utils.init

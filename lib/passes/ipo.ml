@@ -217,8 +217,10 @@ let constmerge_pass =
   Pass.mk "constmerge" ~description:"merge identical internal constant globals"
     (fun _cfg m -> run_constmerge m)
 
-(* functions whose address is taken as a value (not just called directly);
-   signature changes on these would break indirect call sites *)
+(* functions whose address is taken as a value (not just called directly,
+   even when passed to a direct call of themselves); changing their
+   signature (deadargelim) or specializing their parameters (ipsccp)
+   would break indirect call sites *)
 let address_taken_funcs (m : Modul.t) : SSet.t =
   List.fold_left
     (fun acc f ->

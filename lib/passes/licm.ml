@@ -6,80 +6,65 @@
    bubble up through nests. *)
 
 open Posetrl_ir
-module SSet = Set.Make (String)
 module ISet = Set.Make (Int)
 
 let hoist_one_loop (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.preheader with
   | None -> None
   | Some pre ->
-    let in_loop b = SSet.mem b loop.Loops.blocks in
-    let defined_in_loop =
-      List.fold_left
-        (fun acc (b : Block.t) ->
-          if in_loop b.Block.label then
-            List.fold_left
-              (fun acc (i : Instr.t) ->
-                if i.Instr.id >= 0 then ISet.add i.Instr.id acc else acc)
-              acc b.Block.insns
-          else acc)
-        ISet.empty f.Func.blocks
-    in
+    let v = Utils.view f loop in
     let loop_writes_memory =
       List.exists
         (fun (b : Block.t) ->
-          in_loop b.Block.label
-          && List.exists (fun (i : Instr.t) -> Instr.writes_memory i.Instr.op) b.Block.insns)
-        f.Func.blocks
+          List.exists (fun (i : Instr.t) -> Instr.writes_memory i.Instr.op) b.Block.insns)
+        v.Utils.blocks
     in
     (* iterate: an instruction becomes invariant once its operands are *)
     let hoisted : Instr.t list ref = ref [] in
     let hoisted_ids = ref ISet.empty in
     let changed = ref true in
-    let is_invariant v =
-      match v with
-      | Value.Reg r -> (not (ISet.mem r defined_in_loop)) || ISet.mem r !hoisted_ids
-      | _ -> true
+    let is_invariant x =
+      Utils.invariant v x
+      || match x with Value.Reg r -> ISet.mem r !hoisted_ids | _ -> false
     in
     while !changed do
       changed := false;
       List.iter
         (fun (b : Block.t) ->
-          if in_loop b.Block.label then
-            List.iter
-              (fun (i : Instr.t) ->
-                if
-                  i.Instr.id >= 0
-                  && (not (ISet.mem i.Instr.id !hoisted_ids))
-                  && List.for_all is_invariant (Instr.operands i.Instr.op)
-                then begin
-                  let hoistable =
-                    Instr.is_pure i.Instr.op
-                    ||
-                    match i.Instr.op with
-                    | Instr.Load _ -> not loop_writes_memory
-                    | _ -> false
-                  in
-                  (* division can trap; hoisting is safe only when the
-                     block executes on every iteration — approximate by
-                     only hoisting from the header *)
-                  let trap_safe =
-                    match i.Instr.op with
-                    | Instr.Binop ((Instr.Sdiv | Instr.Udiv | Instr.Srem | Instr.Urem), _, _, d) ->
-                      (match d with
-                       | Value.Const (Value.Cint (_, k)) -> not (Int64.equal k 0L)
-                       | _ -> String.equal b.Block.label loop.Loops.header)
-                    | Instr.Load _ -> String.equal b.Block.label loop.Loops.header
-                    | _ -> true
-                  in
-                  if hoistable && trap_safe then begin
-                    hoisted := i :: !hoisted;
-                    hoisted_ids := ISet.add i.Instr.id !hoisted_ids;
-                    changed := true
-                  end
-                end)
-              b.Block.insns)
-        f.Func.blocks
+          List.iter
+            (fun (i : Instr.t) ->
+              if
+                i.Instr.id >= 0
+                && (not (ISet.mem i.Instr.id !hoisted_ids))
+                && List.for_all is_invariant (Instr.operands i.Instr.op)
+              then begin
+                let hoistable =
+                  Instr.is_pure i.Instr.op
+                  ||
+                  match i.Instr.op with
+                  | Instr.Load _ -> not loop_writes_memory
+                  | _ -> false
+                in
+                (* division can trap; hoisting is safe only when the
+                   block executes on every iteration — approximate by
+                   only hoisting from the header *)
+                let trap_safe =
+                  match i.Instr.op with
+                  | Instr.Binop ((Instr.Sdiv | Instr.Udiv | Instr.Srem | Instr.Urem), _, _, d) ->
+                    (match d with
+                     | Value.Const (Value.Cint (_, k)) -> not (Int64.equal k 0L)
+                     | _ -> String.equal b.Block.label loop.Loops.header)
+                  | Instr.Load _ -> String.equal b.Block.label loop.Loops.header
+                  | _ -> true
+                in
+                if hoistable && trap_safe then begin
+                  hoisted := i :: !hoisted;
+                  hoisted_ids := ISet.add i.Instr.id !hoisted_ids;
+                  changed := true
+                end
+              end)
+            b.Block.insns)
+        v.Utils.blocks
     done;
     if !hoisted = [] then None
     else begin
@@ -111,7 +96,7 @@ let hoist_one_loop (f : Func.t) (loop : Loops.loop) : Func.t option =
       let blocks =
         List.map
           (fun (b : Block.t) ->
-            if in_loop b.Block.label then Block.filter_insns keep b
+            if Utils.in_loop loop b.Block.label then Block.filter_insns keep b
             else if String.equal b.Block.label pre then
               { b with Block.insns = b.Block.insns @ hoisted }
             else b)

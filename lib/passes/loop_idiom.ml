@@ -7,43 +7,27 @@
    all understand the resulting [memset]/[memcpy] operations. *)
 
 open Posetrl_ir
-module SSet = Set.Make (String)
 
 (* Try to rewrite one counted loop; returns the new function on success. *)
 let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
   match loop.Loops.preheader, loop.Loops.exits, loop.Loops.latches with
-  | Some pre, [ exit_lbl ], [ latch ] ->
+  | Some pre, [ exit_lbl ], [ _ ] ->
     (match Utils.analyze_counted_loop f loop with
      | Some info when Int64.equal info.Utils.step 1L && info.Utils.trip_count >= 4 ->
-       let in_loop l = SSet.mem l loop.Loops.blocks in
-       let loop_blocks =
-         List.filter (fun (b : Block.t) -> in_loop b.Block.label) f.Func.blocks
-       in
+       let v = Utils.view f loop in
        (* single-block body (header = latch) keeps the matching simple *)
-       if List.length loop_blocks <> 1 then None
-       else begin
-         let body = List.hd loop_blocks in
-         ignore latch;
+       (match v.Utils.blocks with
+        | [ body ] ->
          let _, insns = Block.split_phis body in
          (* classify: phis + gep(base, iv) + store(v, gep) + iv increment +
             cmp; anything else rejects the idiom *)
-         let defs = Hashtbl.create 8 in
-         List.iter
-           (fun (i : Instr.t) ->
-             if i.Instr.id >= 0 then Hashtbl.replace defs i.Instr.id i.Instr.op)
-           body.Block.insns;
-         let is_iv v = match v with Value.Reg r -> r = info.Utils.phi_reg | _ -> false in
-         let invariant v =
-           match v with
-           | Value.Reg r -> not (Hashtbl.mem defs r)
-           | _ -> true
-         in
+         let def = Utils.def_op v and is_iv = Utils.is_iv info and invariant = Utils.invariant v in
          let stores =
            List.filter_map
              (fun (i : Instr.t) ->
                match i.Instr.op with
                | Instr.Store (ty, v, Value.Reg p) ->
-                 (match Hashtbl.find_opt defs p with
+                 (match def p with
                   | Some (Instr.Gep (gty, base, idx))
                     when Types.equal gty ty && is_iv idx && invariant base ->
                     Some (ty, v, base)
@@ -56,7 +40,7 @@ let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
              (fun (i : Instr.t) ->
                match i.Instr.op with
                | Instr.Store (_, _, Value.Reg p) ->
-                 (match Hashtbl.find_opt defs p with
+                 (match def p with
                   | Some (Instr.Gep (_, _, idx)) -> not (is_iv idx)
                   | _ -> true)
                | Instr.Store _ | Instr.Call _ | Instr.Callind _ | Instr.Memcpy _ -> true
@@ -64,7 +48,7 @@ let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
              insns
          in
          (* only the IV may be observed outside *)
-         match stores, other_effects with
+         (match stores, other_effects with
          | [ (ty, stored, base) ], false when invariant stored ->
            (* memset idiom (invariant value) or memcpy idiom (load of
               src[i]) *)
@@ -72,9 +56,9 @@ let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
            let replacement =
              match stored with
              | Value.Reg r ->
-               (match Hashtbl.find_opt defs r with
+               (match def r with
                 | Some (Instr.Load (lty, Value.Reg lp)) ->
-                  (match Hashtbl.find_opt defs lp with
+                  (match def lp with
                    | Some (Instr.Gep (gty, src, idx))
                      when Types.equal gty lty && is_iv idx && invariant src ->
                      Some (Instr.Memcpy (base, src, Value.ci64 n_bytes))
@@ -93,31 +77,11 @@ let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
             | Some op ->
               (* nothing defined in the loop may be observed outside;
                  indvars' exit-value rewriting normally guarantees this *)
-              let loop_defs =
-                List.fold_left
-                  (fun acc (i : Instr.t) ->
-                    if i.Instr.id >= 0 then i.Instr.id :: acc else acc)
-                  [] body.Block.insns
-              in
-              let defined_in_loop v =
-                match v with Value.Reg r -> List.mem r loop_defs | _ -> false
-              in
-              let used_outside =
-                List.exists
-                  (fun (b : Block.t) ->
-                    (not (in_loop b.Block.label))
-                    && (List.exists
-                          (fun (i : Instr.t) ->
-                            List.exists defined_in_loop (Instr.operands i.Instr.op))
-                          b.Block.insns
-                        || List.exists defined_in_loop (Instr.term_operands b.Block.term)))
-                  f.Func.blocks
-              in
-              if used_outside then None
+              if Utils.exists_outside_use v f (fun _ _ -> true) then None
               else begin
                 let blocks =
                   f.Func.blocks
-                  |> List.filter (fun (b : Block.t) -> not (in_loop b.Block.label))
+                  |> List.filter (fun (b : Block.t) -> not (Utils.in_loop loop b.Block.label))
                   |> List.map (fun (b : Block.t) ->
                          if String.equal b.Block.label pre then
                            { b with
@@ -135,7 +99,8 @@ let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
                                | Instr.Phi (ty', incs) ->
                                  let incs =
                                    List.map
-                                     (fun (l, v) -> if in_loop l then (pre, v) else (l, v))
+                                     (fun (l, x) ->
+                                       if Utils.in_loop loop l then (pre, x) else (l, x))
                                      incs
                                  in
                                  { i with Instr.op = Instr.Phi (ty', incs) }
@@ -145,8 +110,8 @@ let rewrite_one (f : Func.t) (loop : Loops.loop) : Func.t option =
                 in
                 Some (Func.with_blocks f blocks |> Utils.simplify_single_incoming_phis)
               end)
-         | _ -> None
-       end
+         | _ -> None)
+        | _ -> None)
      | _ -> None)
   | _ -> None
 

@@ -158,19 +158,13 @@ let distribute_one (f : Func.t) (loop : Loops.loop) : Func.t option =
     in
     if has_load_or_call then None
     else begin
-      let defs = Hashtbl.create 8 in
-      List.iter
-        (fun (i : Instr.t) ->
-          if i.Instr.id >= 0 then Hashtbl.replace defs i.Instr.id i.Instr.op)
-        body.Block.insns;
+      let v = Utils.view f loop in
       let base_of_store (i : Instr.t) =
         match i.Instr.op with
         | Instr.Store (_, _, Value.Reg p) ->
-          (match Hashtbl.find_opt defs p with
-           | Some (Instr.Gep (_, base, _)) when not (Hashtbl.mem defs (match base with Value.Reg r -> r | _ -> -1)) ->
-             Some base
+          (match Utils.def_op v p with
+           | Some (Instr.Gep (_, base, _)) when Utils.invariant v base -> Some base
            | _ -> None)
-        | Instr.Store _ -> None
         | _ -> None
       in
       let stores = List.filter (fun i -> match i.Instr.op with Instr.Store _ -> true | _ -> false) body.Block.insns in
@@ -180,23 +174,7 @@ let distribute_one (f : Func.t) (loop : Loops.loop) : Func.t option =
         let bases = List.filter_map Fun.id bases in
         let distinct = List.sort_uniq Stdlib.compare bases in
         (* nothing defined in the loop may be used outside *)
-        let loop_defs = ISet.of_list (Clone.region_defs [ body ]) in
-        let used_outside =
-          List.exists
-            (fun (b : Block.t) ->
-              (not (String.equal b.Block.label loop.Loops.header))
-              && (List.exists
-                    (fun (i : Instr.t) ->
-                      List.exists
-                        (fun v -> match v with Value.Reg r -> ISet.mem r loop_defs | _ -> false)
-                        (Instr.operands i.Instr.op))
-                    b.Block.insns
-                  || List.exists
-                       (fun v -> match v with Value.Reg r -> ISet.mem r loop_defs | _ -> false)
-                       (Instr.term_operands b.Block.term)))
-            f.Func.blocks
-        in
-        if List.length distinct < 2 || used_outside then None
+        if List.length distinct < 2 || Utils.exists_outside_use v f (fun _ _ -> true) then None
         else begin
           let counter = Func.fresh_counter f in
           (* one clone per base, chained sequentially *)

@@ -10,7 +10,6 @@
    sub-sequences exercise. *)
 
 open Posetrl_ir
-module SSet = Set.Make (String)
 module ISet = Set.Make (Int)
 
 let max_duplicated_insns = 16
@@ -22,7 +21,7 @@ let rotate_one (f : Func.t) (loop : Loops.loop) : Func.t * bool =
     let latch_blk = Func.find_block_exn f latch in
     (match header.Block.term, latch_blk.Block.term with
      | Instr.Cbr (cond, t, e), Instr.Br back when String.equal back loop.Loops.header ->
-       let in_loop l = SSet.mem l loop.Loops.blocks in
+       let in_loop = Utils.in_loop loop in
        let inner, exit_lbl, exit_on_false =
          if in_loop t && not (in_loop e) then (t, e, true)
          else if in_loop e && not (in_loop t) then (e, t, false)
@@ -47,49 +46,17 @@ let rotate_one (f : Func.t) (loop : Loops.loop) : Func.t * bool =
                  if i.Instr.id >= 0 then ISet.add i.Instr.id acc else acc)
                ISet.empty header.Block.insns
            in
-           (* outside uses of loop-defined regs must go through exit phis *)
-           let loop_defs =
-             List.fold_left
-               (fun acc (b : Block.t) ->
-                 if in_loop b.Block.label then
-                   List.fold_left
-                     (fun acc (i : Instr.t) ->
-                       if i.Instr.id >= 0 then ISet.add i.Instr.id acc else acc)
-                     acc b.Block.insns
-                 else acc)
-               ISet.empty f.Func.blocks
+           (* outside uses of loop-defined regs must go through exit phis,
+              and an exit phi's entry from the header must be a value the
+              header computes *)
+           let bad_outside_use =
+             Utils.exists_outside_use (Utils.view f loop) f (fun site r ->
+                 match site with
+                 | Utils.Exit_phi { exit; pred } when String.equal exit exit_lbl ->
+                   String.equal pred loop.Loops.header && not (ISet.mem r header_defs)
+                 | _ -> true)
            in
-           let bad_outside_use = ref false in
-           List.iter
-             (fun (b : Block.t) ->
-               if not (in_loop b.Block.label) then begin
-                 let check v =
-                   match v with
-                   | Value.Reg r when ISet.mem r loop_defs -> bad_outside_use := true
-                   | _ -> ()
-                 in
-                 List.iter
-                   (fun (i : Instr.t) ->
-                     match i.Instr.op with
-                     | Instr.Phi (_, incs) when String.equal b.Block.label exit_lbl ->
-                       (* exit phi entries from the header must be
-                          header-computable values *)
-                       List.iter
-                         (fun (l, v) ->
-                           if String.equal l loop.Loops.header then
-                             match v with
-                             | Value.Reg r when ISet.mem r loop_defs && not (ISet.mem r header_defs) ->
-                               bad_outside_use := true
-                             | _ -> ())
-                         incs
-                     | op -> List.iter check (Instr.operands op))
-                   b.Block.insns;
-                 List.iter check (Instr.term_operands b.Block.term)
-               end)
-             f.Func.blocks;
-           (* exit must not have non-phi references to loop regs; checked
-              above since any such use sets the flag *)
-           if !bad_outside_use then (f, false)
+           if bad_outside_use then (f, false)
            else begin
              let counter = Func.fresh_counter f in
              (* substitution of header phis by their incoming value on a

@@ -10,8 +10,6 @@
    transforms only have to patch exit phis. *)
 
 open Posetrl_ir
-module SSet = Set.Make (String)
-module ISet = Set.Make (Int)
 
 (* Create a preheader for [loop] if it lacks one. *)
 let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t option =
@@ -21,7 +19,7 @@ let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t option =
     let cfg = Cfg.of_func f in
     let outside_preds =
       List.filter
-        (fun p -> not (SSet.mem p loop.Loops.blocks))
+        (fun p -> not (Utils.in_loop loop p))
         (Cfg.preds cfg loop.Loops.header)
     in
     if outside_preds = [] then None (* unreachable loop *)
@@ -30,25 +28,9 @@ let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t option =
       (* header phis: entries from outside preds must agree, or we must
          create a phi in the preheader *)
       let header = Func.find_block_exn f loop.Loops.header in
-      let phis = Block.phis header in
-      let conflicting =
-        List.exists
-          (fun (i : Instr.t) ->
-            match i.Instr.op with
-            | Instr.Phi (_, incs) ->
-              let vals =
-                List.filter_map
-                  (fun (l, v) ->
-                    if List.exists (String.equal l) outside_preds then Some v else None)
-                  incs
-              in
-              (match vals with
-               | [] -> false
-               | v :: rest -> not (List.for_all (Value.equal v) rest))
-            | _ -> false)
-          phis
-      in
-      if conflicting && List.length outside_preds > 1 then begin
+      let from_outside l = List.exists (String.equal l) outside_preds in
+      if (not (Utils.phis_agree header from_outside)) && List.length outside_preds > 1
+      then begin
         (* funnel through a preheader that carries its own phis *)
         let counter = Func.fresh_counter f in
         let pre_phis = ref [] in
@@ -57,11 +39,7 @@ let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t option =
             (fun (i : Instr.t) ->
               match i.Instr.op with
               | Instr.Phi (ty, incs) ->
-                let outside, inside =
-                  List.partition
-                    (fun (l, _) -> List.exists (String.equal l) outside_preds)
-                    incs
-                in
+                let outside, inside = List.partition (fun (l, _) -> from_outside l) incs in
                 if outside = [] then i
                 else begin
                   let pre_reg = Func.fresh counter in
@@ -77,7 +55,7 @@ let ensure_preheader (f : Func.t) (loop : Loops.loop) : Func.t option =
           List.concat_map
             (fun (b : Block.t) ->
               if String.equal b.Block.label loop.Loops.header then [ pre_blk; header' ]
-              else if List.exists (String.equal b.Block.label) outside_preds then
+              else if from_outside b.Block.label then
                 [ { b with Block.term = Instr.map_term_labels retarget b.Block.term } ]
               else [ b ])
             f.Func.blocks
@@ -93,25 +71,8 @@ let ensure_single_latch (f : Func.t) (loop : Loops.loop) : Func.t option =
   | [] | [ _ ] -> None
   | latches ->
     let header = Func.find_block_exn f loop.Loops.header in
-    let phis = Block.phis header in
-    let conflicting =
-      List.exists
-        (fun (i : Instr.t) ->
-          match i.Instr.op with
-          | Instr.Phi (_, incs) ->
-            let vals =
-              List.filter_map
-                (fun (l, v) ->
-                  if List.exists (String.equal l) latches then Some v else None)
-                incs
-            in
-            (match vals with
-             | [] -> false
-             | v :: rest -> not (List.for_all (Value.equal v) rest))
-          | _ -> false)
-        phis
-    in
-    if conflicting then None (* would need a phi in the backedge block *)
+    if not (Utils.phis_agree header (fun l -> List.exists (String.equal l) latches)) then
+      None (* would need a phi in the backedge block *)
     else begin
       let label = Utils.fresh_label f (loop.Loops.header ^ ".backedge") in
       Some (Utils.insert_block_on_edges f ~froms:latches ~to_:loop.Loops.header ~label)
@@ -132,137 +93,53 @@ let pass =
 
 (* --- lcssa --------------------------------------------------------------- *)
 
+(* A loop with outside uses and one exit block gets a phi there for each
+   used register, taking it from every predecessor; the outside uses read
+   the phi instead. An exit block that is also entered from outside the
+   loop has no value of the register on those edges, so such a loop is
+   left alone, as is a loop with several exit blocks. *)
 let lcssa_func (_cfg : Config.t) (f : Func.t) : Func.t =
   let li = Loops.compute f in
   if li.Loops.loops = [] then f
   else begin
     let counter = Func.fresh_counter f in
-    let f =
-      List.fold_left
-        (fun f (loop : Loops.loop) ->
-          (* registers defined in the loop *)
-          let defined_in =
-            List.fold_left
-              (fun acc (b : Block.t) ->
-                if SSet.mem b.Block.label loop.Loops.blocks then
-                  List.fold_left
-                    (fun acc (i : Instr.t) ->
-                      if i.Instr.id >= 0 then ISet.add i.Instr.id acc else acc)
-                    acc b.Block.insns
-                else acc)
-              ISet.empty f.Func.blocks
-          in
-          (* uses outside the loop *)
-          let exit_set = SSet.of_list loop.Loops.exits in
-          let outside_uses = Hashtbl.create 8 in
-          List.iter
-            (fun (b : Block.t) ->
-              if not (SSet.mem b.Block.label loop.Loops.blocks) then begin
-                let record v =
-                  match v with
-                  | Value.Reg r when ISet.mem r defined_in ->
-                    Hashtbl.replace outside_uses r ()
-                  | _ -> ()
-                in
-                List.iter
-                  (fun (i : Instr.t) ->
-                    match i.Instr.op with
-                    | Instr.Phi (_, incs) ->
-                      (* a phi in an exit block already plays the lcssa
-                         role for its incoming edges *)
-                      if SSet.mem b.Block.label exit_set then ()
-                      else List.iter (fun (_, v) -> record v) incs
-                    | op -> List.iter record (Instr.operands op))
-                  b.Block.insns;
-                List.iter record (Instr.term_operands b.Block.term)
-              end)
-            f.Func.blocks;
-          if Hashtbl.length outside_uses = 0 then f
+    (* the phis change no edge, so [li]'s CFG holds for every loop *)
+    let close f (loop : Loops.loop) =
+      match loop.Loops.exits with
+      | [ exit_label ] ->
+        let preds = Cfg.preds li.Loops.cfg exit_label in
+        if not (List.for_all (Utils.in_loop loop) preds) then f
+        else begin
+          let v = Utils.view f loop in
+          (* a phi in the exit block already plays the lcssa role for its
+             incoming edges *)
+          let used = Hashtbl.create 8 in
+          Utils.iter_outside_uses v f (fun site r ->
+              if site = Utils.Operand then Hashtbl.replace used r ());
+          if Hashtbl.length used = 0 then f
           else begin
-            (* for simplicity require a unique exit block; otherwise skip *)
-            match loop.Loops.exits with
-            | [ exit_label ] ->
-              let cfg = Cfg.of_func f in
-              let in_loop_preds =
-                List.filter
-                  (fun p -> SSet.mem p loop.Loops.blocks)
-                  (Cfg.preds cfg exit_label)
-              in
-              let def_tys =
-                let m = Hashtbl.create 8 in
-                Func.iter_insns
-                  (fun _ i ->
-                    if i.Instr.id >= 0 then
-                      Hashtbl.replace m i.Instr.id (Instr.result_ty i.Instr.op))
-                  f;
-                m
-              in
-              let new_phis = ref [] in
-              let substs = ref [] in
-              Hashtbl.iter
-                (fun r () ->
-                  let ty = Option.value (Hashtbl.find_opt def_tys r) ~default:Types.I64 in
-                  let phi_reg = Func.fresh counter in
-                  let incs = List.map (fun p -> (p, Value.Reg r)) in_loop_preds in
-                  new_phis := Instr.mk phi_reg (Instr.Phi (ty, incs)) :: !new_phis;
-                  substs := (r, phi_reg) :: !substs)
-                outside_uses;
-              let blocks =
-                List.map
-                  (fun (b : Block.t) ->
-                    if String.equal b.Block.label exit_label then
-                      let phis, rest = Block.split_phis b in
-                      { b with Block.insns = phis @ !new_phis @ rest }
-                    else b)
-                  f.Func.blocks
-              in
-              let f = Func.with_blocks ~next_id:counter.Func.next f blocks in
-              (* rewrite outside uses (not inside the loop, not the new phis) *)
-              let blocks =
-                List.map
-                  (fun (b : Block.t) ->
-                    if SSet.mem b.Block.label loop.Loops.blocks then b
-                    else
-                      let subst_in_op (i : Instr.t) =
-                        if String.equal b.Block.label exit_label
-                           && List.exists (fun p -> p.Instr.id = i.Instr.id) !new_phis
-                        then i
-                        else
-                          let fix v =
-                            match v with
-                            | Value.Reg r ->
-                              (match List.assoc_opt r !substs with
-                               | Some pr -> Value.Reg pr
-                               | None -> v)
-                            | _ -> v
-                          in
-                          (* phis in the exit block keep direct references
-                             on their loop edges *)
-                          match i.Instr.op with
-                          | Instr.Phi (ty, incs) when String.equal b.Block.label exit_label ->
-                            ignore ty; ignore incs; i
-                          | op -> { i with Instr.op = Instr.map_operands fix op }
-                      in
-                      let term' =
-                        Instr.map_term_operands
-                          (fun v ->
-                            match v with
-                            | Value.Reg r ->
-                              (match List.assoc_opt r !substs with
-                               | Some pr -> Value.Reg pr
-                               | None -> v)
-                            | _ -> v)
-                          b.Block.term
-                      in
-                      { (Block.map_insns subst_in_op b) with Block.term = term' })
-                  f.Func.blocks
-              in
-              Func.with_blocks f blocks
-            | _ -> f
-          end)
-        f li.Loops.loops
+            let phi_of = Hashtbl.create 8 in
+            let new_phis = ref [] in
+            Hashtbl.iter
+              (fun r () ->
+                let ty = Instr.result_ty (Hashtbl.find v.Utils.defs r).Instr.op in
+                let phi_reg = Func.fresh counter in
+                let incs = List.map (fun p -> (p, Value.Reg r)) preds in
+                new_phis := Instr.mk phi_reg (Instr.Phi (ty, incs)) :: !new_phis;
+                Hashtbl.replace phi_of r (Value.Reg phi_reg))
+              used;
+            Utils.map_outside_uses v f (fun site r ->
+                if site = Utils.Operand then Hashtbl.find phi_of r else Value.Reg r)
+            |> Func.map_blocks (fun (b : Block.t) ->
+                   if String.equal b.Block.label exit_label then
+                     let phis, rest = Block.split_phis b in
+                     { b with Block.insns = phis @ !new_phis @ rest }
+                   else b)
+          end
+        end
+      | _ -> f
     in
-    Func.commit_counter f counter
+    Func.commit_counter (List.fold_left close f li.Loops.loops) counter
   end
 
 let lcssa_pass =

@@ -7,8 +7,6 @@
    budget that shrinks with the size level. *)
 
 open Posetrl_ir
-module SSet = Set.Make (String)
-module ISet = Set.Make (Int)
 
 let size_budget (cfg : Config.t) =
   match cfg.Config.size_level with
@@ -20,58 +18,34 @@ let unswitch_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t opti
   match loop.Loops.preheader with
   | None -> None
   | Some pre ->
-    let in_loop l = SSet.mem l loop.Loops.blocks in
-    let loop_blocks = List.filter (fun (b : Block.t) -> in_loop b.Block.label) f.Func.blocks in
-    let body_size =
-      List.fold_left (fun acc (b : Block.t) -> acc + List.length b.Block.insns) 0 loop_blocks
-    in
-    if body_size > size_budget cfg then None
+    let v = Utils.view f loop in
+    let in_loop = Utils.in_loop loop in
+    if v.Utils.size > size_budget cfg then None
     else begin
-      let loop_defs = ISet.of_list (Clone.region_defs loop_blocks) in
-      let invariant v =
-        match v with Value.Reg r -> not (ISet.mem r loop_defs) | _ -> false
-      in
       (* find an in-loop cbr on an invariant, non-constant condition whose
          both targets are inside the loop *)
       let candidate =
         List.find_map
           (fun (b : Block.t) ->
             match b.Block.term with
-            | Instr.Cbr (c, t, e)
-              when invariant c && in_loop t && in_loop e && not (String.equal t e) ->
+            | Instr.Cbr ((Value.Reg _ as c), t, e)
+              when Utils.invariant v c && in_loop t && in_loop e && not (String.equal t e) ->
               Some (b.Block.label, c, t, e)
             | _ -> None)
-          loop_blocks
+          v.Utils.blocks
       in
       match candidate with
       | None -> None
       | Some (br_block, cond, t_lbl, e_lbl) ->
         (* values defined in the loop and used outside must flow through
-           exit phis for the clone's exits to merge; require unique exit
-           with phis or no outside uses at all *)
-        let outside_use = ref false in
-        List.iter
-          (fun (b : Block.t) ->
-            if not (in_loop b.Block.label) then begin
-              let check v =
-                match v with
-                | Value.Reg r when ISet.mem r loop_defs -> outside_use := true
-                | _ -> ()
-              in
-              List.iter
-                (fun (i : Instr.t) ->
-                  match i.Instr.op with
-                  | Instr.Phi _ when List.mem b.Block.label loop.Loops.exits -> ()
-                  | op -> List.iter check (Instr.operands op))
-                b.Block.insns;
-              List.iter check (Instr.term_operands b.Block.term)
-            end)
-          f.Func.blocks;
-        if !outside_use then None
+           exit phis for the clone's exits to merge *)
+        if Utils.exists_outside_use v f (fun site _ -> site = Utils.Operand) then None
         else begin
           let counter = Func.fresh_counter f in
           let rename l = if in_loop l then l ^ ".us" else l in
-          let cloned, find = Clone.clone_blocks ~counter ~rename_label:rename ~init_map:[] loop_blocks in
+          let cloned, find =
+            Clone.clone_blocks ~counter ~rename_label:rename ~init_map:[] v.Utils.blocks
+          in
           (* specialize: original takes the true arm, clone the false arm;
              the abandoned target in each copy loses the branch block as a
              predecessor, so its phis must drop that entry *)
@@ -83,7 +57,7 @@ let unswitch_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t opti
                 else if String.equal b.Block.label e_lbl then
                   Block.remove_phi_pred ~pred:br_block b
                 else b)
-              loop_blocks
+              v.Utils.blocks
           in
           let cloned =
             List.map

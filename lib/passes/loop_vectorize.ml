@@ -9,12 +9,10 @@
    stores, are left alone. *)
 
 open Posetrl_ir
-module SSet = Set.Make (String)
-module ISet = Set.Make (Int)
 
 let vectorize_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t option =
   let w = cfg.Config.vector_width in
-  if (not cfg.Config.vectorize) || w < 2 then None
+  if w < 2 then None
   else
     match loop.Loops.preheader, loop.Loops.latches with
     | Some _pre, [ latch ] when String.equal latch loop.Loops.header ->
@@ -23,20 +21,12 @@ let vectorize_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t opt
          when Int64.equal info.Utils.step 1L
               && info.Utils.trip_count mod w = 0
               && info.Utils.trip_count >= 2 * w ->
-         let body = Func.find_block_exn f loop.Loops.header in
-         let defs = Hashtbl.create 16 in
-         List.iter
-           (fun (i : Instr.t) ->
-             if i.Instr.id >= 0 then Hashtbl.replace defs i.Instr.id i.Instr.op)
-           body.Block.insns;
-         let is_iv v = match v with Value.Reg r -> r = info.Utils.phi_reg | _ -> false in
-         let invariant v =
-           match v with
-           | Value.Reg r -> not (Hashtbl.mem defs r)
-           | _ -> true
-         in
+         (* the latch is the header: the body is that one block *)
+         let lv = Utils.view f loop in
+         let body = List.hd lv.Utils.blocks in
+         let is_iv = Utils.is_iv info and invariant = Utils.invariant lv in
          let iv_gep r =
-           match Hashtbl.find_opt defs r with
+           match Utils.def_op lv r with
            | Some (Instr.Gep (ty, base, idx)) when is_iv idx && invariant base ->
              Some (ty, base)
            | _ -> None
@@ -141,22 +131,7 @@ let vectorize_one (cfg : Config.t) (f : Func.t) (loop : Loops.loop) : Func.t opt
          if (not !ok) || (not disjoint) || (not flows_ok) || !store_bases = [] then None
          else begin
            (* nothing vector-defined may be used outside the loop *)
-           let used_outside =
-             List.exists
-               (fun (b : Block.t) ->
-                 (not (String.equal b.Block.label loop.Loops.header))
-                 && List.exists
-                      (fun (i : Instr.t) ->
-                        List.exists
-                          (fun v ->
-                            match v with
-                            | Value.Reg r -> Hashtbl.mem vec r
-                            | _ -> false)
-                          (Instr.operands i.Instr.op))
-                      b.Block.insns)
-               f.Func.blocks
-           in
-           if used_outside then None
+           if Utils.exists_outside_use lv f (fun _ r -> Hashtbl.mem vec r) then None
            else begin
              let counter = Func.fresh_counter f in
              let vty ty = Types.Vec (ty, w) in

@@ -236,26 +236,10 @@ let run_module (m : Modul.t) : Modul.t =
             | _ -> ())
           f)
     m.Modul.funcs;
-  let address_taken : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun f ->
-      if not (Func.is_declaration f) then
-        Func.iter_insns
-          (fun _ i ->
-            List.iter
-              (fun v ->
-                match v with
-                | Value.Global g when Option.is_some (Modul.find_func m g) ->
-                  (match i.Instr.op with
-                   | Instr.Call (_, callee, _) when String.equal callee g -> ()
-                   | _ -> Hashtbl.replace address_taken g ())
-                | _ -> ())
-              (Instr.operands i.Instr.op))
-          f)
-    m.Modul.funcs;
+  let address_taken = Ipo.address_taken_funcs m in
   let specialize (f : Func.t) =
     if Func.is_declaration f || f.Func.linkage = Func.External
-       || Hashtbl.mem address_taken f.Func.name then f
+       || Ipo.SSet.mem f.Func.name address_taken then f
     else
       match Hashtbl.find_opt call_args f.Func.name with
       | None | Some [] -> f

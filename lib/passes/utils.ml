@@ -329,6 +329,111 @@ let rewrite_loops ?(all = false) ~rounds
   in
   go f rounds
 
+(* --- loop mechanics ------------------------------------------------------ *)
+
+let in_loop (loop : Loops.loop) (label : string) = SSet.mem label loop.Loops.blocks
+
+(* One loop as the loop passes read it: its blocks in function order, the
+   registers its instructions define with their defining instructions,
+   and its body size in instructions. A pass builds it from the function
+   it is about to rewrite, after its own cheap shape checks. *)
+type loop_view = {
+  loop : Loops.loop;
+  blocks : Block.t list;
+  defs : (int, Instr.t) Hashtbl.t;
+  size : int;
+}
+
+let view (f : Func.t) (loop : Loops.loop) : loop_view =
+  let blocks = List.filter (fun (b : Block.t) -> in_loop loop b.Block.label) f.Func.blocks in
+  let defs = Hashtbl.create 16 in
+  let size =
+    List.fold_left
+      (fun n (b : Block.t) ->
+        List.iter
+          (fun (i : Instr.t) -> if i.Instr.id >= 0 then Hashtbl.replace defs i.Instr.id i)
+          b.Block.insns;
+        n + List.length b.Block.insns)
+      0 blocks
+  in
+  { loop; blocks; defs; size }
+
+(* The operation defining register [r] in the loop, if the loop defines it. *)
+let def_op (v : loop_view) (r : int) : Instr.op option =
+  Option.map (fun (i : Instr.t) -> i.Instr.op) (Hashtbl.find_opt v.defs r)
+
+(* A value the loop does not compute. *)
+let invariant (v : loop_view) (x : Value.t) =
+  match x with Value.Reg r -> not (Hashtbl.mem v.defs r) | _ -> true
+
+(* Where a register the loop defines is used outside it: an operand of an
+   instruction or terminator, or the incoming value a phi in exit block
+   [exit] receives from predecessor [pred]. *)
+type use_site = Operand | Exit_phi of { exit : string; pred : string }
+
+(* The walk over outside uses: every use, outside the loop, of a register
+   the loop defines, in function order (each block's instructions, then
+   its terminator), rewritten to [rewrite site r]. An instruction or
+   terminator whose operands all come back equal is kept as it was;
+   one that changes is rewritten with [rewrite] called again, so a
+   rewrite that changes a value must give one value per site and
+   register. *)
+let map_outside_uses (v : loop_view) (f : Func.t)
+    (rewrite : use_site -> int -> Value.t) : Func.t =
+  let use site x =
+    match x with Value.Reg r when Hashtbl.mem v.defs r -> rewrite site r | _ -> x
+  in
+  let same xs = List.for_all (fun x -> Value.equal x (use Operand x)) xs in
+  let block (b : Block.t) =
+    if in_loop v.loop b.Block.label then b
+    else
+      let exit = List.mem b.Block.label v.loop.Loops.exits in
+      let insn (i : Instr.t) =
+        match i.Instr.op with
+        | Instr.Phi (ty, incs) when exit ->
+          let incs' =
+            List.map
+              (fun (pred, x) -> (pred, use (Exit_phi { exit = b.Block.label; pred }) x))
+              incs
+          in
+          if List.for_all2 (fun (_, x) (_, x') -> Value.equal x x') incs incs' then i
+          else { i with Instr.op = Instr.Phi (ty, incs') }
+        | op ->
+          if same (Instr.operands op) then i
+          else { i with Instr.op = Instr.map_operands (use Operand) op }
+      in
+      let insns = List.map insn b.Block.insns in
+      let term =
+        if same (Instr.term_operands b.Block.term) then b.Block.term
+        else Instr.map_term_operands (use Operand) b.Block.term
+      in
+      { b with Block.insns; term }
+  in
+  Func.map_blocks block f
+
+(* The same walk, visiting each outside use without rewriting it. *)
+let iter_outside_uses (v : loop_view) (f : Func.t) (visit : use_site -> int -> unit) : unit =
+  ignore (map_outside_uses v f (fun site r -> visit site r; Value.Reg r))
+
+(* Whether some outside use satisfies [p]; the walk stops at the first. *)
+let exists_outside_use (v : loop_view) (f : Func.t) (p : use_site -> int -> bool) : bool =
+  match iter_outside_uses v f (fun site r -> if p site r then raise_notrace Exit) with
+  | () -> false
+  | exception Exit -> true
+
+(* Whether the edges from the predecessors [from] bring one value into
+   each phi of [b]. *)
+let phis_agree (b : Block.t) (from : string -> bool) : bool =
+  List.for_all
+    (fun (i : Instr.t) ->
+      match i.Instr.op with
+      | Instr.Phi (_, incs) ->
+        (match List.filter_map (fun (l, x) -> if from l then Some x else None) incs with
+         | [] -> true
+         | x :: rest -> List.for_all (Value.equal x) rest)
+      | _ -> true)
+    b.Block.insns
+
 (* Estimate trip count of a simple counted loop:
    header phi  i = phi [init, preheader] [next, latch]
    latch next  = i + step
@@ -414,3 +519,7 @@ let analyze_counted_loop (f : Func.t) (loop : Loops.loop) : counted_loop option 
     in
     List.find_map try_phi phis
   | _ -> None
+
+(* Whether [x] is the counted loop's induction phi. *)
+let is_iv (info : counted_loop) (x : Value.t) =
+  match x with Value.Reg r -> r = info.phi_reg | _ -> false

@@ -277,6 +277,26 @@ let test_prune_eh_nounwind () =
   Alcotest.(check bool) "nounwind" true
     (Func.has_attr Attrs.nounwind (Modul.find_func_exn m' "main"))
 
+(* @f passes itself to an indirect call and is called directly with a
+   constant: its address is taken, so ipsccp must not specialize its
+   parameters on that call's arguments, or the indirect call, which
+   passes 2, would take the specialized branch again and never return *)
+let self_passing_src =
+  "module t\n\ninternal func @f(%0: i64, %1: ptr): i64 {\nentry:\n\
+   \  %2 = icmp eq i64 %0, 1\n  cbr %2, again, done\nagain:\n\
+   \  %3 = callind i64 %1(2, %1)\n  %4 = add i64 %3, 100\n  ret i64 %4\n\
+   done:\n  ret i64 %0\n}\n\nfunc @main(): i64 {\nentry:\n\
+   \  %0 = call i64 @f(1, @f)\n  ret i64 %0\n}\n"
+
+let test_ipsccp_address_taken_self () =
+  let m = Parser.parse_module self_passing_src in
+  Alcotest.(check string) "returns before" "102" (ret_of m);
+  let m' =
+    Posetrl_passes.Pass_manager.run ~sanitize:Posetrl_analysis.Sanitize.Equiv
+      Posetrl_passes.Config.oz [ "ipsccp" ] m
+  in
+  Alcotest.(check string) "returns after" "102" (ret_of m')
+
 let test_barrier_identity () =
   let m = sum_squares_module () in
   let m' = run_pass "barrier" m in
@@ -304,4 +324,5 @@ let suite =
     Alcotest.test_case "forceattrs size attrs" `Quick test_forceattrs_sets_size_attrs;
     Alcotest.test_case "inferattrs library" `Quick test_inferattrs_library_decls;
     Alcotest.test_case "prune-eh nounwind" `Quick test_prune_eh_nounwind;
+    Alcotest.test_case "ipsccp address-taken self" `Quick test_ipsccp_address_taken_self;
     Alcotest.test_case "barrier identity" `Quick test_barrier_identity ]

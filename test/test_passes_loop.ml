@@ -53,6 +53,23 @@ let test_loop_simplify_creates_preheader () =
       Alcotest.(check bool) "has preheader" true (Option.is_some l.Loops.preheader))
     li.Loops.loops
 
+(* the loop [head] exits to [exit], which is also entered from itself, so
+   a phi there could not take %2 on the [exit] edge: lcssa leaves that loop
+   alone and closes only the [exit] loop, whose exit [done] has no other
+   predecessor *)
+let test_lcssa_exit_with_outside_pred () =
+  let src =
+    "module t\n\nfunc @main(): i64 {\nentry:\n  br head\nhead:\n\
+     \  %1 = phi i64 [entry: 0], [head: %2]\n  %2 = add i64 %1, 1\n\
+     \  %3 = icmp slt i64 %2, 10\n  cbr %3, head, exit\nexit:\n\
+     \  %4 = phi i64 [head: 0], [exit: %5]\n  %5 = add i64 %4, %2\n\
+     \  %6 = icmp slt i64 %5, 100\n  cbr %6, exit, done\ndone:\n  ret i64 %5\n}\n"
+  in
+  check_ssa_clean "lcssa" src;
+  let m' = run_pass "lcssa" (Parser.parse_module src) in
+  let phis label = List.length (Block.phis (Func.find_block_exn (main_func m') label)) in
+  Alcotest.(check (pair int int)) "phis in exit and done" (1, 1) (phis "exit", phis "done")
+
 let test_lcssa_valid () =
   let m = ssa_of (counted_loop_module ()) |> run_pass "loop-simplify" in
   let m' = run_pass "lcssa" m in
@@ -303,6 +320,22 @@ let test_loop_vectorize () =
        m'
      > 0)
 
+
+(* the loaded value %4 is widened by vectorizing, and the exit block's
+   [ret] reads it: the loop must stay scalar, or main would return a
+   vector *)
+let test_vectorize_outside_terminator_use () =
+  let src =
+    "module t\n\nfunc @main(): i64 {\nentry:\n  %0 = alloca i64 x 8\n\
+     \  %1 = alloca i64 x 8\n  br loop\nloop:\n  %2 = phi i64 [entry: 0], [loop: %6]\n\
+     \  %3 = gep i64 %0, %2\n  %4 = load i64, %3\n  %5 = gep i64 %1, %2\n\
+     \  store i64 %4, %5\n  %6 = add i64 %2, 1\n  %7 = icmp slt i64 %6, 8\n\
+     \  cbr %7, loop, exit\nexit:\n  ret i64 %4\n}\n"
+  in
+  let m = Parser.parse_module src in
+  let m' = run_pass_cfg "loop-vectorize" Posetrl_passes.Config.o3 m in
+  check_same_behaviour "vectorize" m m'
+
 let test_loop_vectorize_disabled_at_oz () =
   let m = canonical (vec_candidate_module ()) |> run_pass "loop-rotate" in
   let m' = run_pass_cfg "loop-vectorize" Posetrl_passes.Config.oz m in
@@ -424,6 +457,7 @@ let test_ssa_helpers_sane () =
 let suite =
   [ Alcotest.test_case "loop-simplify preheader" `Quick test_loop_simplify_creates_preheader;
     Alcotest.test_case "lcssa valid" `Quick test_lcssa_valid;
+    Alcotest.test_case "lcssa exit with outside pred" `Quick test_lcssa_exit_with_outside_pred;
     Alcotest.test_case "loop-rotate bottom test" `Quick test_loop_rotate_bottom_tests;
     Alcotest.test_case "loop-rotate zero trip" `Quick test_loop_rotate_preserves_zero_trip;
     Alcotest.test_case "loop-rotate skips an exit that is its preheader" `Quick
@@ -438,6 +472,8 @@ let suite =
     Alcotest.test_case "loop-idiom memcpy" `Quick test_loop_idiom_memcpy;
     Alcotest.test_case "loop-unswitch" `Quick test_loop_unswitch;
     Alcotest.test_case "loop-vectorize" `Quick test_loop_vectorize;
+    Alcotest.test_case "vectorize outside terminator use" `Quick
+      test_vectorize_outside_terminator_use;
     Alcotest.test_case "loop-vectorize off at Oz" `Quick test_loop_vectorize_disabled_at_oz;
     Alcotest.test_case "loop-load-elim" `Quick test_loop_load_elim;
     Alcotest.test_case "loop-load-elim forwards a forwarded load" `Quick

@@ -25,6 +25,37 @@ let test_each_pass_preserves_suites () =
         (Lazy.force all_programs))
     (P.Registry.names ())
 
+(* each registered pass alone (Oz configuration) keeps valid IR valid, on
+   the raw and -Oz forms of the validation programs and the training
+   corpus; a failure names the pass, the program and the first error *)
+let test_each_pass_keeps_ir_valid () =
+  let corpus =
+    List.mapi (fun k m -> (Printf.sprintf "corpus %d" k, m))
+      (Array.to_list (W.Suites.training_corpus ()))
+  in
+  let inputs =
+    List.concat_map
+      (fun (name, m) -> [ (name, m); (name ^ " -Oz", P.Pass_manager.run_level P.Pipelines.Oz m) ])
+      (Lazy.force all_programs @ corpus)
+  in
+  let first_error what m =
+    match Verifier.verify_module ~dom:true m with
+    | [] -> None
+    | e :: _ -> Some (what ^ ": " ^ Verifier.error_to_string e)
+  in
+  let invalid_inputs = List.filter_map (fun (name, m) -> first_error name m) inputs in
+  Alcotest.(check (list string)) "invalid inputs" [] invalid_inputs;
+  let failures =
+    List.concat_map
+      (fun pass ->
+        List.filter_map
+          (fun (name, m) ->
+            first_error (pass ^ " on " ^ name) (P.Pass_manager.run P.Config.oz [ pass ] m))
+          inputs)
+      (P.Registry.names ())
+  in
+  Alcotest.(check (list string)) "pass outputs that fail the verifier" [] failures
+
 (* standard pipelines preserve behaviour on all suites *)
 let test_pipelines_preserve_suites () =
   List.iter
@@ -197,10 +228,12 @@ let prop_size_monotone_in_functions =
 
 (* One MD5 per group of printed outputs: each -O level over the validation
    programs; each registered pass alone (Oz configuration) on every raw
-   validation program; and, per action space, 50 seeded 15-action
-   schedules over the validation and 20 Genprog programs, printed after
-   every action. A deliberate output change updates its group's digest
-   and names the group in CHANGES.md. *)
+   validation program, and all of them together on every -Oz validation
+   program; each loop pass alone under the O3 configuration on the raw
+   and -Oz validation programs; and, per action space, 50 seeded
+   15-action schedules over the validation and 20 Genprog programs,
+   printed after every action. A deliberate output change updates its
+   group's digest and names the group in CHANGES.md. *)
 let pinned_digests =
   [ ("O0", "d253857a25a7ea5c7aac707999be4760");
     ("O1", "dc06ffe7e7f5fca1b777e840153c6932");
@@ -262,8 +295,15 @@ let pinned_digests =
     ("loop-sink", "7dfa2c1fb8468e203035a18755f9dbce");
     ("instsimplify", "3e1955bf2a898e7ae897c3348ab89067");
     ("div-rem-pairs", "d253857a25a7ea5c7aac707999be4760");
+    ("each pass on Oz programs", "4fc1166436b90f14dc115fa9ceb0b101");
+    ("loop passes O3", "1dd74ef3e4a3c8f8578d5fbf9325fa82");
     ("schedules manual", "6697b3aec3a914153e8005275542ae22");
     ("schedules odg", "b09e372565cb53dd05d9994efefdff3a") ]
+
+let loop_passes =
+  [ "loop-simplify"; "lcssa"; "loop-rotate"; "licm"; "loop-unswitch"; "indvars";
+    "loop-idiom"; "loop-deletion"; "loop-unroll"; "loop-distribute"; "loop-vectorize";
+    "loop-load-elim"; "loop-sink" ]
 
 let output_digests () : (string * string) list =
   let module A = Posetrl_odg.Action_space in
@@ -285,6 +325,16 @@ let output_digests () : (string * string) list =
       (fun name -> (name, md5 (List.map (P.Pass_manager.run P.Config.oz [ name ]) validation)))
       (P.Registry.names ())
   in
+  let oz_validation = List.map (P.Pass_manager.run_level P.Pipelines.Oz) validation in
+  let alone cfg names ms =
+    md5 (List.concat_map (fun name -> List.map (P.Pass_manager.run cfg [ name ]) ms) names)
+  in
+  let each_pass_oz =
+    ("each pass on Oz programs", alone P.Config.oz (P.Registry.names ()) oz_validation)
+  in
+  let loop_passes_o3 =
+    ("loop passes O3", alone P.Config.o3 loop_passes (validation @ oz_validation))
+  in
   let pool =
     Array.of_list (validation @ List.init 20 (fun k -> W.Genprog.generate ~seed:(900_000 + k)))
   in
@@ -301,7 +351,7 @@ let output_digests () : (string * string) list =
     done;
     ("schedules " ^ space.A.name, md5 (List.rev !outputs))
   in
-  levels @ passes @ [ schedules A.manual; schedules A.odg ]
+  levels @ passes @ [ each_pass_oz; loop_passes_o3; schedules A.manual; schedules A.odg ]
 
 let test_output_bytes_pinned () =
   let actual = output_digests () in
@@ -323,6 +373,7 @@ let test_output_bytes_pinned () =
 let suite =
   [ Alcotest.test_case "each pass preserves suites" `Slow test_each_pass_preserves_suites;
     Alcotest.test_case "pipeline output bytes are pinned" `Slow test_output_bytes_pinned;
+    Alcotest.test_case "every pass keeps valid IR valid" `Slow test_each_pass_keeps_ir_valid;
     Alcotest.test_case "pipelines preserve suites" `Slow test_pipelines_preserve_suites;
     Alcotest.test_case "Oz shrinks most programs" `Quick test_oz_shrinks_most_programs;
     Alcotest.test_case "Oz sequence counts" `Quick test_oz_sequence_counts;

@@ -157,10 +157,23 @@ let test_clone_respects_init_map () =
   | [ { Instr.op = Instr.Binop (Instr.Add, _, Value.Const (Value.Cint (_, 41L)), _); _ } ] -> ()
   | _ -> Alcotest.fail "init_map not applied"
 
+(* the loop view of sum_squares' one loop: its block, the registers it
+   defines with their defining instructions, and its size *)
 let test_region_defs () =
   let f = main_func (sum_squares_module ()) in
-  let defs = P.Clone.region_defs f.Func.blocks in
-  Alcotest.(check bool) "some defs" true (List.length defs > 3)
+  let loop = List.hd (Loops.compute f).Loops.loops in
+  let v = P.Utils.view f loop in
+  let body = Func.find_block_exn f "loop" in
+  Alcotest.(check (list string)) "blocks" [ "loop" ]
+    (List.map (fun (b : Block.t) -> b.Block.label) v.P.Utils.blocks);
+  Alcotest.(check int) "size" (List.length body.Block.insns) v.P.Utils.size;
+  Alcotest.(check (list int)) "defs"
+    (List.filter_map (fun (i : Instr.t) -> if i.Instr.id >= 0 then Some i.Instr.id else None)
+       body.Block.insns
+     |> List.sort compare)
+    (Hashtbl.fold (fun r _ acc -> r :: acc) v.P.Utils.defs [] |> List.sort compare);
+  Alcotest.(check bool) "an entry register is invariant" true
+    (P.Utils.invariant v (Value.Reg (List.hd (Func.find_block_exn f "entry").Block.insns).Instr.id))
 
 (* --- config/pipelines --------------------------------------------------------- *)
 
@@ -170,8 +183,8 @@ let test_config_ordering () =
   Alcotest.(check bool) "O3 unrolls more than Oz" true
     (P.Config.o3.P.Config.unroll_count > P.Config.oz.P.Config.unroll_count);
   Alcotest.(check bool) "Oz is size level 2" true (P.Config.oz.P.Config.size_level = 2);
-  Alcotest.(check bool) "Oz disables vectorize" true (not P.Config.oz.P.Config.vectorize);
-  Alcotest.(check bool) "O2 enables vectorize" true P.Config.o2.P.Config.vectorize
+  Alcotest.(check bool) "Oz disables vectorize" true (P.Config.oz.P.Config.vector_width < 2);
+  Alcotest.(check bool) "O2 enables vectorize" true (P.Config.o2.P.Config.vector_width >= 2)
 
 let test_pipeline_levels () =
   Alcotest.(check bool) "level parse" true
