@@ -256,8 +256,7 @@ let telemetry_term =
    status "running" until [f] returns and "done" during the grace
    window after. [f] receives a pump thunk to call from its hot loop
    (the server is single-threaded — nothing is served between pumps). *)
-let with_telemetry ~(alerts : unit -> Obs.Json.t list)
-    ~(coverage : unit -> Obs.Json.t option) (tm : telemetry) ~(kind : string)
+let with_telemetry ~docs (tm : telemetry) ~(kind : string)
     ~(run_dir : string option) (f : pump:(unit -> unit) -> 'a) : 'a =
   match tm.port with
   | None -> f ~pump:(fun () -> ())
@@ -277,12 +276,11 @@ let with_telemetry ~(alerts : unit -> Obs.Json.t list)
           ("mean_reward", Float (metric "posetrl.train.mean_reward"));
           ("run", match run_dir with Some d -> Str d | None -> Null) ]
     in
-    let handler = Obs.Httpd.telemetry_handler ~alerts ~coverage ~health () in
+    let handler = Obs.Httpd.telemetry_handler ~docs ~health () in
     let server = Obs.Httpd.create ~port () in
-    Obs.Console.info
-      "telemetry on http://127.0.0.1:%d  (/metrics /healthz /alerts /coverage \
-       /runs)\n%!"
-      (Obs.Httpd.port server);
+    Obs.Console.info "telemetry on http://127.0.0.1:%d  (/metrics /healthz %s /runs)\n%!"
+      (Obs.Httpd.port server)
+      (String.concat " " (List.map (fun (name, _) -> "/" ^ name) docs));
     Fun.protect
       ~finally:(fun () -> Obs.Httpd.close server)
       (fun () ->
@@ -305,10 +303,11 @@ let with_telemetry ~(alerts : unit -> Obs.Json.t list)
    run's trace.jsonl and any --trace sink capturing the span stream.
    [finish] then gets [work]'s result once the trace and metrics are
    out, and returns the manifest's result fields; the manifest is
-   finished even when either raises. A sanitizer failure leaves its
-   repro in the run's repros/ ([runs/repros] without a run). *)
+   finished even when either raises. [folds] are written to the run and
+   served live, like [alerts]. A sanitizer failure leaves its repro in
+   the run's repros/ ([runs/repros] without a run). *)
 let with_session ?(telemetry = { port = None; grace = 0.0 })
-    ?(alerts = fun () -> []) ?(coverage = fun () -> None) (s : session)
+    ?(alerts = fun () -> []) ?(folds = []) (s : session)
     ~(kind : string) ~(meta : (string * Obs.Json.t) list)
     (work : Obs.Run.t option -> pump:(unit -> unit) ->
             Posetrl_support.Pool.t option -> 'a)
@@ -326,7 +325,8 @@ let with_session ?(telemetry = { port = None; grace = 0.0 })
           (with_obs ~trace:s.trace ~metrics:s.metrics (fun () ->
                with_jobs ~jobs:s.jobs (work run ~pump))))
   in
-  with_telemetry ~alerts ~coverage telemetry ~kind
+  let alerts = ("alerts", fun () -> Some (Obs.Json.Arr (alerts ()))) in
+  with_telemetry ~docs:(alerts :: List.map Obs.Fold.route folds) telemetry ~kind
     ~run_dir:(Option.map Obs.Run.dir run) (fun ~pump ->
       match run with
       | None -> ignore (body ~pump ())
@@ -337,7 +337,9 @@ let with_session ?(telemetry = { port = None; grace = 0.0 })
           (fun () ->
             Obs.Span.with_sink
               (Obs.Sink.jsonl (Obs.Run.trace_path (Obs.Run.dir r)))
-              (fun () -> result := body ~pump ()));
+              (fun () ->
+                result := body ~pump ();
+                List.iter (Obs.Fold.write r) folds));
         Obs.Console.info "run recorded in %s\n" (Obs.Run.dir r))
 
 let json_of_hp (hp : C.Trainer.hyperparams) : Obs.Json.t =
@@ -362,9 +364,9 @@ let json_of_hp (hp : C.Trainer.hyperparams) : Obs.Json.t =
       ("alpha", Float C.Reward.paper_weights.C.Reward.alpha);
       ("beta", Float C.Reward.paper_weights.C.Reward.beta) ]
 
-let report_module (target : CG.Target.t) (label : string) (m : Modul.t) =
+let report_module (oc : out_channel) (target : CG.Target.t) (label : string) (m : Modul.t) =
   let { Posetrl_mca.Mca.size; text; throughput } = Posetrl_mca.Mca.measure target m in
-  Printf.printf "%-10s insns=%-5d size=%-6dB text=%-6dB mca-throughput=%.3f\n"
+  Printf.fprintf oc "%-10s insns=%-5d size=%-6dB text=%-6dB mca-throughput=%.3f\n"
     label (Modul.insn_count m) size text throughput
 
 (* --- opt ------------------------------------------------------------------ *)
@@ -386,7 +388,8 @@ let opt_cmd =
            ~doc:"Explicit comma-separated pass list (overrides --level).")
   in
   let emit =
-    Arg.(value & flag & info [ "emit" ] ~doc:"Print the optimized module.")
+    Arg.(value & flag & info [ "emit" ]
+           ~doc:"Print the optimized module alone on stdout (summary lines on stderr).")
   in
   let inject_bug =
     Arg.(value & flag & info [ "inject-bug" ]
@@ -397,8 +400,9 @@ let opt_cmd =
                  translation-validation tier.")
   in
   let run (_, mk) level passes tgt emit sanitize inject_bug trace metrics =
+    let oc = if emit then stderr else stdout in
     let m = mk () in
-    report_module tgt "input" m;
+    report_module oc tgt "input" m;
     let m' =
       with_repro ~dir:(repro_dir_of_run None) @@ fun () ->
       with_obs ~trace ~metrics (fun () ->
@@ -414,7 +418,7 @@ let opt_cmd =
             P.Pass_manager.run_pass ~sanitize P.Sink.pass P.Config.oz m'
           else m')
     in
-    report_module tgt "output" m';
+    report_module oc tgt "output" m';
     if emit then print_string (Printer.module_to_string m')
   in
   Cmd.v
@@ -512,9 +516,9 @@ let train_cmd =
     (* watchdog alerts: persist each one as it fires (crash-tolerant),
        warn on the console, and keep the JSON forms live for /alerts *)
     let live_alerts = ref [] in
-    (* built here (not inside the trainer) so the live /coverage endpoint
-       and the trainer fold the same table *)
-    let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
+    (* built here (not inside the trainer) so the live routes, the
+       ledger writes and the trainer share the same tables *)
+    let folds = C.Trainer.default_folds hp actions in
     let work run ~pump pool =
       (* the trainer builds the ledger's records; persist each one and
          print the progress line from each tick *)
@@ -535,45 +539,28 @@ let train_cmd =
           a.Obs.Health.a_rule a.Obs.Health.a_step a.Obs.Health.a_message
       in
       C.Trainer.train ?pool ~hp ~on_record
-        ~on_step:(fun _ -> pump ()) ~on_alert ?inject_nan_at:inject_nan ~coverage
+        ~on_step:(fun _ -> pump ()) ~on_alert ?inject_nan_at:inject_nan ~folds
         ~sanitize ~seed ~corpus ~actions ~target:tgt ()
     in
-    let finish run (res : C.Trainer.result) =
+    let finish _ (res : C.Trainer.result) =
       Posetrl_rl.Dqn.save_weights res.C.Trainer.agent out;
-      let attrib_doc =
-        Posetrl_rl.Attrib.to_json
-          ~labels:(fun a -> String.concat "," (O.Action_space.action actions a))
-          res.C.Trainer.attrib
-      in
-      let cov = res.C.Trainer.coverage in
-      Option.iter
-        (fun r ->
-          Obs.Run.write r Obs.Run.Attrib attrib_doc;
-          Obs.Run.write r Obs.Run.Coverage (Obs.Coverage.to_json cov))
-        run;
       let n_alerts = List.length res.C.Trainer.alerts in
       if n_alerts > 0 then
         Obs.Console.info "training-health: %d alert%s fired (see \
                           alerts.jsonl / `posetrl runs show`)\n"
           n_alerts (plural n_alerts);
-      Obs.Console.info
-        "coverage: %d/%d ODG edges (%.1f%%), action entropy %.3f bits\n"
-        (Obs.Coverage.edges_visited cov)
-        (Obs.Coverage.edge_count cov)
-        (Obs.Coverage.edge_pct cov) (Obs.Coverage.entropy cov);
+      let lines, fields = List.split (List.map Obs.Fold.summary folds) in
+      List.iter (Obs.Console.info "%s") lines;
       Obs.Console.info "saved weights to %s (%d episodes)\n" out
         res.C.Trainer.episodes;
       [ ("episodes", Obs.Json.Int res.C.Trainer.episodes);
-        ("final_mean_reward", Obs.Json.Float res.C.Trainer.final_mean_reward);
-        ("coverage_edge_pct", Obs.Json.Float (Obs.Coverage.edge_pct cov));
-        ("coverage_entropy_bits", Obs.Json.Float (Obs.Coverage.entropy cov));
-        ("alerts", Obs.Json.Int n_alerts);
-        ("weights", Obs.Json.Str out) ]
+        ("final_mean_reward", Obs.Json.Float res.C.Trainer.final_mean_reward) ]
+      @ List.concat fields
+      @ [ ("alerts", Obs.Json.Int n_alerts); ("weights", Obs.Json.Str out) ]
     in
     with_session session ~telemetry
       ~alerts:(fun () -> List.rev !live_alerts)
-      ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage))
-      ~kind:"train"
+      ~folds ~kind:"train"
       ~meta:
         [ ("seed", Obs.Json.Int seed);
           ("action_space", Obs.Json.Str actions.O.Action_space.name);
@@ -610,6 +597,7 @@ let eval_cmd =
        results come back in input order, so the table is byte-identical
        across --jobs settings like eval.json itself *)
     let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
+    let folds = [ Obs.Fold.Fold ((module Obs.Coverage), coverage) ] in
     let work _ ~pump pool =
       List.map
         (fun suite ->
@@ -638,19 +626,19 @@ let eval_cmd =
                 (String.concat "->" (List.map string_of_int r.C.Evaluate.predicted)))
             results)
         evaluated;
-      List.iter
-        (fun (r : C.Evaluate.program_result) ->
-          List.iteri
-            (fun pos a ->
-              Obs.Coverage.observe coverage ~action:a ~pos ~reward:0.0
-                ~r_binsize:0.0 ~r_throughput:0.0)
-            r.C.Evaluate.predicted)
-        (List.concat_map snd evaluated);
-      Obs.Coverage.sample coverage ~step:(Obs.Coverage.steps coverage);
+      let step pos action =
+        { Obs.Fold.action; pos; reward = 0.0; r_binsize = 0.0; r_throughput = 0.0;
+          state = None }
+      in
+      let steps =
+        List.concat_map
+          (fun (r : C.Evaluate.program_result) -> List.mapi step r.C.Evaluate.predicted)
+          (List.concat_map snd evaluated)
+      in
+      List.iter (Obs.Fold.observe folds) steps;
+      Obs.Fold.sample folds ~step:(List.length steps);
       Option.iter
-        (fun r ->
-          Obs.Run.write r Obs.Run.Eval (C.Evaluate.suites_to_json evaluated);
-          Obs.Run.write r Obs.Run.Coverage (Obs.Coverage.to_json coverage))
+        (fun r -> Obs.Run.write r Obs.Run.Eval (C.Evaluate.suites_to_json evaluated))
         run;
       let avg_reds =
         List.map (fun ((s : C.Evaluate.suite_summary), _) -> s.C.Evaluate.avg_red)
@@ -660,9 +648,7 @@ let eval_cmd =
         ("overall_avg_size_red",
          Obs.Json.Float (Posetrl_support.Stats.mean avg_reds)) ]
     in
-    with_session session ~telemetry
-      ~coverage:(fun () -> Some (Obs.Coverage.to_json coverage))
-      ~kind:"eval"
+    with_session session ~telemetry ~folds ~kind:"eval"
       ~meta:
         [ ("weights", Obs.Json.Str weights);
           ("action_space", Obs.Json.Str actions.O.Action_space.name);
@@ -748,7 +734,10 @@ let report_cmd =
 (* --- runs (the ledger) ------------------------------------------------------- *)
 
 module Tbl = Posetrl_support.Table
-module Attrib = Posetrl_rl.Attrib
+
+(* The step-stream folds a run's ledger may hold, in report order. *)
+let ledger_folds : (module Obs.Fold.S) list =
+  [ (module Posetrl_rl.Attrib); (module Obs.Coverage) ]
 
 let root_arg =
   Arg.(value & opt string Obs.Run.default_root & info [ "root" ] ~docv:"DIR"
@@ -822,35 +811,6 @@ let print_eval_tables (doc : Obs.Json.t) =
     Tbl.print t
   | _ -> ()
 
-(* The recompute contract of the run report's attribution and coverage
-   sections: a streaming table (steps [steps]) must equal its
-   brute-force replay of the ledger (steps [recomputed]) exactly. CI
-   greps the "matches the ... stream exactly" line. *)
-let print_recompute_check ~name ~doc ~stream ~missing ~steps ~recomputed equal =
-  if recomputed = 0 && steps > 0 then
-    Printf.printf
-      "%s check: episode records carry no %s; recompute skipped\n" name missing
-  else if equal then
-    Printf.printf "%s check: table matches the %s stream exactly (%d steps)\n"
-      name stream steps
-  else
-    Printf.printf "%s check: DIVERGENCE between %s and the episode stream\n"
-      name doc
-
-(* A run's table from one ledger document, or the line saying why there
-   is none: the run predates the layer or the file is unreadable, or the
-   file is structurally invalid. *)
-let read_table (info : Obs.Run.info) doc of_json ~(what : string) =
-  let file = Filename.basename (Obs.Run.doc_path doc info.Obs.Run.run_dir) in
-  match Obs.Run.read info doc with
-  | None ->
-    Error
-      (Printf.sprintf "%s: no data (run predates the %s layer, or %s is unreadable)\n"
-         what what file)
-  | Some j ->
-    Option.to_result (of_json j)
-      ~none:(Printf.sprintf "%s: %s is structurally invalid — no data\n" what file)
-
 (* A run's alerts as [Health.alert_of_json] decodes them, with the torn
    line count; [None] when the run predates the watchdog. *)
 let read_alerts (info : Obs.Run.info) : (Obs.Health.alert list * int) option =
@@ -859,10 +819,10 @@ let read_alerts (info : Obs.Run.info) : (Obs.Health.alert list * int) option =
     (Obs.Run.read_alerts info)
 
 (* The run report, one section per ledger document: the manifest,
-   training curves and eval tables; per-action reward attribution, top
-   schedules, the drift timeline and watchdog alerts; then
-   decision-space coverage. A section whose document the run lacks says
-   so in one line. *)
+   training curves and eval tables; top schedules, the drift timeline
+   and watchdog alerts; then each fold's table (per-action reward
+   attribution, decision-space coverage) with its recompute check. A
+   section whose document the run lacks says so in one line. *)
 let runs_show_cmd =
   let schedules =
     Arg.(value & opt int 5 & info [ "schedules" ] ~docv:"K"
@@ -887,19 +847,6 @@ let runs_show_cmd =
     (match Obs.Run.read info Obs.Run.Eval with
      | Some doc -> print_newline (); print_eval_tables doc
      | None -> ());
-    (match read_table info Obs.Run.Attrib Attrib.of_json ~what:"attribution" with
-     | Error why -> print_string ("\n" ^ why)
-     | Ok at ->
-       print_string (Attrib.render ~top at);
-       let recomputed =
-         Attrib.of_records ~n_actions:(Attrib.n_actions at)
-           ~max_pos:(Attrib.max_pos at) records
-       in
-       print_recompute_check ~name:"attribution" ~doc:"attrib.json"
-         ~stream:"episode"
-         ~missing:"per-step rewards (pre-attribution ledger)"
-         ~steps:(Attrib.steps at) ~recomputed:(Attrib.steps recomputed)
-         (Attrib.equal at recomputed));
     print_string (Obs.Dashboard.schedules ~k:schedules records);
     (* the drift windows span the run's action space: no known space,
        no timeline *)
@@ -912,25 +859,14 @@ let runs_show_cmd =
         | None -> ())
       (Obs.Runlog.str "action_space" manifest);
     print_string (Obs.Health.render (read_alerts info));
-    match read_table info Obs.Run.Coverage Obs.Coverage.of_json ~what:"coverage" with
-    | Error why -> print_string why
-    | Ok cov ->
-      print_string (Obs.Coverage.render ~top cov);
-      let recomputed =
-        Obs.Coverage.of_records ~like:(Obs.Coverage.universe cov) records
-      in
-      print_recompute_check ~name:"coverage" ~doc:"coverage.json"
-        ~stream:"step" ~missing:"step stream (eval run or pre-attribution ledger)"
-        ~steps:(Obs.Coverage.steps cov)
-        ~recomputed:(Obs.Coverage.steps recomputed)
-        (Obs.Coverage.equal cov recomputed);
-      Option.iter
-        (fun out ->
-          let oc = open_out out in
-          output_string oc (Obs.Coverage.to_dot cov);
-          close_out oc;
-          Printf.printf "coverage heat dot written to %s\n" out)
-        dot
+    List.iter
+      (fun fold -> print_string (Obs.Fold.section ~top info records fold))
+      ledger_folds;
+    match dot, Obs.Fold.read (module Obs.Coverage) info with
+    | Some out, Some cov ->
+      Out_channel.with_open_text out (fun oc -> output_string oc (Obs.Coverage.to_dot cov));
+      Printf.printf "coverage heat dot written to %s\n" out
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "show" ~exits:(exits [])
@@ -1014,16 +950,11 @@ let runs_compare_cmd =
     end;
     (* informational only: attribution and exploration shifts explain a
        reward delta, they never affect the exit code *)
-    let table (i : Obs.Run.info) doc of_json =
-      Option.bind (Obs.Run.read i doc) of_json
-    in
-    print_string
-      (Attrib.render_shift ~base:(table b Obs.Run.Attrib Attrib.of_json)
-         ~cand:(table c Obs.Run.Attrib Attrib.of_json));
-    print_string
-      (Obs.Coverage.render_shift
-         ~base:(table b Obs.Run.Coverage Obs.Coverage.of_json)
-         ~cand:(table c Obs.Run.Coverage Obs.Coverage.of_json));
+    List.iter
+      (fun (module F : Obs.Fold.S) ->
+        let read = Obs.Fold.read (module F) in
+        print_string (Obs.Fold.shift (module F) ~base:(read b) ~cand:(read c)))
+      ledger_folds;
     if Obs.Run.has_regression deltas then begin
       Printf.printf "regression detected\n";
       exit 3
@@ -1070,9 +1001,7 @@ let watch_cmd =
       (* None = run predates the watchdog; the dashboard renders a
          placeholder row for it, not a blank or garbled line *)
       let alerts = Option.map fst (read_alerts info) in
-      let coverage =
-        Option.bind (Obs.Run.read info Obs.Run.Coverage) Obs.Coverage.of_json
-      in
+      let coverage = Obs.Fold.read (module Obs.Coverage) info in
       let serve = Obs.Run.read info Obs.Run.Serve in
       Obs.Dashboard.render ~alerts ~coverage ~serve ~id:info.Obs.Run.run_id
         ~manifest:info.Obs.Run.manifest ~records ~dropped ()

@@ -99,8 +99,6 @@ type result = {
   agent : Rl.Dqn.t;
   episodes : int;
   final_mean_reward : float;
-  attrib : Rl.Attrib.t;            (* streaming per-action attribution *)
-  coverage : Obs.Coverage.t;       (* streaming decision-space coverage *)
   alerts : Obs.Health.alert list;  (* watchdog alerts, oldest first *)
 }
 
@@ -115,18 +113,27 @@ let coverage_universe (actions : Posetrl_odg.Action_space.t) :
   in
   { Obs.Coverage.nodes; edges; action_paths }
 
-(* One shared constructor so the trainer's default table and the CLI's
-   live-serve table (which must be the same object to appear on
-   /coverage) are built identically. *)
 let make_coverage ?registry (actions : Posetrl_odg.Action_space.t) :
     Obs.Coverage.t =
   Obs.Coverage.create ?registry ~state_dim:Environment.state_dim
     (coverage_universe actions)
 
+(* The folds [train] keeps unless given its own: reward attribution,
+   labeled with each action's passes, and coverage. *)
+let default_folds (hp : hyperparams) (actions : Posetrl_odg.Action_space.t) :
+    Obs.Fold.t list =
+  let registry = Obs.Metrics.global in
+  let labels a = String.concat "," (Posetrl_odg.Action_space.action actions a) in
+  let n_actions = Posetrl_odg.Action_space.n_actions actions in
+  [ Obs.Fold.Fold
+      ( (module Rl.Attrib),
+        Rl.Attrib.create ~registry ~labels ~n_actions ~max_pos:hp.max_episode_steps () );
+    Obs.Fold.Fold ((module Obs.Coverage), make_coverage ~registry actions) ]
+
 let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
     ?(on_step = fun (_ : int) -> ())
     ?(on_alert = fun (_ : Obs.Health.alert) -> ())
-    ?inject_nan_at ?coverage
+    ?inject_nan_at ?folds
     ?pool ?(sanitize = Posetrl_analysis.Sanitize.Off)
     ~(seed : int) ~(corpus : Modul.t array)
     ~(actions : Posetrl_odg.Action_space.t)
@@ -149,20 +156,7 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
   let action_counters =
     Array.init (Environment.n_actions env) action_counter
   in
-  (* streaming reward attribution: pure accumulation over the step
-     stream, so the table is byte-identical across --jobs settings *)
-  let attrib =
-    Rl.Attrib.create ~registry:Obs.Metrics.global
-      ~n_actions:(Environment.n_actions env) ~max_pos:hp.max_episode_steps ()
-  in
-  (* streaming decision-space coverage: same pure-fold determinism
-     contract as [attrib]; the CLI passes its own table in when it also
-     serves the live /coverage endpoint *)
-  let coverage =
-    match coverage with
-    | Some c -> c
-    | None -> make_coverage ~registry:Obs.Metrics.global actions
-  in
+  let folds = match folds with Some l -> l | None -> default_folds hp actions in
   (* watchdog state: engine + the last-window action histogram it reads *)
   let watchdog = Obs.Health.create () in
   let win_actions = Array.make (Environment.n_actions env) 0 in
@@ -218,12 +212,7 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
       ~attrs:[ ("episode", Obs.Event.I !episode) ]
       (fun ep_span ->
     let state = ref (Environment.reset env program) in
-    let ep_reward = ref 0.0 in
-    let ep_bin = ref 0.0 in
-    let ep_thr = ref 0.0 in
-    let ep_actions = ref [] in
-    let ep_steps = ref [] in   (* per-step (r, rb, rt), newest first *)
-    let ep_pos = ref 0 in      (* position in the episode's schedule *)
+    let ep_steps = ref [] in   (* the episode's steps, newest first *)
     let terminal = ref false in
     while (not !terminal) && !step < hp.total_steps do
       incr step;
@@ -240,25 +229,17 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
       let action = Rl.Dqn.select_action agent rng ~epsilon !state in
       Obs.Metrics.inc action_counters.(action);
       win_actions.(action) <- win_actions.(action) + 1;
-      ep_actions := action :: !ep_actions;
       let res = Environment.step env action in
-      ep_reward := !ep_reward +. res.Environment.reward;
-      ep_bin := !ep_bin +. res.Environment.r_binsize;
-      ep_thr := !ep_thr +. res.Environment.r_throughput;
-      ep_steps :=
-        (res.Environment.reward, res.Environment.r_binsize,
-         res.Environment.r_throughput)
-        :: !ep_steps;
-      Rl.Attrib.observe attrib ~action ~pos:!ep_pos
-        ~reward:res.Environment.reward ~r_binsize:res.Environment.r_binsize
-        ~r_throughput:res.Environment.r_throughput;
-      (* the sketch hashes the pre-action embedding (the state the
-         policy decided in); the table folds the step itself *)
-      Obs.Coverage.observe_state coverage !state;
-      Obs.Coverage.observe coverage ~action ~pos:!ep_pos
-        ~reward:res.Environment.reward ~r_binsize:res.Environment.r_binsize
-        ~r_throughput:res.Environment.r_throughput;
-      incr ep_pos;
+      let s =
+        { Obs.Fold.action;
+          pos = List.length !ep_steps;
+          reward = res.Environment.reward;
+          r_binsize = res.Environment.r_binsize;
+          r_throughput = res.Environment.r_throughput;
+          state = Some !state }
+      in
+      Obs.Fold.observe folds s;
+      ep_steps := s :: !ep_steps;
       Rl.Replay.push ~step:!step replay
         { Rl.Replay.state = !state;
           action;
@@ -306,7 +287,7 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
         in
         Array.fill win_actions 0 (Array.length win_actions) 0;
         List.iter on_alert (Obs.Health.check watchdog sample);
-        Obs.Coverage.sample coverage ~step:!step;
+        Obs.Fold.sample folds ~step:!step;
         on_record
           (Obs.Runlog.tick_record
              ?q_mean:(Obs.Metrics.value "posetrl.dqn.q_mean") ?q_max
@@ -318,19 +299,29 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
       end;
       on_step !step
     done;
-    push_window reward_window !ep_reward;
-    push_window bin_window !ep_bin;
-    push_window thr_window !ep_thr;
-    Obs.Metrics.observe m_episode_reward !ep_reward;
-    Obs.Metrics.set m_last_reward !ep_reward;
+    let steps = List.rev !ep_steps in
+    let sum f = List.fold_left (fun acc (s : Obs.Fold.step) -> acc +. f s) 0.0 steps in
+    let ep_reward = sum (fun s -> s.reward) in
+    let ep_bin = sum (fun s -> s.r_binsize) in
+    let ep_thr = sum (fun s -> s.r_throughput) in
+    push_window reward_window ep_reward;
+    push_window bin_window ep_bin;
+    push_window thr_window ep_thr;
+    Obs.Metrics.observe m_episode_reward ep_reward;
+    Obs.Metrics.set m_last_reward ep_reward;
     let size_gain, thr_gain = Environment.episode_gain env in
     push_window size_window size_gain;
-    Obs.Span.set_attr ep_span "reward" (Obs.Event.F !ep_reward);
+    Obs.Span.set_attr ep_span "reward" (Obs.Event.F ep_reward);
     Obs.Span.set_attr ep_span "size_gain_pct" (Obs.Event.F size_gain);
     on_record
-      (Obs.Runlog.episode_record ~actions:(List.rev !ep_actions)
-         ~step_rewards:(List.rev !ep_steps) ~episode:!episode ~step:!step
-         ~reward:!ep_reward ~r_binsize:!ep_bin ~r_throughput:!ep_thr
+      (Obs.Runlog.episode_record
+         ~actions:(List.map (fun (s : Obs.Fold.step) -> s.action) steps)
+         ~step_rewards:
+           (List.map
+              (fun (s : Obs.Fold.step) -> (s.reward, s.r_binsize, s.r_throughput))
+              steps)
+         ~episode:!episode ~step:!step ~reward:ep_reward ~r_binsize:ep_bin
+         ~r_throughput:ep_thr
          ~size_gain_pct:size_gain ~thru_gain_pct:thr_gain
          ~epsilon:(Rl.Schedule.value hp.epsilon !step) ~loss:!last_loss ()))
   done);
@@ -347,6 +338,4 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
   { agent;
     episodes = !episode;
     final_mean_reward = window_mean reward_window;
-    attrib;
-    coverage;
     alerts = Obs.Health.alerts watchdog }

@@ -28,13 +28,6 @@ type result = {
   agent : Posetrl_rl.Dqn.t;
   episodes : int;
   final_mean_reward : float;
-  attrib : Posetrl_rl.Attrib.t;
-  (** streaming per-action reward attribution over the whole run;
-      byte-identical across [--jobs] settings *)
-  coverage : Posetrl_obs.Coverage.t;
-  (** streaming decision-space coverage (ODG node/edge visits,
-      transition matrix, entropy series, state sketch); same
-      determinism contract as [attrib] *)
   alerts : Posetrl_obs.Health.alert list;
   (** watchdog alerts fired during the run, oldest first *)
 }
@@ -48,10 +41,15 @@ val make_coverage :
   ?registry:Posetrl_obs.Metrics.t ->
   Posetrl_odg.Action_space.t -> Posetrl_obs.Coverage.t
 (** A fresh coverage table over {!coverage_universe} with the IR2Vec
-    state width — what {!train} builds when no [coverage] is passed.
-    The CLI builds one itself (with the global registry) so the same
-    table can both feed training and back the live [/coverage]
-    endpoint. *)
+    state width. *)
+
+val default_folds :
+  hyperparams -> Posetrl_odg.Action_space.t -> Posetrl_obs.Fold.t list
+(** The step-stream folds {!train} keeps when no [folds] are passed, on
+    the global registry: per-action reward attribution (labeled with
+    each action's passes, [hp.max_episode_steps] positions) and
+    {!make_coverage}. The CLI builds this list itself, so the same
+    tables also back the live routes and the ledger writes. *)
 
 val train :
   ?hp:hyperparams ->
@@ -59,7 +57,7 @@ val train :
   ?on_step:(int -> unit) ->
   ?on_alert:(Posetrl_obs.Health.alert -> unit) ->
   ?inject_nan_at:int ->
-  ?coverage:Posetrl_obs.Coverage.t ->
+  ?folds:Posetrl_obs.Fold.t list ->
   ?pool:Posetrl_support.Pool.t ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   seed:int ->
@@ -88,6 +86,12 @@ val train :
     updates) with the global step index — the hook the CLI uses to pump
     the [--serve] telemetry server ({!Posetrl_obs.Httpd.pump}) without
     threads. It must be cheap and must not raise.
+
+    [folds] get one {!Posetrl_obs.Fold.step} per environment step, with
+    the pre-action embedding as its state, and one sample per tick,
+    before the tick record. Their tables are byte-identical across
+    [pool] widths and equal their recompute from the [on_record]
+    records ({!Posetrl_obs.Fold.recompute}).
 
     A {!Posetrl_obs.Health} watchdog ({!Posetrl_obs.Health.default_config})
     runs on every tick; [on_alert] fires once per alert as it happens

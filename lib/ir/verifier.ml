@@ -110,17 +110,17 @@ let verify_func ?(dom = false) (m : Modul.t) (f : Func.t) : error list =
     (* unique labels *)
     if List.length labels <> SSet.cardinal label_set then
       err "duplicate block labels";
-    (* single definition per register; defs below next_id *)
+    (* single definition per register; defs below next_id; [defs] holds types *)
     let defs = Hashtbl.create 64 in
-    List.iter (fun (r, _) ->
+    List.iter (fun (r, ty) ->
         if Hashtbl.mem defs r then err "duplicate parameter register %%%d" r;
-        Hashtbl.replace defs r ()) f.Func.params;
+        Hashtbl.replace defs r ty) f.Func.params;
     Func.iter_insns
       (fun b i ->
         if i.Instr.id >= 0 then begin
           if Hashtbl.mem defs i.Instr.id then
             err ~block:b.Block.label "register %%%d defined more than once" i.Instr.id;
-          Hashtbl.replace defs i.Instr.id ();
+          Hashtbl.replace defs i.Instr.id (Instr.result_ty i.Instr.op);
           if i.Instr.id >= f.Func.next_id then
             err ~block:b.Block.label "register %%%d >= next_id %d" i.Instr.id f.Func.next_id
         end)
@@ -207,10 +207,19 @@ let verify_func ?(dom = false) (m : Modul.t) (f : Func.t) : error list =
         | Instr.Ret None ->
           if not (Types.equal f.Func.ret Types.Void) then
             err ~block "ret void in non-void function"
-        | Instr.Ret (Some (ty, _)) ->
+        | Instr.Ret (Some (ty, v)) ->
           if not (Types.equal f.Func.ret ty) then
             err ~block "ret type %s does not match function type %s"
-              (Types.to_string ty) (Types.to_string f.Func.ret)
+              (Types.to_string ty) (Types.to_string f.Func.ret);
+          (* an undefined register is reported above *)
+          (match v with
+           | Value.Reg r -> Hashtbl.find_opt defs r
+           | Value.Const c -> Some (Value.const_ty c)
+           | Value.Global _ -> None)
+          |> Option.iter (fun vty ->
+                 if not (Types.equal vty ty) then
+                   err ~block "ret type %s does not match its value's type %s"
+                     (Types.to_string ty) (Types.to_string vty))
         | _ -> ())
       f.Func.blocks;
     let structural = List.rev !errors in

@@ -13,7 +13,7 @@
 
    Everything except the state sketch is a pure fold over the in-order
    step stream, so the table is byte-deterministic per seed — including
-   under the domain pool (DESIGN.md §9) — and [of_records] recomputes
+   under the domain pool (DESIGN.md §9) — and [Fold.recompute] rebuilds
    it float-exactly from the run ledger's episode/tick records, which
    the tests hold equal to the streaming table. The state sketch
    (seeded sign-projection buckets over the IR2Vec embedding) is
@@ -129,7 +129,6 @@ let create ?registry ?(sketch_bits = 6) ?(sketch_seed = 9461)
     sketch = Array.make (1 lsl sketch_bits) 0;
     metrics }
 
-let universe (t : t) = t.universe
 let n_actions (t : t) = t.n_actions
 let steps (t : t) = t.steps
 let episodes (t : t) = t.episodes
@@ -268,35 +267,6 @@ let top_transitions (t : t) ~(k : int) : (int * int * int) list =
          if a <> b then compare b a else compare (i1, j1) (i2, j2))
   |> List.filteri (fun rank _ -> rank < k)
 
-(* Exact structural equality over everything recomputable from the run
-   ledger — float-for-float, not approximate. The sketch (and its
-   projection) is deliberately excluded: states are not persisted, so a
-   ledger recompute cannot rebuild it; its determinism is covered by
-   the --jobs 1/4 coverage.json byte-compare. [prev_action] is
-   mid-stream cursor state, not a result, and is also excluded so a
-   JSON round-trip compares equal. *)
-let equal (a : t) (b : t) : bool =
-  a.n_actions = b.n_actions
-  && a.universe.nodes = b.universe.nodes
-  && a.universe.edges = b.universe.edges
-  && a.universe.action_paths = b.universe.action_paths
-  && a.steps = b.steps && a.episodes = b.episodes
-  && a.node_counts = b.node_counts
-  && a.action_counts = b.action_counts
-  && a.transitions = b.transitions
-  && Array.for_all2
-       (fun (x : edge_cell) (y : edge_cell) ->
-         x.e_count = y.e_count
-         && Float.equal x.e_reward y.e_reward
-         && Float.equal x.e_binsize y.e_binsize
-         && Float.equal x.e_throughput y.e_throughput)
-       a.edge_cells b.edge_cells
-  && List.length a.series_rev = List.length b.series_rev
-  && List.for_all2
-       (fun (s1, p1, e1) (s2, p2, e2) ->
-         s1 = s2 && Float.equal p1 p2 && Float.equal e1 e2)
-       a.series_rev b.series_rev
-
 (* --- persistence (coverage.json) ----------------------------------------- *)
 
 let to_json (t : t) : Json.t =
@@ -349,6 +319,18 @@ let to_json (t : t) : Json.t =
            ("seed", Int t.sketch_seed);
            ("state_dim", Int t.state_dim);
            ("buckets", ints t.sketch) ]) ]
+
+(* Exact equality over everything recomputable from the run ledger: the
+   coverage.json documents without the sketch, since states are not
+   persisted (the --jobs 1/4 coverage.json byte-compare covers it). The
+   mid-stream transition cursor is not in the document. *)
+let equal (a : t) (b : t) : bool =
+  let recomputable t =
+    match to_json t with
+    | Json.Obj fields -> Json.Obj (List.remove_assoc "sketch" fields)
+    | doc -> doc
+  in
+  Json.equal (recomputable a) (recomputable b)
 
 (* Total reader: coverage.json is ledger data and may be torn or from
    another version. Every array is decoded and checked against the
@@ -412,16 +394,28 @@ let of_json : Json.t -> t option =
           series_rev = List.rev series;
           sketch = buckets })
 
-(* --- brute-force recompute from the run ledger ---------------------------- *)
+(* --- the step-stream fold (Fold.S) ------------------------------------------ *)
 
-(* Replay the ledger's step stream ([Runlog.replay]: ticks interleaved
-   by global step index, exactly where the trainer sampled) through the
-   same arithmetic as the streaming fold. *)
-let of_records ~(like : universe) (records : Json.t list) : t =
-  let t = create like in
-  Runlog.replay ~n_actions:t.n_actions ~observe:(observe t) ~sample:(sample t)
-    records;
-  t
+let name = "coverage"
+let file = "coverage.json"
+let stream = "step"
+let missing = "step stream (eval run or pre-attribution ledger)"
+
+(* the sketch hashes the pre-action embedding (the state the policy
+   decided in); the table folds the step itself *)
+let observe_step (t : t) (s : Fold.step) : unit =
+  Option.iter (observe_state t) s.state;
+  observe t ~action:s.action ~pos:s.pos ~reward:s.reward ~r_binsize:s.r_binsize
+    ~r_throughput:s.r_throughput
+
+(* a ledger replay folds no states, so any sketch will do *)
+let fresh (t : t) : t = create t.universe
+
+let summary (t : t) =
+  ( Printf.sprintf "coverage: %d/%d ODG edges (%.1f%%), action entropy %.3f bits\n"
+      (edges_visited t) (edge_count t) (edge_pct t) (entropy t),
+    [ ("coverage_edge_pct", Json.Float (edge_pct t));
+      ("coverage_entropy_bits", Json.Float (entropy t)) ] )
 
 (* --- rendering (posetrl runs show, posetrl runs compare) ------------------- *)
 
@@ -473,17 +467,12 @@ let render ~(top : int) (t : t) : string =
 
 (* The coverage line of `posetrl runs compare`: edge coverage, entropy
    and nodes, base -> candidate. Informational, like the attribution shift. *)
-let render_shift ~(base : t option) ~(cand : t option) : string =
-  match base, cand with
-  | None, _ | _, None ->
-    "coverage: no data on at least one side (pre-coverage run or \
-     unreadable coverage.json)\n"
-  | Some b, Some c ->
-    Printf.sprintf
-      "coverage: edges %.1f%% -> %.1f%% (%+.1f pts)  entropy %.3f -> %.3f \
-       bits (%+.3f)  nodes %d -> %d\n"
-      (edge_pct b) (edge_pct c) (edge_pct c -. edge_pct b) (entropy b) (entropy c)
-      (entropy c -. entropy b) (nodes_visited b) (nodes_visited c)
+let render_shift ~base:(b : t) ~cand:(c : t) : string =
+  Printf.sprintf
+    "coverage: edges %.1f%% -> %.1f%% (%+.1f pts)  entropy %.3f -> %.3f \
+     bits (%+.3f)  nodes %d -> %d\n"
+    (edge_pct b) (edge_pct c) (edge_pct c -. edge_pct b) (entropy b) (entropy c)
+    (entropy c -. entropy b) (nodes_visited b) (nodes_visited c)
 
 (* --- heat-annotated ODG rendering ----------------------------------------- *)
 

@@ -5,10 +5,10 @@
 
     The table is a pure fold over the in-order step stream, so it is
     byte-deterministic per seed — identical for [--jobs 1] and
-    [--jobs 4] — and {!of_records} recomputes it float-exactly from
-    the run ledger. Only the state sketch is not ledger-recomputable
-    (states are not persisted) and is therefore excluded from
-    {!equal}. *)
+    [--jobs 4] — and {!Fold.recompute} recomputes it float-exactly
+    from the run ledger. Only the state sketch is not
+    ledger-recomputable (states are not persisted) and is therefore
+    excluded from {!equal}. The module is a {!Fold.S}. *)
 
 type universe = {
   nodes : string array;          (** pass names (ODG nodes first, then
@@ -60,7 +60,6 @@ val sample : t -> step:int -> unit
 
 (** {1 Readings} *)
 
-val universe : t -> universe
 val n_actions : t -> int
 val steps : t -> int
 val episodes : t -> int
@@ -112,11 +111,25 @@ val of_json : Json.t -> t option
     against the universe before it allocates the table, and a table read
     this way never builds the sketch projection. *)
 
-val of_records : like:universe -> Json.t list -> t
-(** Brute-force recompute from progress.jsonl records (in file order)
-    through {!Runlog.replay}: every {!observe} in step order, every
-    {!sample} exactly where the streaming table sampled it. The result
-    is {!equal} to the streaming table of the same run. *)
+(** {1 The step-stream fold ({!Fold.S})} *)
+
+val name : string
+val file : string
+val stream : string
+val missing : string
+
+val observe_step : t -> Fold.step -> unit
+(** {!observe_state} on the step's state, when it has one, then
+    {!observe}. *)
+
+val fresh : t -> t
+(** An empty table over the same universe, publishing no gauges (with
+    the default sketch: a ledger replay folds no states). *)
+
+val summary : t -> string * (string * Json.t) list
+(** The console line a finished training run prints (edges visited and
+    entropy) and its manifest fields [coverage_edge_pct] and
+    [coverage_entropy_bits]. *)
 
 val render : top:int -> t -> string
 (** The coverage section of [posetrl runs show]: steps, episodes, edge
@@ -124,10 +137,9 @@ val render : top:int -> t -> string
     occupancy, then the [top] hottest edges (mean reward split per
     visit) and the [top] most frequent action transitions. *)
 
-val render_shift : base:t option -> cand:t option -> string
+val render_shift : base:t -> cand:t -> string
 (** The coverage line of [posetrl runs compare]: edge %, entropy and
-    nodes visited, base → candidate; a "no data" line when either side
-    has no readable table. *)
+    nodes visited, base → candidate. *)
 
 val to_dot : ?k:int -> t -> string
 (** Heat-annotated Graphviz rendering of the universe, structurally

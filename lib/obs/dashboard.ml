@@ -162,13 +162,13 @@ let schedules ~(k : int) (records : Json.t list) : string =
           (match Runlog.episode_actions r with
            | [] -> "-"
            | l -> String.concat "->" (List.map string_of_int l));
-        List.iteri
-          (fun p (a, sr, rb, rt) ->
+        List.iter
+          (fun (s : Fold.step) ->
             Printf.bprintf buf
               "        pos %-2d action %-3d r %8.3f  (binsize %8.3f  \
                throughput %8.3f)\n"
-              p a sr rb rt)
-          (Runlog.episode_steps r)
+              s.pos s.action s.reward s.r_binsize s.r_throughput)
+          (Fold.episode_steps r)
       end)
     scored;
   Buffer.contents buf
@@ -177,7 +177,7 @@ let schedules ~(k : int) (records : Json.t list) : string =
    window's action counts against the previous window's by [Health.kl].
    Its smoothing makes the histogram width part of the value, so every
    window spans the largest in-range action id of any episode; ids at or
-   past [n_actions] are skipped, as [Runlog.replay] skips them. *)
+   past [n_actions] are skipped, as [Fold.replay] skips them. *)
 let drift ~(n_actions : int) (records : Json.t list) : string =
   let episodes = List.filter (fun r -> Runlog.str "kind" r = Some "episode") records in
   let n_ep = List.length episodes in

@@ -17,7 +17,7 @@ val drift : n_actions:int -> Json.t list -> string
 (** The [posetrl runs show] drift timeline: the episode records cut into
     8 consecutive windows, each window's action counts (the same count
     as {!action_histogram}, minus the action ids at or past
-    [n_actions], which {!Runlog.replay} skips too) compared with the
+    [n_actions], which {!Fold.replay} skips too) compared with the
     previous window's by {!Health.kl}, and flagged past the watchdog's
     default [drift_kl]; [""] when there are fewer than two windows.
     Every window spans the largest in-range action id the episodes

@@ -180,18 +180,16 @@ let run_summary (i : Run.info) : Json.t =
 
 let telemetry_handler ?(registry = Metrics.global)
     ?(runs_root = Run.default_root)
-    ?(alerts : unit -> Json.t list = fun () -> [])
-    ?(coverage : unit -> Json.t option = fun () -> None)
+    ?(docs = [ ("alerts", fun () -> Some (Json.Arr [])) ])
     ~(health : unit -> Json.t) () : handler =
  fun (req : request) ->
   match String.split_on_char '/' req.path with
   | [ ""; "metrics" ] -> response (Expo.scrape ~r:registry ())
   | [ ""; "healthz" ] -> json_response (health ())
-  | [ ""; "alerts" ] -> json_response (Json.Arr (alerts ()))
-  | [ ""; "coverage" ] ->
-    (match coverage () with
+  | [ ""; name ] when List.mem_assoc name docs ->
+    (match List.assoc name docs () with
      | Some doc -> json_response doc
-     | None -> error_response 404 "no coverage table for this run")
+     | None -> error_response 404 (Printf.sprintf "no %s table for this run" name))
   | [ ""; "runs" ] ->
     json_response (Json.Arr (List.map run_summary (Run.list_runs ~root:runs_root ())))
   | [ ""; "runs"; id; "progress" ] ->

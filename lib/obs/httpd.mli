@@ -61,8 +61,7 @@ val render_response : response -> string
 val telemetry_handler :
   ?registry:Metrics.t ->
   ?runs_root:string ->
-  ?alerts:(unit -> Json.t list) ->
-  ?coverage:(unit -> Json.t option) ->
+  ?docs:(string * (unit -> Json.t option)) list ->
   health:(unit -> Json.t) ->
   unit ->
   handler
@@ -70,10 +69,11 @@ val telemetry_handler :
     - [GET /metrics] — Prometheus exposition of [registry] ({!Expo});
     - [GET /healthz] — the [health] thunk's JSON (status, uptime,
       current step/episode...);
-    - [GET /alerts] — JSON array of the [alerts] thunk's records
-      (watchdog alerts fired so far this run; [[]] by default);
-    - [GET /coverage] — the [coverage] thunk's document (the live
-      {!Coverage} table; 404 when the thunk yields [None], the default);
+    - [GET /NAME] for each [(NAME, thunk)] of [docs] — the thunk's
+      document (a live table, e.g. [/coverage] from {!Fold.route}, or
+      the [/alerts] array of the watchdog alerts fired so far); a 404
+      when the thunk yields [None]. [docs] defaults to an [/alerts] of
+      [[]], a run with no alerts fired;
     - [GET /runs] — JSON array of the {!Run} ledger under [runs_root];
     - [GET /runs/:id/progress] — that run's progress records, when
       [:id] is one that [GET /runs] lists (a 404 otherwise: ids are

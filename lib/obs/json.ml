@@ -12,6 +12,14 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* Structural equality, floats by [Float.equal] (NaN = NaN, 0. <> -0.) *)
+let rec equal (a : t) (b : t) : bool =
+  match a, b with
+  | Float x, Float y -> Float.equal x y
+  | Arr xs, Arr ys -> List.equal equal xs ys
+  | Obj xs, Obj ys -> List.equal (fun (k, x) (l, y) -> String.equal k l && equal x y) xs ys
+  | _ -> a = b
+
 let escape_string (s : string) : string =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';

@@ -26,15 +26,11 @@ let trace_path dir = Filename.concat dir "trace.jsonl"
 let alerts_path dir = Filename.concat dir "alerts.jsonl"
 
 (* The whole-document files a run may hold, each replaced atomically. *)
-type doc = Eval | Attrib | Coverage | Serve
+type doc = Eval | Serve | Fold of string
 
 let doc_path (d : doc) dir =
   Filename.concat dir
-    (match d with
-     | Eval -> "eval.json"
-     | Attrib -> "attrib.json"
-     | Coverage -> "coverage.json"
-     | Serve -> "serve.json")
+    (match d with Eval -> "eval.json" | Serve -> "serve.json" | Fold file -> file)
 
 let iso8601 (t : float) : string =
   let tm = Unix.gmtime t in

@@ -14,12 +14,11 @@ val alerts_path : string -> string
 
 type doc =
   | Eval      (** [eval.json]: per-suite size/throughput tables *)
-  | Attrib    (** [attrib.json]: [Posetrl_rl.Attrib.to_json] of the
-                  trainer's attribution table *)
-  | Coverage  (** [coverage.json]: [Coverage.to_json] of the trainer's
-                  (or eval's) coverage table *)
   | Serve     (** [serve.json]: the serve daemon's rolling stats snapshot,
                   [Posetrl_serve.Server.stats_json] *)
+  | Fold of string
+      (** a step-stream fold's table under its file name ({!Fold.S.file}):
+          [attrib.json], [coverage.json] *)
 (** The whole-document files a run directory may hold. *)
 
 val doc_path : doc -> string -> string

@@ -153,67 +153,6 @@ let episode_actions (record : Json.t) : int list =
     List.filter_map (function Json.Int a when a >= 0 -> Some a | _ -> None) l
   | _ -> []
 
-(* One episode's step stream out of an "episode" record, the inverse
-   of [episode_record]: the actions zipped with the per-step "steps"
-   reward triples. Records from pre-attribution ledgers have no "steps"
-   field and yield []. *)
-let episode_steps (record : Json.t) : (int * float * float * float) list =
-  match field "steps" record with
-  | Some (Json.Arr steps) ->
-    let actions = episode_actions record in
-    if List.length actions <> List.length steps then []
-    else
-      List.map2
-        (fun action s ->
-          let f k = Option.value ~default:0.0 (num k s) in
-          (action, f "r", f "rb", f "rt"))
-        actions steps
-  | _ -> []
-
-(* The step stream a ledger's records describe, in trainer order: each
-   episode's steps re-indexed to global steps (the record's "step" is
-   its last), with every tick at step S sampled after the steps with
-   index <= S and before the first later one. Episode records land in
-   the file after any tick emitted mid-episode, which is why the ticks
-   are merged by index rather than taken in file order. *)
-let replay ~(n_actions : int)
-    ~(observe :
-       action:int -> pos:int -> reward:float -> r_binsize:float ->
-       r_throughput:float -> unit)
-    ~(sample : step:int -> unit) (records : Json.t list) : unit =
-  let ticks =
-    ref
-      (List.filter_map
-         (fun r ->
-           if str "kind" r = Some "tick" then
-             Option.map int_of_float (num "step" r)
-           else None)
-         records)
-  in
-  let rec sample_before g =
-    match !ticks with
-    | s :: rest when s < g ->
-      ticks := rest;
-      sample ~step:s;
-      sample_before g
-    | _ -> ()
-  in
-  List.iter
-    (fun r ->
-      if str "kind" r = Some "episode" then begin
-        let steps = episode_steps r in
-        let last = Option.fold ~none:0 ~some:int_of_float (num "step" r) in
-        let first = last - List.length steps + 1 in
-        List.iteri
-          (fun pos (action, reward, r_binsize, r_throughput) ->
-            sample_before (first + pos);
-            if action < n_actions then
-              observe ~action ~pos ~reward ~r_binsize ~r_throughput)
-          steps
-      end)
-    records;
-  List.iter (fun s -> sample ~step:s) !ticks
-
 (* Extract an (x, y) series from progress records of one kind; records
    missing either field are skipped. *)
 let series ~(kind : string) ~(x : string) ~(y : string)

@@ -66,29 +66,8 @@ val episode_record :
 val episode_actions : Json.t -> int list
 (** The sub-sequence ids of one ["episode"] record's [actions] array, in
     order (entries that are not non-negative ints are dropped); [[]]
-    when the field is absent. The one reader behind {!episode_steps},
+    when the field is absent. The one reader behind {!Fold.episode_steps},
     the [posetrl watch] action histogram and [posetrl runs show]. *)
-
-val episode_steps : Json.t -> (int * float * float * float) list
-(** [(action, reward, r_binsize, r_throughput)] per step of one
-    ["episode"] record: {!episode_actions} zipped with the [steps]
-    triples {!episode_record} writes; [[]] for records without the step
-    stream (or whose two arrays differ in length). *)
-
-val replay :
-  n_actions:int ->
-  observe:
-    (action:int -> pos:int -> reward:float -> r_binsize:float ->
-     r_throughput:float -> unit) ->
-  sample:(step:int -> unit) -> Json.t list -> unit
-(** Replay progress records (in file order) as the trainer's step
-    stream: [observe] gets every step of every episode record in order,
-    [pos] being its position within the episode, and [sample] every tick
-    step, called after all steps with a global index up to it and before
-    the first later one (global indices are recovered from each episode
-    record's end [step]). Steps whose action is [>= n_actions] are
-    skipped. The one ledger replay behind [Attrib.of_records] and
-    {!Coverage.of_records}. *)
 
 val series :
   kind:string -> x:string -> y:string -> Json.t list -> (float * float) list

@@ -5,10 +5,10 @@
    r_binsize, r_throughput) into a table of per-action cells; the totals
    are plain float sums over the step stream in program order, so the
    table is byte-deterministic per seed — including under the domain
-   pool, which never reorders the step stream (DESIGN.md §9). The same
-   arithmetic is exposed as [of_records], a brute-force recompute from
-   the run ledger's episode records, which the tests hold exactly equal
-   to the streaming table.
+   pool, which never reorders the step stream (DESIGN.md §9), and
+   [Obs.Fold.recompute] rebuilds it from the run ledger's episode
+   records, which the tests hold exactly equal to the streaming table.
+   The module is an [Obs.Fold.S].
 
    Metric exposure is opt-in per table ([registry]): the trainer's table
    publishes the posetrl.attrib.reward_total labeled gauge; recomputed
@@ -43,7 +43,8 @@ let fresh_cell max_pos =
     total_throughput = 0.0;
     positions = Array.make max_pos 0 }
 
-let create ?registry ~(n_actions : int) ~(max_pos : int) () : t =
+let create ?registry ?(labels = fun _ -> "") ~(n_actions : int)
+    ~(max_pos : int) () : t =
   if n_actions <= 0 then invalid_arg "Attrib.create: n_actions must be positive";
   let max_pos = max 1 max_pos in
   let metrics =
@@ -59,11 +60,10 @@ let create ?registry ~(n_actions : int) ~(max_pos : int) () : t =
     max_pos;
     cells = Array.init n_actions (fun _ -> fresh_cell max_pos);
     steps = 0;
-    labels = Array.make n_actions "";
+    labels = Array.init n_actions labels;
     metrics }
 
 let n_actions (t : t) = t.n_actions
-let max_pos (t : t) = t.max_pos
 let steps (t : t) = t.steps
 
 let observe (t : t) ~(action : int) ~(pos : int) ~(reward : float)
@@ -104,23 +104,9 @@ let top_position (t : t) (a : int) : int option =
     Some !best
   end
 
-(* exact structural equality — the determinism/recompute contract is
-   float-for-float, not approximate; the labels are not part of the fold *)
-let equal (a : t) (b : t) : bool =
-  a.n_actions = b.n_actions && a.max_pos = b.max_pos && a.steps = b.steps
-  && Array.for_all2
-       (fun (x : cell) (y : cell) ->
-         x.count = y.count
-         && Float.equal x.total_reward y.total_reward
-         && Float.equal x.total_binsize y.total_binsize
-         && Float.equal x.total_throughput y.total_throughput
-         && x.positions = y.positions)
-       a.cells b.cells
-
 (* --- persistence (attrib.json) ------------------------------------------- *)
 
-let to_json ?labels (t : t) : Obs.Json.t =
-  let label = Option.value labels ~default:(Array.get t.labels) in
+let to_json (t : t) : Obs.Json.t =
   let open Obs.Json in
   Obj
     [ ("kind", Str "attrib");
@@ -133,7 +119,7 @@ let to_json ?labels (t : t) : Obs.Json.t =
               let c = t.cells.(a) in
               Obj
                 [ ("action", Int a);
-                  ("passes", Str (label a));
+                  ("passes", Str t.labels.(a));
                   ("count", Int c.count);
                   ("reward_total", Float c.total_reward);
                   ("reward_mean", Float (mean_reward t a));
@@ -142,6 +128,10 @@ let to_json ?labels (t : t) : Obs.Json.t =
                   ("positions",
                    Arr (Array.to_list (Array.map (fun n -> Int n) c.positions)))
                 ]))) ]
+
+(* exact equality of the two attrib.json documents — the determinism and
+   recompute contract is float-for-float, not approximate *)
+let equal (a : t) (b : t) : bool = Obs.Json.equal (to_json a) (to_json b)
 
 (* Total reader: attrib.json is ledger data and may be torn or from
    another version. Every entry is decoded and its positions checked
@@ -218,37 +208,41 @@ let render ~(top : int) (t : t) : string =
 (* The attribution section of `posetrl runs compare`: the 15 actions
    whose total reward moved most between two runs. Informational: a
    shift explains a reward delta, it does not gate it. *)
-let render_shift ~(base : t option) ~(cand : t option) : string =
-  match base, cand with
-  | None, _ | _, None ->
-    "attribution: no data on at least one side (pre-attribution run or \
-     unreadable attrib.json)\n"
-  | Some b, Some c ->
-    let shift a = total_reward c a -. total_reward b a in
-    let tbl =
-      Tbl.create ~title:"per-action reward attribution (base vs candidate)"
-        ~headers:[ "action"; "count b/c"; "reward base"; "reward cand"; "shift" ]
-        ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
-        ()
-    in
-    List.init (min b.n_actions c.n_actions) Fun.id
-    |> List.filter (fun a -> count b a > 0 || count c a > 0)
-    |> List.sort (fun x y -> compare (Float.abs (shift y)) (Float.abs (shift x)))
-    |> List.iteri (fun i a ->
-           if i < 15 then
-             Tbl.add_row tbl
-               [ string_of_int a;
-                 Printf.sprintf "%d/%d" (count b a) (count c a);
-                 Printf.sprintf "%.3f" (total_reward b a);
-                 Printf.sprintf "%.3f" (total_reward c a);
-                 Printf.sprintf "%+.3f" (shift a) ]);
-    Tbl.render tbl
+let render_shift ~base:(b : t) ~cand:(c : t) : string =
+  let shift a = total_reward c a -. total_reward b a in
+  let tbl =
+    Tbl.create ~title:"per-action reward attribution (base vs candidate)"
+      ~headers:[ "action"; "count b/c"; "reward base"; "reward cand"; "shift" ]
+      ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
+      ()
+  in
+  List.init (min b.n_actions c.n_actions) Fun.id
+  |> List.filter (fun a -> count b a > 0 || count c a > 0)
+  |> List.sort (fun x y -> compare (Float.abs (shift y)) (Float.abs (shift x)))
+  |> List.iteri (fun i a ->
+         if i < 15 then
+           Tbl.add_row tbl
+             [ string_of_int a;
+               Printf.sprintf "%d/%d" (count b a) (count c a);
+               Printf.sprintf "%.3f" (total_reward b a);
+               Printf.sprintf "%.3f" (total_reward c a);
+               Printf.sprintf "%+.3f" (shift a) ]);
+  Tbl.render tbl
 
-(* --- brute-force recompute from the run ledger ---------------------------- *)
+(* --- the step-stream fold (Obs.Fold.S) ---------------------------------------- *)
 
-let of_records ~(n_actions : int) ~(max_pos : int)
-    (records : Obs.Json.t list) : t =
-  let t = create ~n_actions ~max_pos () in
-  Obs.Runlog.replay ~n_actions ~observe:(observe t)
-    ~sample:(fun ~step:_ -> ()) records;
-  t
+let name = "attribution"
+let file = "attrib.json"
+let stream = "episode"
+let missing = "per-step rewards (pre-attribution ledger)"
+
+let observe_step (t : t) (s : Obs.Fold.step) : unit =
+  observe t ~action:s.action ~pos:s.pos ~reward:s.reward ~r_binsize:s.r_binsize
+    ~r_throughput:s.r_throughput
+
+let sample (_ : t) ~step:_ = ()
+
+let fresh (t : t) : t =
+  create ~labels:(Array.get t.labels) ~n_actions:t.n_actions ~max_pos:t.max_pos ()
+
+let summary (_ : t) = ("", [])

@@ -234,7 +234,7 @@ let test_trainer_episode_stream () =
             && Float.is_finite (num "thru_gain_pct" r));
          Alcotest.(check int) "one step triple per action"
            (List.length (Obs.Runlog.episode_actions r))
-           (List.length (Obs.Runlog.episode_steps r));
+           (List.length (Obs.Fold.episode_steps r));
          index)
        0 eps)
 

@@ -4,20 +4,14 @@
    universe where every credit is checkable on paper: node visits along
    the action path, intra-path and junction ODG edges, the transition
    matrix and its episode-boundary reset, the entropy series. The
-   property test closes the same determinism loop as attribution: the
-   streaming table the trainer builds must equal, float for float, the
-   brute-force recompute from the progress records it emitted — for
-   sequential and pooled training alike, including the tick-aligned
-   entropy samples. *)
+   property holds the trainer's table equal to its ledger recompute,
+   tick-aligned entropy samples included. *)
 
 module Obs = Posetrl_obs
 module Cov = Obs.Coverage
 module C = Posetrl_core
 module O = Posetrl_odg
-module W = Posetrl_workloads
-module CG = Posetrl_codegen
 
-let x86 = CG.Target.x86_64
 let check_float = Alcotest.(check (float 1e-9))
 
 let contains s sub =
@@ -226,11 +220,11 @@ no visited edges
   Alcotest.(check string) "runs compare coverage line"
     {|coverage: edges 100.0% -> 100.0% (+0.0 pts)  entropy 1.585 -> 1.500 bits (-0.085)  nodes 4 -> 4
 |}
-    (Cov.render_shift ~base:(Some base) ~cand:(Some cand));
+    (Cov.render_shift ~base ~cand);
   Alcotest.(check string) "one side without data"
     {|coverage: no data on at least one side (pre-coverage run or unreadable coverage.json)
 |}
-    (Cov.render_shift ~base:(Some base) ~cand:None)
+    (Obs.Fold.shift (module Cov) ~base:(Some base) ~cand:None)
 
 (* a streamed table over a random universe: random steps, embeddings and
    samples *)
@@ -295,18 +289,18 @@ let test_run_coverage_file () =
       in
       let info () = Obs.Run.find rdir in
       Alcotest.(check bool) "absent file is None" true
-        (Obs.Run.read (info ()) Obs.Run.Coverage = None);
-      Obs.Run.write run Obs.Run.Coverage (Cov.to_json (tiny_table ()));
+        (Obs.Run.read (info ()) (Obs.Run.Fold Cov.file) = None);
+      Obs.Run.write run (Obs.Run.Fold Cov.file) (Cov.to_json (tiny_table ()));
       Obs.Run.finish run;
-      (match Option.bind (Obs.Run.read (info ()) Obs.Run.Coverage) Cov.of_json with
+      (match Obs.Fold.read (module Cov) (info ()) with
        | Some t -> Alcotest.(check int) "written table read back" 3 (Cov.steps t)
        | None -> Alcotest.fail "coverage.json should read back");
       (* a torn write must degrade to None, never an exception *)
-      let oc = open_out (Obs.Run.doc_path Obs.Run.Coverage rdir) in
+      let oc = open_out (Obs.Run.doc_path (Obs.Run.Fold Cov.file) rdir) in
       output_string oc "{\"kind\": \"cov";
       close_out oc;
       Alcotest.(check bool) "corrupt file is None" true
-        (Obs.Run.read (info ()) Obs.Run.Coverage = None))
+        (Obs.Run.read (info ()) (Obs.Run.Fold Cov.file) = None))
 
 let test_to_dot_heat () =
   let t = Cov.create tiny_universe in
@@ -362,55 +356,9 @@ let test_coverage_universe_shape () =
 
 (* --- streaming = recompute (the determinism property) ------------------------ *)
 
-(* 250 steps so one progress tick (step 200) lands mid-run: the
-   recompute has to interleave the entropy sample into the flattened
-   episode stream at exactly the right step. *)
-let cov_hp =
-  { C.Trainer.fast with
-    C.Trainer.total_steps = 250;
-    C.Trainer.epsilon =
-      Posetrl_rl.Schedule.create ~start:1.0 ~stop:0.2 ~decay_steps:150 ();
-    C.Trainer.warmup_steps = 32;
-    C.Trainer.target_sync_every = 60 }
-
-(* One short training run; returns the streaming table and the progress
-   records (ticks and episodes interleaved) the trainer hands
-   [on_record] — what the CLI persists to progress.jsonl. *)
-let train_capture ~seed ~jobs =
-  let corpus = W.Genprog.corpus ~n:4 () in
-  let records = ref [] in
-  let train pool =
-    C.Trainer.train ?pool ~hp:cov_hp
-      ~on_record:(fun r -> records := r :: !records)
-      ~seed ~corpus ~actions:O.Action_space.manual ~target:x86 ()
-  in
-  let res =
-    if jobs <= 1 then train None
-    else
-      Posetrl_support.Pool.with_pool ~name:"test-coverage" ~jobs (fun p ->
-          train (Some p))
-  in
-  (res.C.Trainer.coverage, List.rev !records)
-
 let prop_streaming_eq_recompute =
-  QCheck2.Test.make ~count:2
-    ~print:QCheck2.Print.int
-    ~name:"streaming coverage = ledger recompute (jobs 1 and 4)"
-    QCheck2.Gen.(int_range 0 1000)
-    (fun seed ->
-      List.for_all
-        (fun jobs ->
-          let streaming, records = train_capture ~seed ~jobs in
-          (* serialize through JSON strings first: the recompute must
-             hold over what's actually on disk, not in-memory values *)
-          let reread =
-            List.map
-              (fun r -> Obs.Json.of_string (Obs.Json.to_string r))
-              records
-          in
-          let brute = Cov.of_records ~like:(Cov.universe streaming) reread in
-          Cov.equal streaming brute)
-        [ 1; 4 ])
+  Testutil.prop_folds_eq_recompute ~only:Cov.name
+    ~name:"streaming coverage = ledger recompute (jobs 1 and 4)" ()
 
 let suite =
   [ Alcotest.test_case "observe credits nodes/edges/transitions" `Quick

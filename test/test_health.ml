@@ -3,20 +3,13 @@
    The watchdog tests drive Health.check directly with hand-built
    samples — under Clock.with_fake where the stall rule is involved —
    and assert the edge-trigger contract: one alert per incident, silence
-   on healthy runs. The attribution tests close the determinism loop:
-   the streaming table the trainer builds must equal, float for float,
-   the brute-force recompute from the episode records it emitted — for
-   sequential and pooled training alike. *)
+   on healthy runs. The attribution tests check the table's arithmetic,
+   its attrib.json reader, its renderers, and that the trainer's table
+   equals its ledger recompute, sequential and pooled alike. *)
 
 module Obs = Posetrl_obs
 module Rl = Posetrl_rl
-module C = Posetrl_core
-module O = Posetrl_odg
-module W = Posetrl_workloads
-module CG = Posetrl_codegen
 module H = Obs.Health
-
-let x86 = CG.Target.x86_64
 
 (* a private registry per test so alert counters don't cross-talk *)
 let engine ?config () =
@@ -203,11 +196,14 @@ let test_attrib_accumulates () =
   Alcotest.(check (option int)) "unused action" None (Rl.Attrib.top_position t 1)
 
 let test_attrib_json_roundtrip () =
-  let t = Rl.Attrib.create ~n_actions:3 ~max_pos:4 () in
+  let t =
+    Rl.Attrib.create ~labels:(fun a -> Printf.sprintf "p%d" a) ~n_actions:3
+      ~max_pos:4 ()
+  in
   Rl.Attrib.observe t ~action:1 ~pos:2 ~reward:0.1 ~r_binsize:0.30000000000000004
     ~r_throughput:(-1.25e-3);
   Rl.Attrib.observe t ~action:0 ~pos:0 ~reward:7.0 ~r_binsize:0.0 ~r_throughput:1.4;
-  let doc = Rl.Attrib.to_json ~labels:(fun a -> Printf.sprintf "p%d" a) t in
+  let doc = Rl.Attrib.to_json t in
   (* a serialize → parse → deserialize cycle through the %.17g printer
      must reproduce the table exactly *)
   match Rl.Attrib.of_json (Obs.Json.of_string (Obs.Json.to_string doc)) with
@@ -264,15 +260,16 @@ let test_attrib_of_json_bounded () =
 
 (* four actions (action 1 never taken), labels as attrib.json stores them *)
 let attrib_fixture extra =
-  let t = Rl.Attrib.create ~n_actions:4 ~max_pos:3 () in
+  let t =
+    Rl.Attrib.create ~labels:(fun a -> Printf.sprintf "pass%d,dce" a)
+      ~n_actions:4 ~max_pos:3 ()
+  in
   List.iter
     (fun (action, pos, reward) ->
       Rl.Attrib.observe t ~action ~pos ~reward ~r_binsize:(reward /. 4.0)
         ~r_throughput:(reward /. 8.0))
     ([ (2, 0, 1.5); (2, 1, 0.5); (0, 2, -1.0); (3, 1, 3.0) ] @ extra);
-  Option.get
-    (Rl.Attrib.of_json
-       (Rl.Attrib.to_json ~labels:(fun a -> Printf.sprintf "pass%d,dce" a) t))
+  Option.get (Rl.Attrib.of_json (Rl.Attrib.to_json t))
 
 let test_attrib_render_golden () =
   let base = attrib_fixture [] in
@@ -297,11 +294,11 @@ per-action reward attribution (4 steps):
 |      2 |       2/2 |       2.000 |       2.000 | +0.000 |
 |      3 |       1/1 |       3.000 |       3.000 | +0.000 |
 |}
-    (Rl.Attrib.render_shift ~base:(Some base) ~cand:(Some cand));
+    (Rl.Attrib.render_shift ~base ~cand);
   Alcotest.(check string) "one side without data"
     {|attribution: no data on at least one side (pre-attribution run or unreadable attrib.json)
 |}
-    (Rl.Attrib.render_shift ~base:None ~cand:(Some cand))
+    (Obs.Fold.shift (module Rl.Attrib) ~base:None ~cand:(Some cand))
 
 let gen_reward =
   QCheck2.Gen.(frequency [ (9, float_range (-1e3) 1e3); (1, return Float.nan) ])
@@ -318,13 +315,13 @@ let gen_attrib =
     and+ labels =
       array_size (return n_actions) (string_size ~gen:printable (int_range 0 8))
     in
-    let t = Rl.Attrib.create ~n_actions ~max_pos () in
+    let t = Rl.Attrib.create ~labels:(Array.get labels) ~n_actions ~max_pos () in
     List.iter
       (fun (action, pos, (reward, r_binsize)) ->
         Rl.Attrib.observe t ~action ~pos ~reward ~r_binsize
           ~r_throughput:(reward -. r_binsize))
       steps;
-    (t, Rl.Attrib.to_json ~labels:(Array.get labels) t))
+    (t, Rl.Attrib.to_json t))
 
 let prop_attrib_reader =
   QCheck2.Test.make ~count:300
@@ -369,56 +366,9 @@ let prop_alert_reader =
 
 (* --- attribution: streaming = recompute (the determinism property) ----------- *)
 
-let tiny_hp =
-  { C.Trainer.fast with
-    C.Trainer.total_steps = 150;
-    C.Trainer.epsilon = Posetrl_rl.Schedule.create ~start:1.0 ~stop:0.2 ~decay_steps:100 ();
-    C.Trainer.warmup_steps = 32;
-    C.Trainer.target_sync_every = 60 }
-
-(* One short training run; returns the streaming table and the progress
-   records the trainer hands [on_record] — what the CLI persists to
-   progress.jsonl. *)
-let train_capture ~seed ~jobs =
-  let corpus = W.Genprog.corpus ~n:4 () in
-  let records = ref [] in
-  let train pool =
-    C.Trainer.train ?pool ~hp:tiny_hp
-      ~on_record:(fun r -> records := r :: !records)
-      ~seed ~corpus ~actions:O.Action_space.manual ~target:x86 ()
-  in
-  let res =
-    if jobs <= 1 then train None
-    else
-      Posetrl_support.Pool.with_pool ~name:"test-attrib" ~jobs (fun p ->
-          train (Some p))
-  in
-  (res.C.Trainer.attrib, List.rev !records)
-
 let prop_streaming_eq_recompute =
-  QCheck2.Test.make ~count:3
-    ~print:QCheck2.Print.int
-    ~name:"streaming attribution = ledger recompute (jobs 1 and 4)"
-    QCheck2.Gen.(int_range 0 1000)
-    (fun seed ->
-      List.for_all
-        (fun jobs ->
-          let streaming, records = train_capture ~seed ~jobs in
-          (* serialize through JSON strings first: the recompute must
-             hold over what's actually on disk, not in-memory values *)
-          let reread =
-            List.map
-              (fun r -> Obs.Json.of_string (Obs.Json.to_string r))
-              records
-          in
-          let brute =
-            Rl.Attrib.of_records
-              ~n_actions:(Rl.Attrib.n_actions streaming)
-              ~max_pos:(Rl.Attrib.max_pos streaming)
-              reread
-          in
-          Rl.Attrib.equal streaming brute)
-        [ 1; 4 ])
+  Testutil.prop_folds_eq_recompute ~only:Rl.Attrib.name
+    ~name:"streaming attribution = ledger recompute (jobs 1 and 4)" ()
 
 let suite =
   [ Alcotest.test_case "healthy run is silent" `Quick test_healthy_run_silent;

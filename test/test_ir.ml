@@ -147,7 +147,27 @@ let test_verifier_ret_type () =
     Func.mk ~linkage:Func.External ~name:"main" ~params:[] ~ret:Types.I64
       ~blocks:[ blk ] ~next_id:0 ()
   in
-  Alcotest.(check bool) "caught" false (Verifier.is_valid (Modul.mk ~name:"bad" [ f ]))
+  Alcotest.(check bool) "caught" false (Verifier.is_valid (Modul.mk ~name:"bad" [ f ]));
+  (* the annotation matches the function, the returned value does not *)
+  let m =
+    Parser.parse_module
+      "module t\n\nfunc @main(): i64 {\nentry:\n  %0 = alloca i64 x 4\n\
+      \  %1 = load <4 x i64>, %0\n  ret i64 %1\n}\n"
+  in
+  Alcotest.(check (list string)) "mistyped value"
+    [ "main/entry: ret type i64 does not match its value's type <4 x i64>" ]
+    (List.map Verifier.error_to_string (Verifier.verify_module m));
+  (* a returned parameter or constant is checked the same way *)
+  let ret_of v =
+    let blk = Block.mk "entry" [] (Instr.Ret (Some (Types.I64, v))) in
+    let f =
+      Func.mk ~linkage:Func.External ~name:"main" ~params:[ (0, Types.F64) ]
+        ~ret:Types.I64 ~blocks:[ blk ] ~next_id:1 ()
+    in
+    Verifier.is_valid (Modul.mk ~name:"t" [ f ])
+  in
+  Alcotest.(check (list bool)) "parameter, constant" [ false; false; true ]
+    [ ret_of (Value.Reg 0); ret_of (Value.cfloat 1.5); ret_of (Value.ci64 1) ]
 
 (* integer binops take integer (vector) types, fadd/fsub/fmul/fdiv take
    f64 (vectors): the constant folders wrap integer results and raise on

@@ -1,7 +1,8 @@
 (* Tests for the run ledger: the Runlog persistence format, the Run
    directory lifecycle (create → progress → finish → load), cross-run
-   regression comparison, the crash-tolerant JSONL sink, and the
-   sparkline renderer behind [posetrl runs show]. *)
+   regression comparison, the crash-tolerant JSONL sink, the sparkline
+   renderer behind [posetrl runs show], and the recompute contract of
+   the trainer's step-stream folds. *)
 
 module Obs = Posetrl_obs
 module Json = Obs.Json
@@ -119,7 +120,7 @@ let test_episode_actions_without_steps () =
   let ep = episode ~actions:[ 3; 1; 4 ] ~step:3 () in
   Alcotest.(check (list int)) "actions read back" [ 3; 1; 4 ]
     (Runlog.episode_actions ep);
-  Alcotest.(check int) "no step stream" 0 (List.length (Runlog.episode_steps ep));
+  Alcotest.(check int) "no step stream" 0 (List.length (Obs.Fold.episode_steps ep));
   let tick = Runlog.tick_record ~step:0 ~episode:0 ~epsilon:1.0 ~mean_reward:0.0
       ~mean_size_gain:0.0 ~r_binsize:0.0 ~r_throughput:0.0 ~loss:0.0 () in
   Alcotest.(check (list int)) "no actions on a tick" [] (Runlog.episode_actions tick)
@@ -139,14 +140,22 @@ let test_replay_interleaves_ticks () =
       tick 8 ]
   in
   let log = ref [] in
-  Runlog.replay ~n_actions:8
-    ~observe:(fun ~action ~pos ~reward:_ ~r_binsize:_ ~r_throughput:_ ->
-      log := Printf.sprintf "a%d@%d" action pos :: !log)
+  Obs.Fold.replay ~n_actions:8
+    ~observe:(fun (s : Obs.Fold.step) ->
+      log := Printf.sprintf "a%d@%d" s.action s.pos :: !log)
     ~sample:(fun ~step -> log := Printf.sprintf "tick%d" step :: !log)
     records;
   Alcotest.(check (list string)) "trainer order"
     [ "a0@0"; "a1@1"; "a2@2"; "a3@0"; "tick5"; "a4@2"; "a5@3"; "tick8" ]
     (List.rev !log)
+
+(* --- the trainer's folds: streaming = ledger recompute ------------------------ *)
+
+(* Every fold of the default list, so a fold added later is covered by
+   its list entry; the health and coverage suites each check theirs. *)
+let prop_folds_eq_recompute =
+  Testutil.prop_folds_eq_recompute
+    ~name:"streaming folds = ledger recompute (jobs 1 and 4)" ()
 
 (* --- Run: directory lifecycle ------------------------------------------------- *)
 
@@ -212,11 +221,11 @@ let test_attrib_alerts_lifecycle () =
       Run.alert run
         (Json.Obj [ ("kind", Json.Str "alert"); ("rule", Json.Str "nan_loss");
                     ("step", Json.Int 200) ]);
-      Run.write run Run.Attrib
+      Run.write run (Run.Fold "attrib.json")
         (Json.Obj [ ("kind", Json.Str "attrib"); ("steps", Json.Int 3) ]);
       Run.finish run;
       let info = Run.load dir in
-      (match Run.read info Run.Attrib with
+      (match Run.read info (Run.Fold "attrib.json") with
        | Some doc ->
          Alcotest.(check (option (float 0.0))) "attrib read back" (Some 3.0)
            (Runlog.num "steps" doc)
@@ -235,7 +244,8 @@ let test_attrib_alerts_missing_is_none () =
       Runlog.write_json_file (Run.manifest_path dir)
         (Json.Obj [ ("id", Json.Str "old"); ("status", Json.Str "complete") ]);
       let info = Run.load dir in
-      Alcotest.(check bool) "attrib None" true (Run.read info Run.Attrib = None);
+      Alcotest.(check bool) "attrib None" true
+        (Run.read info (Run.Fold "attrib.json") = None);
       Alcotest.(check bool) "alerts None" true (Run.read_alerts info = None))
 
 let test_attrib_corrupt_is_none () =
@@ -248,11 +258,11 @@ let test_attrib_corrupt_is_none () =
         output_string oc "{ torn mid-write";
         close_out oc
       in
-      tear Run.Attrib;
+      tear (Run.Fold "attrib.json");
       tear Run.Eval;
       let info = Run.load dir in
       Alcotest.(check bool) "corrupt attrib is None, not an exception" true
-        (Run.read info Run.Attrib = None);
+        (Run.read info (Run.Fold "attrib.json") = None);
       Alcotest.(check bool) "torn eval.json is None, not an exception" true
         (Run.read info Run.Eval = None);
       (* `runs compare` on the torn run: the suite metrics are missing,
@@ -532,6 +542,7 @@ let suite =
       test_episode_actions_without_steps;
     Alcotest.test_case "replay interleaves ticks" `Quick
       test_replay_interleaves_ticks;
+    QCheck_alcotest.to_alcotest prop_folds_eq_recompute;
     Alcotest.test_case "run lifecycle" `Quick test_run_lifecycle;
     Alcotest.test_case "killed run keeps prefix" `Quick
       test_run_progress_flush_prefix;

@@ -303,7 +303,7 @@ let test_alerts_route () =
   let fired = ref [] in
   let handler =
     Httpd.telemetry_handler
-      ~alerts:(fun () -> !fired)
+      ~docs:[ ("alerts", fun () -> Some (Json.Arr !fired)) ]
       ~health:(fun () -> Json.Obj [])
       ()
   in
@@ -325,14 +325,14 @@ let test_alerts_route () =
   | _ -> Alcotest.fail "/alerts should serve the fired alert"
 
 let test_coverage_route () =
-  (* default thunk: the route answers 404, not a crash or empty body *)
+  (* no route wired: the route answers 404, not a crash or empty body *)
   let bare = Httpd.telemetry_handler ~health:(fun () -> Json.Obj []) () in
   Alcotest.(check int) "no thunk wired is 404" 404
     (bare { Httpd.meth = "GET"; path = "/coverage"; body = "" }).Httpd.status;
   let doc = ref None in
   let handler =
     Httpd.telemetry_handler
-      ~coverage:(fun () -> !doc)
+      ~docs:[ ("coverage", fun () -> !doc) ]
       ~health:(fun () -> Json.Obj [])
       ()
   in
