@@ -584,8 +584,6 @@ let parallel () =
               (Staged.stage (fun () -> ignore (M.gemm_nt x w)));
             Test.make ~name:"gemm-tn-acc-64x300x128"
               (Staged.stage (fun () -> M.gemm_tn_acc gw dpre x));
-            Test.make ~name:"gemm-pool-64x300x128"
-              (Staged.stage (fun () -> ignore (M.gemm ~pool a b)));
             Test.make ~name:"pool-dispatch-64-noops"
               (Staged.stage (fun () ->
                    ignore (Pool.map pool (fun () -> ()) noops)));

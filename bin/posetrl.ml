@@ -4,7 +4,7 @@
    each command's [Cmd.info] doc. A flag several commands take is
    defined once below, as a term over a converter ("shared terms"), and
    train, eval and serve run inside one ledger + telemetry + trace +
-   metrics + pool lifecycle, [with_session]. *)
+   metrics lifecycle, [with_session]. *)
 
 open Cmdliner
 open Posetrl_ir
@@ -150,17 +150,20 @@ let metrics_arg =
          ~doc:"Print the metrics registry snapshot on exit.")
 
 (* Run [f] with the observability surface requested on the command line:
-   a JSONL sink while [f] runs, a metrics table after it. *)
-let with_obs ~(trace : string option) ~(metrics : bool) (f : unit -> 'a) : 'a =
+   a JSONL sink while [f] runs, a metrics table after it. Both notes go
+   to [oc], so a command whose stdout carries data (`opt --emit`) keeps
+   them off it. *)
+let with_obs ?(oc = stdout) ~(trace : string option) ~(metrics : bool)
+    (f : unit -> 'a) : 'a =
   let r =
     match trace with
     | None -> f ()
     | Some path ->
       let r = Obs.Span.with_sink (Obs.Sink.jsonl path) f in
-      Printf.printf "trace written to %s\n" path;
+      Printf.fprintf oc "trace written to %s\n" path;
       r
   in
-  if metrics then Obs.Console.print_metrics ~title:"metrics (posetrl.*)" ();
+  if metrics then Obs.Console.print_metrics ~oc ~title:"metrics (posetrl.*)" ();
   r
 
 (* Repros land next to the ledger run when one is open. *)
@@ -186,31 +189,24 @@ let with_repro ~(dir : string) (f : unit -> 'a) : 'a =
       (write_repro ~dir e);
     raise e
 
-(* [f] gets [Some pool] only when parallelism was actually requested, so
-   the sequential path stays domain-free. *)
-let with_jobs ~(jobs : int) (f : Posetrl_support.Pool.t option -> 'a) : 'a =
-  if jobs <= 1 then f None
-  else Posetrl_support.Pool.with_pool ~name:"posetrl" ~jobs (fun p -> f (Some p))
-
 (* The policy network eval and serve roll out: the trainer's
    architecture from a seeded init, loaded from [weights] when given. *)
-let load_agent ?pool ?(seed = 0) ?weights (actions : O.Action_space.t) =
+let load_agent ?(seed = 0) ?weights (actions : O.Action_space.t) =
   let agent =
-    Posetrl_rl.Dqn.create ?pool (Posetrl_support.Rng.create seed)
+    Posetrl_rl.Dqn.create (Posetrl_support.Rng.create seed)
       ~state_dim:C.Environment.state_dim ~hidden:C.Trainer.paper.C.Trainer.hidden
       ~n_actions:(O.Action_space.n_actions actions)
   in
   Option.iter (Posetrl_rl.Dqn.load_weights agent) weights;
   agent
 
-(* --- run session: ledger + trace + metrics + pool (train, eval, serve) --- *)
+(* --- run session: ledger + trace + metrics (train, eval, serve) ------------ *)
 
 type session = {
   run_dir : string option;
   run_name : string option;
   trace : string option;
   metrics : bool;
-  jobs : int;
 }
 
 let session_term =
@@ -223,16 +219,9 @@ let session_term =
     Arg.(value & opt (some string) None & info [ "run" ] ~docv:"NAME"
            ~doc:"Persist this run in the ledger under runs/<timestamp>-$(docv).")
   in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for parallel work: suite programs in `eval`, \
-                 the minibatch gemm rows in `train`. Results are \
-                 byte-identical to --jobs 1 (see DESIGN.md §9). Default 1 \
-                 (sequential, no domains spawned).")
-  in
-  Term.(const (fun run_dir run_name trace metrics jobs ->
-            { run_dir; run_name; trace; metrics; jobs })
-        $ run_dir $ run_name $ trace_arg $ metrics_arg $ jobs)
+  Term.(const (fun run_dir run_name trace metrics ->
+            { run_dir; run_name; trace; metrics })
+        $ run_dir $ run_name $ trace_arg $ metrics_arg)
 
 (* Live telemetry over HTTP while a train or eval run is in flight. *)
 type telemetry = { port : int option; grace : float }
@@ -299,8 +288,8 @@ let with_telemetry ~docs (tm : telemetry) ~(kind : string)
 
 (* The one lifecycle of train, eval and serve: open a ledger run when
    --run-dir or --run asks for one (--run-dir wins), serve live
-   telemetry around it, and run [work] on the --jobs pool with the
-   run's trace.jsonl and any --trace sink capturing the span stream.
+   telemetry around it, and run [work] with the run's trace.jsonl and
+   any --trace sink capturing the span stream.
    [finish] then gets [work]'s result once the trace and metrics are
    out, and returns the manifest's result fields; the manifest is
    finished even when either raises. [folds] are written to the run and
@@ -309,8 +298,7 @@ let with_telemetry ~docs (tm : telemetry) ~(kind : string)
 let with_session ?(telemetry = { port = None; grace = 0.0 })
     ?(alerts = fun () -> []) ?(folds = []) (s : session)
     ~(kind : string) ~(meta : (string * Obs.Json.t) list)
-    (work : Obs.Run.t option -> pump:(unit -> unit) ->
-            Posetrl_support.Pool.t option -> 'a)
+    (work : Obs.Run.t option -> pump:(unit -> unit) -> 'a)
     (finish : Obs.Run.t option -> 'a -> (string * Obs.Json.t) list) : unit =
   let run =
     match s.run_dir, s.run_name with
@@ -322,8 +310,7 @@ let with_session ?(telemetry = { port = None; grace = 0.0 })
   let body ~pump () =
     with_repro ~dir:(repro_dir_of_run run) (fun () ->
         finish run
-          (with_obs ~trace:s.trace ~metrics:s.metrics (fun () ->
-               with_jobs ~jobs:s.jobs (work run ~pump))))
+          (with_obs ~trace:s.trace ~metrics:s.metrics (fun () -> work run ~pump)))
   in
   let alerts = ("alerts", fun () -> Some (Obs.Json.Arr (alerts ()))) in
   with_telemetry ~docs:(alerts :: List.map Obs.Fold.route folds) telemetry ~kind
@@ -405,7 +392,7 @@ let opt_cmd =
     report_module oc tgt "input" m;
     let m' =
       with_repro ~dir:(repro_dir_of_run None) @@ fun () ->
-      with_obs ~trace ~metrics (fun () ->
+      with_obs ~oc ~trace ~metrics (fun () ->
           let m' =
             match passes with
             | Some names -> P.Pass_manager.run ~sanitize P.Config.oz names m
@@ -519,7 +506,7 @@ let train_cmd =
     (* built here (not inside the trainer) so the live routes, the
        ledger writes and the trainer share the same tables *)
     let folds = C.Trainer.default_folds hp actions in
-    let work run ~pump pool =
+    let work run ~pump =
       (* the trainer builds the ledger's records; persist each one and
          print the progress line from each tick *)
       let on_record r =
@@ -538,7 +525,7 @@ let train_cmd =
         Obs.Console.info "  ALERT [%s] %s step %d: %s\n%!" a.Obs.Health.a_severity
           a.Obs.Health.a_rule a.Obs.Health.a_step a.Obs.Health.a_message
       in
-      C.Trainer.train ?pool ~hp ~on_record
+      C.Trainer.train ~hp ~on_record
         ~on_step:(fun _ -> pump ()) ~on_alert ?inject_nan_at:inject_nan ~folds
         ~sanitize ~seed ~corpus ~actions ~target:tgt ()
     in
@@ -590,7 +577,13 @@ let eval_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WEIGHTS"
            ~doc:"Weights file saved by `posetrl train`.")
   in
-  let go weights actions tgt sanitize session telemetry =
+  let jobs =
+    Arg.(value & opt positive_int 1 & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Worker domains that evaluate the suite programs in parallel. \
+                 Results are byte-identical to --jobs 1 (see DESIGN.md §9). \
+                 Default 1 (sequential, no domains spawned).")
+  in
+  let go weights actions tgt sanitize jobs session telemetry =
     let agent = load_agent ~weights actions in
     (* eval coverage: the greedy rollout sequences folded as episodes
        (reward components are not re-derived — counts/entropy only);
@@ -598,7 +591,9 @@ let eval_cmd =
        across --jobs settings like eval.json itself *)
     let coverage = C.Trainer.make_coverage ~registry:Obs.Metrics.global actions in
     let folds = [ Obs.Fold.Fold ((module Obs.Coverage), coverage) ] in
-    let work _ ~pump pool =
+    (* eval is the domain pool's one client: [Some pool] only when
+       parallelism was requested, so --jobs 1 stays domain-free *)
+    let evaluate ~pump pool =
       List.map
         (fun suite ->
           pump ();
@@ -609,6 +604,12 @@ let eval_cmd =
           ( C.Evaluate.summarize_suite ~suite:suite.W.Suites.suite_name results,
             results ))
         W.Suites.validation_suites
+    in
+    let work _ ~pump =
+      if jobs = 1 then evaluate ~pump None
+      else
+        Posetrl_support.Pool.with_pool ~name:"posetrl" ~jobs (fun p ->
+            evaluate ~pump (Some p))
     in
     let finish run evaluated =
       List.iter
@@ -660,7 +661,7 @@ let eval_cmd =
        ~doc:"Evaluate a trained model on the validation suites")
     Term.(const go $ weights $ space_arg $ target_arg
           $ sanitize_arg ~default:A.Sanitize.Off ~doc:sanitize_doc
-          $ session_term $ telemetry_term)
+          $ jobs $ session_term $ telemetry_term)
 
 (* --- report ------------------------------------------------------------------ *)
 
@@ -1166,8 +1167,8 @@ let serve_cmd =
     Sys.set_signal Sys.sigint handle;
     Sys.set_signal Sys.sigterm handle;
     let started = Unix.gettimeofday () in
-    let work run ~pump:_ pool =
-      let agent = load_agent ?pool ?weights actions in
+    let work run ~pump:_ =
+      let agent = load_agent ?weights actions in
       let engine =
         Posetrl_serve.Engine.create ~cache_bytes:(cache_mb * 1024 * 1024)
           ~sanitize ~agent ~actions ~target:tgt ()

@@ -16,9 +16,8 @@ val predict_batch :
   Posetrl_ir.Modul.t list -> rollout list
 (** Roll the greedy policy out on every unoptimized module, in
     lockstep: at each episode step one {!Posetrl_rl.Dqn.greedy_actions}
-    gemm (split across the agent's pool) scores all the states. Each
-    rollout is the one the module would get on its own; results come
-    back in input order. *)
+    gemm scores all the states. Each rollout is the one the module would
+    get on its own; results come back in input order. *)
 
 val predict :
   ?max_steps:int ->

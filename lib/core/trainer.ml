@@ -133,8 +133,7 @@ let default_folds (hp : hyperparams) (actions : Posetrl_odg.Action_space.t) :
 let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
     ?(on_step = fun (_ : int) -> ())
     ?(on_alert = fun (_ : Obs.Health.alert) -> ())
-    ?inject_nan_at ?folds
-    ?pool ?(sanitize = Posetrl_analysis.Sanitize.Off)
+    ?inject_nan_at ?folds ?(sanitize = Posetrl_analysis.Sanitize.Off)
     ~(seed : int) ~(corpus : Modul.t array)
     ~(actions : Posetrl_odg.Action_space.t)
     ~(target : Posetrl_codegen.Target.t) () : result =
@@ -145,10 +144,8 @@ let train ?(hp = paper) ?(on_record = fun (_ : Obs.Json.t) -> ())
     Environment.create ~max_steps:hp.max_episode_steps ~sanitize ~target
       ~actions ()
   in
-  (* [pool] parallelizes the batch dimension of the DQN's gemm kernels;
-     row partitioning keeps training byte-identical to --jobs 1 *)
   let agent =
-    Rl.Dqn.create ~gamma:hp.gamma ~lr:hp.lr ~double:hp.double ?pool net_rng
+    Rl.Dqn.create ~gamma:hp.gamma ~lr:hp.lr ~double:hp.double net_rng
       ~state_dim:Environment.state_dim ~hidden:hp.hidden
       ~n_actions:(Environment.n_actions env)
   in

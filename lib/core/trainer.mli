@@ -58,18 +58,15 @@ val train :
   ?on_alert:(Posetrl_obs.Health.alert -> unit) ->
   ?inject_nan_at:int ->
   ?folds:Posetrl_obs.Fold.t list ->
-  ?pool:Posetrl_support.Pool.t ->
   ?sanitize:Posetrl_analysis.Sanitize.level ->
   seed:int ->
   corpus:Posetrl_ir.Modul.t array ->
   actions:Posetrl_odg.Action_space.t ->
   target:Posetrl_codegen.Target.t ->
   unit -> result
-(** Train a phase-ordering agent. Deterministic per seed — including
-    under [pool], which parallelizes the batch dimension of the DQN's
-    gemm kernels by row partitioning (byte-identical arithmetic; see
-    DESIGN.md §9). Returns the best-probe-score snapshot when
-    [hp.snapshot_every > 0], otherwise the final weights.
+(** Train a phase-ordering agent. Deterministic per seed (DESIGN.md §9).
+    Returns the best-probe-score snapshot when [hp.snapshot_every > 0],
+    otherwise the final weights.
 
     [on_record] receives the run ledger's progress records, in the
     order [progress.jsonl] stores them: a
@@ -79,8 +76,7 @@ val train :
     {!Posetrl_obs.Runlog.episode_record} per finished episode (reward
     decomposition, actions and per-step rewards). The tick record of a
     step that also ends an episode comes first. Every field but the
-    [gc_*] ones is deterministic per seed and identical across [pool]
-    widths.
+    [gc_*] ones is deterministic per seed.
 
     [on_step] fires once per environment step (after the step's metric
     updates) with the global step index — the hook the CLI uses to pump
@@ -89,9 +85,9 @@ val train :
 
     [folds] get one {!Posetrl_obs.Fold.step} per environment step, with
     the pre-action embedding as its state, and one sample per tick,
-    before the tick record. Their tables are byte-identical across
-    [pool] widths and equal their recompute from the [on_record]
-    records ({!Posetrl_obs.Fold.recompute}).
+    before the tick record. Their tables are deterministic per seed and
+    equal their recompute from the [on_record] records
+    ({!Posetrl_obs.Fold.recompute}).
 
     A {!Posetrl_obs.Health} watchdog ({!Posetrl_obs.Health.default_config})
     runs on every tick; [on_alert] fires once per alert as it happens

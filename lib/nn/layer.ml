@@ -35,18 +35,18 @@ let create (rng : Rng.t) ~in_dim ~out_dim ~relu =
 (* One gemm per layer over a whole batch: rows are batch elements (a
    single state is the one-row case). Term order per output element is
    fixed — ascending input index forward, ascending sample index into
-   the gradients — so batch size, row blocking and the pool never change
-   the arithmetic; see DESIGN.md §9. *)
+   the gradients — so batch size and row blocking never change the
+   arithmetic; see DESIGN.md §9. *)
 
 type bcache = {
   binput : Matrix.t; (* batch x in_dim *)
   bpre : Matrix.t;   (* batch x out_dim, pre-activation *)
 }
 
-let forward_batch ?pool (l : t) (x : Matrix.t) : Matrix.t * bcache =
+let forward_batch (l : t) (x : Matrix.t) : Matrix.t * bcache =
   if x.Matrix.cols <> l.w.Matrix.cols then
     invalid_arg "Layer.forward_batch: dimension mismatch";
-  let pre = Matrix.gemm_nt ?pool x l.w in
+  let pre = Matrix.gemm_nt x l.w in
   let out_dim = l.w.Matrix.rows in
   (* bias add and activation in one closure-free pass: an [Array.map]
      closure would box every element *)
@@ -65,7 +65,7 @@ let forward_batch ?pool (l : t) (x : Matrix.t) : Matrix.t * bcache =
 (* Accumulates gradients over the whole batch; returns dL/dpre rows, from
    which the caller takes dL/dinput as [Matrix.gemm dpre w] when it has a
    use for it. *)
-let backward_batch ?pool (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
+let backward_batch (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
   let dpre =
     if l.relu then begin
       let dd = dout.Matrix.data and pd = c.bpre.Matrix.data in
@@ -77,7 +77,7 @@ let backward_batch ?pool (l : t) (c : bcache) (dout : Matrix.t) : Matrix.t =
     end
     else dout
   in
-  Matrix.gemm_tn_acc ?pool l.gw dpre c.binput;
+  Matrix.gemm_tn_acc l.gw dpre c.binput;
   let out_dim = dpre.Matrix.cols in
   for i = 0 to dpre.Matrix.rows - 1 do
     let base = i * out_dim in

@@ -39,8 +39,8 @@ let fill_zero m = Array.fill m.data 0 (Array.length m.data) 0.0
    [gemm_tn_acc]), adds its k-terms one at a time in ascending k, and
    skips the term of an exactly-zero A entry per (i, k) ([gemm],
    [gemm_tn_acc]). Every element is therefore bit-identical whatever the
-   blocking, the remainder path or the row partition across the pool —
-   see DESIGN.md §9.
+   blocking or the remainder path, and an output row depends only on
+   its own input row — see DESIGN.md §9.
 
    Bounds: the accumulate kernels ([acc_rows], [acc_1x8], [acc_1x1])
    index without bounds checks. [gemm] and [gemm_tn_acc], their only
@@ -57,23 +57,6 @@ let check name m =
     && if m.cols = 0 then len = 0 else len mod m.cols = 0 && len / m.cols = m.rows
   in
   if not ok then invalid_arg (name ^ ": data length is not rows * cols")
-
-let row_slice rows jobs w =
-  (* chunk [0, rows) into at most [jobs] contiguous (start, stop) spans *)
-  let jobs = max 1 (min jobs rows) in
-  let per = (rows + jobs - 1) / jobs in
-  List.init jobs (fun k -> (k * per, min rows ((k + 1) * per)))
-  |> List.filter (fun (i0, i1) -> i0 < i1)
-  |> List.map w
-
-let parallel_rows ?pool rows (body : int -> int -> unit) : unit =
-  match pool with
-  | Some p when Posetrl_support.Pool.jobs p > 1 && rows >= 2 ->
-    ignore
-      (Posetrl_support.Pool.map p
-         (fun (i0, i1) -> body i0 i1)
-         (Array.of_list (row_slice rows (Posetrl_support.Pool.jobs p) Fun.id)))
-  | _ -> body 0 rows
 
 (* [gemm_nt] blocks: dot products of A rows starting at [a0] (and
    [a0 + kd]) with B rows starting at [b0], [b0 + kd], ..., all of
@@ -171,12 +154,12 @@ let acc_1x1 ks xs nnz bd cd c0 j =
   done;
   Array.unsafe_set cd c0 !s
 
-(* C rows [i0, i1) of an accumulate-form product over [kcount] terms:
+(* Every row of C in an accumulate-form product over [kcount] terms:
    row i's A entries sit at [a0 i + k * astep]. *)
-let acc_rows ~a0 ~astep ad bd (c : t) kcount i0 i1 =
+let acc_rows ~a0 ~astep ad bd (c : t) kcount =
   let n = c.cols and cd = c.data in
   let ks = Array.make kcount 0 and xs = Array.make kcount 0.0 in
-  for i = i0 to i1 - 1 do
+  for i = 0 to c.rows - 1 do
     let ai = a0 i and ci = i * n in
     let nnz = ref 0 in
     for k = 0 to kcount - 1 do
@@ -199,7 +182,7 @@ let acc_rows ~a0 ~astep ad bd (c : t) kcount i0 i1 =
   done
 
 (* C = A B — the input gradient ([dpre · w]). *)
-let gemm ?pool (a : t) (b : t) : t =
+let gemm (a : t) (b : t) : t =
   check "Matrix.gemm" a;
   check "Matrix.gemm" b;
   if a.cols <> b.rows then invalid_arg "Matrix.gemm: dimension mismatch";
@@ -207,46 +190,43 @@ let gemm ?pool (a : t) (b : t) : t =
   (* [create]'s [rows * cols] can overflow when [a.cols] is 0 *)
   check "Matrix.gemm" c;
   let kd = a.cols in
-  parallel_rows ?pool a.rows
-    (acc_rows ~a0:(fun i -> i * kd) ~astep:1 a.data b.data c kd);
+  acc_rows ~a0:(fun i -> i * kd) ~astep:1 a.data b.data c kd;
   c
 
 (* C = A Bᵀ — the minibatch forward ([x · wᵀ]): both operands are read
    row-wise, so each output element is one contiguous dot product. *)
-let gemm_nt ?pool (a : t) (b : t) : t =
+let gemm_nt (a : t) (b : t) : t =
   if a.cols <> b.cols then invalid_arg "Matrix.gemm_nt: dimension mismatch";
   let c = create a.rows b.rows in
-  let kd = a.cols and n = b.rows in
+  let kd = a.cols and n = b.rows and rows = a.rows in
   let ad = a.data and bd = b.data and cd = c.data in
-  parallel_rows ?pool a.rows (fun i0 i1 ->
-      let i = ref i0 in
-      while !i < i1 do
-        let a0 = !i * kd and c0 = !i * n and two = !i + 1 < i1 in
-        let j = ref 0 in
-        while !j + 4 <= n do
-          if two then nt_2x4 ad a0 bd (!j * kd) cd (c0 + !j) kd n
-          else nt_1x4 ad a0 bd (!j * kd) cd (c0 + !j) kd;
-          j := !j + 4
-        done;
-        for jr = !j to n - 1 do
-          nt_1x1 ad a0 bd (jr * kd) cd (c0 + jr) kd;
-          if two then nt_1x1 ad (a0 + kd) bd (jr * kd) cd (c0 + n + jr) kd
-        done;
-        i := !i + if two then 2 else 1
-      done);
+  let i = ref 0 in
+  while !i < rows do
+    let a0 = !i * kd and c0 = !i * n and two = !i + 1 < rows in
+    let j = ref 0 in
+    while !j + 4 <= n do
+      if two then nt_2x4 ad a0 bd (!j * kd) cd (c0 + !j) kd n
+      else nt_1x4 ad a0 bd (!j * kd) cd (c0 + !j) kd;
+      j := !j + 4
+    done;
+    for jr = !j to n - 1 do
+      nt_1x1 ad a0 bd (jr * kd) cd (c0 + jr) kd;
+      if two then nt_1x1 ad (a0 + kd) bd (jr * kd) cd (c0 + n + jr) kd
+    done;
+    i := !i + if two then 2 else 1
+  done;
   c
 
 (* C <- C + Aᵀ B — the weight-gradient accumulate ([gw += dpreᵀ · x]):
    C row i is A column i against B, summed over A's rows (the batch
    samples) in ascending order. *)
-let gemm_tn_acc ?pool (c : t) (a : t) (b : t) : unit =
+let gemm_tn_acc (c : t) (a : t) (b : t) : unit =
   check "Matrix.gemm_tn_acc" c;
   check "Matrix.gemm_tn_acc" a;
   check "Matrix.gemm_tn_acc" b;
   if a.rows <> b.rows || c.rows <> a.cols || c.cols <> b.cols then
     invalid_arg "Matrix.gemm_tn_acc: dimension mismatch";
-  parallel_rows ?pool c.rows
-    (acc_rows ~a0:Fun.id ~astep:a.cols a.data b.data c a.rows)
+  acc_rows ~a0:Fun.id ~astep:a.cols a.data b.data c a.rows
 
 (* rows of [m] as freshly allocated arrays / a matrix from row vectors *)
 let of_rows (rows : float array array) : t =

@@ -2,8 +2,8 @@
 
     The gemm kernels are register-blocked with a fixed term order per
     output element, so every element is bit-identical whatever the
-    blocking or the row partition across [pool] (DESIGN.md §9). An
-    output row depends only on its own input row. *)
+    blocking (DESIGN.md §9). An output row depends only on its own
+    input row. *)
 
 type t = {
   rows : int;
@@ -24,16 +24,16 @@ val check : string -> t -> unit
 (** [check name m] raises [Invalid_argument] naming [name] unless
     [m.data] holds exactly [m.rows * m.cols] entries. *)
 
-val gemm : ?pool:Posetrl_support.Pool.t -> t -> t -> t
+val gemm : t -> t -> t
 (** C = A B, the input gradient. Skips the terms of exactly-zero A
     entries.
     @raise Invalid_argument if an operand fails {!check} or the shapes
     disagree. *)
 
-val gemm_nt : ?pool:Posetrl_support.Pool.t -> t -> t -> t
+val gemm_nt : t -> t -> t
 (** C = A Bᵀ, the minibatch forward. *)
 
-val gemm_tn_acc : ?pool:Posetrl_support.Pool.t -> t -> t -> t -> unit
+val gemm_tn_acc : t -> t -> t -> unit
 (** [gemm_tn_acc c a b] adds Aᵀ B into C, the weight-gradient
     accumulate. Skips the terms of exactly-zero A entries.
     @raise Invalid_argument if an operand fails {!check} or the shapes

@@ -23,20 +23,20 @@ let create (rng : Rng.t) (dims : int list) : t =
 
 type bcaches = Layer.bcache array
 
-let forward_batch_cached ?pool (net : t) (x : Matrix.t) : Matrix.t * bcaches =
+let forward_batch_cached (net : t) (x : Matrix.t) : Matrix.t * bcaches =
   let n = Array.length net.layers in
   let caches = Array.make n { Layer.binput = x; Layer.bpre = x } in
   let out = ref x in
   Array.iteri
     (fun k l ->
-      let o, c = Layer.forward_batch ?pool l !out in
+      let o, c = Layer.forward_batch l !out in
       caches.(k) <- c;
       out := o)
     net.layers;
   (!out, caches)
 
-let forward_batch ?pool (net : t) (x : Matrix.t) : Matrix.t =
-  fst (forward_batch_cached ?pool net x)
+let forward_batch (net : t) (x : Matrix.t) : Matrix.t =
+  fst (forward_batch_cached net x)
 
 (* One state: the one-row case of [forward_batch]. The 1 x d matrix
    shares [x]'s storage (layers never write to their input), and the
@@ -47,12 +47,12 @@ let forward (net : t) (x : float array) : float array =
 (* Backpropagate per-row dL/doutput, accumulating parameter gradients
    over the whole batch. Layer 0's input gradient (dL/dstate) has no
    consumer, so it is never computed. *)
-let backward_batch ?pool (net : t) (caches : bcaches) (dout : Matrix.t) : unit =
+let backward_batch (net : t) (caches : bcaches) (dout : Matrix.t) : unit =
   let d = ref dout in
   for k = Array.length net.layers - 1 downto 0 do
     let l = net.layers.(k) in
-    let dpre = Layer.backward_batch ?pool l caches.(k) !d in
-    if k > 0 then d := Matrix.gemm ?pool dpre l.Layer.w
+    let dpre = Layer.backward_batch l caches.(k) !d in
+    if k > 0 then d := Matrix.gemm dpre l.Layer.w
   done
 
 let zero_grad (net : t) = Array.iter Layer.zero_grad net.layers

@@ -4,6 +4,6 @@
 
 let info fmt = Printf.printf fmt
 
-let print_metrics ?(title = "metrics") ?(r = Metrics.global) () =
-  print_string (Metrics.render ~title (Metrics.snapshot ~r ()));
-  flush stdout
+let print_metrics ?(oc = stdout) ?(title = "metrics") ?(r = Metrics.global) () =
+  output_string oc (Metrics.render ~title (Metrics.snapshot ~r ()));
+  flush oc

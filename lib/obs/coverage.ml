@@ -12,14 +12,14 @@
    cumulative action histogram that drives the Shannon entropy series.
 
    Everything except the state sketch is a pure fold over the in-order
-   step stream, so the table is byte-deterministic per seed — including
-   under the domain pool (DESIGN.md §9) — and [Fold.recompute] rebuilds
-   it float-exactly from the run ledger's episode/tick records, which
-   the tests hold equal to the streaming table. The state sketch
-   (seeded sign-projection buckets over the IR2Vec embedding) is
-   jobs-deterministic too, but states are not persisted in the ledger,
-   so it is excluded from [equal] and checked via the --jobs 1/4
-   coverage.json byte-compare instead.
+   step stream, so the table is byte-deterministic per seed (DESIGN.md
+   §9) and [Fold.recompute] rebuilds it float-exactly from the run
+   ledger's episode/tick records, which the tests hold equal to the
+   streaming table. The state sketch (seeded sign-projection buckets
+   over the IR2Vec embedding) is deterministic per seed too, but states
+   are not persisted in the ledger, so it is excluded from [equal] and
+   checked by byte-comparing two training runs' coverage.json
+   instead.
 
    Metric exposure is opt-in per table ([registry]): the trainer's
    table publishes posetrl.coverage.* gauges on [sample]; recomputed
@@ -322,7 +322,7 @@ let to_json (t : t) : Json.t =
 
 (* Exact equality over everything recomputable from the run ledger: the
    coverage.json documents without the sketch, since states are not
-   persisted (the --jobs 1/4 coverage.json byte-compare covers it). The
+   persisted (comparing two training runs' coverage.json covers it). The
    mid-stream transition cursor is not in the document. *)
 let equal (a : t) (b : t) : bool =
   let recomputable t =

@@ -4,8 +4,8 @@
     space (see DESIGN.md §13).
 
     The table is a pure fold over the in-order step stream, so it is
-    byte-deterministic per seed — identical for [--jobs 1] and
-    [--jobs 4] — and {!Fold.recompute} recomputes it float-exactly
+    byte-deterministic per seed — an eval's is identical for
+    [--jobs 1] and [--jobs 4] — and {!Fold.recompute} recomputes it float-exactly
     from the run ledger. Only the state sketch is not
     ledger-recomputable (states are not persisted) and is therefore
     excluded from {!equal}. The module is a {!Fold.S}. *)

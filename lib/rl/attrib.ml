@@ -4,10 +4,9 @@
    The trainer feeds every environment step's (action, position, reward,
    r_binsize, r_throughput) into a table of per-action cells; the totals
    are plain float sums over the step stream in program order, so the
-   table is byte-deterministic per seed — including under the domain
-   pool, which never reorders the step stream (DESIGN.md §9), and
-   [Obs.Fold.recompute] rebuilds it from the run ledger's episode
-   records, which the tests hold exactly equal to the streaming table.
+   table is byte-deterministic per seed, and [Obs.Fold.recompute]
+   rebuilds it from the run ledger's episode records, which the tests
+   hold exactly equal to the streaming table.
    The module is an [Obs.Fold.S].
 
    Metric exposure is opt-in per table ([registry]): the trainer's table

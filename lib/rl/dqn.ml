@@ -59,16 +59,12 @@ type t = {
   gamma : float;
   n_actions : int;
   double : bool;
-  pool : Pool.t option;
-  (* when set, the batch dimension of the gemm kernels is split across
-     the pool's domains; row partitioning keeps the arithmetic
-     byte-identical to the serial path *)
   target_memo : memo;
   (* the target net's Q rows since the last sync, keyed on the state *)
   mutable train_steps : int;
 }
 
-let create ?(gamma = 0.99) ?(lr = 1e-4) ?(double = true) ?pool (rng : Rng.t)
+let create ?(gamma = 0.99) ?(lr = 1e-4) ?(double = true) (rng : Rng.t)
     ~(state_dim : int) ~(hidden : int list) ~(n_actions : int) : t =
   let dims = (state_dim :: hidden) @ [ n_actions ] in
   let online = Mlp.create rng dims in
@@ -80,7 +76,6 @@ let create ?(gamma = 0.99) ?(lr = 1e-4) ?(double = true) ?pool (rng : Rng.t)
     gamma;
     n_actions;
     double;
-    pool;
     target_memo = Rows.create 256;
     train_steps = 0 }
 
@@ -107,14 +102,14 @@ let q_values (t : t) (state : float array) : float array =
 let greedy_action (t : t) (state : float array) : int =
   Vecf.argmax (q_values t state)
 
-(* One gemm over every state, split across the pool. The forward count
-   and the gauges then move row by row, in row order, exactly as a loop
-   of [greedy_action] would leave them: the trainer's progress tick
-   reads q_max right after a greedy probe. *)
+(* One gemm over every state. The forward count and the gauges then
+   move row by row, in row order, exactly as a loop of [greedy_action]
+   would leave them: the trainer's progress tick reads q_max right after
+   a greedy probe. *)
 let greedy_actions (t : t) (states : float array array) : int array =
   if Array.length states = 0 then [||]
   else begin
-    let q = Mlp.forward_batch ?pool:t.pool t.online (Matrix.of_rows states) in
+    let q = Mlp.forward_batch t.online (Matrix.of_rows states) in
     Array.init (Array.length states) (fun i ->
         let row = Matrix.row q i in
         observe_q row;
@@ -171,7 +166,7 @@ let td_targets (t : t) (batch : Replay.transition array) ~(q_next : int -> float
   if nmiss > 0 then begin
     Obs.Metrics.inc ~by:(float_of_int nmiss) m_rows;
     let x = Matrix.of_rows (Array.of_list (List.map (fun k -> rows.(k)) miss)) in
-    let q = Mlp.forward_batch ?pool:t.pool t.target x in
+    let q = Mlp.forward_batch t.target x in
     List.iteri
       (fun j k ->
         q_tgt.(k) <- Matrix.row q j;
@@ -217,7 +212,7 @@ let train_batch (t : t) (batch : Replay.transition array) : float =
             batch
         in
         let x = Matrix.of_rows (distinct_rows online) in
-        let q, caches = Mlp.forward_batch_cached ?pool:t.pool t.online x in
+        let q, caches = Mlp.forward_batch_cached t.online x in
         Obs.Metrics.inc ~by:(float_of_int online.count) m_rows;
         let targets = td_targets t batch ~q_next:(fun i -> Matrix.row q nidx.(i)) in
         let caches =
@@ -238,7 +233,7 @@ let train_batch (t : t) (batch : Replay.transition array) : float =
             total := !total +. loss;
             Matrix.set dout i a (dpred /. float_of_int n))
           batch;
-        Mlp.backward_batch ?pool:t.pool t.online caches dout;
+        Mlp.backward_batch t.online caches dout;
         Optim.step t.optim t.online;
         t.train_steps <- t.train_steps + 1;
         let mean = !total /. float_of_int n in

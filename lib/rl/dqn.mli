@@ -3,10 +3,9 @@
     Determinism contracts this module must keep (DESIGN.md §9):
     - all exploration randomness flows through the caller's explicit
       {!Posetrl_support.Rng}; greedy paths consume none of it;
-    - [pool] only changes {e where} the gemm kernels' batch rows are
-      computed, never the arithmetic — training is byte-identical for
-      any [jobs] setting (row partitioning with fixed accumulation
-      order in [Posetrl_nn.Matrix]);
+    - each gemm output row depends only on its own input row, with a
+      fixed accumulation order ([Posetrl_nn.Matrix]), so a batched
+      forward equals a forward per row;
     - [save_weights] prints floats as [%h] (hex), so a save/load round
       trip is bit-exact.
 
@@ -33,16 +32,12 @@ type t = {
   gamma : float;
   n_actions : int;
   double : bool;    (** Double DQN (paper) vs vanilla target *)
-  pool : Posetrl_support.Pool.t option;
-  (** when set, the batch dimension of the gemm kernels is split across
-      the pool's domains — byte-identical to the serial path *)
   target_memo : memo;
   mutable train_steps : int;
 }
 
 val create :
-  ?gamma:float -> ?lr:float -> ?double:bool ->
-  ?pool:Posetrl_support.Pool.t -> Posetrl_support.Rng.t ->
+  ?gamma:float -> ?lr:float -> ?double:bool -> Posetrl_support.Rng.t ->
   state_dim:int -> hidden:int list -> n_actions:int -> t
 (** Fresh online/target networks (identical parameters) drawn from the
     given stream. Defaults: γ 0.99, lr 1e-4, double DQN. *)
@@ -55,10 +50,10 @@ val greedy_action : t -> float array -> int
 
 val greedy_actions : t -> float array array -> int array
 (** [greedy_action] on every state at once: one online [forward_batch]
-    gemm, its rows split across [pool]. Each row's action, the
-    posetrl.dqn.forwards count and the q_mean/q_max gauges come out
-    exactly as a loop of {!greedy_action} over the states would leave
-    them (the gauges hold the last row's values). *)
+    gemm. Each row's action, the posetrl.dqn.forwards count and the
+    q_mean/q_max gauges come out exactly as a loop of {!greedy_action}
+    over the states would leave them (the gauges hold the last row's
+    values). *)
 
 val select_action :
   t -> Posetrl_support.Rng.t -> epsilon:float -> float array -> int

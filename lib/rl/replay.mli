@@ -5,7 +5,7 @@
     explicit {!Posetrl_support.Rng} stream — {!sample} draws exactly
     [n] indices from it whatever the buffer contents, and push order is
     the step-stream order, so replay (and everything trained from it)
-    is byte-identical per seed, including under the domain pool. *)
+    is byte-identical per seed. *)
 
 type transition = {
   state : float array;

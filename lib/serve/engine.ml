@@ -2,10 +2,10 @@
    control (parse + sanitize untrusted IR), the IR-digest result cache,
    and the answer to a batch of requests. Concurrent cache misses share
    one [Inference.predict_batch], the lockstep greedy rollout: per
-   episode step one gemm on the agent's pool scores every module, and
-   each rollout equals the one the module would get on its own — the
-   cache-identity qcheck property in test/test_serve.ml pins the served
-   documents to [Inference.predict]. *)
+   episode step one gemm scores every module, and each rollout equals
+   the one the module would get on its own — the cache-identity qcheck
+   property in test/test_serve.ml pins the served documents to
+   [Inference.predict]. *)
 
 open Posetrl_ir
 module C = Posetrl_core

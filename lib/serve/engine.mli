@@ -1,8 +1,8 @@
 (** The optimization engine behind [posetrl serve]: admission
     control over untrusted IR, the IR-digest LRU result cache, and the
     answer to a batch of requests, whose cache misses share one
-    {!Posetrl_core.Inference.predict_batch} (one gemm per episode step
-    on the agent's pool).
+    {!Posetrl_core.Inference.predict_batch} (one gemm per episode
+    step).
 
     Determinism: each served schedule and optimized module is the one
     {!Posetrl_core.Inference.predict} gives for that module alone, so
@@ -21,8 +21,7 @@ val create :
   unit ->
   t
 (** Defaults: 15 episode steps, a 16 MiB cache, [Ssa]-level admission
-    sanitizing. The rollout gemms run on the agent's own pool
-    ({!Posetrl_rl.Dqn.create}[ ?pool]). *)
+    sanitizing. The rollout gemms run on the calling domain. *)
 
 val cache : t -> Posetrl_obs.Json.t Cache.t
 

@@ -31,10 +31,10 @@ let td_targets (t : t) (batch : Replay.transition array) : float array =
    | live ->
      let idx = Array.of_list (List.map fst live) in
      let s' = Matrix.of_rows (Array.of_list (List.map snd live)) in
-     let q_tgt = Mlp.forward_batch ?pool:t.pool t.target s' in
+     let q_tgt = Mlp.forward_batch t.target s' in
      let futures =
        if t.double then begin
-         let q_onl = Mlp.forward_batch ?pool:t.pool t.online s' in
+         let q_onl = Mlp.forward_batch t.online s' in
          Array.init (Array.length idx) (fun k ->
              let a' = Vecf.argmax (Matrix.row q_onl k) in
              Matrix.get q_tgt k a')
@@ -61,7 +61,7 @@ let train_batch (t : t) (batch : Replay.transition array) : float =
         Mlp.zero_grad t.online;
         let targets = td_targets t batch in
         let x = Matrix.of_rows (Array.map (fun tr -> tr.Replay.state) batch) in
-        let q, caches = Mlp.forward_batch_cached ?pool:t.pool t.online x in
+        let q, caches = Mlp.forward_batch_cached t.online x in
         let total = ref 0.0 in
         let dout = Matrix.create n t.n_actions in
         Array.iteri
@@ -73,7 +73,7 @@ let train_batch (t : t) (batch : Replay.transition array) : float =
             total := !total +. loss;
             Matrix.set dout i a (dpred /. float_of_int n))
           batch;
-        Mlp.backward_batch ?pool:t.pool t.online caches dout;
+        Mlp.backward_batch t.online caches dout;
         Optim.step t.optim t.online;
         t.train_steps <- t.train_steps + 1;
         let mean = !total /. float_of_int n in

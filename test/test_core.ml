@@ -331,8 +331,7 @@ let gen_rollout_case =
            (seed, List.mapi (fun i x -> if n > 1 && i = n - 1 then List.hd idx else x) idx)))
 
 (* Actions, printed optimized IR and reward bits all match the
-   reference, for episodes of 1 and 15 steps and the agent's pool at
-   jobs 1, 2 and 3. *)
+   reference, for episodes of 1 and 15 steps. *)
 let prop_predict_batch_matches_reference =
   QCheck2.Test.make ~count:5
     ~print:(fun (seed, idx) ->
@@ -342,8 +341,8 @@ let prop_predict_batch_matches_reference =
     (fun (seed, idx) ->
       let progs = Lazy.force rollout_programs in
       let ms = List.map (fun i -> progs.(i)) idx in
-      let agent ?pool () =
-        Rl.Dqn.create ?pool (Posetrl_support.Rng.create seed)
+      let agent () =
+        Rl.Dqn.create (Posetrl_support.Rng.create seed)
           ~state_dim:C.Environment.state_dim ~hidden:[ 128; 64 ]
           ~n_actions:(O.Action_space.n_actions O.Action_space.odg)
       in
@@ -355,15 +354,11 @@ let prop_predict_batch_matches_reference =
       List.for_all
         (fun max_steps ->
           let expect = List.map (ref_rollout ~max_steps ~agent:(agent ())) ms in
-          List.for_all
-            (fun jobs ->
-              Posetrl_support.Pool.with_pool ~jobs (fun p ->
-                  let got =
-                    C.Inference.predict_batch ~max_steps ~agent:(agent ~pool:p ())
-                      ~actions:O.Action_space.odg ~target:x86 ms
-                  in
-                  List.length got = List.length expect && List.for_all2 same got expect))
-            [ 1; 2; 3 ])
+          let got =
+            C.Inference.predict_batch ~max_steps ~agent:(agent ())
+              ~actions:O.Action_space.odg ~target:x86 ms
+          in
+          List.length got = List.length expect && List.for_all2 same got expect)
         [ 1; 15 ])
 
 let test_apply_sequence () =

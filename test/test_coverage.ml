@@ -358,7 +358,7 @@ let test_coverage_universe_shape () =
 
 let prop_streaming_eq_recompute =
   Testutil.prop_folds_eq_recompute ~only:Cov.name
-    ~name:"streaming coverage = ledger recompute (jobs 1 and 4)" ()
+    ~name:"streaming coverage = ledger recompute" ()
 
 let suite =
   [ Alcotest.test_case "observe credits nodes/edges/transitions" `Quick

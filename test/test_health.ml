@@ -5,7 +5,7 @@
    and assert the edge-trigger contract: one alert per incident, silence
    on healthy runs. The attribution tests check the table's arithmetic,
    its attrib.json reader, its renderers, and that the trainer's table
-   equals its ledger recompute, sequential and pooled alike. *)
+   equals its ledger recompute. *)
 
 module Obs = Posetrl_obs
 module Rl = Posetrl_rl
@@ -368,7 +368,7 @@ let prop_alert_reader =
 
 let prop_streaming_eq_recompute =
   Testutil.prop_folds_eq_recompute ~only:Rl.Attrib.name
-    ~name:"streaming attribution = ledger recompute (jobs 1 and 4)" ()
+    ~name:"streaming attribution = ledger recompute" ()
 
 let suite =
   [ Alcotest.test_case "healthy run is silent" `Quick test_healthy_run_silent;

@@ -309,11 +309,10 @@ let test_grad_clip () =
    The determinism contract (DESIGN.md §9): the register-blocked kernels
    compute every output element with exactly the reference loop's
    additions, in the same order, so results are equal bit for bit — not
-   merely close — serial or pooled. Shapes cover every blocking
-   remainder (rows and columns 1-9 straddle the 2-row, 4- and 8-column
-   blocks) plus the 32 x 300 x 128 training shape; entries include exact
-   zeros (~30%, as ReLU masks leave) and -0.0, so the per-(i,k) zero
-   skip is pinned too. *)
+   merely close. Shapes cover every blocking remainder (rows and columns
+   1-9 straddle the 2-row, 4- and 8-column blocks) plus the 32 x 300 x
+   128 training shape; entries include exact zeros (~30%, as ReLU masks
+   leave) and -0.0, so the per-(i,k) zero skip is pinned too. *)
 
 let entry rng =
   let u = Rng.float rng in
@@ -334,51 +333,30 @@ let gen_shape =
 let print_shape (m, k, n, seed) = Printf.sprintf "m=%d k=%d n=%d seed=%d" m k n seed
 
 (* Each kernel, given a stream and a shape, draws its operands and
-   returns the kernel run (optionally pooled) and the naive result. *)
+   returns its result and the naive loop's. *)
 let kernels =
   [ ( "gemm",
       fun rng (m, k, n) ->
         let a = random_matrix rng m k and b = random_matrix rng k n in
-        ( (fun ?pool () -> (Matrix.gemm ?pool a b).Matrix.data),
-          (naive_gemm a b).Matrix.data ) );
+        ((Matrix.gemm a b).Matrix.data, (naive_gemm a b).Matrix.data) );
     ( "gemm_nt",
       fun rng (m, k, n) ->
         let a = random_matrix rng m k and b = random_matrix rng n k in
-        ( (fun ?pool () -> (Matrix.gemm_nt ?pool a b).Matrix.data),
-          (naive_gemm_nt a b).Matrix.data ) );
+        ((Matrix.gemm_nt a b).Matrix.data, (naive_gemm_nt a b).Matrix.data) );
     ( "gemm_tn_acc",
       fun rng (m, k, n) ->
         (* non-zero initial C, zeros and -0.0 included *)
         let c = random_matrix rng m n in
         let a = random_matrix rng k m and b = random_matrix rng k n in
-        ( (fun ?pool () ->
-            let c' = Matrix.copy c in
-            Matrix.gemm_tn_acc ?pool c' a b;
-            c'.Matrix.data),
-          (naive_gemm_tn_acc c a b).Matrix.data ) ) ]
+        let c' = Matrix.copy c in
+        Matrix.gemm_tn_acc c' a b;
+        (c'.Matrix.data, (naive_gemm_tn_acc c a b).Matrix.data) ) ]
 
 let kernel_matches_naive ~name kernel =
   QCheck2.Test.make ~count:60 ~print:print_shape ~name gen_shape
     (fun (m, k, n, seed) ->
-      let run, expect = List.assoc kernel kernels (Rng.create seed) (m, k, n) in
-      same_bits (run ()) expect)
-
-(* The pool splits C's rows across domains; every kernel at jobs 1, 2
-   and 3 must still equal the naive loop bit for bit. *)
-let prop_gemm_pool_matches_serial =
-  QCheck2.Test.make ~count:25 ~print:print_shape
-    ~name:"gemm ~pool = gemm (exact floats)" gen_shape
-    (fun (m, k, n, seed) ->
-      List.for_all
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun p ->
-              let pool = Some p in
-              List.for_all
-                (fun (_, operands) ->
-                  let run, expect = operands (Rng.create seed) (m, k, n) in
-                  same_bits (run ?pool ()) expect)
-                kernels))
-        [ 1; 2; 3 ])
+      let got, expect = List.assoc kernel kernels (Rng.create seed) (m, k, n) in
+      same_bits got expect)
 
 let test_gemm_tn_acc () =
   (* c += a^T b, accumulating sample-major (ascending row of a/b) — the
@@ -533,7 +511,6 @@ let suite =
     Alcotest.test_case "grad clip" `Quick test_grad_clip;
     QCheck_alcotest.to_alcotest
       (kernel_matches_naive ~name:"gemm = naive matmul (exact floats)" "gemm");
-    QCheck_alcotest.to_alcotest prop_gemm_pool_matches_serial;
     QCheck_alcotest.to_alcotest
       (kernel_matches_naive ~name:"gemm_nt = a * b^T (exact floats)" "gemm_nt");
     QCheck_alcotest.to_alcotest

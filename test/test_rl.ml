@@ -143,10 +143,10 @@ let ref_td_target (t : Rl.Dqn.t) (tr : Rl.Replay.transition) : float =
 
 (* An agent whose online network differs from its target network, so
    double and vanilla DQN pick different next actions. *)
-let drifted_agent ?pool ~double seed =
+let drifted_agent ~double seed =
   let rng = Rng.create seed in
   let agent =
-    Rl.Dqn.create ~gamma:0.9 ~double ?pool rng ~state_dim:7 ~hidden:[ 10; 6 ] ~n_actions:5
+    Rl.Dqn.create ~gamma:0.9 ~double rng ~state_dim:7 ~hidden:[ 10; 6 ] ~n_actions:5
   in
   Mlp.copy_params ~src:(Mlp.create rng [ 7; 10; 6; 5 ]) ~dst:agent.Rl.Dqn.online;
   agent
@@ -169,14 +169,10 @@ let prop_td_targets_match_reference =
             tr (random_state rng) (Rng.int rng 5) (Rng.normal rng)
               (if Rng.float rng < 0.25 then None else Some (random_state rng)))
       in
-      List.for_all
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun p ->
-              let agent = drifted_agent ~pool:p ~double seed in
-              let got = Dqn_ref.td_targets agent batch in
-              Array.length got = n
-              && Array.for_all2 same_bits got (Array.map (ref_td_target agent) batch)))
-        [ 1; 2; 3 ])
+      let agent = drifted_agent ~double seed in
+      let got = Dqn_ref.td_targets agent batch in
+      Array.length got = n
+      && Array.for_all2 same_bits got (Array.map (ref_td_target agent) batch))
 
 (* --- the learner against the reference ------------------------------------
 
@@ -225,29 +221,25 @@ let prop_learner_matches_reference =
     (fun (seed, double) ->
       let path = Filename.temp_file "posetrl" ".weights" in
       Rl.Dqn.save_weights (drifted_agent ~double (seed + 7)) path;
+      let agent = drifted_agent ~double seed in
+      let reference = drifted_agent ~double seed in
+      let rng = Rng.create (seed + 1) in
+      let pool = state_pool rng in
       let ok =
         List.for_all
-          (fun jobs ->
-            Pool.with_pool ~jobs (fun p ->
-                let agent = drifted_agent ~pool:p ~double seed in
-                let reference = drifted_agent ~double seed in
-                let rng = Rng.create (seed + 1) in
-                let pool = state_pool rng in
-                List.for_all
-                  (fun step ->
-                    (* a sync and a load between batches: both must
-                       forget the memoized target rows *)
-                    if step = 4 then List.iter Rl.Dqn.sync_target [ agent; reference ];
-                    if step = 7 then
-                      List.iter (fun a -> Rl.Dqn.load_weights a path) [ agent; reference ];
-                    let batch = planted_batch rng pool (1 + Rng.int rng 40) in
-                    let got = Rl.Dqn.train_batch agent batch in
-                    let want = Dqn_ref.train_batch reference batch in
-                    same_bits got want
-                    && net_bits agent.Rl.Dqn.online = net_bits reference.Rl.Dqn.online
-                    && net_bits agent.Rl.Dqn.target = net_bits reference.Rl.Dqn.target)
-                  (List.init 10 Fun.id)))
-          [ 1; 2; 3 ]
+          (fun step ->
+            (* a sync and a load between batches: both must forget the
+               memoized target rows *)
+            if step = 4 then List.iter Rl.Dqn.sync_target [ agent; reference ];
+            if step = 7 then
+              List.iter (fun a -> Rl.Dqn.load_weights a path) [ agent; reference ];
+            let batch = planted_batch rng pool (1 + Rng.int rng 40) in
+            let got = Rl.Dqn.train_batch agent batch in
+            let want = Dqn_ref.train_batch reference batch in
+            same_bits got want
+            && net_bits agent.Rl.Dqn.online = net_bits reference.Rl.Dqn.online
+            && net_bits agent.Rl.Dqn.target = net_bits reference.Rl.Dqn.target)
+          (List.init 10 Fun.id)
       in
       Sys.remove path;
       ok)
@@ -305,27 +297,26 @@ let test_target_memo_cap () =
   Alcotest.(check (float 0.0)) "and the memo goes on" 1.0 (hits [| fresh |])
 
 let test_greedy_actions_match_greedy_action () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      let agent = drifted_agent ~pool:p ~double:true 4 in
-      let rng = Rng.create 5 in
-      let states = Array.init 9 (fun _ -> random_state rng) in
-      let forwards () = Option.value ~default:0.0 (Metrics.value "posetrl.dqn.forwards") in
-      let before = forwards () in
-      let got = Rl.Dqn.greedy_actions agent states in
-      Alcotest.(check (float 0.0)) "one forward counted per row" 9.0 (forwards () -. before);
-      let gauge name = Option.get (Metrics.value name) in
-      let q_mean = gauge "posetrl.dqn.q_mean" and q_max = gauge "posetrl.dqn.q_max" in
-      (* the last row's gauges, as a loop of greedy_action leaves them *)
-      ignore (Rl.Dqn.greedy_action agent states.(0));
-      ignore (Rl.Dqn.greedy_action agent states.(8));
-      Alcotest.(check bool) "q_mean is the last row's" true
-        (same_bits q_mean (gauge "posetrl.dqn.q_mean"));
-      Alcotest.(check bool) "q_max is the last row's" true
-        (same_bits q_max (gauge "posetrl.dqn.q_max"));
-      Alcotest.(check (array int)) "each row's greedy action"
-        (Array.map (Rl.Dqn.greedy_action agent) states) got;
-      Alcotest.(check (array int)) "no rows, no actions" [||]
-        (Rl.Dqn.greedy_actions agent [||]))
+  let agent = drifted_agent ~double:true 4 in
+  let rng = Rng.create 5 in
+  let states = Array.init 9 (fun _ -> random_state rng) in
+  let forwards () = Option.value ~default:0.0 (Metrics.value "posetrl.dqn.forwards") in
+  let before = forwards () in
+  let got = Rl.Dqn.greedy_actions agent states in
+  Alcotest.(check (float 0.0)) "one forward counted per row" 9.0 (forwards () -. before);
+  let gauge name = Option.get (Metrics.value name) in
+  let q_mean = gauge "posetrl.dqn.q_mean" and q_max = gauge "posetrl.dqn.q_max" in
+  (* the last row's gauges, as a loop of greedy_action leaves them *)
+  ignore (Rl.Dqn.greedy_action agent states.(0));
+  ignore (Rl.Dqn.greedy_action agent states.(8));
+  Alcotest.(check bool) "q_mean is the last row's" true
+    (same_bits q_mean (gauge "posetrl.dqn.q_mean"));
+  Alcotest.(check bool) "q_max is the last row's" true
+    (same_bits q_max (gauge "posetrl.dqn.q_max"));
+  Alcotest.(check (array int)) "each row's greedy action"
+    (Array.map (Rl.Dqn.greedy_action agent) states) got;
+  Alcotest.(check (array int)) "no rows, no actions" [||]
+    (Rl.Dqn.greedy_actions agent [||])
 
 let test_save_load_weights () =
   let rng = Rng.create 9 in

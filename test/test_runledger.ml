@@ -155,7 +155,7 @@ let test_replay_interleaves_ticks () =
    its list entry; the health and coverage suites each check theirs. *)
 let prop_folds_eq_recompute =
   Testutil.prop_folds_eq_recompute
-    ~name:"streaming folds = ledger recompute (jobs 1 and 4)" ()
+    ~name:"streaming folds = ledger recompute" ()
 
 (* --- Run: directory lifecycle ------------------------------------------------- *)
 

@@ -144,52 +144,43 @@ let fold_hp =
     Trainer.warmup_steps = 32;
     Trainer.target_sync_every = 60 }
 
-(* One short training run over the default folds (pooled above jobs 1):
-   the tables, and the records handed [on_record] read back from their
-   JSON text as the ledger stores them. Memoized: qcheck-alcotest starts
-   every property from one random seed, so each (seed, jobs) trains once
-   for all the properties built below. *)
+(* One short training run over the default folds: the tables, and the
+   records handed [on_record] read back from their JSON text as the
+   ledger stores them. Memoized: qcheck-alcotest starts every property
+   from one random seed, so each seed trains once for all the properties
+   built below. *)
 let fold_cases = Hashtbl.create 8
 
-let fold_case ~seed ~jobs : Posetrl_obs.Fold.t list * Json.t list =
-  match Hashtbl.find_opt fold_cases (seed, jobs) with
+let fold_case ~seed : Posetrl_obs.Fold.t list * Json.t list =
+  match Hashtbl.find_opt fold_cases seed with
   | Some case -> case
   | None ->
     let actions = Posetrl_odg.Action_space.manual in
     let folds = Trainer.default_folds fold_hp actions in
     let records = ref [] in
-    let train pool =
-      ignore
-        (Trainer.train ?pool ~hp:fold_hp ~folds
-           ~on_record:(fun r -> records := r :: !records)
-           ~seed ~corpus:(Posetrl_workloads.Genprog.corpus ~n:4 ())
-           ~actions ~target:Posetrl_codegen.Target.x86_64 ())
-    in
-    if jobs <= 1 then train None
-    else
-      Posetrl_support.Pool.with_pool ~name:"test-folds" ~jobs (fun p ->
-          train (Some p));
+    ignore
+      (Trainer.train ~hp:fold_hp ~folds
+         ~on_record:(fun r -> records := r :: !records)
+         ~seed ~corpus:(Posetrl_workloads.Genprog.corpus ~n:4 ())
+         ~actions ~target:Posetrl_codegen.Target.x86_64 ());
     let case = (folds, List.rev_map reread !records) in
-    Hashtbl.replace fold_cases (seed, jobs) case;
+    Hashtbl.replace fold_cases seed case;
     case
 
 (* Each fold's streaming table equals, float for float, its recompute
-   from the ledger records, for jobs 1 and 4: every fold of the default
-   list, or only the one named [only] (which must be in the list). *)
+   from the ledger records: every fold of the default list, or only the
+   one named [only] (which must be in the list). *)
 let prop_folds_eq_recompute ?only ~name () =
   QCheck2.Test.make ~count:3 ~print:QCheck2.Print.int ~name
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
-      List.for_all
-        (fun jobs ->
-          let folds, records = fold_case ~seed ~jobs in
-          let checked =
-            List.filter (fun (Posetrl_obs.Fold.Fold ((module F), _)) ->
-                only = None || only = Some F.name) folds
-          in
-          checked <> []
-          && List.for_all
-               (fun (Posetrl_obs.Fold.Fold ((module F), x)) ->
-                 F.equal x (Posetrl_obs.Fold.recompute (module F) x records))
-               checked)
-        [ 1; 4 ])
+      let folds, records = fold_case ~seed in
+      let checked =
+        List.filter (fun (Posetrl_obs.Fold.Fold ((module F), _)) ->
+            only = None || only = Some F.name) folds
+      in
+      checked <> []
+      && List.for_all
+           (fun (Posetrl_obs.Fold.Fold ((module F), x)) ->
+             F.equal x (Posetrl_obs.Fold.recompute (module F) x records))
+           checked)
