@@ -29,10 +29,11 @@ import sys
 GATE_TABLE = [
     {
         "kind": "bench-parallel",
-        "gated": ("gemm_rel", "gemm_nt_rel", "gemm_tn_acc_rel",
-                  "pool_dispatch_rel"),
-        "why": "the DQN learner's gemm kernels (input gradient, forward, "
-               "weight gradient) and pool dispatch overhead",
+        "gated": ("gemm_rel", "gemm_nt_rel", "gemm_nt_1row_rel",
+                  "gemm_tn_acc_rel", "adam_rel", "pool_dispatch_rel"),
+        "why": "the DQN learner's kernels (input gradient, the batched and "
+               "the one-row forward, weight gradient, the Adam step) and "
+               "pool dispatch overhead",
     },
     {
         "kind": "bench-analysis",

@@ -427,9 +427,13 @@ let print_bechamel_rows rows =
    writes BENCH_<what>.json for the bench-regression CI job. Raw ns/run
    numbers don't transfer between machines, so every gated cost is
    reported relative to a calibration row benched in the same process:
-   an untiled 4k dot product, the same load/FMA bottleneck as the gemm
-   inner loop, so the ratio mostly cancels machine speed and the
-   committed baseline stays portable (see .github/scripts/bench_gate.py). *)
+   an untiled 4k dot product, one dependent chain of scalar float adds,
+   which tracks the machine's clock, so the ratio mostly cancels machine
+   speed and the committed baseline stays portable (see
+   .github/scripts/bench_gate.py). It is not the learner kernels'
+   bottleneck: those are 2-lane SIMD blocks of independent sums
+   (lib/nn/kernels.c), bound by float throughput, not add latency, so
+   their ratios also move with a runner's vector units. *)
 
 (* Bench the calibration row then [tests] as group [group] and print
    every row; returns the rows and their ns/run lookup by short name. *)
@@ -571,6 +575,30 @@ let parallel () =
      a dense dpre (no ReLU zeros to skip) is the kernel's worst case *)
   let gw = M.create 128 300 in
   let dpre = M.init 64 128 (fun _ _ -> Rng.normal rng) in
+  (* a single state's layer-0 forward: gemm_nt's unpacked path below 4
+     rows, where the 64-row row above takes the packed one *)
+  let x1 = M.init 1 300 (fun _ _ -> Rng.normal rng) in
+  (* one Adam step over the DQN's net; the step zeroes the gradients, so
+     each run first restores them (a 49k-float blit) *)
+  let module L = Posetrl_nn.Layer in
+  let net = Posetrl_nn.Mlp.create rng [ 300; 128; 64; 34 ] in
+  let grads =
+    Array.map
+      (fun (l : L.t) ->
+        ( Array.map (fun _ -> Rng.normal rng) l.L.gw.M.data,
+          Array.map (fun _ -> Rng.normal rng) l.L.gb ))
+      net.Posetrl_nn.Mlp.layers
+  in
+  let optim = Posetrl_nn.Optim.create () in
+  let adam_step () =
+    Array.iteri
+      (fun k (l : L.t) ->
+        let gw, gb = grads.(k) in
+        Array.blit gw 0 l.L.gw.M.data 0 (Array.length gw);
+        Array.blit gb 0 l.L.gb 0 (Array.length gb))
+      net.Posetrl_nn.Mlp.layers;
+    Posetrl_nn.Optim.step optim net
+  in
   let noops = Array.make 64 () in
   let pool = Pool.create ~name:"bench" ~jobs () in
   let bench =
@@ -582,8 +610,11 @@ let parallel () =
               (Staged.stage (fun () -> ignore (M.gemm a b)));
             Test.make ~name:"gemm-nt-64x300x128"
               (Staged.stage (fun () -> ignore (M.gemm_nt x w)));
+            Test.make ~name:"gemm-nt-1x300x128"
+              (Staged.stage (fun () -> ignore (M.gemm_nt x1 w)));
             Test.make ~name:"gemm-tn-acc-64x300x128"
               (Staged.stage (fun () -> M.gemm_tn_acc gw dpre x));
+            Test.make ~name:"adam-300-128-64-34" (Staged.stage adam_step);
             Test.make ~name:"pool-dispatch-64-noops"
               (Staged.stage (fun () ->
                    ignore (Pool.map pool (fun () -> ()) noops)));
@@ -622,14 +653,17 @@ let parallel () =
   Printf.printf
     "  oz-pipeline over %d programs: seq %.3fs  pool(j%d) %.3fs  speedup %.2fx\n"
     (Array.length progs) seq_s jobs par_s speedup;
-  (* gated (25% tolerance): the three learner kernels and pool dispatch,
-     plus the scrape row for context *)
+  (* gated (25% tolerance): the three learner kernels, the one-row
+     forward, the Adam step and pool dispatch, plus the scrape row for
+     context *)
   write_gated ~what:"parallel" bench
     ~head:[ ("jobs", Obs.Json.Int jobs) ]
     ~gate:
       [ ("gemm_rel", ns "gemm-64x300x128");
         ("gemm_nt_rel", ns "gemm-nt-64x300x128");
+        ("gemm_nt_1row_rel", ns "gemm-nt-1x300x128");
         ("gemm_tn_acc_rel", ns "gemm-tn-acc-64x300x128");
+        ("adam_rel", ns "adam-300-128-64-34");
         ("pool_dispatch_rel", ns "pool-dispatch-64-noops");
         ("expo_scrape_rel", ns "expo-scrape-32-series") ]
     ~tail:

@@ -584,6 +584,14 @@ let eval_cmd =
                  Default 1 (sequential, no domains spawned).")
   in
   let go weights actions tgt sanitize jobs session telemetry =
+    (* more domains than cores can run slower than --jobs 1 (DESIGN.md §9);
+       the answer is the same, so this only warns *)
+    let cores = Domain.recommended_domain_count () in
+    if jobs > cores then
+      Printf.eprintf
+        "posetrl: warning: --jobs %d is above the %d domain%s this machine \
+         recommends; the pool may run slower than --jobs 1\n%!"
+        jobs cores (if cores = 1 then "" else "s");
     let agent = load_agent ~weights actions in
     (* eval coverage: the greedy rollout sequences folded as episodes
        (reward components are not re-derived — counts/entropy only);

@@ -1,9 +1,9 @@
 (** Dense row-major matrices; just enough linear algebra for the MLPs.
 
-    The gemm kernels are register-blocked with a fixed term order per
-    output element, so every element is bit-identical whatever the
-    blocking (DESIGN.md §9). An output row depends only on its own
-    input row. *)
+    The gemm kernels run in C (kernels.c), register-blocked in 2-lane
+    SIMD with a fixed term order per output element, so every element
+    is bit-identical whatever the blocking or the lane (DESIGN.md §9).
+    An output row depends only on its own input row. *)
 
 type t = {
   rows : int;
@@ -31,7 +31,9 @@ val gemm : t -> t -> t
     disagree. *)
 
 val gemm_nt : t -> t -> t
-(** C = A Bᵀ, the minibatch forward. *)
+(** C = A Bᵀ, the minibatch forward.
+    @raise Invalid_argument if an operand fails {!check} or the shapes
+    disagree. *)
 
 val gemm_tn_acc : t -> t -> t -> unit
 (** [gemm_tn_acc c a b] adds Aᵀ B into C, the weight-gradient

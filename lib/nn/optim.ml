@@ -29,8 +29,8 @@ let grad_norm (net : Mlp.t) : float =
   done;
   sqrt !acc
 
-(* [step]'s update indexes without bounds checks: each layer's gradients
-   and moments must have its parameters' lengths. *)
+(* [step]'s update (kernels.c) indexes without bounds checks: each
+   layer's gradients and moments must have its parameters' lengths. *)
 let check_layer (l : Layer.t) =
   List.iter (Matrix.check "Optim.step") [ l.Layer.w; l.Layer.gw; l.Layer.mw; l.Layer.vw ];
   let same p rest =
@@ -41,6 +41,18 @@ let check_layer (l : Layer.t) =
     [ l.Layer.gw.Matrix.data; l.Layer.mw.Matrix.data; l.Layer.vw.Matrix.data ];
   same l.Layer.b [ l.Layer.gb; l.Layer.mb; l.Layer.vb ]
 
+(* [update p g m v coef], element by element: with gi = g.(i) *. clip,
+   m <- b1 m + (1 - b1) gi, v <- b2 v + (1 - b2) gi gi, and
+   p <- p - lr (m / bc1) / (sqrt (v / bc2) + eps), each in that operation
+   order; then g.(i) <- 0.0, so the next batch accumulates into zeros.
+   [coef] is [| lr; b1; 1 - b1; b2; 1 - b2; bc1; bc2; eps; clip |]. *)
+external update :
+  float array -> float array -> float array -> float array -> float array -> unit
+  = "posetrl_nn_adam"
+[@@noalloc]
+
+(* One Adam step over the gradients accumulated since the last one,
+   which it leaves zeroed. *)
 let step (o : t) (net : Mlp.t) : unit =
   Array.iter check_layer net.Mlp.layers;
   o.step_count <- o.step_count + 1;
@@ -54,21 +66,12 @@ let step (o : t) (net : Mlp.t) : unit =
     end
     else 1.0
   in
-  let lr = o.lr and eps = o.eps and b1 = o.beta1 and b2 = o.beta2 in
-  let b1c = 1.0 -. b1 and b2c = 1.0 -. b2 in
-  (* parameters [p], gradients [g], moments [m]/[v] *)
-  let update p g m v =
-    for i = 0 to Array.length p - 1 do
-      let gi = Array.unsafe_get g i *. clip_scale in
-      Array.unsafe_set m i ((b1 *. Array.unsafe_get m i) +. (b1c *. gi));
-      Array.unsafe_set v i ((b2 *. Array.unsafe_get v i) +. (b2c *. gi *. gi));
-      let mhat = Array.unsafe_get m i /. bc1 and vhat = Array.unsafe_get v i /. bc2 in
-      Array.unsafe_set p i (Array.unsafe_get p i -. (lr *. mhat /. (sqrt vhat +. eps)))
-    done
+  let coef =
+    [| o.lr; o.beta1; 1.0 -. o.beta1; o.beta2; 1.0 -. o.beta2; bc1; bc2; o.eps; clip_scale |]
   in
   Array.iter
     (fun (l : Layer.t) ->
       update l.Layer.w.Matrix.data l.Layer.gw.Matrix.data l.Layer.mw.Matrix.data
-        l.Layer.vw.Matrix.data;
-      update l.Layer.b l.Layer.gb l.Layer.mb l.Layer.vb)
+        l.Layer.vw.Matrix.data coef;
+      update l.Layer.b l.Layer.gb l.Layer.mb l.Layer.vb coef)
     net.Mlp.layers

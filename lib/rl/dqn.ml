@@ -191,7 +191,8 @@ let td_targets (t : t) (batch : Replay.transition array) ~(q_next : int -> float
    into batch order with every layer's cached input and pre-activation,
    feed the loss and the backward pass; the backward pass and Adam still
    run over all of the batch's rows, since merging duplicates there
-   would reorder the gradient sums. *)
+   would reorder the gradient sums. The gradients arrive zeroed:
+   [Optim.step] clears each one as it reads it. *)
 let train_batch (t : t) (batch : Replay.transition array) : float =
   let n = Array.length batch in
   if n = 0 then 0.0
@@ -200,7 +201,6 @@ let train_batch (t : t) (batch : Replay.transition array) : float =
       ~attrs:[ ("batch", Obs.Event.I n) ]
       (fun sp ->
         Obs.Metrics.inc m_batches;
-        Mlp.zero_grad t.online;
         let online = rowset () in
         let sidx = Array.map (fun tr -> slot online tr.Replay.state) batch in
         let nidx =

@@ -310,9 +310,13 @@ let test_grad_clip () =
    compute every output element with exactly the reference loop's
    additions, in the same order, so results are equal bit for bit — not
    merely close. Shapes cover every blocking remainder (rows and columns
-   1-9 straddle the 2-row, 4- and 8-column blocks) plus the 32 x 300 x
-   128 training shape; entries include exact zeros (~30%, as ReLU masks
-   leave) and -0.0, so the per-(i,k) zero skip is pinned too. *)
+   1-9 straddle [gemm_nt]'s 4-row threshold and its 4- and 8-column
+   blocks, and the accumulate's 2- and 8-column ones), an inner
+   dimension of 1,100 that the C loops take in chunks of 512, and the
+   layer-0 shapes of a single state (1 x 300 x 128), of the smallest
+   packed forward (4 x 300 x 128) and of training batches (32 and 64
+   rows); entries include exact zeros (~30%, as ReLU masks leave) and
+   -0.0, so the per-(i,k) zero skip is pinned too. *)
 
 let entry rng =
   let u = Rng.float rng in
@@ -326,7 +330,11 @@ let gen_shape =
     pair
       (frequency
          [ (9, triple (int_range 1 9) (int_range 1 20) (int_range 1 9));
-           (1, pure (32, 300, 128)) ])
+           (1, pure (6, 1100, 9));
+           (1, pure (1, 300, 128));
+           (1, pure (4, 300, 128));
+           (1, pure (32, 300, 128));
+           (1, pure (64, 300, 128)) ])
       (int_range 0 10_000)
     |> map (fun ((m, k, n), seed) -> (m, k, n, seed)))
 
@@ -460,7 +468,82 @@ let test_skip_input_grad () =
         true (same_bits l.Layer.gb lf.Layer.gb))
     net.Mlp.layers
 
-(* The accumulate kernels and Adam's update index without bounds checks;
+(* --- Adam ------------------------------------------------------------------
+
+   [Optim.step]'s update runs in lib/nn/kernels.c, two parameters per
+   vector; [Optim_ref.step] is the scalar loop it replaced. Over several
+   steps on two equal nets fed the same gradients, both must write the
+   same parameter and moment bits, and [Optim.step] must leave every
+   gradient 0.0. Entries include exact zeros and -0.0 (second moments
+   stay non-negative, as sums of squares are). The gradient norm lands
+   above the clip threshold (clip scale below 1), below it (scale 1), or
+   clipping is off; odd lengths take the kernel's one-element tail. *)
+
+(* (dims, grad_clip, gradient scale, steps, seed) *)
+let gen_adam =
+  QCheck2.Gen.(
+    tup5
+      (frequency
+         [ (9, list_size (int_range 2 4) (int_range 1 9)); (1, pure [ 300; 128; 64; 34 ]) ])
+      (oneofl [ 0.0; 0.5; 1e9 ])
+      (oneofl [ 1e-3; 1.0; 100.0 ])
+      (int_range 1 4) (int_range 0 10_000))
+
+let print_adam (dims, clip, scale, steps, seed) =
+  Printf.sprintf "dims=[%s] grad_clip=%g grad_scale=%g steps=%d seed=%d"
+    (String.concat ";" (List.map string_of_int dims))
+    clip scale steps seed
+
+(* every array Adam reads or writes but the gradients *)
+let adam_state (l : Layer.t) =
+  [ l.Layer.w.Matrix.data; l.Layer.b; l.Layer.mw.Matrix.data; l.Layer.vw.Matrix.data;
+    l.Layer.mb; l.Layer.vb ]
+
+let grads (l : Layer.t) = [ l.Layer.gw.Matrix.data; l.Layer.gb ]
+
+let prop_adam_matches_ref =
+  QCheck2.Test.make ~count:60 ~print:print_adam
+    ~name:"Optim.step = Optim_ref.step (bits), gradients read back 0.0" gen_adam
+    (fun (dims, clip, scale, steps, seed) ->
+      let rng = Rng.create seed in
+      let net = Mlp.create rng dims and ref_net = Mlp.create rng dims in
+      let fill f a = Array.iteri (fun i _ -> a.(i) <- f (entry rng)) a in
+      let non_neg x = if x < 0.0 then -.x else x in
+      Array.iteri
+        (fun k (l : Layer.t) ->
+          let second = [ l.Layer.vw.Matrix.data; l.Layer.vb ] in
+          List.iter2
+            (fun a a_ref ->
+              fill (if List.memq a second then non_neg else Fun.id) a;
+              Array.blit a 0 a_ref 0 (Array.length a))
+            (adam_state l) (adam_state ref_net.Mlp.layers.(k)))
+        net.Mlp.layers;
+      let o = Optim.create ~lr:1e-2 ~grad_clip:clip ()
+      and o_ref = Optim.create ~lr:1e-2 ~grad_clip:clip () in
+      let zero_bits a = Array.for_all (fun g -> Int64.bits_of_float g = 0L) a in
+      let ok = ref true in
+      for _ = 1 to steps do
+        Array.iteri
+          (fun k (l : Layer.t) ->
+            List.iter2
+              (fun g g_ref ->
+                fill (fun x -> x *. scale) g;
+                Array.blit g 0 g_ref 0 (Array.length g))
+              (grads l) (grads ref_net.Mlp.layers.(k)))
+          net.Mlp.layers;
+        Optim.step o net;
+        Optim_ref.step o_ref ref_net;
+        Array.iteri
+          (fun k (l : Layer.t) ->
+            ok :=
+              !ok
+              && List.for_all2 same_bits (adam_state l) (adam_state ref_net.Mlp.layers.(k))
+              && List.for_all zero_bits (grads l))
+          net.Mlp.layers
+      done;
+      !ok)
+
+(* The gemm kernels and Adam's update index without bounds checks;
    a matrix whose data is shorter than rows * cols must be refused before
    they run, not read past. *)
 let test_short_data_rejected () =
@@ -477,6 +560,13 @@ let test_short_data_rejected () =
   let a = random_matrix rng 3 4 and b = random_matrix rng 4 9 in
   rejects "gemm, short A" (fun () -> Matrix.gemm (short a) b);
   rejects "gemm, short B" (fun () -> Matrix.gemm a (short b));
+  let x4 = random_matrix rng 5 4 and w = random_matrix rng 9 4 in
+  List.iter
+    (fun x ->
+      let rows = string_of_int x.Matrix.rows in
+      rejects ("gemm_nt, short A, " ^ rows ^ " rows") (fun () -> Matrix.gemm_nt (short x) w);
+      rejects ("gemm_nt, short B, " ^ rows ^ " rows") (fun () -> Matrix.gemm_nt x (short w)))
+    [ a; x4 ];
   let c = random_matrix rng 4 9 and x = random_matrix rng 3 4 and y = random_matrix rng 3 9 in
   rejects "gemm_tn_acc, short C" (fun () -> Matrix.gemm_tn_acc (short c) x y);
   rejects "gemm_tn_acc, short A" (fun () -> Matrix.gemm_tn_acc c (short x) y);
@@ -522,4 +612,5 @@ let suite =
     Alcotest.test_case "batch backward = per-sample" `Quick
       test_batch_backward_matches_per_sample;
     Alcotest.test_case "skipped input grad keeps grads" `Quick test_skip_input_grad;
+    QCheck_alcotest.to_alcotest prop_adam_matches_ref;
     Alcotest.test_case "short matrix data rejected" `Quick test_short_data_rejected ]
